@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"halsim/internal/nf"
 	"halsim/internal/server"
 	"halsim/internal/sim"
-	"halsim/internal/trace"
 )
 
 // benchResult is one measurement row of the BENCH_*.json snapshot.
@@ -45,17 +43,10 @@ type benchSnapshot struct {
 	// NumCPU is the machine's logical CPU count, recorded so a snapshot
 	// taken with an inflated GOMAXPROCS on a starved quota (say 4 on a
 	// 1-CPU container) is honest about what actually ran concurrently.
-	NumCPU int    `json:"numcpu,omitempty"`
-	Shards int    `json:"shards,omitempty"`
-	Engine string `json:"engine,omitempty"`
-	// SlackFloors records, for parallel snapshots, the per-link observed
-	// lookahead-slack floors (ns) of a short profiled HAL/NAT run — the
-	// executor's ObservedSlack, keyed "src->dst". Deterministic per shard
-	// count, so a drift between snapshots means the partition or the
-	// topology declaration changed; -baseline prints the deltas but never
-	// gates on them.
-	SlackFloors map[string]int64 `json:"slack_floors,omitempty"`
-	Results     []benchResult    `json:"results"`
+	NumCPU  int           `json:"numcpu,omitempty"`
+	Shards  int           `json:"shards,omitempty"`
+	Engine  string        `json:"engine,omitempty"`
+	Results []benchResult `json:"results"`
 }
 
 // engineLabel names the engine a shard count selects.
@@ -97,15 +88,16 @@ func measureBest(nb namedBench, repeat int) (benchResult, error) {
 	return best, nil
 }
 
-// runBenchSuite measures the regression-sentinel benchmarks (the three
-// ModeNAT80G modes and the Table V matrix, mirroring bench_test.go) with
-// testing.Benchmark and writes a JSON snapshot next to the ASCII summary.
+// runBenchSuite measures the serial regression-sentinel benchmarks (the
+// three ModeNAT80G modes and the Table V matrix, mirroring bench_test.go)
+// with testing.Benchmark and writes a JSON snapshot next to the ASCII
+// summary.
 // Each benchmark is measured repeat times and the snapshot keeps the
 // fastest ns/op (and that run's B/op and allocs/op). quick shrinks
 // simulated durations so a CI run finishes in seconds. With a baseline
 // snapshot the run also prints per-benchmark deltas and fails on a
 // regression beyond tol (the -baseline-tolerance flag, as a fraction).
-func runBenchSuite(opt experiments.Options, quick bool, repeat int, prof bool, tol float64, outPath, baselinePath string) error {
+func runBenchSuite(opt experiments.Options, quick bool, repeat int, tol float64, outPath, baselinePath string) error {
 	if repeat < 1 {
 		repeat = 1
 	}
@@ -117,12 +109,12 @@ func runBenchSuite(opt experiments.Options, quick bool, repeat int, prof bool, t
 		t5.Duration, t5.TraceDuration = 5*sim.Millisecond, 10*sim.Millisecond
 	}
 
-	modeBench := func(mode server.Mode, shards int) func(b *testing.B) {
+	modeBench := func(mode server.Mode) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := server.Run(
-					server.Config{Mode: mode, Fn: nf.NAT, Seed: opt.Seed, Shards: shards},
+					server.Config{Mode: mode, Fn: nf.NAT, Seed: opt.Seed},
 					server.RunConfig{Duration: runDur, RateGbps: 80})
 				if err != nil {
 					b.Fatal(err)
@@ -147,23 +139,11 @@ func runBenchSuite(opt experiments.Options, quick bool, repeat int, prof bool, t
 			}
 		}
 	}
-	t5Serial := t5
-	t5Serial.Shards = 0
 	benches := []namedBench{
-		{"ModeNAT80G/SNIC", modeBench(server.SNICOnly, 0)},
-		{"ModeNAT80G/Host", modeBench(server.HostOnly, 0)},
-		{"ModeNAT80G/HAL", modeBench(server.HAL, 0)},
-		{"Table5", table5Bench(t5Serial)},
-	}
-	// A sharded invocation measures BOTH engines: the serial sentinels above
-	// keep gating hot-path regressions like-for-like, and the /shardsN rows
-	// record the parallel engine on the same workloads, so one snapshot
-	// carries the serial baseline and the speedup (or, on a starved CPU
-	// quota, the coordination overhead) side by side.
-	if opt.Shards > 1 {
-		benches = append(benches,
-			namedBench{fmt.Sprintf("ModeNAT80G/HAL/shards%d", opt.Shards), modeBench(server.HAL, opt.Shards)},
-			namedBench{fmt.Sprintf("Table5/shards%d", opt.Shards), table5Bench(t5)})
+		{"ModeNAT80G/SNIC", modeBench(server.SNICOnly)},
+		{"ModeNAT80G/Host", modeBench(server.HostOnly)},
+		{"ModeNAT80G/HAL", modeBench(server.HAL)},
+		{"Table5", table5Bench(t5)},
 	}
 
 	snap := benchSnapshot{
@@ -174,8 +154,7 @@ func runBenchSuite(opt experiments.Options, quick bool, repeat int, prof bool, t
 		GoVersion:  runtime.Version(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
-		Shards:     opt.Shards,
-		Engine:     engineLabel(opt.Shards),
+		Engine:     "serial",
 	}
 	for _, nb := range benches {
 		best, err := measureBest(nb, repeat)
@@ -185,25 +164,6 @@ func runBenchSuite(opt experiments.Options, quick bool, repeat int, prof bool, t
 		snap.Results = append(snap.Results, best)
 		fmt.Printf("%-18s %6d iter  %14.0f ns/op  %12d B/op  %10d allocs/op  (min of %d)\n",
 			best.Name, best.Iterations, best.NsPerOp, best.BytesPerOp, best.AllocsPerOp, repeat)
-	}
-
-	// Parallel snapshots also carry the observed slack floors of a short
-	// profiled HAL/NAT run (satellite of the flight recorder): a drift in
-	// these deterministic floors between commits means the LP partition or
-	// topology declaration changed, which wall-clock rows can't show.
-	if opt.Shards > 1 {
-		floors, err := harvestSlackFloors(opt, runDur)
-		if err != nil {
-			return fmt.Errorf("bench: slack floors: %w", err)
-		}
-		snap.SlackFloors = floors
-	} else if prof {
-		fmt.Println("prof: no recording — the flight recorder needs the parallel engine, use -shards > 1")
-	}
-	if prof && opt.Shards > 1 {
-		if err := printBenchProf(opt, runDur); err != nil {
-			return fmt.Errorf("bench: prof: %w", err)
-		}
 	}
 
 	if outPath == "" {
@@ -225,114 +185,14 @@ func runBenchSuite(opt experiments.Options, quick bool, repeat int, prof bool, t
 	return nil
 }
 
-// profiledRun executes one flight-recorded run at the snapshot's shard
-// count and returns the result (Result.Prof carries the recorder).
-func profiledRun(cfg server.Config, rc server.RunConfig) (server.Result, time.Duration, error) {
-	cfg.Telemetry.Prof = true
-	start := time.Now()
-	res, err := server.Run(cfg, rc)
-	return res, time.Since(start), err
-}
-
-// harvestSlackFloors runs the HAL/NAT sentinel briefly with the recorder on
-// and returns the observed per-link slack floors, keyed "src->dst" in ns.
-func harvestSlackFloors(opt experiments.Options, runDur sim.Time) (map[string]int64, error) {
-	res, _, err := profiledRun(
-		server.Config{Mode: server.HAL, Fn: nf.NAT, Seed: opt.Seed, Shards: opt.Shards},
-		server.RunConfig{Duration: runDur, RateGbps: 80})
-	if err != nil {
-		return nil, err
-	}
-	if res.Prof == nil {
-		return nil, nil // fell back to serial: nothing to record
-	}
-	floors := make(map[string]int64)
-	for _, ls := range res.Prof.Links() {
-		if ls.Floor >= 0 {
-			floors[ls.SrcName+"->"+ls.DstName] = int64(ls.Floor)
-		}
-	}
-	return floors, nil
-}
-
-// printBenchProf runs the flight recorder over the bench sentinels — the
-// HAL/NAT 80G constant-rate sentinel and a Table V representative (HAL
-// running Count over the hadoop trace) — and prints each run's stall
-// attribution, slack utilization, and wall-clock split.
-func printBenchProf(opt experiments.Options, runDur sim.Time) error {
-	type sentinel struct {
-		name string
-		cfg  server.Config
-		rc   server.RunConfig
-	}
-	sentinels := []sentinel{{
-		name: "HAL/NAT/80G",
-		cfg:  server.Config{Mode: server.HAL, Fn: nf.NAT, Seed: opt.Seed, Shards: opt.Shards},
-		rc:   server.RunConfig{Duration: runDur, RateGbps: 80},
-	}}
-	if w, err := trace.ParseWorkload("hadoop"); err == nil {
-		sentinels = append(sentinels, sentinel{
-			name: "HAL/hadoop/Count",
-			cfg:  server.Config{Mode: server.HAL, Fn: nf.Count, Seed: opt.Seed, Shards: opt.Shards},
-			rc:   server.RunConfig{Duration: 2 * runDur, Workload: &w},
-		})
-	}
-	for _, s := range sentinels {
-		res, wall, err := profiledRun(s.cfg, s.rc)
-		if err != nil {
-			return fmt.Errorf("%s: %w", s.name, err)
-		}
-		rec := res.Prof
-		if rec == nil {
-			fmt.Printf("prof %s: no recording (engine=%s)\n", s.name, res.Engine)
-			continue
-		}
-		var windows, parks, batches, msgs uint64
-		for i := 0; i < rec.NumLanes(); i++ {
-			l := rec.LaneAt(i)
-			windows += l.WindowCount
-			parks += l.Parks
-			batches += l.Injects
-			msgs += l.InjectedMsgs
-		}
-		fmt.Printf("prof %s: %d rounds, %d windows, %d parks, %d batches/%d msgs\n",
-			s.name, rec.Rounds, windows, parks, batches, msgs)
-		for i, e := range rec.TopStallEdges() {
-			if i >= 3 {
-				break
-			}
-			fmt.Printf("  stall edge %d: %s->%s  %d windows (%.1f%% of paced)\n",
-				i+1, e.SrcName, e.DstName, e.Windows, e.Share*100)
-		}
-		for _, ls := range rec.Links() {
-			if u := ls.Utilization(); u > 0 {
-				fmt.Printf("  slack %s->%s: declared %v of %v observed floor (%.0f%% utilized)\n",
-					ls.SrcName, ls.DstName, ls.Declared, ls.Floor, u*100)
-			}
-		}
-		if wall > 0 {
-			fmt.Printf("  wall: %.1f%% barriers, %.1f%% planning, latch wait %v of %v (nondeterministic)\n",
-				float64(rec.BarrierWallNS)/float64(wall.Nanoseconds())*100,
-				float64(rec.PlanWallNS)/float64(wall.Nanoseconds())*100,
-				time.Duration(rec.LatchWaitTotalNS()).Round(time.Microsecond),
-				wall.Round(time.Millisecond))
-		}
-		for _, wl := range rec.Wheels() {
-			fmt.Printf("  wheel %s: %d cascades, %d overflow, slab high water %d\n",
-				wl.Name, wl.Stats.Cascades, wl.Stats.Overflow, wl.Stats.SlabHighWater)
-		}
-	}
-	return nil
-}
-
 // compareBaseline diffs the fresh snapshot against a stored one: one line
 // per shared benchmark with the ns/op and allocs/op deltas, then an error
 // if any ns/op grew beyond tol (the -baseline-tolerance flag, as a
 // fraction). Allocation growth on the pinned-zero benchmarks is always a
 // failure — the zero-alloc hot path is a correctness property here, not a
-// performance preference — and /shardsN rows additionally gate allocs/op
-// growth beyond tol, so the pooled cross-LP path can't silently regress
-// behind wall-clock noise.
+// performance preference — and the cluster suite's /shardsN rows
+// additionally gate allocs/op growth beyond tol, so the pooled cross-LP
+// path can't silently regress behind wall-clock noise.
 func compareBaseline(cur benchSnapshot, baselinePath string, tol float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -421,38 +281,6 @@ func compareBaseline(cur benchSnapshot, baselinePath string, tol float64) error 
 			}
 		}
 		fmt.Printf("%-18s %14.0f ns/op  %+7.1f%%%s%s\n", r.Name, r.NsPerOp, delta*100, allocNote, mark)
-	}
-	// Slack-floor drift is informational, never gating: the floors are
-	// deterministic per shard count, so a delta flags a partition or
-	// topology change worth knowing about, not a performance regression.
-	if len(cur.SlackFloors) > 0 || len(base.SlackFloors) > 0 {
-		keys := make(map[string]bool)
-		for k := range cur.SlackFloors {
-			keys[k] = true
-		}
-		for k := range base.SlackFloors {
-			keys[k] = true
-		}
-		links := make([]string, 0, len(keys))
-		for k := range keys {
-			links = append(links, k)
-		}
-		sort.Strings(links)
-		fmt.Println("slack floors (ns, informational):")
-		for _, k := range links {
-			c, cok := cur.SlackFloors[k]
-			b, bok := base.SlackFloors[k]
-			switch {
-			case cok && bok && c == b:
-				fmt.Printf("  %-12s %8d (unchanged)\n", k, c)
-			case cok && bok:
-				fmt.Printf("  %-12s %8d -> %d  <-- floor drift\n", k, b, c)
-			case cok:
-				fmt.Printf("  %-12s %8d (no baseline entry)\n", k, c)
-			default:
-				fmt.Printf("  %-12s %8d (gone from this run)\n", k, b)
-			}
-		}
 	}
 	if len(regressed) > 0 {
 		return fmt.Errorf("benchmark regression over %s: %s",

@@ -25,11 +25,10 @@ import (
 // suite picks 5 (one ingress LP plus four server-group LPs), the smallest
 // split that exercises four real cores. -baseline gates ns/op growth at
 // -baseline-tolerance like bench does.
-func runClusterSuite(opt experiments.Options, quick bool, repeat int, tol float64, outPath, baselinePath string) error {
+func runClusterSuite(opt experiments.Options, quick bool, shards, repeat int, tol float64, outPath, baselinePath string) error {
 	if repeat < 1 {
 		repeat = 1
 	}
-	shards := opt.Shards
 	if shards <= 1 {
 		shards = 5
 	}

@@ -3,7 +3,8 @@
 //
 // Usage:
 //
-//	halbench [-quick] [-seed N] [-shards N] [-csv] [-cpuprofile f] [-memprofile f] [experiment ...]
+//	halbench [-quick] [-seed N] [-csv] [-cpuprofile f] [-memprofile f] [experiment ...]
+//	halbench [-quick] [-shards N] [-baseline f] cluster
 //
 // With no experiment arguments it runs all of them. Valid names: tab1,
 // fig2, fig3, fig4, fig5, fig8, fig9, fig10, tab2, tab5, costs, ablation,
@@ -23,19 +24,20 @@
 // ingress — once on the serial engine and once on the parallel engine,
 // and writes BENCH_cluster.json (override with -benchout). Both rows
 // live in one snapshot so the fleet speedup is read off a single file;
-// -baseline and -baseline-tolerance gate it like bench.
+// -baseline and -baseline-tolerance gate it like bench. -shards N sets
+// the parallel rows' shard count (default 5: the ingress LP plus four
+// server-group LPs); it applies to the cluster suite only, and any other
+// experiment given -shards > 1 is a usage error.
 //
 // Exit codes (shared with halsim, see internal/cliutil): 0 success,
 // 1 runtime failure / failed validation run / -baseline regression,
 // 2 usage error (unknown experiment, bad flag, invalid fault plan).
 //
-// -shards N (N > 1) runs every simulation on the conservative-parallel
-// engine; results are byte-identical to serial runs, only wall time
-// changes. Snapshots record GOMAXPROCS, the CPU count, the shard count,
-// and the engine mode; -baseline fails (does not warn) when the two
-// snapshots' engine modes or shard counts differ, and when a parallel
-// run is diffed against a baseline taken at a different GOMAXPROCS —
-// those comparisons measure the execution strategy, not a regression.
+// Snapshots record GOMAXPROCS, the CPU count, the shard count, and the
+// engine mode; -baseline fails (does not warn) when the two snapshots'
+// engine modes or shard counts differ, and when a parallel run is diffed
+// against a baseline taken at a different GOMAXPROCS — those comparisons
+// measure the execution strategy, not a regression.
 package main
 
 import (
@@ -68,7 +70,7 @@ func emit(t experiments.Table) {
 func main() {
 	quick := flag.Bool("quick", false, "shorter simulations (noisier numbers)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	shards := flag.Int("shards", 0, "run simulations on the parallel engine with this many shards (0/1 = serial; results are byte-identical)")
+	shards := flag.Int("shards", 0, "cluster: shard count of the fleet sentinels' parallel rows (with the cluster experiment only; default 5)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -76,7 +78,6 @@ func main() {
 	baseline := flag.String("baseline", "", "bench/cluster: compare against this BENCH_*.json snapshot; exit nonzero on an ns/op regression beyond -baseline-tolerance")
 	baselineTol := flag.Float64("baseline-tolerance", 25, "bench/cluster: percent a benchmark's ns/op may grow over -baseline before the run fails")
 	benchN := flag.Int("benchN", 3, "bench: measure each benchmark this many times and keep the fastest run")
-	prof := flag.Bool("prof", false, "bench: print the parallel engine's flight-recorder summary for the sentinels (needs -shards > 1)")
 	showVersion := flag.Bool("version", false, "print the build commit and exit")
 	flag.Parse()
 	if *showVersion {
@@ -85,12 +86,16 @@ func main() {
 	}
 	emitCSV = *csv
 	// run returns instead of calling os.Exit so the profile defers flush.
-	os.Exit(run(*quick, *seed, *shards, *benchN, *prof, *baselineTol, *cpuprofile, *memprofile, *benchOut, *baseline, flag.Args()))
+	os.Exit(run(*quick, *seed, *shards, *benchN, *baselineTol, *cpuprofile, *memprofile, *benchOut, *baseline, flag.Args()))
 }
 
-func run(quick bool, seed int64, shards, benchN int, prof bool, baselineTol float64, cpuprofile, memprofile, benchOut, baseline string, names []string) int {
+func run(quick bool, seed int64, shards, benchN int, baselineTol float64, cpuprofile, memprofile, benchOut, baseline string, names []string) int {
 	if baselineTol < 0 {
 		fmt.Fprintln(os.Stderr, "halbench: -baseline-tolerance must be >= 0 (a percentage)")
+		return cliutil.ExitUsage
+	}
+	if shards > 1 && (len(names) != 1 || names[0] != "cluster") {
+		fmt.Fprintf(os.Stderr, "halbench: -shards %d applies to the cluster experiment only (shards partition fleets; single-server runs are serial)\n", shards)
 		return cliutil.ExitUsage
 	}
 	tol := baselineTol / 100
@@ -121,7 +126,7 @@ func run(quick bool, seed int64, shards, benchN int, prof bool, baselineTol floa
 		}()
 	}
 
-	opt := experiments.Options{Seed: seed, Shards: shards}
+	opt := experiments.Options{Seed: seed}
 	if quick {
 		opt.Duration = 80 * sim.Millisecond
 		opt.TraceDuration = 200 * sim.Millisecond
@@ -263,10 +268,10 @@ func run(quick bool, seed int64, shards, benchN int, prof bool, baselineTol floa
 		},
 	}
 	runners["bench"] = func(o experiments.Options) error {
-		return runBenchSuite(o, quick, benchN, prof, tol, benchOut, baseline)
+		return runBenchSuite(o, quick, benchN, tol, benchOut, baseline)
 	}
 	runners["cluster"] = func(o experiments.Options) error {
-		return runClusterSuite(o, quick, benchN, tol, benchOut, baseline)
+		return runClusterSuite(o, quick, shards, benchN, tol, benchOut, baseline)
 	}
 	order := []string{"tab1", "fig2", "fig3", "fig4", "tab2", "fig5", "fig8", "fig9", "tab5", "fig10", "costs", "ablation", "faults", "validate"}
 

@@ -9,7 +9,7 @@
 //	halsim -mode slb -fn NAT -rate 80 -slb-cores 4 -slb-th 20
 //	halsim -mode hal -fn NAT -rate 60 -fault core-crash -fault-cores 4
 //	halsim -mode hal -fn NAT -rate 80 -timeline run.csv -trace-out run.trace.json
-//	halsim -mode hal -fn NAT -rate 80 -duration 1s -shards 4
+//	halsim -mode hal -fn NAT -servers 64 -rate 6400 -duration 2ms -shards 4
 //	halsim run examples/scenarios/chaos-soak.yaml -report report.md
 //	halsim validate examples/scenarios/*.yaml
 package main
@@ -58,8 +58,8 @@ func main() {
 		workload = flag.String("workload", "", "web | cache | hadoop datacenter trace")
 		duration = flag.Duration("duration", 300*time.Millisecond, "simulated duration")
 		seed     = flag.Int64("seed", 1, "simulation seed")
-		shards   = flag.Int("shards", 0, "run on the conservative-parallel engine with this many shards (0/1 = serial; results are byte-identical)")
-		profFlag = flag.Bool("prof", false, "record the parallel engine's flight recorder (needs -shards > 1): window spans, stall attribution, lookahead-slack series")
+		shards   = flag.Int("shards", 0, "run the fleet on the conservative-parallel engine with this many shards (with -servers; 0/1 = serial; results are byte-identical)")
+		profFlag = flag.Bool("prof", false, "record the parallel engine's flight recorder (with -servers and -shards > 1): window spans, stall attribution, lookahead-slack series")
 		useCXL   = flag.Bool("cxl", false, "attach the SNIC over CXL (coherent shared state)")
 
 		servers  = flag.Int("servers", 0, "fleet size: run N full servers behind one shared ingress and a modeled ToR fabric (0 = single server)")
@@ -166,6 +166,9 @@ func main() {
 	}
 	if *useCXL {
 		cfg.Fabric = cxl.NewFabric(cxl.CXL, 2)
+	}
+	if *shards > 1 && *servers == 0 {
+		usageErr("-shards %d needs -servers: shards apply to fleets, a single server runs serially", *shards)
 	}
 	if *servers > 0 {
 		if *faultKind != "" {
@@ -279,9 +282,6 @@ func main() {
 		fmt.Printf("+%v", cfg.Pipeline)
 	}
 	if *shards > 1 {
-		// Surface fallbacks: a Shards request the partition cannot host
-		// prints "serial (reason)" here instead of silently differing in
-		// wall time only.
 		fmt.Printf(" engine=%s", res.Engine)
 	}
 	fmt.Println()
@@ -333,7 +333,7 @@ func main() {
 func printProfSummary(res server.Result, wall time.Duration) {
 	rec := res.Prof
 	if rec == nil {
-		fmt.Printf("  prof        no recording (engine=%s; -prof needs the parallel engine, use -shards > 1)\n", res.Engine)
+		fmt.Printf("  prof        no recording (engine=%s; -prof needs a sharded fleet: -servers N -shards > 1)\n", res.Engine)
 		return
 	}
 	fmt.Printf("  prof        %d rounds", rec.Rounds)
@@ -397,19 +397,13 @@ func writeArtifacts(res server.Result, csvPath, jsonPath, tracePath, metricsPath
 		write(jsonPath, "timeline-json", res.Timeline.WriteJSON)
 	}
 	switch {
-	case res.Trace != nil && res.Prof != nil:
-		// A profiled run exports the combined document: packet spans with
-		// LP attribution plus the recorder's per-LP window lanes.
-		write(tracePath, "trace-out", func(w io.Writer) error {
-			return telemetry.WriteProfTrace(w, res.Trace, res.Prof)
-		})
 	case res.Trace != nil:
 		write(tracePath, "trace-out", res.Trace.WriteTrace)
 	case res.Prof != nil:
-		// Cluster runs have no packet tracer; the document carries the
-		// recorder's per-server lp:* lanes alone.
+		// Fleets have no packet tracer; a profiled fleet's document carries
+		// the recorder's per-server lp:* lanes.
 		write(tracePath, "trace-out", func(w io.Writer) error {
-			return telemetry.WriteProfTrace(w, nil, res.Prof)
+			return telemetry.WriteProfTrace(w, res.Prof)
 		})
 	}
 	if res.Metrics != nil {

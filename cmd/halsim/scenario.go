@@ -48,7 +48,7 @@ func runCmd(args []string) {
 	}
 	var (
 		seed       = fs.Int64("seed", 0, "override the scenario's seed (0 = use the file's)")
-		shards     = fs.Int("shards", 0, "override the scenario's shard count (0 = use the file's)")
+		shards     = fs.Int("shards", 0, "override a fleet scenario's shard count (0 = use the file's)")
 		reportMD   = fs.String("report", "", "write the Markdown run report to this file ('-' for stdout)")
 		reportHTML = fs.String("report-html", "", "write the HTML run report to this file")
 		arts       artifactPaths
@@ -57,7 +57,7 @@ func runCmd(args []string) {
 	fs.StringVar(&arts.timelineJSON, "timeline-json", "", "write the time series (plus latency buckets) as JSON")
 	fs.StringVar(&arts.traceOut, "trace-out", "", "write a sampled packet-lifecycle trace (Chrome trace-event JSON)")
 	fs.StringVar(&arts.metricsOut, "metrics-out", "", "write the final counter registry in Prometheus text format ('-' for stdout)")
-	fs.BoolVar(&arts.prof, "prof", false, "record the parallel engine's flight recorder (needs shards > 1); adds the report's Parallel profile section")
+	fs.BoolVar(&arts.prof, "prof", false, "record the parallel engine's flight recorder (fleet scenarios with shards > 1); adds the report's Parallel profile section")
 	files := parseInterleaved(fs, args)
 	if len(files) != 1 {
 		fmt.Fprintf(os.Stderr, "halsim run: want exactly one scenario file, have %d\n\n", len(files))

@@ -3,13 +3,9 @@
 // the Table V shape: equal-or-better throughput, host-class latency, and a
 // large energy-efficiency gain because the SNIC absorbs the quiet periods
 // while the host sleeps.
-//
-// Pass -shards 4 to run every simulation on the conservative-parallel
-// engine: the printed table is byte-identical, only wall time changes.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
@@ -17,9 +13,6 @@ import (
 )
 
 func main() {
-	shards := flag.Int("shards", 0, "simulate on the parallel engine with this many shards (0/1 = serial; output is byte-identical)")
-	flag.Parse()
-
 	fmt.Println("REM under the three datacenter traces (600 ms simulated each):")
 	fmt.Println()
 	for _, w := range halsim.Workloads {
@@ -27,7 +20,7 @@ func main() {
 		for _, mode := range []halsim.Mode{halsim.HostOnly, halsim.HAL} {
 			wl := w
 			res, err := halsim.Run(
-				halsim.Config{Mode: mode, Fn: halsim.REM, Shards: *shards},
+				halsim.Config{Mode: mode, Fn: halsim.REM},
 				halsim.RunConfig{Duration: 600 * halsim.Millisecond, Workload: &wl},
 			)
 			if err != nil {
@@ -50,12 +43,9 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("Stateful function over the emulated CXL-SNIC (shared coherent state):")
-	// Note: a coherent fabric shares state across the SNIC and host sides,
-	// so a -shards request here silently falls back to the serial engine
-	// (res.Engine says so) — the numbers are identical either way.
 	wl := halsim.Hadoop
 	res, err := halsim.Run(
-		halsim.Config{Mode: halsim.HAL, Fn: halsim.Count, Fabric: halsim.NewFabric(halsim.CXL, 2), Shards: *shards},
+		halsim.Config{Mode: halsim.HAL, Fn: halsim.Count, Fabric: halsim.NewFabric(halsim.CXL, 2)},
 		halsim.RunConfig{Duration: 600 * halsim.Millisecond, Workload: &wl},
 	)
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 
 func main() {
 	fnName := flag.String("fn", "REM", "function to sweep")
-	shards := flag.Int("shards", 0, "simulate each point on the parallel engine with this many shards (0/1 = serial; the printed numbers are byte-identical either way)")
 	flag.Parse()
 	fn, err := halsim.ParseFunction(*fnName)
 	if err != nil {
@@ -24,11 +23,7 @@ func main() {
 	modes := []halsim.Mode{halsim.HostOnly, halsim.SNICOnly, halsim.HAL}
 	rates := []float64{5, 15, 30, 45, 60, 80, 100}
 
-	engine := "serial engine"
-	if *shards > 1 {
-		engine = fmt.Sprintf("parallel engine, %d shards", *shards)
-	}
-	fmt.Printf("%v sweep (150 ms/point, %s):\n\n", fn, engine)
+	fmt.Printf("%v sweep (150 ms/point):\n\n", fn)
 	fmt.Printf("%6s |", "Gbps")
 	for _, m := range modes {
 		fmt.Printf(" %-26v |", m)
@@ -44,7 +39,7 @@ func main() {
 		fmt.Printf("%6.0f |", rate)
 		for _, m := range modes {
 			res, err := halsim.Run(
-				halsim.Config{Mode: m, Fn: fn, Shards: *shards},
+				halsim.Config{Mode: m, Fn: fn},
 				halsim.RunConfig{Duration: 150 * halsim.Millisecond, RateGbps: rate},
 			)
 			if err != nil {

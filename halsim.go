@@ -92,9 +92,10 @@ type (
 // N} runs N complete servers (up to 4096) behind one shared ingress and a
 // modeled ToR fabric — flat star by default, or a two-tier pod/ToR/spine
 // topology with oversubscribable uplinks when Pods >= 2 — each server
-// group its own logical process under Config.Shards. The Result is the
-// fleet aggregate; latency percentiles are ingress round trips, fabric
-// included.
+// group its own logical process under Config.Shards. Shards apply to
+// fleets only: Run rejects Shards > 1 on a single server, which always
+// runs serially. The Result is the fleet aggregate; latency percentiles
+// are ingress round trips, fabric included.
 type ClusterConfig = server.ClusterConfig
 
 // ServerCrash is one timed whole-server blackout of a cluster run.

@@ -21,10 +21,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden fixtures from the 
 // container/heap-based engine and must keep matching after hot-path
 // refactors. The telemetry config is applied to every run: the observability
 // layer is read-only by contract, so the SAME fixture must hold whether it
-// is off (zero value) or fully on. Likewise shards: the conservative-
-// parallel engine (shards > 1) must reproduce the serial fixture
-// byte-for-byte.
-func goldenRuns(t *testing.T, tel halsim.TelemetryConfig, shards int) string {
+// is off (zero value) or fully on.
+func goldenRuns(t *testing.T, tel halsim.TelemetryConfig) string {
 	t.Helper()
 	var b strings.Builder
 	line := func(name string, res halsim.Result) {
@@ -38,7 +36,7 @@ func goldenRuns(t *testing.T, tel halsim.TelemetryConfig, shards int) string {
 	for _, mode := range []halsim.Mode{halsim.HostOnly, halsim.SNICOnly, halsim.HAL} {
 		for _, fn := range []halsim.FnID{halsim.NAT, halsim.REM} {
 			res, err := halsim.Run(
-				halsim.Config{Mode: mode, Fn: fn, Seed: 7, Telemetry: tel, Shards: shards},
+				halsim.Config{Mode: mode, Fn: fn, Seed: 7, Telemetry: tel},
 				halsim.RunConfig{Duration: 8 * halsim.Millisecond, RateGbps: 60})
 			if err != nil {
 				t.Fatalf("%v/%v: %v", mode, fn, err)
@@ -49,7 +47,7 @@ func goldenRuns(t *testing.T, tel halsim.TelemetryConfig, shards int) string {
 
 	// SLB exercises the forwarding-core path and director credit loop.
 	res, err := halsim.Run(
-		halsim.Config{Mode: halsim.SLB, Fn: halsim.NAT, SLBCores: 1, SLBFwdThGbps: 30, Seed: 7, Telemetry: tel, Shards: shards},
+		halsim.Config{Mode: halsim.SLB, Fn: halsim.NAT, SLBCores: 1, SLBFwdThGbps: 30, Seed: 7, Telemetry: tel},
 		halsim.RunConfig{Duration: 8 * halsim.Millisecond, RateGbps: 60})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +56,7 @@ func goldenRuns(t *testing.T, tel halsim.TelemetryConfig, shards int) string {
 
 	// Trace-modulated workload exercises the epoch re-draw path.
 	res, err = halsim.Run(
-		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 7, Telemetry: tel, Shards: shards},
+		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 7, Telemetry: tel},
 		halsim.RunConfig{Duration: 16 * halsim.Millisecond, Workload: &halsim.Workloads[2]})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +65,7 @@ func goldenRuns(t *testing.T, tel halsim.TelemetryConfig, shards int) string {
 
 	// Pipelined two-function setup (two stations per side).
 	res, err = halsim.Run(
-		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Pipeline: halsim.Count, PipelineOn: true, Seed: 7, Telemetry: tel, Shards: shards},
+		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Pipeline: halsim.Count, PipelineOn: true, Seed: 7, Telemetry: tel},
 		halsim.RunConfig{Duration: 8 * halsim.Millisecond, RateGbps: 40})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +76,7 @@ func goldenRuns(t *testing.T, tel halsim.TelemetryConfig, shards int) string {
 	plan := halsim.NewFaultPlan(7).
 		CrashSNICCores(2*halsim.Millisecond, 5*halsim.Millisecond, 2)
 	res, err = halsim.Run(
-		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 7, Faults: plan, Telemetry: tel, Shards: shards},
+		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 7, Faults: plan, Telemetry: tel},
 		halsim.RunConfig{Duration: 8 * halsim.Millisecond, RateGbps: 60, Drain: true,
 			PhaseMarks: []halsim.Time{2 * halsim.Millisecond, 5 * halsim.Millisecond}})
 	if err != nil {
@@ -96,7 +94,7 @@ func goldenRuns(t *testing.T, tel halsim.TelemetryConfig, shards int) string {
 // fixture: same seed + config must produce byte-identical results across
 // refactors of the hot path (value-type event heap, packet pooling).
 func TestGoldenDeterminism(t *testing.T) {
-	got := goldenRuns(t, halsim.TelemetryConfig{}, 0)
+	got := goldenRuns(t, halsim.TelemetryConfig{})
 	path := filepath.Join("testdata", "golden_runs.txt")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -125,7 +123,7 @@ func TestGoldenDeterminismTelemetryOn(t *testing.T) {
 	if *updateGolden {
 		t.Skip("fixture is written by TestGoldenDeterminism")
 	}
-	got := goldenRuns(t, halsim.TelemetryConfig{Timeline: true, TraceEvery: 64}, 0)
+	got := goldenRuns(t, halsim.TelemetryConfig{Timeline: true, TraceEvery: 64})
 	path := filepath.Join("testdata", "golden_runs.txt")
 	want, err := os.ReadFile(path)
 	if err != nil {
@@ -136,31 +134,11 @@ func TestGoldenDeterminismTelemetryOn(t *testing.T) {
 	}
 }
 
-// TestGoldenDeterminismParallel runs the whole battery on the conservative-
-// parallel engine (three lookahead-partitioned logical processes plus a
-// control process) and compares against the SAME serial fixture: the
-// partition is only admissible because it is bit-exact.
-func TestGoldenDeterminismParallel(t *testing.T) {
-	if *updateGolden {
-		t.Skip("fixture is written by TestGoldenDeterminism")
-	}
-	got := goldenRuns(t, halsim.TelemetryConfig{}, 4)
-	path := filepath.Join("testdata", "golden_runs.txt")
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden fixture (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("parallel engine diverged from serial fixture %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
-	}
-}
-
 // TestGoldenDeterminismProfiled turns the flight recorder on across the
-// whole battery — serial (where it stays dormant) and sharded — and compares
-// against the SAME fixture: the recorder is an observer of the parallel
-// engine's scheduling decisions, never a participant. Windows, slack series,
-// and inject counters are recorded on paths the engine already takes; any
-// divergence here means the recorder perturbed run-ahead planning.
+// whole battery and compares against the SAME fixture: a single server runs
+// serially, so the recorder stays dormant — Prof is accepted and records
+// nothing — and must leave every result untouched. (Fleets, where it does
+// record, are held to their own fixture by TestClusterGoldenParallelProfiled.)
 func TestGoldenDeterminismProfiled(t *testing.T) {
 	if *updateGolden {
 		t.Skip("fixture is written by TestGoldenDeterminism")
@@ -170,29 +148,8 @@ func TestGoldenDeterminismProfiled(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden fixture (run with -update to create): %v", err)
 	}
-	for _, shards := range []int{0, 4} {
-		got := goldenRuns(t, halsim.TelemetryConfig{Timeline: true, TraceEvery: 64, Prof: true}, shards)
-		if got != string(want) {
-			t.Fatalf("flight recorder perturbed the simulation at shards=%d: output diverged from %s\n--- got ---\n%s\n--- want ---\n%s", shards, path, got, want)
-		}
-	}
-}
-
-// TestGoldenDeterminismParallelTelemetryOn stacks both invariants: sharded
-// execution with every collector enabled must still reproduce the serial,
-// telemetry-off fixture byte-for-byte (per-LP tracers merge by order key;
-// samplers read only barrier-consistent state).
-func TestGoldenDeterminismParallelTelemetryOn(t *testing.T) {
-	if *updateGolden {
-		t.Skip("fixture is written by TestGoldenDeterminism")
-	}
-	got := goldenRuns(t, halsim.TelemetryConfig{Timeline: true, TraceEvery: 64}, 4)
-	path := filepath.Join("testdata", "golden_runs.txt")
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden fixture (run with -update to create): %v", err)
-	}
+	got := goldenRuns(t, halsim.TelemetryConfig{Timeline: true, TraceEvery: 64, Prof: true})
 	if got != string(want) {
-		t.Fatalf("parallel engine with telemetry diverged from serial fixture %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+		t.Fatalf("flight recorder perturbed the simulation: output diverged from %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 	}
 }

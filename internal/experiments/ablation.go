@@ -84,7 +84,7 @@ func AblationLBP(opt Options) (AblationResult, error) {
 		{"frozen @ 80 (high)", func(c *core.Config) { c.Frozen = true; c.InitialFwdThGbps = 80 }},
 	}
 	for _, cse := range cases {
-		res, err := runServer(opt,
+		res, err := server.Run(
 			server.Config{Mode: server.HAL, Fn: nf.NAT, HALConfig: halConfigWith(cse.mut), Seed: opt.Seed},
 			server.RunConfig{Duration: opt.Duration, RateGbps: 80})
 		if err != nil {
@@ -105,7 +105,7 @@ func AblationWatermarks(opt Options) (AblationResult, error) {
 		Notes:  []string{"higher watermarks admit deeper SNIC queues: more SNIC share, worse p99"},
 	}
 	for _, wm := range []struct{ lo, hi int }{{1, 8}, {2, 16}, {8, 64}, {32, 256}} {
-		res, err := runServer(opt,
+		res, err := server.Run(
 			server.Config{Mode: server.HAL, Fn: nf.NAT, Seed: opt.Seed,
 				HALConfig: halConfigWith(func(c *core.Config) { c.WMLow, c.WMHigh = wm.lo, wm.hi })},
 			server.RunConfig{Duration: opt.Duration, RateGbps: 80})
@@ -129,7 +129,7 @@ func AblationMonitorPeriod(opt Options) (AblationResult, error) {
 	}
 	w := trace.Hadoop
 	for _, win := range []sim.Time{sim.Microsecond, 10 * sim.Microsecond, 100 * sim.Microsecond, sim.Millisecond} {
-		res, err := runServer(opt,
+		res, err := server.Run(
 			server.Config{Mode: server.HAL, Fn: nf.NAT, Seed: opt.Seed,
 				HALConfig: halConfigWith(func(c *core.Config) { c.MonitorPeriod = win })},
 			server.RunConfig{Duration: opt.TraceDuration, Workload: &w})
@@ -158,7 +158,7 @@ func AblationPacketSize(opt Options) (AblationResult, error) {
 	}
 	for _, name := range []string{"64B", "bimodal", "MTU"} {
 		for _, mode := range []server.Mode{server.SNICOnly, server.HostOnly} {
-			res, err := runServer(opt,
+			res, err := server.Run(
 				server.Config{Mode: mode, Fn: nf.Count, Seed: opt.Seed},
 				server.RunConfig{Duration: opt.Duration, RateGbps: 40, Sizes: sizes[name]})
 			if err != nil {
@@ -215,7 +215,7 @@ func AblationFunctionMix(opt Options) (AblationResult, error) {
 	rc := server.RunConfig{Duration: opt.Duration, RateGbps: 70}
 
 	dyn := base
-	res, err := runServer(opt, dyn, rc)
+	res, err := server.Run(dyn, rc)
 	if err != nil {
 		return out, err
 	}
@@ -227,7 +227,7 @@ func AblationFunctionMix(opt Options) (AblationResult, error) {
 			c.Frozen = true
 			c.InitialFwdThGbps = th
 		})
-		res, err := runServer(opt, cfg, rc)
+		res, err := server.Run(cfg, rc)
 		if err != nil {
 			return out, err
 		}

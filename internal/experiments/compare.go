@@ -81,7 +81,7 @@ func measureMaxPoint(mode server.Mode, c compareCase, opt Options) (PlatformPoin
 	if probe < 0.05 {
 		probe = 0.05
 	}
-	maxRun, err := runServer(opt, base, server.RunConfig{Duration: opt.Duration, RateGbps: probe})
+	maxRun, err := server.Run(base, server.RunConfig{Duration: opt.Duration, RateGbps: probe})
 	if err != nil {
 		return PlatformPoint{}, err
 	}
@@ -89,7 +89,7 @@ func measureMaxPoint(mode server.Mode, c compareCase, opt Options) (PlatformPoin
 	if op <= 0 {
 		op = probe * 0.5
 	}
-	opRun, err := runServer(opt, base, server.RunConfig{Duration: opt.Duration, RateGbps: op})
+	opRun, err := server.Run(base, server.RunConfig{Duration: opt.Duration, RateGbps: op})
 	if err != nil {
 		return PlatformPoint{}, err
 	}

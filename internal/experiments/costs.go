@@ -43,12 +43,12 @@ func Costs(opt Options) (CostsResult, error) {
 		ASICPowerDivisor: 14,
 	}
 	const rate = 15.0
-	hal, err := runServer(opt, server.Config{Mode: server.HAL, Fn: nf.NAT, Seed: opt.Seed},
+	hal, err := server.Run(server.Config{Mode: server.HAL, Fn: nf.NAT, Seed: opt.Seed},
 		server.RunConfig{Duration: opt.Duration, RateGbps: rate})
 	if err != nil {
 		return out, err
 	}
-	snic, err := runServer(opt, server.Config{Mode: server.SNICOnly, Fn: nf.NAT, Seed: opt.Seed},
+	snic, err := server.Run(server.Config{Mode: server.SNICOnly, Fn: nf.NAT, Seed: opt.Seed},
 		server.RunConfig{Duration: opt.Duration, RateGbps: rate})
 	if err != nil {
 		return out, err

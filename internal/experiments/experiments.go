@@ -14,7 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"halsim/internal/server"
 	"halsim/internal/sim"
 )
 
@@ -29,12 +28,6 @@ type Options struct {
 	TraceDuration sim.Time
 	// Seed makes every run deterministic.
 	Seed int64
-	// Shards selects the simulation engine for every run the drivers
-	// launch: 0 or 1 is the serial engine, > 1 the conservative-parallel
-	// engine (see server.Config.Shards). Results are byte-identical
-	// either way; configurations the parallel partition cannot host fall
-	// back to serial silently.
-	Shards int
 }
 
 func (o Options) withDefaults() Options {
@@ -96,14 +89,6 @@ func (t Table) Render() string {
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-
-// runServer is the one funnel every driver launches simulator runs through:
-// it applies the engine selection from Options, so a sharded halbench
-// invocation shards every run of every table and figure.
-func runServer(opt Options, cfg server.Config, rc server.RunConfig) (server.Result, error) {
-	cfg.Shards = opt.Shards
-	return server.Run(cfg, rc)
-}
 
 // parWorkers is the experiment fan-out width: the HAL_PARALLELISM
 // environment variable when set to a positive integer, else the effective

@@ -135,7 +135,7 @@ func Faults(opt Options) (FaultsResult, error) {
 			// the CLI maps it to the usage-error exit status.
 			return fmt.Errorf("faults %s/%v: %w", c.name, c.fn, err)
 		}
-		res, err := runServer(opt,
+		res, err := server.Run(
 			server.Config{Mode: server.HAL, Fn: c.fn, Faults: plan, Seed: opt.Seed},
 			server.RunConfig{
 				Duration:   dur,

@@ -55,7 +55,7 @@ func Fig10(opt Options) (Fig10Result, error) {
 				p := prof
 				cfg.HostProfile = &p
 			}
-			maxRun, err := runServer(opt, cfg, server.RunConfig{Duration: opt.Duration, RateGbps: probe})
+			maxRun, err := server.Run(cfg, server.RunConfig{Duration: opt.Duration, RateGbps: probe})
 			if err != nil {
 				return PlatformPoint{}, err
 			}
@@ -63,7 +63,7 @@ func Fig10(opt Options) (Fig10Result, error) {
 			if op <= 0 {
 				op = probe / 2
 			}
-			opRun, err := runServer(opt, cfg, server.RunConfig{Duration: opt.Duration, RateGbps: op})
+			opRun, err := server.Run(cfg, server.RunConfig{Duration: opt.Duration, RateGbps: op})
 			if err != nil {
 				return PlatformPoint{}, err
 			}

@@ -34,7 +34,7 @@ func Fig5(opt Options) (SLBResult, error) {
 	var out SLBResult
 	const offered = 80.0
 	run := func(cfg server.Config) (server.Result, error) {
-		return runServer(opt, cfg, server.RunConfig{Duration: opt.Duration, RateGbps: offered})
+		return server.Run(cfg, server.RunConfig{Duration: opt.Duration, RateGbps: offered})
 	}
 	type spec struct {
 		cores int

@@ -54,7 +54,7 @@ func Table2(opt Options) (SLOResult, error) {
 		if refRate <= 0 {
 			refRate = 0.02
 		}
-		ref, err := runServer(opt, base, server.RunConfig{Duration: opt.Duration, RateGbps: refRate})
+		ref, err := server.Run(base, server.RunConfig{Duration: opt.Duration, RateGbps: refRate})
 		if err != nil {
 			return fmt.Errorf("%s ref: %w", c.name, err)
 		}
@@ -69,7 +69,7 @@ func Table2(opt Options) (SLOResult, error) {
 			if rate > 100 {
 				break
 			}
-			res, err := runServer(opt, base, server.RunConfig{Duration: opt.Duration, RateGbps: rate})
+			res, err := server.Run(base, server.RunConfig{Duration: opt.Duration, RateGbps: rate})
 			if err != nil {
 				return fmt.Errorf("%s scan: %w", c.name, err)
 			}
@@ -83,7 +83,7 @@ func Table2(opt Options) (SLOResult, error) {
 		// Host EE at the SLO operating point.
 		hostCfg := base
 		hostCfg.Mode = server.HostOnly
-		host, err := runServer(opt, hostCfg, server.RunConfig{Duration: opt.Duration, RateGbps: slo.SLOGbps})
+		host, err := server.Run(hostCfg, server.RunConfig{Duration: opt.Duration, RateGbps: slo.SLOGbps})
 		if err != nil {
 			return fmt.Errorf("%s host: %w", c.name, err)
 		}

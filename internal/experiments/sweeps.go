@@ -51,7 +51,7 @@ func sweep(fn nf.ID, modes []server.Mode, opt Options) (SweepResult, error) {
 	err := parMap(len(jobs), func(i int) error {
 		j := jobs[i]
 		rate := out.Rates[j.ri]
-		res, err := runServer(opt,
+		res, err := server.Run(
 			server.Config{Mode: j.mode, Fn: fn, Seed: opt.Seed},
 			server.RunConfig{Duration: opt.Duration, RateGbps: rate})
 		if err != nil {

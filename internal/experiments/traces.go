@@ -112,7 +112,7 @@ func Table5(opt Options) (Tab5Result, error) {
 				cfg.Fabric = cxl.NewFabric(cxl.CXL, 2)
 			}
 			wl := w
-			res, err := runServer(opt, cfg, server.RunConfig{
+			res, err := server.Run(cfg, server.RunConfig{
 				Duration: opt.TraceDuration, Workload: &wl,
 			})
 			if err != nil {

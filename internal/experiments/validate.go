@@ -56,7 +56,7 @@ func Validate(opt Options) (ValidationResult, error) {
 	}
 	run := func(cfg server.Config, rate float64) (server.Result, error) {
 		cfg.Seed = opt.Seed
-		return runServer(opt, cfg, server.RunConfig{Duration: opt.Duration, RateGbps: rate})
+		return server.Run(cfg, server.RunConfig{Duration: opt.Duration, RateGbps: rate})
 	}
 
 	// 1. SNIC NAT saturation ≈ 40–45 Gbps (Table V).
@@ -136,12 +136,12 @@ func Validate(opt Options) (ValidationResult, error) {
 	var eeRuns int
 	for _, w := range trace.Workloads {
 		wl := w
-		hostT, err := runServer(opt, server.Config{Mode: server.HostOnly, Fn: nf.REM, Seed: opt.Seed},
+		hostT, err := server.Run(server.Config{Mode: server.HostOnly, Fn: nf.REM, Seed: opt.Seed},
 			server.RunConfig{Duration: opt.TraceDuration, Workload: &wl})
 		if err != nil {
 			return out, err
 		}
-		halT, err := runServer(opt, server.Config{Mode: server.HAL, Fn: nf.REM, Seed: opt.Seed},
+		halT, err := server.Run(server.Config{Mode: server.HAL, Fn: nf.REM, Seed: opt.Seed},
 			server.RunConfig{Duration: opt.TraceDuration, Workload: &wl})
 		if err != nil {
 			return out, err

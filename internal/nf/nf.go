@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -56,10 +57,10 @@ func (id ID) String() string {
 	return idNames[id]
 }
 
-// ParseID resolves a function name (case-sensitive, as printed by String).
+// ParseID resolves a function name, ignoring case ("NAT", "nat", "Nat").
 func ParseID(name string) (ID, error) {
 	for i, n := range idNames {
-		if n == name {
+		if strings.EqualFold(n, name) {
 			return ID(i), nil
 		}
 	}

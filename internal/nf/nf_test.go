@@ -22,8 +22,16 @@ func TestIDStrings(t *testing.T) {
 	if ID(-1).String() != "nf(-1)" {
 		t.Error("negative ID string")
 	}
-	if _, err := ParseID("kvs"); err == nil {
-		t.Error("ParseID is case-sensitive; lowercase should fail")
+	// Names match case-insensitively; anything else stays unknown.
+	for name, id := range map[string]ID{"kvs": KVS, "nat": NAT, "Nat": NAT, "rEm": REM, "bm25": BM25, "COMP": Comp} {
+		if got, err := ParseID(name); err != nil || got != id {
+			t.Errorf("ParseID(%q) = %v, %v, want %v", name, got, err, id)
+		}
+	}
+	for _, name := range []string{"", "nats", "NAT ", "kv"} {
+		if _, err := ParseID(name); err == nil {
+			t.Errorf("ParseID(%q) accepted an unknown name", name)
+		}
 	}
 }
 

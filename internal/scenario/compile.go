@@ -68,6 +68,9 @@ func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
 	if ov.Shards != 0 {
 		c.Shards = ov.Shards
 	}
+	if c.Shards > 1 && r.Cluster == nil {
+		return nil, errf("shards override %d without a cluster: block; shards apply to fleets, a single server runs serially", c.Shards)
+	}
 
 	c.Cfg = server.Config{
 		Mode:       r.Mode,

@@ -211,20 +211,6 @@ func checkKeys(n *yaml.Node, section string, known ...string) error {
 	return nil
 }
 
-// parseFn resolves a function name case-insensitively (the CLI is
-// case-sensitive; scenario files need not be).
-func parseFn(name string) (nf.ID, error) {
-	if id, err := nf.ParseID(name); err == nil {
-		return id, nil
-	}
-	for _, id := range nf.All {
-		if strings.EqualFold(id.String(), name) {
-			return id, nil
-		}
-	}
-	return 0, fmt.Errorf("nf: unknown function %q", name)
-}
-
 // dur parses a scalar duration ("500us", "2ms", "1s") into simulated time.
 func dur(n *yaml.Node, what string) (sim.Time, error) {
 	s, err := n.Scalar()
@@ -299,7 +285,7 @@ func (s *Scenario) parseRun(n *yaml.Node) error {
 		if err != nil {
 			return errf("run.fn: %v", err)
 		}
-		if r.Fn, err = parseFn(name); err != nil {
+		if r.Fn, err = nf.ParseID(name); err != nil {
 			return errf("run.fn: line %d: %v", v.Line, err)
 		}
 	}
@@ -314,7 +300,7 @@ func (s *Scenario) parseRun(n *yaml.Node) error {
 			return errf("run.pipeline: %v", err)
 		}
 		if name != "" {
-			if r.Pipeline, err = parseFn(name); err != nil {
+			if r.Pipeline, err = nf.ParseID(name); err != nil {
 				return errf("run.pipeline: line %d: %v", v.Line, err)
 			}
 			r.PipelineOn = true
@@ -579,6 +565,9 @@ func (s *Scenario) Validate() error {
 	}
 	if r.Shards < 0 {
 		return errf("run.shards: negative shard count %d", r.Shards)
+	}
+	if r.Shards > 1 && r.Cluster == nil {
+		return errf("run.shards: %d shards without a cluster: block; shards apply to fleets, a single server runs serially", r.Shards)
 	}
 	if r.RateWindow < 0 {
 		return errf("run.rate_window: negative window")

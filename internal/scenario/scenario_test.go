@@ -22,7 +22,7 @@ run:
   duration: 4ms
   warmup: 200us
   seed: 7
-  shards: 2
+  shards: 1
   telemetry:
     timeline: true
 events:
@@ -71,7 +71,7 @@ func TestParseFull(t *testing.T) {
 	if s.Name != "full" || s.Run.Mode != server.HAL || s.Run.Fn != nf.NAT {
 		t.Fatalf("run spec mismatch: %+v", s.Run)
 	}
-	if s.Run.Seed != 7 || s.Run.Shards != 2 || s.Run.Warmup != 200*sim.Microsecond {
+	if s.Run.Seed != 7 || s.Run.Shards != 1 || s.Run.Warmup != 200*sim.Microsecond {
 		t.Fatalf("run knobs mismatch: %+v", s.Run)
 	}
 	if len(s.Events) != 2 || s.Events[0].Kind != "core-crash" || s.Events[1].DropProb != 0.1 {
@@ -106,6 +106,23 @@ func TestParseFull(t *testing.T) {
 	if !comp.RC.Drain {
 		t.Fatal("fault runs should drain by default")
 	}
+	// Shards apply to fleets: a single-server scenario rejects an override.
+	if _, err := s.Compile(Overrides{Shards: 4}); err == nil || !strings.Contains(err.Error(), "shards apply to fleets") {
+		t.Fatalf("shards override on a single-server scenario: err = %v", err)
+	}
+
+	// Beside a cluster: block, shards: 2 parses and lowers onto the fleet.
+	fleet, err := Parse([]byte("name: fleet\nrun:\n  rate_gbps: 40\n  duration: 2ms\n  shards: 2\n  cluster:\n    servers: 4\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := fleet.Compile(Overrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fleet.Run.Shards != 2 || fc.Cfg.Shards != 2 || fc.Cfg.Cluster == nil || fc.Cfg.Cluster.Servers != 4 {
+		t.Fatalf("fleet shards lowered wrong: run %+v, cfg shards %d cluster %+v", fleet.Run, fc.Cfg.Shards, fc.Cfg.Cluster)
+	}
 }
 
 func TestParseErrors(t *testing.T) {
@@ -137,6 +154,7 @@ func TestParseErrors(t *testing.T) {
 		{"assert conservation op", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\nassertions:\n  - metric: conservation\n    op: \">=\"\n    value: closed\n", "== and != only"},
 		{"assert bad recovery value", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\nassertions:\n  - metric: recovery_time\n    op: \"<=\"\n    value: 5\n", "not a duration"},
 		{"tab indent", "name: x\nrun:\n\trate_gbps: 10\n", "tab"},
+		{"shards without cluster", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\n  shards: 2\n", "shards apply to fleets"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -237,47 +255,6 @@ func TestChaosGeneration(t *testing.T) {
 		if active > spec.MaxOverlap {
 			t.Fatalf("window %d has %d concurrent faults (max %d)", i, active, spec.MaxOverlap)
 		}
-	}
-}
-
-// TestReportByteIdenticalAcrossShards is the determinism pledge: the same
-// scenario and seed produce byte-identical Markdown and HTML reports whether
-// the run used the serial engine or the conservative-parallel one.
-func TestReportByteIdenticalAcrossShards(t *testing.T) {
-	render := func(shards int) (string, string) {
-		s, err := Parse([]byte(chaosDoc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		o, err := s.Execute(Overrides{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !o.Passed {
-			for _, c := range o.Checks {
-				t.Logf("check: %s observed %s pass=%v %s", c.Assertion.String(), c.ObservedText, c.Pass, c.Detail)
-			}
-			t.Fatal("chaos scenario failed its assertions")
-		}
-		var md, html bytes.Buffer
-		if err := o.WriteMarkdown(&md); err != nil {
-			t.Fatal(err)
-		}
-		if err := o.WriteHTML(&html); err != nil {
-			t.Fatal(err)
-		}
-		return md.String(), html.String()
-	}
-	md1, html1 := render(1)
-	md4, html4 := render(4)
-	if md1 != md4 {
-		t.Errorf("markdown reports differ between shards=1 and shards=4:\n--- shards=1\n%s\n--- shards=4\n%s", md1, md4)
-	}
-	if html1 != html4 {
-		t.Error("HTML reports differ between shards=1 and shards=4")
-	}
-	if strings.Contains(md1, "serial") || strings.Contains(md1, "parallel") {
-		t.Error("report leaks the engine label, breaking cross-engine byte-identity")
 	}
 }
 
@@ -496,9 +473,9 @@ func TestClusterScenario(t *testing.T) {
 	}
 }
 
-// TestClusterReportByteIdenticalAcrossShards extends the determinism
-// pledge to fleets: serial and partitioned cluster runs render the same
-// bytes.
+// TestClusterReportByteIdenticalAcrossShards is the determinism pledge:
+// the same fleet scenario and seed render byte-identical reports whether
+// the run used the serial engine or the conservative-parallel one.
 func TestClusterReportByteIdenticalAcrossShards(t *testing.T) {
 	render := func(shards int) string {
 		s, err := Parse([]byte(clusterDoc))
@@ -515,8 +492,12 @@ func TestClusterReportByteIdenticalAcrossShards(t *testing.T) {
 		}
 		return md.String()
 	}
-	if md1, md4 := render(1), render(4); md1 != md4 {
+	md1, md4 := render(1), render(4)
+	if md1 != md4 {
 		t.Errorf("fleet markdown reports differ between shards=1 and shards=4:\n--- shards=1\n%s\n--- shards=4\n%s", md1, md4)
+	}
+	if strings.Contains(md1, "serial") || strings.Contains(md1, "parallel") {
+		t.Error("report leaks the engine label, breaking cross-engine byte-identity")
 	}
 }
 

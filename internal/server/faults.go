@@ -23,32 +23,25 @@ type PhaseStats struct {
 	Completed   uint64
 }
 
-// phaseAcc accumulates one phase's control-plane signals while the run
-// executes; delivered bytes and completions accrue per side in run.acc.
+// phaseAcc accumulates one phase's signals while the run executes.
 type phaseAcc struct {
 	start, end sim.Time
 	hist       *stats.Histogram
 	powerWSum  float64
 	powerN     uint64
+	bytes      uint64 // delivered bytes of packets created in the phase
+	completed  uint64
 }
 
 // phaseAt returns the accumulator whose [start, end) window contains t,
 // or nil when phases are off or t falls past the last boundary.
 func (r *run) phaseAt(t sim.Time) *phaseAcc {
-	if i := r.phaseIdx(t); i >= 0 {
-		return &r.phases[i]
-	}
-	return nil
-}
-
-// phaseIdx returns the index of the phase containing t, or -1.
-func (r *run) phaseIdx(t sim.Time) int {
 	for i := range r.phases {
-		if t >= r.phases[i].start && t < r.phases[i].end {
-			return i
+		if ph := &r.phases[i]; t >= ph.start && t < ph.end {
+			return ph
 		}
 	}
-	return -1
+	return nil
 }
 
 // frozenObserver wraps the LBP's queue-occupancy source: during a
@@ -85,7 +78,7 @@ func (r *run) buildFaults() error {
 	// The fault layer draws from its own RNG stream so injecting a fault
 	// never perturbs the workload's service-time or arrival draws.
 	r.faultRng = rand.New(rand.NewSource(plan.Seed ^ 0xfa17))
-	inj, err := fault.NewInjector(r.engCtrl, plan, r.applyFault)
+	inj, err := fault.NewInjector(r.eng, plan, r.applyFault)
 	if err != nil {
 		return err
 	}
@@ -94,15 +87,8 @@ func (r *run) buildFaults() error {
 	return nil
 }
 
-// applyFault maps one fault event onto the concrete component. It runs on
-// the control engine at a barrier; the side engines adopt the fault event's
-// order key first so any span the mutation emits (drop bursts from a core
-// crash, say) carries the fault's position in the global event order — the
-// key a serial run would stamp, since there everything shares one engine.
+// applyFault maps one fault event onto the concrete component.
 func (r *run) applyFault(e fault.Event) {
-	_, seq := r.engCtrl.OrderKey()
-	r.engSNIC.AdoptOrder(seq)
-	r.engHost.AdoptOrder(seq)
 	switch e.Kind {
 	case fault.SNICCoreCrash:
 		r.snic.first.failCore(e.Core)

@@ -11,9 +11,9 @@ import (
 // Fleet-scale embedding: a cluster run instantiates N complete servers —
 // each the full SNIC+host pipeline of this package, faults and HLB
 // included — on engines the cluster owns. Every server in a group shares
-// that group's engine and packet pool (the same aliasing a serial run
-// uses), so one group is one logical process and the conservative-parallel
-// executor partitions the fleet along fabric links instead of PCIe lanes.
+// that group's engine and packet pool, so one group is one logical process
+// and the conservative-parallel executor partitions the fleet along fabric
+// links.
 
 // ClusterConfig asks for a fleet of Servers identical servers behind one
 // shared ingress. It is pure data so Config can carry it without the
@@ -120,10 +120,9 @@ type Instance struct {
 }
 
 // NewInstance builds a complete server on the injected engine and pool
-// (all four LP handles alias them, exactly like a serial run) without
-// starting traffic. respond, when non-nil, receives every wire-bound
-// response at its egress instant in place of the local latency recorder;
-// the caller carries it back over the fabric. The Config must not ask for
+// without starting traffic. respond, when non-nil, receives every
+// wire-bound response at its egress instant in place of the local latency
+// recorder; the caller carries it back over the fabric. The Config must not ask for
 // shards or telemetry of its own — the cluster owns both.
 func NewInstance(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, respond func(*packet.Packet)) (*Instance, error) {
 	if cfg.Cluster != nil {
@@ -134,10 +133,7 @@ func NewInstance(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, r
 	if err := prepare(&cfg, &rc); err != nil {
 		return nil, err
 	}
-	r := &run{cfg: cfg, rc: rc, embedded: true, respond: respond}
-	r.engCtrl, r.engNet, r.engSNIC, r.engHost = eng, eng, eng, eng
-	r.engines = []*sim.Engine{eng}
-	r.poolNet, r.poolSNIC, r.poolHost, r.poolCtrl = pool, pool, pool, pool
+	r := &run{cfg: cfg, rc: rc, eng: eng, pool: pool, embedded: true, respond: respond}
 	if err := r.build(); err != nil {
 		return nil, err
 	}
@@ -240,7 +236,7 @@ func (s *Instance) AddSample(sm *telemetry.Sample, period sim.Time) bool {
 		sm.Drops += st.port.TotalDrops()
 		sm.FaultDrops += st.port.TotalFaultDrops() + st.faultDrops
 	}
-	sm.Completed += r.completedTotal()
+	sm.Completed += r.completed
 	sm.PowerW += r.power.LastWatts()
 	sm.HostPowerW += r.powerHost.LastWatts()
 	sm.SNICPowerW += r.powerSNIC.LastWatts()

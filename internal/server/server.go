@@ -147,16 +147,12 @@ type Config struct {
 	// Result is byte-identical either way.
 	Telemetry telemetry.Config
 
-	// Shards selects the simulation engine: 0 or 1 runs the serial
-	// single-engine simulator; any larger value opts into the
-	// conservative-parallel engine, which partitions the run into its
-	// natural logical processes (client+eSwitch/HLB, SNIC side, host
-	// side, control) on separate goroutines. The partition is fixed by
-	// the topology, so every value above 1 enables the same three-shard
-	// layout. Configurations whose components share mutable state across
-	// sides (see parallelFallback) silently fall back to the serial
-	// engine; Result.Engine reports what actually ran. Results are
-	// byte-identical either way.
+	// Shards selects a fleet's simulation engine (Cluster must be set):
+	// 0 or 1 runs the serial single-engine simulator; a larger value
+	// runs the conservative-parallel engine with one ingress logical
+	// process and Shards-1 server-group LPs on separate goroutines.
+	// Results are byte-identical either way. A single server always runs
+	// serially, and Run rejects Shards > 1 without a Cluster.
 	Shards int
 
 	// Cluster, when non-nil, asks for a fleet-scale run: Servers full
@@ -264,20 +260,18 @@ type Result struct {
 	Metrics  *telemetry.Registry
 
 	// Prof is the parallel engine's flight recorder (Config.Telemetry.Prof
-	// on a run the parallel engine actually executed; nil otherwise —
-	// serial runs have no windows to record). Unlike the artifacts above it
-	// describes the engine, not the simulation, so its contents are
-	// per-shard-count: deterministic across repeats at the same Shards, but
-	// not part of the engine-invariance contract. Wall-clock fields
-	// (latch/plan/barrier nanoseconds) are the one nondeterministic part
-	// and never feed byte-compared artifacts.
+	// on a sharded fleet; nil otherwise — serial runs have no windows to
+	// record). Unlike the artifacts above it describes the engine, not the
+	// simulation, so its contents are per-shard-count: deterministic
+	// across repeats at the same Shards, but not part of the
+	// engine-invariance contract. Wall-clock fields (latch/plan/barrier
+	// nanoseconds) are the one nondeterministic part and never feed
+	// byte-compared artifacts.
 	Prof *prof.Recorder
 
 	// Engine reports which simulation engine executed the run: "serial",
-	// "parallel" (Config.Shards > 1 honored), or "serial (reason)" when a
-	// Shards > 1 request fell back because the configuration shares mutable
-	// state across logical processes. Purely informational — results are
-	// byte-identical across engines.
+	// or "parallel" for a fleet run with Config.Shards > 1. Purely
+	// informational — results are byte-identical across engines.
 	Engine string
 }
 
@@ -310,36 +304,29 @@ func Run(cfg Config, rc RunConfig) (Result, error) {
 	if cfg.Cluster != nil {
 		return Result{}, fmt.Errorf("server: Config.Cluster set; run fleets through the halsim facade or internal/cluster")
 	}
+	if cfg.Shards > 1 {
+		return Result{}, fmt.Errorf("server: %d shards requested for a single server; shards apply to fleets (set Config.Cluster)", cfg.Shards)
+	}
 	if err := prepare(&cfg, &rc); err != nil {
 		return Result{}, err
 	}
 
-	r := &run{cfg: cfg, rc: rc}
-	r.fallback = parallelFallback(cfg)
-	if cfg.Shards > 1 && r.fallback == "" {
-		r.setupParallel()
-	} else {
-		r.setupSerial()
-	}
+	r := &run{cfg: cfg, rc: rc, eng: sim.NewEngine(), pool: packet.NewPool()}
 	if err := r.build(); err != nil {
 		return Result{}, err
 	}
 	r.start()
-	if r.par != nil {
-		r.runParallel()
-	} else {
-		r.engCtrl.RunUntil(rc.Duration)
-		if rc.Drain {
-			// Stop offering traffic and cancel every periodic process,
-			// then let the event queue empty: whatever is still queued or
-			// mid-service completes (or tail-drops), so the conservation
-			// audit closes exactly.
-			r.cli.stop()
-			for _, t := range r.tickers {
-				t.Cancel()
-			}
-			r.engCtrl.Run()
+	r.eng.RunUntil(rc.Duration)
+	if rc.Drain {
+		// Stop offering traffic and cancel every periodic process, then
+		// let the event queue empty: whatever is still queued or
+		// mid-service completes (or tail-drops), so the conservation audit
+		// closes exactly.
+		r.cli.stop()
+		for _, t := range r.tickers {
+			t.Cancel()
 		}
+		r.eng.Run()
 	}
 	return r.collect(), nil
 }
@@ -423,58 +410,17 @@ func prepare(cfg *Config, rc *RunConfig) error {
 	return nil
 }
 
-// sideIdx indexes the per-side accumulators of a run.
-const (
-	sideSNIC = 0
-	sideHost = 1
-)
-
-// sideTotals are the completion-path counters one processing side owns.
-// Each side's station goroutine is the only writer of its struct; the
-// control plane reads sums at barrier instants, where they equal the serial
-// scalars exactly. Serial runs use the same two structs single-threaded.
-type sideTotals struct {
-	completed  uint64
-	deliveredB uint64 // post-warmup delivered bytes
-	sideB      uint64 // same, attributed to this side for SNICShare
-	winB       int64  // MaxGbps window accumulator
-	rateWinB   int64  // RateSeries window accumulator
-	// per-phase delivered bytes / completions, indexed like run.phases
-	phaseBytes     []uint64
-	phaseCompleted []uint64
-}
-
 // run holds the wired-up simulation.
 type run struct {
 	cfg Config
 	rc  RunConfig
 
-	// One engine per logical process. A serial run aliases all four to a
-	// single engine, so every schedule lands in the one queue exactly as
-	// before; a parallel run gives each LP its own wheel and rank (control
-	// outranking net outranking SNIC outranking host, matching the serial
-	// build/registration order on key ties).
-	engCtrl *sim.Engine // tickers, fault injection, response delivery
-	engNet  *sim.Engine // client, eSwitch request forwarding, HLB ingress
-	engSNIC *sim.Engine // SNIC-side stations
-	engHost *sim.Engine // host-side stations
-	// engines lists the distinct engines (length 1 serial, 4 parallel) for
-	// whole-run aggregates like Processed.
-	engines []*sim.Engine
-
-	// par is the conservative-parallel executor, nil for serial runs.
-	par *parRun
-	// fallback records why a Shards>1 request ran serially ("" otherwise).
-	fallback string
-
-	// Per-LP packet pools: requests are released on completion or at their
-	// drop point, responses after client delivery. LIFO reuse within each
-	// single-threaded LP keeps replays bit-identical; a serial run aliases
-	// all four to one pool, restoring the original global free-list.
-	poolNet  *packet.Pool
-	poolSNIC *packet.Pool
-	poolHost *packet.Pool
-	poolCtrl *packet.Pool
+	// eng runs the whole server; a fleet injects its group's engine.
+	eng *sim.Engine
+	// pool recycles packets: requests are released on completion or at
+	// their drop point, responses after client delivery. LIFO reuse keeps
+	// replays bit-identical.
+	pool *packet.Pool
 
 	// Pre-bound event handlers for closure-free scheduling on the packet
 	// path (sim.ScheduleCall): each is allocated once per run and carries
@@ -513,11 +459,11 @@ type run struct {
 	cli *client
 
 	// embedded marks a server built by NewInstance as one member of a
-	// cluster: the engines and pools are injected (all four handles alias
-	// the owning group's), the client is built but never started (the
-	// shared ingress offers the traffic), and respond — when non-nil —
-	// intercepts wire-bound responses in place of deliverResponse so the
-	// cluster can carry them back over the fabric.
+	// cluster: the engine and pool are injected (the owning group's), the
+	// client is built but never started (the shared ingress offers the
+	// traffic), and respond — when non-nil — intercepts wire-bound
+	// responses in place of deliverResponse so the cluster can carry them
+	// back over the fabric.
 	embedded bool
 	respond  func(*packet.Packet)
 
@@ -527,31 +473,26 @@ type run struct {
 	telemetryDown bool
 
 	// observability (all nil/zero with Config.Telemetry off; every hook
-	// site nil-checks the specific field it feeds). Tracers follow the
-	// engine split: each LP emits spans into its own tracer so the hot path
-	// never crosses goroutines; a serial run aliases all four to the single
-	// collector tracer, a parallel run merges them back into serial emission
-	// order at collect time.
+	// site nil-checks the specific field it feeds).
 	col           *telemetry.Collector
-	rec           *prof.Recorder
 	tl            *telemetry.Timeline
-	trNet         *telemetry.Tracer
-	trSNIC        *telemetry.Tracer
-	trHost        *telemetry.Tracer
-	trCtrl        *telemetry.Tracer
+	tr            *telemetry.Tracer
 	tm            *telMetrics
 	telPeriod     sim.Time
 	telPrevSNICB  uint64
 	telPrevHostB  uint64
 	telPrevEvents uint64
 
-	// measurement. Completion-path counters live in acc, indexed by the
-	// processing side that owns them; everything else belongs to the control
-	// plane and is only touched at barrier-equivalent instants.
+	// measurement. The completion path accrues completed, the delivered
+	// bytes, and the two rate-window accumulators.
 	lat        *stats.Histogram
 	powerHost  energy.Integrator
 	powerSNIC  energy.Integrator
-	acc        [2]sideTotals
+	completed  uint64
+	deliveredB uint64 // post-warmup delivered bytes
+	snicB      uint64 // the SNIC-processed part of deliveredB (SNICShare)
+	winB       int64  // MaxGbps window accumulator
+	rateWinB   int64  // RateSeries window accumulator
 	winMaxGbps float64
 	power      energy.Integrator
 	funcErrs   uint64
@@ -575,27 +516,26 @@ func (r *run) build() error {
 	r.halIngressCall = func(a any, _ int64) {
 		p := a.(*packet.Packet)
 		diverted := r.hal.Ingress(p)
-		if r.trNet.Sampled(p.ID) {
+		if r.tr.Sampled(p.ID) {
 			kind := telemetry.KindKeep
 			if diverted {
 				kind = telemetry.KindDivert
 			}
-			r.trNet.Emit(telemetry.Span{T: r.engNet.Now(), Kind: kind,
+			r.tr.Emit(telemetry.Span{T: r.eng.Now(), Kind: kind,
 				Station: telemetry.StHLB, Core: -1, Pkt: p.ID})
 		}
-		r.fwdAt = r.engNet.Now()
+		r.fwdAt = r.eng.Now()
 		r.sw.Forward(p)
 	}
-	// forwardCall carries completed responses to the wire; it runs in the
-	// control domain (a parallel run routes every completion there), so the
-	// HAL merger — which must see host responses before the eSwitch does —
-	// applies here rather than at the completion site.
+	// forwardCall carries completed responses to the wire at their egress
+	// instant, so the HAL merger — which must see host responses before the
+	// eSwitch does — applies here rather than at the completion site.
 	r.forwardCall = func(a any, _ int64) {
 		p := a.(*packet.Packet)
 		if r.hal != nil {
 			r.hal.Egress(p)
 		}
-		r.fwdAt = r.engCtrl.Now()
+		r.fwdAt = r.eng.Now()
 		r.sw.Forward(p)
 	}
 	r.toSNICCall = func(a any, _ int64) { r.snic.first.enqueue(a.(*packet.Packet)) }
@@ -634,10 +574,10 @@ func (r *run) build() error {
 		snicProf = scaled
 	}
 
-	r.snic.first = newStation(r.engSNIC, "snic", snicProf, cfg.RingSize, cfg.Seed+1)
-	r.host.first = newStation(r.engHost, "host", hostProf, cfg.RingSize, cfg.Seed+2)
-	r.snic.first.release = r.poolSNIC.Put
-	r.host.first.release = r.poolHost.Put
+	r.snic.first = newStation(r.eng, "snic", snicProf, cfg.RingSize, cfg.Seed+1)
+	r.host.first = newStation(r.eng, "host", hostProf, cfg.RingSize, cfg.Seed+2)
+	r.snic.first.release = r.pool.Put
+	r.host.first.release = r.pool.Put
 	if cfg.MixOn {
 		sp := r.profile(cfg.SNIC, nil, cfg.MixFn)
 		hp := r.profile(cfg.Host, nil, cfg.MixFn)
@@ -645,10 +585,10 @@ func (r *run) build() error {
 		r.host.first.setAltProfile(&hp)
 	}
 	if cfg.PipelineOn {
-		r.snic.second = newStation(r.engSNIC, "snic2", r.profile(cfg.SNIC, nil, cfg.Pipeline), cfg.RingSize, cfg.Seed+3)
-		r.host.second = newStation(r.engHost, "host2", r.profile(cfg.Host, nil, cfg.Pipeline), cfg.RingSize, cfg.Seed+4)
-		r.snic.second.release = r.poolSNIC.Put
-		r.host.second.release = r.poolHost.Put
+		r.snic.second = newStation(r.eng, "snic2", r.profile(cfg.SNIC, nil, cfg.Pipeline), cfg.RingSize, cfg.Seed+3)
+		r.host.second = newStation(r.eng, "host2", r.profile(cfg.Host, nil, cfg.Pipeline), cfg.RingSize, cfg.Seed+4)
+		r.snic.second.release = r.pool.Put
+		r.host.second.release = r.pool.Put
 	}
 
 	// Coherent state access cost for stateful cooperative processing.
@@ -686,16 +626,13 @@ func (r *run) build() error {
 	}
 
 	// eSwitch wiring. The bind closures are allocated once; per-packet
-	// crossings schedule through the pre-bound handlers. Requests reach
-	// PortSNIC/PortHost only from the net domain (the client-facing side of
-	// the switch), responses reach PortWire only from the control domain, so
-	// each bind hops from a statically known source LP.
+	// crossings schedule through the pre-bound handlers.
 	r.sw = eswitch.New()
 	r.sw.Bind(eswitch.PortSNIC, func(p *packet.Packet) {
-		r.hop(shardNet, shardSNIC, r.fwdAt+platform.PCIeCrossNS, r.arriveSNICCall, p)
+		r.eng.AtCall(r.fwdAt+platform.PCIeCrossNS, r.arriveSNICCall, p, 0)
 	})
 	r.sw.Bind(eswitch.PortHost, func(p *packet.Packet) {
-		r.hop(shardNet, shardHost, r.fwdAt+platform.PCIeCrossNS+platform.SNICCloserNS, r.arriveHostCall, p)
+		r.eng.AtCall(r.fwdAt+platform.PCIeCrossNS+platform.SNICCloserNS, r.arriveHostCall, p, 0)
 	})
 	wire := func(p *packet.Packet) { r.deliverResponse(p) }
 	if r.respond != nil {
@@ -761,12 +698,12 @@ func (r *run) build() error {
 			OverheadNS:   100,
 			JitterMeanNS: 100,
 		}
-		r.slbFwd = newStation(r.engHost, "host-fwd", fwdProf, cfg.RingSize, cfg.Seed+5)
-		r.slbFwd.release = r.poolHost.Put
+		r.slbFwd = newStation(r.eng, "host-fwd", fwdProf, cfg.RingSize, cfg.Seed+5)
+		r.slbFwd.release = r.pool.Put
 		r.slbFwd.onServed = func(p *packet.Packet) {
 			// Host → eSwitch → SNIC: two more PCIe crossings and a
 			// second DPDK receive at the SNIC (§IV).
-			r.hop(shardHost, shardSNIC, r.engHost.Now()+2*platform.PCIeCrossNS, r.toSNICCall, p)
+			r.eng.AtCall(r.eng.Now()+2*platform.PCIeCrossNS, r.toSNICCall, p, 0)
 		}
 	}
 
@@ -781,12 +718,12 @@ func (r *run) build() error {
 			OverheadNS:   200,
 			JitterMeanNS: 200,
 		}
-		r.slbFwd = newStation(r.engSNIC, "slb-fwd", fwdProf, cfg.RingSize, cfg.Seed+5)
-		r.slbFwd.release = r.poolSNIC.Put
+		r.slbFwd = newStation(r.eng, "slb-fwd", fwdProf, cfg.RingSize, cfg.Seed+5)
+		r.slbFwd.release = r.pool.Put
 		r.slbFwd.onServed = func(p *packet.Packet) {
 			// Forwarded over the long path: SNIC memory → eSwitch →
 			// PCIe → host (§IV).
-			r.hop(shardSNIC, shardHost, r.engSNIC.Now()+2*platform.PCIeCrossNS, r.toHostCall, p)
+			r.eng.AtCall(r.eng.Now()+2*platform.PCIeCrossNS, r.toHostCall, p, 0)
 		}
 	}
 
@@ -812,9 +749,7 @@ func (r *run) build() error {
 	r.lat = stats.NewHistogram()
 	r.warmupEnd = r.rc.Warmup
 
-	// Phase accumulators: boundaries are [0, marks..., Duration]. The
-	// latency/power parts live on the control plane; delivered bytes and
-	// completions accrue side-locally in acc.
+	// Phase accumulators: boundaries are [0, marks..., Duration].
 	if len(r.rc.PhaseMarks) > 0 {
 		bounds := append([]sim.Time{0}, r.rc.PhaseMarks...)
 		bounds = append(bounds, r.rc.Duration)
@@ -823,16 +758,12 @@ func (r *run) build() error {
 				start: bounds[i], end: bounds[i+1], hist: stats.NewHistogram(),
 			})
 		}
-		for s := range r.acc {
-			r.acc[s].phaseBytes = make([]uint64, len(r.phases))
-			r.acc[s].phaseCompleted = make([]uint64, len(r.phases))
-		}
 	}
 
 	// Client.
 	r.cli = &client{
-		eng:           r.engNet,
-		pool:          r.poolNet,
+		eng:           r.eng,
+		pool:          r.pool,
 		warmupEnd:     r.warmupEnd,
 		genAlt:        genAlt,
 		mixFrac:       cfg.MixFraction,
@@ -862,13 +793,13 @@ func (r *run) build() error {
 // with burst coalescing it can lie ahead of the engine clock, so every
 // downstream hop is scheduled at an absolute at-relative time.
 func (r *run) ingress(p *packet.Packet, at sim.Time) {
-	if r.trNet.Sampled(p.ID) {
-		r.trNet.Emit(telemetry.Span{T: at, Kind: telemetry.KindIngress,
+	if r.tr.Sampled(p.ID) {
+		r.tr.Emit(telemetry.Span{T: at, Kind: telemetry.KindIngress,
 			Station: telemetry.StWire, Core: -1, Pkt: p.ID, Arg: int64(p.WireLen)})
 	}
 	switch r.cfg.Mode {
 	case HAL:
-		r.engNet.AtCall(at+core.IngressLatency, r.halIngressCall, p, 0)
+		r.eng.AtCall(at+core.IngressLatency, r.halIngressCall, p, 0)
 	default:
 		r.fwdAt = at
 		r.sw.Forward(p)
@@ -877,8 +808,8 @@ func (r *run) ingress(p *packet.Packet, at sim.Time) {
 
 // arriveSNIC handles a packet reaching the SNIC processor's rings.
 func (r *run) arriveSNIC(p *packet.Packet) {
-	if r.trSNIC.Sampled(p.ID) {
-		r.trSNIC.Emit(telemetry.Span{T: r.engSNIC.Now(), Kind: telemetry.KindArrive,
+	if r.tr.Sampled(p.ID) {
+		r.tr.Emit(telemetry.Span{T: r.eng.Now(), Kind: telemetry.KindArrive,
 			Station: telemetry.StSNIC, Core: -1, Pkt: p.ID})
 	}
 	if r.cfg.Mode == SLB {
@@ -894,8 +825,8 @@ func (r *run) arriveSNIC(p *packet.Packet) {
 
 // arriveHost handles a packet reaching the host's rings.
 func (r *run) arriveHost(p *packet.Packet) {
-	if r.trHost.Sampled(p.ID) {
-		r.trHost.Emit(telemetry.Span{T: r.engHost.Now(), Kind: telemetry.KindArrive,
+	if r.tr.Sampled(p.ID) {
+		r.tr.Emit(telemetry.Span{T: r.eng.Now(), Kind: telemetry.KindArrive,
 			Station: telemetry.StHost, Core: -1, Pkt: p.ID})
 	}
 	if r.cfg.Mode == SLBHost {
@@ -913,16 +844,13 @@ func (r *run) arriveHost(p *packet.Packet) {
 	r.host.first.enqueue(p)
 }
 
-// complete fires when the (last) function finishes a packet. It executes in
-// the processing side's domain and touches only that side's accumulator,
-// pool, and tracer; the response then hops to the control domain for the
-// merger and wire delivery.
+// complete fires when the (last) function finishes a packet. It accrues the
+// delivery counters and schedules the response's egress, where the merger
+// and wire delivery run.
 func (r *run) complete(p *packet.Packet, onSNIC bool) {
 	if r.cfg.Functional {
 		// Really execute the function(s): the first stage's output feeds
 		// the second, as in the paper's pipelined scenario (§VII-B).
-		// Functional runs always use the serial engine (parallelFallback),
-		// so funcErrs needs no per-side split.
 		out, err := r.fn.Process(p.Payload)
 		if err != nil {
 			r.funcErrs++
@@ -932,21 +860,18 @@ func (r *run) complete(p *packet.Packet, onSNIC bool) {
 			}
 		}
 	}
-	side, eng, pool, tr := sideHost, r.engHost, r.poolHost, r.trHost
-	if onSNIC {
-		side, eng, pool, tr = sideSNIC, r.engSNIC, r.poolSNIC, r.trSNIC
-	}
-	acc := &r.acc[side]
-	acc.completed++
-	acc.rateWinB += int64(p.WireLen)
-	if ph := r.phaseIdx(sim.Time(p.CreatedAt)); ph >= 0 {
-		acc.phaseBytes[ph] += uint64(p.WireLen)
-		acc.phaseCompleted[ph]++
+	r.completed++
+	r.rateWinB += int64(p.WireLen)
+	if ph := r.phaseAt(sim.Time(p.CreatedAt)); ph != nil {
+		ph.bytes += uint64(p.WireLen)
+		ph.completed++
 	}
 	if sim.Time(p.CreatedAt) >= r.warmupEnd {
-		acc.deliveredB += uint64(p.WireLen)
-		acc.winB += int64(p.WireLen)
-		acc.sideB += uint64(p.WireLen)
+		r.deliveredB += uint64(p.WireLen)
+		r.winB += int64(p.WireLen)
+		if onSNIC {
+			r.snicB += uint64(p.WireLen)
+		}
 	}
 	// Response: src is the processing side; the merger fixes host
 	// responses up before the wire. The request's payload buffer rides
@@ -961,7 +886,7 @@ func (r *run) complete(p *packet.Packet, onSNIC bool) {
 	if buf != nil {
 		buf = buf[:0]
 	}
-	resp := pool.Get(snicAddr, clientAddr, 9000, uint16(4000+p.ID%1000), buf)
+	resp := r.pool.Get(snicAddr, clientAddr, 9000, uint16(4000+p.ID%1000), buf)
 	if !onSNIC {
 		resp.SrcIP, resp.SrcMAC = hostAddr.IP, hostAddr.MAC
 	}
@@ -970,45 +895,45 @@ func (r *run) complete(p *packet.Packet, onSNIC bool) {
 	resp.WireLen = 128
 	// The request struct is fully consumed; recycle it for a future
 	// arrival.
-	pool.Put(p)
+	r.pool.Put(p)
 	egress := sim.Time(200) // serialization toward the wire
 	if !onSNIC {
 		egress += platform.PCIeCrossNS
 	}
 	if r.cfg.Mode == HAL {
 		egress += core.EgressLatency
-		if !onSNIC && tr.Sampled(resp.ID) {
-			tr.Emit(telemetry.Span{T: eng.Now(), Kind: telemetry.KindMerge,
+		if !onSNIC && r.tr.Sampled(resp.ID) {
+			r.tr.Emit(telemetry.Span{T: r.eng.Now(), Kind: telemetry.KindMerge,
 				Station: telemetry.StHLB, Core: -1, Pkt: resp.ID})
 		}
 	}
-	r.hop(sideShard(side), shardCtrl, eng.Now()+egress, r.forwardCall, resp)
+	r.eng.AtCall(r.eng.Now()+egress, r.forwardCall, resp, 0)
 }
 
 // deliverResponse records the client-observed round trip for packets
 // created inside the measurement window.
 func (r *run) deliverResponse(p *packet.Packet) {
+	rtt := int64(r.eng.Now()) - p.CreatedAt
 	if ph := r.phaseAt(sim.Time(p.CreatedAt)); ph != nil {
-		ph.hist.Record(int64(r.engCtrl.Now()) - p.CreatedAt)
+		ph.hist.Record(rtt)
 	}
 	if sim.Time(p.CreatedAt) >= r.warmupEnd {
-		r.lat.Record(int64(r.engCtrl.Now()) - p.CreatedAt)
+		r.lat.Record(rtt)
 	}
 	if r.tl != nil {
-		r.tl.RecordLatency(int64(r.engCtrl.Now()) - p.CreatedAt)
+		r.tl.RecordLatency(rtt)
 	}
-	if r.trCtrl.Sampled(p.ID) {
-		r.trCtrl.Emit(telemetry.Span{T: r.engCtrl.Now(), Kind: telemetry.KindResponse,
-			Station: telemetry.StWire, Core: -1, Pkt: p.ID,
-			Arg: int64(r.engCtrl.Now()) - p.CreatedAt})
+	if r.tr.Sampled(p.ID) {
+		r.tr.Emit(telemetry.Span{T: r.eng.Now(), Kind: telemetry.KindResponse,
+			Station: telemetry.StWire, Core: -1, Pkt: p.ID, Arg: rtt})
 	}
-	r.poolCtrl.Put(p)
+	r.pool.Put(p)
 }
 
 // every wraps Engine.Every so a drained run can cancel every periodic
-// process once the client stops. All periodic processes are control work.
+// process once the client stops.
 func (r *run) every(period sim.Time, fn func()) {
-	r.tickers = append(r.tickers, r.engCtrl.Every(period, fn))
+	r.tickers = append(r.tickers, r.eng.Every(period, fn))
 }
 
 func (r *run) start() {
@@ -1064,7 +989,7 @@ func (r *run) start() {
 				// side with empty rings and no busy cores counts as
 				// idle even if no core ever polled (no traffic yet).
 				if r.host.first.port.TotalBacklog() == 0 && !r.host.first.anyBusy() {
-					r.hostSleep.OnIdle(r.engCtrl.Now())
+					r.hostSleep.OnIdle(r.eng.Now())
 				}
 				hostAwake = !r.hostSleep.Asleep()
 			}
@@ -1074,10 +999,11 @@ func (r *run) start() {
 			snicActive = 0
 		}
 		idleW, hostW, snicW := cfg.SNIC.Power.Breakdown(hostAwake, hostGbps, snicGbps, snicActive)
-		r.power.Sample(r.engCtrl.Now(), idleW+hostW+snicW)
-		r.powerHost.Sample(r.engCtrl.Now(), hostW)
-		r.powerSNIC.Sample(r.engCtrl.Now(), snicW)
-		if ph := r.phaseAt(r.engCtrl.Now()); ph != nil {
+		now := r.eng.Now()
+		r.power.Sample(now, idleW+hostW+snicW)
+		r.powerHost.Sample(now, hostW)
+		r.powerSNIC.Sample(now, snicW)
+		if ph := r.phaseAt(now); ph != nil {
 			ph.powerWSum += idleW + hostW + snicW
 			ph.powerN++
 		}
@@ -1091,10 +1017,9 @@ func (r *run) start() {
 	// Delivered-rate time series (recovery analysis for fault runs).
 	if r.rc.RateWindow > 0 {
 		r.every(r.rc.RateWindow, func() {
-			b := r.acc[sideSNIC].rateWinB + r.acc[sideHost].rateWinB
 			r.rateSeries = append(r.rateSeries,
-				float64(b)*8/float64(r.rc.RateWindow))
-			r.acc[sideSNIC].rateWinB, r.acc[sideHost].rateWinB = 0, 0
+				float64(r.rateWinB)*8/float64(r.rc.RateWindow))
+			r.rateWinB = 0
 		})
 	}
 	// Delivered-rate windows for MaxGbps. Constant-rate runs use 10 ms;
@@ -1106,9 +1031,9 @@ func (r *run) start() {
 		window = r.rc.Epoch
 	}
 	r.every(window, func() {
-		winB := r.acc[sideSNIC].winB + r.acc[sideHost].winB
-		r.acc[sideSNIC].winB, r.acc[sideHost].winB = 0, 0
-		if r.engCtrl.Now() <= r.warmupEnd {
+		winB := r.winB
+		r.winB = 0
+		if r.eng.Now() <= r.warmupEnd {
 			return
 		}
 		g := float64(winB) * 8 / float64(window)
@@ -1128,11 +1053,10 @@ func (r *run) collect() Result {
 		Fn:        r.cfg.Fn,
 		Completed: r.lat.Count(),
 		Sent:      r.cli.sentPkts,
-		Engine:    r.engineName(),
+		Engine:    "serial",
 	}
-	deliveredB := r.acc[sideSNIC].deliveredB + r.acc[sideHost].deliveredB
 	if measured > 0 {
-		res.AvgGbps = float64(deliveredB) * 8 / float64(measured)
+		res.AvgGbps = float64(r.deliveredB) * 8 / float64(measured)
 	}
 	res.MaxGbps = r.winMaxGbps
 	if res.MaxGbps < res.AvgGbps {
@@ -1159,8 +1083,8 @@ func (r *run) collect() Result {
 	if r.cli.sentPkts > 0 {
 		res.DropFraction = float64(drops+faultDrops) / float64(r.cli.sentPkts)
 	}
-	if total := r.acc[sideSNIC].sideB + r.acc[sideHost].sideB; total > 0 {
-		res.SNICShare = float64(r.acc[sideSNIC].sideB) / float64(total)
+	if r.deliveredB > 0 {
+		res.SNICShare = float64(r.snicB) / float64(r.deliveredB)
 	}
 	if r.hostSleep != nil {
 		res.Wakeups = r.hostSleep.Wakeups
@@ -1181,7 +1105,7 @@ func (r *run) collect() Result {
 	// packet either completed, dropped, or is still queued/in service. A
 	// drained run closes the ledger exactly (InFlightEnd == 0).
 	res.SentAll = r.cli.totalPkts
-	res.CompletedAll = r.completedTotal()
+	res.CompletedAll = r.completed
 	res.DroppedAll = drops + faultDrops
 	res.InFlightEnd = int64(res.SentAll) - int64(res.CompletedAll) - int64(res.DroppedAll)
 	res.FaultDrops = faultDrops
@@ -1195,16 +1119,15 @@ func (r *run) collect() Result {
 		res.LBPHolds = r.hal.Policy.Holds
 		res.FailoverTicks = r.hal.Policy.LastFailoverTicks
 	}
-	for i, ph := range r.phases {
+	for _, ph := range r.phases {
 		ps := PhaseStats{
 			Start:     ph.start,
 			End:       ph.end,
 			P99us:     float64(ph.hist.P99()) / 1000,
-			Completed: r.acc[sideSNIC].phaseCompleted[i] + r.acc[sideHost].phaseCompleted[i],
+			Completed: ph.completed,
 		}
-		bytes := r.acc[sideSNIC].phaseBytes[i] + r.acc[sideHost].phaseBytes[i]
 		if d := ph.end - ph.start; d > 0 {
-			ps.AvgGbps = float64(bytes) * 8 / float64(d)
+			ps.AvgGbps = float64(ph.bytes) * 8 / float64(d)
 		}
 		if ph.powerN > 0 {
 			ps.AvgPowerW = ph.powerWSum / float64(ph.powerN)
@@ -1215,30 +1138,9 @@ func (r *run) collect() Result {
 	res.RateSeries = r.rateSeries
 	res.RateWindow = r.rc.RateWindow
 
-	if r.rec != nil {
-		// Finalize the flight recorder: per-link observed floors, one wheel
-		// snapshot per engine (recorder lane order, then ctrl — matching the
-		// "ctrl" pseudo-lane the slack matrix uses).
-		r.rec.SetObservedFloors(r.par.x.ObservedSlack())
-		r.rec.AddWheel("net", r.engNet.WheelStats())
-		r.rec.AddWheel("snic", r.engSNIC.WheelStats())
-		r.rec.AddWheel("host", r.engHost.WheelStats())
-		r.rec.AddWheel("ctrl", r.engCtrl.WheelStats())
-		res.Prof = r.rec
-		if r.col != nil {
-			publishProf(r.col.Registry, r.rec)
-		}
-	}
 	if r.col != nil {
 		res.Timeline = r.tl
-		res.Trace = r.trCtrl
-		if r.par != nil && r.trCtrl != nil {
-			// Interleave the per-LP tracers back into the order a serial run
-			// emits: each part holds the first cap spans of its own stream,
-			// so no span of the global first cap was lost to a part's bound.
-			res.Trace = telemetry.MergeTracers(r.trCtrl.Capacity(),
-				r.trCtrl, r.trNet, r.trSNIC, r.trHost)
-		}
+		res.Trace = r.tr
 		res.Metrics = r.col.Registry
 		// Final sample so the registry's counters reflect the whole run
 		// (including a trailing partial tick or a drain phase).

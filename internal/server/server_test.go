@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strings"
 	"testing"
 
 	"halsim/internal/cxl"
@@ -298,6 +299,34 @@ func TestConfigValidationErrors(t *testing.T) {
 		if _, err := Run(c.cfg, c.rc); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
+	}
+}
+
+// TestShardsValidation pins the Shards contract of a single server:
+// negative counts are a config error, 0/1 run serially, more shards are a
+// usage error (shards apply to fleets), and a horizon beyond the composite
+// seq key's time range is rejected up front rather than panicking mid-run.
+func TestShardsValidation(t *testing.T) {
+	if _, err := Run(Config{Mode: HAL, Fn: nf.NAT, Shards: -1},
+		RunConfig{Duration: sim.Millisecond, RateGbps: 10}); err == nil {
+		t.Fatal("negative shard count accepted")
+	}
+	res, err := Run(Config{Mode: HAL, Fn: nf.NAT, Shards: 1},
+		RunConfig{Duration: sim.Millisecond, RateGbps: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Engine != "serial" {
+		t.Fatalf("Shards=1 engine = %q, want serial", res.Engine)
+	}
+	_, err = Run(Config{Mode: HAL, Fn: nf.NAT, Shards: 4},
+		RunConfig{Duration: sim.Millisecond, RateGbps: 10})
+	if err == nil || !strings.Contains(err.Error(), "fleets") {
+		t.Fatalf("Shards=4 without a cluster: err = %v, want a shards-apply-to-fleets error", err)
+	}
+	if _, err := Run(Config{Mode: HAL, Fn: nf.NAT},
+		RunConfig{Duration: sim.SeqMaxTime + 1, RateGbps: 10}); err == nil {
+		t.Fatal("horizon beyond the seq-key time range accepted")
 	}
 }
 

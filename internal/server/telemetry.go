@@ -32,11 +32,35 @@ func (c *ClusterMetrics) Publish(s telemetry.Sample, sent uint64) {
 	c.m.publish(s, sent)
 }
 
-// PublishProf publishes the flight recorder's deterministic counters
-// into reg under the halsim_par_* / halsim_wheel_* names a single-server
-// run uses.
+// PublishProf pushes a sharded fleet's flight-recorder run-end totals into
+// reg under the halsim_par_* / halsim_wheel_* names. Only deterministic
+// simulation state goes in: the registry text is a byte-compared artifact
+// (-metrics-out), so the recorder's wall-clock fields (latch/plan/barrier
+// time) are quarantined to console summaries and never published here.
 func PublishProf(reg *telemetry.Registry, rec *prof.Recorder) {
-	publishProf(reg, rec)
+	var windows, parks, batches, msgs uint64
+	for i := 0; i < rec.NumLanes(); i++ {
+		l := rec.LaneAt(i)
+		windows += l.WindowCount
+		parks += l.Parks
+		batches += l.Injects
+		msgs += l.InjectedMsgs
+	}
+	set := func(id telemetry.MetricID, v float64) { reg.Set(id, v) }
+	set(reg.Counter("halsim_par_rounds_total", "conservative-parallel barrier rounds"), float64(rec.Rounds))
+	set(reg.Counter("halsim_par_windows_total", "executed run-ahead windows across shards"), float64(windows))
+	set(reg.Counter("halsim_par_parks_total", "idle-shard parks across shards"), float64(parks))
+	set(reg.Counter("halsim_par_inject_batches_total", "cross-LP InjectBatch calls across shards"), float64(batches))
+	set(reg.Counter("halsim_par_inject_msgs_total", "cross-LP messages injected across shards"), float64(msgs))
+	var cascades, overflow, slab uint64
+	for _, wl := range rec.Wheels() {
+		cascades += wl.Stats.Cascades
+		overflow += wl.Stats.Overflow
+		slab += uint64(wl.Stats.SlabHighWater)
+	}
+	set(reg.Counter("halsim_wheel_cascades_total", "timing-wheel level cascades across engines"), float64(cascades))
+	set(reg.Counter("halsim_wheel_overflow_total", "timing-wheel overflow-heap inserts across engines"), float64(overflow))
+	set(reg.Gauge("halsim_wheel_slab_high_water", "summed event-slab high water across engines"), float64(slab))
 }
 
 // telMetrics holds the run's registry handles. Registration happens once at
@@ -100,23 +124,8 @@ func (m *telMetrics) publish(s telemetry.Sample, sent uint64) {
 }
 
 // buildTelemetry constructs the run's collectors (nil when Config.Telemetry
-// is zero) and threads each LP's tracer into its stations. A serial run
-// aliases every tracer handle to the one collector tracer, reproducing the
-// single global emission stream; a parallel run gives each LP a private
-// tracer (each with the full capacity, so no span of the global first cap
-// is lost to a part's bound) bound to its engine's order key, and collect
-// merges them back into serial order.
+// is zero) and threads the tracer into every station.
 func (r *run) buildTelemetry() {
-	// The flight recorder is independent of the collector bundle: Prof alone
-	// (no timeline, no tracer) still records. It only exists when the
-	// parallel engine actually runs — it measures the engine, not the
-	// simulation — and its hooks follow the same ownership discipline as the
-	// executor's own per-shard state, so recording is race-free and
-	// observer-only.
-	if r.cfg.Telemetry.Prof && r.par != nil {
-		r.rec = prof.NewRecorder(shardLaneNames)
-		r.par.x.SetRecorder(r.rec)
-	}
 	r.col = telemetry.New(r.cfg.Telemetry)
 	if r.col == nil {
 		return
@@ -125,72 +134,20 @@ func (r *run) buildTelemetry() {
 	r.tm = newTelMetrics(r.col.Registry)
 	r.telPeriod = r.cfg.Telemetry.WithDefaults().TimelinePeriod
 
-	if tr := r.col.Tracer; tr != nil {
-		r.trCtrl, r.trNet, r.trSNIC, r.trHost = tr, tr, tr, tr
-		if r.par != nil {
-			r.trNet = telemetry.NewTracer(tr.Every(), tr.Capacity())
-			r.trSNIC = telemetry.NewTracer(tr.Every(), tr.Capacity())
-			r.trHost = telemetry.NewTracer(tr.Every(), tr.Capacity())
-			r.trCtrl.BindOrder(r.engCtrl.OrderKey)
-			r.trNet.BindOrder(r.engNet.OrderKey)
-			r.trSNIC.BindOrder(r.engSNIC.OrderKey)
-			r.trHost.BindOrder(r.engHost.OrderKey)
-			// Label each per-LP tracer so the merged trace can attribute
-			// every span — drop spans included — to the shard that emitted
-			// it. Export-time only: WriteTrace never reads the labels, so
-			// the default artifact bytes stay engine-invariant.
-			r.trCtrl.BindLane("ctrl")
-			r.trNet.BindLane(shardLaneNames[shardNet])
-			r.trSNIC.BindLane(shardLaneNames[shardSNIC])
-			r.trHost.BindLane(shardLaneNames[shardHost])
-		}
-		r.snic.first.tr, r.snic.first.telID = r.trSNIC, telemetry.StSNIC
-		r.host.first.tr, r.host.first.telID = r.trHost, telemetry.StHost
-		if r.snic.second != nil {
-			r.snic.second.tr, r.snic.second.telID = r.trSNIC, telemetry.StSNIC2
-		}
-		if r.host.second != nil {
-			r.host.second.tr, r.host.second.telID = r.trHost, telemetry.StHost2
-		}
-		if r.slbFwd != nil {
-			fwdTr := r.trSNIC // SLB: forwarding cores live on the SNIC
-			if r.cfg.Mode == SLBHost {
-				fwdTr = r.trHost
-			}
-			r.slbFwd.tr, r.slbFwd.telID = fwdTr, telemetry.StSLBFwd
-		}
+	if r.tr = r.col.Tracer; r.tr == nil {
+		return
 	}
-}
-
-// publishProf pushes the flight recorder's run-end totals into the metric
-// registry. Only deterministic simulation state goes in: the registry text
-// is a byte-compared artifact (-metrics-out), so the recorder's wall-clock
-// fields (latch/plan/barrier time) are quarantined to console summaries and
-// never published here.
-func publishProf(reg *telemetry.Registry, rec *prof.Recorder) {
-	var windows, parks, batches, msgs uint64
-	for i := 0; i < rec.NumLanes(); i++ {
-		l := rec.LaneAt(i)
-		windows += l.WindowCount
-		parks += l.Parks
-		batches += l.Injects
-		msgs += l.InjectedMsgs
+	r.snic.first.tr, r.snic.first.telID = r.tr, telemetry.StSNIC
+	r.host.first.tr, r.host.first.telID = r.tr, telemetry.StHost
+	if r.snic.second != nil {
+		r.snic.second.tr, r.snic.second.telID = r.tr, telemetry.StSNIC2
 	}
-	set := func(id telemetry.MetricID, v float64) { reg.Set(id, v) }
-	set(reg.Counter("halsim_par_rounds_total", "conservative-parallel barrier rounds"), float64(rec.Rounds))
-	set(reg.Counter("halsim_par_windows_total", "executed run-ahead windows across shards"), float64(windows))
-	set(reg.Counter("halsim_par_parks_total", "idle-shard parks across shards"), float64(parks))
-	set(reg.Counter("halsim_par_inject_batches_total", "cross-LP InjectBatch calls across shards"), float64(batches))
-	set(reg.Counter("halsim_par_inject_msgs_total", "cross-LP messages injected across shards"), float64(msgs))
-	var cascades, overflow, slab uint64
-	for _, wl := range rec.Wheels() {
-		cascades += wl.Stats.Cascades
-		overflow += wl.Stats.Overflow
-		slab += uint64(wl.Stats.SlabHighWater)
+	if r.host.second != nil {
+		r.host.second.tr, r.host.second.telID = r.tr, telemetry.StHost2
 	}
-	set(reg.Counter("halsim_wheel_cascades_total", "timing-wheel level cascades across engines"), float64(cascades))
-	set(reg.Counter("halsim_wheel_overflow_total", "timing-wheel overflow-heap inserts across engines"), float64(overflow))
-	set(reg.Gauge("halsim_wheel_slab_high_water", "summed event-slab high water across engines"), float64(slab))
+	if r.slbFwd != nil {
+		r.slbFwd.tr, r.slbFwd.telID = r.tr, telemetry.StSLBFwd
+	}
 }
 
 // sideBytesDone sums the cumulative served bytes of a side's stage-1
@@ -204,7 +161,7 @@ func sideBytesDone(side *sideStations) uint64 { return side.first.bytesDone }
 // and registry. Reads only — the simulation cannot observe that it ran.
 func (r *run) sampleTelemetry() {
 	var s telemetry.Sample
-	s.T = r.engCtrl.Now()
+	s.T = r.eng.Now()
 
 	switch {
 	case r.hal != nil:
@@ -264,13 +221,13 @@ func (r *run) sampleTelemetry() {
 		s.Drops += st.port.TotalDrops()
 		s.FaultDrops += st.port.TotalFaultDrops() + st.faultDrops
 	}
-	s.Completed = r.completedTotal()
+	s.Completed = r.completed
 
 	s.PowerW = r.power.LastWatts()
 	s.HostPowerW = r.powerHost.LastWatts()
 	s.SNICPowerW = r.powerSNIC.LastWatts()
 
-	ev := r.processedTotal()
+	ev := r.eng.Processed()
 	s.Events = ev - r.telPrevEvents
 	r.telPrevEvents = ev
 

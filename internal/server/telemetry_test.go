@@ -89,89 +89,6 @@ func TestTelemetryNonPerturbation(t *testing.T) {
 	}
 }
 
-// TestProfNonPerturbation extends the non-perturbation proof to the flight
-// recorder: at Shards 1 (serial fallback) and 4, a run with Prof on must
-// produce exactly the Result a Prof-off run does once the artifact pointers
-// are blanked — attaching the recorder observes the parallel engine without
-// steering it. It also pins the wiring contract: serial runs never build a
-// recorder, parallel profiled runs populate one.
-func TestProfNonPerturbation(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		cfg := Config{Mode: HAL, Fn: nf.NAT, Seed: 3, Shards: shards}
-		off, err := Run(cfg, telShort())
-		if err != nil {
-			t.Fatalf("shards=%d off: %v", shards, err)
-		}
-		cfg.Telemetry = fullTelemetry()
-		cfg.Telemetry.Prof = true
-		on, err := Run(cfg, telShort())
-		if err != nil {
-			t.Fatalf("shards=%d on: %v", shards, err)
-		}
-		if shards > 1 {
-			if on.Prof == nil {
-				t.Fatalf("shards=%d: profiled parallel run returned no recorder", shards)
-			}
-			rec := on.Prof
-			var windows uint64
-			for i := 0; i < rec.NumLanes(); i++ {
-				windows += rec.LaneAt(i).WindowCount
-			}
-			if windows == 0 || rec.Rounds == 0 {
-				t.Fatalf("empty recording: %d windows, %d rounds", windows, rec.Rounds)
-			}
-			if _, ok := rec.BindingLink(); !ok {
-				t.Fatal("no window was ever peer-bound; stall attribution is dead")
-			}
-		} else if on.Prof != nil {
-			t.Fatal("serial run built a flight recorder")
-		}
-		if off.Prof != nil {
-			t.Fatal("Prof-off run built a flight recorder")
-		}
-		on.Timeline, on.Trace, on.Metrics, on.Prof = nil, nil, nil, nil
-		if got, want := fmt.Sprintf("%+v", on), fmt.Sprintf("%+v", off); got != want {
-			t.Fatalf("shards=%d: recorder perturbed the run\n on: %s\noff: %s", shards, got, want)
-		}
-	}
-}
-
-// TestProfDeterministicRepeat runs the same profiled parallel configuration
-// twice and requires the recorder's deterministic surface — window spans,
-// binders, slack series, inject counts, wheel counters — to match exactly;
-// only the wall-clock fields may differ.
-func TestProfDeterministicRepeat(t *testing.T) {
-	runOnce := func() Result {
-		cfg := Config{Mode: HAL, Fn: nf.NAT, Seed: 9, Shards: 4}
-		cfg.Telemetry.Prof = true
-		res, err := Run(cfg, telShort())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Prof == nil {
-			t.Fatal("no recorder")
-		}
-		return res
-	}
-	a, b := runOnce().Prof, runOnce().Prof
-	for i := 0; i < a.NumLanes(); i++ {
-		la, lb := a.LaneAt(i), b.LaneAt(i)
-		la.LatchWaitNS, lb.LatchWaitNS = 0, 0
-		if got, want := fmt.Sprintf("%+v", *la), fmt.Sprintf("%+v", *lb); got != want {
-			t.Fatalf("lane %s diverged between repeats\n a: %s\n b: %s", la.Name(), got, want)
-		}
-	}
-	if a.Rounds != b.Rounds {
-		t.Fatalf("rounds diverged: %d vs %d", a.Rounds, b.Rounds)
-	}
-	if got, want := fmt.Sprintf("%+v", a.Links()), fmt.Sprintf("%+v", b.Links()); got != want {
-		t.Fatalf("slack series diverged\n a: %s\n b: %s", got, want)
-	}
-	if got, want := fmt.Sprintf("%+v", a.Wheels()), fmt.Sprintf("%+v", b.Wheels()); got != want {
-		t.Fatalf("wheel counters diverged\n a: %s\n b: %s", got, want)
-	}
-}
-
 // TestTelemetryLedgerUnderFaults drives a faulted, drained, fully traced
 // run and audits packet conservation: the ledger must close exactly, and
 // the registry's final counters must agree with it.

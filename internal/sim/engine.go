@@ -117,7 +117,6 @@ type Engine struct {
 	seqAt  Time
 	seqCtr uint64
 
-	curSeq    uint64 // seq of the event being dispatched (order key)
 	processed uint64
 	stopped   bool
 }
@@ -203,18 +202,6 @@ func (e *Engine) HeadKey() (Time, uint64, bool) {
 	return e.q.headAt, e.q.slab[e.q.slots0[e.q.headSlot].head].ev.seq, true
 }
 
-// OrderKey reports the global order key of the event currently being
-// dispatched: its instant and its seq. Telemetry tracers bind to it so
-// spans recorded by sharded runs can be merged back into the exact serial
-// emission order.
-func (e *Engine) OrderKey() (Time, uint64) { return e.now, e.curSeq }
-
-// AdoptOrder overrides the current dispatch order key. The parallel
-// coordinator uses it when control-plane work (fault application) runs on
-// its own engine but mutates a station: the station's tracer then stamps
-// the resulting spans with the control event's key, as a serial run would.
-func (e *Engine) AdoptOrder(seq uint64) { e.curSeq = seq }
-
 // Schedule runs fn after delay. A negative delay panics: simulated time
 // cannot move backwards.
 func (e *Engine) Schedule(delay Time, fn func()) {
@@ -261,25 +248,8 @@ func (e *Engine) AtCall(t Time, call Call, arg any, n int64) {
 	}
 }
 
-// InjectAt schedules call(arg, n) at absolute time t under a caller-supplied
-// seq key instead of a locally drawn one. This is the cross-LP merge path of
-// the conservative-parallel engine: the key was drawn by the SENDING
-// engine's AllocSeq at send time, so splicing by key reproduces exactly the
-// slot position a serial run would have given the event. t must not precede
-// the destination clock (the lookahead window guarantees that).
-func (e *Engine) InjectAt(t Time, seq uint64, call Call, arg any, n int64) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: inject at %d before now %d", t, e.now))
-	}
-	if ev := e.q.insertSlotOrdered(t, seq); ev != nil {
-		*ev = event{at: t, seq: seq, call: call, arg: arg, n: n}
-	} else {
-		e.q.insertOverflow(event{at: t, seq: seq, call: call, arg: arg, n: n})
-	}
-}
-
 // Inject is one cross-engine event for InjectBatch: the delivery instant,
-// the sender-drawn seq key, and the payload exactly as InjectAt takes them.
+// the sender-drawn seq key, and the payload.
 type Inject struct {
 	At   Time
 	Seq  uint64
@@ -288,9 +258,13 @@ type Inject struct {
 	N    int64
 }
 
-// InjectBatch splices a whole batch of foreign events into the wheel, the
-// bulk form of InjectAt used at parallel-engine delivery barriers: one call
-// per destination per barrier instead of one per message. Every consumed
+// InjectBatch splices a batch of foreign events into the wheel under their
+// caller-supplied seq keys instead of locally drawn ones. This is the
+// cross-LP merge path of the conservative-parallel engine: each key was
+// drawn by the SENDING engine's AllocSeq at send time, so splicing by key
+// reproduces exactly the slot position a serial run would have given the
+// event. No event may precede the destination clock (the lookahead window
+// guarantees that). One call delivers a whole outbox. Every consumed
 // entry is zeroed in place so the caller's reusable outbox slice does not
 // keep delivered Arg payloads (packets) reachable across windows; callers
 // truncate the batch with batch[:0] afterwards and reuse the backing array.
@@ -339,7 +313,6 @@ func (e *Engine) RunUntil(deadline Time) {
 		}
 		ev := e.q.popHead()
 		e.now = at
-		e.curSeq = ev.seq
 		e.processed++
 		ev.dispatch()
 	}
@@ -363,7 +336,6 @@ func (e *Engine) RunBefore(deadline Time) {
 		}
 		ev := e.q.popHead()
 		e.now = at
-		e.curSeq = ev.seq
 		e.processed++
 		ev.dispatch()
 	}
@@ -381,25 +353,8 @@ func (e *Engine) PopRun() {
 	}
 	ev := e.q.popHead()
 	e.now = ev.at
-	e.curSeq = ev.seq
 	e.processed++
 	ev.dispatch()
-}
-
-// RunAsOf dispatches call(arg, n) immediately under a logical timestamp in
-// the engine's past: the clock and order key are rewound for the duration of
-// the call and restored after. The parallel coordinator uses it to late-
-// apply cross-LP messages whose delivery instant fell inside an already-
-// executed window (provably unobservable work, e.g. response delivery): the
-// handler sees Now() == at and tracers stamp the serial order key, while the
-// engine's monotone clock is preserved for everything after. The handler
-// must not schedule events (the rewound clock would violate monotonicity).
-func (e *Engine) RunAsOf(at Time, seq uint64, call Call, arg any, n int64) {
-	saveNow, saveSeq, saveSeqAt, saveCtr := e.now, e.curSeq, e.seqAt, e.seqCtr
-	e.now, e.curSeq = at, seq
-	e.processed++
-	call(arg, n)
-	e.now, e.curSeq, e.seqAt, e.seqCtr = saveNow, saveSeq, saveSeqAt, saveCtr
 }
 
 // Run executes every pending event (including ones scheduled while running)
@@ -412,7 +367,6 @@ func (e *Engine) Run() {
 		}
 		ev := e.q.popHead()
 		e.now = ev.at
-		e.curSeq = ev.seq
 		e.processed++
 		ev.dispatch()
 	}

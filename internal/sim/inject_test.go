@@ -23,7 +23,7 @@ func TestInjectBelowWindowBase(t *testing.T) {
 
 	// Inject at 200: legal (>= now), yet far below the advanced window base.
 	seq := uint64(100)<<seqTimeShift | 1<<seqCtrBits // sender at t=100, rank 1
-	e.InjectAt(200, seq, rec, nil, 0)
+	e.InjectBatch([]Inject{{At: 200, Seq: seq, Call: rec}})
 	e.RunBefore(10_000)
 	if len(fired) != 1 || fired[0] != 200 {
 		t.Fatalf("fired = %v, want [200]", fired)
@@ -41,8 +41,10 @@ func TestInjectBelowWindowBase(t *testing.T) {
 	e2.AtCall(90_000, rec2, nil, 9)
 	e2.RunBefore(50)
 	e2.NextEventAt() // cascade the window to 90000's neighborhood
-	e2.InjectAt(300, uint64(60)<<seqTimeShift|2<<seqCtrBits, rec2, nil, 2)
-	e2.InjectAt(300, uint64(60)<<seqTimeShift|1<<seqCtrBits, rec2, nil, 1)
+	e2.InjectBatch([]Inject{
+		{At: 300, Seq: uint64(60)<<seqTimeShift | 2<<seqCtrBits, Call: rec2, N: 2},
+		{At: 300, Seq: uint64(60)<<seqTimeShift | 1<<seqCtrBits, Call: rec2, N: 1},
+	})
 	e2.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 9 {
 		t.Fatalf("order = %v, want [1 2 9]", order)

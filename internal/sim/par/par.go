@@ -6,10 +6,12 @@
 //
 // A simulation is partitioned into worker LPs (shards), each owning one
 // engine on its own goroutine, plus a control engine owned by the
-// coordinator. The LP graph is data, not code: a Topology declares the
-// directed links messages may travel and the minimum latency of each, and
-// the executor derives every synchronization bound from the all-pairs
-// closure of those declared latencies. Shards exchange timestamped
+// coordinator. Messages travel worker to worker only; control events
+// (periodic samplers, say) run on the coordinator at round barriers. The
+// LP graph is data, not code: a Topology declares the directed links
+// messages may travel and the minimum latency of each, and the executor
+// derives every synchronization bound from the all-pairs closure of those
+// declared latencies. Shards exchange timestamped
 // messages: a send appends to a shard-local outbox and is spliced into the
 // destination wheel (Engine.InjectBatch) under the sender-drawn seq key at
 // the next delivery point, so a delivered event lands exactly where a
@@ -51,11 +53,9 @@
 // (per control event), not per window.
 //
 // When the plan quiesces the coordinator performs the barrier work exactly
-// as a serial run would observe it at E: control-destined messages are
-// late-applied in key order under a rewound clock (Engine.RunAsOf — they
-// are provably unobservable to the shards), control events strictly before
-// E run, and the merged-instant step executes events at exactly E across
-// all engines in global (at, seq) key order — the same order a serial run
+// as a serial run would observe it at E: control events strictly before E
+// run, and the merged-instant step executes events at exactly E across all
+// engines in global (at, seq) key order — the same order a serial run
 // derives from its single monotone counter.
 //
 // # Declared lookahead and the correctness fallback
@@ -76,10 +76,8 @@
 package par
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,9 +85,6 @@ import (
 	"halsim/internal/sim"
 	"halsim/internal/telemetry/prof"
 )
-
-// CtrlDst addresses the control engine as a message destination.
-const CtrlDst = -1
 
 // Msg is one cross-LP event in flight; it is exactly the engine's batch-
 // injection record, so outboxes deliver straight through Engine.InjectBatch.
@@ -109,9 +104,7 @@ const noEvent = sim.Time(math.MaxInt64)
 const maxWorkers = 255
 
 // Link is one directed edge of the LP graph: messages src→dst arrive no
-// earlier than Latency after the instant they are sent. Dst may be CtrlDst;
-// control-destined links are unconstrained (late-applied) and carry the
-// declaration only for documentation and slack accounting.
+// earlier than Latency after the instant they are sent.
 type Link struct {
 	Src, Dst int
 	Latency  sim.Time
@@ -162,13 +155,13 @@ func (t Topology) distances() [][]sim.Time {
 		if l.Src < 0 || l.Src >= t.Workers {
 			panic(fmt.Sprintf("par: link source %d out of range", l.Src))
 		}
-		if (l.Dst < 0 && l.Dst != CtrlDst) || l.Dst >= t.Workers {
+		if l.Dst < 0 || l.Dst >= t.Workers {
 			panic(fmt.Sprintf("par: link destination %d out of range", l.Dst))
 		}
 		if l.Latency <= 0 || l.Latency > sim.SeqMaxTime {
 			panic(fmt.Sprintf("par: link %d→%d latency %v outside (0, %v]", l.Src, l.Dst, l.Latency, sim.SeqMaxTime))
 		}
-		if l.Dst == CtrlDst || l.Src == l.Dst {
+		if l.Src == l.Dst {
 			continue
 		}
 		if l.Latency < dist[l.Src][l.Dst] {
@@ -255,14 +248,13 @@ func (l *latch) leave() {
 type shard struct {
 	eng *sim.Engine
 	idx int
-	// out is indexed by destination shard; the last slot is the control
-	// engine. Only the shard's goroutine appends while it runs a window;
-	// worker-destined slots are drained by the DESTINATION shard in its
-	// inject phase (the latch orders append and drain), control-destined
-	// ones by the coordinator at round barriers.
+	// out is indexed by destination shard. Only the shard's goroutine
+	// appends while it runs a window; the DESTINATION shard drains its slot
+	// in its inject phase (the latch orders append and drain), and the
+	// coordinator drains stragglers at round barriers.
 	out []([]Msg)
-	// slackMin tracks the smallest observed delivery slack per destination
-	// (same indexing as out), maintained by the owning goroutine on Send.
+	// slackMin tracks the smallest observed delivery slack per destination,
+	// maintained by the owning goroutine on Send.
 	slackMin []sim.Time
 	cmd      chan struct{}
 	res      chan any // recovered panic value, nil on success
@@ -287,10 +279,8 @@ type Exec struct {
 	cycle      []sim.Time
 	lookahead  sim.Time
 
-	b        sim.Time // current barrier time
-	ctrlPend []Msg    // undelivered control messages
-	scratch  []Msg    // due control messages, sorted per barrier
-	running  bool
+	b       sim.Time // current barrier time
+	running bool
 
 	// Round/plan state. planEnd and inPlan are written by the coordinator
 	// before fan-out; nextAt slot i is written only by shard i between
@@ -308,14 +298,14 @@ type Exec struct {
 	rec *prof.Recorder
 }
 
-// outboxKeepCap bounds the backing-array capacity an outbox or the control
-// pend queue retains after draining. Drained entries are always zeroed
-// (InjectBatch zeroes in place; the control paths zero explicitly), so a
-// retained slab pins no Arg payloads — only its own bytes — and freeing it
-// just to reallocate next round is pure churn. The cap is therefore set
-// high enough that fleet-scale rounds (a 1024-server ingress hands off
-// tens of thousands of packets per round) reuse their slabs steady-state;
-// only a pathological one-off burst beyond it is released to the GC.
+// outboxKeepCap bounds the backing-array capacity an outbox retains after
+// draining. Drained entries are always zeroed (InjectBatch zeroes in
+// place), so a retained slab pins no Arg payloads — only its own bytes —
+// and freeing it just to reallocate next round is pure churn. The cap is
+// therefore set high enough that fleet-scale rounds (a 1024-server ingress
+// hands off tens of thousands of packets per round) reuse their slabs
+// steady-state; only a pathological one-off burst beyond it is released to
+// the GC.
 const outboxKeepCap = 1 << 20
 
 // New builds an executor over the given worker engines, the control
@@ -328,14 +318,14 @@ func New(ctrl *sim.Engine, workers []*sim.Engine, topo Topology) *Exec {
 	dist := topo.distances()
 	x := &Exec{ctrl: ctrl, dist: dist, lookahead: infTime, latch: newLatch()}
 	for i := range workers {
-		slack := make([]sim.Time, len(workers)+1)
+		slack := make([]sim.Time, len(workers))
 		for d := range slack {
 			slack[d] = infTime
 		}
 		x.shards = append(x.shards, &shard{
 			eng:      workers[i],
 			idx:      i,
-			out:      make([][]Msg, len(workers)+1),
+			out:      make([][]Msg, len(workers)),
 			slackMin: slack,
 			cmd:      make(chan struct{}),
 			res:      make(chan any),
@@ -372,8 +362,8 @@ func New(ctrl *sim.Engine, workers []*sim.Engine, topo Topology) *Exec {
 		}
 	}
 	if x.lookahead == infTime {
-		// No worker→worker links at all: shards only ever talk to the
-		// control engine. Any positive pacing unit works for idle jumps.
+		// No links at all: shards never talk. Any positive pacing unit
+		// works for idle jumps.
 		x.lookahead = sim.Microsecond
 	}
 	x.inPlan = make([]bool, len(workers))
@@ -395,7 +385,7 @@ func (x *Exec) SetRecorder(r *prof.Recorder) {
 	}
 	d := make([][]sim.Time, len(x.dist))
 	for i, row := range x.dist {
-		d[i] = make([]sim.Time, len(row)+1)
+		d[i] = make([]sim.Time, len(row))
 		for j, v := range row {
 			if v == infTime {
 				d[i][j] = -1
@@ -403,7 +393,6 @@ func (x *Exec) SetRecorder(r *prof.Recorder) {
 				d[i][j] = v
 			}
 		}
-		d[i][len(row)] = -1 // control destination: late-applied, unconstrained
 	}
 	r.SetDeclared(d)
 }
@@ -435,51 +424,34 @@ func (x *Exec) Shutdown() {
 	}
 }
 
-// Send queues a message from shard src (or the control engine, src ==
-// CtrlDst) to shard dst (or the control engine, dst == CtrlDst). It must be
-// called from the goroutine currently owning src: the sending shard's
-// during a window, the coordinator's during a barrier. Worker→worker sends
-// are checked against the declared topology here — at the send site, before
-// any window bound computed from the declaration could be trusted wrongly.
+// Send queues a message from shard src to shard dst. It must be called
+// from the goroutine currently owning src: the sending shard's during a
+// window, the coordinator's during a barrier. Sends are checked against the
+// declared topology here — at the send site, before any window bound
+// computed from the declaration could be trusted wrongly.
 func (x *Exec) Send(src, dst int, at sim.Time, seq uint64, call sim.Call, arg any, n int64) {
-	if src == CtrlDst {
-		// Control work sends only at barriers, when the coordinator owns
-		// every structure; deliver or queue directly.
-		if dst == CtrlDst {
-			x.ctrlPend = append(x.ctrlPend, Msg{At: at, Seq: seq, Call: call, Arg: arg, N: n})
-		} else {
-			x.shards[dst].eng.InjectAt(at, seq, call, arg, n)
-		}
-		return
-	}
 	sh := x.shards[src]
-	slot := dst
-	if dst == CtrlDst {
-		slot = len(x.shards)
-	} else {
-		slack := at - sh.eng.Now()
-		if d := x.dist[src][dst]; slack < d {
-			if d == infTime {
-				panic(fmt.Sprintf("par: message %d→%d travels an undeclared link (no Topology path)", src, dst))
-			}
-			panic(fmt.Sprintf("par: message %d→%d due at %v undercuts the declared %v link lookahead (slack %v)",
-				src, dst, at, d, slack))
+	slack := at - sh.eng.Now()
+	if d := x.dist[src][dst]; slack < d {
+		if d == infTime {
+			panic(fmt.Sprintf("par: message %d→%d travels an undeclared link (no Topology path)", src, dst))
 		}
+		panic(fmt.Sprintf("par: message %d→%d due at %v undercuts the declared %v link lookahead (slack %v)",
+			src, dst, at, d, slack))
 	}
-	if at-sh.eng.Now() < sh.slackMin[slot] {
-		sh.slackMin[slot] = at - sh.eng.Now()
+	if slack < sh.slackMin[dst] {
+		sh.slackMin[dst] = slack
 		if x.rec != nil {
-			x.rec.RecordSlack(src, slot, sh.eng.Now(), at-sh.eng.Now())
+			x.rec.RecordSlack(src, dst, sh.eng.Now(), slack)
 		}
 	}
-	sh.out[slot] = append(sh.out[slot], Msg{At: at, Seq: seq, Call: call, Arg: arg, N: n})
+	sh.out[dst] = append(sh.out[dst], Msg{At: at, Seq: seq, Call: call, Arg: arg, N: n})
 }
 
 // ObservedSlack reports the smallest delivery slack (arrival minus send
 // instant) seen on each src→dst pair, or -1 where no message has traveled
-// yet; index Workers stands for the control destination. Valid between
-// rounds (coordinator-owned state): use it to check how much headroom a
-// declared Topology leaves on the table.
+// yet. Valid between rounds (coordinator-owned state): use it to check how
+// much headroom a declared Topology leaves on the table.
 func (x *Exec) ObservedSlack() [][]sim.Time {
 	m := make([][]sim.Time, len(x.shards))
 	for i, sh := range x.shards {
@@ -511,10 +483,10 @@ func (x *Exec) AdvanceTo(until sim.Time) {
 	}
 }
 
-// DrainAll runs rounds until every engine, outbox, and pending control
-// message is exhausted — the parallel form of Engine.Run after stop/cancel.
-// Idle gaps are jumped, not crawled: each round starts at the earliest
-// pending instant, however far away.
+// DrainAll runs rounds until every engine and outbox is exhausted — the
+// parallel form of Engine.Run after stop/cancel. Idle gaps are jumped, not
+// crawled: each round starts at the earliest pending instant, however far
+// away.
 func (x *Exec) DrainAll() {
 	for {
 		x.refreshNext()
@@ -543,7 +515,7 @@ func (x *Exec) drainChunk() sim.Time {
 }
 
 // minNext reports the earliest pending instant across the cached worker
-// horizons, the control engine, and undelivered control messages. Workers
+// horizons and the control engine. Workers
 // are NOT re-polled here: refreshNext maintains the cache at round
 // boundaries, and shards publish their own horizons inside rounds.
 func (x *Exec) minNext() (sim.Time, bool) {
@@ -561,9 +533,6 @@ func (x *Exec) minNext() (sim.Time, bool) {
 		if at != noEvent {
 			consider(at)
 		}
-	}
-	for i := range x.ctrlPend {
-		consider(x.ctrlPend[i].At)
 	}
 	return m, ok
 }
@@ -606,8 +575,8 @@ func (x *Exec) activeClosure(end sim.Time) []uint64 {
 }
 
 // round advances the whole simulation to barrier time end: the run-ahead
-// plan over the participant shards, control-message late application,
-// control events, and the merged-instant step at end itself.
+// plan over the participant shards, control events, and the merged-instant
+// step at end itself.
 func (x *Exec) round(end sim.Time) {
 	x.refreshNext()
 	mask := x.activeClosure(end)
@@ -660,7 +629,6 @@ func (x *Exec) round(end sim.Time) {
 		tb = time.Now()
 	}
 	x.deliver()
-	x.lateCtrl(end)
 	x.ctrl.RunBefore(end)
 	x.mergedInstant(end)
 	x.deliver()
@@ -824,78 +792,21 @@ func (x *Exec) injectInbound(sh *shard, lane *prof.Lane) {
 	}
 }
 
-// deliver drains every outbox at a coordinator barrier: worker-destined
-// stragglers (sends issued by merged-instant events) splice into their
-// destination wheels, control-destined ones queue for lateCtrl.
+// deliver drains every outbox at a coordinator barrier: stragglers (sends
+// issued by merged-instant events) splice into their destination wheels.
 func (x *Exec) deliver() {
-	ctrlSlot := len(x.shards)
 	for _, sh := range x.shards {
 		for dst, msgs := range sh.out {
 			if len(msgs) == 0 {
 				continue
 			}
-			if dst == ctrlSlot {
-				x.ctrlPend = append(x.ctrlPend, msgs...)
-				for i := range msgs {
-					msgs[i] = Msg{}
-				}
-			} else {
-				x.shards[dst].eng.InjectBatch(msgs)
-			}
+			x.shards[dst].eng.InjectBatch(msgs)
 			if cap(msgs) > outboxKeepCap {
 				sh.out[dst] = nil
 			} else {
 				sh.out[dst] = msgs[:0]
 			}
 		}
-	}
-}
-
-// lateCtrl applies pending control messages due before bp — in key order,
-// under a rewound clock, reproducing serial timestamps — and injects those
-// due exactly at bp so the merged-instant step interleaves them with other
-// control events by key.
-func (x *Exec) lateCtrl(bp sim.Time) {
-	if len(x.ctrlPend) == 0 {
-		return
-	}
-	due := x.scratch[:0]
-	if cap(due) < len(x.ctrlPend) {
-		due = make([]Msg, 0, len(x.ctrlPend))
-	}
-	keep := x.ctrlPend[:0]
-	for _, m := range x.ctrlPend {
-		if m.At <= bp {
-			due = append(due, m)
-		} else {
-			keep = append(keep, m)
-		}
-	}
-	x.ctrlPend = keep
-	x.scratch = due
-	if len(due) == 0 {
-		return
-	}
-	slices.SortFunc(due, func(a, b Msg) int {
-		if a.At != b.At {
-			return cmp.Compare(a.At, b.At)
-		}
-		return cmp.Compare(a.Seq, b.Seq)
-	})
-	for i := range due {
-		m := &due[i]
-		if m.At == bp {
-			x.ctrl.InjectAt(m.At, m.Seq, m.Call, m.Arg, m.N)
-		} else {
-			x.ctrl.RunAsOf(m.At, m.Seq, m.Call, m.Arg, m.N)
-		}
-		m.Arg = nil
-	}
-	if cap(x.scratch) > outboxKeepCap {
-		x.scratch = nil
-	}
-	if len(x.ctrlPend) == 0 && cap(x.ctrlPend) > outboxKeepCap {
-		x.ctrlPend = nil
 	}
 }
 

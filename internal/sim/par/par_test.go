@@ -29,7 +29,7 @@ const noPath = sim.Time(1) << 60
 // action is one scripted consequence of an event firing: schedule a local
 // follow-up or send to another node.
 type action struct {
-	dst   int // node index; ctrl is the last node
+	dst   int // node index
 	delay sim.Time
 	child int64 // id of the spawned event's script entry
 }
@@ -83,8 +83,8 @@ func closure(m [][]sim.Time) {
 	}
 }
 
-// buildScript grows a deterministic random event tree over n worker nodes
-// plus a control node (index n), over the complete uniform-lookahead graph.
+// buildScript grows a deterministic random event tree over n worker nodes,
+// over the complete uniform-lookahead graph.
 func buildScript(rng *rand.Rand, workers, events int) *script {
 	return buildScriptDist(rng, workers, events, uniformDist(workers, lookahead))
 }
@@ -93,8 +93,7 @@ func buildScript(rng *rand.Rand, workers, events int) *script {
 // closure of some topology's links): worker→worker hops only target nodes
 // the source has a path to, with delays at or above the path latency,
 // rounded to preserve the destination's residue. Latencies must be stride
-// multiples for the residue scheme to hold. Worker→ctrl edges get
-// deliberately tiny latencies to exercise late control application.
+// multiples for the residue scheme to hold.
 func buildScriptDist(rng *rand.Rand, workers, events int, dist [][]sim.Time) *script {
 	return buildScriptStride(rng, workers, events, dist, stride)
 }
@@ -118,25 +117,20 @@ func buildScriptStride(rng *rand.Rand, workers, events int, dist [][]sim.Time, s
 	grow = func(node int, depth int) int64 {
 		id++
 		me := id
-		if depth >= 4 || node == workers {
-			// Control-node events are leaves: the real control plane's
-			// late-applied handlers never schedule (RunAsOf contract).
+		if depth >= 4 {
 			return me
 		}
 		kids := rng.Intn(3)
 		for k := 0; k < kids && id < int64(events); k++ {
 			var a action
 			switch r := rng.Intn(4); {
-			case r == 2 && node < workers && len(reach[node]) > 0: // worker→worker hop
+			case r >= 2 && len(reach[node]) > 0: // worker→worker hop
 				a.dst = reach[node][rng.Intn(len(reach[node]))]
 				diff := (a.dst - node) % stride
 				if diff < 0 {
 					diff += stride
 				}
 				a.delay = dist[node][a.dst] + sim.Time(diff) + sim.Time(rng.Intn(8)*stride)
-			case r == 3: // →ctrl, may undercut every lookahead
-				a.dst = workers
-				a.delay = sim.Time(rng.Intn(60) + 1)
 			default: // local follow-up, residue-preserving delay
 				a.dst = node
 				a.delay = sim.Time((rng.Intn(30) + 1) * stride)
@@ -181,25 +175,23 @@ func newRunner(s *script, workers int, parallel bool) *runner {
 }
 
 func newRunnerTopo(s *script, workers int, topo *par.Topology) *runner {
-	r := &runner{s: s, logs: make([][]entry, workers+1)}
+	r := &runner{s: s, logs: make([][]entry, workers)}
 	if topo == nil {
 		e := sim.NewEngine()
-		for n := 0; n <= workers; n++ {
+		for n := 0; n < workers; n++ {
 			r.engines = append(r.engines, e)
 		}
 	} else {
-		var w []*sim.Engine
 		for n := 0; n < workers; n++ {
 			e := sim.NewEngine()
 			e.SetRank(n)
-			w = append(w, e)
+			r.engines = append(r.engines, e)
 		}
 		ctrl := sim.NewEngine()
 		ctrl.SetRank(workers)
-		r.engines = append(w, ctrl)
-		r.x = par.New(ctrl, w, *topo)
+		r.x = par.New(ctrl, r.engines, *topo)
 	}
-	for n := 0; n <= workers; n++ {
+	for n := 0; n < workers; n++ {
 		node := n
 		r.calls = append(r.calls, func(_ any, id int64) { r.fire(node, id) })
 	}
@@ -218,15 +210,7 @@ func (r *runner) dispatch(src, dst int, delay sim.Time, child int64) {
 		r.engines[dst].AtCall(at, r.calls[dst], nil, child)
 		return
 	}
-	workers := len(r.engines) - 1
-	psrc, pdst := src, dst
-	if psrc == workers {
-		psrc = par.CtrlDst
-	}
-	if pdst == workers {
-		pdst = par.CtrlDst
-	}
-	r.x.Send(psrc, pdst, at, se.AllocSeq(), r.calls[dst], nil, child)
+	r.x.Send(src, dst, at, se.AllocSeq(), r.calls[dst], nil, child)
 }
 
 func (r *runner) fire(node int, id int64) {
@@ -309,7 +293,7 @@ func TestRandomTopologyMatchesSerialOracle(t *testing.T) {
 		// were derived from.
 		for src, row := range pp.x.ObservedSlack() {
 			for dst, sl := range row {
-				if dst < w && sl >= 0 && sl < dist[src][dst] {
+				if sl >= 0 && sl < dist[src][dst] {
 					t.Fatalf("seed %d: observed slack %v on %d→%d below declared %v",
 						seed, sl, src, dst, dist[src][dst])
 				}
@@ -359,11 +343,10 @@ func TestMergedInstantSchedTimeOrder(t *testing.T) {
 }
 
 // A cross-LP message due EXACTLY at a barrier racing a control event at
-// the same instant: the message (worker-destined) and a control-destined
-// sibling must both land in the merged-instant step and interleave with
-// the control event in serial key order — schedule time dominates, so the
-// control event (scheduled at 0) runs before both messages (drawn at 10),
-// and the two messages keep their draw order.
+// the same instant: the message must land in the merged-instant step and
+// interleave with the control event in serial key order — schedule time
+// dominates, so the control event (scheduled at 0) runs before the message
+// (drawn at 10).
 func TestBarrierExactMessageRacesCtrlEvent(t *testing.T) {
 	ea, eb, ctrl := sim.NewEngine(), sim.NewEngine(), sim.NewEngine()
 	ea.SetRank(0)
@@ -375,43 +358,16 @@ func TestBarrierExactMessageRacesCtrlEvent(t *testing.T) {
 	ea.AtCall(10, func(any, int64) {
 		x.Send(0, 1, 100, ea.AllocSeq(),
 			func(any, int64) { order = append(order, "msg") }, nil, 0)
-		x.Send(0, par.CtrlDst, 100, ea.AllocSeq(),
-			func(any, int64) { order = append(order, "cmsg") }, nil, 0)
 	}, nil, 0)
 	x.Start()
 	defer x.Shutdown()
 	x.AdvanceTo(200)
-	want := []string{"ctrl", "msg", "cmsg"}
+	want := []string{"ctrl", "msg"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("barrier-instant order = %v, want %v", order, want)
 	}
 	if eb.Now() != 200 || ctrl.Now() != 200 {
 		t.Fatalf("clocks = %v/%v, want parked at 200", eb.Now(), ctrl.Now())
-	}
-}
-
-// Control messages with sub-lookahead latency are late-applied with the
-// serial timestamp visible through Now, in (at, seq) order.
-func TestLateControlApplication(t *testing.T) {
-	ea, ctrl := sim.NewEngine(), sim.NewEngine()
-	ea.SetRank(0)
-	ctrl.SetRank(3)
-	x := par.New(ctrl, []*sim.Engine{ea}, par.Uniform(1, 1000))
-	var got []sim.Time
-	deliver := func(any, int64) { got = append(got, ctrl.Now()) }
-	ea.AtCall(10, func(any, int64) {
-		x.Send(0, par.CtrlDst, ea.Now()+3, ea.AllocSeq(), deliver, nil, 0)
-		x.Send(0, par.CtrlDst, ea.Now()+1, ea.AllocSeq(), deliver, nil, 0)
-	}, nil, 0)
-	x.Start()
-	defer x.Shutdown()
-	x.AdvanceTo(5000)
-	want := []sim.Time{11, 13}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("late ctrl delivery times = %v, want %v", got, want)
-	}
-	if ctrl.Now() != 5000 {
-		t.Fatalf("ctrl clock = %v, want parked at 5000", ctrl.Now())
 	}
 }
 
@@ -445,31 +401,6 @@ func TestIdleShardParking(t *testing.T) {
 	if ea.Now() != 1000 || eb.Now() != 1000 || ctrl.Now() != 1000 {
 		t.Fatalf("clocks = %v/%v/%v, want all parked at 1000",
 			ea.Now(), eb.Now(), ctrl.Now())
-	}
-}
-
-// DrainAll with every engine empty and only an undelivered control message
-// remaining: the drain must still late-apply it at its serial timestamp
-// and terminate.
-func TestDrainAllCtrlPendOnly(t *testing.T) {
-	ea, ctrl := sim.NewEngine(), sim.NewEngine()
-	ea.SetRank(0)
-	ctrl.SetRank(3)
-	x := par.New(ctrl, []*sim.Engine{ea}, par.Uniform(1, 10))
-	var got []sim.Time
-	ea.AtCall(10, func(any, int64) {
-		x.Send(0, par.CtrlDst, 5000, ea.AllocSeq(),
-			func(any, int64) { got = append(got, ctrl.Now()) }, nil, 0)
-	}, nil, 0)
-	x.Start()
-	defer x.Shutdown()
-	x.AdvanceTo(20)
-	if len(got) != 0 {
-		t.Fatalf("far-future ctrl message applied early: %v", got)
-	}
-	x.DrainAll()
-	if want := []sim.Time{5000}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("drained ctrl delivery times = %v, want %v", got, want)
 	}
 }
 
@@ -602,7 +533,7 @@ func TestStarTopologyMatchesSerialOracle(t *testing.T) {
 		}
 		for src, row := range pp.x.ObservedSlack() {
 			for dst, sl := range row {
-				if dst < w && sl >= 0 && sl < dist[src][dst] {
+				if sl >= 0 && sl < dist[src][dst] {
 					t.Fatalf("seed %d: observed slack %v on %d→%d below declared %v",
 						seed, sl, src, dst, dist[src][dst])
 				}
@@ -778,7 +709,7 @@ func TestWideStarMatchesSerialOracle(t *testing.T) {
 		}
 		for src, row := range pp.x.ObservedSlack() {
 			for dst, sl := range row {
-				if dst < w && sl >= 0 && sl < dist[src][dst] {
+				if sl >= 0 && sl < dist[src][dst] {
 					t.Fatalf("seed %d: observed slack %v on %d→%d below declared %v",
 						seed, sl, src, dst, dist[src][dst])
 				}

@@ -141,8 +141,7 @@ func (l *Lane) Inject(n int) {
 // AddLatchWait accumulates wall-clock latch-wait time.
 func (l *Lane) AddLatchWait(ns int64) { l.LatchWaitNS += ns }
 
-// link is one src→dst slack recording; dst index Workers is the control
-// destination.
+// link is one src→dst slack recording.
 type link struct {
 	points    []SlackPoint
 	truncated uint64
@@ -162,7 +161,7 @@ type WheelLane struct {
 type Recorder struct {
 	names    []string
 	lanes    []Lane
-	links    []link       // src*(workers+1) + dst; dst==workers is ctrl
+	links    []link       // src*workers + dst
 	declared [][]sim.Time // [src][dst] declared lookahead, -1 unconstrained
 
 	// Rounds counts coordinator rounds (one per control event or drain
@@ -188,7 +187,7 @@ func NewRecorder(names []string) *Recorder {
 	for i := range r.lanes {
 		r.lanes[i] = Lane{name: names[i], BoundBy: make([]uint64, w)}
 	}
-	r.links = make([]link, w*(w+1))
+	r.links = make([]link, w*w)
 	for i := range r.links {
 		r.links[i].floor = -1
 	}
@@ -198,20 +197,14 @@ func NewRecorder(names []string) *Recorder {
 // NumLanes returns the worker LP count.
 func (r *Recorder) NumLanes() int { return len(r.lanes) }
 
-// LaneName returns the name of lane i; index NumLanes names the control
-// destination.
-func (r *Recorder) LaneName(i int) string {
-	if i >= 0 && i < len(r.names) {
-		return r.names[i]
-	}
-	return "ctrl"
-}
+// LaneName returns the name of lane i.
+func (r *Recorder) LaneName(i int) string { return r.names[i] }
 
 // LaneAt returns lane i for recording or reading.
 func (r *Recorder) LaneAt(i int) *Lane { return &r.lanes[i] }
 
-// SetDeclared installs the declared per-pair lookahead matrix ([src][dst],
-// dst index NumLanes = control), with -1 marking an unconstrained pair. The
+// SetDeclared installs the declared per-pair lookahead matrix ([src][dst]),
+// with -1 marking an unconstrained pair. The
 // executor calls this when the recorder is attached.
 func (r *Recorder) SetDeclared(d [][]sim.Time) { r.declared = d }
 
@@ -219,7 +212,7 @@ func (r *Recorder) SetDeclared(d [][]sim.Time) { r.declared = d }
 // the goroutine owning src exactly when the executor's slackMin tightens,
 // so the series is strictly decreasing in Slack.
 func (r *Recorder) RecordSlack(src, dst int, at, slack sim.Time) {
-	lk := &r.links[src*(len(r.lanes)+1)+dst]
+	lk := &r.links[src*len(r.lanes)+dst]
 	if len(lk.points) >= maxSlackPoints {
 		lk.truncated++
 		return
@@ -241,7 +234,7 @@ func (r *Recorder) AddBarrierWall(ns int64) { r.BarrierWallNS += ns }
 func (r *Recorder) SetObservedFloors(m [][]sim.Time) {
 	for src, row := range m {
 		for dst, s := range row {
-			r.links[src*(len(r.lanes)+1)+dst].floor = s
+			r.links[src*len(r.lanes)+dst].floor = s
 		}
 	}
 }
@@ -256,7 +249,7 @@ func (r *Recorder) Wheels() []WheelLane { return r.wheels }
 
 // LinkStat is the read-side view of one link's slack recording.
 type LinkStat struct {
-	Src, Dst         int // Dst == NumLanes is the control destination
+	Src, Dst         int
 	SrcName, DstName string
 	// Declared is the declared lookahead (-1 unconstrained), Floor the
 	// smallest observed delivery slack (-1 when nothing traveled).
@@ -282,8 +275,8 @@ func (r *Recorder) Links() []LinkStat {
 	var out []LinkStat
 	w := len(r.lanes)
 	for src := 0; src < w; src++ {
-		for dst := 0; dst <= w; dst++ {
-			lk := r.links[src*(w+1)+dst]
+		for dst := 0; dst < w; dst++ {
+			lk := r.links[src*w+dst]
 			if lk.floor < 0 && len(lk.points) == 0 {
 				continue
 			}

@@ -51,11 +51,11 @@ func TestLaneWindowTruncation(t *testing.T) {
 
 func TestSlackSeriesAndLinks(t *testing.T) {
 	r := NewRecorder([]string{"a", "b"})
-	r.SetDeclared([][]sim.Time{{-1, 100, -1}, {-1, -1, -1}})
+	r.SetDeclared([][]sim.Time{{-1, 100}, {-1, -1}})
 	r.RecordSlack(0, 1, 5, 300)
 	r.RecordSlack(0, 1, 9, 150)
-	r.RecordSlack(1, 2, 4, 80) // dst 2 = ctrl
-	r.SetObservedFloors([][]sim.Time{{-1, 150, -1}, {-1, -1, 80}})
+	r.RecordSlack(1, 0, 4, 80) // undeclared (unconstrained) direction
+	r.SetObservedFloors([][]sim.Time{{-1, 150}, {80, -1}})
 	links := r.Links()
 	if len(links) != 2 {
 		t.Fatalf("links = %d, want 2", len(links))
@@ -70,12 +70,12 @@ func TestSlackSeriesAndLinks(t *testing.T) {
 	if got, want := ab.Utilization(), 100.0/150.0; got != want {
 		t.Fatalf("utilization = %v, want %v", got, want)
 	}
-	bc := links[1]
-	if bc.DstName != "ctrl" || bc.Floor != 80 {
-		t.Fatalf("b->ctrl link wrong: %+v", bc)
+	ba := links[1]
+	if ba.SrcName != "b" || ba.DstName != "a" || ba.Floor != 80 || ba.Declared != -1 {
+		t.Fatalf("b->a link wrong: %+v", ba)
 	}
-	if bc.Utilization() != 0 {
-		t.Fatalf("unconstrained link must report 0 utilization, got %v", bc.Utilization())
+	if ba.Utilization() != 0 {
+		t.Fatalf("unconstrained link must report 0 utilization, got %v", ba.Utilization())
 	}
 }
 

@@ -5,76 +5,49 @@ import (
 	"encoding/json"
 	"io"
 
-	"halsim/internal/sim"
 	"halsim/internal/telemetry/prof"
 )
 
-// WriteProfTrace exports a combined Chrome trace-event document: the packet
-// tracer's spans exactly as WriteTrace emits them — plus an "lp" arg naming
-// the shard that emitted each span, drop spans included, when the tracer
-// carries LP identity — and one flight-recorder lane per LP (pid 2) whose
-// spans are the executed plan windows, named after the peer that capped
-// each window, with the link slack-floor tightenings as instant events on
-// the source lane. Everything written is deterministic: window spans,
-// binders, and slack series are simulation state, never wall clock.
-//
-// The default WriteTrace output stays byte-identical across engines; this
-// writer is the profiled variant and its output is per-shard-count by
-// construction (a serial run has no recorder lanes). t may be nil — a
-// cluster run records per-server LP lanes without packet tracing — in
-// which case the document holds only the recorder's lanes.
-func WriteProfTrace(w io.Writer, t *Tracer, r *prof.Recorder) error {
-	// profPid separates the recorder's LP lanes from the packet lanes
-	// (pid 1, same tids as WriteTrace).
+// WriteProfTrace exports the parallel engine's flight recorder as a Chrome
+// trace-event document: one lane per LP (pid 2) whose spans are the
+// executed plan windows, named after the peer that capped each window, with
+// the link slack-floor tightenings as instant events on the source lane.
+// Everything written is deterministic: window spans, binders, and slack
+// series are simulation state, never wall clock. The output is
+// per-shard-count by construction: it describes the engine, not the
+// simulation.
+func WriteProfTrace(w io.Writer, r *prof.Recorder) error {
+	// profPid keeps the recorder's LP lanes apart from the packet lanes
+	// WriteTrace emits (pid 1).
 	const profPid = 2
 
 	doc := chromeTrace{DisplayTimeUnit: "ns"}
-	if t != nil {
-		for tid := StationID(0); tid < numStations; tid++ {
-			name := tid.String()
+	for i := 0; i < r.NumLanes(); i++ {
+		name := "lp:" + r.LaneName(i)
+		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+			Name: "thread_name", Cat: "__metadata", Ph: "M",
+			Pid: profPid, Tid: i,
+			Args: chromeArgs{Name: &name},
+		})
+		lane := r.LaneAt(i)
+		for _, win := range lane.Windows {
+			d := us(win.End - win.Start)
 			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: "thread_name", Cat: "__metadata", Ph: "M",
-				Pid: 1, Tid: int(tid),
-				Args: chromeArgs{Name: &name},
+				Name: windowName(r, win.Binder), Cat: "window", Ph: "X",
+				Ts: us(win.Start), Dur: &d, Pid: profPid, Tid: i,
+				Args: profWinArgs{Binder: binderLabel(r, win.Binder)},
 			})
-		}
-		for i := 0; i < t.Len(); i++ {
-			ev := t.At(i).chrome()
-			if lp := t.OriginLane(i); lp != "" {
-				ev.Args = profPktArgs{chromeArgs: ev.Args.(chromeArgs), LP: lp}
-			}
-			doc.TraceEvents = append(doc.TraceEvents, ev)
 		}
 	}
-
-	if r != nil {
-		for i := 0; i < r.NumLanes(); i++ {
-			name := "lp:" + r.LaneName(i)
+	for _, ls := range r.Links() {
+		name := "slack:" + ls.SrcName + "->" + ls.DstName
+		for _, pt := range ls.Points {
+			ns := int64(pt.Slack)
 			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: "thread_name", Cat: "__metadata", Ph: "M",
-				Pid: profPid, Tid: i,
-				Args: chromeArgs{Name: &name},
+				Name: name, Cat: "slack", Ph: "i", S: "t",
+				Ts: us(pt.At), Pid: profPid, Tid: ls.Src,
+				Args: profSlackArgs{SlackNS: ns},
 			})
-			lane := r.LaneAt(i)
-			for _, win := range lane.Windows {
-				d := us(win.End - win.Start)
-				doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-					Name: windowName(r, win.Binder), Cat: "window", Ph: "X",
-					Ts: us(win.Start), Dur: &d, Pid: profPid, Tid: i,
-					Args: profWinArgs{Binder: binderLabel(r, win.Binder)},
-				})
-			}
-		}
-		for _, ls := range r.Links() {
-			name := "slack:" + ls.SrcName + "->" + ls.DstName
-			for _, pt := range ls.Points {
-				ns := int64(pt.Slack)
-				doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-					Name: name, Cat: "slack", Ph: "i", S: "t",
-					Ts: us(pt.At), Pid: profPid, Tid: ls.Src,
-					Args: profSlackArgs{SlackNS: ns},
-				})
-			}
 		}
 	}
 
@@ -84,12 +57,6 @@ func WriteProfTrace(w io.Writer, t *Tracer, r *prof.Recorder) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// profPktArgs is a packet span's args plus its originating LP lane.
-type profPktArgs struct {
-	chromeArgs
-	LP string `json:"lp"`
 }
 
 // profWinArgs is a window span's payload: what bounded the window.
@@ -125,7 +92,3 @@ func binderLabel(r *prof.Recorder, binder int) string {
 		return "round-end"
 	}
 }
-
-// profDur formats a sim duration; kept here so report code and the CLIs
-// share one deterministic formatting path for slack values.
-func profDur(t sim.Time) string { return t.String() }

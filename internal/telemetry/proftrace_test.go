@@ -7,89 +7,8 @@ import (
 	"sync"
 	"testing"
 
-	"halsim/internal/sim"
 	"halsim/internal/telemetry/prof"
 )
-
-// orderedTracer builds a lane-labeled, order-bound tracer whose emit
-// helper stamps an explicit (at, seq) key — the harness for merge tests.
-func orderedTracer(lane string) (*Tracer, func(at sim.Time, seq uint64, s Span)) {
-	tr := NewTracer(1, 100)
-	tr.BindLane(lane)
-	var at sim.Time
-	var seq uint64
-	tr.BindOrder(func() (sim.Time, uint64) { return at, seq })
-	emit := func(a sim.Time, q uint64, s Span) {
-		at, seq = a, q
-		tr.Emit(s)
-	}
-	return tr, emit
-}
-
-// TestMergeTracersManyParts interleaves three order-bound tracers and
-// requires the merge to restore global (at, seq) order — and to attribute
-// every retained span, drop spans included, to the lane that emitted it.
-func TestMergeTracersManyParts(t *testing.T) {
-	trA, emitA := orderedTracer("net")
-	trB, emitB := orderedTracer("snic")
-	trC, emitC := orderedTracer("host")
-
-	// Global order by (at, seq): pkt 1..7. Same-instant events split by seq
-	// (the rank bits of real composite keys). Pkt 5 is a drop on host.
-	emitA(10, 1, Span{T: 10, Kind: KindIngress, Pkt: 1})
-	emitB(10, 2, Span{T: 10, Kind: KindArrive, Pkt: 2})
-	emitC(10, 3, Span{T: 10, Kind: KindArrive, Pkt: 3})
-	emitA(20, 1, Span{T: 20, Kind: KindIngress, Pkt: 4})
-	emitC(25, 9, Span{T: 25, Kind: KindDrop, Pkt: 5, Arg: int64(DropRingFull)})
-	emitB(30, 4, Span{T: 30, Kind: KindServe, Pkt: 6})
-	emitA(40, 1, Span{T: 40, Kind: KindResponse, Pkt: 7})
-
-	merged := MergeTracers(100, trA, trB, trC)
-	if merged.Len() != 7 {
-		t.Fatalf("merged %d spans, want 7", merged.Len())
-	}
-	wantLane := []string{"net", "snic", "host", "net", "host", "snic", "net"}
-	for i := 0; i < merged.Len(); i++ {
-		if got := merged.At(i).Pkt; got != uint64(i+1) {
-			t.Fatalf("span %d: pkt %d, want %d (global order broken)", i, got, i+1)
-		}
-		if got := merged.OriginLane(i); got != wantLane[i] {
-			t.Fatalf("span %d: origin lane %q, want %q", i, got, wantLane[i])
-		}
-	}
-	// The drop span specifically carries the emitting LP's identity.
-	if merged.At(4).Kind != KindDrop || merged.OriginLane(4) != "host" {
-		t.Fatalf("drop span lost its LP identity: kind=%v lane=%q",
-			merged.At(4).Kind, merged.OriginLane(4))
-	}
-	// An unmerged tracer reports its own bound lane; an unbound one none.
-	if trA.OriginLane(0) != "net" {
-		t.Fatalf("part tracer lane = %q, want net", trA.OriginLane(0))
-	}
-	if plain := NewTracer(1, 10); plain.OriginLane(0) != "" {
-		t.Fatal("unlabeled tracer must report no LP identity")
-	}
-}
-
-// TestMergeTracersCapKeepsOrigins caps the merge below the combined span
-// count and requires origins to track exactly the retained prefix.
-func TestMergeTracersCapKeepsOrigins(t *testing.T) {
-	trA, emitA := orderedTracer("a")
-	trB, emitB := orderedTracer("b")
-	for i := 0; i < 5; i++ {
-		emitA(sim.Time(10*i), 1, Span{T: sim.Time(10 * i), Kind: KindIngress, Pkt: uint64(2 * i)})
-		emitB(sim.Time(10*i+5), 2, Span{T: sim.Time(10*i + 5), Kind: KindServe, Pkt: uint64(2*i + 1)})
-	}
-	merged := MergeTracers(3, trA, trB)
-	if merged.Len() != 3 || merged.Truncated != 7 {
-		t.Fatalf("len=%d truncated=%d, want 3 and 7", merged.Len(), merged.Truncated)
-	}
-	for i, want := range []string{"a", "b", "a"} {
-		if got := merged.OriginLane(i); got != want {
-			t.Fatalf("span %d: lane %q, want %q", i, got, want)
-		}
-	}
-}
 
 // TestRegistryConcurrentExposition hammers the registry from writer
 // goroutines while the exposition path renders — the -telemetry-addr server
@@ -139,15 +58,11 @@ func TestRegistryConcurrentExposition(t *testing.T) {
 	}
 }
 
-// TestWriteProfTrace checks the combined profiled trace document: packet
-// spans annotated with their LP lane, one pid-2 lane per LP with window
-// spans named by binder, slack instants — and only Chrome phases X/i/M.
+// TestWriteProfTrace checks the flight-recorder trace document: one pid-2
+// lane per LP with window spans named by binder, slack instants — and only
+// Chrome phases X/i/M.
 func TestWriteProfTrace(t *testing.T) {
-	tr, emit := orderedTracer("net")
-	emit(10, 1, Span{T: 1000, Kind: KindIngress, Station: StWire, Core: -1, Pkt: 1, Arg: 64})
-	emit(20, 1, Span{T: 2750, Kind: KindDrop, Station: StHost, Core: 2, Pkt: 2, Arg: int64(DropRingFull)})
-
-	rec := prof.NewRecorder([]string{"net", "snic"})
+	rec := prof.NewRecorder([]string{"ingress", "servers-0-3"})
 	rec.LaneAt(0).Window(0, 500, prof.BindEnd)
 	rec.LaneAt(1).Window(0, 400, 0)
 	rec.LaneAt(1).Window(400, 900, prof.BindSelf)
@@ -155,7 +70,7 @@ func TestWriteProfTrace(t *testing.T) {
 
 	render := func() []byte {
 		var buf bytes.Buffer
-		if err := WriteProfTrace(&buf, tr, rec); err != nil {
+		if err := WriteProfTrace(&buf, rec); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -173,16 +88,19 @@ func TestWriteProfTrace(t *testing.T) {
 	}
 	lanes := map[string]bool{}
 	names := map[string]bool{}
-	var windows, slacks, pktWithLP int
+	var windows, slacks int
 	for _, ev := range doc.TraceEvents {
 		names[ev["name"].(string)] = true
 		ph := ev["ph"].(string)
 		if ph != "X" && ph != "i" && ph != "M" {
 			t.Fatalf("phase %q outside the X/i/M contract: %v", ph, ev)
 		}
+		if ev["pid"].(float64) != 2 {
+			t.Fatalf("event outside the recorder's pid: %v", ev)
+		}
 		args, _ := ev["args"].(map[string]any)
 		switch {
-		case ph == "M" && ev["pid"].(float64) == 2:
+		case ph == "M":
 			lanes[args["name"].(string)] = true
 		case ev["cat"] == "window":
 			windows++
@@ -194,34 +112,18 @@ func TestWriteProfTrace(t *testing.T) {
 			if args["slack_ns"].(float64) != 900 {
 				t.Fatalf("slack instant payload wrong: %v", ev)
 			}
-		case ev["pid"].(float64) == 1 && ph != "M":
-			if args["lp"] == "net" {
-				pktWithLP++
-			}
 		}
 	}
-	if !lanes["lp:net"] || !lanes["lp:snic"] {
+	if !lanes["lp:ingress"] || !lanes["lp:servers-0-3"] {
 		t.Fatalf("recorder lanes missing: %v", lanes)
 	}
 	if windows != 3 || slacks != 1 {
 		t.Fatalf("windows=%d slacks=%d, want 3 and 1", windows, slacks)
 	}
-	if pktWithLP != 2 {
-		t.Fatalf("%d packet spans carry lp, want 2 (drop span included)", pktWithLP)
-	}
 	// Binder names distinguish peers from the sentinels.
-	for _, want := range []string{"win:round", "win:net", "win:self", "slack:net->snic"} {
+	for _, want := range []string{"win:round", "win:ingress", "win:self", "slack:ingress->servers-0-3"} {
 		if !names[want] {
 			t.Fatalf("prof trace missing %q event:\n%s", want, out)
 		}
-	}
-	// The default WriteTrace stays free of LP identity even on a labeled
-	// tracer — the engine-invariant artifact contract.
-	var plain bytes.Buffer
-	if err := tr.WriteTrace(&plain); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(plain.Bytes(), []byte(`"lp"`)) {
-		t.Fatal("WriteTrace leaked LP identity into the default artifact")
 	}
 }

@@ -53,11 +53,12 @@ type Config struct {
 	// counted as truncated rather than recorded.
 	TraceCap int
 
-	// Prof opts a parallel run (Config.Shards > 1, partition admissible)
-	// into the flight recorder (telemetry/prof): per-shard window spans
-	// with stall attribution, per-link lookahead-slack series, InjectBatch
-	// sizes, and wheel counters, surfaced as Result.Prof. Serial runs
-	// ignore it — the recorder measures the parallel engine itself. Like
+	// Prof opts a sharded fleet (Config.Cluster with Config.Shards > 1)
+	// into the flight recorder (telemetry/prof): per-LP window spans with
+	// stall attribution, per-link lookahead-slack series, InjectBatch
+	// sizes, and wheel counters, surfaced as Result.Prof. Serial runs — a
+	// single server or a serial fleet — accept and ignore it: the recorder
+	// measures the parallel engine itself. Like
 	// every collector it is read-only: the simulation's Result and the
 	// default artifacts are byte-identical with it on or off.
 	Prof bool

@@ -109,33 +109,8 @@ type Tracer struct {
 	every    uint64
 	capacity int
 	events   []Span
-	// order, when bound, supplies the engine's execution-order key of the
-	// event currently running; keys then grows in lockstep with events so
-	// MergeTracers can restore the global serial emission order across the
-	// per-LP tracers of a parallel run. Serial runs leave tracers unbound.
-	order func() (sim.Time, uint64)
-	keys  []orderKey
-	// lane is the LP identity of this tracer's spans (BindLane); parallel
-	// runs label each per-LP tracer so a merged trace can attribute every
-	// span — drop spans included — to the shard that emitted it. Serial
-	// tracers stay unlabeled. The default WriteTrace output never includes
-	// it (artifact bytes are engine-invariant); WriteProfTrace does.
-	lane string
-	// origins, on a tracer built by MergeTracers, records which part each
-	// retained span came from; originLanes maps part index to lane label.
-	origins     []uint8
-	originLanes []string
 	// Truncated counts events discarded after the cap was reached.
 	Truncated uint64
-}
-
-// orderKey is the (execution instant, engine seq key) pair identifying
-// where in the global event order a span was emitted. Engines execute
-// events in ascending (at, seq) order, so each tracer's key stream is
-// sorted and a k-way merge reproduces the serial interleaving.
-type orderKey struct {
-	at  sim.Time
-	seq uint64
 }
 
 // NewTracer returns a tracer sampling 1-in-every packets, retaining at most
@@ -145,35 +120,6 @@ func NewTracer(every, capacity int) *Tracer {
 		every = 1
 	}
 	return &Tracer{every: uint64(every), capacity: capacity}
-}
-
-// Every returns the sampling modulus.
-func (t *Tracer) Every() int { return int(t.every) }
-
-// Capacity returns the retained-event bound.
-func (t *Tracer) Capacity() int { return t.capacity }
-
-// BindOrder attaches the owning engine's execution-order key source
-// (sim.Engine.OrderKey). Every subsequent Emit records the key alongside
-// the span. Parallel runs bind each per-LP tracer to its LP's engine;
-// serial runs leave tracers unbound at zero cost.
-func (t *Tracer) BindOrder(fn func() (sim.Time, uint64)) { t.order = fn }
-
-// BindLane labels every span of this tracer with an LP lane name for
-// merged-trace attribution (see OriginLane). Zero cost: the label is only
-// consulted at export time.
-func (t *Tracer) BindLane(name string) { t.lane = name }
-
-// OriginLane returns the LP lane label of retained span i: on a tracer
-// built by MergeTracers it is the label of the part that emitted the span
-// (drop spans included — every retained span carries an origin); otherwise
-// it is the tracer's own BindLane label. "" means no LP identity (serial
-// runs).
-func (t *Tracer) OriginLane(i int) string {
-	if i >= 0 && i < len(t.origins) {
-		return t.originLanes[t.origins[i]]
-	}
-	return t.lane
 }
 
 // Sampled reports whether packet id is in the deterministic sample. Safe on
@@ -189,56 +135,6 @@ func (t *Tracer) Emit(s Span) {
 		return
 	}
 	t.events = append(t.events, s)
-	if t.order != nil {
-		at, seq := t.order()
-		t.keys = append(t.keys, orderKey{at: at, seq: seq})
-	}
-}
-
-// MergeTracers interleaves the spans of several order-bound tracers into a
-// fresh tracer in global (at, seq) execution order — the order a serial run
-// would have emitted them — retaining at most capacity spans. The sampling
-// modulus is inherited from the first part. Ties within one part keep
-// emission order (stable); keys never tie across parts because every
-// engine's seq keys carry distinct rank bits.
-func MergeTracers(capacity int, parts ...*Tracer) *Tracer {
-	merged := &Tracer{every: 1, capacity: capacity}
-	if len(parts) > 0 {
-		merged.every = parts[0].every
-	}
-	merged.originLanes = make([]string, len(parts))
-	for i, p := range parts {
-		merged.originLanes[i] = p.lane
-	}
-	var attempted uint64
-	for _, p := range parts {
-		attempted += uint64(len(p.events)) + p.Truncated
-	}
-	idx := make([]int, len(parts))
-	for {
-		best := -1
-		var bk orderKey
-		for i, p := range parts {
-			j := idx[i]
-			if j >= len(p.keys) {
-				continue
-			}
-			k := p.keys[j]
-			if best < 0 || k.at < bk.at || (k.at == bk.at && k.seq < bk.seq) {
-				best, bk = i, k
-			}
-		}
-		if best < 0 {
-			break
-		}
-		if len(merged.events) < capacity {
-			merged.events = append(merged.events, parts[best].events[idx[best]])
-			merged.origins = append(merged.origins, uint8(best))
-		}
-		idx[best]++
-	}
-	merged.Truncated = attempted - uint64(len(merged.events))
-	return merged
 }
 
 // Len returns the retained event count.
