@@ -168,14 +168,16 @@ func (e *Engine) Processed() uint64 { return e.processed }
 func (e *Engine) Pending() int { return e.q.pending() }
 
 // WheelStats is a snapshot of the timing wheel's slow-path counters:
-// combined cascades run, events that ever took the overflow heap, and the
-// slab high-water mark (peak simultaneously-filed events). Deterministic
-// for a given seed and engine partition — the wheel's behavior is a pure
-// function of the event population.
+// combined cascades run, events that ever took the overflow heap, the slab
+// high-water mark (peak simultaneously-filed events), and the list nodes
+// walked by same-instant seq splices that missed the O(1) tail and head
+// checks. Deterministic for a given seed and engine partition — the wheel's
+// behavior is a pure function of the event population.
 type WheelStats struct {
 	Cascades      uint64
 	Overflow      uint64
 	SlabHighWater int
+	SpliceSteps   uint64
 }
 
 // WheelStats snapshots the engine's timing-wheel counters.
@@ -184,6 +186,7 @@ func (e *Engine) WheelStats() WheelStats {
 		Cascades:      e.q.cascades,
 		Overflow:      e.q.overflowed,
 		SlabHighWater: len(e.q.slab),
+		SpliceSteps:   e.q.spliceSteps,
 	}
 }
 
@@ -261,8 +264,8 @@ type Inject struct {
 // InjectBatch splices a batch of foreign events into the wheel under their
 // caller-supplied seq keys instead of locally drawn ones. This is the
 // cross-LP merge path of the conservative-parallel engine: each key was
-// drawn by the SENDING engine's AllocSeq at send time, so splicing by key
-// reproduces exactly the slot position a serial run would have given the
+// drawn by the SENDING engine's AllocSeq at send time, so filing by key
+// reproduces exactly the firing position a serial run would have given the
 // event. No event may precede the destination clock (the lookahead window
 // guarantees that). One call delivers a whole outbox. Every consumed
 // entry is zeroed in place so the caller's reusable outbox slice does not
@@ -274,7 +277,7 @@ func (e *Engine) InjectBatch(batch []Inject) {
 		if m.At < e.now {
 			panic(fmt.Sprintf("sim: inject at %d before now %d", m.At, e.now))
 		}
-		if ev := e.q.insertSlotOrdered(m.At, m.Seq); ev != nil {
+		if ev := e.q.insertSlot(m.At, m.Seq); ev != nil {
 			*ev = event{at: m.At, seq: m.Seq, call: m.Call, arg: m.Arg, n: m.N}
 		} else {
 			e.q.insertOverflow(event{at: m.At, seq: m.Seq, call: m.Call, arg: m.Arg, n: m.N})

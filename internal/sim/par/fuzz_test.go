@@ -8,12 +8,13 @@ import (
 
 // FuzzCrossLPOrdering generalizes the scripted oracle: fuzzing picks the
 // tree's seed, the worker count, and the event budget, and the derived
-// script — local follow-ups, lookahead-respecting worker→worker hops, and
-// sub-lookahead worker→ctrl messages that land on instants shared with
-// worker events — must execute identically under the serial single-engine
-// oracle and the parallel executor. Same-instant collisions between control
-// and worker events exercise the merged-instant step's (at, seq) ordering;
-// a violation shows up as a reordered or time-shifted log entry.
+// script — local follow-ups and lookahead-respecting worker→worker hops —
+// must execute identically under the serial single-engine oracle and the
+// parallel executor. Every event a node receives keeps that node's instant
+// residue, so injected messages land on instants shared with the
+// destination's own schedules and exercise the wheel's (at, seq) splice of
+// foreign against local keys; a violation shows up as a reordered or
+// time-shifted log entry.
 func FuzzCrossLPOrdering(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint16(240))
 	f.Add(int64(8), uint8(2), uint16(160))

@@ -9,7 +9,7 @@ import "math/bits"
 // levels of 64 slots each bucket progressively coarser power-of-two spans
 // above it, so a level-l slot (l >= 1) spans 2^(12+6(l-1)) ns and the wheel
 // as a whole covers 2^42 ns (~73 min). Every event in a level-0 slot shares one
-// instant, so the slot's intrusive FIFO list IS the same-instant scheduling
+// instant, so the slot's seq-sorted intrusive list IS the same-instant firing
 // order. Scheduling and firing are O(1) amortized; the 4-ary heap the wheel
 // replaced only survives as the far-future overflow structure (events
 // beyond the horizon, e.g. the client's one-hour "no more packets" sentinel
@@ -22,28 +22,26 @@ import "math/bits"
 // events pop with two TrailingZeros64 and one compare — no level scan. The
 // full candidate scan and the cascades only run at window crossings.
 //
-// Determinism contract (same-instant events fire in seq order) holds by
-// construction:
+// Determinism contract (same-instant events fire in seq order) holds by one
+// invariant, the same for serial and sharded wheels: a level-0 slot list is
+// sorted by ascending seq, and upper-level slots are unordered buckets.
 //
-//   - Direct inserts append to a slot's tail, so a level-0 slot lists one
-//     instant's events in ascending seq. On an ordered wheel (one that has
-//     received foreign events) they splice by seq instead: a mid-window
-//     injection can pre-file a foreign seq LARGER than a local seq a
-//     later schedule draws for the same instant — the sender's clock runs
-//     ahead of the destination's between synchronization points — so the
-//     append invariant only holds against other local inserts.
-//   - For a fixed instant, residence level is non-increasing in seq: a
-//     level-0 insert requires the window to have reached the instant, a
-//     level-l insert happened when the instant was beyond the window (or
-//     beyond level l-1's coverage, or lap-promoted, which still happens at
-//     a strictly earlier cursor position than any later same-instant
-//     insert), and the window end and cursor only move forward.
-//   - A cascade detaches EVERY tied minimum slot as one batch, highest
-//     level first — seq order, by the invariant above — and re-files it in
-//     reverse with per-node prepends, landing the batch at the FRONT of
-//     each destination slot in original order, ahead of any same-instant
-//     resident inserted directly at the lower level (necessarily a larger
-//     seq).
+//   - Seq order only matters where a slot is a single instant, which is
+//     level 0: the head resolution, HeadKey and the overflow merge only
+//     ever read a level-0 head. An upper slot is re-filed event by event on
+//     every cascade, so its list order carries no information.
+//   - Every insert or cascade re-file that lands at level 0 splices by seq;
+//     one that lands above level 0 appends. On a serial wheel the splice is
+//     almost always O(1): direct inserts draw monotone seqs (tail check),
+//     and a cascade carries events scheduled before any same-instant
+//     level-0 resident, so re-filing the batch in reverse meets smaller
+//     seqs (head check). Any other splice — e.g. a local seq landing behind
+//     a foreign one drawn by a sender whose clock ran ahead — walks, but
+//     only across one instant's list, never a whole upper-level bucket.
+//   - A level-0 head is only resolved once no upper slot starts at or
+//     before its instant (findHeadSlow cascades until then), so all of an
+//     instant's upper residents are spliced into its level-0 list before
+//     any of them fires.
 //   - The overflow heap is merged by comparing (at, seq) against the
 //     resolved wheel head, so events split across the two structures
 //     interleave correctly no matter which side was scheduled first.
@@ -75,8 +73,8 @@ const (
 // levelShift returns the log2 slot span of upper level l (1..upperLevels).
 func levelShift(l int) uint { return uint(l0Bits + slotBits*(l-1)) }
 
-// wheelSlot is one bucket: an intrusive singly-linked FIFO list into the
-// slab. -1 means empty.
+// wheelSlot is one bucket: an intrusive singly-linked list into the slab,
+// seq-sorted at level 0 and in arrival order above. -1 means empty.
 type wheelSlot struct{ head, tail int32 }
 
 // wheelNode is a slab cell: one scheduled event plus its list link. Freed
@@ -118,15 +116,9 @@ type timerWheel struct {
 
 	overflow eventHeap
 
-	// ordered is set once the wheel has received a foreign (injected) event.
-	// From then on slot lists are maintained as ascending-seq sequences by
-	// ordered splices — including cascade re-files, since an injected seq
-	// need not respect the residence-level invariant the serial prepend
-	// relies on. Serial wheels never set it and keep the pure append path.
-	ordered bool
-
 	// Resolved head cache: findHead fills it, popHead consumes it, and
-	// inserts at a strictly earlier time invalidate it.
+	// inserts at or before its instant invalidate it (an equal-time insert
+	// may carry a foreign seq that precedes the head's).
 	headValid    bool
 	headOverflow bool
 	headAt       Time
@@ -134,11 +126,14 @@ type timerWheel struct {
 
 	scratch []int32 // cascade batch buffer, reused across cascades
 
-	// Slow-path self-accounting (Engine.WheelStats): combined cascades run
-	// and events that ever landed in the overflow heap. Incremented only on
-	// the slow paths they count, so the hot path is untouched.
-	cascades   uint64
-	overflowed uint64
+	// Slow-path self-accounting (Engine.WheelStats): combined cascades run,
+	// events that ever landed in the overflow heap, and list nodes walked by
+	// level-0 splices that missed both the tail and the head check.
+	// Incremented only on the slow paths they count, so the hot path is
+	// untouched.
+	cascades    uint64
+	overflowed  uint64
+	spliceSteps uint64
 }
 
 func (w *timerWheel) init() {
@@ -200,62 +195,17 @@ func (w *timerWheel) place(at Time) (l int, idx int, ok bool) {
 	return l, idx, true
 }
 
-// insertSlot files a slab cell for an event at absolute time at (the
-// caller — the engine — guarantees at >= wt) and returns the cell for the
-// caller to fill in place: one set of stores into the slab instead of a
-// stack construction plus a 56-byte copy. A nil return means at lies
-// beyond the horizon; the caller hands the built event to insertOverflow.
-// On an ordered wheel the local seq must splice against resident foreign
-// seqs (see the determinism contract above), so the caller passes it in.
+// insertSlot files a slab cell for an event at absolute time at with seq
+// key seq (the caller — the engine — guarantees at >= wt) and returns the
+// cell for the caller to fill in place: one set of stores into the slab
+// instead of a stack construction plus a 56-byte copy. A nil return means
+// at lies beyond the horizon; the caller hands the built event to
+// insertOverflow. Local schedules and injected foreign events share this
+// one path: the seq decides a level-0 event's position either way.
 func (w *timerWheel) insertSlot(at Time, seq uint64) *event {
 	if !w.inited {
 		w.init()
 	}
-	if w.headValid && (at < w.headAt || (w.ordered && at == w.headAt)) {
-		w.headValid = false
-	}
-	l, idx, ok := w.place(at)
-	if !ok {
-		if at < w.above0Min {
-			w.above0Min = at
-		}
-		return nil
-	}
-	if l > 0 && at < w.above0Min {
-		w.above0Min = at
-	}
-	n := w.free
-	if n >= 0 {
-		w.free = w.slab[n].next
-	} else {
-		w.slab = append(w.slab, wheelNode{})
-		n = int32(len(w.slab) - 1)
-	}
-	w.slab[n].next = -1
-	if w.ordered {
-		w.insertNodeBySeq(l, idx, n, seq)
-	} else {
-		w.appendNode(l, idx, n)
-	}
-	w.size++
-	return &w.slab[n].ev
-}
-
-// insertOverflow queues a beyond-horizon event (insertSlot returned nil).
-func (w *timerWheel) insertOverflow(ev event) {
-	w.overflowed++
-	w.overflow.push(ev)
-}
-
-// insertSlotOrdered files a slab cell for a foreign event whose seq key was
-// drawn by another engine, splicing it into the slot list at its ascending-
-// seq position instead of appending. The head cache is invalidated on an
-// equal-time insert too: a foreign seq may precede the resolved head's.
-func (w *timerWheel) insertSlotOrdered(at Time, seq uint64) *event {
-	if !w.inited {
-		w.init()
-	}
-	w.ordered = true
 	if w.headValid && at <= w.headAt {
 		w.headValid = false
 	}
@@ -276,22 +226,45 @@ func (w *timerWheel) insertSlotOrdered(at Time, seq uint64) *event {
 		w.slab = append(w.slab, wheelNode{})
 		n = int32(len(w.slab) - 1)
 	}
-	w.slab[n].next = -1
-	w.insertNodeBySeq(l, idx, n, seq)
+	w.fileNode(l, idx, n, seq)
 	w.size++
 	return &w.slab[n].ev
 }
 
-// insertNodeBySeq links node n into slot (l, idx) keeping the list sorted by
-// ascending seq. With composite seq keys a sorted-by-seq list is exactly the
-// same-instant firing order, and sorting across instants sharing an upper
-// slot is harmless (level-0 arrival re-sorts by instant). The tail check
-// keeps the common in-order case O(1).
-func (w *timerWheel) insertNodeBySeq(l, idx int, n int32, seq uint64) {
-	s := w.slotRef(l, idx)
+// insertOverflow queues a beyond-horizon event (insertSlot returned nil).
+func (w *timerWheel) insertOverflow(ev event) {
+	w.overflowed++
+	w.overflow.push(ev)
+}
+
+// fileNode links node n, whose event carries seq, into slot (l, idx): by
+// seq at level 0, appended to an upper-level bucket.
+func (w *timerWheel) fileNode(l, idx int, n int32, seq uint64) {
+	w.slab[n].next = -1
+	if l == 0 {
+		w.insertNodeBySeq(idx, n, seq)
+		return
+	}
+	s := &w.slotsU[l-1][idx]
+	if s.tail < 0 {
+		s.head = n
+		w.occU[l-1] |= 1 << uint(idx)
+	} else {
+		w.slab[s.tail].next = n
+	}
+	s.tail = n
+}
+
+// insertNodeBySeq links node n (next already -1) into level-0 slot idx
+// keeping the list sorted by ascending seq — the same-instant firing order.
+// The tail and head checks keep the in-order cases O(1); only the walk
+// between them is counted in spliceSteps.
+func (w *timerWheel) insertNodeBySeq(idx int, n int32, seq uint64) {
+	s := &w.slots0[idx]
 	if s.tail < 0 {
 		s.head, s.tail = n, n
-		w.occSet(l, idx)
+		w.occ0[idx>>6] |= 1 << uint(idx&63)
+		w.occ0sum |= 1 << uint(idx>>6)
 		return
 	}
 	if w.slab[s.tail].ev.seq <= seq {
@@ -306,67 +279,16 @@ func (w *timerWheel) insertNodeBySeq(l, idx int, n int32, seq uint64) {
 	}
 	p := s.head
 	for {
+		w.spliceSteps++
 		nx := w.slab[p].next
-		if nx < 0 || seq < w.slab[nx].ev.seq {
+		if seq < w.slab[nx].ev.seq {
+			// nx >= 0: the tail check proved some resident exceeds seq.
 			w.slab[n].next = nx
 			w.slab[p].next = n
-			if nx < 0 {
-				s.tail = n
-			}
 			return
 		}
 		p = nx
 	}
-}
-
-func (w *timerWheel) slotRef(l, idx int) *wheelSlot {
-	if l == 0 {
-		return &w.slots0[idx]
-	}
-	return &w.slotsU[l-1][idx]
-}
-
-func (w *timerWheel) occSet(l, idx int) {
-	if l == 0 {
-		w.occ0[idx>>6] |= 1 << uint(idx&63)
-		w.occ0sum |= 1 << uint(idx>>6)
-	} else {
-		w.occU[l-1] |= 1 << uint(idx)
-	}
-}
-
-// occClr clears the occupancy bit of a just-emptied slot.
-func (w *timerWheel) occClr(l, idx int) {
-	if l == 0 {
-		wd := idx >> 6
-		w.occ0[wd] &^= 1 << uint(idx&63)
-		if w.occ0[wd] == 0 {
-			w.occ0sum &^= 1 << uint(wd)
-		}
-	} else {
-		w.occU[l-1] &^= 1 << uint(idx)
-	}
-}
-
-func (w *timerWheel) appendNode(l, idx int, n int32) {
-	s := w.slotRef(l, idx)
-	if s.tail < 0 {
-		s.head, s.tail = n, n
-		w.occSet(l, idx)
-	} else {
-		w.slab[s.tail].next = n
-		s.tail = n
-	}
-}
-
-func (w *timerWheel) prependNode(l, idx int, n int32) {
-	s := w.slotRef(l, idx)
-	w.slab[n].next = s.head
-	if s.head < 0 {
-		s.tail = n
-		w.occSet(l, idx)
-	}
-	s.head = n
 }
 
 // findHead resolves the earliest pending event, cascading upper slots down
@@ -475,9 +397,9 @@ func (w *timerWheel) findHeadSlow() bool {
 }
 
 // cascade empties EVERY upper slot whose start equals the minimum candidate
-// time — as one combined batch, highest level first (seq order, by the
-// residence-level invariant) — advances the window, and re-files the events
-// at lower levels in reverse with per-node prepends.
+// time as one combined batch, advances the window, and re-files the events
+// at lower levels in reverse, so a serial wheel's level-0 splices meet the
+// batch's descending seqs at the list head.
 func (w *timerWheel) cascade(candSlot *[wheelLevels]int, candAt *[wheelLevels]Time, slotStart Time) {
 	w.cascades++
 	if slotStart > w.wt {
@@ -514,17 +436,7 @@ func (w *timerWheel) cascade(candSlot *[wheelLevels]int, candAt *[wheelLevels]Ti
 			// source slot's span, which fits the wheel by construction.
 			panic("sim: cascade overflow")
 		}
-		if w.ordered {
-			// A wheel holding foreign events cannot assume the residence-
-			// level invariant (an injected seq is not monotone with local
-			// inserts), so re-file by seq instead of prepending. The stale
-			// batch link must be severed first: the splice's tail and
-			// first-node paths leave next untouched.
-			w.slab[nd].next = -1
-			w.insertNodeBySeq(nl, idx, nd, w.slab[nd].ev.seq)
-		} else {
-			w.prependNode(nl, idx, nd)
-		}
+		w.fileNode(nl, idx, nd, w.slab[nd].ev.seq)
 	}
 }
 
@@ -555,7 +467,11 @@ func (w *timerWheel) popHead() event {
 	s.head = nd.next
 	if s.head < 0 {
 		s.tail = -1
-		w.occClr(0, int(w.headSlot))
+		wd := w.headSlot >> 6
+		w.occ0[wd] &^= 1 << uint(w.headSlot&63)
+		if w.occ0[wd] == 0 {
+			w.occ0sum &^= 1 << uint(wd)
+		}
 	}
 	// Drop the freed cell's references so the retained slab pins no
 	// closures, handlers, or packets for the garbage collector; the
