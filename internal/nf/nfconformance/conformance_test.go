@@ -179,3 +179,55 @@ func TestProcessDoesNotMutateRequest(t *testing.T) {
 		}
 	}
 }
+
+// TestNextIntoMatchesNext holds every buffer-reusing generator to the
+// nf.RequestGenInto contract: rendered into a recycled buffer full of
+// stale bytes, each request equals what Next returns at the same seed,
+// and both paths leave the rng at the same point.
+func TestNextIntoMatchesNext(t *testing.T) {
+	covered := map[nf.ID]bool{}
+	for _, id := range nf.All {
+		_, genA, err := nf.New(id, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, genB, err := nf.New(id, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		into, ok := genB.(nf.RequestGenInto)
+		if !ok {
+			continue
+		}
+		covered[id] = true
+		t.Run(id.String(), func(t *testing.T) {
+			ra := rand.New(rand.NewSource(11))
+			rb := rand.New(rand.NewSource(11))
+			// A small first buffer exercises the allocating fallback;
+			// the largest request seen so far is recycled after that.
+			buf := make([]byte, 0, 16)
+			for i := 0; i < iterationsFor(id); i++ {
+				stale := buf[:cap(buf)]
+				for j := range stale {
+					stale[j] = 0xAA
+				}
+				got := into.NextInto(rb, buf)
+				want := genA.Next(ra)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("request %d: NextInto differs from Next (%d vs %d bytes)", i, len(got), len(want))
+				}
+				if cap(got) > cap(buf) {
+					buf = got[:0]
+				}
+			}
+			if a, b := ra.Int63(), rb.Int63(); a != b {
+				t.Fatalf("rng streams diverged: Next side draws %d, NextInto side %d", a, b)
+			}
+		})
+	}
+	for _, id := range []nf.ID{nf.Count, nf.EMA, nf.NAT, nf.KNN, nf.REM, nf.Crypto} {
+		if !covered[id] {
+			t.Errorf("%v no longer implements nf.RequestGenInto", id)
+		}
+	}
+}

@@ -29,7 +29,6 @@ type node struct {
 type Automaton struct {
 	nodes    []node
 	patterns [][]byte
-	lens     []int
 }
 
 // ErrNoPatterns is returned when compiling an empty rule set.
@@ -43,7 +42,6 @@ func Compile(patterns [][]byte) (*Automaton, error) {
 	}
 	a := &Automaton{
 		patterns: make([][]byte, len(patterns)),
-		lens:     make([]int, len(patterns)),
 	}
 	a.nodes = append(a.nodes, node{})
 	for i := range a.nodes[0].next {
@@ -54,7 +52,6 @@ func Compile(patterns [][]byte) (*Automaton, error) {
 			return nil, errors.New("ahocorasick: empty pattern")
 		}
 		a.patterns[pi] = append([]byte(nil), p...)
-		a.lens[pi] = len(p)
 		cur := int32(0)
 		for _, c := range p {
 			if a.nodes[cur].next[c] == -1 {
@@ -116,8 +113,9 @@ func (a *Automaton) NumPatterns() int { return len(a.patterns) }
 // than teakettle).
 func (a *Automaton) NumStates() int { return len(a.nodes) }
 
-// PatternLen returns the length of pattern i.
-func (a *Automaton) PatternLen(i int) int { return a.lens[i] }
+// Pattern returns pattern i as compiled. The slice aliases the
+// automaton's copy and must not be modified.
+func (a *Automaton) Pattern(i int) []byte { return a.patterns[i] }
 
 // FindAll streams input through the automaton and returns every match,
 // ordered by end offset then pattern index.
@@ -139,8 +137,8 @@ func (a *Automaton) FindAll(input []byte) []Match {
 	return out
 }
 
-// Count returns only the number of matches in input — the hot path the
-// REM function uses when the caller doesn't need offsets.
+// Count returns only the number of matches in input, for callers that
+// don't need offsets.
 func (a *Automaton) Count(input []byte) int {
 	n := 0
 	state := int32(0)

@@ -155,7 +155,7 @@ func TestMatchEndOffsets(t *testing.T) {
 		t.Fatalf("matches = %v", m)
 	}
 	for _, mm := range m {
-		start := mm.End - a.PatternLen(mm.Pattern)
+		start := mm.End - len(a.Pattern(mm.Pattern))
 		if string(in[start:mm.End]) != "needle" {
 			t.Fatalf("offset wrong: %v", mm)
 		}

@@ -232,11 +232,34 @@ func (f *Func) Process(req []byte) ([]byte, error) {
 	return resp, nil
 }
 
+// filler is the HTTP-ish text request payloads are sampled from, byte by
+// byte; implants then overwrite a few spans with rule patterns.
+const filler = "GET /index.html HTTP/1.1 host: example.com accept: text/plain "
+
+// fillerMax is the rejection bound rand.(*Rand).Int31n uses for
+// n = len(filler): draws above it are redrawn so v%len(filler) is uniform.
+const fillerMax = uint32((1<<31 - 1) - (1<<31)%len(filler))
+
+// fill writes filler bytes into b with exactly the draws, and the bytes,
+// of b[i] = filler[rng.Intn(len(filler))]. The client shares one rng
+// between packet sizes, gaps, mix tags and payloads, so a generator may
+// not change its draws; this is Int31n inlined for the constant n, which
+// turns its two divisions per byte into a constant multiply.
+func fill(rng *rand.Rand, b []byte) {
+	for i := range b {
+		v := uint32(rng.Int63() >> 32)
+		for v > fillerMax {
+			v = uint32(rng.Int63() >> 32)
+		}
+		b[i] = filler[v%uint32(len(filler))]
+	}
+}
+
 // gen produces payloads resembling HTTP-ish traffic with occasional
-// implanted rule hits so match counts are non-trivial.
+// implanted rule hits so match counts are non-trivial. The implants are
+// the compiled ruleset's own patterns.
 type gen struct {
-	ac   *ahocorasick.Automaton
-	pats [][]byte
+	ac *ahocorasick.Automaton
 }
 
 func (g gen) Next(rng *rand.Rand) []byte { return g.NextInto(rng, nil) }
@@ -246,13 +269,10 @@ func (g gen) Next(rng *rand.Rand) []byte { return g.NextInto(rng, nil) }
 func (g gen) NextInto(rng *rand.Rand, buf []byte) []byte {
 	n := 200 + rng.Intn(1000)
 	b := nf.Reserve(buf, n)
-	const filler = "GET /index.html HTTP/1.1 host: example.com accept: text/plain "
-	for i := range b {
-		b[i] = filler[rng.Intn(len(filler))]
-	}
+	fill(rng, b)
 	// implant 0-3 pattern occurrences
 	for k := rng.Intn(4); k > 0; k-- {
-		p := g.pats[rng.Intn(len(g.pats))]
+		p := g.ac.Pattern(rng.Intn(g.ac.NumPatterns()))
 		if len(p) < n {
 			off := rng.Intn(n - len(p))
 			copy(b[off:], p)
@@ -275,14 +295,7 @@ func factory(config string) (nf.Function, nf.RequestGen, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var pats [][]byte
-	switch rs {
-	case RulesetTea:
-		pats = synthesizeRules(2500, 4, 8, 25)
-	case RulesetLite:
-		pats = synthesizeRules(4000, 6, 16, 97)
-	}
-	return f, gen{ac: f.ac, pats: pats}, nil
+	return f, gen{ac: f.ac}, nil
 }
 
 func init() { nf.Register(nf.REM, factory) }

@@ -1,6 +1,7 @@
 package remfn
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -225,5 +226,121 @@ func TestEscapeLit(t *testing.T) {
 		if !re.MatchString("zz" + lit + "zz") {
 			t.Fatalf("escaped %q does not match itself", lit)
 		}
+	}
+}
+
+// refNextInto is the request generator written the plain way, one
+// rng.Intn per filler byte and implants drawn from a freshly synthesized
+// pattern list. fill and gen must reproduce its bytes and its draws.
+func refNextInto(pats [][]byte, rng *rand.Rand, buf []byte) []byte {
+	n := 200 + rng.Intn(1000)
+	b := nf.Reserve(buf, n)
+	for i := range b {
+		b[i] = filler[rng.Intn(len(filler))]
+	}
+	for k := rng.Intn(4); k > 0; k-- {
+		p := pats[rng.Intn(len(pats))]
+		if len(p) < n {
+			off := rng.Intn(n - len(p))
+			copy(b[off:], p)
+		}
+	}
+	return b
+}
+
+// edgeSource wraps a Source so that every third draw lands at or just
+// above fillerMax in the 31 bits Int31n keeps: fillerMax itself is
+// accepted, the two values above it are redrawn. A plain source reaches
+// them about once in 10^9 draws, too rarely for a test to see.
+type edgeSource struct{ rand.Source }
+
+func (s edgeSource) Int63() int64 {
+	v := s.Source.Int63()
+	if v%3 != 0 {
+		return v
+	}
+	return (int64(fillerMax)+v/3%3)<<32 | v&0xffffffff
+}
+
+// newRNGs returns two rngs that draw the same stream.
+func newRNGs(seed int64, edge bool) (*rand.Rand, *rand.Rand) {
+	src := func() rand.Source {
+		if edge {
+			return edgeSource{rand.NewSource(seed)}
+		}
+		return rand.NewSource(seed)
+	}
+	return rand.New(src()), rand.New(src())
+}
+
+func TestFillStreamExact(t *testing.T) {
+	lens := []int{0, 1, 2, 61, 62, 63, 200, 700, 1199}
+	for seed := int64(0); seed < 200; seed++ {
+		for _, edge := range []bool{false, true} {
+			got, want := newRNGs(seed, edge)
+			for _, n := range lens {
+				a, b := make([]byte, n), make([]byte, n)
+				fill(got, a)
+				for i := range b {
+					b[i] = filler[want.Intn(len(filler))]
+				}
+				if !bytes.Equal(a, b) {
+					t.Fatalf("seed %d edge %v len %d: fill bytes differ from Intn", seed, edge, n)
+				}
+				if g, w := got.Int63(), want.Int63(); g != w {
+					t.Fatalf("seed %d edge %v len %d: next draw %d, Intn reference %d", seed, edge, n, g, w)
+				}
+			}
+		}
+	}
+}
+
+func TestGenStreamExact(t *testing.T) {
+	for _, tc := range []struct {
+		config string
+		pats   [][]byte
+	}{
+		{"tea", synthesizeRules(2500, 4, 8, 25)},
+		{"lite", synthesizeRules(4000, 6, 16, 97)},
+	} {
+		_, g, err := nf.New(nf.REM, tc.config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gi := g.(nf.RequestGenInto)
+		for seed := int64(0); seed < 40; seed++ {
+			for _, edge := range []bool{false, true} {
+				got, want := newRNGs(seed, edge)
+				var bufG, bufW []byte
+				for i := 0; i < 20; i++ {
+					bufG = gi.NextInto(got, bufG)
+					bufW = refNextInto(tc.pats, want, bufW)
+					if !bytes.Equal(bufG, bufW) {
+						t.Fatalf("%s seed %d edge %v request %d: bytes differ from the reference", tc.config, seed, edge, i)
+					}
+				}
+				if g, w := got.Int63(), want.Int63(); g != w {
+					t.Fatalf("%s seed %d edge %v: next draw %d, reference %d", tc.config, seed, edge, g, w)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkGenNextInto renders tea requests (200–1,199 bytes, ~700 on
+// average) into a recycled buffer: the per-packet payload cost a REM
+// client pays whether or not the function runs.
+func BenchmarkGenNextInto(b *testing.B) {
+	_, g, err := nf.New(nf.REM, "tea")
+	if err != nil {
+		b.Fatal(err)
+	}
+	gi := g.(nf.RequestGenInto)
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 0, 1200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = gi.NextInto(rng, buf)
 	}
 }
