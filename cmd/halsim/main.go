@@ -111,6 +111,7 @@ func main() {
 			switch f.Name {
 			case "mode", "fn", "fn-config", "pipeline", "rate", "workload", "duration",
 				"cxl", "slb-cores", "slb-th", "functional",
+				"servers", "dispatch", "wire", "link-gbps", "pods", "oversub", "spine-wire",
 				"fault", "fault-at", "fault-for", "fault-cores", "fault-drop":
 				conflicts = append(conflicts, "-"+f.Name)
 			case "seed":
@@ -169,6 +170,29 @@ func main() {
 	}
 	if *shards > 1 && *servers == 0 {
 		usageErr("-shards %d needs -servers: shards apply to fleets, a single server runs serially", *shards)
+	}
+	// Fleet and pod flags set where they shape nothing are a usage error,
+	// not silently ignored.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	needs := func(why string, names ...string) {
+		var got []string
+		for _, n := range names {
+			if set[n] {
+				got = append(got, "-"+n)
+			}
+		}
+		if len(got) > 0 {
+			usageErr("%s %s", strings.Join(got, ", "), why)
+		}
+	}
+	if *servers == 0 {
+		needs("set without -servers: fleet flags do not apply to a single server", "dispatch", "wire", "link-gbps", "pods", "oversub", "spine-wire")
+	} else if *pods < 2 {
+		needs("set without -pods >= 2: a flat star has no pod uplinks or spine", "oversub", "spine-wire")
+	}
+	if *servers > 0 && *traceOut != "" && !(*shards > 1 && *profFlag) {
+		usageErr("-trace-out on a fleet needs -shards > 1 -prof: fleets have no packet tracer, only the parallel engine's lp:* recorder trace")
 	}
 	if *servers > 0 {
 		if *faultKind != "" {

@@ -116,6 +116,14 @@ func executeScenario(path string, ov scenario.Overrides, reportMD, reportHTML st
 	if arts.timelineCSV != "" || arts.timelineJSON != "" {
 		s.Run.Telemetry.Timeline = true
 	}
+	shards := s.Run.Shards
+	if ov.Shards != 0 {
+		shards = ov.Shards
+	}
+	if s.Run.Cluster != nil && arts.traceOut != "" && !(shards > 1 && arts.prof) {
+		fmt.Fprintf(os.Stderr, "halsim: %s: -trace-out on a fleet needs shards > 1 and -prof: fleets have no packet tracer, only the parallel engine's lp:* recorder trace\n", path)
+		os.Exit(cliutil.ExitUsage)
+	}
 	if arts.traceOut != "" && s.Run.Telemetry.TraceEvery == 0 {
 		s.Run.Telemetry.TraceEvery = 64
 	}

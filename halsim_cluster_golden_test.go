@@ -91,9 +91,8 @@ func goldenClusterRuns(t *testing.T, tel halsim.TelemetryConfig, shards int) str
 	line("fleet64/rr/HAL/NAT", res)
 
 	// Datacenter scale: 1024 servers in 8 pods behind 4:1 oversubscribed
-	// ToR uplinks, least-conn dispatch. At shards 65 the partition crosses
-	// the old single-word bitset ceiling (65 worker LPs need two mask
-	// words); pods span group LPs, so the ingress-side pod-uplink
+	// ToR uplinks, least-conn dispatch. At shards 65 the partition runs 65
+	// worker LPs; pods span group LPs, so the ingress-side pod-uplink
 	// serialization path is exercised under every engine.
 	res, err = halsim.Run(
 		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 7, Telemetry: tel, Shards: shards,

@@ -95,6 +95,45 @@ type client struct {
 	ticker     *sim.Ticker
 }
 
+// newClient builds the run's client on eng and pool: requests carry
+// payloads from gen (plus the mix function's generator when cfg.MixOn),
+// and each packet is handed to emit at its arrival instant. cfg and rc
+// must be normalized.
+func newClient(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, gen nf.RequestGen, emit func(*packet.Packet, sim.Time)) (*client, error) {
+	c := &client{
+		eng:           eng,
+		pool:          pool,
+		warmupEnd:     rc.Warmup,
+		mixFrac:       cfg.MixFraction,
+		mixFracBefore: cfg.MixFractionBefore,
+		mixShiftAt:    cfg.MixShiftAt,
+		rng:           rand.New(rand.NewSource(cfg.Seed + 9)),
+		addr:          clientAddr,
+		dst:           snicAddr,
+		rateGbps:      rc.RateGbps,
+		sizes:         rc.Sizes,
+		gen:           gen,
+		emit:          emit,
+		epoch:         rc.Epoch,
+		endAt:         rc.Duration,
+	}
+	if cfg.MixOn {
+		_, genAlt, err := nf.New(cfg.MixFn, "")
+		if err != nil {
+			return nil, err
+		}
+		c.genAlt = genAlt
+	}
+	if rc.Workload != nil {
+		g, err := trace.New(*rc.Workload, cfg.Seed+17)
+		if err != nil {
+			return nil, err
+		}
+		c.tracegen = g
+	}
+	return c, nil
+}
+
 // start arms the arrival process (and the trace epoch timer, if tracing).
 func (c *client) start() {
 	c.sendNextCall = c.sendNext

@@ -554,14 +554,6 @@ func (r *run) build() error {
 			return err
 		}
 	}
-	var genAlt nf.RequestGen
-	if cfg.MixOn {
-		_, genAlt, err = nf.New(cfg.MixFn, "")
-		if err != nil {
-			return err
-		}
-	}
-
 	snicProf := r.profile(cfg.SNIC, cfg.SNICProfile, cfg.Fn)
 	hostProf := r.profile(cfg.Host, cfg.HostProfile, cfg.Fn)
 
@@ -760,31 +752,9 @@ func (r *run) build() error {
 		}
 	}
 
-	// Client.
-	r.cli = &client{
-		eng:           r.eng,
-		pool:          r.pool,
-		warmupEnd:     r.warmupEnd,
-		genAlt:        genAlt,
-		mixFrac:       cfg.MixFraction,
-		mixFracBefore: cfg.MixFractionBefore,
-		mixShiftAt:    cfg.MixShiftAt,
-		rng:           rand.New(rand.NewSource(cfg.Seed + 9)),
-		addr:          clientAddr,
-		dst:           snicAddr,
-		rateGbps:      r.rc.RateGbps,
-		sizes:         r.rc.Sizes,
-		gen:           r.gen,
-		emit:          r.ingress,
-		epoch:         r.rc.Epoch,
-		endAt:         r.rc.Duration,
-	}
-	if r.rc.Workload != nil {
-		g, err := trace.New(*r.rc.Workload, cfg.Seed+17)
-		if err != nil {
-			return err
-		}
-		r.cli.tracegen = g
+	r.cli, err = newClient(cfg, r.rc, r.eng, r.pool, r.gen, r.ingress)
+	if err != nil {
+		return err
 	}
 	return r.buildFaults()
 }

@@ -49,7 +49,7 @@ func PublishProf(reg *telemetry.Registry, rec *prof.Recorder) {
 	set := func(id telemetry.MetricID, v float64) { reg.Set(id, v) }
 	set(reg.Counter("halsim_par_rounds_total", "conservative-parallel barrier rounds"), float64(rec.Rounds))
 	set(reg.Counter("halsim_par_windows_total", "executed run-ahead windows across shards"), float64(windows))
-	set(reg.Counter("halsim_par_parks_total", "idle-shard parks across shards"), float64(parks))
+	set(reg.Counter("halsim_par_parks_total", "shard parks in all-idle rounds (no shard had work before the round end), summed across shards"), float64(parks))
 	set(reg.Counter("halsim_par_inject_batches_total", "cross-LP InjectBatch calls across shards"), float64(batches))
 	set(reg.Counter("halsim_par_inject_msgs_total", "cross-LP messages injected across shards"), float64(msgs))
 	var cascades, overflow, slab uint64

@@ -11,23 +11,24 @@
 // LP graph is data, not code: a Topology declares the directed links
 // messages may travel and the minimum latency of each, and the executor
 // derives every synchronization bound from the all-pairs closure of those
-// declared latencies. Shards exchange timestamped
-// messages: a send appends to a shard-local outbox and is spliced into the
-// destination wheel (Engine.InjectBatch) under the sender-drawn seq key at
-// the next delivery point, so a delivered event lands exactly where a
-// serial run would have scheduled it.
+// declared latencies. The graph must be strongly connected — every worker
+// reaches every other over declared links — so an LP with work can
+// influence every peer, and every round runs on all LPs or on none. Shards
+// exchange timestamped messages: a send appends to a shard-local outbox and
+// is spliced into the destination wheel (Engine.InjectBatch) under the
+// sender-drawn seq key at the next delivery point, so a delivered event
+// lands exactly where a serial run would have scheduled it.
 //
 // # Round protocol
 //
 // Advancement is organized in rounds. From the current barrier time B the
 // coordinator picks a round end E = min(next control event, until): no
 // control event can fire strictly inside a round, which is what lets the
-// whole span run without coordinator involvement. It then computes the
-// participant set — every LP with an event before E, plus every LP a
-// message from one of them could transitively reach over declared links —
-// parks the rest at E directly (idle-shard parking, no goroutine handoff),
-// and issues ONE command per participant. The participants execute the
-// round as a self-synchronized run-ahead plan of consecutive windows:
+// whole span run without coordinator involvement. If no worker has an
+// event before E it parks every shard at E directly (idle-shard parking,
+// no goroutine handoff); otherwise it issues ONE command per shard, and
+// the shards execute the round as a self-synchronized run-ahead plan of
+// consecutive windows:
 //
 //	loop:
 //	  latch.arrive()            // all previous-window runs complete
@@ -36,8 +37,6 @@
 //	  latch.arrive()            // every injection and horizon visible
 //	  if every horizon >= E     // identical verdict on every shard
 //	      park at E and return
-//	  if no active LP can reach me over the link closure
-//	      park at E, leave the latch group, and return
 //	  run RunBefore(min(E, min over src of horizon[src]+dist[src][me]))
 //
 // The per-window bound is the classic conservative one, evaluated from
@@ -63,9 +62,9 @@
 // Conservative windows are only sound if every message truly respects its
 // link's declared minimum latency. Rather than trusting the declaration,
 // Send enforces it: a message whose delivery slack undercuts the declared
-// dist(src→dst) — or that travels a link the Topology never declared —
-// fails fast at the send site, BEFORE any window bound computed from the
-// false promise could let a destination run past the delivery instant.
+// dist(src→dst) fails fast at the send site, BEFORE any window bound
+// computed from the false promise could let a destination run past the
+// delivery instant.
 // Observed per-link slack minima are tracked on the same check and exposed
 // via ObservedSlack, so a Topology whose declared latencies are far below
 // what the model actually exhibits can be tightened from measurements.
@@ -90,7 +89,8 @@ import (
 // injection record, so outboxes deliver straight through Engine.InjectBatch.
 type Msg = sim.Inject
 
-// infTime marks an undeclared (unconstrained) link in the distance matrix.
+// infTime marks a pair with no path in the distance matrix; once New
+// accepts a graph, only a lone worker's self-distance keeps it.
 // Far below MaxInt64 so horizon+dist sums cannot overflow.
 const infTime = sim.Time(math.MaxInt64 / 4)
 
@@ -99,8 +99,7 @@ const noEvent = sim.Time(math.MaxInt64)
 
 // maxWorkers bounds the worker count: every worker engine needs a distinct
 // seq-key rank below sim's eight-bit rank ceiling once the control engine
-// takes one. Participant sets are multi-word bitsets, so the reachability
-// machinery itself no longer caps the fleet at a machine word.
+// takes one.
 const maxWorkers = 255
 
 // Link is one directed edge of the LP graph: messages src→dst arrive no
@@ -113,9 +112,8 @@ type Link struct {
 // Topology declares the LP graph a partitioned simulation runs on: how
 // many worker LPs there are and which directed links cross-LP messages may
 // travel, each with a lower bound on its latency. The executor derives all
-// window bounds from the all-pairs shortest-path closure of the links, so
-// a pair with no declared path is entirely unconstrained — and a send over
-// it is an error the executor reports at the send site.
+// window bounds from the all-pairs shortest-path closure of the links,
+// which must connect every ordered pair of workers.
 type Topology struct {
 	Workers int
 	Links   []Link
@@ -137,9 +135,10 @@ func Uniform(n int, lookahead sim.Time) Topology {
 }
 
 // distances validates the topology and returns the all-pairs shortest-path
-// closure of the worker→worker link latencies. The closure (rather than
-// the raw links) is what makes per-window bounds safe against multi-hop
-// chains: dist[a][c] <= dist[a][b]+dist[b][c] for every relay b.
+// closure of the worker→worker link latencies, panicking unless the graph
+// is strongly connected. The closure (rather than the raw links) is what
+// makes per-window bounds safe against multi-hop chains:
+// dist[a][c] <= dist[a][b]+dist[b][c] for every relay b.
 func (t Topology) distances() [][]sim.Time {
 	if t.Workers < 1 || t.Workers > maxWorkers {
 		panic(fmt.Sprintf("par: worker count %d outside 1..%d", t.Workers, maxWorkers))
@@ -183,12 +182,19 @@ func (t Topology) distances() [][]sim.Time {
 			}
 		}
 	}
+	for i := range dist {
+		for j, d := range dist[i] {
+			if i != j && d == infTime {
+				panic(fmt.Sprintf("par: LP graph is not strongly connected: no path %d→%d", i, j))
+			}
+		}
+	}
 	return dist
 }
 
-// latch is the reusable window barrier the participant shards synchronize
-// on inside a round: a generation-counted rendezvous that the coordinator
-// re-arms per round and a finished shard can permanently leave.
+// latch is the reusable window barrier the shards synchronize on inside a
+// round: a generation-counted rendezvous that the coordinator re-arms per
+// round and a panicking shard can permanently leave.
 type latch struct {
 	mu   sync.Mutex
 	cond sync.Cond
@@ -264,29 +270,21 @@ type shard struct {
 type Exec struct {
 	shards []*shard
 	ctrl   *sim.Engine
-	// dist is the all-pairs closure of declared link latencies; reach[i]
-	// is the multi-word bitset of LPs transitively reachable from i (i
-	// included) — since dist is already a closure, that is exactly the
-	// finite entries of row i; cycle[i] is LP i's shortest round trip
-	// through any peer (the earliest one of its own sends can echo back —
-	// infTime when no return path exists); lookahead is the smallest
-	// finite dist entry (drain pacing). maskWords is the bitset width;
-	// activeMask is the coordinator's reusable participant-set scratch.
-	dist       [][]sim.Time
-	reach      [][]uint64
-	maskWords  int
-	activeMask []uint64
-	cycle      []sim.Time
-	lookahead  sim.Time
+	// dist is the all-pairs closure of declared link latencies; cycle[i]
+	// is LP i's shortest round trip through any peer (the earliest one of
+	// its own sends can echo back — infTime for a lone worker); lookahead
+	// is the smallest finite dist entry (drain pacing).
+	dist      [][]sim.Time
+	cycle     []sim.Time
+	lookahead sim.Time
 
 	b       sim.Time // current barrier time
 	running bool
 
-	// Round/plan state. planEnd and inPlan are written by the coordinator
-	// before fan-out; nextAt slot i is written only by shard i between
-	// latch phases (the latch and the cmd/res channels order every access).
+	// Round/plan state. planEnd is written by the coordinator before
+	// fan-out; nextAt slot i is written only by shard i between latch
+	// phases (the latch and the cmd/res channels order every access).
 	planEnd  sim.Time
-	inPlan   []bool
 	nextAt   []sim.Time
 	latch    *latch
 	poisoned atomic.Bool
@@ -309,8 +307,9 @@ type Exec struct {
 const outboxKeepCap = 1 << 20
 
 // New builds an executor over the given worker engines, the control
-// engine, and the declared LP graph. len(workers) must equal topo.Workers;
-// every cross-LP send must travel a declared link and respect its latency.
+// engine, and the declared LP graph. len(workers) must equal topo.Workers,
+// the graph must be strongly connected, and every cross-LP send must
+// respect its pair's declared latency.
 func New(ctrl *sim.Engine, workers []*sim.Engine, topo Topology) *Exec {
 	if len(workers) != topo.Workers {
 		panic(fmt.Sprintf("par: %d worker engines for a %d-worker topology", len(workers), topo.Workers))
@@ -336,24 +335,11 @@ func New(ctrl *sim.Engine, workers []*sim.Engine, topo Topology) *Exec {
 			}
 		}
 	}
-	x.maskWords = (len(workers) + 63) / 64
-	x.activeMask = make([]uint64, x.maskWords)
-	x.reach = make([][]uint64, len(workers))
-	for i := range workers {
-		row := make([]uint64, x.maskWords)
-		row[i>>6] |= 1 << (uint(i) & 63)
-		for j, d := range dist[i] {
-			if d != infTime {
-				row[j>>6] |= 1 << (uint(j) & 63)
-			}
-		}
-		x.reach[i] = row
-	}
 	x.cycle = make([]sim.Time, len(workers))
 	for i := range workers {
 		x.cycle[i] = infTime
 		for j := range workers {
-			if j == i || dist[i][j] == infTime || dist[j][i] == infTime {
+			if j == i {
 				continue
 			}
 			if rt := dist[i][j] + dist[j][i]; rt < x.cycle[i] {
@@ -362,11 +348,10 @@ func New(ctrl *sim.Engine, workers []*sim.Engine, topo Topology) *Exec {
 		}
 	}
 	if x.lookahead == infTime {
-		// No links at all: shards never talk. Any positive pacing unit
+		// A lone worker: nothing to talk to. Any positive pacing unit
 		// works for idle jumps.
 		x.lookahead = sim.Microsecond
 	}
-	x.inPlan = make([]bool, len(workers))
 	x.nextAt = make([]sim.Time, len(workers))
 	return x
 }
@@ -374,7 +359,7 @@ func New(ctrl *sim.Engine, workers []*sim.Engine, topo Topology) *Exec {
 // SetRecorder attaches a flight recorder (nil detaches). The recorder must
 // have one lane per worker; call before Start. The declared-lookahead
 // matrix is installed so the recorder can report slack utilization against
-// the observed floors (-1 marks an unconstrained pair).
+// the observed floors (-1 marks a lone worker's self-distance).
 func (x *Exec) SetRecorder(r *prof.Recorder) {
 	x.rec = r
 	if r == nil {
@@ -433,9 +418,6 @@ func (x *Exec) Send(src, dst int, at sim.Time, seq uint64, call sim.Call, arg an
 	sh := x.shards[src]
 	slack := at - sh.eng.Now()
 	if d := x.dist[src][dst]; slack < d {
-		if d == infTime {
-			panic(fmt.Sprintf("par: message %d→%d travels an undeclared link (no Topology path)", src, dst))
-		}
 		panic(fmt.Sprintf("par: message %d→%d due at %v undercuts the declared %v link lookahead (slack %v)",
 			src, dst, at, d, slack))
 	}
@@ -550,70 +532,44 @@ func (x *Exec) refreshNext() {
 	}
 }
 
-// activeClosure fills the reusable participant bitset for a round ending
-// at end: LPs with an event before end, plus every LP a message
-// originating in the set could transitively reach over declared links.
-// Everything outside the set provably neither executes nor receives
-// before end and is parked coordinator-side without a handoff.
-func (x *Exec) activeClosure(end sim.Time) []uint64 {
-	// dist is an all-pairs closure, so reach[i] already holds everything
-	// transitively reachable from i: the closure of the seed set is a
-	// single OR pass over bitset rows, no iterated fixpoint.
-	mask := x.activeMask
-	for w := range mask {
-		mask[w] = 0
-	}
-	for i := range x.shards {
-		if x.nextAt[i] < end {
-			row := x.reach[i]
-			for w := range mask {
-				mask[w] |= row[w]
-			}
-		}
-	}
-	return mask
-}
-
 // round advances the whole simulation to barrier time end: the run-ahead
-// plan over the participant shards, control events, and the merged-instant
-// step at end itself.
+// plan, control events, and the merged-instant step at end itself. The
+// graph is strongly connected, so one LP with an event before end can
+// influence every other: the plan runs on all shards or, when none has
+// work before end, on none.
 func (x *Exec) round(end sim.Time) {
 	x.refreshNext()
-	mask := x.activeClosure(end)
-	nparts := 0
-	for i, sh := range x.shards {
-		if mask[i>>6]&(1<<(uint(i)&63)) == 0 {
-			// Idle-shard parking: no events before end and unreachable
-			// from any LP that has them — advance the clock in place.
+	active := false
+	for _, at := range x.nextAt {
+		if at < end {
+			active = true
+			break
+		}
+	}
+	if !active {
+		// Idle-shard parking: nothing can happen before end, so advance
+		// every clock in place without a goroutine handoff.
+		for i, sh := range x.shards {
 			sh.eng.RunBefore(end)
-			x.inPlan[i] = false
 			if x.rec != nil {
 				x.rec.LaneAt(i).Park()
 			}
-		} else {
-			x.inPlan[i] = true
-			nparts++
 		}
-	}
-	if nparts > 0 {
+	} else {
 		var t0 time.Time
 		if x.rec != nil {
 			t0 = time.Now()
 		}
 		x.planEnd = end
-		x.latch.reset(nparts)
+		x.latch.reset(len(x.shards))
 		x.poisoned.Store(false)
-		for i, sh := range x.shards {
-			if x.inPlan[i] {
-				sh.cmd <- struct{}{}
-			}
+		for _, sh := range x.shards {
+			sh.cmd <- struct{}{}
 		}
 		var panicked any
-		for i, sh := range x.shards {
-			if x.inPlan[i] {
-				if r := <-sh.res; r != nil && panicked == nil {
-					panicked = r
-				}
+		for _, sh := range x.shards {
+			if r := <-sh.res; r != nil && panicked == nil {
+				panicked = r
 			}
 		}
 		if panicked != nil {
@@ -655,7 +611,7 @@ func (x *Exec) runPlanGuarded(sh *shard) (recovered any) {
 	return nil
 }
 
-// runPlan is the participant side of a round: consecutive conservative
+// runPlan is the shard side of a round: consecutive conservative
 // windows self-synchronized over the latch, with live horizon publication
 // and direct inbound delivery, until everything before planEnd is done.
 func (x *Exec) runPlan(sh *shard) {
@@ -680,22 +636,12 @@ func (x *Exec) runPlan(sh *shard) {
 		if x.poisoned.Load() {
 			return
 		}
-		quiet, reachable, bound, binder := x.planStep(me, end)
+		quiet, bound, binder := x.planStep(me, end)
 		if quiet {
 			if lane != nil {
 				lane.Window(sh.eng.Now(), end, prof.BindEnd)
 			}
 			sh.eng.RunBefore(end)
-			return
-		}
-		if !reachable && x.nextAt[me] >= end {
-			// Nothing local before end and no active LP can reach this
-			// one: park and hand the latch back for good.
-			if lane != nil {
-				lane.Park()
-			}
-			sh.eng.RunBefore(end)
-			x.latch.leave()
 			return
 		}
 		if lane != nil {
@@ -717,21 +663,11 @@ func (x *Exec) arrive(lane *prof.Lane) {
 }
 
 // planStep evaluates the shared horizon array for shard me: whether the
-// whole plan has quiesced, whether any LP that still has work can reach me
-// over declared links, my next window bound, and the binder — the peer
+// whole plan has quiesced, my next window bound, and the binder — the peer
 // whose horizon produced that bound (prof.BindSelf for the self-echo term,
-// prof.BindEnd when the round end itself bounds the window). Every
-// participant reads the same latch-ordered array, so the quiesce/leave
-// verdicts agree.
-func (x *Exec) planStep(me int, end sim.Time) (quiet, reachable bool, bound sim.Time, binder int) {
-	// One pass over the horizons computes everything: quiescence, the
-	// window bound, and whether any active LP reaches me. No bitset is
-	// needed shard-side — dist is an all-pairs closure, so "some active LP
-	// reaches me" is exactly "∃ active s with dist[s][me] finite" (or me
-	// itself being active), testable per source in the same loop that
-	// evaluates the bounds. That keeps the hot per-window path O(workers)
-	// with zero shared scratch, however wide the fleet grows.
-	//
+// prof.BindEnd when the round end itself bounds the window). Every shard
+// reads the same latch-ordered array, so the quiesce verdicts agree.
+func (x *Exec) planStep(me int, end sim.Time) (quiet bool, bound sim.Time, binder int) {
 	// Window bound: a message from src is sent at or after src's horizon
 	// and arrives at least dist(src→me) later; quiet sources bound nothing
 	// before end. Transitive chains through peers are covered by the
@@ -746,25 +682,21 @@ func (x *Exec) planStep(me int, end sim.Time) (quiet, reachable bool, bound sim.
 		}
 		quiet = false
 		if s == me {
-			reachable = true // reach rows include self
 			continue
 		}
-		if d := x.dist[s][me]; d != infTime {
-			reachable = true
-			if b := x.nextAt[s] + d; b < bound {
-				bound, binder = b, s
-			}
+		if b := x.nextAt[s] + x.dist[s][me]; b < bound {
+			bound, binder = b, s
 		}
 	}
 	if quiet {
-		return true, false, end, prof.BindEnd
+		return true, end, prof.BindEnd
 	}
 	if x.nextAt[me] < end && x.cycle[me] != infTime {
 		if b := x.nextAt[me] + x.cycle[me]; b < bound {
 			bound, binder = b, prof.BindSelf
 		}
 	}
-	return false, reachable, bound, binder
+	return false, bound, binder
 }
 
 // injectInbound drains every peer outbox destined to shard me into my own

@@ -9,6 +9,7 @@ import (
 
 	"halsim/internal/sim"
 	"halsim/internal/sim/par"
+	"halsim/internal/telemetry/prof"
 )
 
 // The tests replay one scripted event tree through a serial single-engine
@@ -58,6 +59,65 @@ func uniformDist(workers int, la sim.Time) [][]sim.Time {
 		}
 	}
 	return m
+}
+
+// blankDist is a test-side distance matrix with no links declared yet.
+func blankDist(workers int) [][]sim.Time {
+	m := make([][]sim.Time, workers)
+	for i := range m {
+		m[i] = make([]sim.Time, workers)
+		for j := range m[i] {
+			if i != j {
+				m[i][j] = noPath
+			}
+		}
+	}
+	return m
+}
+
+// ringTopology draws a random strongly connected LP graph: a ring i→i+1
+// (so every worker reaches every other) under random extra links, each
+// with its own latency, a multiple of stride. It returns the topology and
+// the closure of its links.
+func ringTopology(rng *rand.Rand, w int) (par.Topology, [][]sim.Time) {
+	topo, dist := par.Topology{Workers: w}, blankDist(w)
+	link := func(i, j int) {
+		l := sim.Time(stride) * sim.Time(5+rng.Intn(15))
+		topo.Links = append(topo.Links, par.Link{Src: i, Dst: j, Latency: l})
+		dist[i][j] = min(dist[i][j], l)
+	}
+	for i := 0; i < w; i++ {
+		if w > 1 {
+			link(i, (i+1)%w)
+		}
+		for j := 0; j < w; j++ {
+			if i != j && rng.Intn(10) < 7 {
+				link(i, j)
+			}
+		}
+	}
+	closure(dist)
+	return topo, dist
+}
+
+// starTopology draws the cluster runner's shape over w workers: worker 0
+// is a hub (shared ingress), workers 1..w-1 are leaves (server groups),
+// and the only links are hub<->leaf with random, possibly asymmetric
+// latencies that are multiples of k. It returns the topology and the
+// closure of its links.
+func starTopology(rng *rand.Rand, w, k int) (par.Topology, [][]sim.Time) {
+	topo, dist := par.Topology{Workers: w}, blankDist(w)
+	for l := 1; l < w; l++ {
+		down := sim.Time(k * (3 + rng.Intn(12)))
+		up := sim.Time(k * (3 + rng.Intn(12)))
+		topo.Links = append(topo.Links,
+			par.Link{Src: 0, Dst: l, Latency: down},
+			par.Link{Src: l, Dst: 0, Latency: up})
+		dist[0][l] = down
+		dist[l][0] = up
+	}
+	closure(dist)
+	return topo, dist
 }
 
 // closure turns a direct-link latency matrix into its all-pairs
@@ -220,6 +280,31 @@ func (r *runner) fire(node int, id int64) {
 	}
 }
 
+// matchOracle runs a script serially and under topo through until, then
+// fails unless every per-node log matches and every observed slack holds
+// the declared closure dist the window bounds were derived from.
+func matchOracle(t *testing.T, label string, s *script, topo par.Topology, dist [][]sim.Time, until sim.Time) {
+	t.Helper()
+	ser := newRunnerTopo(s, topo.Workers, nil)
+	ser.run(until)
+	pp := newRunnerTopo(s, topo.Workers, &topo)
+	pp.run(until)
+	for n := range ser.logs {
+		if !reflect.DeepEqual(ser.logs[n], pp.logs[n]) {
+			t.Fatalf("%s topo %v node %d:\nserial   %v\nparallel %v",
+				label, topo.Links, n, ser.logs[n], pp.logs[n])
+		}
+	}
+	for src, row := range pp.x.ObservedSlack() {
+		for dst, sl := range row {
+			if sl >= 0 && sl < dist[src][dst] {
+				t.Fatalf("%s: observed slack %v on %d→%d below declared %v",
+					label, sl, src, dst, dist[src][dst])
+			}
+		}
+	}
+}
+
 func (r *runner) run(until sim.Time) {
 	if r.x == nil {
 		r.engines[0].RunUntil(until)
@@ -248,57 +333,18 @@ func TestParallelMatchesSerialOracle(t *testing.T) {
 	}
 }
 
-// The same property over randomized sparse topologies: random directed
-// link sets with per-link latencies, scripts that only send over declared
-// paths. Exercises the all-pairs closure (multi-hop chains), per-pair
-// window bounds, the self-echo cycle term, idle parking, and early leave —
-// every run must still match the single-engine oracle exactly.
+// The same property over random strongly connected topologies: a ring
+// under random extra links with per-link latencies, scripts that send over
+// any declared path. Exercises the all-pairs closure (multi-hop chains),
+// per-pair window bounds and the self-echo cycle term — every run must
+// still match the single-engine oracle exactly.
 func TestRandomTopologyMatchesSerialOracle(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		w := 2 + rng.Intn(2)
-		topo := par.Topology{Workers: w}
-		dist := make([][]sim.Time, w)
-		for i := range dist {
-			dist[i] = make([]sim.Time, w)
-			for j := range dist[i] {
-				if i != j {
-					dist[i][j] = noPath
-				}
-			}
-		}
-		for i := 0; i < w; i++ {
-			for j := 0; j < w; j++ {
-				if i == j || rng.Intn(10) >= 7 {
-					continue
-				}
-				l := sim.Time(stride) * sim.Time(5+rng.Intn(15))
-				topo.Links = append(topo.Links, par.Link{Src: i, Dst: j, Latency: l})
-				dist[i][j] = l
-			}
-		}
-		closure(dist)
+		topo, dist := ringTopology(rng, w)
 		s := buildScriptDist(rng, w, 200, dist)
-		ser := newRunnerTopo(s, w, nil)
-		ser.run(500)
-		pp := newRunnerTopo(s, w, &topo)
-		pp.run(500)
-		for n := range ser.logs {
-			if !reflect.DeepEqual(ser.logs[n], pp.logs[n]) {
-				t.Fatalf("seed %d topo %v node %d:\nserial   %v\nparallel %v",
-					seed, topo.Links, n, ser.logs[n], pp.logs[n])
-			}
-		}
-		// Every observed slack must hold the declared promise the bounds
-		// were derived from.
-		for src, row := range pp.x.ObservedSlack() {
-			for dst, sl := range row {
-				if sl >= 0 && sl < dist[src][dst] {
-					t.Fatalf("seed %d: observed slack %v on %d→%d below declared %v",
-						seed, sl, src, dst, dist[src][dst])
-				}
-			}
-		}
+		matchOracle(t, fmt.Sprintf("seed %d", seed), s, topo, dist, 500)
 	}
 }
 
@@ -371,32 +417,38 @@ func TestBarrierExactMessageRacesCtrlEvent(t *testing.T) {
 	}
 }
 
-// A worker with no pending events that no active LP can reach over the
-// declared links must be parked by the coordinator in place — no plan
-// participation — while its clock still tracks every barrier.
+// A round in which no worker has an event before its end is parked by
+// the coordinator in place — no plan, no goroutine handoff — with one
+// recorded park per shard, while every clock still tracks each barrier.
 func TestIdleShardParking(t *testing.T) {
 	ea, eb, ctrl := sim.NewEngine(), sim.NewEngine(), sim.NewEngine()
 	ea.SetRank(0)
 	eb.SetRank(1)
 	ctrl.SetRank(3)
-	// Only b→a is declared: a's activity cannot reach b, so b (empty) is
-	// parked every round even while a works.
-	topo := par.Topology{Workers: 2, Links: []par.Link{{Src: 1, Dst: 0, Latency: 48}}}
-	x := par.New(ctrl, []*sim.Engine{ea, eb}, topo)
-	fired := 0
+	x := par.New(ctrl, []*sim.Engine{ea, eb}, par.Uniform(2, lookahead))
+	rec := prof.NewRecorder(profNames(2))
+	x.SetRecorder(rec)
+	// Control ticks end rounds at 100, 200, ..., 1000; only the round
+	// ending at 500 holds worker work.
 	var tick func(any, int64)
 	tick = func(any, int64) {
-		fired++
-		if ea.Now() < 900 {
-			ea.AtCall(ea.Now()+100, tick, nil, 0)
+		if ctrl.Now() < 1000 {
+			ctrl.AtCall(ctrl.Now()+100, tick, nil, 0)
 		}
 	}
-	ea.AtCall(100, tick, nil, 0)
+	ctrl.AtCall(100, tick, nil, 0)
+	fired := false
+	ea.AtCall(450, func(any, int64) { fired = true }, nil, 0)
 	x.Start()
 	defer x.Shutdown()
 	x.AdvanceTo(1000)
-	if fired != 9 {
-		t.Fatalf("fired %d ticks, want 9", fired)
+	if !fired || rec.Rounds != 10 {
+		t.Fatalf("fired %v over %d rounds, want true over 10", fired, rec.Rounds)
+	}
+	for i := 0; i < 2; i++ {
+		if p := rec.LaneAt(i).Parks; p != 9 {
+			t.Fatalf("lane %d parked %d times, want 9", i, p)
+		}
 	}
 	if ea.Now() != 1000 || eb.Now() != 1000 || ctrl.Now() != 1000 {
 		t.Fatalf("clocks = %v/%v/%v, want all parked at 1000",
@@ -438,29 +490,16 @@ func TestShardPanicPropagates(t *testing.T) {
 	t.Fatal("expected panic")
 }
 
-// A send over a link the Topology never declared must fail at the send
-// site — before any window bound computed from the declaration could let
-// the destination run past the delivery instant.
-func TestSendUndeclaredLinkPanics(t *testing.T) {
-	ea, eb, ctrl := sim.NewEngine(), sim.NewEngine(), sim.NewEngine()
-	ea.SetRank(0)
-	eb.SetRank(1)
-	ctrl.SetRank(3)
-	topo := par.Topology{Workers: 2, Links: []par.Link{{Src: 1, Dst: 0, Latency: 48}}}
-	x := par.New(ctrl, []*sim.Engine{ea, eb}, topo)
-	ea.AtCall(10, func(any, int64) {
-		x.Send(0, 1, ea.Now()+1000, ea.AllocSeq(), func(any, int64) {}, nil, 0)
-	}, nil, 0)
-	x.Start()
-	defer x.Shutdown()
+// New must refuse an LP graph that is not strongly connected and name a
+// pair with no path: here nothing leads from worker 0 to worker 1.
+func TestTopologyNotStronglyConnectedPanics(t *testing.T) {
 	defer func() {
-		r := recover()
-		s, _ := r.(string)
-		if !strings.Contains(s, "undeclared") {
-			t.Fatalf("recovered %v, want undeclared-link panic", r)
+		if r := fmt.Sprint(recover()); !strings.Contains(r, "not strongly connected: no path 0→1") {
+			t.Fatalf("recovered %q, want strong-connectivity panic", r)
 		}
 	}()
-	x.AdvanceTo(100)
+	topo := par.Topology{Workers: 2, Links: []par.Link{{Src: 1, Dst: 0, Latency: 48}}}
+	par.New(sim.NewEngine(), []*sim.Engine{sim.NewEngine(), sim.NewEngine()}, topo)
 	t.Fatal("expected panic")
 }
 
@@ -488,123 +527,25 @@ func TestSendLookaheadViolationPanics(t *testing.T) {
 	t.Fatal("expected panic")
 }
 
-// The cluster runner's shape: worker 0 is a hub (shared ingress), workers
-// 1..N are leaves (server groups), and the only declared links are
-// hub<->leaf with randomized, possibly asymmetric per-leaf latencies.
+// Randomized scripts over the cluster runner's star (see starTopology)
+// must match the single-engine oracle exactly at every fleet size.
 // Leaf->leaf paths exist only through the closure (up one spoke, down
-// another). Randomized scripts over these stars must match the
-// single-engine oracle exactly at every fleet size.
+// another).
 func TestStarTopologyMatchesSerialOracle(t *testing.T) {
 	for seed := int64(1); seed <= 15; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		leaves := 4 + rng.Intn(9) // 5..13 workers including the hub
 		w := leaves + 1
 		k := w // residue modulus; link latencies are multiples of k
-		topo := par.Topology{Workers: w}
-		dist := make([][]sim.Time, w)
-		for i := range dist {
-			dist[i] = make([]sim.Time, w)
-			for j := range dist[i] {
-				if i != j {
-					dist[i][j] = noPath
-				}
-			}
-		}
-		for l := 1; l < w; l++ {
-			down := sim.Time(k * (3 + rng.Intn(12)))
-			up := sim.Time(k * (3 + rng.Intn(12)))
-			topo.Links = append(topo.Links,
-				par.Link{Src: 0, Dst: l, Latency: down},
-				par.Link{Src: l, Dst: 0, Latency: up})
-			dist[0][l] = down
-			dist[l][0] = up
-		}
-		closure(dist)
+		topo, dist := starTopology(rng, w, k)
 		s := buildScriptStride(rng, w, 260, dist, k)
-		ser := newRunnerTopo(s, w, nil)
-		ser.run(6000)
-		pp := newRunnerTopo(s, w, &topo)
-		pp.run(6000)
-		for n := range ser.logs {
-			if !reflect.DeepEqual(ser.logs[n], pp.logs[n]) {
-				t.Fatalf("seed %d (%d leaves) node %d:\nserial   %v\nparallel %v",
-					seed, leaves, n, ser.logs[n], pp.logs[n])
-			}
-		}
-		for src, row := range pp.x.ObservedSlack() {
-			for dst, sl := range row {
-				if sl >= 0 && sl < dist[src][dst] {
-					t.Fatalf("seed %d: observed slack %v on %d→%d below declared %v",
-						seed, sl, src, dst, dist[src][dst])
-				}
-			}
-		}
-	}
-}
-
-// A star with one unreachable leaf: the last leaf declares only its
-// up-link (leaf->hub), so no active LP has a path to it. With no pending
-// events of its own it must be parked by the coordinator every round —
-// early latch leave, no plan participation — while the hub keeps ticking
-// the other leaves and every clock still tracks the horizon.
-func TestStarUnreachableLeafEarlyLeave(t *testing.T) {
-	const leaves = 4
-	w := leaves + 1
-	var engines []*sim.Engine
-	for n := 0; n < w; n++ {
-		e := sim.NewEngine()
-		e.SetRank(n)
-		engines = append(engines, e)
-	}
-	ctrl := sim.NewEngine()
-	ctrl.SetRank(w)
-	topo := par.Topology{Workers: w}
-	for l := 1; l < w; l++ {
-		topo.Links = append(topo.Links, par.Link{Src: l, Dst: 0, Latency: 64})
-		if l < w-1 { // the last leaf has no down-link: unreachable
-			topo.Links = append(topo.Links, par.Link{Src: 0, Dst: l, Latency: 64})
-		}
-	}
-	x := par.New(ctrl, engines, topo)
-	hub := engines[0]
-	got := make([]int, w)
-	var tick func(any, int64)
-	tick = func(any, int64) {
-		for l := 1; l < w-1; l++ {
-			dst := l
-			x.Send(0, dst, hub.Now()+64, hub.AllocSeq(),
-				func(any, int64) { got[dst]++ }, nil, 0)
-		}
-		if hub.Now() < 900 {
-			hub.AtCall(hub.Now()+100, tick, nil, 0)
-		}
-	}
-	hub.AtCall(100, tick, nil, 0)
-	x.Start()
-	defer x.Shutdown()
-	x.AdvanceTo(2000)
-	for l := 1; l < w-1; l++ {
-		if got[l] != 9 {
-			t.Fatalf("leaf %d received %d ticks, want 9", l, got[l])
-		}
-	}
-	if got[w-1] != 0 {
-		t.Fatalf("unreachable leaf received %d ticks", got[w-1])
-	}
-	for n, e := range engines {
-		if e.Now() != 2000 {
-			t.Fatalf("engine %d clock = %v, want parked at 2000", n, e.Now())
-		}
-	}
-	if ctrl.Now() != 2000 {
-		t.Fatalf("ctrl clock = %v, want 2000", ctrl.Now())
+		matchOracle(t, fmt.Sprintf("seed %d (%d leaves)", seed, leaves), s, topo, dist, 6000)
 	}
 }
 
 // TestWorkerCapBoundary pins the widened worker ceiling: 255 LPs — the
 // full eight-bit rank space minus the control engine — construct and run,
-// with one message routed to every leaf so the multi-word participant
-// bitsets (four words at this width) carry real traffic end to end.
+// with one message routed to every leaf end to end.
 func TestWorkerCapBoundary(t *testing.T) {
 	const w = 255
 	var engines []*sim.Engine
@@ -666,54 +607,16 @@ func TestWorkerCapExceededPanics(t *testing.T) {
 }
 
 // TestWideStarMatchesSerialOracle is the star oracle at fleet width:
-// 100..128 worker LPs (including the hub), far past the old single-word
-// bitset ceiling, with randomized asymmetric spoke latencies. Every
-// per-node log must match the single-engine oracle exactly, and observed
-// slack may never undercut the declared closure.
+// 100..128 worker LPs (including the hub) with randomized asymmetric spoke
+// latencies.
 func TestWideStarMatchesSerialOracle(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed * 101))
 		leaves := 99 + rng.Intn(29) // 100..128 workers including the hub
 		w := leaves + 1
 		k := w // residue modulus; link latencies are multiples of k
-		topo := par.Topology{Workers: w}
-		dist := make([][]sim.Time, w)
-		for i := range dist {
-			dist[i] = make([]sim.Time, w)
-			for j := range dist[i] {
-				if i != j {
-					dist[i][j] = noPath
-				}
-			}
-		}
-		for l := 1; l < w; l++ {
-			down := sim.Time(k * (3 + rng.Intn(12)))
-			up := sim.Time(k * (3 + rng.Intn(12)))
-			topo.Links = append(topo.Links,
-				par.Link{Src: 0, Dst: l, Latency: down},
-				par.Link{Src: l, Dst: 0, Latency: up})
-			dist[0][l] = down
-			dist[l][0] = up
-		}
-		closure(dist)
+		topo, dist := starTopology(rng, w, k)
 		s := buildScriptStride(rng, w, 4*w, dist, k)
-		ser := newRunnerTopo(s, w, nil)
-		ser.run(200000)
-		pp := newRunnerTopo(s, w, &topo)
-		pp.run(200000)
-		for n := range ser.logs {
-			if !reflect.DeepEqual(ser.logs[n], pp.logs[n]) {
-				t.Fatalf("seed %d (%d leaves) node %d:\nserial   %v\nparallel %v",
-					seed, leaves, n, ser.logs[n], pp.logs[n])
-			}
-		}
-		for src, row := range pp.x.ObservedSlack() {
-			for dst, sl := range row {
-				if sl >= 0 && sl < dist[src][dst] {
-					t.Fatalf("seed %d: observed slack %v on %d→%d below declared %v",
-						seed, sl, src, dst, dist[src][dst])
-				}
-			}
-		}
+		matchOracle(t, fmt.Sprintf("seed %d (%d leaves)", seed, leaves), s, topo, dist, 200000)
 	}
 }

@@ -83,8 +83,9 @@ type Lane struct {
 	SpanTime  sim.Time
 	PacedTime sim.Time
 
-	// Parks counts the times the shard was parked at the round end without
-	// running a plan window (coordinator idle-parking and early leaves).
+	// Parks counts the all-idle rounds: rounds in which no shard had an
+	// event before the round end, so the coordinator parked every shard at
+	// the end in place without running a plan window.
 	Parks uint64
 
 	// Inject-phase accounting: batches spliced, total messages, and the
@@ -126,7 +127,7 @@ func (l *Lane) Window(start, end sim.Time, binder int) {
 	l.Windows = append(l.Windows, Window{Start: start, End: end, Binder: binder})
 }
 
-// Park records one parked round (no plan windows executed).
+// Park records one all-idle round (no plan windows executed).
 func (l *Lane) Park() { l.Parks++ }
 
 // Inject records one InjectBatch splice of n messages.
