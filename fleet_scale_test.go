@@ -2,6 +2,7 @@ package halsim_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"halsim"
@@ -57,5 +58,35 @@ func TestClusterShardClamping(t *testing.T) {
 				t.Fatalf("clamped run diverged from serial:\nserial  %s\nclamped %s", serial, clamped)
 			}
 		})
+	}
+}
+
+// TestFleetFootprintPerServer guards what a fleet server costs to build:
+// rings, histograms and function state are sized by the traffic a server
+// carries, not by its configured capacity. A 256-server podded fleet run
+// for one simulated microsecond is almost all build, so its allocation
+// per server is the per-server footprint. TotalAlloc counts every byte
+// allocated, garbage included, so the figure does not depend on GC timing.
+func TestFleetFootprintPerServer(t *testing.T) {
+	const servers = 256
+	const maxPerServer = 48 << 10
+	run := func() {
+		_, err := halsim.Run(
+			halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 1,
+				Cluster: &halsim.ClusterConfig{Servers: servers, Dispatch: "p2c", Pods: 8, Oversub: 4}},
+			halsim.RunConfig{Duration: halsim.Microsecond, RateGbps: 6.25 * servers})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // first use fills package-level caches
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	perServer := (after.TotalAlloc - before.TotalAlloc) / servers
+	t.Logf("%d B allocated per server", perServer)
+	if perServer > maxPerServer {
+		t.Fatalf("a fleet server allocates %d B to build, want <= %d", perServer, maxPerServer)
 	}
 }

@@ -21,9 +21,13 @@ const DefaultRingSize = 1024
 const DefaultBurst = 32
 
 // RxQueue is one bounded Rx ring. Arriving packets beyond capacity are
-// tail-dropped, as a NIC does when descriptors run out.
+// tail-dropped, as a NIC does when descriptors run out. The backing buffer
+// starts at minRingAlloc slots and doubles on demand up to the capacity,
+// so an idle or lightly loaded ring costs memory for the backlog it has
+// actually held, not for its descriptor count.
 type RxQueue struct {
 	buf   []*packet.Packet
+	size  int // capacity: the configured descriptor count
 	head  int
 	count int
 
@@ -47,12 +51,15 @@ type rxImpairment struct {
 	rng  *rand.Rand
 }
 
+// minRingAlloc is the slot count a ring's buffer starts with.
+const minRingAlloc = 16
+
 // NewRxQueue returns an empty ring with the given descriptor count.
 func NewRxQueue(size int) *RxQueue {
 	if size <= 0 {
 		panic(fmt.Sprintf("dpdk: ring size %d", size))
 	}
-	return &RxQueue{buf: make([]*packet.Packet, size)}
+	return &RxQueue{buf: make([]*packet.Packet, min(size, minRingAlloc)), size: size}
 }
 
 // Enqueue places p at the ring tail, returning false (and counting a drop)
@@ -63,8 +70,11 @@ func (q *RxQueue) Enqueue(p *packet.Packet) bool {
 		return false
 	}
 	if q.count == len(q.buf) {
-		q.Drops++
-		return false
+		if q.count == q.size {
+			q.Drops++
+			return false
+		}
+		q.grow()
 	}
 	// head < len and count <= len, so one conditional wrap replaces the
 	// integer division a modulo would cost per packet.
@@ -78,21 +88,18 @@ func (q *RxQueue) Enqueue(p *packet.Packet) bool {
 	return true
 }
 
-// Burst removes and returns up to max packets — rte_eth_rx_burst.
-func (q *RxQueue) Burst(max int) []*packet.Packet {
-	n := q.count
-	if n > max {
-		n = max
-	}
-	if n == 0 {
-		return nil
-	}
-	return q.BurstInto(make([]*packet.Packet, 0, n), max)
+// grow doubles the full buffer (capped at the ring size), copying the
+// backlog in FIFO order to the front of the new one.
+func (q *RxQueue) grow() {
+	buf := make([]*packet.Packet, min(2*len(q.buf), q.size))
+	n := copy(buf, q.buf[q.head:])
+	copy(buf[n:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
 
-// BurstInto is Burst with scratch-buffer reuse: up to max packets are
-// appended to dst (typically dst[:0] of a retained slice) so a polling loop
-// bursts without per-call allocation once the buffer has grown.
+// BurstInto removes up to max packets — rte_eth_rx_burst — appending them
+// to dst (typically dst[:0] of a retained slice) so a polling loop bursts
+// without per-call allocation once the buffer has grown.
 func (q *RxQueue) BurstInto(dst []*packet.Packet, max int) []*packet.Packet {
 	n := q.count
 	if n > max {
@@ -126,8 +133,9 @@ func (q *RxQueue) Pop() *packet.Packet {
 // Count returns the current occupancy — rte_eth_rx_queue_count.
 func (q *RxQueue) Count() int { return q.count }
 
-// Cap returns the ring size.
-func (q *RxQueue) Cap() int { return len(q.buf) }
+// Cap returns the ring size: the configured descriptor count, however
+// much of it the buffer has grown to so far.
+func (q *RxQueue) Cap() int { return q.size }
 
 // Port groups the per-core Rx rings of one interface and spreads arrivals
 // across them RSS-style (hash of the flow identity; we use the packet's
@@ -136,7 +144,7 @@ func (q *RxQueue) Cap() int { return len(q.buf) }
 type Port struct {
 	queues []*RxQueue
 	// qmask is len(queues)-1 when the queue count is a power of two
-	// (masking replaces the per-packet modulo in Deliver), -1 otherwise.
+	// (masking replaces the per-packet modulo in QueueOf), -1 otherwise.
 	qmask int
 }
 
@@ -161,13 +169,14 @@ func (p *Port) NumQueues() int { return len(p.queues) }
 // Queue returns ring i.
 func (p *Port) Queue(i int) *RxQueue { return p.queues[i] }
 
-// Deliver enqueues pkt on its RSS queue; false means it was tail-dropped.
-func (p *Port) Deliver(pkt *packet.Packet) bool {
+// QueueOf returns the index of pkt's RSS queue: a hash of the flow
+// identity, masked when the queue count is a power of two.
+func (p *Port) QueueOf(pkt *packet.Packet) int {
 	h := uint64(pkt.SrcPort)<<16 ^ pkt.ID
 	if p.qmask >= 0 {
-		return p.queues[h&uint64(p.qmask)].Enqueue(pkt)
+		return int(h & uint64(p.qmask))
 	}
-	return p.queues[h%uint64(len(p.queues))].Enqueue(pkt)
+	return int(h % uint64(len(p.queues)))
 }
 
 // MaxOccupancy returns the highest per-ring occupancy — what LBP's

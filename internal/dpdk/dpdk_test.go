@@ -1,6 +1,7 @@
 package dpdk
 
 import (
+	"math/rand"
 	"testing"
 
 	"halsim/internal/packet"
@@ -13,6 +14,9 @@ func pkt(id uint64) *packet.Packet {
 	return p
 }
 
+// deliver enqueues pkt on its RSS queue, as a station does.
+func deliver(p *Port, pkt *packet.Packet) bool { return p.Queue(p.QueueOf(pkt)).Enqueue(pkt) }
+
 func TestRxQueueFIFO(t *testing.T) {
 	q := NewRxQueue(8)
 	for i := uint64(0); i < 5; i++ {
@@ -23,7 +27,7 @@ func TestRxQueueFIFO(t *testing.T) {
 	if q.Count() != 5 {
 		t.Fatalf("count = %d", q.Count())
 	}
-	got := q.Burst(3)
+	got := q.BurstInto(nil, 3)
 	if len(got) != 3 || got[0].ID != 0 || got[2].ID != 2 {
 		t.Fatalf("burst = %v", got)
 	}
@@ -57,7 +61,7 @@ func TestRxQueueWrapAround(t *testing.T) {
 			}
 			id++
 		}
-		got := q.Burst(3)
+		got := q.BurstInto(nil, 3)
 		if len(got) != 3 {
 			t.Fatalf("burst = %d", len(got))
 		}
@@ -70,9 +74,93 @@ func TestRxQueueWrapAround(t *testing.T) {
 	}
 }
 
+// refRing is a fixed-size FIFO with tail-drop: the reference a growing
+// ring must be indistinguishable from.
+type refRing struct {
+	ids   []uint64
+	size  int
+	drops uint64
+}
+
+func (r *refRing) enqueue(id uint64) bool {
+	if len(r.ids) == r.size {
+		r.drops++
+		return false
+	}
+	r.ids = append(r.ids, id)
+	return true
+}
+
+func (r *refRing) take(n int) []uint64 {
+	n = min(n, len(r.ids))
+	out := append([]uint64(nil), r.ids[:n]...)
+	r.ids = r.ids[n:]
+	return out
+}
+
+// TestRxQueueGrowthMatchesFixedRing drives growing rings through random
+// enqueue/pop/burst sequences — backlogs that wrap around while the buffer
+// doubles — and checks every observable against a fixed-size ring: accept
+// or drop per packet, FIFO order, tail drops at the configured size,
+// occupancy and Cap. The buffer never outgrows the ring size, nor twice
+// the highest backlog once past its initial allocation.
+func TestRxQueueGrowthMatchesFixedRing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, size := range []int{1, 2, 3, 15, 16, 17, 33, 100, DefaultRingSize} {
+		for trial := 0; trial < 20; trial++ {
+			q := NewRxQueue(size)
+			ref := &refRing{size: size}
+			var next uint64
+			var dst []*packet.Packet
+			high := 0
+			// Bias toward enqueues on some trials so rings fill and drop.
+			enqBias := 0.5 + 0.45*rng.Float64()
+			for op := 0; op < 4*size+200; op++ {
+				var got []*packet.Packet
+				var want []uint64
+				switch x := rng.Float64(); {
+				case x < enqBias:
+					id := next
+					next++
+					if ok, wantOK := q.Enqueue(pkt(id)), ref.enqueue(id); ok != wantOK {
+						t.Fatalf("size %d op %d: enqueue %d = %v, want %v", size, op, id, ok, wantOK)
+					}
+				case x < enqBias+(1-enqBias)/2:
+					if p := q.Pop(); p != nil {
+						got = []*packet.Packet{p}
+					}
+					want = ref.take(1)
+				default:
+					n := 1 + rng.Intn(2*DefaultBurst)
+					dst = q.BurstInto(dst[:0], n)
+					got = dst
+					want = ref.take(n)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("size %d op %d: took %d packets, want %d", size, op, len(got), len(want))
+				}
+				for i, p := range got {
+					if p.ID != want[i] {
+						t.Fatalf("size %d op %d: packet %d is %d, want %d", size, op, i, p.ID, want[i])
+					}
+				}
+				if q.Count() != len(ref.ids) || q.Drops != ref.drops || q.Cap() != size {
+					t.Fatalf("size %d op %d: count/drops/cap = %d/%d/%d, want %d/%d/%d",
+						size, op, q.Count(), q.Drops, q.Cap(), len(ref.ids), ref.drops, size)
+				}
+				high = max(high, q.Count())
+				if len(q.buf) > size || len(q.buf) > max(minRingAlloc, 2*high) {
+					t.Fatalf("size %d op %d: buffer %d slots for backlog high-water %d",
+						size, op, len(q.buf), high)
+				}
+			}
+		}
+	}
+}
+
 func TestBurstEmptyAndPopEmpty(t *testing.T) {
 	q := NewRxQueue(4)
-	if q.Burst(8) != nil {
+	if len(q.BurstInto(nil, 8)) != 0 {
 		t.Fatal("empty burst should be nil")
 	}
 	if q.Pop() != nil {
@@ -95,8 +183,8 @@ func TestPortRSSSpreadsAndPins(t *testing.T) {
 	a := pkt(100)
 	b := pkt(100)
 	a.SrcPort, b.SrcPort = 7, 7
-	p.Deliver(a)
-	p.Deliver(b)
+	deliver(p, a)
+	deliver(p, b)
 	together := false
 	for i := 0; i < 4; i++ {
 		if p.Queue(i).Count() == 2 {
@@ -111,7 +199,7 @@ func TestPortRSSSpreadsAndPins(t *testing.T) {
 	for i := uint64(0); i < 1000; i++ {
 		q := pkt(i)
 		q.SrcPort = uint16(i * 31)
-		p2.Deliver(q)
+		deliver(p2, q)
 	}
 	for i := 0; i < 4; i++ {
 		if p2.Queue(i).Count() == 0 {
@@ -220,11 +308,12 @@ func TestSleptUntil(t *testing.T) {
 func BenchmarkEnqueueBurst(b *testing.B) {
 	q := NewRxQueue(DefaultRingSize)
 	p := pkt(1)
+	var dst []*packet.Packet
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q.Enqueue(p)
 		if q.Count() >= DefaultBurst {
-			q.Burst(DefaultBurst)
+			dst = q.BurstInto(dst[:0], DefaultBurst)
 		}
 	}
 }

@@ -62,11 +62,14 @@ func NewTable(extIP uint32, capacity int) *Table {
 	if capacity <= 0 {
 		panic("natfn: capacity must be positive")
 	}
+	// The maps grow with the live flows instead of being presized to
+	// capacity: a table that never translates costs two empty maps.
+	// Eviction order comes from the LRU list, never from map iteration.
 	t := &Table{
 		extIP:    extIP,
 		capacity: capacity,
-		entries:  make(map[flowKey]*entry, capacity),
-		byExt:    make(map[uint16]*entry, capacity),
+		entries:  make(map[flowKey]*entry),
+		byExt:    make(map[uint16]*entry),
 		nextPort: 1024,
 	}
 	t.head.prev = &t.head

@@ -84,15 +84,21 @@ type client struct {
 	sendNextCall sim.Call
 	rearmCall    sim.Call
 
-	seq       uint64
-	sentPkts  uint64
-	sentBytes uint64
-	// totalPkts/totalBytes count every packet ever offered (warmup
-	// included) — the packet-conservation audit's "offered" side.
+	seq uint64
+	offered
+	stopped bool
+	ticker  *sim.Ticker
+}
+
+// offered counts the traffic offered to a server: sentPkts/sentBytes
+// from warmup on (the measured offered load), totalPkts/totalBytes every
+// packet ever offered, warmup included — the packet-conservation audit's
+// "offered" side.
+type offered struct {
+	sentPkts   uint64
+	sentBytes  uint64
 	totalPkts  uint64
 	totalBytes uint64
-	stopped    bool
-	ticker     *sim.Ticker
 }
 
 // newClient builds the run's client on eng and pool: requests carry

@@ -141,8 +141,8 @@ func NewInstance(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, r
 }
 
 // Start registers the server's periodic processes (policy ticks, power
-// sampling, throughput windows) on its engine. The embedded client never
-// starts; traffic arrives through Ingress.
+// sampling, throughput windows) on its engine. An embedded server has no
+// client; traffic arrives through Ingress.
 func (s *Instance) Start() { s.r.start() }
 
 // Ingress delivers one request packet at its wire-arrival instant, which
@@ -162,8 +162,7 @@ func (s *Instance) CancelTickers() {
 // which the collector reads where a standalone run reads its own client.
 // Coordinator-only: call after the run, before Collect.
 func (s *Instance) SetOffered(totalPkts, totalBytes, sentPkts, sentBytes uint64) {
-	s.r.cli.totalPkts, s.r.cli.totalBytes = totalPkts, totalBytes
-	s.r.cli.sentPkts, s.r.cli.sentBytes = sentPkts, sentBytes
+	*s.r.off = offered{sentPkts: sentPkts, sentBytes: sentBytes, totalPkts: totalPkts, totalBytes: totalBytes}
 }
 
 // Collect assembles this server's Result. Latency percentiles stay zero —

@@ -344,6 +344,9 @@ func prepare(cfg *Config, rc *RunConfig) error {
 	if cfg.RingSize == 0 {
 		cfg.RingSize = dpdk.DefaultRingSize
 	}
+	if cfg.RingSize < 0 {
+		return fmt.Errorf("server: negative ring size %d", cfg.RingSize)
+	}
 	if rc.Duration <= 0 {
 		return fmt.Errorf("server: non-positive duration")
 	}
@@ -456,14 +459,17 @@ type run struct {
 
 	hostSleep *dpdk.SleepController
 
+	// cli offers a standalone server's traffic; off is what was offered:
+	// the client's own counters, or in an embedded server those the
+	// ingress installs through Instance.SetOffered.
 	cli *client
+	off *offered
 
 	// embedded marks a server built by NewInstance as one member of a
-	// cluster: the engine and pool are injected (the owning group's), the
-	// client is built but never started (the shared ingress offers the
-	// traffic), and respond — when non-nil — intercepts wire-bound
-	// responses in place of deliverResponse so the cluster can carry them
-	// back over the fabric.
+	// cluster: the engine and pool are injected (the owning group's), there
+	// is no client (the shared ingress offers the traffic), and respond —
+	// when non-nil — intercepts wire-bound responses in place of
+	// deliverResponse so the cluster can carry them back over the fabric.
 	embedded bool
 	respond  func(*packet.Packet)
 
@@ -752,9 +758,14 @@ func (r *run) build() error {
 		}
 	}
 
-	r.cli, err = newClient(cfg, r.rc, r.eng, r.pool, r.gen, r.ingress)
-	if err != nil {
-		return err
+	if r.embedded {
+		r.off = new(offered)
+	} else {
+		r.cli, err = newClient(cfg, r.rc, r.eng, r.pool, r.gen, r.ingress)
+		if err != nil {
+			return err
+		}
+		r.off = &r.cli.offered
 	}
 	return r.buildFaults()
 }
@@ -1022,7 +1033,7 @@ func (r *run) collect() Result {
 		Mode:      r.cfg.Mode,
 		Fn:        r.cfg.Fn,
 		Completed: r.lat.Count(),
-		Sent:      r.cli.sentPkts,
+		Sent:      r.off.sentPkts,
 		Engine:    "serial",
 	}
 	if measured > 0 {
@@ -1033,7 +1044,7 @@ func (r *run) collect() Result {
 		res.MaxGbps = res.AvgGbps
 	}
 	if measured > 0 {
-		res.OfferedGbps = float64(r.cli.sentBytes) * 8 / float64(measured)
+		res.OfferedGbps = float64(r.off.sentBytes) * 8 / float64(measured)
 	}
 	res.P50us = float64(r.lat.P50()) / 1000
 	res.P99us = float64(r.lat.P99()) / 1000
@@ -1050,8 +1061,8 @@ func (r *run) collect() Result {
 		requeued += s.requeued
 		crashes += s.crashes
 	}
-	if r.cli.sentPkts > 0 {
-		res.DropFraction = float64(drops+faultDrops) / float64(r.cli.sentPkts)
+	if r.off.sentPkts > 0 {
+		res.DropFraction = float64(drops+faultDrops) / float64(r.off.sentPkts)
 	}
 	if r.deliveredB > 0 {
 		res.SNICShare = float64(r.snicB) / float64(r.deliveredB)
@@ -1074,7 +1085,7 @@ func (r *run) collect() Result {
 	// Packet-conservation ledger (all-time, warmup included): every offered
 	// packet either completed, dropped, or is still queued/in service. A
 	// drained run closes the ledger exactly (InFlightEnd == 0).
-	res.SentAll = r.cli.totalPkts
+	res.SentAll = r.off.totalPkts
 	res.CompletedAll = r.completed
 	res.DroppedAll = drops + faultDrops
 	res.InFlightEnd = int64(res.SentAll) - int64(res.CompletedAll) - int64(res.DroppedAll)

@@ -6,6 +6,7 @@ import (
 
 	"halsim/internal/cxl"
 	"halsim/internal/nf"
+	"halsim/internal/packet"
 	"halsim/internal/sim"
 	"halsim/internal/trace"
 )
@@ -299,6 +300,21 @@ func TestConfigValidationErrors(t *testing.T) {
 		if _, err := Run(c.cfg, c.rc); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
+	}
+}
+
+// TestNegativeRingSizeIsAnError checks that a negative ring size is
+// rejected as a config error — by a standalone run and by an embedded
+// fleet server alike — instead of panicking when the rings are built.
+func TestNegativeRingSizeIsAnError(t *testing.T) {
+	cfg := Config{Mode: HAL, Fn: nf.NAT, RingSize: -1}
+	rc := RunConfig{Duration: sim.Millisecond, RateGbps: 10}
+	if _, err := Run(cfg, rc); err == nil || !strings.Contains(err.Error(), "ring size") {
+		t.Fatalf("Run with RingSize -1: err = %v, want a ring size error", err)
+	}
+	if _, err := NewInstance(cfg, rc, sim.NewEngine(), packet.NewPool(), nil); err == nil ||
+		!strings.Contains(err.Error(), "ring size") {
+		t.Fatalf("NewInstance with RingSize -1: err = %v, want a ring size error", err)
 	}
 }
 

@@ -22,7 +22,11 @@ type station struct {
 	// function-mix scenario that motivates the dynamic LBP (§V-B).
 	altProf *platform.FnProfile
 	port    *dpdk.Port
-	rng     *rand.Rand
+	// rng draws service jitter. It is built from seed at the first
+	// service, so a station that never serves — a fleet server's idle
+	// side — holds no rand source; the stream is the same either way.
+	rng  *rand.Rand
+	seed int64
 
 	// timer/altTimer are the precomputed service-time samplers for
 	// prof/altProf; refreshed whenever the profile changes.
@@ -106,7 +110,7 @@ func newStation(eng *sim.Engine, name string, prof platform.FnProfile, ringSize 
 		prof:         prof,
 		timer:        prof.Timer(),
 		port:         dpdk.NewPort(prof.Servers, ringSize),
-		rng:          rand.New(rand.NewSource(seed)),
+		seed:         seed,
 		busy:         make([]bool, prof.Servers),
 		dead:         make([]bool, prof.Servers),
 		gen:          make([]uint64, prof.Servers),
@@ -131,8 +135,7 @@ func (s *station) enqueue(p *packet.Packet) bool {
 	if s.sleep != nil {
 		penalty = s.sleep.OnTraffic(s.eng.Now())
 	}
-	h := uint64(p.SrcPort)<<16 ^ p.ID
-	core := int(h % uint64(s.port.NumQueues()))
+	core := s.port.QueueOf(p)
 	if s.dead[core] {
 		alive := s.nextAlive(core)
 		if alive < 0 {
@@ -225,6 +228,9 @@ func (s *station) serve(core int) {
 	if p.FnTag == 1 && s.altProf != nil {
 		tm = s.altTimer
 	}
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.seed))
+	}
 	st := tm.Sample(p.WireLen, s.rng)
 	if s.extra != nil {
 		st += s.extra(p)
@@ -314,8 +320,7 @@ func (s *station) recoverCore(core int) {
 // rehome moves a crashed core's packet to a surviving core, or drops it
 // when none is left.
 func (s *station) rehome(p *packet.Packet) {
-	h := uint64(p.SrcPort)<<16 ^ p.ID
-	alive := s.nextAlive(int(h % uint64(len(s.busy))))
+	alive := s.nextAlive(s.port.QueueOf(p))
 	if alive < 0 {
 		s.faultDrops++
 		if s.tr != nil {

@@ -234,5 +234,5 @@ func (r *run) sampleTelemetry() {
 	if r.tl != nil {
 		r.tl.Push(s)
 	}
-	r.tm.publish(s, r.cli.totalPkts)
+	r.tm.publish(s, r.off.totalPkts)
 }

@@ -14,11 +14,14 @@ import (
 // Histogram records non-negative int64 samples (typically nanoseconds) in
 // logarithmically spaced buckets, HdrHistogram-style. With 64 sub-buckets
 // per octave the relative quantile error is bounded by 1/64 ≈ 1.6%, which is
-// far below the run-to-run noise of the experiments it serves.
+// far below the run-to-run noise of the experiments it serves. The bucket
+// array grows in whole octaves up to the highest bucket recorded, so a
+// histogram of nanosecond samples up to a millisecond allocates 15 of the
+// 64 octaves its range spans.
 //
 // The zero value is NOT ready to use; call NewHistogram.
 type Histogram struct {
-	counts     []uint64
+	counts     []uint64 // buckets [0, len); len is a multiple of subCount
 	total      uint64
 	sum        float64
 	min        int64
@@ -32,16 +35,21 @@ const defaultSubBits = 6 // 64 sub-buckets/octave
 
 // NewHistogram returns an empty histogram covering [0, 2^62).
 func NewHistogram() *Histogram {
-	h := &Histogram{
+	return &Histogram{
 		subBits:  defaultSubBits,
 		subCount: 1 << defaultSubBits,
 		min:      math.MaxInt64,
+		// Octaves 0..62, each with subCount sub-buckets, plus the dense
+		// [0, subCount) range mapped directly.
+		numBuckets: 64 << defaultSubBits,
 	}
-	// Octaves 0..62, each with subCount sub-buckets, plus the dense
-	// [0, subCount) range mapped directly.
-	h.numBuckets = h.subCount * 64
-	h.counts = make([]uint64, h.numBuckets)
-	return h
+}
+
+// grow extends counts with zeroed buckets, whole octaves at a time, until
+// bucket idx exists.
+func (h *Histogram) grow(idx int) {
+	n := (idx/h.subCount + 1) * h.subCount
+	h.counts = append(h.counts, make([]uint64, n-len(h.counts))...)
 }
 
 // bucketIndex maps a value to its bucket.
@@ -90,7 +98,11 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[h.bucketIndex(v)]++
+	i := h.bucketIndex(v)
+	if i >= len(h.counts) {
+		h.grow(i)
+	}
+	h.counts[i]++
 	h.total++
 	h.sum += float64(v)
 	if v < h.min {
@@ -109,7 +121,11 @@ func (h *Histogram) RecordN(v int64, n uint64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[h.bucketIndex(v)] += n
+	i := h.bucketIndex(v)
+	if i >= len(h.counts) {
+		h.grow(i)
+	}
+	h.counts[i] += n
 	h.total += n
 	h.sum += float64(v) * float64(n)
 	if v < h.min {
@@ -202,6 +218,9 @@ func (h *Histogram) Reset() {
 func (h *Histogram) Merge(other *Histogram) {
 	if other.subBits != h.subBits {
 		panic("stats: merging histograms with different precision")
+	}
+	if len(other.counts) > len(h.counts) {
+		h.grow(len(other.counts) - 1)
 	}
 	for i, c := range other.counts {
 		h.counts[i] += c

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -195,6 +196,140 @@ func TestBucketRoundTrip(t *testing.T) {
 		if v < lo || v > hi {
 			t.Errorf("value %d not in bucket [%d,%d] (idx %d)", v, lo, hi, idx)
 		}
+	}
+}
+
+// fullRange returns an empty histogram whose buckets are allocated over
+// the whole range up front: the reference a lazily grown one must match.
+func fullRange() *Histogram {
+	h := NewHistogram()
+	h.counts = make([]uint64, h.numBuckets)
+	return h
+}
+
+type bucket struct {
+	lo, hi int64
+	n      uint64
+}
+
+func buckets(h *Histogram) []bucket {
+	var out []bucket
+	h.ForEachBucket(func(lo, hi int64, n uint64) bool {
+		out = append(out, bucket{lo, hi, n})
+		return true
+	})
+	return out
+}
+
+// sameHistogram fails t unless lazy and ref answer every query alike.
+func sameHistogram(t *testing.T, what string, lazy, ref *Histogram) {
+	t.Helper()
+	if lazy.Count() != ref.Count() || lazy.Min() != ref.Min() || lazy.Max() != ref.Max() ||
+		lazy.Mean() != ref.Mean() {
+		t.Fatalf("%s: count/min/max/mean = %d/%d/%d/%v, want %d/%d/%d/%v", what,
+			lazy.Count(), lazy.Min(), lazy.Max(), lazy.Mean(), ref.Count(), ref.Min(), ref.Max(), ref.Mean())
+	}
+	for _, q := range []float64{0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999, 1} {
+		if got, want := lazy.Quantile(q), ref.Quantile(q); got != want {
+			t.Fatalf("%s: Quantile(%v) = %d, want %d", what, q, got, want)
+		}
+	}
+	got, want := buckets(lazy), buckets(ref)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d non-empty buckets, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: bucket %d = %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+	if len(lazy.counts)%lazy.subCount != 0 {
+		t.Fatalf("%s: %d buckets allocated, not whole octaves", what, len(lazy.counts))
+	}
+}
+
+// TestHistogramGrowthMatchesFullRange checks that growing the bucket array
+// on demand changes no answer: random sample sets spanning a few to all
+// octaves — up to the largest int64 — recorded singly and
+// in batches, merged in both directions between histograms of different
+// extents, and recorded again after Reset.
+func TestHistogramGrowthMatchesFullRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	draw := func(maxExp float64) int64 {
+		switch rng.Intn(20) {
+		case 0:
+			return -rng.Int63n(100) // clamped to zero
+		case 1:
+			if maxExp >= 62 {
+				return math.MaxInt64 - rng.Int63n(1<<40) // the highest buckets
+			}
+		}
+		return int64(math.Exp2(rng.Float64() * maxExp))
+	}
+	fill := func(lazy, ref *Histogram, n int, maxExp float64) {
+		for i := 0; i < n; i++ {
+			v := draw(maxExp)
+			if rng.Intn(4) == 0 {
+				k := uint64(1 + rng.Intn(5))
+				lazy.RecordN(v, k)
+				ref.RecordN(v, k)
+				continue
+			}
+			lazy.Record(v)
+			ref.Record(v)
+		}
+	}
+	for trial, maxExp := range []float64{3, 6, 7, 12, 20, 30, 45, 62, 63} {
+		a, refA := NewHistogram(), fullRange()
+		b, refB := NewHistogram(), fullRange()
+		fill(a, refA, 1+rng.Intn(2000), maxExp)
+		fill(b, refB, 1+rng.Intn(2000), 1+rng.Float64()*maxExp)
+		sameHistogram(t, fmt.Sprintf("trial %d a", trial), a, refA)
+		sameHistogram(t, fmt.Sprintf("trial %d b", trial), b, refB)
+
+		// Merge both ways, into copies so each direction starts fresh.
+		ab, refAB := NewHistogram(), fullRange()
+		ab.Merge(a)
+		refAB.Merge(refA)
+		ab.Merge(b)
+		refAB.Merge(refB)
+		sameHistogram(t, fmt.Sprintf("trial %d a+b", trial), ab, refAB)
+		ba, refBA := NewHistogram(), fullRange()
+		ba.Merge(b)
+		refBA.Merge(refB)
+		ba.Merge(a)
+		refBA.Merge(refA)
+		sameHistogram(t, fmt.Sprintf("trial %d b+a", trial), ba, refBA)
+		b.Merge(a)
+		refB.Merge(refA)
+		sameHistogram(t, fmt.Sprintf("trial %d b.Merge(a)", trial), b, refB)
+		// A lazy histogram and a full-range one merge into each other.
+		empty := NewHistogram()
+		empty.Merge(refA)
+		sameHistogram(t, fmt.Sprintf("trial %d lazy.Merge(full)", trial), empty, refA)
+		full := fullRange()
+		full.Merge(a)
+		sameHistogram(t, fmt.Sprintf("trial %d full.Merge(lazy)", trial), full, refA)
+
+		a.Reset()
+		refA.Reset()
+		sameHistogram(t, fmt.Sprintf("trial %d reset", trial), a, refA)
+		fill(a, refA, 1+rng.Intn(500), 1+rng.Float64()*maxExp)
+		sameHistogram(t, fmt.Sprintf("trial %d refill", trial), a, refA)
+	}
+
+	// Allocation tracks the highest bucket recorded, octave by octave:
+	// microsecond-scale samples touch a few octaves, and the largest int64
+	// reaches the last octave the bucket range holds.
+	h := NewHistogram()
+	for _, v := range []int64{5000, 70000, 3, math.MaxInt64} {
+		h.Record(v)
+		if got, want := len(h.counts), (h.bucketIndex(h.Max())/h.subCount+1)*h.subCount; got != want {
+			t.Fatalf("after sample %d: %d buckets, want %d", v, got, want)
+		}
+	}
+	if len(h.counts) > h.numBuckets {
+		t.Fatalf("%d buckets exceed the range's %d", len(h.counts), h.numBuckets)
 	}
 }
 
