@@ -46,6 +46,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sync"
 	"time"
 
 	"halsim/internal/cliutil"
@@ -132,21 +133,26 @@ func run(quick bool, seed int64, shards, benchN int, baselineTol float64, cpupro
 		opt.TraceDuration = 200 * sim.Millisecond
 	}
 
+	// fig2 and fig3 are two views of one SNIC-vs-host comparison; run it
+	// once per invocation.
+	compare := sync.OnceValues(func() (experiments.CompareResult, error) {
+		return experiments.CompareSNICHost(opt)
+	})
 	runners := map[string]func(experiments.Options) error{
 		"tab1": func(experiments.Options) error {
 			emit(experiments.Table1())
 			return nil
 		},
-		"fig2": func(o experiments.Options) error {
-			r, err := experiments.CompareSNICHost(o)
+		"fig2": func(experiments.Options) error {
+			r, err := compare()
 			if err != nil {
 				return err
 			}
 			emit(r.Fig2())
 			return nil
 		},
-		"fig3": func(o experiments.Options) error {
-			r, err := experiments.CompareSNICHost(o)
+		"fig3": func(experiments.Options) error {
+			r, err := compare()
 			if err != nil {
 				return err
 			}

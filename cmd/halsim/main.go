@@ -22,16 +22,11 @@ import (
 	"strings"
 	"time"
 
-	"halsim/internal/cliutil"
-	"halsim/internal/cluster"
-	"halsim/internal/cxl"
-	"halsim/internal/fault"
 	"halsim/internal/nf"
 	"halsim/internal/scenario"
 	"halsim/internal/server"
 	"halsim/internal/sim"
 	"halsim/internal/telemetry"
-	"halsim/internal/trace"
 	"halsim/internal/version"
 )
 
@@ -50,7 +45,7 @@ func main() {
 	}
 
 	var (
-		modeFlag = flag.String("mode", "hal", "host | snic | hal | slb")
+		modeFlag = flag.String("mode", "hal", "host | snic | hal | slb | slb-host")
 		fnFlag   = flag.String("fn", "NAT", "function: KVS Count EMA NAT BM25 KNN Bayes REM Crypto Comp")
 		fnCfg    = flag.String("fn-config", "", "function configuration (e.g. tea/lite for REM)")
 		pipe     = flag.String("pipeline", "", "optional second function fed by the first")
@@ -70,30 +65,57 @@ func main() {
 		oversub  = flag.Float64("oversub", 1, "pod uplink oversubscription ratio (with -pods)")
 		spineLat = flag.Duration("spine-wire", 0, "one-way spine wire+switch latency between ingress and pod ToRs (default: -wire; with -pods)")
 		slbCores = flag.Int("slb-cores", 4, "SLB forwarding cores (slb mode)")
-		slbTh    = flag.Float64("slb-th", 20, "SLB FwdTh in Gbps (slb mode)")
+		slbTh    = flag.Float64("slb-th", 20, "SLB FwdTh in Gbps (slb and slb-host modes)")
 		function = flag.Bool("functional", false, "execute the real network function per packet")
 
 		faultKind  = flag.String("fault", "", "inject a fault: core-crash | rx-drop | telemetry | accel-degrade")
-		faultAt    = flag.Duration("fault-at", 100*time.Millisecond, "fault onset")
-		faultFor   = flag.Duration("fault-for", 100*time.Millisecond, "fault duration")
-		faultCores = flag.Int("fault-cores", 2, "SNIC cores to crash (core-crash fault)")
-		faultDrop  = flag.Float64("fault-drop", 0.2, "drop probability (rx-drop fault)")
+		faultAt    = flag.Duration("fault-at", 100*time.Millisecond, "fault onset (with -fault)")
+		faultFor   = flag.Duration("fault-for", 100*time.Millisecond, "fault duration (with -fault)")
+		faultCores = flag.Int("fault-cores", 2, "SNIC cores to crash (with -fault core-crash)")
+		faultDrop  = flag.Float64("fault-drop", 0.2, "drop probability (with -fault rx-drop)")
 
-		timelineCSV  = flag.String("timeline", "", "write the per-tick time series as CSV to this file")
-		timelineJSON = flag.String("timeline-json", "", "write the time series (plus latency buckets) as JSON")
-		timelinePer  = flag.Duration("timeline-period", 0, "timeline sampling period (default 100us)")
-		traceOut     = flag.String("trace-out", "", "write a sampled packet-lifecycle trace (Chrome trace-event JSON, loadable in Perfetto)")
-		traceEvery   = flag.Int("trace-every", 64, "trace 1-in-N packets (with -trace-out)")
-		metricsOut   = flag.String("metrics-out", "", "write the final counter registry in Prometheus text format ('-' for stdout)")
-		telAddr      = flag.String("telemetry-addr", "", "serve live /metrics on this address while the run executes")
-		reportMD     = flag.String("report", "", "scenario runs: write the Markdown run report to this file ('-' for stdout)")
-		reportHTML   = flag.String("report-html", "", "scenario runs: write the HTML run report to this file")
-		showVersion  = flag.Bool("version", false, "print the build commit and exit")
+		timelinePer = flag.Duration("timeline-period", 0, "timeline sampling period (default 100us; with -timeline or -timeline-json)")
+		reportMD    = flag.String("report", "", "scenario runs: write the Markdown run report to this file ('-' for stdout)")
+		reportHTML  = flag.String("report-html", "", "scenario runs: write the HTML run report to this file")
+		showVersion = flag.Bool("version", false, "print the build commit and exit")
+		arts        artifactPaths
 	)
+	flag.StringVar(&arts.timelineCSV, "timeline", "", "write the per-tick time series as CSV to this file")
+	flag.StringVar(&arts.timelineJSON, "timeline-json", "", "write the time series (plus latency buckets) as JSON")
+	flag.StringVar(&arts.traceOut, "trace-out", "", "write a sampled packet-lifecycle trace (Chrome trace-event JSON, loadable in Perfetto)")
+	flag.IntVar(&arts.traceEvery, "trace-every", defaultTraceEvery, "trace 1-in-N packets (with -trace-out on a single server)")
+	flag.StringVar(&arts.metricsOut, "metrics-out", "", "write the final counter registry in Prometheus text format ('-' for stdout)")
+	flag.StringVar(&arts.telAddr, "telemetry-addr", "", "serve live /metrics on this address while the run executes")
 	flag.Parse()
 	if *showVersion {
 		fmt.Printf("halsim %s\n", version.String())
 		return
+	}
+	arts.prof = *profFlag
+
+	// Flags set where they shape nothing are a usage error, not silently
+	// ignored.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	needs := func(why string, names ...string) {
+		var got []string
+		for _, n := range names {
+			if set[n] {
+				got = append(got, "-"+n)
+			}
+		}
+		if len(got) > 0 {
+			usageErr("%s %s", strings.Join(got, ", "), why)
+		}
+	}
+	if arts.timelineCSV == "" && arts.timelineJSON == "" {
+		needs("set without -timeline or -timeline-json: there is no timeline to sample", "timeline-period")
+	}
+	if arts.traceOut == "" || *servers != 0 {
+		needs("needs -trace-out on a single server: fleets have no packet tracer", "trace-every")
+	}
+	if arts.traceEvery < 1 {
+		usageErr("-trace-every must be >= 1, got %d", arts.traceEvery)
 	}
 
 	// A positional argument is a scenario file — `halsim scenario.yaml` is
@@ -112,7 +134,7 @@ func main() {
 			case "mode", "fn", "fn-config", "pipeline", "rate", "workload", "duration",
 				"cxl", "slb-cores", "slb-th", "functional",
 				"servers", "dispatch", "wire", "link-gbps", "pods", "oversub", "spine-wire",
-				"fault", "fault-at", "fault-for", "fault-cores", "fault-drop":
+				"fault", "fault-at", "fault-for", "fault-cores", "fault-drop", "timeline-period":
 				conflicts = append(conflicts, "-"+f.Name)
 			case "seed":
 				ov.Seed = *seed
@@ -124,180 +146,88 @@ func main() {
 			usageErr("%s already defines the run; drop %s (use -seed/-shards to override, or edit the scenario)",
 				flag.Arg(0), strings.Join(conflicts, ", "))
 		}
-		executeScenario(flag.Arg(0), ov, *reportMD, *reportHTML, artifactPaths{
-			timelineCSV:  *timelineCSV,
-			timelineJSON: *timelineJSON,
-			traceOut:     *traceOut,
-			metricsOut:   *metricsOut,
-			prof:         *profFlag,
-		})
+		executeScenario(flag.Arg(0), ov, *reportMD, *reportHTML, arts)
 		return
 	}
 	if *reportMD != "" || *reportHTML != "" {
 		usageErr("-report/-report-html need a scenario file (see `halsim run`)")
 	}
 
-	cfg := server.Config{FnConfig: *fnCfg, Seed: *seed, Functional: *function, Shards: *shards}
-	switch strings.ToLower(*modeFlag) {
-	case "host":
-		cfg.Mode = server.HostOnly
-	case "snic":
-		cfg.Mode = server.SNICOnly
-	case "hal":
-		cfg.Mode = server.HAL
-	case "slb":
-		cfg.Mode = server.SLB
-		cfg.SLBCores = *slbCores
-		cfg.SLBFwdThGbps = *slbTh
-	default:
-		usageErr("unknown mode %q (want host, snic, hal, or slb)", *modeFlag)
+	// The flags describe one scenario: lower them onto a RunSpec, a
+	// ClusterSpec and at most one fault event, and let the scenario
+	// compiler validate and build the run like any scenario file.
+	mode, err := server.ParseMode(*modeFlag)
+	if err != nil {
+		usageErr("%v", err)
 	}
 	fn, err := nf.ParseID(*fnFlag)
 	if err != nil {
 		usageErr("%v", err)
 	}
-	cfg.Fn = fn
+	s := &scenario.Scenario{Name: "halsim", Run: scenario.RunSpec{
+		ModeName:     strings.ToLower(*modeFlag),
+		Mode:         mode,
+		Fn:           fn,
+		FnConfig:     *fnCfg,
+		RateGbps:     *rate,
+		Workload:     strings.ToLower(*workload),
+		Duration:     sim.Duration(*duration),
+		Seed:         *seed,
+		Shards:       *shards,
+		CXL:          *useCXL,
+		SLBCores:     *slbCores,
+		SLBFwdThGbps: *slbTh,
+		Functional:   *function,
+		Telemetry:    scenario.TelemetrySpec{TimelinePeriod: sim.Duration(*timelinePer)},
+	}}
 	if *pipe != "" {
-		p, err := nf.ParseID(*pipe)
-		if err != nil {
+		if s.Run.Pipeline, err = nf.ParseID(*pipe); err != nil {
 			usageErr("%v", err)
 		}
-		cfg.PipelineOn = true
-		cfg.Pipeline = p
+		s.Run.PipelineOn = true
 	}
-	if *useCXL {
-		cfg.Fabric = cxl.NewFabric(cxl.CXL, 2)
-	}
-	if *shards > 1 && *servers == 0 {
-		usageErr("-shards %d needs -servers: shards apply to fleets, a single server runs serially", *shards)
-	}
-	// Fleet and pod flags set where they shape nothing are a usage error,
-	// not silently ignored.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	needs := func(why string, names ...string) {
-		var got []string
-		for _, n := range names {
-			if set[n] {
-				got = append(got, "-"+n)
-			}
-		}
-		if len(got) > 0 {
-			usageErr("%s %s", strings.Join(got, ", "), why)
-		}
+	if mode != server.SLB && mode != server.SLBHost {
+		needs("set without -mode slb or slb-host: only the software balancer has forwarding cores and a threshold", "slb-cores", "slb-th")
 	}
 	if *servers == 0 {
 		needs("set without -servers: fleet flags do not apply to a single server", "dispatch", "wire", "link-gbps", "pods", "oversub", "spine-wire")
-	} else if *pods < 2 {
-		needs("set without -pods >= 2: a flat star has no pod uplinks or spine", "oversub", "spine-wire")
-	}
-	if *servers > 0 && *traceOut != "" && !(*shards > 1 && *profFlag) {
-		usageErr("-trace-out on a fleet needs -shards > 1 -prof: fleets have no packet tracer, only the parallel engine's lp:* recorder trace")
-	}
-	if *servers > 0 {
-		if *faultKind != "" {
-			usageErr("-fault drives a single server; fleet runs take server-crash events from a scenario file")
+	} else {
+		if *pods < 2 {
+			needs("set without -pods >= 2: a flat star has no pod uplinks or spine", "oversub", "spine-wire")
 		}
-		cfg.Cluster = &server.ClusterConfig{
-			Servers:     *servers,
-			Dispatch:    strings.ToLower(*dispatch),
-			WireNS:      sim.Duration(*wireLat),
-			LinkGbps:    *linkGbps,
-			Pods:        *pods,
-			Oversub:     *oversub,
-			SpineWireNS: sim.Duration(*spineLat),
-		}
-		// Bad flag values (fleet size, dispatch policy, negative wire/link)
-		// are usage errors like any other flag, not runtime failures.
-		if _, err := cfg.Cluster.WithDefaults(sim.Duration(*duration)); err != nil {
-			usageErr("%v", err)
+		needs("set with -servers: -fault drives a single server; fleet runs take server-crash events from a scenario file", "fault")
+		s.Run.Cluster = &scenario.ClusterSpec{
+			Servers:   *servers,
+			Dispatch:  strings.ToLower(*dispatch),
+			Wire:      sim.Duration(*wireLat),
+			LinkGbps:  *linkGbps,
+			Pods:      *pods,
+			Oversub:   *oversub,
+			SpineWire: sim.Duration(*spineLat),
 		}
 	}
-
-	// Observability: any telemetry output flag opts the run into the
-	// corresponding collector; with none of them the layer stays off.
-	cfg.Telemetry.Prof = *profFlag
-	if *timelineCSV != "" || *timelineJSON != "" {
-		cfg.Telemetry.Timeline = true
-		cfg.Telemetry.TimelinePeriod = sim.Duration(*timelinePer)
-	}
-	if *traceOut != "" {
-		cfg.Telemetry.TraceEvery = *traceEvery
-		if *traceEvery < 1 {
-			usageErr("-trace-every must be >= 1, got %d", *traceEvery)
+	kind := strings.ToLower(*faultKind)
+	if kind == "" {
+		needs("set without -fault: there is no fault window to shape", "fault-at", "fault-for", "fault-cores", "fault-drop")
+	} else {
+		if kind != "core-crash" {
+			needs("set without -fault core-crash", "fault-cores")
 		}
-	}
-	if *telAddr != "" || *metricsOut != "" {
-		// A live endpoint or a text dump needs the registry even when no
-		// timeline was asked for; a shared registry serves both.
-		if cfg.Telemetry.Registry == nil {
-			cfg.Telemetry.Registry = telemetry.NewRegistry()
+		if kind != "rx-drop" {
+			needs("set without -fault rx-drop", "fault-drop")
 		}
-		if !cfg.Telemetry.Enabled() {
-			cfg.Telemetry.Timeline = true // drives the per-tick sampler
+		if kind == "telemetry" {
+			kind = "telemetry-blackout"
 		}
-	}
-	var stopTelemetry func()
-	if *telAddr != "" {
-		var err error
-		stopTelemetry, err = serveTelemetry(*telAddr, cfg.Telemetry.Registry)
-		if err != nil {
-			fail("-telemetry-addr: %v", err)
-		}
-	}
-
-	rc := server.RunConfig{Duration: sim.Duration(*duration), RateGbps: *rate}
-	if *workload != "" {
-		w, err := trace.ParseWorkload(strings.ToLower(*workload))
-		if err != nil {
-			usageErr("%v", err)
-		}
-		rc.Workload = &w
-	}
-
-	if *faultKind != "" {
-		from, until := sim.Duration(*faultAt), sim.Duration(*faultAt+*faultFor)
-		// A window reaching the end of the run never clears: recovery events
-		// land at the finish line and there is no "after" phase.
-		if until > rc.Duration {
-			until = rc.Duration
-		}
-		plan := fault.NewPlan(*seed)
-		switch strings.ToLower(*faultKind) {
-		case "core-crash":
-			plan.CrashSNICCores(from, until, *faultCores)
-		case "rx-drop":
-			plan.DropSNICRx(from, until, *faultDrop)
-		case "telemetry":
-			plan.BlackoutTelemetry(from, until)
-		case "accel-degrade":
-			plan.DegradeSNICAccel(from, until)
-		default:
-			usageErr("unknown fault %q (want core-crash, rx-drop, telemetry, or accel-degrade)", *faultKind)
-		}
-		// Same validate-then-exit(2) chokepoint as halbench and the
-		// scenario path: a malformed plan is a usage error everywhere.
-		cliutil.CheckPlan("halsim", plan)
-		cfg.Faults = plan
-		// Mark the fault window so the report can show before/during/after,
-		// and drain so the packet-conservation audit closes exactly. A window
-		// running to the end of the run has no "after" phase.
-		rc.PhaseMarks = []sim.Time{from, until}
-		if until >= rc.Duration {
-			rc.PhaseMarks = []sim.Time{from}
-		}
-		rc.Drain = true
+		s.Events = []scenario.EventSpec{{
+			At: sim.Duration(*faultAt), For: sim.Duration(*faultFor), Kind: kind,
+			Side: "snic", Cores: *faultCores, DropProb: *faultDrop,
+		}}
 	}
 
 	start := time.Now()
-	runFn := server.Run
-	if cfg.Cluster != nil {
-		runFn = cluster.Run
-	}
-	res, err := runFn(cfg, rc)
-	if err != nil {
-		fail("%v", err)
-	}
+	o := execute(s, scenario.Overrides{}, arts)
+	res, cfg := o.Result, o.Compiled.Cfg
 	fmt.Printf("mode=%v fn=%v", res.Mode, res.Fn)
 	if cfg.Cluster != nil {
 		fmt.Printf(" servers=%d dispatch=%s", cfg.Cluster.Servers, cfg.Cluster.Dispatch)
@@ -305,7 +235,7 @@ func main() {
 	if cfg.PipelineOn {
 		fmt.Printf("+%v", cfg.Pipeline)
 	}
-	if *shards > 1 {
+	if cfg.Shards > 1 {
 		fmt.Printf(" engine=%s", res.Engine)
 	}
 	fmt.Println()
@@ -323,7 +253,7 @@ func main() {
 	if res.CoherenceRemote > 0 {
 		fmt.Printf("  coherence   %8d remote transfers/invalidations\n", res.CoherenceRemote)
 	}
-	if *faultKind != "" {
+	if o.Compiled.Plan != nil {
 		fmt.Printf("  faults      %d events, %d crashes, %d requeued, %d fault drops, %d LBP holds\n",
 			res.FaultEvents, res.CoreCrashes, res.Requeued, res.FaultDrops, res.LBPHolds)
 		if res.FailoverTicks >= 0 {
@@ -341,14 +271,10 @@ func main() {
 			res.SentAll, res.CompletedAll, res.DroppedAll, res.InFlightEnd)
 	}
 	fmt.Printf("  [%d packets simulated in %v]\n", res.Sent, time.Since(start).Round(time.Millisecond))
-	if *profFlag {
+	if arts.prof {
 		printProfSummary(res, time.Since(start))
 	}
-
-	writeArtifacts(res, *timelineCSV, *timelineJSON, *traceOut, *metricsOut)
-	if stopTelemetry != nil {
-		stopTelemetry()
-	}
+	arts.write(res)
 }
 
 // printProfSummary prints the flight recorder's console digest: stall
@@ -393,45 +319,50 @@ func printProfSummary(res server.Result, wall time.Duration) {
 	}
 }
 
-// writeArtifacts exports the run's telemetry artifacts to the requested
-// files ("-" means stdout).
-func writeArtifacts(res server.Result, csvPath, jsonPath, tracePath, metricsPath string) {
-	write := func(path, what string, fn func(w io.Writer) error) {
-		if path == "" {
-			return
-		}
-		f := os.Stdout
-		if path != "-" {
-			var err error
-			f, err = os.Create(path)
-			if err != nil {
-				fail("-%s: %v", what, err)
-			}
-			defer f.Close()
-		}
-		if err := fn(f); err != nil {
+// writeOut writes one output file for flag -what ("" skips it, "-" means
+// stdout).
+func writeOut(path, what string, fn func(w io.Writer) error) {
+	if path == "" {
+		return
+	}
+	if path == "-" {
+		if err := fn(os.Stdout); err != nil {
 			fail("-%s: %v", what, err)
 		}
-		if path != "-" {
-			fmt.Printf("  wrote %s\n", path)
-		}
+		return
 	}
+	f, err := os.Create(path)
+	if err != nil {
+		fail("-%s: %v", what, err)
+	}
+	err = fn(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fail("-%s: %v", what, err)
+	}
+	fmt.Printf("  wrote %s\n", path)
+}
+
+// write exports the run's telemetry artifacts to the requested files.
+func (a artifactPaths) write(res server.Result) {
 	if res.Timeline != nil {
-		write(csvPath, "timeline", res.Timeline.WriteCSV)
-		write(jsonPath, "timeline-json", res.Timeline.WriteJSON)
+		writeOut(a.timelineCSV, "timeline", res.Timeline.WriteCSV)
+		writeOut(a.timelineJSON, "timeline-json", res.Timeline.WriteJSON)
 	}
 	switch {
 	case res.Trace != nil:
-		write(tracePath, "trace-out", res.Trace.WriteTrace)
+		writeOut(a.traceOut, "trace-out", res.Trace.WriteTrace)
 	case res.Prof != nil:
 		// Fleets have no packet tracer; a profiled fleet's document carries
 		// the recorder's per-server lp:* lanes.
-		write(tracePath, "trace-out", func(w io.Writer) error {
+		writeOut(a.traceOut, "trace-out", func(w io.Writer) error {
 			return telemetry.WriteProfTrace(w, res.Prof)
 		})
 	}
 	if res.Metrics != nil {
-		write(metricsPath, "metrics-out", res.Metrics.WriteText)
+		writeOut(a.metricsOut, "metrics-out", res.Metrics.WriteText)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"halsim/internal/cliutil"
 	"halsim/internal/scenario"
+	"halsim/internal/telemetry"
 )
 
 // The scenario subcommands:
@@ -33,11 +34,69 @@ func parseInterleaved(fs *flag.FlagSet, args []string) []string {
 	return files
 }
 
-// artifactPaths carries the telemetry export destinations shared with the
-// flag-based path.
+// defaultTraceEvery samples 1-in-64 packets when -trace-out asks for a
+// trace and neither -trace-every nor the scenario chose a rate.
+const defaultTraceEvery = 64
+
+// artifactPaths carries the telemetry export flags, shared by the flag
+// path and scenario files.
 type artifactPaths struct {
-	timelineCSV, timelineJSON, traceOut, metricsOut string
-	prof                                            bool
+	timelineCSV, timelineJSON, traceOut, metricsOut, telAddr string
+	traceEvery                                               int
+	prof                                                     bool
+}
+
+// execute validates, compiles and runs s with the export flags applied:
+// each requested artifact turns its collector on, and -metrics-out or
+// -telemetry-addr hand the run a registry. Any invalid input exits 2
+// before the run starts; a run failure exits 1.
+func execute(s *scenario.Scenario, ov scenario.Overrides, arts artifactPaths) *scenario.Outcome {
+	t := &s.Run.Telemetry
+	if arts.timelineCSV != "" || arts.timelineJSON != "" {
+		t.Timeline = true
+	}
+	if arts.traceOut != "" {
+		shards := s.Run.Shards
+		if ov.Shards != 0 {
+			shards = ov.Shards
+		}
+		if s.Run.Cluster == nil {
+			if t.TraceEvery == 0 {
+				t.TraceEvery = arts.traceEvery
+			}
+		} else if !(shards > 1 && arts.prof) {
+			// A fleet's trace is the recorder's lp:* lanes: -trace-out
+			// lowers to Prof only, never to packet tracing.
+			fmt.Fprintf(os.Stderr, "halsim: -trace-out on a fleet needs -shards > 1 -prof: fleets have no packet tracer, only the parallel engine's lp:* recorder trace\n")
+			os.Exit(cliutil.ExitUsage)
+		}
+	}
+	if arts.prof {
+		t.Prof = true
+	}
+	if err := s.Validate(); err != nil {
+		cliutil.Fail("halsim", err)
+	}
+	comp, err := s.Compile(ov)
+	if err != nil {
+		cliutil.Fail("halsim", err)
+	}
+	if arts.metricsOut != "" || arts.telAddr != "" {
+		// A live endpoint and a text dump share one registry with the run.
+		comp.Cfg.Telemetry.Registry = telemetry.NewRegistry()
+	}
+	if arts.telAddr != "" {
+		stop, err := serveTelemetry(arts.telAddr, comp.Cfg.Telemetry.Registry)
+		if err != nil {
+			fail("-telemetry-addr: %v", err)
+		}
+		defer stop()
+	}
+	o, err := comp.Run()
+	if err != nil {
+		cliutil.Fail("halsim", err)
+	}
+	return o
 }
 
 func runCmd(args []string) {
@@ -51,7 +110,7 @@ func runCmd(args []string) {
 		shards     = fs.Int("shards", 0, "override a fleet scenario's shard count (0 = use the file's)")
 		reportMD   = fs.String("report", "", "write the Markdown run report to this file ('-' for stdout)")
 		reportHTML = fs.String("report-html", "", "write the HTML run report to this file")
-		arts       artifactPaths
+		arts       = artifactPaths{traceEvery: defaultTraceEvery}
 	)
 	fs.StringVar(&arts.timelineCSV, "timeline", "", "write the per-tick time series as CSV to this file")
 	fs.StringVar(&arts.timelineJSON, "timeline-json", "", "write the time series (plus latency buckets) as JSON")
@@ -111,31 +170,8 @@ func executeScenario(path string, ov scenario.Overrides, reportMD, reportHTML st
 	if err != nil {
 		cliutil.Fail("halsim", err)
 	}
-	// Telemetry export flags compose with the scenario: asking for an
-	// artifact turns the corresponding collector on.
-	if arts.timelineCSV != "" || arts.timelineJSON != "" {
-		s.Run.Telemetry.Timeline = true
-	}
-	shards := s.Run.Shards
-	if ov.Shards != 0 {
-		shards = ov.Shards
-	}
-	if s.Run.Cluster != nil && arts.traceOut != "" && !(shards > 1 && arts.prof) {
-		fmt.Fprintf(os.Stderr, "halsim: %s: -trace-out on a fleet needs shards > 1 and -prof: fleets have no packet tracer, only the parallel engine's lp:* recorder trace\n", path)
-		os.Exit(cliutil.ExitUsage)
-	}
-	if arts.traceOut != "" && s.Run.Telemetry.TraceEvery == 0 {
-		s.Run.Telemetry.TraceEvery = 64
-	}
-	if arts.prof {
-		s.Run.Telemetry.Prof = true
-	}
-
 	start := time.Now()
-	o, err := s.Execute(ov)
-	if err != nil {
-		cliutil.Fail("halsim", err)
-	}
+	o := execute(s, ov, arts)
 	res := o.Result
 
 	fmt.Printf("scenario %q: %d fault window(s), %d assertion(s)\n",
@@ -163,28 +199,9 @@ func executeScenario(path string, ov scenario.Overrides, reportMD, reportHTML st
 		printProfSummary(res, time.Since(start))
 	}
 
-	writeReport := func(path, what string, fn func(w *os.File) error) {
-		if path == "" {
-			return
-		}
-		f := os.Stdout
-		if path != "-" {
-			var err error
-			if f, err = os.Create(path); err != nil {
-				fail("-%s: %v", what, err)
-			}
-			defer f.Close()
-		}
-		if err := fn(f); err != nil {
-			fail("-%s: %v", what, err)
-		}
-		if path != "-" {
-			fmt.Printf("  wrote %s\n", path)
-		}
-	}
-	writeReport(reportMD, "report", func(f *os.File) error { return o.WriteMarkdown(f) })
-	writeReport(reportHTML, "report-html", func(f *os.File) error { return o.WriteHTML(f) })
-	writeArtifacts(res, arts.timelineCSV, arts.timelineJSON, arts.traceOut, arts.metricsOut)
+	writeOut(reportMD, "report", o.WriteMarkdown)
+	writeOut(reportHTML, "report-html", o.WriteHTML)
+	arts.write(res)
 
 	if !o.Passed {
 		failed := 0

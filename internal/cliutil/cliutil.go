@@ -47,14 +47,3 @@ func Fail(tool string, err error) {
 	fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
 	os.Exit(ExitCode(err))
 }
-
-// CheckPlan validates a fault plan and, on failure, prints the validation
-// error and exits 2. The single chokepoint for flag-built plans.
-func CheckPlan(tool string, p *fault.Plan) {
-	if p == nil {
-		return
-	}
-	if err := p.Validate(); err != nil {
-		Fail(tool, err)
-	}
-}

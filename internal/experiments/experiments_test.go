@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"halsim/internal/server"
@@ -84,9 +86,15 @@ func TestCompareShapes(t *testing.T) {
 	}
 }
 
+// fig9 is the quick Fig. 9 sweep, run once and shared: its SNIC-only and
+// host-only points are exactly Fig. 4's operating points (same Config and
+// RunConfig), so the Fig. 4 crossover check reads them instead of
+// re-running them.
+var fig9 = sync.OnceValues(func() ([]SweepResult, error) { return Fig9(quick()) })
+
 func TestFig9Shapes(t *testing.T) {
 	heavy(t)
-	rs, err := Fig9(quick())
+	rs, err := fig9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +135,7 @@ func TestFig9Shapes(t *testing.T) {
 
 func TestFig4CrossoverExists(t *testing.T) {
 	heavy(t)
-	rs, err := Fig4(quick())
+	rs, err := fig9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +144,36 @@ func TestFig4CrossoverExists(t *testing.T) {
 		// Paper: SNIC wins EE below ~30 (REM) / ~41 (NAT) Gbps.
 		if cross < 10 || cross > 60 {
 			t.Errorf("%v: SNIC EE crossover at %.0fG, want within [10,60]", r.Fn, cross)
+		}
+	}
+
+	// Fig. 4 is Fig. 9 minus HAL: same functions, same rates, the SNIC and
+	// host modes. Its own run is kept short; the operating points above
+	// stand in for it.
+	fig4, err := Fig4(Options{Duration: sim.Millisecond, TraceDuration: sim.Millisecond, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig4) != len(rs) {
+		t.Fatalf("Fig4 sweeps %d functions, Fig9 %d", len(fig4), len(rs))
+	}
+	for _, r4 := range fig4 {
+		i := slices.IndexFunc(rs, func(r9 SweepResult) bool { return r9.Fn == r4.Fn })
+		if i < 0 {
+			t.Errorf("Fig4 sweeps %v, which Fig9 does not", r4.Fn)
+			continue
+		}
+		r9 := rs[i]
+		if !slices.Equal(r4.Rates, r9.Rates) {
+			t.Errorf("%v: Fig4 rates %v, Fig9 rates %v", r4.Fn, r4.Rates, r9.Rates)
+		}
+		for m := range r9.Points {
+			if _, ok := r4.Points[m]; ok == (m == server.HAL) {
+				t.Errorf("%v: Fig4 has mode %v = %v, want Fig9's modes minus HAL", r4.Fn, m, ok)
+			}
+		}
+		if len(r4.Points) != len(r9.Points)-1 {
+			t.Errorf("%v: Fig4 sweeps %d modes, want %d", r4.Fn, len(r4.Points), len(r9.Points)-1)
 		}
 	}
 }

@@ -33,6 +33,8 @@ type Compiled struct {
 	// Seed and Shards are the effective values after overrides.
 	Seed   int64
 	Shards int
+
+	scenario *Scenario
 }
 
 // faultSpan returns the [earliest start, latest end] of the fault windows,
@@ -61,7 +63,7 @@ func (c *Compiled) faultSpan() (from, to sim.Time, ok bool) {
 // so `halsim validate` uses it too.
 func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
 	r := s.Run
-	c := &Compiled{Seed: r.Seed, Shards: r.Shards}
+	c := &Compiled{Seed: r.Seed, Shards: r.Shards, scenario: s}
 	if ov.Seed != 0 {
 		c.Seed = ov.Seed
 	}
@@ -69,7 +71,7 @@ func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
 		c.Shards = ov.Shards
 	}
 	if c.Shards > 1 && r.Cluster == nil {
-		return nil, errf("shards override %d without a cluster: block; shards apply to fleets, a single server runs serially", c.Shards)
+		return nil, errf("%d shards without a cluster: block; shards apply to fleets, a single server runs serially", c.Shards)
 	}
 
 	c.Cfg = server.Config{
@@ -191,6 +193,19 @@ func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
 			c.Cfg.Telemetry.Timeline = true
 		}
 	}
+
+	// The simulator's own checks are the validator: whatever the server or
+	// the fleet would reject at run time is a validation error here, before
+	// anything runs. Both work on copies; Run normalizes again.
+	cfg, rc := c.Cfg, c.RC
+	if err := server.Normalize(&cfg, &rc); err != nil {
+		return nil, errf("%v", err)
+	}
+	if cfg.Cluster != nil {
+		if _, err := cfg.Cluster.WithDefaults(rc.Duration); err != nil {
+			return nil, errf("%v", err)
+		}
+	}
 	return c, nil
 }
 
@@ -264,16 +279,23 @@ func (s *Scenario) Execute(ov Overrides) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	runFn := server.Run
-	if comp.Cfg.Cluster != nil {
-		runFn = cluster.Run
+	return comp.Run()
+}
+
+// Run executes the compiled inputs — a fleet through the cluster runner,
+// anything else as one server — and evaluates the scenario's assertions.
+func (c *Compiled) Run() (*Outcome, error) {
+	s := c.scenario
+	run := server.Run
+	if c.Cfg.Cluster != nil {
+		run = cluster.Run
 	}
-	res, err := runFn(comp.Cfg, comp.RC)
+	res, err := run(c.Cfg, c.RC)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	o := &Outcome{Scenario: s, Compiled: comp, Result: res}
-	o.Checks = evaluate(s.Assertions, comp, res)
+	o := &Outcome{Scenario: s, Compiled: c, Result: res}
+	o.Checks = evaluate(s.Assertions, c, res)
 	o.Passed = true
 	for _, c := range o.Checks {
 		if !c.Pass {

@@ -16,6 +16,7 @@ package scenario
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -264,21 +265,10 @@ func (s *Scenario) parseRun(n *yaml.Node) error {
 		if err != nil {
 			return errf("run.mode: %v", err)
 		}
-		r.ModeName = strings.ToLower(name)
-		switch r.ModeName {
-		case "host":
-			r.Mode = server.HostOnly
-		case "snic":
-			r.Mode = server.SNICOnly
-		case "hal":
-			r.Mode = server.HAL
-		case "slb":
-			r.Mode = server.SLB
-		case "slb-host":
-			r.Mode = server.SLBHost
-		default:
-			return errf("run.mode: line %d: unknown mode %q (want host, snic, hal, slb, or slb-host)", v.Line, name)
+		if r.Mode, err = server.ParseMode(name); err != nil {
+			return errf("run.mode: line %d: %v", v.Line, err)
 		}
+		r.ModeName = strings.ToLower(name)
 	}
 	if v := n.Get("fn"); v != nil {
 		name, err := v.Scalar()
@@ -397,9 +387,6 @@ func (s *Scenario) parseRun(n *yaml.Node) error {
 				return errf("run.cluster.dispatch: %v", err)
 			}
 			cl.Dispatch = strings.ToLower(cl.Dispatch)
-			if cl.Dispatch != "rr" && cl.Dispatch != "p2c" && cl.Dispatch != "least-conn" {
-				return errf("run.cluster.dispatch: line %d: want rr, p2c or least-conn, have %q", d.Line, cl.Dispatch)
-			}
 		}
 		if w := v.Get("wire"); w != nil {
 			if cl.Wire, err = dur(w, "run.cluster.wire"); err != nil {
@@ -495,17 +482,6 @@ func (s *Scenario) parseEvents(n *yaml.Node) error {
 		if ev.Kind, err = kindN.Scalar(); err != nil {
 			return errf("%s.kind: %v", what, err)
 		}
-		known := false
-		for _, k := range eventKinds {
-			if ev.Kind == k {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return errf("%s.kind: line %d: unknown kind %q (want %s)",
-				what, kindN.Line, ev.Kind, strings.Join(eventKinds, ", "))
-		}
 		if v := item.Get("side"); v != nil {
 			side, err := v.Scalar()
 			if err != nil {
@@ -552,9 +528,11 @@ func (s *Scenario) parseEvents(n *yaml.Node) error {
 	return nil
 }
 
-// Validate checks cross-field consistency: durations, event windows inside
-// the run, chaos knobs, assertion windows. Parse calls it; callers mutating
-// a Scenario programmatically can re-run it.
+// Validate checks cross-field consistency — durations, event windows inside
+// the run, chaos knobs, assertion windows — then dry-run compiles, so every
+// input the server or fleet would reject fails here as a ValidationError.
+// Parse calls it; callers building or mutating a Scenario programmatically
+// (halsim's flag path does) call it before Compile.
 func (s *Scenario) Validate() error {
 	r := &s.Run
 	if r.Duration <= 0 {
@@ -563,22 +541,19 @@ func (s *Scenario) Validate() error {
 	if r.RateGbps <= 0 && r.Workload == "" {
 		return errf("run: need rate_gbps > 0 or a workload")
 	}
-	if r.Shards < 0 {
-		return errf("run.shards: negative shard count %d", r.Shards)
-	}
-	if r.Shards > 1 && r.Cluster == nil {
-		return errf("run.shards: %d shards without a cluster: block; shards apply to fleets, a single server runs serially", r.Shards)
-	}
-	if r.RateWindow < 0 {
-		return errf("run.rate_window: negative window")
-	}
 	if r.Warmup < 0 || r.Warmup >= r.Duration {
 		if r.Warmup != 0 {
 			return errf("run.warmup: %v outside [0, duration)", r.Warmup)
 		}
 	}
 	for i, ev := range s.Events {
-		what := fmt.Sprintf("events[%d] (line %d)", i, ev.Line)
+		what := fmt.Sprintf("events[%d]", i)
+		if ev.Line > 0 {
+			what += fmt.Sprintf(" (line %d)", ev.Line)
+		}
+		if !slices.Contains(eventKinds, ev.Kind) {
+			return errf("%s: unknown kind %q (want %s)", what, ev.Kind, strings.Join(eventKinds, ", "))
+		}
 		if ev.At <= 0 {
 			return errf("%s: `at` must be positive, have %v", what, ev.At)
 		}
@@ -601,23 +576,11 @@ func (s *Scenario) Validate() error {
 			if r.Cluster == nil {
 				return errf("%s: server-crash needs a run.cluster block", what)
 			}
-			if ev.Server < 0 || ev.Server >= r.Cluster.Servers {
-				return errf("%s: server %d outside fleet of %d", what, ev.Server, r.Cluster.Servers)
-			}
 		} else if r.Cluster != nil {
 			return errf("%s: %s targets a single server's internals; fleet runs only take server-crash events", what, ev.Kind)
 		}
 	}
 	if r.Cluster != nil {
-		if r.Cluster.Servers < 1 || r.Cluster.Servers > 4096 {
-			return errf("run.cluster.servers: %d outside 1..4096", r.Cluster.Servers)
-		}
-		if r.Cluster.Pods < 0 || r.Cluster.Pods > r.Cluster.Servers {
-			return errf("run.cluster.pods: %d outside 0..servers (%d)", r.Cluster.Pods, r.Cluster.Servers)
-		}
-		if r.Cluster.Oversub < 0 {
-			return errf("run.cluster.oversub: negative ratio")
-		}
 		if s.Chaos != nil {
 			return errf("chaos: not supported with run.cluster (chaos draws single-server faults)")
 		}
@@ -635,9 +598,8 @@ func (s *Scenario) Validate() error {
 			return err
 		}
 	}
-	// A dry-run compile catches everything else (plan validation included).
-	if _, err := s.Compile(Overrides{}); err != nil {
-		return err
-	}
-	return nil
+	// A dry-run compile catches everything else: the fault plan's checks
+	// and the server's and fleet's own config checks.
+	_, err := s.Compile(Overrides{})
+	return err
 }

@@ -155,6 +155,9 @@ func TestParseErrors(t *testing.T) {
 		{"assert bad recovery value", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\nassertions:\n  - metric: recovery_time\n    op: \"<=\"\n    value: 5\n", "not a duration"},
 		{"tab indent", "name: x\nrun:\n\trate_gbps: 10\n", "tab"},
 		{"shards without cluster", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\n  shards: 2\n", "shards apply to fleets"},
+		{"slb cores out of range", "name: x\nrun:\n  mode: slb\n  slb_cores: 9\n  rate_gbps: 10\n  duration: 1ms\n", "SLB needs 1..7 forwarding cores"},
+		{"bad dispatch", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\n  cluster:\n    servers: 4\n    dispatch: random\n", "unknown dispatch policy"},
+		{"negative rate window", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\n  rate_window: -1ms\n", "negative rate window"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

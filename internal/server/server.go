@@ -13,6 +13,7 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"halsim/internal/coherence"
 	"halsim/internal/core"
@@ -80,6 +81,20 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
+}
+
+// modeNames are the lower-case names ParseMode accepts, in Mode order.
+var modeNames = []string{"host", "snic", "hal", "slb", "slb-host"}
+
+// ParseMode maps a mode name (host, snic, hal, slb or slb-host; any case)
+// onto its Mode.
+func ParseMode(name string) (Mode, error) {
+	for i, n := range modeNames {
+		if strings.EqualFold(name, n) {
+			return Mode(i), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (want %s)", name, strings.Join(modeNames, ", "))
 }
 
 // Config describes one server setup.
@@ -362,8 +377,8 @@ func prepare(cfg *Config, rc *RunConfig) error {
 			rc.Warmup = 100 * sim.Millisecond
 		}
 	}
-	if cfg.Fn.Stateful() && cfg.Fabric != nil &&
-		(cfg.Mode == HAL || cfg.Mode == SLB) && !cfg.Fabric.SupportsCooperativeState() {
+	if cfg.Fn.Stateful() && cfg.Fabric != nil && (cfg.Mode == HAL || cfg.Mode == SLB || cfg.Mode == SLBHost) &&
+		!cfg.Fabric.SupportsCooperativeState() {
 		return fmt.Errorf("server: %v is stateful; cooperative processing over %v needs CXL (§V-C)",
 			cfg.Fn, cfg.Fabric.Kind)
 	}
@@ -385,11 +400,6 @@ func prepare(cfg *Config, rc *RunConfig) error {
 		if cfg.SLBFwdThGbps <= 0 {
 			return fmt.Errorf("server: %v needs a forwarding threshold", cfg.Mode)
 		}
-	}
-	if cfg.Fn.Stateful() && cfg.Fabric != nil &&
-		cfg.Mode == SLBHost && !cfg.Fabric.SupportsCooperativeState() {
-		return fmt.Errorf("server: %v is stateful; cooperative processing over %v needs CXL (§V-C)",
-			cfg.Fn, cfg.Fabric.Kind)
 	}
 
 	for i, m := range rc.PhaseMarks {

@@ -16,6 +16,20 @@ func short(rate float64) RunConfig {
 	return RunConfig{Duration: 100 * sim.Millisecond, RateGbps: rate}
 }
 
+func TestParseMode(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want Mode
+	}{{"host", HostOnly}, {"SNIC", SNICOnly}, {"hal", HAL}, {"slb", SLB}, {"Slb-Host", SLBHost}} {
+		if got, err := ParseMode(c.name); err != nil || got != c.want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", c.name, got, err, c.want)
+		}
+	}
+	if _, err := ParseMode("turbo"); err == nil || !strings.Contains(err.Error(), "slb-host") {
+		t.Errorf("ParseMode(turbo) = %v, want an error naming the known modes", err)
+	}
+}
+
 func TestSNICOnlySaturatesAtProfileCapacity(t *testing.T) {
 	res, err := Run(Config{Mode: SNICOnly, Fn: nf.NAT}, short(80))
 	if err != nil {
