@@ -4,40 +4,14 @@
 // Usage:
 //
 //	halbench [-quick] [-seed N] [-csv] [-cpuprofile f] [-memprofile f] [experiment ...]
-//	halbench [-quick] [-shards N] [-baseline f] cluster
 //
 // With no experiment arguments it runs all of them. Valid names: tab1,
 // fig2, fig3, fig4, fig5, fig8, fig9, fig10, tab2, tab5, costs, ablation,
 // faults, validate.
 //
-// The extra experiment name "bench" runs the regression-sentinel
-// benchmarks (ModeNAT80G per mode, Table V) under testing.Benchmark and
-// writes a BENCH_*.json snapshot (override the path with -benchout); CI
-// runs `halbench -quick bench` and archives the snapshot per commit.
-// Passing -baseline BENCH_x.json additionally diffs the fresh snapshot
-// against the stored one and exits nonzero on an ns/op regression beyond
-// -baseline-tolerance percent (default 25), or on any allocation growth
-// on a previously zero-alloc benchmark.
-//
-// The experiment name "cluster" runs the fleet-scale sentinels — a
-// 64-server (and, without -quick, 256-server) HAL fleet behind a shared
-// ingress — once on the serial engine and once on the parallel engine,
-// and writes BENCH_cluster.json (override with -benchout). Both rows
-// live in one snapshot so the fleet speedup is read off a single file;
-// -baseline and -baseline-tolerance gate it like bench. -shards N sets
-// the parallel rows' shard count (default 5: the ingress LP plus four
-// server-group LPs); it applies to the cluster suite only, and any other
-// experiment given -shards > 1 is a usage error.
-//
 // Exit codes (shared with halsim, see internal/cliutil): 0 success,
-// 1 runtime failure / failed validation run / -baseline regression,
-// 2 usage error (unknown experiment, bad flag, invalid fault plan).
-//
-// Snapshots record GOMAXPROCS, the CPU count, the shard count, and the
-// engine mode; -baseline fails (does not warn) when the two snapshots'
-// engine modes or shard counts differ, and when a parallel run is diffed
-// against a baseline taken at a different GOMAXPROCS — those comparisons
-// measure the execution strategy, not a regression.
+// 1 runtime failure / failed validation run, 2 usage error (unknown
+// experiment, bad flag, invalid fault plan).
 package main
 
 import (
@@ -71,14 +45,9 @@ func emit(t experiments.Table) {
 func main() {
 	quick := flag.Bool("quick", false, "shorter simulations (noisier numbers)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	shards := flag.Int("shards", 0, "cluster: shard count of the fleet sentinels' parallel rows (with the cluster experiment only; default 5)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	benchOut := flag.String("benchout", "", "bench: JSON snapshot path (default BENCH_<timestamp>.json)")
-	baseline := flag.String("baseline", "", "bench/cluster: compare against this BENCH_*.json snapshot; exit nonzero on an ns/op regression beyond -baseline-tolerance")
-	baselineTol := flag.Float64("baseline-tolerance", 25, "bench/cluster: percent a benchmark's ns/op may grow over -baseline before the run fails")
-	benchN := flag.Int("benchN", 3, "bench: measure each benchmark this many times and keep the fastest run")
 	showVersion := flag.Bool("version", false, "print the build commit and exit")
 	flag.Parse()
 	if *showVersion {
@@ -87,19 +56,10 @@ func main() {
 	}
 	emitCSV = *csv
 	// run returns instead of calling os.Exit so the profile defers flush.
-	os.Exit(run(*quick, *seed, *shards, *benchN, *baselineTol, *cpuprofile, *memprofile, *benchOut, *baseline, flag.Args()))
+	os.Exit(run(*quick, *seed, *cpuprofile, *memprofile, flag.Args()))
 }
 
-func run(quick bool, seed int64, shards, benchN int, baselineTol float64, cpuprofile, memprofile, benchOut, baseline string, names []string) int {
-	if baselineTol < 0 {
-		fmt.Fprintln(os.Stderr, "halbench: -baseline-tolerance must be >= 0 (a percentage)")
-		return cliutil.ExitUsage
-	}
-	if shards > 1 && (len(names) != 1 || names[0] != "cluster") {
-		fmt.Fprintf(os.Stderr, "halbench: -shards %d applies to the cluster experiment only (shards partition fleets; single-server runs are serial)\n", shards)
-		return cliutil.ExitUsage
-	}
-	tol := baselineTol / 100
+func run(quick bool, seed int64, cpuprofile, memprofile string, names []string) int {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -273,12 +233,6 @@ func run(quick bool, seed int64, shards, benchN int, baselineTol float64, cpupro
 			return nil
 		},
 	}
-	runners["bench"] = func(o experiments.Options) error {
-		return runBenchSuite(o, quick, benchN, tol, benchOut, baseline)
-	}
-	runners["cluster"] = func(o experiments.Options) error {
-		return runClusterSuite(o, quick, shards, benchN, tol, benchOut, baseline)
-	}
 	order := []string{"tab1", "fig2", "fig3", "fig4", "tab2", "fig5", "fig8", "fig9", "tab5", "fig10", "costs", "ablation", "faults", "validate"}
 
 	if len(names) == 0 {
@@ -287,7 +241,7 @@ func run(quick bool, seed int64, shards, benchN int, baselineTol float64, cpupro
 	for _, name := range names {
 		runner, ok := runners[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "halbench: unknown experiment %q (valid: %v, plus bench and cluster)\n", name, order)
+			fmt.Fprintf(os.Stderr, "halbench: unknown experiment %q (valid: %v)\n", name, order)
 			return cliutil.ExitUsage
 		}
 		start := time.Now()

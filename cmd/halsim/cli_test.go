@@ -113,6 +113,11 @@ func TestBadInputsExitUsage(t *testing.T) {
 		"name: slb9\nrun:\n  mode: slb\n  slb_cores: 9\n  rate_gbps: 40\n  duration: 5ms\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	fnBogus := filepath.Join(t.TempDir(), "fn-bogus.yaml")
+	if err := os.WriteFile(fnBogus, []byte(
+		"name: fn-bogus\nrun:\n  fn: KVS\n  fn_config: bogus\n  rate_gbps: 40\n  duration: 5ms\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		args   []string
 		reason string
@@ -123,6 +128,8 @@ func TestBadInputsExitUsage(t *testing.T) {
 		{[]string{"-mode", "slb", "-slb-cores", "9"}, "SLB needs 1..7 forwarding cores"},
 		{[]string{"-duration", "0s"}, "duration"},
 		{[]string{"validate", slb9}, "SLB needs 1..7 forwarding cores"},
+		{[]string{"-fn", "KVS", "-fn-config", "bogus"}, `unknown KVS config "bogus"`},
+		{[]string{"validate", fnBogus}, `unknown KVS config "bogus"`},
 		{[]string{"run", slb9}, "SLB needs 1..7 forwarding cores"},
 		{[]string{"-servers", "5000"}, "5000 servers outside 1..4096"},
 		{[]string{"-servers", "4", "-pods", "8"}, "8 pods outside 1..servers"},

@@ -5,7 +5,6 @@ package bayesfn
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -134,10 +133,8 @@ func factory(config string) (nf.Function, nf.RequestGen, error) {
 		features = 128
 	case "256":
 		features = 256
-	default:
-		return nil, nil, fmt.Errorf("bayesfn: unknown config %q (want 128 or 256)", config)
 	}
 	return NewFunc(features), gen{features: features}, nil
 }
 
-func init() { nf.Register(nf.Bayes, factory) }
+func init() { nf.Register(nf.Bayes, factory, "128", "256") }

@@ -7,7 +7,6 @@ package bm25fn
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -192,10 +191,8 @@ func factory(config string) (nf.Function, nf.RequestGen, error) {
 		vocab = 2000
 	case "4k":
 		vocab = 4000
-	default:
-		return nil, nil, fmt.Errorf("bm25fn: unknown config %q (want 2k or 4k)", config)
 	}
 	return NewFunc(vocab, 2000, 1), gen{vocab: vocab}, nil
 }
 
-func init() { nf.Register(nf.BM25, factory) }
+func init() { nf.Register(nf.BM25, factory, "2k", "4k") }

@@ -119,13 +119,11 @@ func factory(config string) (nf.Function, nf.RequestGen, error) {
 	case "", "1k":
 	case "4k":
 		chunk = 4096
-	default:
-		return nil, nil, fmt.Errorf("compressfn: unknown config %q (want 1k or 4k)", config)
 	}
 	return NewFunc(), gen{corpus: SynthesizeCorpus(1<<18, 3), chunk: chunk}, nil
 }
 
-func init() { nf.Register(nf.Comp, factory) }
+func init() { nf.Register(nf.Comp, factory, "1k", "4k") }
 
 // EncodeDecompressRequest wraps compressed bytes into a decompress request
 // (exported for tests and examples).

@@ -8,7 +8,6 @@ package countfn
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/rand"
 
 	"halsim/internal/nf"
@@ -181,10 +180,8 @@ func factory(config string) (nf.Function, nf.RequestGen, error) {
 		batch = 8
 	case "4":
 		batch = 4
-	default:
-		return nil, nil, fmt.Errorf("countfn: unknown config %q (want 4 or 8)", config)
 	}
 	return NewFunc(batch, 1<<15), gen{batch: batch, keys: 1 << 16}, nil
 }
 
-func init() { nf.Register(nf.Count, factory) }
+func init() { nf.Register(nf.Count, factory, "4", "8") }

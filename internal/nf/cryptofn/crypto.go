@@ -151,13 +151,8 @@ func (g gen) NextInto(rng *rand.Rand, buf []byte) []byte {
 	return b
 }
 
-func factory(config string) (nf.Function, nf.RequestGen, error) {
-	switch config {
-	case "", "mixed":
-	default:
-		return nil, nil, fmt.Errorf("cryptofn: unknown config %q (want mixed)", config)
-	}
+func factory(string) (nf.Function, nf.RequestGen, error) {
 	return NewFunc(), gen{operandLen: 32}, nil
 }
 
-func init() { nf.Register(nf.Crypto, factory) }
+func init() { nf.Register(nf.Crypto, factory, "mixed") }

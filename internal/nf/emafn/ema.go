@@ -7,7 +7,6 @@ package emafn
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -117,10 +116,8 @@ func factory(config string) (nf.Function, nf.RequestGen, error) {
 		batch = 8
 	case "4":
 		batch = 4
-	default:
-		return nil, nil, fmt.Errorf("emafn: unknown config %q (want 4 or 8)", config)
 	}
 	return NewFunc(batch, 0.125), gen{batch: batch, keys: 4096}, nil
 }
 
-func init() { nf.Register(nf.EMA, factory) }
+func init() { nf.Register(nf.EMA, factory, "4", "8") }

@@ -6,7 +6,6 @@ package knnfn
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -181,10 +180,8 @@ func factory(config string) (nf.Function, nf.RequestGen, error) {
 		perClass = 8
 	case "16":
 		perClass = 16
-	default:
-		return nil, nil, fmt.Errorf("knnfn: unknown config %q (want 8 or 16)", config)
 	}
 	return NewFunc(perClass), gen{}, nil
 }
 
-func init() { nf.Register(nf.KNN, factory) }
+func init() { nf.Register(nf.KNN, factory, "8", "16") }

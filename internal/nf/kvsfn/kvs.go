@@ -7,7 +7,6 @@ package kvsfn
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/rand"
 
 	"halsim/internal/nf"
@@ -201,10 +200,8 @@ func factory(config string) (nf.Function, nf.RequestGen, error) {
 	case "", "small":
 	case "large":
 		valSize = 512
-	default:
-		return nil, nil, fmt.Errorf("kvsfn: unknown config %q (want small or large)", config)
 	}
 	return NewFunc(), gen{keys: 1 << 16, valSize: valSize}, nil
 }
 
-func init() { nf.Register(nf.KVS, factory) }
+func init() { nf.Register(nf.KVS, factory, "small", "large") }

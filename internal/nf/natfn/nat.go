@@ -6,7 +6,6 @@ package natfn
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/rand"
 
 	"halsim/internal/nf"
@@ -231,11 +230,9 @@ func factory(config string) (nf.Function, nf.RequestGen, error) {
 		capacity = 1024
 	case "10k":
 		capacity = 10240
-	default:
-		return nil, nil, fmt.Errorf("natfn: unknown config %q (want 1k or 10k)", config)
 	}
 	f := NewFunc(capacity)
 	return f, gen{flows: capacity * 2}, nil
 }
 
-func init() { nf.Register(nf.NAT, factory) }
+func init() { nf.Register(nf.NAT, factory, "1k", "10k") }

@@ -12,6 +12,7 @@ package nf
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -138,33 +139,60 @@ func Reserve(buf []byte, n int) []byte {
 // generator. Config strings select the paper's per-function configurations
 // (e.g. "1k"/"10k" NAT entries, "tea"/"lite" rulesets); the empty string
 // selects the default configuration used in the headline experiments.
+// A factory is only called with "" or a name registered with it.
 type Factory func(config string) (Function, RequestGen, error)
+
+// registration is a factory and the configuration names it accepts.
+type registration struct {
+	factory Factory
+	configs []string
+}
 
 var (
 	regMu    sync.RWMutex
-	registry = map[ID]Factory{}
+	registry = map[ID]registration{}
 )
 
-// Register installs the factory for id. Subpackages call it from init.
+// Register installs the factory for id with the configuration names it
+// accepts besides the default "". Subpackages call it from init.
 // Registering the same ID twice panics: it would silently shadow a real
 // implementation.
-func Register(id ID, f Factory) {
+func Register(id ID, f Factory, configs ...string) {
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := registry[id]; dup {
 		panic(fmt.Sprintf("nf: duplicate registration for %v", id))
 	}
-	registry[id] = f
+	registry[id] = registration{factory: f, configs: configs}
+}
+
+// lookup returns id's factory if config is one it accepts.
+func lookup(id ID, config string) (Factory, error) {
+	regMu.RLock()
+	r, ok := registry[id]
+	regMu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("nf: no implementation registered for %v (missing import?)", id)
+	}
+	if config != "" && !slices.Contains(r.configs, config) {
+		return nil, fmt.Errorf("nf: unknown %v config %q (want %s)", id, config, strings.Join(r.configs, " or "))
+	}
+	return r.factory, nil
+}
+
+// CheckConfig reports whether function id is linked in and accepts config,
+// without building the function.
+func CheckConfig(id ID, config string) error {
+	_, err := lookup(id, config)
+	return err
 }
 
 // New instantiates function id with the given configuration. It fails if
 // the implementation package was not linked in or the config is unknown.
 func New(id ID, config string) (Function, RequestGen, error) {
-	regMu.RLock()
-	f, ok := registry[id]
-	regMu.RUnlock()
-	if !ok {
-		return nil, nil, fmt.Errorf("nf: no implementation registered for %v (missing import?)", id)
+	f, err := lookup(id, config)
+	if err != nil {
+		return nil, nil, err
 	}
 	return f(config)
 }

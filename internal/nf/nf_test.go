@@ -2,6 +2,7 @@ package nf
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -73,6 +74,21 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 		}
 	}()
 	Register(numIDs+1, func(string) (Function, RequestGen, error) { return nil, nil, nil })
+}
+
+func TestCheckConfig(t *testing.T) {
+	Register(numIDs+2, func(string) (Function, RequestGen, error) { return nil, nil, nil }, "a", "b")
+	for _, cfg := range []string{"", "a", "b"} {
+		if err := CheckConfig(numIDs+2, cfg); err != nil {
+			t.Errorf("config %q: %v", cfg, err)
+		}
+	}
+	if err := CheckConfig(numIDs+2, "c"); err == nil || !strings.Contains(err.Error(), `config "c" (want a or b)`) {
+		t.Errorf("config \"c\": err = %v", err)
+	}
+	if _, _, err := New(numIDs+2, "c"); err == nil {
+		t.Error("New accepted an unregistered config")
+	}
 }
 
 func TestRegisteredSorted(t *testing.T) {

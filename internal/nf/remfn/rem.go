@@ -288,8 +288,6 @@ func factory(config string) (nf.Function, nf.RequestGen, error) {
 		rs = RulesetTea
 	case "lite":
 		rs = RulesetLite
-	default:
-		return nil, nil, fmt.Errorf("remfn: unknown config %q (want tea or lite)", config)
 	}
 	f, err := NewFunc(rs)
 	if err != nil {
@@ -298,4 +296,4 @@ func factory(config string) (nf.Function, nf.RequestGen, error) {
 	return f, gen{ac: f.ac}, nil
 }
 
-func init() { nf.Register(nf.REM, factory) }
+func init() { nf.Register(nf.REM, factory, "tea", "lite") }

@@ -365,6 +365,14 @@ func prepare(cfg *Config, rc *RunConfig) error {
 	if rc.Duration <= 0 {
 		return fmt.Errorf("server: non-positive duration")
 	}
+	if err := nf.CheckConfig(cfg.Fn, cfg.FnConfig); err != nil {
+		return err
+	}
+	if cfg.PipelineOn {
+		if err := nf.CheckConfig(cfg.Pipeline, cfg.PipelineConfig); err != nil {
+			return err
+		}
+	}
 	if rc.Sizes == nil {
 		rc.Sizes = trace.MTUOnly()
 	}
