@@ -9,6 +9,7 @@ import (
 	"math/rand"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 )
 
 // Request layout: a bitmap of features, one bit per feature
@@ -120,7 +121,7 @@ type gen struct {
 	features int
 }
 
-func (g gen) Next(rng *rand.Rand) []byte {
+func (g gen) Next(rng *rng.Rand) []byte {
 	b := make([]byte, (g.features+7)/8)
 	rng.Read(b)
 	return b

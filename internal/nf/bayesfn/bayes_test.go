@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 )
 
 func TestModelShapes(t *testing.T) {
@@ -94,7 +95,7 @@ func TestFactory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(7))
+		rng := rng.New(7)
 		for i := 0; i < 20; i++ {
 			if _, err := fn.Process(gen.Next(rng)); err != nil {
 				t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 )
 
 // BM25 free parameters (standard Okapi defaults).
@@ -174,7 +175,7 @@ type gen struct {
 	vocab int
 }
 
-func (g gen) Next(rng *rand.Rand) []byte {
+func (g gen) Next(rng *rng.Rand) []byte {
 	n := 2 + rng.Intn(6)
 	b := make([]byte, 1+2*n)
 	b[0] = byte(n)

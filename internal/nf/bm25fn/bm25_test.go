@@ -2,10 +2,10 @@ package bm25fn
 
 import (
 	"encoding/binary"
-	"math/rand"
 	"testing"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 )
 
 func query(terms ...uint16) []byte {
@@ -124,7 +124,7 @@ func TestFactory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(8))
+		rng := rng.New(8)
 		for i := 0; i < 10; i++ {
 			if _, err := fn.Process(gen.Next(rng)); err != nil {
 				t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 
 	"halsim/internal/nf"
 	"halsim/internal/nf/compressfn/lzh"
+	"halsim/internal/rng"
 )
 
 // Op codes carried in the first request byte.
@@ -105,7 +106,7 @@ type gen struct {
 	chunk  int
 }
 
-func (g gen) Next(rng *rand.Rand) []byte {
+func (g gen) Next(rng *rng.Rand) []byte {
 	off := rng.Intn(len(g.corpus) - g.chunk)
 	b := make([]byte, 1+g.chunk)
 	b[0] = OpCompress

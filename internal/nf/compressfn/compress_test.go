@@ -2,11 +2,11 @@ package compressfn
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"halsim/internal/nf"
 	"halsim/internal/nf/compressfn/lzh"
+	"halsim/internal/rng"
 )
 
 func TestCompressDecompressRoundTrip(t *testing.T) {
@@ -88,7 +88,7 @@ func TestFactory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(5))
+		rng := rng.New(5)
 		for i := 0; i < 5; i++ {
 			if _, err := fn.Process(gen.Next(rng)); err != nil {
 				t.Fatal(err)

@@ -8,9 +8,9 @@ package countfn
 import (
 	"encoding/binary"
 	"errors"
-	"math/rand"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 )
 
 // Request layout: batch of 8-byte big-endian keys. Response layout: one
@@ -156,11 +156,11 @@ type gen struct {
 	keys  int
 }
 
-func (g gen) Next(rng *rand.Rand) []byte { return g.NextInto(rng, nil) }
+func (g gen) Next(rng *rng.Rand) []byte { return g.NextInto(rng, nil) }
 
 // NextInto implements nf.RequestGenInto: every byte of the returned slice
 // is written, so recycled buffers yield the identical request stream.
-func (g gen) NextInto(rng *rand.Rand, buf []byte) []byte {
+func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
 	b := nf.Reserve(buf, g.batch*keyLen)
 	for i := 0; i < g.batch; i++ {
 		// Zipf-ish skew: favor low keys, as flow counters do.

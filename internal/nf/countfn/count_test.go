@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 )
 
 func batch(keys ...uint64) []byte {
@@ -130,7 +131,7 @@ func TestFactory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(2))
+		rng := rng.New(2)
 		for i := 0; i < 20; i++ {
 			if _, err := fn.Process(gen.Next(rng)); err != nil {
 				t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 )
 
 // Algorithm selects the public-key operation.
@@ -133,11 +134,11 @@ type gen struct {
 	operandLen int
 }
 
-func (g gen) Next(rng *rand.Rand) []byte { return g.NextInto(rng, nil) }
+func (g gen) Next(rng *rng.Rand) []byte { return g.NextInto(rng, nil) }
 
 // NextInto implements nf.RequestGenInto: every byte of the returned slice
 // is written, so recycled buffers yield the identical request stream.
-func (g gen) NextInto(rng *rand.Rand, buf []byte) []byte {
+func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
 	b := nf.Reserve(buf, 1+g.operandLen)
 	switch rng.Intn(3) {
 	case 0:

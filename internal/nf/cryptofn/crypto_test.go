@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 )
 
 func TestParamsWellFormed(t *testing.T) {
@@ -121,7 +122,7 @@ func TestFactory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(9))
+	rng := rng.New(9)
 	for i := 0; i < 20; i++ {
 		if _, err := fn.Process(gen.Next(rng)); err != nil {
 			t.Fatal(err)

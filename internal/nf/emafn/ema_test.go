@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 )
 
 func rec(key uint64, sample float32) []byte {
@@ -112,7 +113,7 @@ func TestFactory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(3))
+		rng := rng.New(3)
 		for i := 0; i < 20; i++ {
 			if _, err := fn.Process(gen.Next(rng)); err != nil {
 				t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 )
 
 // Dim is the feature dimensionality of reference and query vectors.
@@ -160,11 +161,11 @@ func (f *Func) Process(req []byte) ([]byte, error) {
 
 type gen struct{}
 
-func (g gen) Next(rng *rand.Rand) []byte { return g.NextInto(rng, nil) }
+func (g gen) Next(rng *rng.Rand) []byte { return g.NextInto(rng, nil) }
 
 // NextInto implements nf.RequestGenInto: every byte of the returned slice
 // is written, so recycled buffers yield the identical request stream.
-func (gen) NextInto(rng *rand.Rand, buf []byte) []byte {
+func (gen) NextInto(rng *rng.Rand, buf []byte) []byte {
 	b := nf.Reserve(buf, 1+4*Dim)
 	b[0] = 5
 	for d := 0; d < Dim; d++ {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 )
 
 func queryBytes(k byte, x [Dim]float32) []byte {
@@ -132,7 +133,7 @@ func TestFactory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(6))
+		rng := rng.New(6)
 		for i := 0; i < 20; i++ {
 			if _, err := fn.Process(gen.Next(rng)); err != nil {
 				t.Fatal(err)

@@ -7,9 +7,9 @@ package kvsfn
 import (
 	"encoding/binary"
 	"errors"
-	"math/rand"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 )
 
 // Op codes carried in the first request byte.
@@ -177,7 +177,7 @@ type gen struct {
 	valSize int
 }
 
-func (g gen) Next(rng *rand.Rand) []byte {
+func (g gen) Next(rng *rng.Rand) []byte {
 	key := make([]byte, 16)
 	binary.BigEndian.PutUint64(key[8:], uint64(rng.Intn(g.keys)))
 	switch r := rng.Intn(100); {

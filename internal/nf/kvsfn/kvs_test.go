@@ -2,11 +2,11 @@ package kvsfn
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 )
 
 func TestReadMissThenInsertThenRead(t *testing.T) {
@@ -133,7 +133,7 @@ func TestFactory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(4))
+		rng := rng.New(4)
 		for i := 0; i < 100; i++ {
 			if _, err := fn.Process(gen.Next(rng)); err != nil {
 				t.Fatal(err)

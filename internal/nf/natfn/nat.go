@@ -6,9 +6,9 @@ package natfn
 import (
 	"encoding/binary"
 	"errors"
-	"math/rand"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 )
 
 // Request layout (12 bytes, big endian):
@@ -208,11 +208,11 @@ type gen struct {
 	fill  []byte
 }
 
-func (g gen) Next(rng *rand.Rand) []byte { return g.NextInto(rng, nil) }
+func (g gen) Next(rng *rng.Rand) []byte { return g.NextInto(rng, nil) }
 
 // NextInto implements nf.RequestGenInto: every byte of the returned slice
 // is written, so recycled buffers yield the identical request stream.
-func (g gen) NextInto(rng *rand.Rand, buf []byte) []byte {
+func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
 	b := nf.Reserve(buf, reqLen+len(g.fill))
 	flow := rng.Intn(g.flows)
 	binary.BigEndian.PutUint32(b[0:4], 0xC0A80000|uint32(flow>>8)) // 192.168.x.x

@@ -2,11 +2,11 @@ package natfn
 
 import (
 	"encoding/binary"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 )
 
 func req(ip uint32, port uint16) []byte {
@@ -137,7 +137,7 @@ func TestFactoryConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("config %q: %v", cfg, err)
 		}
-		rng := rand.New(rand.NewSource(1))
+		rng := rng.New(1)
 		for i := 0; i < 50; i++ {
 			if _, err := fn.Process(gen.Next(rng)); err != nil {
 				t.Fatalf("config %q: %v", cfg, err)

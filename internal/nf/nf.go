@@ -11,11 +11,12 @@ package nf
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+
+	"halsim/internal/rng"
 )
 
 // ID enumerates the benchmark functions.
@@ -104,14 +105,14 @@ type StateFunction interface {
 type RequestGen interface {
 	// Next returns the next request payload. Implementations draw from
 	// rng so that streams are reproducible per seed.
-	Next(rng *rand.Rand) []byte
+	Next(rng *rng.Rand) []byte
 }
 
 // RequestGenFunc adapts a function to RequestGen.
-type RequestGenFunc func(rng *rand.Rand) []byte
+type RequestGenFunc func(rng *rng.Rand) []byte
 
 // Next implements RequestGen.
-func (f RequestGenFunc) Next(rng *rand.Rand) []byte { return f(rng) }
+func (f RequestGenFunc) Next(rng *rng.Rand) []byte { return f(rng) }
 
 // RequestGenInto is optionally implemented by generators that can render a
 // request into a caller-supplied buffer. NextInto must consume rng
@@ -122,7 +123,7 @@ func (f RequestGenFunc) Next(rng *rand.Rand) []byte { return f(rng) }
 // is always an acceptable buffer.
 type RequestGenInto interface {
 	RequestGen
-	NextInto(rng *rand.Rand, buf []byte) []byte
+	NextInto(rng *rng.Rand, buf []byte) []byte
 }
 
 // Reserve returns buf resliced to n bytes when its capacity allows,

@@ -1,9 +1,10 @@
 package nf
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
+
+	"halsim/internal/rng"
 )
 
 func TestIDStrings(t *testing.T) {
@@ -101,8 +102,8 @@ func TestRegisteredSorted(t *testing.T) {
 }
 
 func TestRequestGenFunc(t *testing.T) {
-	g := RequestGenFunc(func(_ *rand.Rand) []byte { return []byte{7} })
-	if b := g.Next(rand.New(rand.NewSource(1))); len(b) != 1 || b[0] != 7 {
+	g := RequestGenFunc(func(*rng.Rand) []byte { return []byte{7} })
+	if b := g.Next(rng.New(1)); len(b) != 1 || b[0] != 7 {
 		t.Fatal("RequestGenFunc adapter broken")
 	}
 }

@@ -7,10 +7,10 @@ package nfconformance
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 
 	_ "halsim/internal/nf/bayesfn"
 	_ "halsim/internal/nf/bm25fn"
@@ -59,7 +59,7 @@ func TestGeneratorsProduceAcceptedRequests(t *testing.T) {
 			if fn.ID() != id {
 				t.Fatalf("function reports ID %v", fn.ID())
 			}
-			rng := rand.New(rand.NewSource(7))
+			rng := rng.New(7)
 			for i := 0; i < iterationsFor(id); i++ {
 				req := gen.Next(rng)
 				if len(req) == 0 {
@@ -90,7 +90,7 @@ func TestStatefulFunctionsExposeStateLines(t *testing.T) {
 		if !hasState {
 			continue
 		}
-		rng := rand.New(rand.NewSource(3))
+		rng := rng.New(3)
 		for i := 0; i < 50; i++ {
 			req := gen.Next(rng)
 			a := sf.StateLines(req)
@@ -118,7 +118,7 @@ func TestFreshInstancesIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(9))
+		rng := rng.New(9)
 		// Drive A hard, then check a fresh request produces the same
 		// first response on B as a brand-new third instance.
 		var reqs [][]byte
@@ -148,8 +148,8 @@ func TestSameSeedSameRequestStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ra := rand.New(rand.NewSource(4))
-		rb := rand.New(rand.NewSource(4))
+		ra := rng.New(4)
+		rb := rng.New(4)
 		for i := 0; i < 20; i++ {
 			if !bytes.Equal(genA.Next(ra), genB.Next(rb)) {
 				t.Errorf("%v: generators not deterministic per seed", id)
@@ -165,7 +165,7 @@ func TestProcessDoesNotMutateRequest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(5))
+		rng := rng.New(5)
 		for i := 0; i < 10; i++ {
 			req := gen.Next(rng)
 			orig := append([]byte(nil), req...)
@@ -201,8 +201,8 @@ func TestNextIntoMatchesNext(t *testing.T) {
 		}
 		covered[id] = true
 		t.Run(id.String(), func(t *testing.T) {
-			ra := rand.New(rand.NewSource(11))
-			rb := rand.New(rand.NewSource(11))
+			ra := rng.New(11)
+			rb := rng.New(11)
 			// A small first buffer exercises the allocating fallback;
 			// the largest request seen so far is recycled after that.
 			buf := make([]byte, 0, 16)

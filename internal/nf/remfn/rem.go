@@ -16,6 +16,7 @@ import (
 	"halsim/internal/nf"
 	"halsim/internal/nf/remfn/ahocorasick"
 	"halsim/internal/nf/remfn/rx"
+	"halsim/internal/rng"
 )
 
 // Ruleset identifies a compiled pattern set.
@@ -236,25 +237,6 @@ func (f *Func) Process(req []byte) ([]byte, error) {
 // byte; implants then overwrite a few spans with rule patterns.
 const filler = "GET /index.html HTTP/1.1 host: example.com accept: text/plain "
 
-// fillerMax is the rejection bound rand.(*Rand).Int31n uses for
-// n = len(filler): draws above it are redrawn so v%len(filler) is uniform.
-const fillerMax = uint32((1<<31 - 1) - (1<<31)%len(filler))
-
-// fill writes filler bytes into b with exactly the draws, and the bytes,
-// of b[i] = filler[rng.Intn(len(filler))]. The client shares one rng
-// between packet sizes, gaps, mix tags and payloads, so a generator may
-// not change its draws; this is Int31n inlined for the constant n, which
-// turns its two divisions per byte into a constant multiply.
-func fill(rng *rand.Rand, b []byte) {
-	for i := range b {
-		v := uint32(rng.Int63() >> 32)
-		for v > fillerMax {
-			v = uint32(rng.Int63() >> 32)
-		}
-		b[i] = filler[v%uint32(len(filler))]
-	}
-}
-
 // gen produces payloads resembling HTTP-ish traffic with occasional
 // implanted rule hits so match counts are non-trivial. The implants are
 // the compiled ruleset's own patterns.
@@ -262,14 +244,17 @@ type gen struct {
 	ac *ahocorasick.Automaton
 }
 
-func (g gen) Next(rng *rand.Rand) []byte { return g.NextInto(rng, nil) }
+func (g gen) Next(rng *rng.Rand) []byte { return g.NextInto(rng, nil) }
 
 // NextInto implements nf.RequestGenInto: every byte of the returned slice
 // is written, so recycled buffers yield the identical request stream.
-func (g gen) NextInto(rng *rand.Rand, buf []byte) []byte {
+func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
 	n := 200 + rng.Intn(1000)
 	b := nf.Reserve(buf, n)
-	fill(rng, b)
+	// Pick makes exactly the draws of filler[rng.Intn(len(filler))] per
+	// byte: the client shares rng with sizes, gaps and mix tags, so a
+	// generator may change how it computes bytes but not its draws.
+	rng.Pick(b, filler)
 	// implant 0-3 pattern occurrences
 	for k := rng.Intn(4); k > 0; k-- {
 		p := g.ac.Pattern(rng.Intn(g.ac.NumPatterns()))

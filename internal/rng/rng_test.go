@@ -1,0 +1,346 @@
+package rng
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// testSeeds are the seeds the exactness tests cover: every edge of
+// rngSource.Seed's reduction modulo 2**31-1 (zero and its replacement
+// 89482311, the modulus and its multiples, the int64 extremes) plus a
+// spread of ordinary seeds, 500 or more in all.
+func testSeeds() []int64 {
+	const m = 1<<31 - 1
+	seeds := []int64{
+		0, 1, -1, 89482311, -89482311,
+		m, -m, m - 1, -(m - 1), m + 1, -(m + 1),
+		2 * m, -2 * m, 3 * m, -3 * m, 1 << 31, -1 << 31,
+		1 << 62, -1 << 62, math.MaxInt64, math.MinInt64, math.MinInt64 + 1,
+		m * (math.MaxInt64 / m), -m * (math.MaxInt64 / m),
+	}
+	gen := rand.New(rand.NewSource(20240601))
+	for len(seeds) < 520 {
+		seeds = append(seeds, int64(gen.Uint64()))
+	}
+	return seeds
+}
+
+func TestSourceMatchesStd(t *testing.T) {
+	const draws = 5000
+	for _, seed := range testSeeds() {
+		got := newSource(seed)
+		want := rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < draws; i++ {
+			if i%3 == 0 {
+				if g, w := got.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("seed %d draw %d: Uint64 %d, math/rand %d", seed, i, g, w)
+				}
+				continue
+			}
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d draw %d: Int63 %d, math/rand %d", seed, i, g, w)
+			}
+		}
+	}
+}
+
+// TestSeededState compares the register itself, not only the stream: the
+// seeded register of a source equals the one rewound out of a fresh std
+// source, and reseeding a used source resets tap, feed and every word.
+func TestSeededState(t *testing.T) {
+	used := newSource(7)
+	for i := 0; i < 1000; i++ {
+		used.Uint64()
+	}
+	for _, seed := range testSeeds() {
+		want := seededRegister(rand.NewSource(seed).(rand.Source64))
+		s := newSource(seed)
+		if s.vec != want || s.tap != 0 || s.feed != regLen-regTap {
+			t.Fatalf("seed %d: seeded state differs from math/rand's", seed)
+		}
+		used.Seed(seed)
+		if *used != *s {
+			t.Fatalf("seed %d: reseeding a used source left stale state", seed)
+		}
+	}
+}
+
+// refPick is Pick written the plain way, one Intn per byte.
+func refPick(r *rand.Rand, b []byte, alphabet string) {
+	for i := range b {
+		b[i] = alphabet[r.Intn(len(alphabet))]
+	}
+}
+
+// alphabetOf returns an alphabet of n bytes.
+func alphabetOf(n int) string {
+	var sb strings.Builder
+	sb.Grow(n)
+	for i := 0; i < n; i++ {
+		sb.WriteByte(byte(i*7 + i>>8))
+	}
+	return sb.String()
+}
+
+// countSource counts the draws a reference rand.Rand makes, so a test can
+// assert that its data really exercises Intn's redraw.
+type countSource struct {
+	rand.Source
+	draws int
+}
+
+func (s *countSource) Int63() int64 { s.draws++; return s.Source.Int63() }
+
+// TestPickAlphabets checks Pick against the Intn loop over power-of-two and
+// other alphabet lengths, with every request split across several calls
+// at varying points. The 2**20+1 alphabet redraws about one draw in 2,000,
+// so its rows assert that redraws happened.
+func TestPickAlphabets(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 45, 62, 64, 1<<20 + 1} {
+		alphabet := alphabetOf(n)
+		redraws := 0
+		for seed := int64(0); seed < 60; seed++ {
+			got := New(seed)
+			cs := &countSource{Source: rand.NewSource(seed)}
+			want := rand.New(cs)
+			split := rand.New(rand.NewSource(^seed))
+			for req := 0; req < 8; req++ {
+				total := split.Intn(3000)
+				a, b := make([]byte, total), make([]byte, total)
+				for lo := 0; lo < total; {
+					hi := min(total, lo+split.Intn(700))
+					got.Pick(a[lo:hi], alphabet)
+					lo = hi
+				}
+				before := cs.draws
+				refPick(want, b, alphabet)
+				redraws += cs.draws - before - total
+				if !bytes.Equal(a, b) {
+					t.Fatalf("n %d seed %d request %d: Pick bytes differ from Intn", n, seed, req)
+				}
+			}
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("n %d seed %d: next draw %d, Intn reference %d", n, seed, g, w)
+			}
+		}
+		if n == 1<<20+1 && redraws == 0 {
+			t.Fatalf("n %d: no redraw exercised", n)
+		}
+	}
+}
+
+// TestPickPanicsLikeIntn: an empty alphabet panics as Intn(0) does, but
+// only when there is a byte to pick.
+func TestPickPanicsLikeIntn(t *testing.T) {
+	New(1).Pick(nil, "")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Pick with an empty alphabet did not panic")
+		}
+	}()
+	New(1).Pick(make([]byte, 1), "")
+}
+
+// force writes the register so that the next draws of s carry vs[0],
+// vs[1], ... in the 31 bits Int31n keeps. The bits it drops, the low word
+// and bit 63 (Int63 clears it), carry noise. Consecutive draws never read a
+// word an earlier one of them wrote, for fewer than regLen-regTap draws.
+func force(s *source, vs []int64) {
+	tap, feed := s.tap, s.feed
+	for k, v := range vs {
+		tap, feed = (tap+regLen-1)%regLen, (feed+regLen-1)%regLen
+		x := v<<32 | int64(uint32(0x9e3779b9*(k+1)))
+		if k%2 == 1 {
+			x |= math.MinInt64
+		}
+		s.vec[feed] = x - s.vec[tap]
+	}
+}
+
+// TestPickAtBound forces the draws Int31n decides at its rejection bound:
+// the largest value it accepts and the two above it, which it redraws. A
+// natural stream meets them about once in 2**31 draws. The forced draws sit
+// on both sides of tap and feed wraps, and the request is split across
+// calls; the reference must really make the forced draws and redraws.
+func TestPickAtBound(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 7, 45, 62, 64, 1000, 1<<20 + 1} {
+		alphabet := alphabetOf(n)
+		bound := int64(int32max - (1<<31)%n)
+		for _, order := range [][]int64{{0, 1, 2}, {1, 2, 0}, {2, 0, 1}} {
+			var vs []int64
+			redraws := 0
+			for _, d := range order {
+				if v := bound + d; v <= int32max {
+					vs = append(vs, v)
+					if d > 0 {
+						redraws++
+					}
+				}
+			}
+			for _, skip := range []int{0, 1, 332, 333, 334, 605, 606, 607, 1000} {
+				s := newSource(int64(n)<<16 ^ int64(skip))
+				for k := 0; k < skip; k++ {
+					s.Uint64()
+				}
+				force(s, vs)
+				chk := *s
+				for k, v := range vs {
+					if g := chk.Int63() >> 32; g != v {
+						t.Fatalf("n %d skip %d: forced draw %d is %d, want %d", n, skip, k, g, v)
+					}
+				}
+				ref := *s
+				cs := &countSource{Source: &ref}
+				want := rand.New(cs)
+				a, b := make([]byte, 8), make([]byte, 8)
+				s.pick(a[:1], alphabet)
+				s.pick(a[1:], alphabet)
+				refPick(want, b, alphabet)
+				if cs.draws < len(b)+redraws {
+					t.Fatalf("n %d skip %d %v: reference made %d draws, want at least %d", n, skip, order, cs.draws, len(b)+redraws)
+				}
+				if !bytes.Equal(a, b) {
+					t.Fatalf("n %d skip %d %v: pick bytes %v, Intn %v", n, skip, order, a, b)
+				}
+				if g, w := s.Int63(), want.Int63(); g != w {
+					t.Fatalf("n %d skip %d %v: next draw %d, Intn reference %d", n, skip, order, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestMethodMix interleaves Pick with the math/rand methods a generator
+// calls, Read included: rand.Rand buffers Read's leftover bytes, and Pick
+// draws straight from the source between Reads, as Intn does.
+func TestMethodMix(t *testing.T) {
+	alphabet := alphabetOf(62)
+	for _, seed := range testSeeds()[:120] {
+		got := New(seed)
+		want := rand.New(rand.NewSource(seed))
+		ops := rand.New(rand.NewSource(seed ^ 0x5eed))
+		for step := 0; step < 200; step++ {
+			var g, w float64
+			switch op := ops.Intn(8); op {
+			case 0:
+				g, w = float64(got.Intn(1000)), float64(want.Intn(1000))
+			case 1:
+				g, w = float64(got.Int31n(77)), float64(want.Int31n(77))
+			case 2:
+				g, w = got.Float64(), want.Float64()
+			case 3:
+				g, w = got.ExpFloat64(), want.ExpFloat64()
+			case 4:
+				g, w = got.NormFloat64(), want.NormFloat64()
+			case 5:
+				pg, pw := got.Perm(9), want.Perm(9)
+				for i := range pg {
+					if pg[i] != pw[i] {
+						t.Fatalf("seed %d step %d: Perm differs", seed, step)
+					}
+				}
+			case 6:
+				k := ops.Intn(13)
+				a, b := make([]byte, k), make([]byte, k)
+				got.Read(a)
+				want.Read(b)
+				if !bytes.Equal(a, b) {
+					t.Fatalf("seed %d step %d: Read differs", seed, step)
+				}
+			default:
+				k := ops.Intn(100)
+				a, b := make([]byte, k), make([]byte, k)
+				got.Pick(a, alphabet)
+				refPick(want, b, alphabet)
+				if !bytes.Equal(a, b) {
+					t.Fatalf("seed %d step %d: Pick differs from Intn", seed, step)
+				}
+			}
+			if g != w {
+				t.Fatalf("seed %d step %d: %v, math/rand %v", seed, step, g, w)
+			}
+		}
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("seed %d: next draw %d, math/rand %d", seed, g, w)
+		}
+	}
+}
+
+// FuzzPick renders one request in three Pick calls split at fuzzed points
+// and holds it to the Intn loop, bytes and next draw.
+func FuzzPick(f *testing.F) {
+	f.Add(int64(1), uint16(62), uint16(100), uint16(300), uint16(700))
+	f.Add(int64(1284911), uint16(62), uint16(400), uint16(50), uint16(500))
+	f.Add(int64(0), uint16(1), uint16(0), uint16(0), uint16(10))
+	f.Add(int64(-1), uint16(64), uint16(607), uint16(607), uint16(607))
+	f.Fuzz(func(t *testing.T, seed int64, n, a, b, c uint16) {
+		alphabet := alphabetOf(1 + int(n)%4096)
+		parts := []int{int(a) % 2048, int(b) % 2048, int(c) % 2048}
+		got := New(seed)
+		want := rand.New(rand.NewSource(seed))
+		var out []byte
+		for _, k := range parts {
+			p := make([]byte, k)
+			got.Pick(p, alphabet)
+			out = append(out, p...)
+		}
+		ref := make([]byte, len(out))
+		refPick(want, ref, alphabet)
+		if !bytes.Equal(out, ref) {
+			t.Fatalf("Pick bytes differ from Intn")
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("next draw %d, Intn reference %d", g, w)
+		}
+	})
+}
+
+var sink byte
+
+// BenchmarkPick renders 700 bytes, an average REM request, from a 62-byte
+// alphabet, the length of REM's filler; BenchmarkIntnLoop is the same fill
+// through rand.Rand's Intn.
+func BenchmarkPick(b *testing.B) {
+	r := New(1)
+	buf := make([]byte, 700)
+	alphabet := alphabetOf(62)
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Pick(buf, alphabet)
+	}
+	sink = buf[0]
+}
+
+func BenchmarkIntnLoop(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	buf := make([]byte, 700)
+	alphabet := alphabetOf(62)
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		refPick(r, buf, alphabet)
+	}
+	sink = buf[0]
+}
+
+var srcSink rand.Source
+
+// BenchmarkNewSource seeds a source; BenchmarkStdNewSource is the same
+// through math/rand.
+func BenchmarkNewSource(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		srcSink = newSource(int64(i))
+	}
+}
+
+func BenchmarkStdNewSource(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		srcSink = rand.NewSource(int64(i))
+	}
+}

@@ -1,10 +1,9 @@
 package server
 
 import (
-	"math/rand"
-
 	"halsim/internal/nf"
 	"halsim/internal/packet"
+	"halsim/internal/rng"
 	"halsim/internal/sim"
 	"halsim/internal/trace"
 )
@@ -32,7 +31,7 @@ const (
 // keeps up.
 type client struct {
 	eng  *sim.Engine
-	rng  *rand.Rand
+	rng  *rng.Rand
 	addr packet.Addr
 	dst  packet.Addr
 
@@ -113,7 +112,7 @@ func newClient(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, gen
 		mixFrac:       cfg.MixFraction,
 		mixFracBefore: cfg.MixFractionBefore,
 		mixShiftAt:    cfg.MixShiftAt,
-		rng:           rand.New(rand.NewSource(cfg.Seed + 9)),
+		rng:           rng.New(cfg.Seed + 9),
 		addr:          clientAddr,
 		dst:           snicAddr,
 		rateGbps:      rc.RateGbps,
@@ -181,7 +180,7 @@ func (c *client) scheduleNext() {
 		c.eng.ScheduleCall(c.epoch, c.rearmCall, nil, 0)
 		return
 	}
-	size := c.sizes.Sample(c.rng)
+	size := c.sizes.Sample(c.rng.Rand)
 	meanGapNS := float64(size) * 8 / c.rateGbps
 	gapF := c.rng.ExpFloat64() * meanGapNS
 	// Compare in the float domain: a near-zero epoch rate can push the
@@ -221,7 +220,7 @@ func (c *client) sendNext(_ any, n int64) {
 			c.eng.AtCall(t+c.epoch, c.rearmCall, nil, 0)
 			return
 		}
-		next := c.sizes.Sample(c.rng)
+		next := c.sizes.Sample(c.rng.Rand)
 		meanGapNS := float64(next) * 8 / c.rateGbps
 		gapF := c.rng.ExpFloat64() * meanGapNS
 		// Compare in the float domain: a near-zero epoch rate can push

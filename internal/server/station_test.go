@@ -1,13 +1,13 @@
 package server
 
 import (
-	"math/rand"
 	"testing"
 
 	"halsim/internal/core"
 	"halsim/internal/dpdk"
 	"halsim/internal/packet"
 	"halsim/internal/platform"
+	"halsim/internal/rng"
 	"halsim/internal/sim"
 	"halsim/internal/trace"
 )
@@ -226,7 +226,7 @@ func TestClientMeasuredWindowGating(t *testing.T) {
 
 // test helpers
 
-func newTestRand() *rand.Rand { return rand.New(rand.NewSource(1)) }
+func newTestRand() *rng.Rand { return rng.New(1) }
 
 func mtuSizes() *trace.SizeDist { return trace.MTUOnly() }
 
