@@ -80,7 +80,7 @@ func TestDirectorRewritesDivertedPackets(t *testing.T) {
 		t.Fatal("diverted packet must carry the host identity")
 	}
 	// Checksum must still verify after remarshal-parse.
-	q := p.Clone()
+	q := *p
 	if _, err := packet.Parse(q.Marshal()); err != nil {
 		t.Fatalf("rewritten packet invalid: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestMergerRewritesHostResponses(t *testing.T) {
 	if m.Merged != 1 || m.Passed != 0 {
 		t.Fatalf("merged/passed = %d/%d", m.Merged, m.Passed)
 	}
-	q := resp.Clone()
+	q := *resp
 	if _, err := packet.Parse(q.Marshal()); err != nil {
 		t.Fatalf("merged packet invalid: %v", err)
 	}

@@ -17,9 +17,6 @@ import (
 // default).
 const DefaultRingSize = 1024
 
-// DefaultBurst is the rte_eth_rx_burst batch size.
-const DefaultBurst = 32
-
 // RxQueue is one bounded Rx ring. Arriving packets beyond capacity are
 // tail-dropped, as a NIC does when descriptors run out. The backing buffer
 // starts at minRingAlloc slots and doubles on demand up to the capacity,
@@ -97,25 +94,6 @@ func (q *RxQueue) grow() {
 	q.buf, q.head = buf, 0
 }
 
-// BurstInto removes up to max packets — rte_eth_rx_burst — appending them
-// to dst (typically dst[:0] of a retained slice) so a polling loop bursts
-// without per-call allocation once the buffer has grown.
-func (q *RxQueue) BurstInto(dst []*packet.Packet, max int) []*packet.Packet {
-	n := q.count
-	if n > max {
-		n = max
-	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, q.buf[q.head])
-		q.buf[q.head] = nil
-		if q.head++; q.head == len(q.buf) {
-			q.head = 0
-		}
-	}
-	q.count -= n
-	return dst
-}
-
 // Pop removes and returns the head packet, or nil when empty.
 func (q *RxQueue) Pop() *packet.Packet {
 	if q.count == 0 {
@@ -190,16 +168,6 @@ func (p *Port) MaxOccupancy() int {
 		}
 	}
 	return max
-}
-
-// Occupancies appends every ring's current occupancy to dst (pass dst[:0]
-// of a retained buffer to snapshot without allocating) — the telemetry
-// timeline's per-queue depth export.
-func (p *Port) Occupancies(dst []int) []int {
-	for _, q := range p.queues {
-		dst = append(dst, q.Count())
-	}
-	return dst
 }
 
 // TotalBacklog sums occupancy over all rings.

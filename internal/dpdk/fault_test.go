@@ -14,7 +14,7 @@ func TestRxFaultDropsAtProbability(t *testing.T) {
 		if deliver(p, pkt(i)) {
 			accepted++
 			// keep rings from tail-dropping
-			p.Queue(int(i%2)).BurstInto(nil, DefaultBurst)
+			burst(p.Queue(int(i%2)), nil, burstSize)
 		}
 	}
 	dropped := p.TotalFaultDrops()

@@ -126,6 +126,16 @@ type RequestGenInto interface {
 	NextInto(rng *rng.Rand, buf []byte) []byte
 }
 
+// RequestGenLen is optionally implemented by generators that can make a
+// request's draws without rendering its bytes. NextLen must consume rng
+// exactly as Next does and return the length of the payload Next would
+// have returned, so a client that reads no payload byte keeps every later
+// draw in step while skipping the bytes.
+type RequestGenLen interface {
+	RequestGen
+	NextLen(rng *rng.Rand) int
+}
+
 // Reserve returns buf resliced to n bytes when its capacity allows,
 // otherwise a fresh allocation. NextInto implementations use it as their
 // common prologue.

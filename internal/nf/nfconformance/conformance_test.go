@@ -231,3 +231,49 @@ func TestNextIntoMatchesNext(t *testing.T) {
 		}
 	}
 }
+
+// TestNextLenMatchesNext holds every dry generator to the nf.RequestGenLen
+// contract: at each seed, NextLen returns the length Next's request has,
+// request by request, and both leave the rng at the same point. The seeds
+// include 1284911 and 1260503, whose streams redraw a REM filler byte.
+func TestNextLenMatchesNext(t *testing.T) {
+	seeds := []int64{1284911, 1260503}
+	for seed := int64(0); seed < 60; seed++ {
+		seeds = append(seeds, seed)
+	}
+	covered := map[nf.ID]bool{}
+	for _, id := range nf.All {
+		for _, config := range []string{"", "lite"} {
+			if nf.CheckConfig(id, config) != nil {
+				continue
+			}
+			_, genA, err := nf.New(id, config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, genB, err := nf.New(id, config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dry, ok := genB.(nf.RequestGenLen)
+			if !ok {
+				continue
+			}
+			covered[id] = true
+			for _, seed := range seeds {
+				ra, rb := rng.New(seed), rng.New(seed)
+				for i := 0; i < 20; i++ {
+					if got, want := dry.NextLen(rb), len(genA.Next(ra)); got != want {
+						t.Fatalf("%v %q seed %d request %d: NextLen %d, Next %d bytes", id, config, seed, i, got, want)
+					}
+				}
+				if a, b := ra.Int63(), rb.Int63(); a != b {
+					t.Fatalf("%v %q seed %d: next draw after Next %d, after NextLen %d", id, config, seed, a, b)
+				}
+			}
+		}
+	}
+	if !covered[nf.REM] {
+		t.Errorf("%v no longer implements nf.RequestGenLen", nf.REM)
+	}
+}

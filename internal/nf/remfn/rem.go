@@ -266,6 +266,19 @@ func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
 	return b
 }
 
+// NextLen implements nf.RequestGenLen: NextInto's draws, the filler's and
+// the implants', without a byte of the payload.
+func (g gen) NextLen(rng *rng.Rand) int {
+	n := 200 + rng.Intn(1000)
+	rng.Skip(n, len(filler))
+	for k := rng.Intn(4); k > 0; k-- {
+		if p := g.ac.Pattern(rng.Intn(g.ac.NumPatterns())); len(p) < n {
+			rng.Intn(n - len(p))
+		}
+	}
+	return n
+}
+
 func factory(config string) (nf.Function, nf.RequestGen, error) {
 	rs := RulesetTea
 	switch config {

@@ -379,3 +379,19 @@ func BenchmarkGenNextInto(b *testing.B) {
 		buf = gi.NextInto(rng, buf)
 	}
 }
+
+// BenchmarkGenNextLen makes BenchmarkGenNextInto's draws without its bytes:
+// the per-packet payload cost of a client that reads no payload.
+func BenchmarkGenNextLen(b *testing.B) {
+	_, g, err := nf.New(nf.REM, "tea")
+	if err != nil {
+		b.Fatal(err)
+	}
+	gl := g.(nf.RequestGenLen)
+	rng := rng.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gl.NextLen(rng)
+	}
+}

@@ -144,13 +144,6 @@ func (p *Packet) reset(src, dst Addr, srcPort, dstPort uint16, payload []byte) {
 	}
 }
 
-// Clone returns a deep copy (payload included).
-func (p *Packet) Clone() *Packet {
-	q := *p
-	q.Payload = append([]byte(nil), p.Payload...)
-	return &q
-}
-
 var (
 	// ErrTruncated reports a frame shorter than its headers claim.
 	ErrTruncated = errors.New("packet: truncated frame")

@@ -194,6 +194,44 @@ func (s *source) pick(b []byte, alphabet string) {
 	s.tap, s.feed = tap, feed
 }
 
+// skip makes the draws pick makes on n bytes over an alphabet of length
+// alphabetLen, redraws included, without computing a byte. A skip needs
+// only how many draws were rejected, not which: each segment makes at most
+// as many draws as bytes remain, never one too many, and every rejected
+// draw adds one more to make.
+func (s *source) skip(n, alphabetLen int) {
+	if n <= 0 {
+		return
+	}
+	if alphabetLen <= 0 || alphabetLen > int32max {
+		panic("rng: invalid alphabet length for Skip")
+	}
+	bound := uint32(int32max - (1<<31)%uint64(alphabetLen))
+	tap, feed := s.tap, s.feed
+	for n > 0 {
+		if tap == 0 {
+			tap = regLen
+		}
+		if feed == 0 {
+			feed = regLen
+		}
+		k := min(tap, feed, n)
+		fs, ts := s.vec[feed-k:feed], s.vec[tap-k:tap]
+		ts = ts[:len(fs)]
+		rejected := 0
+		for j := len(fs) - 1; j >= 0; j-- {
+			x := fs[j] + ts[j]
+			fs[j] = x
+			if uint32(uint64(x)<<1>>33) > bound {
+				rejected++
+			}
+		}
+		tap, feed = tap-k, feed-k
+		n -= k - rejected
+	}
+	s.tap, s.feed = tap, feed
+}
+
 // Rand is a rand.Rand over a concrete source: every math/rand method draws
 // from the same stream, and Pick renders bytes from it without an interface
 // call per draw. rand.Rand keeps state between calls only for Read, and
@@ -216,3 +254,9 @@ func New(seed int64) *Rand {
 // 2**31. Like the Intn loop, it panics on an empty alphabet only when b is
 // not empty.
 func (r *Rand) Pick(b []byte, alphabet string) { r.src.pick(b, alphabet) }
+
+// Skip makes exactly the draws Pick makes on n bytes over an alphabet of
+// length alphabetLen, redraws included, and computes no byte: a caller that
+// needs a request's draws but not its bytes keeps the stream in step. Like
+// Pick, it panics on an invalid alphabet length only when n > 0.
+func (r *Rand) Skip(n, alphabetLen int) { r.src.skip(n, alphabetLen) }

@@ -213,6 +213,118 @@ func TestPickAtBound(t *testing.T) {
 	}
 }
 
+// TestSkipMatchesPick holds Skip to Pick on the register itself: after
+// every request length from 0 to 5,000, a source that picked and one that
+// skipped hold the same words, tap and feed. The requests run back to back,
+// so they start at every phase of the register and cross many tap and feed
+// wraps. The 2**20+1 alphabet redraws about one draw in 2,000; an Intn
+// reference alongside asserts that redraws happened.
+func TestSkipMatchesPick(t *testing.T) {
+	for _, n := range []int{1, 62, 1<<20 + 1} {
+		alphabet := alphabetOf(n)
+		picked, skipped := New(int64(n)), New(int64(n))
+		cs := &countSource{Source: rand.NewSource(int64(n))}
+		want := rand.New(cs)
+		buf := make([]byte, 5000)
+		total := 0
+		for k := 0; k <= len(buf); k++ {
+			picked.Pick(buf[:k], alphabet)
+			skipped.Skip(k, n)
+			if *picked.src != *skipped.src {
+				t.Fatalf("n %d: registers differ after a %d-byte request", n, k)
+			}
+			if n != 1<<20+1 {
+				continue
+			}
+			refPick(want, buf[:k], alphabet)
+			total += k
+		}
+		if g, w := skipped.Int63(), picked.Int63(); g != w {
+			t.Fatalf("n %d: next draw after Skip %d, after Pick %d", n, g, w)
+		}
+		if n == 1<<20+1 && cs.draws == total {
+			t.Fatalf("n %d: no redraw exercised", n)
+		}
+	}
+}
+
+// TestSkipRedrawSeeds skips across the natural redraws of REM's 62-byte
+// filler: draw #456 of seed 1284911 and #852 of seed 1260503 exceed
+// Intn(62)'s bound. Requests of every length up to 1,000 start at each
+// seed, split in two at varying points, and must end where the Intn loop
+// ends, the reference having really redrawn.
+func TestSkipRedrawSeeds(t *testing.T) {
+	alphabet := alphabetOf(62)
+	for _, seed := range []int64{1284911, 1260503} {
+		redrawn := false
+		for k := 0; k <= 1000; k++ {
+			got := New(seed)
+			cs := &countSource{Source: rand.NewSource(seed)}
+			want := rand.New(cs)
+			got.Skip(k/3, len(alphabet))
+			got.Skip(k-k/3, len(alphabet))
+			refPick(want, make([]byte, k), alphabet)
+			redrawn = redrawn || cs.draws > k
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d len %d: next draw %d, Intn reference %d", seed, k, g, w)
+			}
+		}
+		if !redrawn {
+			t.Fatalf("seed %d: the reference no longer redraws", seed)
+		}
+	}
+}
+
+// TestSkipAtBound forces the draws Int31n decides at its rejection bound,
+// as TestPickAtBound does, and holds Skip to Pick and the Intn loop on
+// them: the same register afterwards and the same next draw.
+func TestSkipAtBound(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 7, 45, 62, 64, 1000, 1<<20 + 1} {
+		alphabet := alphabetOf(n)
+		bound := int64(int32max - (1<<31)%n)
+		for _, order := range [][]int64{{0, 1, 2}, {1, 2, 0}, {2, 0, 1}} {
+			var vs []int64
+			for _, d := range order {
+				if v := bound + d; v <= int32max {
+					vs = append(vs, v)
+				}
+			}
+			for _, skip := range []int{0, 1, 332, 333, 334, 605, 606, 607, 1000} {
+				s := newSource(int64(n)<<16 ^ int64(skip))
+				for k := 0; k < skip; k++ {
+					s.Uint64()
+				}
+				force(s, vs)
+				picked, ref := *s, *s
+				want := rand.New(&ref)
+				s.skip(1, n)
+				s.skip(7, n)
+				picked.pick(make([]byte, 8), alphabet)
+				refPick(want, make([]byte, 8), alphabet)
+				if *s != picked {
+					t.Fatalf("n %d skip %d %v: Skip and Pick leave different registers", n, skip, order)
+				}
+				if g, w := s.Int63(), want.Int63(); g != w {
+					t.Fatalf("n %d skip %d %v: next draw %d, Intn reference %d", n, skip, order, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestSkipPanicsLikePick: an invalid alphabet length panics, but only when
+// there is a byte to skip.
+func TestSkipPanicsLikePick(t *testing.T) {
+	New(1).Skip(0, 0)
+	New(1).Skip(-1, 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Skip with an empty alphabet did not panic")
+		}
+	}()
+	New(1).Skip(1, 0)
+}
+
 // TestMethodMix interleaves Pick with the math/rand methods a generator
 // calls, Read included: rand.Rand buffers Read's leftover bytes, and Pick
 // draws straight from the source between Reads, as Intn does.
@@ -298,6 +410,31 @@ func FuzzPick(f *testing.F) {
 	})
 }
 
+// FuzzSkip skips one request in three calls split at fuzzed points and
+// holds it to the Intn loop over the same bytes: the next draw must agree.
+func FuzzSkip(f *testing.F) {
+	f.Add(int64(1), uint16(62), uint16(100), uint16(300), uint16(700))
+	f.Add(int64(1284911), uint16(62), uint16(400), uint16(50), uint16(500))
+	f.Add(int64(1260503), uint16(62), uint16(852), uint16(1), uint16(1))
+	f.Add(int64(0), uint16(1), uint16(0), uint16(0), uint16(10))
+	f.Add(int64(-1), uint16(64), uint16(607), uint16(607), uint16(607))
+	f.Fuzz(func(t *testing.T, seed int64, n, a, b, c uint16) {
+		alphabet := alphabetOf(1 + int(n)%4096)
+		parts := []int{int(a) % 2048, int(b) % 2048, int(c) % 2048}
+		got := New(seed)
+		want := rand.New(rand.NewSource(seed))
+		total := 0
+		for _, k := range parts {
+			got.Skip(k, len(alphabet))
+			total += k
+		}
+		refPick(want, make([]byte, total), alphabet)
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("next draw %d, Intn reference %d", g, w)
+		}
+	})
+}
+
 var sink byte
 
 // BenchmarkPick renders 700 bytes, an average REM request, from a 62-byte
@@ -313,6 +450,15 @@ func BenchmarkPick(b *testing.B) {
 		r.Pick(buf, alphabet)
 	}
 	sink = buf[0]
+}
+
+// BenchmarkSkip makes the draws of BenchmarkPick's fill without its bytes.
+func BenchmarkSkip(b *testing.B) {
+	r := New(1)
+	b.SetBytes(700)
+	for i := 0; i < b.N; i++ {
+		r.Skip(700, 62)
+	}
 }
 
 func BenchmarkIntnLoop(b *testing.B) {

@@ -69,9 +69,6 @@ func (n *Node) Get(key string) *Node {
 	return n.children[key]
 }
 
-// Has reports whether the mapping has the key.
-func (n *Node) Has(key string) bool { return n.Get(key) != nil }
-
 // Scalar returns the node's scalar value.
 func (n *Node) Scalar() (string, error) {
 	if n == nil {

@@ -37,13 +37,8 @@ type client struct {
 
 	rateGbps float64
 	sizes    *trace.SizeDist
-	gen      nf.RequestGen // optional: real request payloads
-	genAlt   nf.RequestGen // payloads for mix-tagged packets
-	// genInto/genAltInto are the buffer-reusing views of gen/genAlt,
-	// non-nil when the generator implements nf.RequestGenInto; send then
-	// renders payloads into buffers banked by the packet pool.
-	genInto    nf.RequestGenInto
-	genAltInto nf.RequestGenInto
+	gen      payloadGen // optional: real request payloads
+	genAlt   payloadGen // payloads for mix-tagged packets
 	// emit hands a freshly created packet to the server at its arrival
 	// time. With burst coalescing the handler may run before at — the
 	// receiver must schedule the packet's first hop at absolute at-relative
@@ -100,11 +95,61 @@ type offered struct {
 	totalBytes uint64
 }
 
+// payloadGen makes one function's request payloads.
+type payloadGen struct {
+	gen nf.RequestGen
+	// into is gen's buffer-reusing view, non-nil when gen implements
+	// nf.RequestGenInto: payloads render into buffers banked by the pool.
+	into nf.RequestGenInto
+	// dry is gen's draw-only view, non-nil when gen implements
+	// nf.RequestGenLen and nothing in the run reads the payload: the
+	// request then makes its draws and carries only its length.
+	dry nf.RequestGenLen
+}
+
+func newPayloadGen(gen nf.RequestGen, unread bool) payloadGen {
+	g := payloadGen{gen: gen}
+	g.into, _ = gen.(nf.RequestGenInto)
+	if unread {
+		g.dry, _ = gen.(nf.RequestGenLen)
+	}
+	return g
+}
+
+// functions are a run's network functions and their request generators:
+// the primary function, and with Config.MixOn the mix function whose
+// payloads FnTag 1 packets carry.
+type functions struct {
+	fn, mix     nf.Function
+	gen, mixGen nf.RequestGen
+}
+
+func newFunctions(cfg Config) (functions, error) {
+	var f functions
+	var err error
+	f.fn, f.gen, err = nf.New(cfg.Fn, cfg.FnConfig)
+	if err == nil && cfg.MixOn {
+		f.mix, f.mixGen, err = nf.New(cfg.MixFn, "")
+	}
+	return f, err
+}
+
+// stateConsumer returns fn as a StateLines consumer when it keeps state
+// and cfg.Fabric gives that state a shared region, else nil. Outside
+// Config.Functional, which runs every function on every payload, it is the
+// only reader of payload bytes, and it reads only the primary function's.
+func stateConsumer(fn nf.Function, cfg Config) nf.StateFunction {
+	if sf, ok := fn.(nf.StateFunction); ok && cfg.Fabric != nil {
+		return sf
+	}
+	return nil
+}
+
 // newClient builds the run's client on eng and pool: requests carry
-// payloads from gen (plus the mix function's generator when cfg.MixOn),
-// and each packet is handed to emit at its arrival instant. cfg and rc
-// must be normalized.
-func newClient(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, gen nf.RequestGen, emit func(*packet.Packet, sim.Time)) (*client, error) {
+// payloads from f's generators, and each packet is handed to emit at its
+// arrival instant. A generator that can skip its bytes does so when
+// nothing in the run reads them. cfg and rc must be normalized.
+func newClient(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, f functions, emit func(*packet.Packet, sim.Time)) (*client, error) {
 	c := &client{
 		eng:           eng,
 		pool:          pool,
@@ -117,17 +162,13 @@ func newClient(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, gen
 		dst:           snicAddr,
 		rateGbps:      rc.RateGbps,
 		sizes:         rc.Sizes,
-		gen:           gen,
+		gen:           newPayloadGen(f.gen, !cfg.Functional && stateConsumer(f.fn, cfg) == nil),
 		emit:          emit,
 		epoch:         rc.Epoch,
 		endAt:         rc.Duration,
 	}
-	if cfg.MixOn {
-		_, genAlt, err := nf.New(cfg.MixFn, "")
-		if err != nil {
-			return nil, err
-		}
-		c.genAlt = genAlt
+	if f.mixGen != nil {
+		c.genAlt = newPayloadGen(f.mixGen, !cfg.Functional)
 	}
 	if rc.Workload != nil {
 		g, err := trace.New(*rc.Workload, cfg.Seed+17)
@@ -143,8 +184,6 @@ func newClient(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, gen
 func (c *client) start() {
 	c.sendNextCall = c.sendNext
 	c.rearmCall = c.rearm
-	c.genInto, _ = c.gen.(nf.RequestGenInto)
-	c.genAltInto, _ = c.genAlt.(nf.RequestGenInto)
 	if c.tracegen != nil {
 		c.rateGbps = c.tracegen.NextRateGbps()
 		c.ticker = c.eng.Every(c.epoch, func() {
@@ -269,25 +308,28 @@ func (c *client) sendAt(size int, at sim.Time) {
 	if frac > 0 && c.rng.Float64() < frac {
 		tag = 1
 	}
+	g := &c.gen
+	if tag == 1 && c.genAlt.gen != nil {
+		g = &c.genAlt
+	}
+	// The dry path makes the payload's draws and keeps only its length.
 	var payload []byte
-	if tag == 1 && c.genAlt != nil {
-		if c.genAltInto != nil {
-			payload = c.genAltInto.NextInto(c.rng, c.pool.GetBuf())
-		} else {
-			payload = c.genAlt.Next(c.rng)
-		}
-	} else if c.gen != nil {
-		if c.genInto != nil {
-			payload = c.genInto.NextInto(c.rng, c.pool.GetBuf())
-		} else {
-			payload = c.gen.Next(c.rng)
-		}
+	n := 0
+	switch {
+	case g.dry != nil:
+		n = g.dry.NextLen(c.rng)
+	case g.into != nil:
+		payload = g.into.NextInto(c.rng, c.pool.GetBuf())
+		n = len(payload)
+	case g.gen != nil:
+		payload = g.gen.Next(c.rng)
+		n = len(payload)
 	}
 	c.seq++
 	p := c.pool.Get(c.addr, c.dst, uint16(4000+c.seq%1000), 9000, payload)
 	p.ID = c.seq
 	p.WireLen = size
-	if real := len(payload) + packet.HeaderOverhead; real > p.WireLen {
+	if real := n + packet.HeaderOverhead; real > p.WireLen {
 		p.WireLen = real
 	}
 	p.FnTag = tag

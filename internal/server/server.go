@@ -453,8 +453,10 @@ type run struct {
 	toSNICCall     sim.Call
 	toHostCall     sim.Call
 
-	fn      nf.Function
-	gen     nf.RequestGen
+	// fn is the run's function, mix the function mix-tagged packets carry
+	// (nil without Config.MixOn), fn2 a pipeline's second stage, and
+	// stateFn fn's StateLines consumer, nil when nothing reads fn's state.
+	fn, mix nf.Function
 	fn2     nf.Function
 	stateFn nf.StateFunction
 
@@ -564,14 +566,12 @@ func (r *run) build() error {
 	}
 	r.toSNICCall = func(a any, _ int64) { r.snic.first.enqueue(a.(*packet.Packet)) }
 	r.toHostCall = func(a any, _ int64) { r.host.first.enqueue(a.(*packet.Packet)) }
-	var err error
-	r.fn, r.gen, err = nf.New(cfg.Fn, cfg.FnConfig)
+	fns, err := newFunctions(cfg)
 	if err != nil {
 		return err
 	}
-	if sf, ok := r.fn.(nf.StateFunction); ok && cfg.Fabric != nil {
-		r.stateFn = sf
-	}
+	r.fn, r.mix = fns.fn, fns.mix
+	r.stateFn = stateConsumer(r.fn, cfg)
 	if cfg.PipelineOn {
 		r.fn2, _, err = nf.New(cfg.Pipeline, cfg.PipelineConfig)
 		if err != nil {
@@ -779,7 +779,7 @@ func (r *run) build() error {
 	if r.embedded {
 		r.off = new(offered)
 	} else {
-		r.cli, err = newClient(cfg, r.rc, r.eng, r.pool, r.gen, r.ingress)
+		r.cli, err = newClient(cfg, r.rc, r.eng, r.pool, fns, r.ingress)
 		if err != nil {
 			return err
 		}
@@ -848,9 +848,14 @@ func (r *run) arriveHost(p *packet.Packet) {
 // and wire delivery run.
 func (r *run) complete(p *packet.Packet, onSNIC bool) {
 	if r.cfg.Functional {
-		// Really execute the function(s): the first stage's output feeds
-		// the second, as in the paper's pipelined scenario (§VII-B).
-		out, err := r.fn.Process(p.Payload)
+		// Really execute the function(s): a mix-tagged packet carries the
+		// mix function's request, and the first stage's output feeds the
+		// second, as in the paper's pipelined scenario (§VII-B).
+		fn := r.fn
+		if p.FnTag == 1 && r.mix != nil {
+			fn = r.mix
+		}
+		out, err := fn.Process(p.Payload)
 		if err != nil {
 			r.funcErrs++
 		} else if r.fn2 != nil {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"halsim/internal/nf"
 	"halsim/internal/packet"
 	"halsim/internal/sim"
 )
@@ -25,11 +24,11 @@ func Normalize(cfg *Config, rc *RunConfig) error { return prepare(cfg, rc) }
 // each request at its arrival instant, which burst coalescing may place
 // ahead of the engine clock.
 func NewTrafficSource(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, emit func(*packet.Packet, sim.Time)) (*TrafficSource, error) {
-	_, gen, err := nf.New(cfg.Fn, cfg.FnConfig)
+	f, err := newFunctions(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c, err := newClient(cfg, rc, eng, pool, gen, emit)
+	c, err := newClient(cfg, rc, eng, pool, f, emit)
 	if err != nil {
 		return nil, err
 	}

@@ -10,15 +10,11 @@ import "testing"
 func TestRecordPathsAllocationFree(t *testing.T) {
 	h := NewHistogram()
 	m := NewRateMeter(int64(1e6))
-	e := NewEWMA(0.2)
-	var w Welford
 	// Warm up so lazily sized internals (histogram buckets) exist.
 	h.Record(12345)
 	h.RecordN(99, 3)
 	m.Add(1)
 	m.Roll()
-	e.Update(1.0)
-	w.Add(1.0)
 
 	// Merge source and ForEachBucket callback are prebound so the pins
 	// measure the methods themselves, not test-harness captures.
@@ -42,8 +38,6 @@ func TestRecordPathsAllocationFree(t *testing.T) {
 		{"Histogram.ForEachBucket", func() { h.ForEachBucket(visit) }},
 		{"RateMeter.Add", func() { m.Add(5) }},
 		{"RateMeter.Roll", func() { _ = m.Roll() }},
-		{"EWMA.Update", func() { _ = e.Update(2.5) }},
-		{"Welford.Add", func() { w.Add(3.5) }},
 	}
 	for _, c := range cases {
 		if avg := testing.AllocsPerRun(200, c.fn); avg != 0 {

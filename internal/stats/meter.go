@@ -1,16 +1,13 @@
 package stats
 
-import "math"
-
 // RateMeter measures an event/byte rate over fixed windows, mirroring the
 // traffic monitor in the paper: a counter is incremented on every
 // observation and sampled/reset every window. Rates are reported in units
 // per second of simulated time.
 type RateMeter struct {
-	windowNS   int64
-	count      int64 // accumulating in the open window
-	lastRate   float64
-	haveSample bool
+	windowNS int64
+	count    int64 // accumulating in the open window
+	lastRate float64
 }
 
 // NewRateMeter returns a meter with the given sampling window in
@@ -30,79 +27,9 @@ func (m *RateMeter) Add(n int64) { m.count += n }
 func (m *RateMeter) Roll() float64 {
 	m.lastRate = float64(m.count) / (float64(m.windowNS) / 1e9)
 	m.count = 0
-	m.haveSample = true
 	return m.lastRate
 }
 
 // Rate returns the most recently closed window's rate (0 before the first
 // Roll).
 func (m *RateMeter) Rate() float64 { return m.lastRate }
-
-// HaveSample reports whether at least one window has closed.
-func (m *RateMeter) HaveSample() bool { return m.haveSample }
-
-// WindowNS returns the configured window size.
-func (m *RateMeter) WindowNS() int64 { return m.windowNS }
-
-// EWMA is an exponentially weighted moving average used by policies that
-// want a smoothed view of a noisy rate signal.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1]. Larger
-// alpha weights recent samples more.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: EWMA alpha out of (0,1]")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Update folds a sample in and returns the new average.
-func (e *EWMA) Update(v float64) float64 {
-	if !e.init {
-		e.value = v
-		e.init = true
-		return v
-	}
-	e.value = e.alpha*v + (1-e.alpha)*e.value
-	return e.value
-}
-
-// Value returns the current average (0 before any update).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Welford accumulates streaming mean and variance.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation in.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the observation count.
-func (w *Welford) N() uint64 { return w.n }
-
-// Mean returns the running mean (0 when empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the population variance (0 with fewer than 2 samples).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Stddev returns the population standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }

@@ -90,9 +90,6 @@ func NewTimeline(period sim.Time, capacity int) *Timeline {
 	}
 }
 
-// Period returns the sampling tick.
-func (tl *Timeline) Period() sim.Time { return tl.period }
-
 // RecordLatency folds one completed round trip (in ns) into the open tick
 // window's distribution. Called once per delivered response when the
 // timeline is enabled.
