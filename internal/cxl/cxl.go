@@ -124,15 +124,6 @@ func (f *Fabric) Access(node coherence.NodeID, line uint64, write bool) sim.Time
 	return f.outcomeCost(f.dir.Read(node, line))
 }
 
-// AccessAll charges a batch of line accesses and returns the total time.
-func (f *Fabric) AccessAll(node coherence.NodeID, lines []uint64, write bool) sim.Time {
-	var total sim.Time
-	for _, l := range lines {
-		total += f.Access(node, l, write)
-	}
-	return total
-}
-
 // AccessOverlapped charges a batch of line accesses issued with full
 // memory-level parallelism: all misses are outstanding simultaneously, so
 // the batch costs as much as its single most expensive access. Modern

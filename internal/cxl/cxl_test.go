@@ -85,21 +85,6 @@ func TestCXLBeatsPCIeForSharedState(t *testing.T) {
 	}
 }
 
-func TestAccessAll(t *testing.T) {
-	f := NewFabric(CXL, 2)
-	lines := []uint64{1, 2, 3}
-	total := f.AccessAll(0, lines, false)
-	if total != 3*f.Costs.MemoryNS {
-		t.Fatalf("batch cold = %v", total)
-	}
-	if f.Directory().Lines() != 3 {
-		t.Fatal("directory should track all lines")
-	}
-	if f.AccessAll(0, nil, true) != 0 {
-		t.Fatal("empty batch should be free")
-	}
-}
-
 func TestDirectoryStatsExposed(t *testing.T) {
 	f := NewFabric(CXL, 2)
 	f.Access(0, 1, false)

@@ -59,11 +59,9 @@ func compareCases() []compareCase {
 	}
 }
 
-// measureMaxPoint finds a platform's saturation throughput, then remeasures
-// p99/power at 85% of it — the paper's "maximum sustainable throughput
-// point" methodology (§III-A).
+// measureMaxPoint is maxSustainablePoint for one compare case on one side.
 func measureMaxPoint(mode server.Mode, c compareCase, opt Options) (PlatformPoint, error) {
-	base := server.Config{
+	cfg := server.Config{
 		Mode:        mode,
 		Fn:          c.fn,
 		FnConfig:    c.fnCfg,
@@ -71,17 +69,23 @@ func measureMaxPoint(mode server.Mode, c compareCase, opt Options) (PlatformPoin
 		HostProfile: c.hostProf,
 		Seed:        opt.Seed,
 	}
+	return maxSustainablePoint(cfg, capacityHint(mode, c), opt)
+}
+
+// maxSustainablePoint finds cfg's saturation throughput, then remeasures
+// p99/power at 85% of it — the paper's "maximum sustainable throughput
+// point" methodology (§III-A). capacity is the calibrated capacity in Gbps.
+func maxSustainablePoint(cfg server.Config, capacity float64, opt Options) (PlatformPoint, error) {
 	// Probe at 1.4× the calibrated capacity (capped at line rate) to
 	// find the real saturation point without simulating pointless drops.
-	cap := capacityHint(mode, c)
-	probe := cap * 1.4
+	probe := capacity * 1.4
 	if probe > 100 {
 		probe = 100
 	}
 	if probe < 0.05 {
 		probe = 0.05
 	}
-	maxRun, err := server.Run(base, server.RunConfig{Duration: opt.Duration, RateGbps: probe})
+	maxRun, err := server.Run(cfg, server.RunConfig{Duration: opt.Duration, RateGbps: probe})
 	if err != nil {
 		return PlatformPoint{}, err
 	}
@@ -89,7 +93,7 @@ func measureMaxPoint(mode server.Mode, c compareCase, opt Options) (PlatformPoin
 	if op <= 0 {
 		op = probe * 0.5
 	}
-	opRun, err := server.Run(base, server.RunConfig{Duration: opt.Duration, RateGbps: op})
+	opRun, err := server.Run(cfg, server.RunConfig{Duration: opt.Duration, RateGbps: op})
 	if err != nil {
 		return PlatformPoint{}, err
 	}

@@ -38,39 +38,13 @@ func Fig10(opt Options) (Fig10Result, error) {
 		fn := fns[fi]
 		measure := func(mode server.Mode, pl *platform.Platform) (PlatformPoint, error) {
 			prof := pl.Profile(fn)
-			probe := prof.MaxGbps * 1.4
-			if probe > 100 { // client NIC limit (§VIII)
-				probe = 100
-			}
-			if probe < 0.05 {
-				probe = 0.05
-			}
 			cfg := server.Config{Mode: mode, Fn: fn, Seed: opt.Seed}
 			if mode == server.SNICOnly {
-				cfg.SNIC = pl
-				p := prof
-				cfg.SNICProfile = &p
+				cfg.SNIC, cfg.SNICProfile = pl, &prof
 			} else {
-				cfg.Host = pl
-				p := prof
-				cfg.HostProfile = &p
+				cfg.Host, cfg.HostProfile = pl, &prof
 			}
-			maxRun, err := server.Run(cfg, server.RunConfig{Duration: opt.Duration, RateGbps: probe})
-			if err != nil {
-				return PlatformPoint{}, err
-			}
-			op := maxRun.AvgGbps * 0.85
-			if op <= 0 {
-				op = probe / 2
-			}
-			opRun, err := server.Run(cfg, server.RunConfig{Duration: opt.Duration, RateGbps: op})
-			if err != nil {
-				return PlatformPoint{}, err
-			}
-			return PlatformPoint{
-				MaxGbps: maxRun.AvgGbps, P99us: opRun.P99us,
-				PowerW: opRun.AvgPowerW, EffGbpsPerW: opRun.EffGbpsPerW,
-			}, nil
+			return maxSustainablePoint(cfg, prof.MaxGbps, opt)
 		}
 		b, err := measure(server.SNICOnly, bf3)
 		if err != nil {

@@ -1,18 +1,20 @@
-// Package compressfn implements the Compression benchmark function:
-// Deflate-class compression/decompression via the lzh codec (LZ77 + canonical
-// Huffman). The paper compresses chunks of the Silesia-mozilla corpus; that
-// corpus is not redistributable, so the request generator synthesizes
-// payloads with comparable entropy structure — a mixture of repetitive
-// markup, English-like text, and incompressible binary spans.
+// Package compressfn implements the Compression benchmark function: real
+// RFC 1951 Deflate compression and decompression through compress/flate.
+// The paper compresses chunks of the Silesia-mozilla corpus; that corpus is
+// not redistributable, so the request generator synthesizes payloads with
+// comparable entropy structure — a mixture of repetitive markup,
+// English-like text, and incompressible binary spans.
 package compressfn
 
 import (
+	"bytes"
+	"compress/flate"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 
 	"halsim/internal/nf"
-	"halsim/internal/nf/compressfn/lzh"
 	"halsim/internal/rng"
 )
 
@@ -32,6 +34,12 @@ var (
 type Func struct {
 	// BytesIn/BytesOut track the cumulative compression ratio.
 	BytesIn, BytesOut uint64
+
+	// zw and zr are built on first use and Reset per request: every Comp
+	// run builds a Func, but only a Functional run compresses.
+	zw  *flate.Writer
+	zr  io.ReadCloser
+	src bytes.Reader
 }
 
 // NewFunc returns a compression function.
@@ -56,18 +64,36 @@ func (f *Func) Process(req []byte) ([]byte, error) {
 		return nil, ErrShort
 	}
 	body := req[1:]
+	var out bytes.Buffer
+	out.WriteByte(0)
 	switch req[0] {
 	case OpCompress:
-		out := lzh.Compress(body)
-		f.BytesIn += uint64(len(body))
-		f.BytesOut += uint64(len(out))
-		return append([]byte{0}, out...), nil
-	case OpDecompress:
-		out, err := lzh.Decompress(body)
-		if err != nil {
+		if f.zw == nil {
+			// Only an invalid level fails.
+			f.zw, _ = flate.NewWriter(&out, flate.DefaultCompression)
+		} else {
+			f.zw.Reset(&out)
+		}
+		if _, err := f.zw.Write(body); err != nil {
 			return nil, err
 		}
-		return append([]byte{0}, out...), nil
+		if err := f.zw.Close(); err != nil {
+			return nil, err
+		}
+		f.BytesIn += uint64(len(body))
+		f.BytesOut += uint64(out.Len() - 1)
+		return out.Bytes(), nil
+	case OpDecompress:
+		f.src.Reset(body)
+		if f.zr == nil {
+			f.zr = flate.NewReader(&f.src)
+		} else if err := f.zr.(flate.Resetter).Reset(&f.src, nil); err != nil {
+			return nil, err
+		}
+		if _, err := out.ReadFrom(f.zr); err != nil {
+			return nil, fmt.Errorf("compressfn: decompress: %w", err)
+		}
+		return out.Bytes(), nil
 	default:
 		return nil, ErrBadOp
 	}

@@ -108,12 +108,6 @@ type RequestGen interface {
 	Next(rng *rng.Rand) []byte
 }
 
-// RequestGenFunc adapts a function to RequestGen.
-type RequestGenFunc func(rng *rng.Rand) []byte
-
-// Next implements RequestGen.
-func (f RequestGenFunc) Next(rng *rng.Rand) []byte { return f(rng) }
-
 // RequestGenInto is optionally implemented by generators that can render a
 // request into a caller-supplied buffer. NextInto must consume rng
 // identically to Next and overwrite every byte it returns, so a stream

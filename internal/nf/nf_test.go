@@ -3,8 +3,6 @@ package nf
 import (
 	"strings"
 	"testing"
-
-	"halsim/internal/rng"
 )
 
 func TestIDStrings(t *testing.T) {
@@ -98,12 +96,5 @@ func TestRegisteredSorted(t *testing.T) {
 		if ids[i] <= ids[i-1] {
 			t.Fatal("Registered must be sorted and unique")
 		}
-	}
-}
-
-func TestRequestGenFunc(t *testing.T) {
-	g := RequestGenFunc(func(*rng.Rand) []byte { return []byte{7} })
-	if b := g.Next(rng.New(1)); len(b) != 1 || b[0] != 7 {
-		t.Fatal("RequestGenFunc adapter broken")
 	}
 }

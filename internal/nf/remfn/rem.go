@@ -3,19 +3,21 @@
 // Hyperscan rulesets — teakettle_2500 ("tea", simple) and snort_literals
 // ("lite", complex). Those rulesets are proprietary downloads, so we
 // synthesize rulesets with the same character: tea is a small set of short
-// literals; lite is a large set of longer, overlapping signatures. The
-// matching core is a dense Aho–Corasick DFA (package ahocorasick).
+// literals; lite is a large set of longer, overlapping signatures plus 64
+// regex rules. The literal core is a dense Aho–Corasick DFA (package
+// ahocorasick); the regex rules run on the standard library's regexp
+// behind an Aho–Corasick prefilter of their literal factors.
 package remfn
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"regexp"
 	"sync"
 
 	"halsim/internal/nf"
 	"halsim/internal/nf/remfn/ahocorasick"
-	"halsim/internal/nf/remfn/rx"
 	"halsim/internal/rng"
 )
 
@@ -100,7 +102,7 @@ func CompileRuleset(rs Ruleset) (*ahocorasick.Automaton, error) {
 // expensive NFA (§II-A's RXP programming model).
 type regexRule struct {
 	prefilter string
-	re        *rx.Regexp
+	re        *regexp.Regexp
 }
 
 // Func is the REM network function: it scans payloads against its ruleset
@@ -143,24 +145,10 @@ func NewFunc(rs Ruleset) (*Func, error) {
 	return f, nil
 }
 
-// escapeLit escapes regex metacharacters so a synthesized literal embeds
-// verbatim in a pattern.
-func escapeLit(lit string) string {
-	var b []byte
-	for i := 0; i < len(lit); i++ {
-		switch c := lit[i]; c {
-		case '\\', '.', '*', '+', '?', '(', ')', '[', ']', '|', '^', '$':
-			b = append(b, '\\', c)
-		default:
-			b = append(b, c)
-		}
-	}
-	return string(b)
-}
-
 // synthesizeRegexRules builds deterministic regex signatures with a
 // guaranteed literal factor, the shape Snort PCRE rules take
-// ("cmd\.exe[0-9a-z]*\.dll" and friends).
+// ("cmd\.exe[0-9a-z]*\.dll" and friends). The (?s) flag lets '.' match
+// '\n' too: packet payloads are bytes, not lines.
 func synthesizeRegexRules(count int, seed int64) []regexRule {
 	rng := rand.New(rand.NewSource(seed))
 	lits := synthesizeRules(count*2, 4, 7, seed)
@@ -168,7 +156,7 @@ func synthesizeRegexRules(count int, seed int64) []regexRule {
 	for i := 0; i < count; i++ {
 		lit1 := string(lits[2*i])
 		lit2 := string(lits[2*i+1])
-		e1, e2 := escapeLit(lit1), escapeLit(lit2)
+		e1, e2 := regexp.QuoteMeta(lit1), regexp.QuoteMeta(lit2)
 		var pat string
 		switch rng.Intn(3) {
 		case 0:
@@ -178,11 +166,7 @@ func synthesizeRegexRules(count int, seed int64) []regexRule {
 		default:
 			pat = e1 + ".?" + "(" + e2 + "|\\d\\d)"
 		}
-		re, err := rx.Compile(pat)
-		if err != nil {
-			panic(fmt.Sprintf("remfn: bad synthesized regex %q: %v", pat, err))
-		}
-		rules = append(rules, regexRule{prefilter: lit1, re: re})
+		rules = append(rules, regexRule{prefilter: lit1, re: regexp.MustCompile("(?s)" + pat)})
 	}
 	return rules
 }

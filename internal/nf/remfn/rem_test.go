@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"regexp"
 	"slices"
+	"strings"
 	"testing"
 
 	"halsim/internal/nf"
-	"halsim/internal/nf/remfn/rx"
 	"halsim/internal/rng"
 )
 
@@ -215,19 +216,113 @@ func TestTeaRulesetHasNoRegexStage(t *testing.T) {
 	}
 }
 
+// TestEscapeLit pins how rule literals embed in their patterns: over the
+// rule alphabet QuoteMeta escapes '.' and '?' and nothing else, so every
+// synthesized pattern is the same string the rules have always used.
 func TestEscapeLit(t *testing.T) {
-	if got := escapeLit(`a.b?c\d`); got != `a\.b\?c\\d` {
-		t.Fatalf("escapeLit = %q", got)
+	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789/._-%&=?"
+	if got, want := regexp.QuoteMeta(alphabet), `abcdefghijklmnopqrstuvwxyz0123456789/\._-%&=\?`; got != want {
+		t.Fatalf("QuoteMeta(alphabet) = %q, want %q", got, want)
 	}
-	// Every escaped synthesized literal must compile and match itself.
-	for _, lit := range []string{"x?.y", "a|b", "m(n)o", "p[q]r", "v$w^"} {
-		re, err := rx.Compile(escapeLit(lit))
+}
+
+// TestEscapedMetachars checks that the lite ruleset's regex rules match
+// their literal factors literally: a '.' in a literal does not match
+// another byte, and a '?' does not make the byte before it optional.
+func TestEscapedMetachars(t *testing.T) {
+	rules := synthesizeRegexRules(64, 123)
+	lits := synthesizeRules(2*len(rules), 4, 7, 123)
+	var dots, questions int
+	for i, r := range rules {
+		lit1, lit2 := string(lits[2*i]), string(lits[2*i+1])
+		if lit1 != r.prefilter {
+			t.Fatalf("rule %d: prefilter %q, literal %q", i, r.prefilter, lit1)
+		}
+		// "1" satisfies [a-z0-9]* and .?, "12" satisfies \d+ and \d\d, so
+		// every rule shape matches the unmutated payload.
+		if hit := lit1 + "1" + lit2 + "12"; !r.re.MatchString(hit) {
+			t.Fatalf("rule %d (%v) misses %q", i, r.re, hit)
+		}
+		if strings.Contains(lit1, ".") {
+			dots++
+			if miss := strings.ReplaceAll(lit1, ".", "Z") + "1" + lit2 + "12"; r.re.MatchString(miss) {
+				t.Errorf("rule %d (%v): '.' in %q matched 'Z' in %q", i, r.re, lit1, miss)
+			}
+		}
+		if strings.Contains(lit1, "?") {
+			questions++
+			if miss := strings.ReplaceAll(lit1, "?", "") + "1" + lit2 + "12"; r.re.MatchString(miss) {
+				t.Errorf("rule %d (%v): '?' in %q matched as optional in %q", i, r.re, lit1, miss)
+			}
+		}
+	}
+	if dots == 0 || questions == 0 {
+		t.Fatalf("no rule literal carries '.' (%d) or '?' (%d); the check above tested nothing", dots, questions)
+	}
+}
+
+// regexProbe builds a payload that trips the lite ruleset's regex
+// prefilter: ASCII noise, newlines included, with one rule's literal
+// factor implanted and followed by a suffix that satisfies or narrowly
+// misses one of the three rule shapes.
+func regexProbe(r *rand.Rand, lits [][]byte) []byte {
+	const noise = "abcdefghijklmnopqrstuvwxyz0123456789/._-%&=?ZQ \n\t"
+	b := make([]byte, 16+r.Intn(100))
+	for i := range b {
+		b[i] = noise[r.Intn(len(noise))]
+	}
+	k := r.Intn(len(lits) / 2)
+	imp := append([]byte(nil), lits[2*k]...)
+	noiseByte := func() byte { return noise[r.Intn(len(noise))] }
+	digits := func(n int) {
+		for ; n > 0; n-- {
+			imp = append(imp, byte('0'+r.Intn(10)))
+		}
+	}
+	switch r.Intn(6) {
+	case 0:
+		digits(r.Intn(4))
+	case 1:
+		for n := r.Intn(6); n > 0; n-- {
+			imp = append(imp, noiseByte())
+		}
+		imp = append(imp, lits[2*k+1]...)
+	case 2:
+		imp = append(imp, noiseByte())
+		imp = append(imp, lits[2*k+1]...)
+	case 3:
+		imp = append(imp, noiseByte())
+		digits(2)
+	case 4:
+		imp = append(imp, lits[2*k+1]...)
+	}
+	off := r.Intn(len(b) + 1)
+	return append(b[:off], append(imp, b[off:]...)...)
+}
+
+// TestRegexStagePinned drives the lite regex stage with 5,000 seeded
+// prefilter-tripping payloads and checks the exact scan and match counts,
+// recorded from the Thompson-NFA engine the rules ran on before regexp;
+// 200,000 such payloads gave no difference between the two engines.
+func TestRegexStagePinned(t *testing.T) {
+	f, err := NewFunc(RulesetLite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// synthesizeRegexRules draws each rule's two literals from this list.
+	lits := synthesizeRules(2*len(f.regexes), 4, 7, 123)
+	r := rand.New(rand.NewSource(1))
+	var total uint64
+	for i := 0; i < 5000; i++ {
+		resp, err := f.Process(regexProbe(r, lits))
 		if err != nil {
-			t.Fatalf("escape(%q): %v", lit, err)
+			t.Fatal(err)
 		}
-		if !re.MatchString("zz" + lit + "zz") {
-			t.Fatalf("escaped %q does not match itself", lit)
-		}
+		total += uint64(binary.BigEndian.Uint32(resp))
+	}
+	if f.RegexScans != 11392 || f.RegexMatches != 3032 || total != 3032 {
+		t.Fatalf("scans %d, regex matches %d, all matches %d; want 11392, 3032, 3032",
+			f.RegexScans, f.RegexMatches, total)
 	}
 }
 

@@ -104,10 +104,9 @@ type Config struct {
 	FnConfig string
 
 	// Pipeline optionally names a second function fed by the first
-	// (§VII-B "two pipelined functions").
-	Pipeline       nf.ID
-	PipelineOn     bool
-	PipelineConfig string
+	// (§VII-B "two pipelined functions"), run with its default config.
+	Pipeline   nf.ID
+	PipelineOn bool
 
 	// SNIC and Host default to BlueField2() and HostXeon().
 	SNIC *platform.Platform
@@ -120,9 +119,6 @@ type Config struct {
 	// HALConfig tunes HAL; zero value takes core.DefaultConfig with
 	// AdaptiveStep on.
 	HALConfig *core.Config
-	// HostSleep enables the DPDK power-management sleep of host cores
-	// under HAL (§V-B). Defaults on for HAL mode.
-	NoHostSleep bool
 
 	// SLBFwdThGbps and SLBCores configure §IV's software balancer.
 	SLBFwdThGbps float64
@@ -369,7 +365,7 @@ func prepare(cfg *Config, rc *RunConfig) error {
 		return err
 	}
 	if cfg.PipelineOn {
-		if err := nf.CheckConfig(cfg.Pipeline, cfg.PipelineConfig); err != nil {
+		if err := nf.CheckConfig(cfg.Pipeline, ""); err != nil {
 			return err
 		}
 	}
@@ -573,7 +569,7 @@ func (r *run) build() error {
 	r.fn, r.mix = fns.fn, fns.mix
 	r.stateFn = stateConsumer(r.fn, cfg)
 	if cfg.PipelineOn {
-		r.fn2, _, err = nf.New(cfg.Pipeline, cfg.PipelineConfig)
+		r.fn2, _, err = nf.New(cfg.Pipeline, "")
 		if err != nil {
 			return err
 		}
@@ -633,7 +629,7 @@ func (r *run) build() error {
 	}
 
 	// Host sleep (HAL only; the host must poll in every other mode).
-	if cfg.Mode == HAL && !cfg.NoHostSleep {
+	if cfg.Mode == HAL {
 		r.hostSleep = &dpdk.SleepController{
 			IdleThreshold: 100 * sim.Microsecond,
 			WakePenalty:   platform.WakeupPenaltyNS,
