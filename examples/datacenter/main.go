@@ -45,7 +45,7 @@ func main() {
 	fmt.Println("Stateful function over the emulated CXL-SNIC (shared coherent state):")
 	wl := halsim.Hadoop
 	res, err := halsim.Run(
-		halsim.Config{Mode: halsim.HAL, Fn: halsim.Count, Fabric: halsim.NewFabric(halsim.CXL, 2)},
+		halsim.Config{Mode: halsim.HAL, Fn: halsim.Count, Fabric: halsim.CXL},
 		halsim.RunConfig{Duration: 600 * halsim.Millisecond, Workload: &wl},
 	)
 	if err != nil {
@@ -56,7 +56,7 @@ func main() {
 
 	// The same configuration over plain PCIe is rejected, as §V-C argues.
 	_, err = halsim.Run(
-		halsim.Config{Mode: halsim.HAL, Fn: halsim.Count, Fabric: halsim.NewFabric(halsim.PCIe, 2)},
+		halsim.Config{Mode: halsim.HAL, Fn: halsim.Count, Fabric: halsim.PCIe},
 		halsim.RunConfig{Duration: 100 * halsim.Millisecond, RateGbps: 20},
 	)
 	fmt.Printf("same over PCIe: %v\n", err)

@@ -1,6 +1,8 @@
 package halsim_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
@@ -58,6 +60,34 @@ func TestClusterShardClamping(t *testing.T) {
 				t.Fatalf("clamped run diverged from serial:\nserial  %s\nclamped %s", serial, clamped)
 			}
 		})
+	}
+}
+
+// TestCXLFleetShardInvariant: a stateful Count fleet over CXL gives every
+// server its own coherence directory, so the sharded engine, whose groups
+// run on separate goroutines, reproduces the serial Result byte for byte.
+func TestCXLFleetShardInvariant(t *testing.T) {
+	run := func(shards int) []byte {
+		res, err := halsim.Run(
+			halsim.Config{Mode: halsim.HAL, Fn: halsim.Count, Fabric: halsim.CXL, Seed: 3, Shards: shards,
+				Cluster: &halsim.ClusterConfig{Servers: 8}},
+			halsim.RunConfig{Duration: 2 * halsim.Millisecond, RateGbps: 400})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CoherenceRemote == 0 {
+			t.Fatalf("shards=%d: a CXL Count fleet charged no coherence transfers", shards)
+		}
+		res.Engine = ""
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	serial, sharded := run(0), run(3)
+	if !bytes.Equal(serial, sharded) {
+		t.Fatalf("sharded CXL fleet diverged from serial:\nserial  %s\nsharded %s", serial, sharded)
 	}
 }
 

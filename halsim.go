@@ -179,7 +179,10 @@ var (
 	SapphireRapids = platform.SapphireRapids
 )
 
-// FabricKind selects the SNIC attachment for stateful functions (§V-C).
+// FabricKind selects the SNIC attachment for stateful functions (§V-C);
+// set it as Config.Fabric. Each run builds its own coherence directory for
+// the host and SNIC processors. Only CXL admits stateful functions in
+// HAL/SLB modes; the zero value gives stateful functions no shared state.
 type FabricKind = cxl.FabricKind
 
 // Attachment kinds.
@@ -187,18 +190,6 @@ const (
 	PCIe = cxl.PCIe
 	CXL  = cxl.CXL
 )
-
-// NewFabric builds a coherence fabric for cooperative stateful processing;
-// pass it via Config.Fabric. Only CXL fabrics admit stateful functions in
-// HAL/SLB modes.
-func NewFabric(kind FabricKind, nodes int) *cxl.Fabric { return cxl.NewFabric(kind, nodes) }
-
-// NewFabricCapped is NewFabric with a per-node cache capacity in 64-byte
-// lines: sharing that ages out of a cache costs a memory fill instead of a
-// coherence transfer.
-func NewFabricCapped(kind FabricKind, nodes, linesPerNode int) *cxl.Fabric {
-	return cxl.NewFabricCapped(kind, nodes, linesPerNode)
-}
 
 // Scenario is a declarative run harness parsed from a YAML file: a run
 // template, timed fault events and/or a seeded chaos generator, and a

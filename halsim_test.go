@@ -46,11 +46,16 @@ func TestFacadePlatforms(t *testing.T) {
 }
 
 func TestFacadeFabric(t *testing.T) {
-	if halsim.NewFabric(halsim.PCIe, 2).SupportsCooperativeState() {
+	if halsim.PCIe.SupportsCooperativeState() {
 		t.Fatal("PCIe fabric must not support cooperative state")
 	}
-	if !halsim.NewFabric(halsim.CXL, 2).SupportsCooperativeState() {
+	if !halsim.CXL.SupportsCooperativeState() {
 		t.Fatal("CXL fabric must support cooperative state")
+	}
+	_, err := halsim.Run(halsim.Config{Mode: halsim.HAL, Fn: halsim.Count, Fabric: halsim.PCIe},
+		halsim.RunConfig{Duration: halsim.Millisecond, RateGbps: 20})
+	if err == nil {
+		t.Fatal("stateful HAL over PCIe must be rejected (§V-C)")
 	}
 }
 

@@ -315,7 +315,7 @@ func (c *crun) start() {
 	// completion path).
 	window := 10 * sim.Millisecond
 	if c.rc.Workload != nil {
-		window = c.rc.Epoch
+		window = server.TraceEpoch
 	}
 	c.tickers = append(c.tickers, c.engs[0].Every(window, func() {
 		winB := c.winB

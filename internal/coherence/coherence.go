@@ -73,7 +73,6 @@ type Stats struct {
 	RemoteFetches uint64
 	Invalidations uint64
 	Writebacks    uint64
-	Evictions     uint64
 }
 
 // Directory is the home agent: it tracks every touched line and serializes
@@ -82,9 +81,6 @@ type Directory struct {
 	nodes int
 	lines map[uint64]*lineState
 	stats []Stats
-	// caches, when non-nil, bounds each node's resident set (LRU); see
-	// capacity.go.
-	caches []*nodeCache
 }
 
 // NewDirectory creates a directory for n caching agents.
@@ -115,7 +111,6 @@ func (d *Directory) TotalStats() Stats {
 		t.RemoteFetches += s.RemoteFetches
 		t.Invalidations += s.Invalidations
 		t.Writebacks += s.Writebacks
-		t.Evictions += s.Evictions
 	}
 	return t
 }
@@ -153,11 +148,9 @@ func (d *Directory) Read(node NodeID, addr uint64) Outcome {
 	switch {
 	case l.owner == int8(node):
 		s.LocalHits++
-		d.noteHolding(node, addr)
 		return LocalHit
 	case l.sharers&bit != 0:
 		s.LocalHits++
-		d.noteHolding(node, addr)
 		return LocalHit
 	case l.owner >= 0:
 		// Remote owner: downgrade M/E→S, forward data. A dirty line is
@@ -169,13 +162,11 @@ func (d *Directory) Read(node NodeID, addr uint64) Outcome {
 		l.owner = -1
 		l.dirty = false
 		s.RemoteFetches++
-		d.noteHolding(node, addr)
 		return RemoteFetch
 	case l.sharers != 0:
 		// Shared elsewhere: data can come from a peer cache.
 		l.sharers |= bit
 		s.RemoteFetches++
-		d.noteHolding(node, addr)
 		return RemoteFetch
 	default:
 		// Cold: fill from memory with Exclusive ownership (the E in
@@ -183,7 +174,6 @@ func (d *Directory) Read(node NodeID, addr uint64) Outcome {
 		l.owner = int8(node)
 		l.dirty = false
 		s.MemoryFetches++
-		d.noteHolding(node, addr)
 		return MemoryFetch
 	}
 }
@@ -202,7 +192,6 @@ func (d *Directory) Write(node NodeID, addr uint64) Outcome {
 		// E→M silent upgrade or M hit.
 		l.dirty = true
 		s.LocalHits++
-		d.noteHolding(node, addr)
 		return LocalHit
 	case l.owner >= 0:
 		// Another node owns it: invalidate-and-fetch.
@@ -210,24 +199,16 @@ func (d *Directory) Write(node NodeID, addr uint64) Outcome {
 			s.Writebacks++
 		}
 		s.Invalidations++
-		d.noteLost(NodeID(l.owner), addr)
 		l.owner = int8(node)
 		l.dirty = true
 		l.sharers = 0
-		d.noteHolding(node, addr)
 		return RemoteInvalidate
 	case l.sharers != 0:
 		others := l.sharers &^ bit
 		l.owner = int8(node)
 		l.dirty = true
 		l.sharers = 0
-		d.noteHolding(node, addr)
 		if others != 0 {
-			for n := 0; n < d.nodes; n++ {
-				if others&(1<<uint(n)) != 0 {
-					d.noteLost(NodeID(n), addr)
-				}
-			}
 			s.Invalidations += uint64(bits.OnesCount16(others))
 			return RemoteInvalidate
 		}
@@ -239,7 +220,6 @@ func (d *Directory) Write(node NodeID, addr uint64) Outcome {
 		l.owner = int8(node)
 		l.dirty = true
 		s.MemoryFetches++
-		d.noteHolding(node, addr)
 		return MemoryFetch
 	}
 }
@@ -274,14 +254,6 @@ func (d *Directory) CheckInvariants() string {
 		}
 		if l.dirty && l.owner < 0 {
 			return fmt.Sprintf("line %#x: dirty without owner", addr)
-		}
-		if d.caches != nil {
-			for n := 0; n < d.nodes; n++ {
-				holds := l.owner == int8(n) || l.sharers&(1<<uint(n)) != 0
-				if holds != d.caches[n].resident(addr) {
-					return fmt.Sprintf("line %#x: node %d directory/cache residency disagree", addr, n)
-				}
-			}
 		}
 	}
 	return ""

@@ -13,23 +13,40 @@ import (
 	"halsim/internal/sim"
 )
 
-// FabricKind selects the SNIC attachment.
+// FabricKind selects the SNIC attachment. The zero value, NoFabric, gives
+// a stateful function no shared region: it runs "like a stateless one",
+// the paper's measurement methodology for Table V.
 type FabricKind int
 
 // Attachment kinds.
 const (
+	// NoFabric models no shared state at all.
+	NoFabric FabricKind = iota
 	// PCIe is today's BlueField-2 attachment: no cache coherence.
-	PCIe FabricKind = iota
+	PCIe
 	// CXL is the emulated CXL Type-2 attachment (UPI-class coherence).
 	CXL
 )
 
 func (k FabricKind) String() string {
-	if k == CXL {
+	switch k {
+	case NoFabric:
+		return "none"
+	case PCIe:
+		return "pcie"
+	case CXL:
 		return "cxl"
+	default:
+		return fmt.Sprintf("fabric(%d)", int(k))
 	}
-	return "pcie"
 }
+
+// Valid reports whether k is one of the attachment kinds above.
+func (k FabricKind) Valid() bool { return k >= NoFabric && k <= CXL }
+
+// SupportsCooperativeState reports whether two agents may share mutable
+// function state through this attachment. Only CXL does (§V-C).
+func (k FabricKind) SupportsCooperativeState() bool { return k == CXL }
 
 // CostModel maps coherence outcomes to latencies.
 type CostModel struct {
@@ -62,25 +79,15 @@ type Fabric struct {
 	dir   *coherence.Directory
 }
 
-// NewFabric builds a fabric for n caching agents with unbounded caches.
-func NewFabric(kind FabricKind, n int) *Fabric {
-	return &Fabric{Kind: kind, Costs: UPICosts(), dir: coherence.NewDirectory(n)}
-}
-
-// NewFabricCapped builds a fabric whose agents cache at most linesPerNode
-// state lines (LRU): sharing that has aged out of a cache costs a memory
-// fill, not a coherence transfer. The BF-2's 6 MB L3 is ~98K 64-byte
-// lines; pass 0 for the unbounded idealization.
-func NewFabricCapped(kind FabricKind, n, linesPerNode int) *Fabric {
-	return &Fabric{Kind: kind, Costs: UPICosts(), dir: coherence.NewDirectoryCapped(n, linesPerNode)}
+// NewFabric builds a fabric of the given kind for the two caching agents
+// of one server: the host processor (node 0) and the SNIC processor
+// (node 1).
+func NewFabric(kind FabricKind) *Fabric {
+	return &Fabric{Kind: kind, Costs: UPICosts(), dir: coherence.NewDirectory(2)}
 }
 
 // Directory exposes the underlying coherence directory (stats, tests).
 func (f *Fabric) Directory() *coherence.Directory { return f.dir }
-
-// SupportsCooperativeState reports whether two agents may share mutable
-// function state through this fabric. Only CXL does (§V-C).
-func (f *Fabric) SupportsCooperativeState() bool { return f.Kind == CXL }
 
 // outcomeCost maps a coherence outcome to time.
 func (f *Fabric) outcomeCost(o coherence.Outcome) sim.Time {

@@ -8,19 +8,22 @@ import (
 )
 
 func TestFabricKinds(t *testing.T) {
-	if PCIe.String() != "pcie" || CXL.String() != "cxl" {
+	if NoFabric.String() != "none" || PCIe.String() != "pcie" || CXL.String() != "cxl" {
 		t.Fatal("kind strings")
 	}
-	if NewFabric(PCIe, 2).SupportsCooperativeState() {
+	if PCIe.SupportsCooperativeState() {
 		t.Fatal("PCIe must not support cooperative state")
 	}
-	if !NewFabric(CXL, 2).SupportsCooperativeState() {
-		t.Fatal("CXL must support cooperative state")
+	if !CXL.SupportsCooperativeState() || NoFabric.SupportsCooperativeState() {
+		t.Fatal("only CXL supports cooperative state")
+	}
+	if !NoFabric.Valid() || !CXL.Valid() || FabricKind(3).Valid() || FabricKind(-1).Valid() {
+		t.Fatal("Valid must accept exactly the three kinds")
 	}
 }
 
 func TestCXLAccessCosts(t *testing.T) {
-	f := NewFabric(CXL, 2)
+	f := NewFabric(CXL)
 	c := f.Costs
 	// Cold read: memory.
 	if got := f.Access(0, 1, false); got != c.MemoryNS {
@@ -54,7 +57,7 @@ func TestCostOrdering(t *testing.T) {
 }
 
 func TestPCIeSharingPaysSoftwareSync(t *testing.T) {
-	f := NewFabric(PCIe, 2)
+	f := NewFabric(PCIe)
 	f.Access(0, 7, true)         // node 0 establishes the line
 	f.Access(0, 7, true)         // local again
 	got := f.Access(1, 7, false) // cross-node: software sync on PCIe
@@ -71,7 +74,7 @@ func TestCXLBeatsPCIeForSharedState(t *testing.T) {
 	// The §V-C argument in one property: an interleaved shared-state
 	// workload costs far more over PCIe than over CXL.
 	run := func(kind FabricKind) sim.Time {
-		f := NewFabric(kind, 2)
+		f := NewFabric(kind)
 		var total sim.Time
 		for i := 0; i < 1000; i++ {
 			node := coherence.NodeID(i % 2)
@@ -86,7 +89,7 @@ func TestCXLBeatsPCIeForSharedState(t *testing.T) {
 }
 
 func TestDirectoryStatsExposed(t *testing.T) {
-	f := NewFabric(CXL, 2)
+	f := NewFabric(CXL)
 	f.Access(0, 1, false)
 	f.Access(1, 1, false)
 	st := f.Directory().TotalStats()
@@ -96,7 +99,7 @@ func TestDirectoryStatsExposed(t *testing.T) {
 }
 
 func TestAccessOverlapped(t *testing.T) {
-	f := NewFabric(CXL, 2)
+	f := NewFabric(CXL)
 	// Establish three lines at node 1 so node 0's batch is all-remote.
 	for _, l := range []uint64{1, 2, 3} {
 		f.Access(1, l, true)
@@ -111,18 +114,5 @@ func TestAccessOverlapped(t *testing.T) {
 	}
 	if f.AccessOverlapped(0, nil, false) != 0 {
 		t.Fatal("empty batch should be free")
-	}
-}
-
-func TestCappedFabric(t *testing.T) {
-	f := NewFabricCapped(CXL, 2, 1)
-	f.Access(0, 1, true)
-	f.Access(0, 2, true) // evicts line 1 from node 0
-	// Node 1 writing the evicted line pays memory, not invalidation.
-	if got := f.Access(1, 1, true); got != f.Costs.MemoryNS {
-		t.Fatalf("capped cross write = %v, want memory cost", got)
-	}
-	if NewFabricCapped(PCIe, 2, 0).Directory().Capacity() != 0 {
-		t.Fatal("zero cap should be unbounded")
 	}
 }

@@ -30,16 +30,22 @@ type CompareResult struct {
 	Points []ComparePoint
 }
 
-// compareCase describes one benchmark variant.
+// compareCase describes one benchmark variant. snic and host are nil for
+// the default BlueField-2 and Xeon platforms.
 type compareCase struct {
-	name     string
-	fn       nf.ID
-	fnCfg    string
-	snicProf *platform.FnProfile
-	hostProf *platform.FnProfile
+	name  string
+	fn    nf.ID
+	fnCfg string
+	snic  *platform.Platform
+	host  *platform.Platform
 }
 
-func prof(p platform.FnProfile) *platform.FnProfile { return &p }
+// withProfile returns pl with fn's profile replaced by p: a ruleset
+// variant of the same processor.
+func withProfile(pl *platform.Platform, fn nf.ID, p platform.FnProfile) *platform.Platform {
+	pl.Profiles[fn] = p
+	return pl
+}
 
 // compareCases lists the ten functions, with REM split into its two
 // rulesets as in §III-A.
@@ -52,8 +58,8 @@ func compareCases() []compareCase {
 		{name: "BM25", fn: nf.BM25},
 		{name: "KNN", fn: nf.KNN},
 		{name: "Bayes", fn: nf.Bayes},
-		{name: "REM-tea", fn: nf.REM, fnCfg: "tea", snicProf: prof(platform.REMSimpleSNICAccel())},
-		{name: "REM-lite", fn: nf.REM, fnCfg: "lite", hostProf: prof(platform.REMComplexHost())},
+		{name: "REM-tea", fn: nf.REM, fnCfg: "tea", snic: withProfile(platform.BlueField2(), nf.REM, platform.REMSimpleSNICAccel())},
+		{name: "REM-lite", fn: nf.REM, fnCfg: "lite", host: withProfile(platform.HostXeon(), nf.REM, platform.REMComplexHost())},
 		{name: "Crypto", fn: nf.Crypto},
 		{name: "Comp", fn: nf.Comp},
 	}
@@ -61,14 +67,7 @@ func compareCases() []compareCase {
 
 // measureMaxPoint is maxSustainablePoint for one compare case on one side.
 func measureMaxPoint(mode server.Mode, c compareCase, opt Options) (PlatformPoint, error) {
-	cfg := server.Config{
-		Mode:        mode,
-		Fn:          c.fn,
-		FnConfig:    c.fnCfg,
-		SNICProfile: c.snicProf,
-		HostProfile: c.hostProf,
-		Seed:        opt.Seed,
-	}
+	cfg := server.Config{Mode: mode, Fn: c.fn, FnConfig: c.fnCfg, SNIC: c.snic, Host: c.host, Seed: opt.Seed}
 	return maxSustainablePoint(cfg, capacityHint(mode, c), opt)
 }
 
@@ -107,13 +106,13 @@ func maxSustainablePoint(cfg server.Config, capacity float64, opt Options) (Plat
 
 func capacityHint(mode server.Mode, c compareCase) float64 {
 	if mode == server.SNICOnly {
-		if c.snicProf != nil {
-			return c.snicProf.MaxGbps
+		if c.snic != nil {
+			return c.snic.Profile(c.fn).MaxGbps
 		}
 		return platform.BlueField2().Profile(c.fn).MaxGbps
 	}
-	if c.hostProf != nil {
-		return c.hostProf.MaxGbps
+	if c.host != nil {
+		return c.host.Profile(c.fn).MaxGbps
 	}
 	return platform.HostXeon().Profile(c.fn).MaxGbps
 }

@@ -37,14 +37,13 @@ func Fig10(opt Options) (Fig10Result, error) {
 	err := parMap(len(fns), func(fi int) error {
 		fn := fns[fi]
 		measure := func(mode server.Mode, pl *platform.Platform) (PlatformPoint, error) {
-			prof := pl.Profile(fn)
 			cfg := server.Config{Mode: mode, Fn: fn, Seed: opt.Seed}
 			if mode == server.SNICOnly {
-				cfg.SNIC, cfg.SNICProfile = pl, &prof
+				cfg.SNIC = pl
 			} else {
-				cfg.Host, cfg.HostProfile = pl, &prof
+				cfg.Host = pl
 			}
-			return maxSustainablePoint(cfg, prof.MaxGbps, opt)
+			return maxSustainablePoint(cfg, pl.Profile(fn).MaxGbps, opt)
 		}
 		b, err := measure(server.SNICOnly, bf3)
 		if err != nil {

@@ -47,7 +47,7 @@ func Table2(opt Options) (SLOResult, error) {
 		c := cases[ci]
 		base := server.Config{
 			Mode: server.SNICOnly, Fn: c.fn, FnConfig: c.fnCfg,
-			SNICProfile: c.snicProf, HostProfile: c.hostProf, Seed: opt.Seed,
+			SNIC: c.snic, Host: c.host, Seed: opt.Seed,
 		}
 		capacity := capacityHint(server.SNICOnly, c)
 		refRate := capacity * 0.2

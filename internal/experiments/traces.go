@@ -109,7 +109,7 @@ func Table5(opt Options) (Tab5Result, error) {
 				PipelineOn: c.Piped, Pipeline: c.Pipeline,
 			}
 			if c.Stateful && mode == server.HAL {
-				cfg.Fabric = cxl.NewFabric(cxl.CXL, 2)
+				cfg.Fabric = cxl.CXL
 			}
 			wl := w
 			res, err := server.Run(cfg, server.RunConfig{

@@ -236,14 +236,12 @@ func (p *Plan) Len() int { return len(p.Events) }
 // deterministic FIFO tie-break, so two runs with the same plan inject
 // identically.
 type Injector struct {
-	eng   *sim.Engine
-	plan  *Plan
-	apply func(Event)
+	eng    *sim.Engine
+	apply  func(Event)
+	events []Event // the plan in firing order, indexed by the events' n word
 
-	// Injected counts events fired so far; Log records them in firing
-	// order for post-run inspection.
+	// Injected counts events fired so far.
 	Injected uint64
-	Log      []Event
 }
 
 // NewInjector validates the plan and builds an injector that calls apply
@@ -258,19 +256,21 @@ func NewInjector(eng *sim.Engine, plan *Plan, apply func(Event)) (*Injector, err
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	return &Injector{eng: eng, plan: plan, apply: apply}, nil
+	return &Injector{eng: eng, apply: apply, events: plan.Sorted()}, nil
 }
 
 // Arm schedules every plan event on the engine. Call once, before the run
 // starts (events earlier than the engine's current time are an error by
 // the engine's own monotonicity check).
 func (i *Injector) Arm() {
-	for _, e := range i.plan.Sorted() {
-		e := e
-		i.eng.At(e.At, func() {
-			i.Injected++
-			i.Log = append(i.Log, e)
-			i.apply(e)
-		})
+	fire := sim.Call(i.fire)
+	for n, e := range i.events {
+		i.eng.AtCall(e.At, fire, nil, int64(n))
 	}
+}
+
+// fire applies the n-th event of the sorted plan.
+func (i *Injector) fire(_ any, n int64) {
+	i.Injected++
+	i.apply(i.events[n])
 }

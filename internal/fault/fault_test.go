@@ -134,9 +134,6 @@ func TestInjectorFiresInOrder(t *testing.T) {
 			t.Fatalf("fired[%d].Core = %d, want %d", i, e.Core, wantCores[i])
 		}
 	}
-	if len(inj.Log) != 3 || inj.Log[0].Core != 1 {
-		t.Fatalf("log = %v", inj.Log)
-	}
 }
 
 func TestInjectorDeterministic(t *testing.T) {

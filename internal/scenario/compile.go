@@ -89,7 +89,7 @@ func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
 		c.Cfg.SLBFwdThGbps = r.SLBFwdThGbps
 	}
 	if r.CXL {
-		c.Cfg.Fabric = cxl.NewFabric(cxl.CXL, 2)
+		c.Cfg.Fabric = cxl.CXL
 	}
 	if r.Cluster != nil {
 		c.Cfg.Cluster = &server.ClusterConfig{

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"halsim/internal/cxl"
 	"halsim/internal/nf"
 	"halsim/internal/packet"
 	"halsim/internal/rng"
@@ -53,7 +54,6 @@ type client struct {
 	mixShiftAt    sim.Time
 
 	tracegen *trace.Generator
-	epoch    sim.Time
 
 	// warmupEnd gates the measured counters: only packets created at
 	// or after it count toward offered load, so every mode is measured
@@ -139,7 +139,7 @@ func newFunctions(cfg Config) (functions, error) {
 // Config.Functional, which runs every function on every payload, it is the
 // only reader of payload bytes, and it reads only the primary function's.
 func stateConsumer(fn nf.Function, cfg Config) nf.StateFunction {
-	if sf, ok := fn.(nf.StateFunction); ok && cfg.Fabric != nil {
+	if sf, ok := fn.(nf.StateFunction); ok && cfg.Fabric != cxl.NoFabric {
 		return sf
 	}
 	return nil
@@ -164,7 +164,6 @@ func newClient(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, f f
 		sizes:         rc.Sizes,
 		gen:           newPayloadGen(f.gen, !cfg.Functional && stateConsumer(f.fn, cfg) == nil),
 		emit:          emit,
-		epoch:         rc.Epoch,
 		endAt:         rc.Duration,
 	}
 	if f.mixGen != nil {
@@ -186,7 +185,7 @@ func (c *client) start() {
 	c.rearmCall = c.rearm
 	if c.tracegen != nil {
 		c.rateGbps = c.tracegen.NextRateGbps()
-		c.ticker = c.eng.Every(c.epoch, func() {
+		c.ticker = c.eng.Every(TraceEpoch, func() {
 			if !c.stopped {
 				c.rateGbps = c.tracegen.NextRateGbps()
 			}
@@ -216,7 +215,7 @@ func (c *client) scheduleNext() {
 		return
 	}
 	if c.rateGbps <= 0 {
-		c.eng.ScheduleCall(c.epoch, c.rearmCall, nil, 0)
+		c.eng.ScheduleCall(TraceEpoch, c.rearmCall, nil, 0)
 		return
 	}
 	size := c.sizes.Sample(c.rng.Rand)
@@ -224,8 +223,8 @@ func (c *client) scheduleNext() {
 	gapF := c.rng.ExpFloat64() * meanGapNS
 	// Compare in the float domain: a near-zero epoch rate can push the
 	// gap past int64 range, and converting first would wrap negative.
-	if c.tracegen != nil && gapF > float64(c.epoch) {
-		c.eng.ScheduleCall(c.epoch, c.rearmCall, nil, 0)
+	if c.tracegen != nil && gapF > float64(TraceEpoch) {
+		c.eng.ScheduleCall(TraceEpoch, c.rearmCall, nil, 0)
 		return
 	}
 	if gapF > maxGapNS {
@@ -256,7 +255,7 @@ func (c *client) sendNext(_ any, n int64) {
 	for burst := 1; ; burst++ {
 		c.sendAt(size, t)
 		if c.rateGbps <= 0 {
-			c.eng.AtCall(t+c.epoch, c.rearmCall, nil, 0)
+			c.eng.AtCall(t+TraceEpoch, c.rearmCall, nil, 0)
 			return
 		}
 		next := c.sizes.Sample(c.rng.Rand)
@@ -265,8 +264,8 @@ func (c *client) sendNext(_ any, n int64) {
 		// Compare in the float domain: a near-zero epoch rate can push
 		// the gap past int64 range, and converting first would wrap
 		// negative.
-		if c.tracegen != nil && gapF > float64(c.epoch) {
-			c.eng.AtCall(t+c.epoch, c.rearmCall, nil, 0)
+		if c.tracegen != nil && gapF > float64(TraceEpoch) {
+			c.eng.AtCall(t+TraceEpoch, c.rearmCall, nil, 0)
 			return
 		}
 		if gapF > maxGapNS {
@@ -274,7 +273,7 @@ func (c *client) sendNext(_ any, n int64) {
 		}
 		nt := t + sim.Time(gapF)
 		if burst >= maxBurst || nt-start > maxBurstSpan || nt > c.endAt ||
-			(c.tracegen != nil && (c.epoch <= 0 || nt >= c.nextEpochBoundary(t))) {
+			(c.tracegen != nil && nt >= c.nextEpochBoundary(t)) {
 			c.eng.AtCall(nt, c.sendNextCall, nil, int64(next))
 			return
 		}
@@ -287,7 +286,7 @@ func (c *client) sendNext(_ any, n int64) {
 // epoch ticker starts at engine time zero, so boundaries sit at multiples
 // of the epoch.
 func (c *client) nextEpochBoundary(t sim.Time) sim.Time {
-	return (t/c.epoch + 1) * c.epoch
+	return (t/TraceEpoch + 1) * TraceEpoch
 }
 
 // rearm is the closure-free epoch-boundary retry handler.

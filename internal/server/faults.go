@@ -101,7 +101,7 @@ func (r *run) applyFault(e fault.Event) {
 	case fault.SNICAccelDegrade:
 		r.snic.first.setProfile(r.cfg.SNIC.SoftwareFallback(r.cfg.Fn))
 	case fault.SNICAccelRestore:
-		r.snic.first.setProfile(r.profile(r.cfg.SNIC, r.cfg.SNICProfile, r.cfg.Fn))
+		r.snic.first.setProfile(r.cfg.SNIC.Profile(r.cfg.Fn))
 	case fault.SNICRxDrop:
 		r.snic.first.port.SetRxFault(e.DropProb, r.faultRng)
 	case fault.SNICRxRestore:

@@ -160,7 +160,7 @@ func (s *stateRecorder) StateLines(req []byte) []uint64 {
 // its requests' bytes in StateLines, so the client renders them.
 func TestFabricStateReadsRealBytes(t *testing.T) {
 	for _, fn := range []nf.ID{nf.Count, nf.KVS} {
-		cfg := Config{Mode: HAL, Fn: fn, Fabric: cxl.NewFabric(cxl.CXL, 2)}
+		cfg := Config{Mode: HAL, Fn: fn, Fabric: cxl.CXL}
 		rec := &stateRecorder{}
 		r, _ := runInside(t, cfg, RunConfig{Duration: 5 * sim.Millisecond, RateGbps: 30}, func(r *run) {
 			rec.StateFunction = r.stateFn
@@ -178,14 +178,13 @@ func TestFabricStateReadsRealBytes(t *testing.T) {
 // keeps per-file state (nf.ID.Stateful) but has no StateLines, so its
 // payloads go unread.
 func TestStateConsumers(t *testing.T) {
-	fab := cxl.NewFabric(cxl.CXL, 2)
 	for _, id := range nf.All {
 		fn, _, err := nf.New(id, "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := id == nf.KVS || id == nf.Count || id == nf.EMA
-		if got := stateConsumer(fn, Config{Fabric: fab}) != nil; got != want {
+		if got := stateConsumer(fn, Config{Fabric: cxl.CXL}) != nil; got != want {
 			t.Errorf("%v with a Fabric: state consumer %v, want %v", id, got, want)
 		}
 		if stateConsumer(fn, Config{}) != nil {

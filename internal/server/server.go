@@ -108,13 +108,11 @@ type Config struct {
 	Pipeline   nf.ID
 	PipelineOn bool
 
-	// SNIC and Host default to BlueField2() and HostXeon().
+	// SNIC and Host default to BlueField2() and HostXeon(). A variant
+	// profile (e.g. a REM ruleset) is a platform whose Profiles map
+	// carries it.
 	SNIC *platform.Platform
 	Host *platform.Platform
-	// SNICProfile / HostProfile override the per-function profile
-	// (e.g. the REM tea/lite ruleset variants).
-	SNICProfile *platform.FnProfile
-	HostProfile *platform.FnProfile
 
 	// HALConfig tunes HAL; zero value takes core.DefaultConfig with
 	// AdaptiveStep on.
@@ -124,10 +122,12 @@ type Config struct {
 	SLBFwdThGbps float64
 	SLBCores     int
 
-	// Fabric provides coherent shared state for stateful functions in
-	// cooperative modes. nil runs stateful functions "like stateless
-	// ones" (the paper's measurement methodology for Table V).
-	Fabric *cxl.Fabric
+	// Fabric selects the SNIC attachment that shares a stateful
+	// function's state between the host and SNIC processors; each run
+	// builds its own coherence directory for it. The zero value,
+	// cxl.NoFabric, runs stateful functions "like stateless ones" (the
+	// paper's measurement methodology for Table V).
+	Fabric cxl.FabricKind
 
 	// Mix interleaves a second, independent function on the same
 	// processors: MixFraction of packets carry it (§V-B's multi-function
@@ -178,6 +178,10 @@ type Config struct {
 	Seed     int64
 }
 
+// TraceEpoch is how often a trace workload re-draws its offered rate
+// (RunConfig.Workload).
+const TraceEpoch = sim.Millisecond
+
 // RunConfig describes one experiment run.
 type RunConfig struct {
 	Duration sim.Time
@@ -185,8 +189,6 @@ type RunConfig struct {
 	// the rate with the log-normal trace generator instead.
 	RateGbps float64
 	Workload *trace.Workload
-	// Epoch is the trace re-draw period (default 1 ms).
-	Epoch sim.Time
 	// Sizes defaults to MTU-only, as in the paper's experiments.
 	Sizes *trace.SizeDist
 	// Warmup is excluded from statistics (default Duration/5, capped at
@@ -372,19 +374,19 @@ func prepare(cfg *Config, rc *RunConfig) error {
 	if rc.Sizes == nil {
 		rc.Sizes = trace.MTUOnly()
 	}
-	if rc.Epoch == 0 {
-		rc.Epoch = sim.Millisecond
-	}
 	if rc.Warmup == 0 {
 		rc.Warmup = rc.Duration / 5
 		if rc.Warmup > 100*sim.Millisecond {
 			rc.Warmup = 100 * sim.Millisecond
 		}
 	}
-	if cfg.Fn.Stateful() && cfg.Fabric != nil && (cfg.Mode == HAL || cfg.Mode == SLB || cfg.Mode == SLBHost) &&
+	if !cfg.Fabric.Valid() {
+		return fmt.Errorf("server: unknown fabric %v", cfg.Fabric)
+	}
+	if cfg.Fn.Stateful() && cfg.Fabric != cxl.NoFabric && (cfg.Mode == HAL || cfg.Mode == SLB || cfg.Mode == SLBHost) &&
 		!cfg.Fabric.SupportsCooperativeState() {
 		return fmt.Errorf("server: %v is stateful; cooperative processing over %v needs CXL (§V-C)",
-			cfg.Fn, cfg.Fabric.Kind)
+			cfg.Fn, cfg.Fabric)
 	}
 	if cfg.MixOn {
 		if cfg.MixFraction < 0 || cfg.MixFraction > 1 ||
@@ -455,6 +457,10 @@ type run struct {
 	fn, mix nf.Function
 	fn2     nf.Function
 	stateFn nf.StateFunction
+	// fab is this run's own coherence fabric, nil unless stateFn reads
+	// state through one; no two runs — not even two servers of one
+	// fleet — share a directory.
+	fab *cxl.Fabric
 
 	snic sideStations
 	host sideStations
@@ -524,13 +530,6 @@ type run struct {
 	tickers    []*sim.Ticker
 }
 
-func (r *run) profile(pl *platform.Platform, override *platform.FnProfile, fn nf.ID) platform.FnProfile {
-	if override != nil {
-		return *override
-	}
-	return pl.Profile(fn)
-}
-
 func (r *run) build() error {
 	cfg := r.cfg
 	r.arriveSNICCall = func(a any, _ int64) { r.arriveSNIC(a.(*packet.Packet)) }
@@ -574,8 +573,8 @@ func (r *run) build() error {
 			return err
 		}
 	}
-	snicProf := r.profile(cfg.SNIC, cfg.SNICProfile, cfg.Fn)
-	hostProf := r.profile(cfg.Host, cfg.HostProfile, cfg.Fn)
+	snicProf := cfg.SNIC.Profile(cfg.Fn)
+	hostProf := cfg.Host.Profile(cfg.Fn)
 
 	if cfg.Mode == SLB {
 		// §IV: SLBCores forward, the rest process.
@@ -591,14 +590,14 @@ func (r *run) build() error {
 	r.snic.first.release = r.pool.Put
 	r.host.first.release = r.pool.Put
 	if cfg.MixOn {
-		sp := r.profile(cfg.SNIC, nil, cfg.MixFn)
-		hp := r.profile(cfg.Host, nil, cfg.MixFn)
+		sp := cfg.SNIC.Profile(cfg.MixFn)
+		hp := cfg.Host.Profile(cfg.MixFn)
 		r.snic.first.setAltProfile(&sp)
 		r.host.first.setAltProfile(&hp)
 	}
 	if cfg.PipelineOn {
-		r.snic.second = newStation(r.eng, "snic2", r.profile(cfg.SNIC, nil, cfg.Pipeline), cfg.RingSize, cfg.Seed+3)
-		r.host.second = newStation(r.eng, "host2", r.profile(cfg.Host, nil, cfg.Pipeline), cfg.RingSize, cfg.Seed+4)
+		r.snic.second = newStation(r.eng, "snic2", cfg.SNIC.Profile(cfg.Pipeline), cfg.RingSize, cfg.Seed+3)
+		r.host.second = newStation(r.eng, "host2", cfg.Host.Profile(cfg.Pipeline), cfg.RingSize, cfg.Seed+4)
 		r.snic.second.release = r.pool.Put
 		r.host.second.release = r.pool.Put
 	}
@@ -609,6 +608,7 @@ func (r *run) build() error {
 	// computation slack stalls the core — the reason the paper sees just
 	// 0.3–0.4% throughput loss from coherence (§VII-B).
 	if r.stateFn != nil {
+		r.fab = cxl.NewFabric(cfg.Fabric)
 		stateCost := func(node int, prof platform.FnProfile) func(*packet.Packet) sim.Time {
 			return func(p *packet.Packet) sim.Time {
 				if p.FnTag != 0 {
@@ -616,7 +616,7 @@ func (r *run) build() error {
 					// not the primary function's shared region.
 					return 0
 				}
-				raw := cfg.Fabric.AccessOverlapped(coherence.NodeID(node), r.stateFn.StateLines(p.Payload), true)
+				raw := r.fab.AccessOverlapped(coherence.NodeID(node), r.stateFn.StateLines(p.Payload), true)
 				slack := sim.Time(float64(prof.ServiceTime(p.WireLen, nil)) * 0.75)
 				if raw <= slack {
 					return 0
@@ -1028,7 +1028,7 @@ func (r *run) start() {
 	// "max throughput" differ between a ~90G host and a ~100G HAL.
 	window := 10 * sim.Millisecond
 	if r.rc.Workload != nil {
-		window = r.rc.Epoch
+		window = TraceEpoch
 	}
 	r.every(window, func() {
 		winB := r.winB
@@ -1096,8 +1096,8 @@ func (r *run) collect() Result {
 	res.FuncErrors = r.funcErrs
 	res.SNICUtil = r.snic.first.utilization(r.rc.Duration)
 	res.HostUtil = r.host.first.utilization(r.rc.Duration)
-	if r.cfg.Fabric != nil {
-		st := r.cfg.Fabric.Directory().TotalStats()
+	if r.fab != nil {
+		st := r.fab.Directory().TotalStats()
 		res.CoherenceRemote = st.RemoteFetches + st.Invalidations
 	}
 

@@ -199,16 +199,14 @@ func TestSLBHighFwdThOverloadsProcessingCores(t *testing.T) {
 }
 
 func TestStatefulOverPCIeRejected(t *testing.T) {
-	fab := cxl.NewFabric(cxl.PCIe, 2)
-	_, err := Run(Config{Mode: HAL, Fn: nf.Count, Fabric: fab}, short(20))
+	_, err := Run(Config{Mode: HAL, Fn: nf.Count, Fabric: cxl.PCIe}, short(20))
 	if err == nil {
 		t.Fatal("stateful cooperative processing over PCIe must be rejected (§V-C)")
 	}
 }
 
 func TestStatefulOverCXLWorks(t *testing.T) {
-	fab := cxl.NewFabric(cxl.CXL, 2)
-	res, err := Run(Config{Mode: HAL, Fn: nf.Count, Fabric: fab}, short(70))
+	res, err := Run(Config{Mode: HAL, Fn: nf.Count, Fabric: cxl.CXL}, short(70))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +222,7 @@ func TestStatefulOverCXLWorks(t *testing.T) {
 
 func TestStatefulCoherenceOverheadSmall(t *testing.T) {
 	// §VII-B: cache coherence costs only ~0.3–0.4% throughput.
-	fab := cxl.NewFabric(cxl.CXL, 2)
-	with, err := Run(Config{Mode: HAL, Fn: nf.Count, Fabric: fab, Seed: 5}, short(50))
+	with, err := Run(Config{Mode: HAL, Fn: nf.Count, Fabric: cxl.CXL, Seed: 5}, short(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,6 +306,7 @@ func TestConfigValidationErrors(t *testing.T) {
 		{Config{Mode: SLB, Fn: nf.NAT, SLBCores: 2}, short(10)},                                // no threshold
 		{Config{Mode: HostOnly, Fn: nf.NAT, FnConfig: "bogus"}, short(10)},                     // bad fn config
 		{Config{Mode: HostOnly, Fn: nf.NAT, PipelineOn: true, Pipeline: nf.ID(77)}, short(10)}, // bad pipeline
+		{Config{Mode: HostOnly, Fn: nf.NAT, Fabric: cxl.FabricKind(9)}, short(10)},             // unknown fabric
 	}
 	for i, c := range cases {
 		if _, err := Run(c.cfg, c.rc); err == nil {
@@ -433,12 +431,45 @@ func TestSLBHostSplitsAboveThreshold(t *testing.T) {
 	}
 }
 
+// TestInstancesOwnTheirCoherenceState: fleet servers built from one Config
+// each get a private coherence directory, so Count traffic fed to one
+// server leaves the other's coherence transfers at zero.
+func TestInstancesOwnTheirCoherenceState(t *testing.T) {
+	cfg := Config{Mode: HAL, Fn: nf.Count, Fabric: cxl.CXL}
+	rc := RunConfig{Duration: 5 * sim.Millisecond, RateGbps: 70}
+	if err := Normalize(&cfg, &rc); err != nil {
+		t.Fatal(err)
+	}
+	eng, pool := sim.NewEngine(), packet.NewPool()
+	fed, err := NewInstance(cfg, rc, eng, pool, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, err := NewInstance(cfg, rc, eng, pool, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewTrafficSource(cfg, rc, eng, pool, fed.Ingress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed.Start()
+	idle.Start()
+	src.Start()
+	eng.RunUntil(rc.Duration)
+	if got := fed.Collect().CoherenceRemote; got == 0 {
+		t.Fatal("the fed server charged no coherence transfers")
+	}
+	if got := idle.Collect().CoherenceRemote; got != 0 {
+		t.Fatalf("the idle server reports %d coherence transfers; its directory is shared", got)
+	}
+}
+
 func TestSLBHostValidation(t *testing.T) {
 	if _, err := Run(Config{Mode: SLBHost, Fn: nf.NAT}, short(10)); err == nil {
 		t.Fatal("missing threshold should fail")
 	}
-	fab := cxl.NewFabric(cxl.PCIe, 2)
-	if _, err := Run(Config{Mode: SLBHost, Fn: nf.Count, SLBFwdThGbps: 20, Fabric: fab}, short(10)); err == nil {
+	if _, err := Run(Config{Mode: SLBHost, Fn: nf.Count, SLBFwdThGbps: 20, Fabric: cxl.PCIe}, short(10)); err == nil {
 		t.Fatal("stateful over PCIe should fail in SLBHost too")
 	}
 }

@@ -15,7 +15,7 @@ type TrafficSource struct {
 }
 
 // Normalize applies the server package's defaults and validation to a
-// cluster's shared Config/RunConfig (warmup, sizes, epoch, horizons) so
+// cluster's shared Config/RunConfig (warmup, sizes, horizons) so
 // the cluster runner and every embedded instance agree on them.
 func Normalize(cfg *Config, rc *RunConfig) error { return prepare(cfg, rc) }
 

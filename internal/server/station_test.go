@@ -173,7 +173,6 @@ func TestClientConstantRate(t *testing.T) {
 		dst:      snicAddr,
 		rateGbps: 10,
 		sizes:    mtuSizes(),
-		epoch:    sim.Millisecond,
 		emit:     func(p *packet.Packet, _ sim.Time) { gotBytes += p.WireLen },
 	}
 	c.start()
@@ -195,8 +194,7 @@ func TestClientZeroRateIdles(t *testing.T) {
 	sent := 0
 	c := &client{
 		eng: eng, rng: newTestRand(), sizes: mtuSizes(),
-		epoch: sim.Millisecond,
-		emit:  func(*packet.Packet, sim.Time) { sent++ },
+		emit: func(*packet.Packet, sim.Time) { sent++ },
 	}
 	c.start()
 	eng.RunUntil(5 * sim.Millisecond)
@@ -209,7 +207,7 @@ func TestClientMeasuredWindowGating(t *testing.T) {
 	eng := sim.NewEngine()
 	c := &client{
 		eng: eng, rng: newTestRand(), sizes: mtuSizes(),
-		rateGbps: 10, epoch: sim.Millisecond,
+		rateGbps:  10,
 		warmupEnd: 5 * sim.Millisecond,
 		emit:      func(*packet.Packet, sim.Time) {},
 	}
@@ -245,7 +243,6 @@ func TestClientSurvivesNearZeroTraceRates(t *testing.T) {
 	c := &client{
 		eng: eng, rng: newTestRand(), sizes: mtuSizes(),
 		rateGbps: 1e-18, // gap >> int64 ns range
-		epoch:    sim.Millisecond,
 		emit:     func(*packet.Packet, sim.Time) { sent++ },
 		tracegen: trace.NewWorkloadGenerator(trace.Cache, 77),
 	}
@@ -262,8 +259,8 @@ func TestClientConstantTinyRateClamped(t *testing.T) {
 	eng := sim.NewEngine()
 	c := &client{
 		eng: eng, rng: newTestRand(), sizes: mtuSizes(),
-		rateGbps: 1e-18, epoch: sim.Millisecond,
-		emit: func(*packet.Packet, sim.Time) {},
+		rateGbps: 1e-18,
+		emit:     func(*packet.Packet, sim.Time) {},
 	}
 	c.start() // must not panic: gap clamps to an hour
 	eng.RunUntil(5 * sim.Millisecond)

@@ -87,12 +87,10 @@ const (
 )
 
 // event is a scheduled callback, stored by value inside the wheel slab and
-// the overflow heap. Exactly one of fn (cold path, captured closure) or
-// call (hot path, pre-bound handler + argument words) is set.
+// the overflow heap: a pre-bound handler and its two argument words.
 type event struct {
 	at   Time
 	seq  uint64 // tie-break among same-time events; see the seq layout above
-	fn   func()
 	call Call
 	arg  any
 	n    int64
@@ -205,27 +203,16 @@ func (e *Engine) HeadKey() (Time, uint64, bool) {
 	return e.q.headAt, e.q.slab[e.q.slots0[e.q.headSlot].head].ev.seq, true
 }
 
+// callFunc is the shared handler of Schedule and At: the closure rides in
+// the event's argument word (boxing a func value does not allocate).
+func callFunc(arg any, _ int64) { arg.(func())() }
+
 // Schedule runs fn after delay. A negative delay panics: simulated time
 // cannot move backwards.
-func (e *Engine) Schedule(delay Time, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", delay))
-	}
-	e.At(e.now+delay, fn)
-}
+func (e *Engine) Schedule(delay Time, fn func()) { e.ScheduleCall(delay, callFunc, fn, 0) }
 
 // At runs fn at absolute time t, which must not precede the current time.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
-	}
-	seq := e.nextSeq()
-	if ev := e.q.insertSlot(t, seq); ev != nil {
-		*ev = event{at: t, seq: seq, fn: fn}
-	} else {
-		e.q.insertOverflow(event{at: t, seq: seq, fn: fn})
-	}
-}
+func (e *Engine) At(t Time, fn func()) { e.AtCall(t, callFunc, fn, 0) }
 
 // ScheduleCall runs call(arg, n) after delay. It is the allocation-free
 // alternative to Schedule: the caller passes a handler bound once (a struct
@@ -287,13 +274,7 @@ func (e *Engine) InjectBatch(batch []Inject) {
 }
 
 // dispatch fires one event.
-func (ev *event) dispatch() {
-	if ev.call != nil {
-		ev.call(ev.arg, ev.n)
-		return
-	}
-	ev.fn()
-}
+func (ev *event) dispatch() { ev.call(ev.arg, ev.n) }
 
 // Stop makes the current Run/RunUntil return after the in-flight event
 // completes. Pending events remain queued.

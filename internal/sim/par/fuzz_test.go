@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"halsim/internal/sim/par"
 )
 
 // FuzzCrossLPOrdering generalizes the scripted oracle: fuzzing picks the
@@ -29,7 +27,7 @@ func FuzzCrossLPOrdering(f *testing.F) {
 		w := int(workers)%3 + 1
 		n := int(events)%400 + 20
 		rng := rand.New(rand.NewSource(seed))
-		topo, dist := par.Uniform(w, lookahead), uniformDist(w, lookahead)
+		topo, dist := uniform(w, lookahead), uniformDist(w, lookahead)
 		if ring {
 			topo, dist = ringTopology(rng, w)
 		}

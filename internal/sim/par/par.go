@@ -119,21 +119,6 @@ type Topology struct {
 	Links   []Link
 }
 
-// Uniform is the complete LP graph over n workers with one shared minimum
-// latency on every link — the hard-coded shape par.New took before
-// topologies existed, kept for tests and as a conservative default.
-func Uniform(n int, lookahead sim.Time) Topology {
-	t := Topology{Workers: n}
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s != d {
-				t.Links = append(t.Links, Link{Src: s, Dst: d, Latency: lookahead})
-			}
-		}
-	}
-	return t
-}
-
 // distances validates the topology and returns the all-pairs shortest-path
 // closure of the worker→worker link latencies, panicking unless the graph
 // is strongly connected. The closure (rather than the raw links) is what

@@ -46,8 +46,22 @@ type entry struct {
 	ID   int64
 }
 
+// uniform is the complete LP graph over n workers with one shared minimum
+// latency on every link.
+func uniform(n int, lookahead sim.Time) par.Topology {
+	t := par.Topology{Workers: n}
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s != d {
+				t.Links = append(t.Links, par.Link{Src: s, Dst: d, Latency: lookahead})
+			}
+		}
+	}
+	return t
+}
+
 // uniformDist is the distance matrix of the complete graph with one shared
-// latency — what par.Uniform declares.
+// latency — what uniform declares.
 func uniformDist(workers int, la sim.Time) [][]sim.Time {
 	m := make([][]sim.Time, workers)
 	for i := range m {
@@ -230,7 +244,7 @@ func newRunner(s *script, workers int, parallel bool) *runner {
 	if !parallel {
 		return newRunnerTopo(s, workers, nil)
 	}
-	t := par.Uniform(workers, lookahead)
+	t := uniform(workers, lookahead)
 	return newRunnerTopo(s, workers, &t)
 }
 
@@ -366,7 +380,7 @@ func TestMergedInstantSchedTimeOrder(t *testing.T) {
 	ea.SetRank(0)
 	eb.SetRank(1)
 	ctrl.SetRank(3)
-	x := par.New(ctrl, []*sim.Engine{ea, eb}, par.Uniform(2, lookahead))
+	x := par.New(ctrl, []*sim.Engine{ea, eb}, uniform(2, lookahead))
 	var order []string
 	// A control event at t=100 forces a barrier exactly there, so every
 	// engine's t=100 events run in the coordinator's merged-instant step.
@@ -398,7 +412,7 @@ func TestBarrierExactMessageRacesCtrlEvent(t *testing.T) {
 	ea.SetRank(0)
 	eb.SetRank(1)
 	ctrl.SetRank(3)
-	x := par.New(ctrl, []*sim.Engine{ea, eb}, par.Uniform(2, lookahead))
+	x := par.New(ctrl, []*sim.Engine{ea, eb}, uniform(2, lookahead))
 	var order []string
 	ctrl.AtCall(100, func(any, int64) { order = append(order, "ctrl") }, nil, 0)
 	ea.AtCall(10, func(any, int64) {
@@ -425,7 +439,7 @@ func TestIdleShardParking(t *testing.T) {
 	ea.SetRank(0)
 	eb.SetRank(1)
 	ctrl.SetRank(3)
-	x := par.New(ctrl, []*sim.Engine{ea, eb}, par.Uniform(2, lookahead))
+	x := par.New(ctrl, []*sim.Engine{ea, eb}, uniform(2, lookahead))
 	rec := prof.NewRecorder(profNames(2))
 	x.SetRecorder(rec)
 	// Control ticks end rounds at 100, 200, ..., 1000; only the round
@@ -462,7 +476,7 @@ func TestDrainJumpsIdleGaps(t *testing.T) {
 	ea, ctrl := sim.NewEngine(), sim.NewEngine()
 	ea.SetRank(0)
 	ctrl.SetRank(3)
-	x := par.New(ctrl, []*sim.Engine{ea}, par.Uniform(1, 10))
+	x := par.New(ctrl, []*sim.Engine{ea}, uniform(1, 10))
 	fired := sim.Time(0)
 	sentinel := sim.Time(3600) * sim.Second
 	ea.AtCall(sentinel, func(any, int64) { fired = ea.Now() }, nil, 0)
@@ -477,7 +491,7 @@ func TestDrainJumpsIdleGaps(t *testing.T) {
 
 func TestShardPanicPropagates(t *testing.T) {
 	ea, ctrl := sim.NewEngine(), sim.NewEngine()
-	x := par.New(ctrl, []*sim.Engine{ea}, par.Uniform(1, 10))
+	x := par.New(ctrl, []*sim.Engine{ea}, uniform(1, 10))
 	ea.AtCall(5, func(any, int64) { panic("boom") }, nil, 0)
 	x.Start()
 	defer x.Shutdown()
@@ -510,7 +524,7 @@ func TestSendLookaheadViolationPanics(t *testing.T) {
 	ea.SetRank(0)
 	eb.SetRank(1)
 	ctrl.SetRank(3)
-	x := par.New(ctrl, []*sim.Engine{ea, eb}, par.Uniform(2, lookahead))
+	x := par.New(ctrl, []*sim.Engine{ea, eb}, uniform(2, lookahead))
 	ea.AtCall(10, func(any, int64) {
 		x.Send(0, 1, ea.Now()+lookahead-1, ea.AllocSeq(), func(any, int64) {}, nil, 0)
 	}, nil, 0)
@@ -603,7 +617,7 @@ func TestWorkerCapExceededPanics(t *testing.T) {
 			t.Fatalf("recovered %v, want worker-cap panic", r)
 		}
 	}()
-	par.New(sim.NewEngine(), engines, par.Uniform(256, 64))
+	par.New(sim.NewEngine(), engines, uniform(256, 64))
 }
 
 // TestWideStarMatchesSerialOracle is the star oracle at fleet width:

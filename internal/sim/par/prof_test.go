@@ -96,7 +96,7 @@ func TestRecorderLaneCountMismatchPanics(t *testing.T) {
 		e.SetRank(n)
 		w = append(w, e)
 	}
-	x := par.New(sim.NewEngine(), w, par.Uniform(2, lookahead))
+	x := par.New(sim.NewEngine(), w, uniform(2, lookahead))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on lane-count mismatch")

@@ -198,7 +198,7 @@ func (w *timerWheel) place(at Time) (l int, idx int, ok bool) {
 // insertSlot files a slab cell for an event at absolute time at with seq
 // key seq (the caller — the engine — guarantees at >= wt) and returns the
 // cell for the caller to fill in place: one set of stores into the slab
-// instead of a stack construction plus a 56-byte copy. A nil return means
+// instead of a stack construction plus a 48-byte copy. A nil return means
 // at lies beyond the horizon; the caller hands the built event to
 // insertOverflow. Local schedules and injected foreign events share this
 // one path: the seq decides a level-0 event's position either way.
@@ -476,7 +476,6 @@ func (w *timerWheel) popHead() event {
 	// Drop the freed cell's references so the retained slab pins no
 	// closures, handlers, or packets for the garbage collector; the
 	// scalars are fully overwritten on reuse.
-	nd.ev.fn = nil
 	nd.ev.call = nil
 	nd.ev.arg = nil
 	nd.next = w.free

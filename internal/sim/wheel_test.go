@@ -19,11 +19,11 @@ type heapEngine struct {
 
 func (r *heapEngine) Schedule(delay Time, fn func()) {
 	r.keys.now = r.now
-	r.h.push(event{at: r.now + delay, seq: r.keys.nextSeq(), fn: fn})
+	r.h.push(event{at: r.now + delay, seq: r.keys.nextSeq(), call: callFunc, arg: fn})
 }
 
 func (r *heapEngine) Inject(at Time, seq uint64, fn func()) {
-	r.h.push(event{at: at, seq: seq, fn: fn})
+	r.h.push(event{at: at, seq: seq, call: callFunc, arg: fn})
 }
 
 func (r *heapEngine) RunUntil(deadline Time) {
@@ -34,7 +34,7 @@ func (r *heapEngine) RunUntil(deadline Time) {
 		}
 		ev := r.h.pop()
 		r.now = ev.at
-		ev.fn()
+		ev.dispatch()
 	}
 	if r.now < deadline {
 		r.now = deadline
@@ -45,7 +45,7 @@ func (r *heapEngine) Run() {
 	for r.h.len() > 0 {
 		ev := r.h.pop()
 		r.now = ev.at
-		ev.fn()
+		ev.dispatch()
 	}
 }
 

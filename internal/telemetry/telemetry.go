@@ -25,9 +25,16 @@ import "halsim/internal/sim"
 // Defaults for Config's zero fields.
 const (
 	DefaultTimelinePeriod = 100 * sim.Microsecond
-	DefaultTimelineCap    = 1 << 16
 	DefaultTraceEvery     = 64
-	DefaultTraceCap       = 1 << 18
+)
+
+// Collector bounds. TimelineCap bounds the sample ring; once full the
+// oldest samples are overwritten so a long run keeps its most recent
+// window. TraceCap bounds retained span events; once full, further events
+// are counted as truncated rather than recorded.
+const (
+	TimelineCap = 1 << 16
+	TraceCap    = 1 << 18
 )
 
 // Config selects which collectors a run builds. The zero value disables
@@ -40,18 +47,12 @@ type Config struct {
 	// resolution as the power sampler, fine enough to watch the LBP's
 	// 100 µs ticks move Fwd_Th).
 	TimelinePeriod sim.Time
-	// TimelineCap bounds the sample ring; once full the oldest samples
-	// are overwritten so a long run keeps its most recent window.
-	TimelineCap int
 
 	// TraceEvery enables packet-lifecycle tracing of one packet in every
 	// TraceEvery (deterministic: packet IDs congruent to 1 modulo
 	// TraceEvery are sampled, so the same seed replays the same spans).
 	// 0 disables tracing; 1 traces every packet.
 	TraceEvery int
-	// TraceCap bounds retained span events; once full, further events are
-	// counted as truncated rather than recorded.
-	TraceCap int
 
 	// Prof opts a sharded fleet (Config.Cluster with Config.Shards > 1)
 	// into the flight recorder (telemetry/prof): per-LP window spans with
@@ -76,14 +77,8 @@ func (c Config) WithDefaults() Config {
 	if c.TimelinePeriod <= 0 {
 		c.TimelinePeriod = DefaultTimelinePeriod
 	}
-	if c.TimelineCap <= 0 {
-		c.TimelineCap = DefaultTimelineCap
-	}
 	if c.TraceEvery < 0 {
 		c.TraceEvery = 0
-	}
-	if c.TraceCap <= 0 {
-		c.TraceCap = DefaultTraceCap
 	}
 	return c
 }
@@ -113,10 +108,10 @@ func New(cfg Config) *Collector {
 		c.Registry = NewRegistry()
 	}
 	if cfg.Timeline {
-		c.Timeline = NewTimeline(cfg.TimelinePeriod, cfg.TimelineCap)
+		c.Timeline = NewTimeline(cfg.TimelinePeriod, TimelineCap)
 	}
 	if cfg.TraceEvery > 0 {
-		c.Tracer = NewTracer(cfg.TraceEvery, cfg.TraceCap)
+		c.Tracer = NewTracer(cfg.TraceEvery, TraceCap)
 	}
 	return c
 }

@@ -18,7 +18,7 @@ func TestConfigDefaultsAndEnabled(t *testing.T) {
 		t.Fatal("disabled config must build a nil collector")
 	}
 	c := Config{Timeline: true}.WithDefaults()
-	if c.TimelinePeriod != DefaultTimelinePeriod || c.TimelineCap != DefaultTimelineCap {
+	if c.TimelinePeriod != DefaultTimelinePeriod {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 	if c.TraceEvery != 0 {
