@@ -1,5 +1,6 @@
-// Benchmarks, one per table and figure of the paper's evaluation, plus the
-// headline HAL-vs-baseline comparisons. Each benchmark iteration runs the
+// Benchmarks, one per simulating table and figure driver of the paper's
+// evaluation (Fig. 4 reads Fig. 9's sweep, so BenchmarkFig9 covers it),
+// plus the headline HAL-vs-baseline comparisons. Each benchmark iteration runs the
 // corresponding experiment at reduced fidelity (short simulated durations)
 // so `go test -bench=.` regenerates every artifact end to end; use
 // cmd/halbench for full-fidelity numbers.
@@ -62,15 +63,6 @@ func BenchmarkFig2Fig3(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4 regenerates the packet-rate-vs-efficiency sweeps of Fig. 4.
-func BenchmarkFig4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := halsim.Fig4(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTable2 regenerates the SLO-throughput search of Table II.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -107,7 +99,8 @@ func BenchmarkFig8(b *testing.B) {
 	}
 }
 
-// BenchmarkFig9 regenerates the Host/SNIC/HAL rate sweeps of Fig. 9.
+// BenchmarkFig9 regenerates the Host/SNIC/HAL rate sweeps of Fig. 9, whose
+// SNIC-only and host-only points are also Fig. 4's.
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rs, err := halsim.Fig9(benchOpts())

@@ -9,12 +9,20 @@
 // fig2, fig3, fig4, fig5, fig8, fig9, fig10, tab2, tab5, costs, ablation,
 // faults, validate.
 //
+// Each simulation runs at most once per invocation. fig2 and fig3 share
+// one SNIC-vs-host comparison; fig4 prints the SNIC-only and host-only
+// points of fig9's sweep; validate scores the claims on the fig9, fig5,
+// tab5 and fig2/fig3 results. So a full run simulates nothing twice, but
+// validate run alone runs those four drivers (without printing them) and
+// takes about as long as they do together.
+//
 // Exit codes (shared with halsim, see internal/cliutil): 0 success,
 // 1 runtime failure / failed validation run, 2 usage error (unknown
 // experiment, bad flag, invalid fault plan).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -93,17 +101,18 @@ func run(quick bool, seed int64, cpuprofile, memprofile string, names []string) 
 		opt.TraceDuration = 200 * sim.Millisecond
 	}
 
-	// fig2 and fig3 are two views of one SNIC-vs-host comparison; run it
+	// Drivers whose results more than one experiment prints or scores run
 	// once per invocation.
-	compare := sync.OnceValues(func() (experiments.CompareResult, error) {
-		return experiments.CompareSNICHost(opt)
-	})
-	runners := map[string]func(experiments.Options) error{
-		"tab1": func(experiments.Options) error {
+	compare := sync.OnceValues(func() (experiments.CompareResult, error) { return experiments.CompareSNICHost(opt) })
+	fig9 := sync.OnceValues(func() ([]experiments.SweepResult, error) { return experiments.Fig9(opt) })
+	fig5 := sync.OnceValues(func() (experiments.SLBResult, error) { return experiments.Fig5(opt) })
+	tab5 := sync.OnceValues(func() (experiments.Tab5Result, error) { return experiments.Table5(opt) })
+	runners := map[string]func() error{
+		"tab1": func() error {
 			emit(experiments.Table1())
 			return nil
 		},
-		"fig2": func(experiments.Options) error {
+		"fig2": func() error {
 			r, err := compare()
 			if err != nil {
 				return err
@@ -111,7 +120,7 @@ func run(quick bool, seed int64, cpuprofile, memprofile string, names []string) 
 			emit(r.Fig2())
 			return nil
 		},
-		"fig3": func(experiments.Options) error {
+		"fig3": func() error {
 			r, err := compare()
 			if err != nil {
 				return err
@@ -119,12 +128,12 @@ func run(quick bool, seed int64, cpuprofile, memprofile string, names []string) 
 			emit(r.Fig3())
 			return nil
 		},
-		"fig4": func(o experiments.Options) error {
-			rs, err := experiments.Fig4(o)
+		"fig4": func() error {
+			rs, err := fig9()
 			if err != nil {
 				return err
 			}
-			for _, r := range rs {
+			for _, r := range experiments.Fig4(rs) {
 				for _, t := range r.Tables() {
 					emit(t)
 				}
@@ -133,20 +142,20 @@ func run(quick bool, seed int64, cpuprofile, memprofile string, names []string) 
 			}
 			return nil
 		},
-		"fig5": func(o experiments.Options) error {
-			r, err := experiments.Fig5(o)
+		"fig5": func() error {
+			r, err := fig5()
 			if err != nil {
 				return err
 			}
 			emit(r.Table())
 			return nil
 		},
-		"fig8": func(o experiments.Options) error {
-			emit(experiments.Fig8(o))
+		"fig8": func() error {
+			emit(experiments.Fig8(opt))
 			return nil
 		},
-		"fig9": func(o experiments.Options) error {
-			rs, err := experiments.Fig9(o)
+		"fig9": func() error {
+			rs, err := fig9()
 			if err != nil {
 				return err
 			}
@@ -157,24 +166,24 @@ func run(quick bool, seed int64, cpuprofile, memprofile string, names []string) 
 			}
 			return nil
 		},
-		"fig10": func(o experiments.Options) error {
-			r, err := experiments.Fig10(o)
+		"fig10": func() error {
+			r, err := experiments.Fig10(opt)
 			if err != nil {
 				return err
 			}
 			emit(r.Table())
 			return nil
 		},
-		"tab2": func(o experiments.Options) error {
-			r, err := experiments.Table2(o)
+		"tab2": func() error {
+			r, err := experiments.Table2(opt)
 			if err != nil {
 				return err
 			}
 			emit(r.Table())
 			return nil
 		},
-		"tab5": func(o experiments.Options) error {
-			r, err := experiments.Table5(o)
+		"tab5": func() error {
+			r, err := tab5()
 			if err != nil {
 				return err
 			}
@@ -182,15 +191,15 @@ func run(quick bool, seed int64, cpuprofile, memprofile string, names []string) 
 			emit(r.SummaryTable())
 			return nil
 		},
-		"costs": func(o experiments.Options) error {
-			r, err := experiments.Costs(o)
+		"costs": func() error {
+			r, err := experiments.Costs(opt)
 			if err != nil {
 				return err
 			}
 			emit(r.Table())
 			return nil
 		},
-		"ablation": func(o experiments.Options) error {
+		"ablation": func() error {
 			for _, f := range []func(experiments.Options) (experiments.AblationResult, error){
 				experiments.AblationLBP,
 				experiments.AblationWatermarks,
@@ -198,7 +207,7 @@ func run(quick bool, seed int64, cpuprofile, memprofile string, names []string) 
 				experiments.AblationPacketSize,
 				experiments.AblationFunctionMix,
 			} {
-				r, err := f(o)
+				r, err := f(opt)
 				if err != nil {
 					return err
 				}
@@ -207,8 +216,8 @@ func run(quick bool, seed int64, cpuprofile, memprofile string, names []string) 
 			emit(experiments.DVFSEstimate())
 			return nil
 		},
-		"faults": func(o experiments.Options) error {
-			r, err := experiments.Faults(o)
+		"faults": func() error {
+			r, err := experiments.Faults(opt)
 			if err != nil {
 				return err
 			}
@@ -221,11 +230,17 @@ func run(quick bool, seed int64, cpuprofile, memprofile string, names []string) 
 			}
 			return nil
 		},
-		"validate": func(o experiments.Options) error {
-			r, err := experiments.Validate(o)
-			if err != nil {
+		"validate": func() error {
+			var ev experiments.Evidence
+			var errs [4]error
+			ev.Fig9, errs[0] = fig9()
+			ev.Fig5, errs[1] = fig5()
+			ev.Table5, errs[2] = tab5()
+			ev.Compare, errs[3] = compare()
+			if err := errors.Join(errs[:]...); err != nil {
 				return err
 			}
+			r := experiments.Validate(ev)
 			emit(r.Table())
 			if !r.Passed() {
 				return fmt.Errorf("validation failed")
@@ -245,7 +260,7 @@ func run(quick bool, seed int64, cpuprofile, memprofile string, names []string) 
 			return cliutil.ExitUsage
 		}
 		start := time.Now()
-		if err := runner(opt); err != nil {
+		if err := runner(); err != nil {
 			fmt.Fprintf(os.Stderr, "halbench: %s: %v\n", name, err)
 			// Validation errors (a fault plan that failed Validate) exit 2
 			// like every other usage mistake; runtime failures exit 1.

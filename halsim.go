@@ -218,8 +218,13 @@ type ExperimentOptions = experiments.Options
 // ExperimentTable is a rendered experiment artifact.
 type ExperimentTable = experiments.Table
 
+// ValidationEvidence is what Validate scores: the Fig9, Fig5, Table5 and
+// CompareSNICHost results, from those drivers or built by hand.
+type ValidationEvidence = experiments.Evidence
+
 // Experiment drivers, one per paper artifact. Each returns results whose
-// Table/Tables methods render the corresponding figure or table.
+// Table/Tables methods render the corresponding figure or table; Fig4 and
+// Validate read Fig9's (and the other drivers') results and simulate nothing.
 var (
 	CompareSNICHost = experiments.CompareSNICHost // Fig 2 + Fig 3
 	Fig4            = experiments.Fig4

@@ -65,12 +65,6 @@ func compareCases() []compareCase {
 	}
 }
 
-// measureMaxPoint is maxSustainablePoint for one compare case on one side.
-func measureMaxPoint(mode server.Mode, c compareCase, opt Options) (PlatformPoint, error) {
-	cfg := server.Config{Mode: mode, Fn: c.fn, FnConfig: c.fnCfg, SNIC: c.snic, Host: c.host, Seed: opt.Seed}
-	return maxSustainablePoint(cfg, capacityHint(mode, c), opt)
-}
-
 // maxSustainablePoint finds cfg's saturation throughput, then remeasures
 // p99/power at 85% of it — the paper's "maximum sustainable throughput
 // point" methodology (§III-A). capacity is the calibrated capacity in Gbps.
@@ -124,15 +118,16 @@ func CompareSNICHost(opt Options) (CompareResult, error) {
 	points := make([]ComparePoint, len(cases))
 	err := parMap(len(cases), func(i int) error {
 		c := cases[i]
-		snic, err := measureMaxPoint(server.SNICOnly, c, opt)
-		if err != nil {
-			return fmt.Errorf("%s/SNIC: %w", c.name, err)
+		var sides [2]PlatformPoint
+		for j, mode := range []server.Mode{server.SNICOnly, server.HostOnly} {
+			cfg := server.Config{Mode: mode, Fn: c.fn, FnConfig: c.fnCfg, SNIC: c.snic, Host: c.host, Seed: opt.Seed}
+			p, err := maxSustainablePoint(cfg, capacityHint(mode, c), opt)
+			if err != nil {
+				return fmt.Errorf("%s/%v: %w", c.name, mode, err)
+			}
+			sides[j] = p
 		}
-		host, err := measureMaxPoint(server.HostOnly, c, opt)
-		if err != nil {
-			return fmt.Errorf("%s/Host: %w", c.name, err)
-		}
-		points[i] = ComparePoint{Name: c.name, SNIC: snic, Host: host}
+		points[i] = ComparePoint{Name: c.name, SNIC: sides[0], Host: sides[1]}
 		return nil
 	})
 	return CompareResult{Points: points}, err

@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"halsim/internal/nf"
 	"halsim/internal/server"
 	"halsim/internal/sim"
+	"halsim/internal/trace"
 )
 
 // quick returns options sized for unit tests: shapes still hold at these
@@ -40,9 +43,18 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
+// The quick Fig. 2/3 comparison, Fig. 5 and Table V, each run once and
+// shared: their shape tests and the claim scoring of Validate read the same
+// results.
+var (
+	compare = sync.OnceValues(func() (CompareResult, error) { return CompareSNICHost(quick()) })
+	fig5    = sync.OnceValues(func() (SLBResult, error) { return Fig5(quick()) })
+	tab5    = sync.OnceValues(func() (Tab5Result, error) { return Table5(quick()) })
+)
+
 func TestCompareShapes(t *testing.T) {
 	heavy(t)
-	r, err := CompareSNICHost(quick())
+	r, err := compare()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +99,7 @@ func TestCompareShapes(t *testing.T) {
 }
 
 // fig9 is the quick Fig. 9 sweep, run once and shared: its SNIC-only and
-// host-only points are exactly Fig. 4's operating points (same Config and
-// RunConfig), so the Fig. 4 crossover check reads them instead of
-// re-running them.
+// host-only points are Fig. 4's, and Validate scores its NAT points.
 var fig9 = sync.OnceValues(func() ([]SweepResult, error) { return Fig9(quick()) })
 
 func TestFig9Shapes(t *testing.T) {
@@ -147,40 +157,39 @@ func TestFig4CrossoverExists(t *testing.T) {
 		}
 	}
 
-	// Fig. 4 is Fig. 9 minus HAL: same functions, same rates, the SNIC and
-	// host modes. Its own run is kept short; the operating points above
-	// stand in for it.
-	fig4, err := Fig4(Options{Duration: sim.Millisecond, TraceDuration: sim.Millisecond, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	// Fig. 4 is Fig. 9 minus HAL: REM then NAT, Fig. 9's rates, and the
+	// SNIC-only and host-only points themselves.
+	fig4 := Fig4(rs)
+	var fns []nf.ID
+	for _, r := range fig4 {
+		fns = append(fns, r.Fn)
 	}
-	if len(fig4) != len(rs) {
-		t.Fatalf("Fig4 sweeps %d functions, Fig9 %d", len(fig4), len(rs))
+	if !slices.Equal(fns, []nf.ID{nf.REM, nf.NAT}) {
+		t.Fatalf("Fig4 sweeps %v, want REM then NAT", fns)
 	}
 	for _, r4 := range fig4 {
 		i := slices.IndexFunc(rs, func(r9 SweepResult) bool { return r9.Fn == r4.Fn })
 		if i < 0 {
-			t.Errorf("Fig4 sweeps %v, which Fig9 does not", r4.Fn)
-			continue
+			t.Fatalf("Fig4 sweeps %v, which Fig9 does not", r4.Fn)
 		}
 		r9 := rs[i]
 		if !slices.Equal(r4.Rates, r9.Rates) {
 			t.Errorf("%v: Fig4 rates %v, Fig9 rates %v", r4.Fn, r4.Rates, r9.Rates)
 		}
-		for m := range r9.Points {
-			if _, ok := r4.Points[m]; ok == (m == server.HAL) {
-				t.Errorf("%v: Fig4 has mode %v = %v, want Fig9's modes minus HAL", r4.Fn, m, ok)
-			}
+		if _, ok := r4.Points[server.HAL]; ok || len(r4.Points) != 2 {
+			t.Errorf("%v: Fig4 modes %d (HAL %v), want SNIC-only and host-only", r4.Fn, len(r4.Points), ok)
 		}
-		if len(r4.Points) != len(r9.Points)-1 {
-			t.Errorf("%v: Fig4 sweeps %d modes, want %d", r4.Fn, len(r4.Points), len(r9.Points)-1)
+		for _, m := range []server.Mode{server.SNICOnly, server.HostOnly} {
+			if !slices.Equal(r4.Points[m], r9.Points[m]) {
+				t.Errorf("%v/%v: Fig4 points differ from Fig9's", r4.Fn, m)
+			}
 		}
 	}
 }
 
 func TestFig5Shapes(t *testing.T) {
 	heavy(t)
-	r, err := Fig5(quick())
+	r, err := fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +322,7 @@ func TestTable2Shapes(t *testing.T) {
 
 func TestTable5Shapes(t *testing.T) {
 	heavy(t)
-	r, err := Table5(quick())
+	r, err := tab5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,10 +488,21 @@ func TestDVFSEstimate(t *testing.T) {
 
 func TestValidateAllClaims(t *testing.T) {
 	heavy(t)
-	r, err := Validate(quick())
-	if err != nil {
+	var ev Evidence
+	var err error
+	if ev.Fig9, err = fig9(); err != nil {
 		t.Fatal(err)
 	}
+	if ev.Fig5, err = fig5(); err != nil {
+		t.Fatal(err)
+	}
+	if ev.Table5, err = tab5(); err != nil {
+		t.Fatal(err)
+	}
+	if ev.Compare, err = compare(); err != nil {
+		t.Fatal(err)
+	}
+	r := Validate(ev)
 	if len(r.Checks) != 10 {
 		t.Fatalf("checks = %d, want 10", len(r.Checks))
 	}
@@ -496,6 +516,57 @@ func TestValidateAllClaims(t *testing.T) {
 	}
 	if !strings.Contains(r.Table().Render(), "PASS") {
 		t.Error("table render broken")
+	}
+}
+
+// TestValidateHandBuiltEvidence scores claims on evidence built by hand:
+// every point in range except a SNIC NAT saturation of 60 Gbps, and no
+// Fig. 5 bar for SLB on 4 cores.
+func TestValidateHandBuiltEvidence(t *testing.T) {
+	nat := SweepResult{Fn: nf.NAT, Rates: []float64{20, 80, 100}, Points: map[server.Mode][]SweepPoint{
+		server.SNICOnly: {{RateGbps: 20, P50us: 3}, {RateGbps: 80, TPGbps: 60, P99us: 5000}, {RateGbps: 100}},
+		server.HostOnly: {{RateGbps: 20}, {RateGbps: 80, P99us: 20, PowerW: 300}, {RateGbps: 100, TPGbps: 90}},
+		server.HAL:      {{RateGbps: 20, P50us: 4}, {RateGbps: 80, TPGbps: 80, P99us: 30, PowerW: 250}, {RateGbps: 100}},
+	}}
+	ev := Evidence{
+		Fig9: []SweepResult{nat},
+		Fig5: SLBResult{Points: []SLBPoint{{Cores: 1, FwdTh: 20, DropFrac: 0.6}}},
+		Compare: CompareResult{Points: []ComparePoint{
+			{Name: "REM-tea", SNIC: PlatformPoint{MaxGbps: 10}, Host: PlatformPoint{MaxGbps: 20}},
+			{Name: "REM-lite", SNIC: PlatformPoint{MaxGbps: 40}, Host: PlatformPoint{MaxGbps: 2}},
+		}},
+	}
+	for _, w := range trace.Workloads {
+		ev.Table5.Rows = append(ev.Table5.Rows, Tab5Row{Workload: w, Config: "REM",
+			Host: Tab5Cell{AvgGbps: 10, PowerW: 200}, HAL: Tab5Cell{AvgGbps: 10, PowerW: 150}})
+	}
+	r := Validate(ev)
+	if len(r.Checks) != 10 {
+		t.Fatalf("checks = %d, want 10", len(r.Checks))
+	}
+	failed := map[int]string{}
+	for i, c := range r.Checks {
+		if !c.Pass {
+			failed[i+1] = c.Measured
+		}
+	}
+	want := map[int]string{1: "60.0 Gbps", 8: "missing"}
+	if !maps.Equal(failed, want) {
+		t.Errorf("failing claims (number: measured) = %v, want %v", failed, want)
+	}
+	if r.Passed() {
+		t.Error("Passed() = true with failing claims")
+	}
+	tbl := r.Table().Render()
+	if strings.Count(tbl, "FAIL") != 2 || strings.Count(tbl, "PASS") != 8 {
+		t.Errorf("scoreboard should show 2 FAIL and 8 PASS rows:\n%s", tbl)
+	}
+
+	// No evidence at all fails every claim without panicking.
+	for _, c := range Validate(Evidence{}).Checks {
+		if c.Pass || c.Measured != "missing" {
+			t.Errorf("%s: %+v on empty evidence, want a missing FAIL", c.Claim, c)
+		}
 	}
 }
 

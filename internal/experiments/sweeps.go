@@ -12,6 +12,7 @@ type SweepPoint struct {
 	RateGbps float64
 	Mode     server.Mode
 	TPGbps   float64
+	P50us    float64
 	P99us    float64
 	PowerW   float64
 	EffGbpsW float64
@@ -59,7 +60,7 @@ func sweep(fn nf.ID, modes []server.Mode, opt Options) (SweepResult, error) {
 		}
 		out.Points[j.mode][j.ri] = SweepPoint{
 			RateGbps: rate, Mode: j.mode,
-			TPGbps: res.AvgGbps, P99us: res.P99us,
+			TPGbps: res.AvgGbps, P50us: res.P50us, P99us: res.P99us,
 			PowerW: res.AvgPowerW, EffGbpsW: res.EffGbpsPerW,
 			DropFrac: res.DropFraction,
 		}
@@ -68,19 +69,22 @@ func sweep(fn nf.ID, modes []server.Mode, opt Options) (SweepResult, error) {
 	return out, err
 }
 
-// Fig4 sweeps REM and NAT on the SNIC processor and the host processor:
+// Fig4 is the paper's SNIC-vs-host rate sweep, REM then NAT:
 // throughput/p99 (top) and power/energy-efficiency (bottom) versus packet
-// rate.
-func Fig4(opt Options) ([]SweepResult, error) {
+// rate. Its operating points are Fig. 9's SNIC-only and host-only points,
+// so it selects them from fig9, the result of Fig9, and simulates nothing;
+// the returned points share fig9's slices.
+func Fig4(fig9 []SweepResult) []SweepResult {
 	var out []SweepResult
 	for _, fn := range []nf.ID{nf.REM, nf.NAT} {
-		r, err := sweep(fn, []server.Mode{server.SNICOnly, server.HostOnly}, opt)
-		if err != nil {
-			return nil, err
+		if r, ok := find(fig9, func(r SweepResult) bool { return r.Fn == fn }); ok {
+			out = append(out, SweepResult{Fn: fn, Rates: r.Rates, Points: map[server.Mode][]SweepPoint{
+				server.SNICOnly: r.Points[server.SNICOnly],
+				server.HostOnly: r.Points[server.HostOnly],
+			}})
 		}
-		out = append(out, r)
 	}
-	return out, nil
+	return out
 }
 
 // Fig9 sweeps NAT and REM across Host, SNIC, and HAL: throughput, p99

@@ -128,6 +128,26 @@ func TestAccelDegradeFallsBackGracefully(t *testing.T) {
 	}
 }
 
+// TestSLBAccelRestoreKeepsProcessingRate restores an accelerator on an SLB
+// SNIC, whose forwarding cores leave 4 of 8 cores processing: the restored
+// profile must serve at the processing cores' share of its rate, not the
+// whole SNIC's, so the after-fault phase delivers what the before-fault
+// phase did.
+func TestSLBAccelRestoreKeepsProcessingRate(t *testing.T) {
+	from, to := 40*sim.Millisecond, 60*sim.Millisecond
+	plan := fault.NewPlan(1).DegradeSNICAccel(from, to)
+	cfg := Config{Mode: SLB, Fn: nf.REM, SLBCores: 4, SLBFwdThGbps: 80, Seed: 1, Faults: plan}
+	res, err := Run(cfg, faultRC(90, from, to))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledgerOK(t, res)
+	before, after := res.Phases[0], res.Phases[2]
+	if after.AvgGbps < before.AvgGbps*0.95 || after.AvgGbps > before.AvgGbps*1.05 {
+		t.Fatalf("post-restore %.2f Gbps, want within 5%% of pre-fault %.2f", after.AvgGbps, before.AvgGbps)
+	}
+}
+
 func TestHostCoreCrashInHostOnlyMode(t *testing.T) {
 	from, to := 40*sim.Millisecond, 60*sim.Millisecond
 	plan := fault.NewPlan(1)

@@ -347,8 +347,11 @@ func (s *station) aliveCores() int {
 
 // setProfile swaps the station's service profile in place (accelerator
 // degradation/restoration at run time). The core count is pinned at build
-// time, so the replacement profile serves with the original parallelism.
+// time, so the replacement profile serves with the original parallelism
+// at its own per-core rate: an SLB station, whose forwarding cores leave
+// fewer processing cores than the profile's, keeps its share of MaxGbps.
 func (s *station) setProfile(p platform.FnProfile) {
+	p.MaxGbps *= float64(s.prof.Servers) / float64(p.Servers)
 	p.Servers = s.prof.Servers
 	s.prof = p
 	s.timer = p.Timer()

@@ -150,7 +150,10 @@ func TestStationSetProfilePinsServers(t *testing.T) {
 	if st.prof.Servers != 4 {
 		t.Fatalf("servers = %d, want pinned 4", st.prof.Servers)
 	}
-	if st.prof.MaxGbps != 2 {
-		t.Fatalf("MaxGbps = %v, want swapped 2", st.prof.MaxGbps)
+	// The swapped profile keeps its per-core rate (2 Gbps over 8 cores)
+	// on the pinned 4 cores.
+	if st.prof.MaxGbps != 1 || st.prof.PerServerGbps() != 0.25 {
+		t.Fatalf("MaxGbps = %v (%v per core), want swapped 1 (0.25 per core)",
+			st.prof.MaxGbps, st.prof.PerServerGbps())
 	}
 }
