@@ -33,12 +33,6 @@ const maxGroups = 254
 // which keeps the base seed's streams) share a stream.
 const seedStride = 1009
 
-// pend is the ingress's record of one in-flight request.
-type pend struct {
-	srv     int32
-	wireLen int32
-}
-
 // crun is one cluster run.
 type crun struct {
 	cfg server.Config
@@ -62,14 +56,14 @@ type crun struct {
 	fab  *fabric
 
 	// Ingress-owned state (worker 0 during windows, coordinator at
-	// barriers).
-	inflight    map[uint64]pend
+	// barriers). A response carries its server in the delivery event's
+	// scalar and its request's length in ReqLen, so no per-request table
+	// is needed.
 	outstanding []int64
 	totalPkts   []uint64 // per server, all-time dispatched
 	totalB      []uint64
 	sentPkts    []uint64 // per server, post-warmup dispatched
 	sentB       []uint64
-	respPkts    []uint64
 	lat         *stats.Histogram
 	winB        int64
 	rateWinB    int64
@@ -234,17 +228,15 @@ func (c *crun) build() error {
 		}
 	}
 
-	// Ingress: dispatch policy, in-flight table, measurement.
+	// Ingress: dispatch policy, outstanding counts, measurement.
 	c.disp = newDispatcher(c.cc.Dispatch, n, c.cfg.Seed+23)
-	c.inflight = make(map[uint64]pend, 4096)
 	c.outstanding = make([]int64, n)
 	c.totalPkts = make([]uint64, n)
 	c.totalB = make([]uint64, n)
 	c.sentPkts = make([]uint64, n)
 	c.sentB = make([]uint64, n)
-	c.respPkts = make([]uint64, n)
 	c.lat = stats.NewHistogram()
-	c.respCall = func(a any, _ int64) { c.deliver(a.(*packet.Packet)) }
+	c.respCall = func(a any, srv int64) { c.deliver(a.(*packet.Packet), int(srv)) }
 	// upCall finishes a podded response's trip at the ingress: it fires
 	// at the ToR-arrival instant, serializes the frame onto the pod's
 	// upstream uplink (podUpFree is ingress-owned — a pod can span
@@ -252,7 +244,7 @@ func (c *crun) build() error {
 	c.upCall = func(a any, srv int64) {
 		p := a.(*packet.Packet)
 		arr := c.fab.podUp(int(srv), c.engs[0].Now(), p.WireLen)
-		c.engs[0].AtCall(arr, c.respCall, p, 0)
+		c.engs[0].AtCall(arr, c.respCall, p, srv)
 	}
 	if len(c.rc.PhaseMarks) > 0 {
 		bounds := append([]sim.Time{0}, c.rc.PhaseMarks...)
@@ -402,7 +394,6 @@ func (c *crun) dispatch(p *packet.Packet, at sim.Time) {
 		c.sentPkts[i]++
 		c.sentB[i] += uint64(p.WireLen)
 	}
-	c.inflight[p.ID] = pend{srv: int32(i), wireLen: int32(p.WireLen)}
 	c.outstanding[i]++
 	arr := c.fab.down(i, at, p.WireLen)
 	if c.x == nil {
@@ -422,10 +413,11 @@ func (c *crun) dispatch(p *packet.Packet, at sim.Time) {
 func (c *crun) respond(srv, wkr int, p *packet.Packet) {
 	eng := c.engs[wkr]
 	arr := c.fab.up(srv, eng.Now(), p.WireLen)
-	call, n := c.respCall, int64(0)
+	call := c.respCall
 	if c.fab.pods > 1 {
-		call, n = c.upCall, int64(srv)
+		call = c.upCall
 	}
+	n := int64(srv)
 	if c.x == nil {
 		eng.AtCall(arr, call, p, n)
 		return
@@ -433,31 +425,23 @@ func (c *crun) respond(srv, wkr int, p *packet.Packet) {
 	c.x.Send(wkr, 0, arr, eng.AllocSeq(), call, p, n)
 }
 
-// deliver closes one round trip at the ingress: latency and throughput
-// accounting against the original request's dispatch record.
-func (c *crun) deliver(p *packet.Packet) {
+// deliver closes one round trip of a request served by server srv at the
+// ingress: latency, and throughput in the request's bytes. A request that
+// was dropped never responds, so it stays outstanding.
+func (c *crun) deliver(p *packet.Packet, srv int) {
 	now := c.engs[0].Now()
-	pd, ok := c.inflight[p.ID]
-	if ok {
-		delete(c.inflight, p.ID)
-		c.outstanding[pd.srv]--
-		c.respPkts[pd.srv]++
-	}
+	c.outstanding[srv]--
 	rtt := int64(now) - p.CreatedAt
 	if ph := c.phaseAt(sim.Time(p.CreatedAt)); ph != nil {
 		ph.Record(rtt)
 	}
-	if ok {
-		// The rate series is all-time (the recovery-time signal needs the
-		// pre-warmup windows too); MaxGbps windows are warmup-gated like a
-		// single server's completion path.
-		c.rateWinB += int64(pd.wireLen)
-	}
+	// The rate series is all-time (the recovery-time signal needs the
+	// pre-warmup windows too); MaxGbps windows are warmup-gated like a
+	// single server's completion path.
+	c.rateWinB += int64(p.ReqLen)
 	if sim.Time(p.CreatedAt) >= c.rc.Warmup {
 		c.lat.Record(rtt)
-		if ok {
-			c.winB += int64(pd.wireLen)
-		}
+		c.winB += int64(p.ReqLen)
 	}
 	if c.tl != nil {
 		c.tl.RecordLatency(rtt)

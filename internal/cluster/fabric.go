@@ -1,8 +1,7 @@
 package cluster
 
 import (
-	"math/rand"
-
+	"halsim/internal/rng"
 	"halsim/internal/sim"
 )
 
@@ -190,7 +189,7 @@ type dispatcher interface {
 func newDispatcher(policy string, n int, seed int64) dispatcher {
 	switch policy {
 	case "p2c":
-		return &p2c{n: n, rng: rand.New(rand.NewSource(seed))}
+		return &p2c{n: n, rng: rng.New(seed)}
 	case "least-conn":
 		return leastConn{}
 	default:
@@ -215,7 +214,7 @@ func (d *roundRobin) pick([]int64) int {
 // draw wins ties, keeping the policy deterministic).
 type p2c struct {
 	n   int
-	rng *rand.Rand
+	rng *rng.Rand
 }
 
 func (d *p2c) pick(outstanding []int64) int {

@@ -110,7 +110,7 @@ func (c Config) validate() error {
 // TrafficMonitor is HLB block ① : it counts received bytes and reports the
 // arrival rate once per window.
 type TrafficMonitor struct {
-	meter    *stats.RateMeter
+	meter    stats.RateMeter
 	rateGbps float64
 	// Packets and Bytes count everything ever observed; Rolls counts
 	// closed windows (the freshness signal the LBP watchdog consumes).
@@ -120,8 +120,8 @@ type TrafficMonitor struct {
 }
 
 // NewTrafficMonitor returns a monitor with the given window.
-func NewTrafficMonitor(window sim.Time) *TrafficMonitor {
-	return &TrafficMonitor{meter: stats.NewRateMeter(int64(window))}
+func NewTrafficMonitor(window sim.Time) TrafficMonitor {
+	return TrafficMonitor{meter: stats.NewRateMeter(int64(window))}
 }
 
 // Observe records one received packet.
@@ -160,8 +160,8 @@ type TrafficDirector struct {
 }
 
 // NewTrafficDirector returns a director diverting to hostAddr.
-func NewTrafficDirector(hostAddr packet.Addr, initialFwdTh float64) *TrafficDirector {
-	return &TrafficDirector{hostAddr: hostAddr, fwdThGbps: initialFwdTh}
+func NewTrafficDirector(hostAddr packet.Addr, initialFwdTh float64) TrafficDirector {
+	return TrafficDirector{hostAddr: hostAddr, fwdThGbps: initialFwdTh}
 }
 
 // SetFwdTh installs the threshold (LBP's output).
@@ -224,8 +224,8 @@ type TrafficMerger struct {
 }
 
 // NewTrafficMerger returns a merger masquerading hostAddr as snicAddr.
-func NewTrafficMerger(snic, host packet.Addr) *TrafficMerger {
-	return &TrafficMerger{snicAddr: snic, hostAddr: host}
+func NewTrafficMerger(snic, host packet.Addr) TrafficMerger {
+	return TrafficMerger{snicAddr: snic, hostAddr: host}
 }
 
 // Egress processes one outbound packet in place.
@@ -247,14 +247,16 @@ type QueueObserver interface {
 // LBP is Algorithm 1: the greedy watermark policy that tracks the SNIC
 // processor's sustainable throughput at run time.
 type LBP struct {
+	// snicBytes accumulates bytes the SNIC processor consumed via
+	// rte_eth_rx_burst since the last tick (SNIC_TP's estimator). It is
+	// the one field every SNIC completion writes, so it leads, next to
+	// the merger in a HAL's block.
+	snicBytes int64
+	snicTP    float64
+
 	cfg      Config
 	director *TrafficDirector
 	queues   QueueObserver
-
-	// snicBytes accumulates bytes the SNIC processor consumed via
-	// rte_eth_rx_burst since the last tick (SNIC_TP's estimator).
-	snicBytes int64
-	snicTP    float64
 
 	step    float64
 	lastDir int // +1 raised, -1 lowered, 0 held (for AdaptiveStep)
@@ -286,12 +288,12 @@ type LBP struct {
 }
 
 // NewLBP builds the policy. The director's threshold is seeded from cfg.
-func NewLBP(cfg Config, director *TrafficDirector, queues QueueObserver) (*LBP, error) {
+func NewLBP(cfg Config, director *TrafficDirector, queues QueueObserver) (LBP, error) {
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return LBP{}, err
 	}
 	director.SetFwdTh(cfg.InitialFwdThGbps)
-	return &LBP{
+	return LBP{
 		cfg: cfg, director: director, queues: queues, step: cfg.StepThGbps,
 		aliveFrac: 1, LastFailoverTicks: -1,
 	}, nil
@@ -486,34 +488,37 @@ func (l *LBP) bump(dir int) {
 
 // HAL bundles the four components plus the dataplane latency cost of the
 // FPGA implementation (§VII-C: ~800 ns added round trip, 45% of which is
-// the transceiver+MAC pair).
+// the transceiver+MAC pair). The components are values, so the monitor and
+// director a packet passes through sit in the HAL's own block, and a HAL
+// embedded in its server sits in the server's.
 type HAL struct {
+	Monitor  TrafficMonitor
+	Director TrafficDirector
+	Merger   TrafficMerger
+	Policy   LBP
 	Cfg      Config
-	Monitor  *TrafficMonitor
-	Director *TrafficDirector
-	Merger   *TrafficMerger
-	Policy   *LBP
 }
 
-// New assembles a HAL instance over the given queue observer.
-func New(cfg Config, queues QueueObserver) (*HAL, error) {
+// Init assembles h in place over the given queue observer. The policy
+// points at h's director and its watchdog reads h's monitor, so an
+// initialized HAL must not be copied.
+func (h *HAL) Init(cfg Config, queues QueueObserver) error {
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return err
 	}
-	dir := NewTrafficDirector(cfg.HostAddr, cfg.InitialFwdThGbps)
-	lbp, err := NewLBP(cfg, dir, queues)
-	if err != nil {
-		return nil, err
-	}
-	mon := NewTrafficMonitor(cfg.MonitorPeriod)
-	lbp.BindTelemetry(func() uint64 { return mon.Rolls })
-	return &HAL{
-		Cfg:      cfg,
-		Monitor:  mon,
-		Director: dir,
+	*h = HAL{
+		Monitor:  NewTrafficMonitor(cfg.MonitorPeriod),
+		Director: NewTrafficDirector(cfg.HostAddr, cfg.InitialFwdThGbps),
 		Merger:   NewTrafficMerger(cfg.SNICAddr, cfg.HostAddr),
-		Policy:   lbp,
-	}, nil
+		Cfg:      cfg,
+	}
+	lbp, err := NewLBP(cfg, &h.Director, queues)
+	if err != nil {
+		return err
+	}
+	h.Policy = lbp
+	h.Policy.BindTelemetry(func() uint64 { return h.Monitor.Rolls })
+	return nil
 }
 
 // IngressLatency is the one-way dataplane latency the HLB adds on the

@@ -125,11 +125,11 @@ func lbpSetup(t *testing.T, occ int) (*LBP, *TrafficDirector, *fakeQueues) {
 	cfg := DefaultConfig(snicAddr, hostAddr)
 	d := NewTrafficDirector(hostAddr, 0)
 	q := &fakeQueues{occ: occ}
-	l, err := NewLBP(cfg, d, q)
+	l, err := NewLBP(cfg, &d, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return l, d, q
+	return &l, &d, q
 }
 
 func TestLBPRaisesWhenUnderutilized(t *testing.T) {
@@ -187,7 +187,7 @@ func TestLBPClampsToLineRateAndZero(t *testing.T) {
 	cfg.InitialFwdThGbps = 90
 	d := NewTrafficDirector(hostAddr, 0)
 	q := &fakeQueues{occ: 0}
-	l, _ := NewLBP(cfg, d, q)
+	l, _ := NewLBP(cfg, &d, q)
 	l.OnSNICBurst(int(90 * 1e9 / 8 * 100e-6))
 	l.Tick()
 	if d.FwdTh() != 100 {
@@ -208,7 +208,7 @@ func TestLBPAdaptiveStepAccelerates(t *testing.T) {
 	cfg.AdaptiveStep = true
 	d := NewTrafficDirector(hostAddr, 0)
 	q := &fakeQueues{occ: 0}
-	l, _ := NewLBP(cfg, d, q)
+	l, _ := NewLBP(cfg, &d, q)
 	feed := func() { l.OnSNICBurst(int(d.FwdTh() * 1e9 / 8 * 100e-6)) }
 	feed()
 	l.Tick()
@@ -237,7 +237,7 @@ func TestLBPConvergesToServiceRate(t *testing.T) {
 	cfg.InitialFwdThGbps = 5
 	d := NewTrafficDirector(hostAddr, 0)
 	q := &fakeQueues{}
-	l, _ := NewLBP(cfg, d, q)
+	l, _ := NewLBP(cfg, &d, q)
 	const capacity = 40.0
 	for i := 0; i < 300; i++ {
 		snicRate := math.Min(d.FwdTh(), capacity)
@@ -258,8 +258,8 @@ func TestLBPConvergesToServiceRate(t *testing.T) {
 }
 
 func TestHALAssemblyAndIngress(t *testing.T) {
-	h, err := New(DefaultConfig(snicAddr, hostAddr), &fakeQueues{})
-	if err != nil {
+	var h HAL
+	if err := h.Init(DefaultConfig(snicAddr, hostAddr), &fakeQueues{}); err != nil {
 		t.Fatal(err)
 	}
 	// Feed 10µs of 80 Gbps (66 MTU packets), roll, then route more.
@@ -295,10 +295,10 @@ func TestConfigValidation(t *testing.T) {
 		{MonitorPeriod: 1, LBPPeriod: 1, StepThGbps: 1, MaxFwdThGbps: 1, WMLow: 5, WMHigh: 2},
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg, &fakeQueues{}); err == nil {
+		if err := new(HAL).Init(cfg, &fakeQueues{}); err == nil {
 			t.Errorf("config %d should fail validation", i)
 		}
-		if _, err := NewLBP(cfg, NewTrafficDirector(hostAddr, 0), &fakeQueues{}); err == nil {
+		if _, err := NewLBP(cfg, new(TrafficDirector), &fakeQueues{}); err == nil {
 			t.Errorf("LBP config %d should fail validation", i)
 		}
 	}
@@ -328,7 +328,7 @@ func TestLBPFrozenNeverAdjusts(t *testing.T) {
 	cfg.InitialFwdThGbps = 33
 	d := NewTrafficDirector(hostAddr, 0)
 	q := &fakeQueues{occ: 100000}
-	l, err := NewLBP(cfg, d, q)
+	l, err := NewLBP(cfg, &d, q)
 	if err != nil {
 		t.Fatal(err)
 	}

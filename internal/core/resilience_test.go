@@ -65,7 +65,7 @@ func TestWatchdogScalesWithCoarseMonitor(t *testing.T) {
 	cfg := DefaultConfig(snicAddr, hostAddr)
 	cfg.MonitorPeriod = sim.Millisecond // 10× the LBP period
 	d := NewTrafficDirector(hostAddr, 0)
-	l, err := NewLBP(cfg, d, &fakeQueues{occ: 0})
+	l, err := NewLBP(cfg, &d, &fakeQueues{occ: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestWatchdogScalesWithCoarseMonitor(t *testing.T) {
 		if tick%10 == 0 {
 			rolls++
 		}
-		feedBinding(l)
+		feedBinding(&l)
 		l.Tick()
 	}
 	if l.Holds != 0 {
@@ -109,7 +109,7 @@ func TestCapacityLossSnapImmediateWhenZeroBound(t *testing.T) {
 	cfg := DefaultConfig(snicAddr, hostAddr)
 	cfg.FailoverTicks = 0
 	d := NewTrafficDirector(hostAddr, 0)
-	l, err := NewLBP(cfg, d, &fakeQueues{occ: 8})
+	l, err := NewLBP(cfg, &d, &fakeQueues{occ: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestFrozenPolicyStillSnapshotsNothing(t *testing.T) {
 	cfg.Frozen = true
 	cfg.InitialFwdThGbps = 40
 	d := NewTrafficDirector(hostAddr, 0)
-	l, err := NewLBP(cfg, d, &fakeQueues{occ: 8})
+	l, err := NewLBP(cfg, &d, &fakeQueues{occ: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestConfigRejectsNegativeWatchdog(t *testing.T) {
 	} {
 		cfg := DefaultConfig(snicAddr, hostAddr)
 		mut(&cfg)
-		if _, err := NewLBP(cfg, NewTrafficDirector(hostAddr, 0), &fakeQueues{}); err == nil {
+		if _, err := NewLBP(cfg, new(TrafficDirector), &fakeQueues{}); err == nil {
 			t.Fatal("negative watchdog config should fail")
 		}
 	}

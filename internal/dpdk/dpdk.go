@@ -120,23 +120,25 @@ func (q *RxQueue) Cap() int { return q.size }
 // source port ^ ID so one flow stays on one queue while the aggregate
 // balances).
 type Port struct {
-	queues []*RxQueue
+	queues []RxQueue
 	// qmask is len(queues)-1 when the queue count is a power of two
 	// (masking replaces the per-packet modulo in QueueOf), -1 otherwise.
 	qmask int
 }
 
-// NewPort creates a port with n rings of the given size.
-func NewPort(n, ringSize int) *Port {
+// NewPort creates a port with n rings of the given size. The rings are
+// one array and the port a value its owner embeds, so a packet's RSS
+// lookup and enqueue touch the owner's block and that array only.
+func NewPort(n, ringSize int) Port {
 	if n <= 0 {
 		panic("dpdk: port needs at least one queue")
 	}
-	p := &Port{queues: make([]*RxQueue, n), qmask: -1}
+	p := Port{queues: make([]RxQueue, n), qmask: -1}
 	if n&(n-1) == 0 {
 		p.qmask = n - 1
 	}
 	for i := range p.queues {
-		p.queues[i] = NewRxQueue(ringSize)
+		p.queues[i] = *NewRxQueue(ringSize)
 	}
 	return p
 }
@@ -145,7 +147,7 @@ func NewPort(n, ringSize int) *Port {
 func (p *Port) NumQueues() int { return len(p.queues) }
 
 // Queue returns ring i.
-func (p *Port) Queue(i int) *RxQueue { return p.queues[i] }
+func (p *Port) Queue(i int) *RxQueue { return &p.queues[i] }
 
 // QueueOf returns the index of pkt's RSS queue: a hash of the flow
 // identity, masked when the queue count is a power of two.
@@ -162,9 +164,9 @@ func (p *Port) QueueOf(pkt *packet.Packet) int {
 // taking the max.
 func (p *Port) MaxOccupancy() int {
 	max := 0
-	for _, q := range p.queues {
-		if q.Count() > max {
-			max = q.Count()
+	for i := range p.queues {
+		if c := p.queues[i].count; c > max {
+			max = c
 		}
 	}
 	return max
@@ -173,8 +175,8 @@ func (p *Port) MaxOccupancy() int {
 // TotalBacklog sums occupancy over all rings.
 func (p *Port) TotalBacklog() int {
 	n := 0
-	for _, q := range p.queues {
-		n += q.Count()
+	for i := range p.queues {
+		n += p.queues[i].count
 	}
 	return n
 }
@@ -182,8 +184,8 @@ func (p *Port) TotalBacklog() int {
 // TotalDrops sums tail drops over all rings.
 func (p *Port) TotalDrops() uint64 {
 	var n uint64
-	for _, q := range p.queues {
-		n += q.Drops
+	for i := range p.queues {
+		n += p.queues[i].Drops
 	}
 	return n
 }
@@ -191,8 +193,8 @@ func (p *Port) TotalDrops() uint64 {
 // TotalFaultDrops sums injected ring-fault losses over all rings.
 func (p *Port) TotalFaultDrops() uint64 {
 	var n uint64
-	for _, q := range p.queues {
-		n += q.FaultDrops
+	for i := range p.queues {
+		n += p.queues[i].FaultDrops
 	}
 	return n
 }
@@ -205,16 +207,16 @@ func (p *Port) SetRxFault(prob float64, rng *rand.Rand) {
 	if prob > 0 && rng != nil {
 		imp = &rxImpairment{prob: prob, rng: rng}
 	}
-	for _, q := range p.queues {
-		q.impair = imp
+	for i := range p.queues {
+		p.queues[i].impair = imp
 	}
 }
 
 // TotalEnqueued sums ring arrivals.
 func (p *Port) TotalEnqueued() uint64 {
 	var n uint64
-	for _, q := range p.queues {
-		n += q.Enqueued
+	for i := range p.queues {
+		n += p.queues[i].Enqueued
 	}
 	return n
 }

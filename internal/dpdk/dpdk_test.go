@@ -199,8 +199,8 @@ func TestPortRSSSpreadsAndPins(t *testing.T) {
 	a := pkt(100)
 	b := pkt(100)
 	a.SrcPort, b.SrcPort = 7, 7
-	deliver(p, a)
-	deliver(p, b)
+	deliver(&p, a)
+	deliver(&p, b)
 	together := false
 	for i := 0; i < 4; i++ {
 		if p.Queue(i).Count() == 2 {
@@ -215,7 +215,7 @@ func TestPortRSSSpreadsAndPins(t *testing.T) {
 	for i := uint64(0); i < 1000; i++ {
 		q := pkt(i)
 		q.SrcPort = uint16(i * 31)
-		deliver(p2, q)
+		deliver(&p2, q)
 	}
 	for i := 0; i < 4; i++ {
 		if p2.Queue(i).Count() == 0 {

@@ -11,7 +11,7 @@ func TestRxFaultDropsAtProbability(t *testing.T) {
 	const n = 2000
 	var accepted int
 	for i := uint64(0); i < n; i++ {
-		if deliver(p, pkt(i)) {
+		if deliver(&p, pkt(i)) {
 			accepted++
 			// keep rings from tail-dropping
 			burst(p.Queue(int(i%2)), nil, burstSize)
@@ -33,11 +33,11 @@ func TestRxFaultDropsAtProbability(t *testing.T) {
 func TestRxFaultClears(t *testing.T) {
 	p := NewPort(1, 16)
 	p.SetRxFault(1.0, rand.New(rand.NewSource(2)))
-	if deliver(p, pkt(1)) {
+	if deliver(&p, pkt(1)) {
 		t.Fatal("prob 1.0 should drop everything")
 	}
 	p.SetRxFault(0, nil)
-	if !deliver(p, pkt(2)) {
+	if !deliver(&p, pkt(2)) {
 		t.Fatal("cleared fault should accept")
 	}
 	if got := p.TotalFaultDrops(); got != 1 {
@@ -45,7 +45,7 @@ func TestRxFaultClears(t *testing.T) {
 	}
 	// A nil rng with positive prob also clears (defensive).
 	p.SetRxFault(0.5, nil)
-	if !deliver(p, pkt(3)) {
+	if !deliver(&p, pkt(3)) {
 		t.Fatal("nil rng must not impair")
 	}
 }
@@ -55,7 +55,7 @@ func TestRxFaultDeterministic(t *testing.T) {
 		p := NewPort(4, 64)
 		p.SetRxFault(0.3, rand.New(rand.NewSource(7)))
 		for i := uint64(0); i < 500; i++ {
-			deliver(p, pkt(i))
+			deliver(&p, pkt(i))
 		}
 		return p.TotalFaultDrops()
 	}

@@ -38,46 +38,38 @@ func (p PortID) String() string {
 }
 
 // Rule is one match-action entry: packets whose destination matches are
-// forwarded to Out. Zero-valued match fields are wildcards.
+// forwarded to Out. The match fields are held inline; a zero MAC or IP is
+// a wildcard.
 type Rule struct {
-	MatchMAC *packet.MAC
-	MatchIP  *packet.IPv4
+	MatchMAC packet.MAC
+	MatchIP  packet.IPv4
 	Out      PortID
 	// Priority breaks ties; higher wins. Equal priorities match in
 	// insertion order.
 	Priority int
-
-	// Hits counts packets forwarded by this rule.
-	Hits uint64
 }
 
 func (r *Rule) matches(p *packet.Packet) bool {
-	if r.MatchMAC != nil && *r.MatchMAC != p.DstMAC {
-		return false
-	}
-	if r.MatchIP != nil && *r.MatchIP != p.DstIP {
-		return false
-	}
-	return true
+	return (r.MatchMAC == packet.MAC{} || r.MatchMAC == p.DstMAC) &&
+		(r.MatchIP == packet.IPv4{} || r.MatchIP == p.DstIP)
 }
+
+// MaxRules is the rule table's capacity. The HAL/SLB configuration needs
+// three rules and the single-processor ones two.
+const MaxRules = 4
 
 // Sink receives packets forwarded to a port.
 type Sink func(*packet.Packet)
 
-// Switch is the eSwitch. It is not safe for concurrent use; the simulator
-// is single-threaded by design.
+// Switch is the eSwitch. Its zero value has no rules and drops everything;
+// the table is a fixed array of value rules, so a switch embedded in its
+// owner keeps forwarding inside the owner's memory. It is not safe for
+// concurrent use; the simulator is single-threaded by design.
 type Switch struct {
-	rules []*Rule
+	rules [MaxRules]Rule
+	n     int
 	sinks [numPorts]Sink
-
-	// Forwarded counts per-port deliveries; Dropped counts packets with
-	// no matching rule or an unbound port.
-	Forwarded [numPorts]uint64
-	Dropped   uint64
 }
-
-// New returns an empty switch; unbound ports drop.
-func New() *Switch { return &Switch{} }
 
 // Bind attaches the sink for a port.
 func (s *Switch) Bind(port PortID, sink Sink) {
@@ -87,46 +79,45 @@ func (s *Switch) Bind(port PortID, sink Sink) {
 	s.sinks[port] = sink
 }
 
-// AddRule installs a rule and returns it for counter inspection.
-func (s *Switch) AddRule(r Rule) *Rule {
+// AddRule installs a rule, keeping the table in descending priority with
+// equal priorities in insertion order. It panics on a bad port or when
+// the table already holds MaxRules rules.
+func (s *Switch) AddRule(r Rule) {
 	if r.Out < 0 || r.Out >= numPorts {
 		panic(fmt.Sprintf("eswitch: bad out port %d", r.Out))
 	}
-	rp := &r
-	// Insert keeping descending priority, stable within equal priority.
-	pos := len(s.rules)
-	for i, existing := range s.rules {
-		if existing.Priority < rp.Priority {
+	if s.n == MaxRules {
+		panic(fmt.Sprintf("eswitch: rule table full (%d rules)", MaxRules))
+	}
+	pos := s.n
+	for i := 0; i < s.n; i++ {
+		if s.rules[i].Priority < r.Priority {
 			pos = i
 			break
 		}
 	}
-	s.rules = append(s.rules, nil)
-	copy(s.rules[pos+1:], s.rules[pos:])
-	s.rules[pos] = rp
-	return rp
+	copy(s.rules[pos+1:s.n+1], s.rules[pos:s.n])
+	s.rules[pos] = r
+	s.n++
 }
 
 // NumRules returns the installed rule count.
-func (s *Switch) NumRules() int { return len(s.rules) }
+func (s *Switch) NumRules() int { return s.n }
 
 // ClearRules removes all rules.
-func (s *Switch) ClearRules() { s.rules = nil }
+func (s *Switch) ClearRules() { s.rules, s.n = [MaxRules]Rule{}, 0 }
 
-// Forward routes p by the first matching rule. Unmatched packets are
-// dropped and counted.
+// Forward routes p by the first matching rule to its port's sink.
+// Unmatched packets and packets for an unbound port are dropped.
 func (s *Switch) Forward(p *packet.Packet) {
-	for _, r := range s.rules {
-		if r.matches(p) {
-			r.Hits++
-			s.Forwarded[r.Out]++
+	for i := 0; i < s.n; i++ {
+		if r := &s.rules[i]; r.matches(p) {
 			if sink := s.sinks[r.Out]; sink != nil {
 				sink(p)
 			}
 			return
 		}
 	}
-	s.Dropped++
 }
 
 // ConfigureHAL installs the standard HAL/SLB forwarding configuration
@@ -136,9 +127,7 @@ func (s *Switch) Forward(p *packet.Packet) {
 // goes to the wire.
 func (s *Switch) ConfigureHAL(snicAddr, hostAddr packet.Addr) {
 	s.ClearRules()
-	snicIP, hostIP := snicAddr.IP, hostAddr.IP
-	snicMAC, hostMAC := snicAddr.MAC, hostAddr.MAC
-	s.AddRule(Rule{MatchMAC: &snicMAC, MatchIP: &snicIP, Out: PortSNIC, Priority: 10})
-	s.AddRule(Rule{MatchMAC: &hostMAC, MatchIP: &hostIP, Out: PortHost, Priority: 10})
+	s.AddRule(Rule{MatchMAC: snicAddr.MAC, MatchIP: snicAddr.IP, Out: PortSNIC, Priority: 10})
+	s.AddRule(Rule{MatchMAC: hostAddr.MAC, MatchIP: hostAddr.IP, Out: PortHost, Priority: 10})
 	s.AddRule(Rule{Out: PortWire, Priority: 0}) // default: egress
 }

@@ -1,6 +1,8 @@
 package eswitch
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"halsim/internal/packet"
@@ -17,7 +19,7 @@ func to(dst packet.Addr) *packet.Packet {
 }
 
 func TestConfigureHALRouting(t *testing.T) {
-	s := New()
+	var s Switch
 	var got [numPorts][]*packet.Packet
 	for port := PortID(0); port < numPorts; port++ {
 		port := port
@@ -33,11 +35,8 @@ func TestConfigureHALRouting(t *testing.T) {
 		t.Fatalf("deliveries = snic:%d host:%d wire:%d",
 			len(got[PortSNIC]), len(got[PortHost]), len(got[PortWire]))
 	}
-	if s.Forwarded[PortSNIC] != 1 || s.Forwarded[PortHost] != 1 || s.Forwarded[PortWire] != 1 {
-		t.Fatalf("counters = %v", s.Forwarded)
-	}
-	if s.Dropped != 0 {
-		t.Fatal("nothing should drop with the default rule installed")
+	if got[PortSNIC][0].DstIP != snicAddr.IP || got[PortHost][0].DstIP != hostAddr.IP || got[PortWire][0].DstIP != cliAddr.IP {
+		t.Fatal("a packet reached the wrong port")
 	}
 }
 
@@ -45,7 +44,7 @@ func TestRewrittenPacketChangesRoute(t *testing.T) {
 	// The HAL traffic-director flow: a packet arrives addressed to the
 	// SNIC; after RewriteDst to the host identity, the same switch
 	// delivers it to the host port.
-	s := New()
+	var s Switch
 	var snicN, hostN int
 	s.Bind(PortSNIC, func(*packet.Packet) { snicN++ })
 	s.Bind(PortHost, func(*packet.Packet) { hostN++ })
@@ -65,13 +64,12 @@ func TestRewrittenPacketChangesRoute(t *testing.T) {
 }
 
 func TestPriorityOrdering(t *testing.T) {
-	s := New()
+	var s Switch
 	var hits []string
 	s.Bind(PortSNIC, func(*packet.Packet) { hits = append(hits, "lo") })
 	s.Bind(PortHost, func(*packet.Packet) { hits = append(hits, "hi") })
-	ip := snicAddr.IP
-	s.AddRule(Rule{MatchIP: &ip, Out: PortSNIC, Priority: 1})
-	s.AddRule(Rule{MatchIP: &ip, Out: PortHost, Priority: 5})
+	s.AddRule(Rule{MatchIP: snicAddr.IP, Out: PortSNIC, Priority: 1})
+	s.AddRule(Rule{MatchIP: snicAddr.IP, Out: PortHost, Priority: 5})
 	s.Forward(to(snicAddr))
 	if len(hits) != 1 || hits[0] != "hi" {
 		t.Fatalf("hits = %v, higher priority must win", hits)
@@ -79,7 +77,7 @@ func TestPriorityOrdering(t *testing.T) {
 }
 
 func TestEqualPriorityInsertionOrder(t *testing.T) {
-	s := New()
+	var s Switch
 	var out []PortID
 	s.Bind(PortSNIC, func(*packet.Packet) { out = append(out, PortSNIC) })
 	s.Bind(PortHost, func(*packet.Packet) { out = append(out, PortHost) })
@@ -91,44 +89,98 @@ func TestEqualPriorityInsertionOrder(t *testing.T) {
 	}
 }
 
+// bindAll binds a counting sink to every port.
+func bindAll(s *Switch) *[numPorts]int {
+	var n [numPorts]int
+	for port := PortID(0); port < numPorts; port++ {
+		port := port
+		s.Bind(port, func(*packet.Packet) { n[port]++ })
+	}
+	return &n
+}
+
 func TestUnmatchedDrops(t *testing.T) {
-	s := New()
-	mac := snicAddr.MAC
-	s.AddRule(Rule{MatchMAC: &mac, Out: PortSNIC})
+	var s Switch
+	n := bindAll(&s)
+	s.AddRule(Rule{MatchMAC: snicAddr.MAC, Out: PortSNIC})
 	s.Forward(to(hostAddr))
-	if s.Dropped != 1 {
-		t.Fatalf("dropped = %d", s.Dropped)
+	if *n != [numPorts]int{} {
+		t.Fatalf("deliveries = %v, an unmatched packet must reach no port", *n)
 	}
 }
 
-func TestUnboundPortCountsButDoesNotPanic(t *testing.T) {
-	s := New()
+func TestUnboundPortDropsWithoutPanic(t *testing.T) {
+	var s Switch
+	n := bindAll(&s)
+	s.Bind(PortWire, nil)
 	s.AddRule(Rule{Out: PortWire})
 	s.Forward(to(cliAddr))
-	if s.Forwarded[PortWire] != 1 {
-		t.Fatal("forward counter should tick even without a sink")
+	if *n != [numPorts]int{} {
+		t.Fatalf("deliveries = %v, a packet for an unbound port must reach no port", *n)
 	}
 }
 
-func TestRuleHitCounters(t *testing.T) {
-	s := New()
-	s.Bind(PortSNIC, func(*packet.Packet) {})
-	ip := snicAddr.IP
-	r := s.AddRule(Rule{MatchIP: &ip, Out: PortSNIC})
+func TestRuleRoutesEveryMatch(t *testing.T) {
+	var s Switch
+	n := bindAll(&s)
+	s.AddRule(Rule{MatchIP: snicAddr.IP, Out: PortSNIC})
 	for i := 0; i < 7; i++ {
 		s.Forward(to(snicAddr))
 	}
-	if r.Hits != 7 {
-		t.Fatalf("hits = %d", r.Hits)
+	if *n != [numPorts]int{PortSNIC: 7} {
+		t.Fatalf("deliveries = %v, want all 7 at the SNIC port", *n)
+	}
+}
+
+func TestAddRulePastCapacityPanics(t *testing.T) {
+	var s Switch
+	for i := 0; i < MaxRules; i++ {
+		s.AddRule(Rule{Out: PortWire, Priority: i})
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "rule table full") {
+			t.Fatalf("panic %q, want a full-table message", msg)
+		}
+		if s.NumRules() != MaxRules {
+			t.Fatalf("rules = %d after a rejected insert", s.NumRules())
+		}
+	}()
+	s.AddRule(Rule{Out: PortWire})
+}
+
+// TestPriorityOrderAfterOutOfOrderInserts fills the table out of priority
+// order and checks both the table and the routing it implies: descending
+// priority, equal priorities in insertion order.
+func TestPriorityOrderAfterOutOfOrderInserts(t *testing.T) {
+	var s Switch
+	n := bindAll(&s)
+	s.AddRule(Rule{Out: PortWire, Priority: 1})
+	s.AddRule(Rule{MatchIP: hostAddr.IP, Out: PortSNIC, Priority: 5})
+	s.AddRule(Rule{MatchIP: snicAddr.IP, Out: PortHost, Priority: 3})
+	s.AddRule(Rule{MatchIP: hostAddr.IP, Out: PortWire, Priority: 5})
+	want := []Rule{
+		{MatchIP: hostAddr.IP, Out: PortSNIC, Priority: 5},
+		{MatchIP: hostAddr.IP, Out: PortWire, Priority: 5},
+		{MatchIP: snicAddr.IP, Out: PortHost, Priority: 3},
+		{Out: PortWire, Priority: 1},
+	}
+	if got := s.rules[:s.n]; !slices.Equal(got, want) {
+		t.Fatalf("table = %+v, want %+v", got, want)
+	}
+	s.Forward(to(hostAddr)) // first of the two priority-5 rules
+	s.Forward(to(snicAddr)) // priority 3 beats the priority-1 default
+	s.Forward(to(cliAddr))  // only the default matches
+	if *n != [numPorts]int{PortSNIC: 1, PortHost: 1, PortWire: 1} {
+		t.Fatalf("deliveries = %v", *n)
 	}
 }
 
 func TestMACOnlyAndWildcardMatching(t *testing.T) {
-	s := New()
+	var s Switch
 	var n int
 	s.Bind(PortHost, func(*packet.Packet) { n++ })
-	mac := hostAddr.MAC
-	s.AddRule(Rule{MatchMAC: &mac, Out: PortHost})
+	s.AddRule(Rule{MatchMAC: hostAddr.MAC, Out: PortHost})
 	p := to(hostAddr)
 	p.DstIP = packet.IPv4{1, 2, 3, 4} // different IP, same MAC
 	s.Forward(p)
@@ -138,7 +190,7 @@ func TestMACOnlyAndWildcardMatching(t *testing.T) {
 }
 
 func TestClearRules(t *testing.T) {
-	s := New()
+	var s Switch
 	s.ConfigureHAL(snicAddr, hostAddr)
 	if s.NumRules() != 3 {
 		t.Fatalf("rules = %d", s.NumRules())
@@ -150,7 +202,7 @@ func TestClearRules(t *testing.T) {
 }
 
 func TestBadPortPanics(t *testing.T) {
-	s := New()
+	var s Switch
 	for _, f := range []func(){
 		func() { s.Bind(PortID(99), nil) },
 		func() { s.AddRule(Rule{Out: PortID(99)}) },
@@ -176,7 +228,7 @@ func TestPortStrings(t *testing.T) {
 }
 
 func BenchmarkForward(b *testing.B) {
-	s := New()
+	var s Switch
 	s.Bind(PortSNIC, func(*packet.Packet) {})
 	s.Bind(PortHost, func(*packet.Packet) {})
 	s.Bind(PortWire, func(*packet.Packet) {})

@@ -95,6 +95,10 @@ type Packet struct {
 	FnTag uint8
 	// Diverted marks packets the traffic director redirected to the host.
 	Diverted bool
+	// ReqLen is, on a response, the wire length of the request it
+	// answers, so whoever receives the response can account the request's
+	// bytes without a table of its own. It fills the struct's tail padding.
+	ReqLen int32
 }
 
 // New returns a packet with the given 5-tuple and payload; WireLen defaults

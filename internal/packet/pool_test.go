@@ -54,6 +54,23 @@ func TestPoolGetResetsState(t *testing.T) {
 	}
 }
 
+// TestPoolGetClearsReqLen: a response's request length must not leak into
+// the next packet built on the same struct, where a receiver would count
+// a stale request's bytes.
+func TestPoolGetClearsReqLen(t *testing.T) {
+	pl := NewPool()
+	resp := pl.Get(testAddr(1), testAddr(2), 9000, 4000, nil)
+	resp.ReqLen = 1500
+	pl.Put(resp)
+	q := pl.Get(testAddr(1), testAddr(2), 9000, 4001, nil)
+	if q != resp {
+		t.Fatal("expected the released struct back")
+	}
+	if q.ReqLen != 0 {
+		t.Fatalf("reused packet carries ReqLen %d", q.ReqLen)
+	}
+}
+
 func TestPoolLiveAccounting(t *testing.T) {
 	pl := NewPool()
 	a := pl.Get(testAddr(1), testAddr(2), 1, 2, nil)

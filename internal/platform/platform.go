@@ -13,9 +13,9 @@ package platform
 
 import (
 	"fmt"
-	"math/rand"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 	"halsim/internal/sim"
 )
 
@@ -92,10 +92,10 @@ func (p FnProfile) byteNS() float64 {
 // packet; rng supplies the jitter draw (may be nil for the deterministic
 // component only). The mean over jitter draws at MTU size equals the
 // MaxGbps calibration point.
-func (p FnProfile) ServiceTime(wireBytes int, rng *rand.Rand) sim.Time {
+func (p FnProfile) ServiceTime(wireBytes int, r *rng.Rand) sim.Time {
 	t := p.OverheadNS + sim.Time(float64(wireBytes)*p.byteNS())
-	if rng != nil && p.JitterMeanNS > 0 {
-		t += sim.Time(rng.ExpFloat64() * float64(p.JitterMeanNS))
+	if r != nil && p.JitterMeanNS > 0 {
+		t += sim.Time(r.ExpFloat64() * float64(p.JitterMeanNS))
 	}
 	return t
 }
@@ -117,11 +117,12 @@ func (p FnProfile) Timer() ServiceTimer {
 	return ServiceTimer{overheadNS: p.OverheadNS, byteNS: p.byteNS(), jitterNS: float64(p.JitterMeanNS)}
 }
 
-// Sample draws one service time; equivalent to FnProfile.ServiceTime.
-func (t ServiceTimer) Sample(wireBytes int, rng *rand.Rand) sim.Time {
+// Sample draws one service time; equivalent to FnProfile.ServiceTime. The
+// jitter draw is rng's concrete ExpFloat64, stream-exact with math/rand's.
+func (t ServiceTimer) Sample(wireBytes int, r *rng.Rand) sim.Time {
 	st := t.overheadNS + sim.Time(float64(wireBytes)*t.byteNS)
-	if rng != nil && t.jitterNS > 0 {
-		st += sim.Time(rng.ExpFloat64() * t.jitterNS)
+	if r != nil && t.jitterNS > 0 {
+		st += sim.Time(r.ExpFloat64() * t.jitterNS)
 	}
 	return st
 }

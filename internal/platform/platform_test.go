@@ -1,10 +1,10 @@
 package platform
 
 import (
-	"math/rand"
 	"testing"
 
 	"halsim/internal/nf"
+	"halsim/internal/rng"
 	"halsim/internal/sim"
 )
 
@@ -62,11 +62,11 @@ func TestServiceTimeMatchesSaturation(t *testing.T) {
 func TestJitterIncreasesServiceTime(t *testing.T) {
 	p := BlueField2().Profile(nf.KNN)
 	det := p.ServiceTime(1500, nil)
-	rng := rand.New(rand.NewSource(1))
+	r := rng.New(1)
 	var sum sim.Time
 	const n = 1000
 	for i := 0; i < n; i++ {
-		s := p.ServiceTime(1500, rng)
+		s := p.ServiceTime(1500, r)
 		if s < det {
 			t.Fatal("jittered service below deterministic floor")
 		}

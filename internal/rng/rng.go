@@ -6,9 +6,10 @@
 // lagged-Fibonacci register, the same seeding and the same stream for every
 // seed. math/rand v1's stream is frozen under the Go 1 compatibility
 // promise, so a source and rand.NewSource(seed) draw identical values
-// forever. Rand pairs a *rand.Rand with its source: sizes, gaps and every
-// other distribution still run through math/rand, while Pick renders bytes
-// straight from the register.
+// forever. Rand pairs a *rand.Rand with its source: the hot draws (Pick's
+// bytes, ExpFloat64's service jitter and gaps, Intn's dispatch choices) run
+// on the concrete source, and every other distribution still runs through
+// math/rand on the same stream.
 package rng
 
 import (
@@ -58,20 +59,19 @@ func seededRegister(src rand.Source64) (vec [regLen]int64) {
 	return
 }
 
-// seedrand is x[n+1] = 48271 * x[n] mod (2**31 - 1).
+// seedrand is x[n+1] = 48271 * x[n] mod (2**31 - 1), for 0 < x < 2**31-1
+// (a seed's chain never leaves that range). math/rand computes it with
+// Schrage's division; here the 47-bit product folds modulo the Mersenne
+// prime instead, which gives the same value and keeps the chain that
+// seeding walks ~1,800 steps deep free of divides.
 func seedrand(x int32) int32 {
-	const (
-		A = 48271
-		Q = 44488
-		R = 3399
-	)
-	hi := x / Q
-	lo := x % Q
-	x = A*lo - R*hi
-	if x < 0 {
-		x += int32max
+	const A = 48271
+	t := uint64(x) * A
+	t = t&int32max + t>>31
+	if t >= int32max {
+		t -= int32max
 	}
-	return x
+	return int32(t)
 }
 
 // seedChain sets dst[i] = src[i] ^ u[i], where u is the seedrand chain
@@ -138,6 +138,20 @@ func (s *source) Uint64() uint64 {
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
 	return uint64(x)
+}
+
+// int31n is rand.Rand's Int31n for n > 0: a mask for a power of two, else
+// a redraw above the largest multiple of n below 2**31.
+func (s *source) int31n(n int32) int32 {
+	if n&(n-1) == 0 {
+		return int32(s.Int63()>>32) & (n - 1)
+	}
+	max := int32(int32max - (1<<31)%uint32(n))
+	v := int32(s.Int63() >> 32)
+	for v > max {
+		v = int32(s.Int63() >> 32)
+	}
+	return v % n
 }
 
 // pick sets b[i] = alphabet[r.Intn(len(alphabet))] for every i, where r is
@@ -254,6 +268,20 @@ func New(seed int64) *Rand {
 // 2**31. Like the Intn loop, it panics on an empty alphabet only when b is
 // not empty.
 func (r *Rand) Pick(b []byte, alphabet string) { r.src.pick(b, alphabet) }
+
+// ExpFloat64 returns rand.Rand's ExpFloat64 of the same stream: the same
+// value and the same draws, the rare tail and rejection draws included,
+// without an interface call per draw.
+func (r *Rand) ExpFloat64() float64 { return r.src.expFloat64() }
+
+// Intn returns rand.Rand's Intn(n) of the same stream: the same value and
+// the same draws, redraws included. Like Intn, it panics if n <= 0.
+func (r *Rand) Intn(n int) int {
+	if n <= 0 || n > int32max {
+		return r.Rand.Intn(n)
+	}
+	return int(r.src.int31n(int32(n)))
+}
 
 // Skip makes exactly the draws Pick makes on n bytes over an alphabet of
 // length alphabetLen, redraws included, and computes no byte: a caller that

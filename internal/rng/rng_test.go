@@ -68,6 +68,41 @@ func TestSeededState(t *testing.T) {
 	}
 }
 
+// schrage is math/rand's seedrand, Schrage's method as written there.
+func schrage(x int32) int32 {
+	const (
+		A = 48271
+		Q = 44488
+		R = 3399
+	)
+	hi := x / Q
+	lo := x % Q
+	x = A*lo - R*hi
+	if x < 0 {
+		x += int32max
+	}
+	return x
+}
+
+// TestSeedrandMatchesSchrage checks the Mersenne fold against math/rand's
+// division at the range's edges, around multiples of Q, and at a million
+// random points.
+func TestSeedrandMatchesSchrage(t *testing.T) {
+	xs := []int32{1, 2, 44487, 44488, 44489, int32max - 2, int32max - 1, 89482311}
+	for k := int32(1); k < 48271; k += 997 {
+		xs = append(xs, k*44488-1, k*44488, k*44488+1)
+	}
+	gen := rand.New(rand.NewSource(5))
+	for i := 0; i < 1_000_000; i++ {
+		xs = append(xs, 1+gen.Int31n(int32max-1))
+	}
+	for _, x := range xs {
+		if g, w := seedrand(x), schrage(x); g != w {
+			t.Fatalf("seedrand(%d) = %d, math/rand %d", x, g, w)
+		}
+	}
+}
+
 // refPick is Pick written the plain way, one Intn per byte.
 func refPick(r *rand.Rand, b []byte, alphabet string) {
 	for i := range b {
@@ -381,6 +416,119 @@ func TestMethodMix(t *testing.T) {
 	}
 }
 
+// recordSource records the draws a reference rand.Rand makes, so a test
+// can tell which of ExpFloat64's branches a call took.
+type recordSource struct {
+	rand.Source
+	draws []int64
+}
+
+func (s *recordSource) Int63() int64 {
+	v := s.Source.Int63()
+	s.draws = append(s.draws, v)
+	return v
+}
+
+// TestExpFloat64MatchesMathRand holds ExpFloat64 to math/rand's over 8
+// seeds × 100,000 draws, each followed now and then by a Float64 through
+// the embedded rand.Rand, so the concrete and the interface paths share
+// one stream. Its first draw tells a call's branch: j >= ke[j&0xFF] leaves
+// the fast path, for the tail when j&0xFF == 0 and for the rejection test
+// otherwise; both must be hit.
+func TestExpFloat64MatchesMathRand(t *testing.T) {
+	const draws = 100_000
+	tails, rejections := 0, 0
+	for _, seed := range []int64{0, 1, 2, -1, 7919, 1 << 40, math.MinInt64, 20240601} {
+		got := New(seed)
+		rec := &recordSource{Source: rand.NewSource(seed)}
+		want := rand.New(rec)
+		ops := rand.New(rand.NewSource(^seed))
+		for i := 0; i < draws; i++ {
+			rec.draws = rec.draws[:0]
+			if g, w := got.ExpFloat64(), want.ExpFloat64(); g != w {
+				t.Fatalf("seed %d draw %d: ExpFloat64 %v, math/rand %v", seed, i, g, w)
+			}
+			if j := uint32(rec.draws[0] >> 31); j >= ke[j&0xFF] {
+				if j&0xFF == 0 {
+					tails++
+				} else {
+					rejections++
+				}
+			}
+			if ops.Intn(4) == 0 {
+				if g, w := got.Float64(), want.Float64(); g != w {
+					t.Fatalf("seed %d draw %d: Float64 %v, math/rand %v", seed, i, g, w)
+				}
+			}
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("seed %d: next draw %d, math/rand %d", seed, g, w)
+		}
+	}
+	if tails == 0 || rejections == 0 {
+		t.Fatalf("branches not exercised: %d tails, %d rejection tests", tails, rejections)
+	}
+}
+
+// TestIntnMatchesMathRand holds Intn to math/rand's for a power of two, for
+// bounds that redraw often (2**30+1 rejects almost half the draws) and for
+// one past int32, which math/rand serves through Int63n.
+func TestIntnMatchesMathRand(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 1000, 1024, 1<<30 + 1, 1<<31 - 1, 1 << 31, 1<<40 + 3} {
+		for _, seed := range testSeeds()[:40] {
+			got := New(seed)
+			want := rand.New(rand.NewSource(seed))
+			for i := 0; i < 500; i++ {
+				if g, w := got.Intn(n), want.Intn(n); g != w {
+					t.Fatalf("n %d seed %d draw %d: Intn %d, math/rand %d", n, seed, i, g, w)
+				}
+			}
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("n %d seed %d: next draw %d, math/rand %d", n, seed, g, w)
+			}
+		}
+	}
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Intn(%d) did not panic", n)
+				}
+			}()
+			New(1).Intn(n)
+		}()
+	}
+}
+
+// FuzzExpFloat64 skips a fuzzed number of draws, then holds k ExpFloat64
+// calls, interleaved with Float64 on a fuzzed bit mask, to math/rand's.
+func FuzzExpFloat64(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint16(100), uint64(0))
+	f.Add(int64(-1), uint16(607), uint16(607), uint64(0xaaaa))
+	f.Add(int64(20240601), uint16(3), uint16(4000), ^uint64(0))
+	f.Fuzz(func(t *testing.T, seed int64, skip, k uint16, mask uint64) {
+		got := New(seed)
+		want := rand.New(rand.NewSource(seed))
+		for i := 0; i < int(skip)%2048; i++ {
+			got.Int63()
+			want.Int63()
+		}
+		for i := 0; i < int(k)%8192; i++ {
+			if g, w := got.ExpFloat64(), want.ExpFloat64(); g != w {
+				t.Fatalf("draw %d: ExpFloat64 %v, math/rand %v", i, g, w)
+			}
+			if mask>>(i%64)&1 == 1 {
+				if g, w := got.Float64(), want.Float64(); g != w {
+					t.Fatalf("draw %d: Float64 %v, math/rand %v", i, g, w)
+				}
+			}
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("next draw %d, math/rand %d", g, w)
+		}
+	})
+}
+
 // FuzzPick renders one request in three Pick calls split at fuzzed points
 // and holds it to the Intn loop, bytes and next draw.
 func FuzzPick(f *testing.F) {
@@ -471,6 +619,24 @@ func BenchmarkIntnLoop(b *testing.B) {
 		refPick(r, buf, alphabet)
 	}
 	sink = buf[0]
+}
+
+var expSink float64
+
+// BenchmarkExpFloat64 draws through the concrete source;
+// BenchmarkStdExpFloat64 is the same stream through math/rand.
+func BenchmarkExpFloat64(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		expSink += r.ExpFloat64()
+	}
+}
+
+func BenchmarkStdExpFloat64(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < b.N; i++ {
+		expSink += r.ExpFloat64()
+	}
 }
 
 var srcSink rand.Source

@@ -181,13 +181,13 @@ func (s *Instance) AddSample(sm *telemetry.Sample, period sim.Time) bool {
 	r := s.r
 	hasCtl := false
 	switch {
-	case r.hal != nil:
+	case r.cfg.Mode == HAL:
 		hasCtl = true
 		sm.FwdThGbps += r.hal.Director.FwdTh()
 		sm.RateRxGbps += r.hal.Director.RateGbps()
 		sm.RateFwdGbps += r.hal.Director.RateFwdGbps()
 		sm.SNICTPGbps += r.hal.Policy.SNICTPGbps()
-	case r.slbDir != nil:
+	case r.cfg.Mode == SLB || r.cfg.Mode == SLBHost:
 		hasCtl = true
 		sm.FwdThGbps += r.slbDir.FwdTh()
 		sm.RateRxGbps += r.slbDir.RateGbps()

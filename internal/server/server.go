@@ -288,8 +288,10 @@ type Result struct {
 	Engine string
 }
 
+// sideStations are one processor side's stations. The first stage is
+// embedded, so the run's block holds both sides' packet-path state.
 type sideStations struct {
-	first  *station
+	first  station
 	second *station // pipeline stage, may be nil
 }
 
@@ -432,7 +434,10 @@ func prepare(cfg *Config, rc *RunConfig) error {
 // run holds the wired-up simulation.
 type run struct {
 	cfg Config
-	rc  RunConfig
+
+	// The packet path's state follows: the fields each packet touches,
+	// then its components embedded by value, so a fleet packet walks its
+	// server's one block instead of a dozen separate objects.
 
 	// eng runs the whole server; a fleet injects its group's engine.
 	eng *sim.Engine
@@ -440,6 +445,8 @@ type run struct {
 	// their drop point, responses after client delivery. LIFO reuse keeps
 	// replays bit-identical.
 	pool *packet.Pool
+	// tr is the sampled lifecycle tracer, nil with Config.Telemetry off.
+	tr *telemetry.Tracer
 
 	// Pre-bound event handlers for closure-free scheduling on the packet
 	// path (sim.ScheduleCall): each is allocated once per run and carries
@@ -450,6 +457,39 @@ type run struct {
 	forwardCall    sim.Call
 	toSNICCall     sim.Call
 	toHostCall     sim.Call
+
+	// fwdAt is the wire-arrival base time of the packet currently inside
+	// sw.Forward: the PCIe-crossing binds schedule the arrive events at
+	// fwdAt+crossing instead of Now+crossing, so a burst-coalesced ingress
+	// (which forwards packets before their arrival instant) still lands
+	// every packet at its exact analytic arrival time. Every Forward call
+	// site sets it first; outside burst expansion it equals the clock.
+	fwdAt sim.Time
+
+	// respond, when non-nil, intercepts wire-bound responses in place of
+	// deliverResponse so a cluster can carry them back over its fabric.
+	respond func(*packet.Packet)
+
+	// The completion path accrues completed, the delivered bytes, and the
+	// two rate-window accumulators.
+	completed  uint64
+	deliveredB uint64 // post-warmup delivered bytes
+	snicB      uint64 // the SNIC-processed part of deliveredB (SNICShare)
+	winB       int64  // MaxGbps window accumulator
+	rateWinB   int64  // RateSeries window accumulator
+	warmupEnd  sim.Time
+	phases     []phaseAcc
+
+	// hal is live in HAL mode, slbDir and slbMon in the SLB modes.
+	snic   sideStations
+	sw     eswitch.Switch
+	hal    core.HAL
+	host   sideStations
+	slbDir core.TrafficDirector
+	slbMon core.TrafficMonitor
+	slbFwd *station
+
+	rc RunConfig
 
 	// fn is the run's function, mix the function mix-tagged packets carry
 	// (nil without Config.MixOn), fn2 a pipeline's second stage, and
@@ -462,23 +502,6 @@ type run struct {
 	// fleet — share a directory.
 	fab *cxl.Fabric
 
-	snic sideStations
-	host sideStations
-
-	sw     *eswitch.Switch
-	hal    *core.HAL
-	slbDir *core.TrafficDirector
-	slbMon *core.TrafficMonitor
-	slbFwd *station
-
-	// fwdAt is the wire-arrival base time of the packet currently inside
-	// sw.Forward: the PCIe-crossing binds schedule the arrive events at
-	// fwdAt+crossing instead of Now+crossing, so a burst-coalesced ingress
-	// (which forwards packets before their arrival instant) still lands
-	// every packet at its exact analytic arrival time. Every Forward call
-	// site sets it first; outside burst expansion it equals the clock.
-	fwdAt sim.Time
-
 	hostSleep *dpdk.SleepController
 
 	// cli offers a standalone server's traffic; off is what was offered:
@@ -488,12 +511,9 @@ type run struct {
 	off *offered
 
 	// embedded marks a server built by NewInstance as one member of a
-	// cluster: the engine and pool are injected (the owning group's), there
-	// is no client (the shared ingress offers the traffic), and respond —
-	// when non-nil — intercepts wire-bound responses in place of
-	// deliverResponse so the cluster can carry them back over the fabric.
+	// cluster: the engine and pool are injected (the owning group's), and
+	// there is no client (the shared ingress offers the traffic).
 	embedded bool
-	respond  func(*packet.Packet)
 
 	// fault machinery
 	inj           *fault.Injector
@@ -504,28 +524,19 @@ type run struct {
 	// site nil-checks the specific field it feeds).
 	col           *telemetry.Collector
 	tl            *telemetry.Timeline
-	tr            *telemetry.Tracer
 	tm            *telMetrics
 	telPeriod     sim.Time
 	telPrevSNICB  uint64
 	telPrevHostB  uint64
 	telPrevEvents uint64
 
-	// measurement. The completion path accrues completed, the delivered
-	// bytes, and the two rate-window accumulators.
+	// measurement
 	lat        *stats.Histogram
 	powerHost  energy.Integrator
 	powerSNIC  energy.Integrator
-	completed  uint64
-	deliveredB uint64 // post-warmup delivered bytes
-	snicB      uint64 // the SNIC-processed part of deliveredB (SNICShare)
-	winB       int64  // MaxGbps window accumulator
-	rateWinB   int64  // RateSeries window accumulator
 	winMaxGbps float64
 	power      energy.Integrator
 	funcErrs   uint64
-	warmupEnd  sim.Time
-	phases     []phaseAcc
 	rateSeries []float64
 	tickers    []*sim.Ticker
 }
@@ -553,7 +564,7 @@ func (r *run) build() error {
 	// eSwitch does — applies here rather than at the completion site.
 	r.forwardCall = func(a any, _ int64) {
 		p := a.(*packet.Packet)
-		if r.hal != nil {
+		if r.cfg.Mode == HAL {
 			r.hal.Egress(p)
 		}
 		r.fwdAt = r.eng.Now()
@@ -585,8 +596,8 @@ func (r *run) build() error {
 		snicProf = scaled
 	}
 
-	r.snic.first = newStation(r.eng, "snic", snicProf, cfg.RingSize, cfg.Seed+1)
-	r.host.first = newStation(r.eng, "host", hostProf, cfg.RingSize, cfg.Seed+2)
+	r.snic.first.init(r.eng, "snic", snicProf, cfg.RingSize, cfg.Seed+1)
+	r.host.first.init(r.eng, "host", hostProf, cfg.RingSize, cfg.Seed+2)
 	r.snic.first.release = r.pool.Put
 	r.host.first.release = r.pool.Put
 	if cfg.MixOn {
@@ -639,7 +650,6 @@ func (r *run) build() error {
 
 	// eSwitch wiring. The bind closures are allocated once; per-packet
 	// crossings schedule through the pre-bound handlers.
-	r.sw = eswitch.New()
 	r.sw.Bind(eswitch.PortSNIC, func(p *packet.Packet) {
 		r.eng.AtCall(r.fwdAt+platform.PCIeCrossNS, r.arriveSNICCall, p, 0)
 	})
@@ -654,20 +664,17 @@ func (r *run) build() error {
 
 	switch cfg.Mode {
 	case HostOnly:
-		ip, mac := snicAddr.IP, snicAddr.MAC
-		r.sw.AddRule(eswitch.Rule{MatchMAC: &mac, MatchIP: &ip, Out: eswitch.PortHost, Priority: 10})
+		r.sw.AddRule(eswitch.Rule{MatchMAC: snicAddr.MAC, MatchIP: snicAddr.IP, Out: eswitch.PortHost, Priority: 10})
 		r.sw.AddRule(eswitch.Rule{Out: eswitch.PortWire})
 	case SNICOnly:
-		ip, mac := snicAddr.IP, snicAddr.MAC
-		r.sw.AddRule(eswitch.Rule{MatchMAC: &mac, MatchIP: &ip, Out: eswitch.PortSNIC, Priority: 10})
+		r.sw.AddRule(eswitch.Rule{MatchMAC: snicAddr.MAC, MatchIP: snicAddr.IP, Out: eswitch.PortSNIC, Priority: 10})
 		r.sw.AddRule(eswitch.Rule{Out: eswitch.PortWire})
 	case HAL, SLB:
 		r.sw.ConfigureHAL(snicAddr, hostAddr)
 	case SLBHost:
 		// Every client packet goes to the host first; the host's SLB
 		// hands the SNIC its share over the long path.
-		ip, mac := snicAddr.IP, snicAddr.MAC
-		r.sw.AddRule(eswitch.Rule{MatchMAC: &mac, MatchIP: &ip, Out: eswitch.PortHost, Priority: 10})
+		r.sw.AddRule(eswitch.Rule{MatchMAC: snicAddr.MAC, MatchIP: snicAddr.IP, Out: eswitch.PortHost, Priority: 10})
 		r.sw.AddRule(eswitch.Rule{Out: eswitch.PortWire})
 	}
 
@@ -679,16 +686,14 @@ func (r *run) build() error {
 			hc = *cfg.HALConfig
 			hc.SNICAddr, hc.HostAddr = snicAddr, hostAddr
 		}
-		obs := portPairObserver{a: r.snic.first.port}
+		obs := portPairObserver{a: &r.snic.first.port}
 		if r.snic.second != nil {
-			obs.b = r.snic.second.port
+			obs.b = &r.snic.second.port
 		}
-		var err error
 		// The occupancy path runs through a freezer so a telemetry
 		// blackout replays stale readings (what a wedged monitor core
 		// would report) instead of live ones.
-		r.hal, err = core.New(hc, &frozenObserver{inner: obs, down: &r.telemetryDown})
-		if err != nil {
+		if err := r.hal.Init(hc, &frozenObserver{inner: obs, down: &r.telemetryDown}); err != nil {
 			return err
 		}
 		// Capacity signal: SNIC core crashes/recoveries reach the LBP
@@ -741,7 +746,7 @@ func (r *run) build() error {
 
 	// Station completion wiring.
 	finish := func(side *sideStations, onSNIC bool) {
-		last := side.first
+		last := &side.first
 		if side.second != nil {
 			second := side.second
 			side.first.onServed = func(p *packet.Packet) {
@@ -893,6 +898,7 @@ func (r *run) complete(p *packet.Packet, onSNIC bool) {
 	resp.ID = p.ID
 	resp.CreatedAt = p.CreatedAt
 	resp.WireLen = 128
+	resp.ReqLen = int32(p.WireLen)
 	// The request struct is fully consumed; recycle it for a future
 	// arrival.
 	r.pool.Put(p)
@@ -978,7 +984,7 @@ func (r *run) start() {
 		}
 		snicGbps := float64(snicBytes) * 8 / float64(powerPeriod)
 		hostGbps := float64(hostBytes) * 8 / float64(powerPeriod)
-		util := float64(r.snic.first.busyCores()) / float64(len(r.snic.first.busy))
+		util := float64(r.snic.first.busyCores()) / float64(len(r.snic.first.cores))
 		hostAwake := true
 		switch cfg.Mode {
 		case SNICOnly:
@@ -1089,7 +1095,7 @@ func (r *run) collect() Result {
 	if r.hostSleep != nil {
 		res.Wakeups = r.hostSleep.Wakeups
 	}
-	if r.hal != nil {
+	if r.cfg.Mode == HAL {
 		res.FinalFwdTh = r.hal.Director.FwdTh()
 		res.LBPAdjustments = r.hal.Policy.Adjustments
 	}
@@ -1115,7 +1121,7 @@ func (r *run) collect() Result {
 		res.FaultEvents = r.inj.Injected
 	}
 	res.FailoverTicks = -1
-	if r.hal != nil {
+	if r.cfg.Mode == HAL {
 		res.LBPHolds = r.hal.Policy.Holds
 		res.FailoverTicks = r.hal.Policy.LastFailoverTicks
 	}
@@ -1151,7 +1157,7 @@ func (r *run) collect() Result {
 
 // stations returns every wired station of the run.
 func (r *run) stations() []*station {
-	out := []*station{r.snic.first, r.host.first}
+	out := []*station{&r.snic.first, &r.host.first}
 	if r.snic.second != nil {
 		out = append(out, r.snic.second)
 	}

@@ -1,11 +1,10 @@
 package server
 
 import (
-	"math/rand"
-
 	"halsim/internal/dpdk"
 	"halsim/internal/packet"
 	"halsim/internal/platform"
+	"halsim/internal/rng"
 	"halsim/internal/sim"
 	"halsim/internal/telemetry"
 )
@@ -13,39 +12,27 @@ import (
 // station models one processor complex (SNIC CPU, SNIC accelerator, host
 // CPU, host accelerator, or the SLB forwarding cores): k servers, each
 // polling its own DPDK Rx ring, with per-packet service times drawn from a
-// platform profile.
+// platform profile. Its port and per-core state are held by value (the
+// port's rings are one array, the cores another), and a run embeds its
+// first-stage stations, so an arriving packet walks the run's block.
 type station struct {
+	// The fields a packet touches come first, so its enqueue, service and
+	// completion read three or four cache lines of the station, not six.
 	eng  *sim.Engine
-	name string
-	prof platform.FnProfile
-	// altProf, when non-nil, serves packets tagged FnTag==1 — the
-	// function-mix scenario that motivates the dynamic LBP (§V-B).
-	altProf *platform.FnProfile
-	port    *dpdk.Port
+	port dpdk.Port
+	// cores holds one slot per server, indexed like the port's rings.
+	cores []coreState
 	// rng draws service jitter. It is built from seed at the first
 	// service, so a station that never serves — a fleet server's idle
-	// side — holds no rand source; the stream is the same either way.
-	rng  *rand.Rand
-	seed int64
+	// side — holds no random source; the stream is the same either way.
+	rng *rng.Rand
 
 	// timer/altTimer are the precomputed service-time samplers for
 	// prof/altProf; refreshed whenever the profile changes.
-	timer    platform.ServiceTimer
-	altTimer platform.ServiceTimer
-
-	busy []bool
-	// Fault state: dead marks crashed cores, gen is a per-core incarnation
-	// counter that invalidates the in-flight completion of a crashed core,
-	// and inflight/inflightDone track the packet being served (and when it
-	// would have finished) so a crash can requeue it and unwind busyTime.
-	dead         []bool
-	gen          []uint64
-	inflight     []*packet.Packet
-	inflightDone []sim.Time
-
-	// onCapacity, when non-nil, fires after a crash or recovery with the
-	// alive and total core counts (the LBP watchdog's capacity signal).
-	onCapacity func(alive, total int)
+	timer platform.ServiceTimer
+	// altProf, when non-nil, serves packets tagged FnTag==1 — the
+	// function-mix scenario that motivates the dynamic LBP (§V-B).
+	altProf *platform.FnProfile
 
 	// sleep, when non-nil, applies the DPDK power-management model: the
 	// whole station sleeps when idle and the waking packet pays the
@@ -60,13 +47,6 @@ type station struct {
 	// onServed fires at service completion with the served packet.
 	onServed func(*packet.Packet)
 
-	// release, when non-nil, returns a packet the station conclusively
-	// dropped (ring tail-drop, fault drop, failed rehome) to the run's
-	// packet pool. Ownership rule: a packet handed to enqueue is owned by
-	// the station until it is either delivered via onServed or released
-	// here — callers must not touch it after a false return.
-	release func(*packet.Packet)
-
 	// serveCall and completeCall are the pre-bound event handlers of the
 	// hot path (closure-free scheduling; see sim.ScheduleCall).
 	serveCall    sim.Call
@@ -74,13 +54,33 @@ type station struct {
 
 	// tr, when non-nil, records sampled lifecycle spans (and every drop)
 	// under the telID lane. A nil tr costs one pointer compare per hook.
-	tr    *telemetry.Tracer
-	telID telemetry.StationID
+	tr *telemetry.Tracer
 
 	// Accounting.
+	busyTime  sim.Time
 	pktsDone  uint64
 	bytesDone uint64
-	busyTime  sim.Time
+	// window accumulators for power sampling: bytes served since the
+	// last power sample.
+	windowBytes int64
+
+	name     string
+	prof     platform.FnProfile
+	altTimer platform.ServiceTimer
+	seed     int64
+	telID    telemetry.StationID
+
+	// onCapacity, when non-nil, fires after a crash or recovery with the
+	// alive and total core counts (the LBP watchdog's capacity signal).
+	onCapacity func(alive, total int)
+
+	// release, when non-nil, returns a packet the station conclusively
+	// dropped (ring tail-drop, fault drop, failed rehome) to the run's
+	// packet pool. Ownership rule: a packet handed to enqueue is owned by
+	// the station until it is either delivered via onServed or released
+	// here — callers must not touch it after a false return.
+	release func(*packet.Packet)
+
 	// Fault accounting: crashes counts core deaths, requeued counts
 	// packets re-homed off a crashed core (in-flight victim plus drained
 	// ring backlog), faultDrops counts packets lost because no core was
@@ -88,9 +88,18 @@ type station struct {
 	crashes    uint64
 	requeued   uint64
 	faultDrops uint64
-	// window accumulators for power sampling: bytes served since the
-	// last power sample.
-	windowBytes int64
+}
+
+// coreState is one core's slot. busy marks a core mid-service. The rest is
+// fault state: dead marks a crashed core, gen is its incarnation counter,
+// which invalidates the pending completion of a crashed core, and
+// inflight/inflightDone track the packet being served (and when it would
+// have finished) so a crash can requeue it and unwind busyTime.
+type coreState struct {
+	busy, dead   bool
+	gen          uint64
+	inflight     *packet.Packet
+	inflightDone sim.Time
 }
 
 // maxCores bounds a station's server count so a core index packs into the
@@ -101,28 +110,31 @@ const (
 )
 
 func newStation(eng *sim.Engine, name string, prof platform.FnProfile, ringSize int, seed int64) *station {
+	s := new(station)
+	s.init(eng, name, prof, ringSize, seed)
+	return s
+}
+
+// init builds the station in place. Its event handlers are bound to s, so
+// an initialized station must not be copied.
+func (s *station) init(eng *sim.Engine, name string, prof platform.FnProfile, ringSize int, seed int64) {
 	if prof.Servers > maxCores {
 		panic("server: station core count exceeds completion-event packing range")
 	}
-	s := &station{
-		eng:          eng,
-		name:         name,
-		prof:         prof,
-		timer:        prof.Timer(),
-		port:         dpdk.NewPort(prof.Servers, ringSize),
-		seed:         seed,
-		busy:         make([]bool, prof.Servers),
-		dead:         make([]bool, prof.Servers),
-		gen:          make([]uint64, prof.Servers),
-		inflight:     make([]*packet.Packet, prof.Servers),
-		inflightDone: make([]sim.Time, prof.Servers),
+	*s = station{
+		eng:   eng,
+		name:  name,
+		prof:  prof,
+		timer: prof.Timer(),
+		port:  dpdk.NewPort(prof.Servers, ringSize),
+		seed:  seed,
+		cores: make([]coreState, prof.Servers),
 	}
 	// Bind the event handlers once: scheduling a poll or a completion then
 	// carries (handler, packet, packed scalar) by value instead of
 	// capturing a fresh closure per packet.
 	s.serveCall = func(_ any, core int64) { s.serve(int(core)) }
 	s.completeCall = s.completeServe
-	return s
 }
 
 // enqueue delivers p to the station's RSS queue, returning false on a tail
@@ -136,7 +148,7 @@ func (s *station) enqueue(p *packet.Packet) bool {
 		penalty = s.sleep.OnTraffic(s.eng.Now())
 	}
 	core := s.port.QueueOf(p)
-	if s.dead[core] {
+	if s.cores[core].dead {
 		alive := s.nextAlive(core)
 		if alive < 0 {
 			s.faultDrops++
@@ -179,8 +191,8 @@ func (s *station) enqueueCore(p *packet.Packet, core int, penalty sim.Time) bool
 		s.tr.Emit(telemetry.Span{T: s.eng.Now(), Kind: telemetry.KindEnqueue,
 			Station: s.telID, Core: int16(core), Pkt: p.ID, Arg: int64(q.Count())})
 	}
-	if !s.busy[core] && !s.dead[core] {
-		s.busy[core] = true
+	if c := &s.cores[core]; !c.busy && !c.dead {
+		c.busy = true
 		s.eng.ScheduleCall(penalty, s.serveCall, nil, int64(core))
 	}
 	return true
@@ -196,10 +208,10 @@ func (s *station) releasePkt(p *packet.Packet) {
 // nextAlive returns the first alive core at or after from (wrapping), or
 // -1 when every core is dead. Deterministic, so remapping is reproducible.
 func (s *station) nextAlive(from int) int {
-	n := len(s.busy)
+	n := len(s.cores)
 	for i := 0; i < n; i++ {
 		c := (from + i) % n
-		if !s.dead[c] {
+		if !s.cores[c].dead {
 			return c
 		}
 	}
@@ -212,13 +224,14 @@ func (s *station) nextAlive(from int) int {
 // the pending completion (the packet was re-homed or dropped at crash
 // time).
 func (s *station) serve(core int) {
-	if s.dead[core] {
-		s.busy[core] = false
+	c := &s.cores[core]
+	if c.dead {
+		c.busy = false
 		return
 	}
 	p := s.port.Queue(core).Pop()
 	if p == nil {
-		s.busy[core] = false
+		c.busy = false
 		if s.sleep != nil && s.port.TotalBacklog() == 0 && !s.anyBusy() {
 			s.sleep.OnIdle(s.eng.Now())
 		}
@@ -229,22 +242,22 @@ func (s *station) serve(core int) {
 		tm = s.altTimer
 	}
 	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(s.seed))
+		s.rng = rng.New(s.seed)
 	}
 	st := tm.Sample(p.WireLen, s.rng)
 	if s.extra != nil {
 		st += s.extra(p)
 	}
 	s.busyTime += st
-	s.inflight[core] = p
-	s.inflightDone[core] = s.eng.Now() + st
+	c.inflight = p
+	c.inflightDone = s.eng.Now() + st
 	if s.tr != nil && s.tr.Sampled(p.ID) {
 		s.tr.Emit(telemetry.Span{T: s.eng.Now(), Dur: st, Kind: telemetry.KindServe,
 			Station: s.telID, Core: int16(core), Pkt: p.ID, Arg: int64(p.WireLen)})
 	}
 	// Completion carries (packet, gen<<coreBits|core) by value — no
 	// captured closure, no per-packet allocation.
-	s.eng.ScheduleCall(st, s.completeCall, p, int64(s.gen[core])<<coreBits|int64(core))
+	s.eng.ScheduleCall(st, s.completeCall, p, int64(c.gen)<<coreBits|int64(core))
 }
 
 // completeServe fires when core finishes serving p. The packed scalar
@@ -254,11 +267,12 @@ func (s *station) serve(core int) {
 // time).
 func (s *station) completeServe(arg any, n int64) {
 	core := int(n & (maxCores - 1))
-	if s.gen[core] != uint64(n)>>coreBits {
+	c := &s.cores[core]
+	if c.gen != uint64(n)>>coreBits {
 		return // core crashed mid-service; packet already re-homed
 	}
 	p := arg.(*packet.Packet)
-	s.inflight[core] = nil
+	c.inflight = nil
 	s.pktsDone++
 	s.bytesDone += uint64(p.WireLen)
 	s.windowBytes += int64(p.WireLen)
@@ -277,19 +291,20 @@ func (s *station) completeServe(arg any, n int64) {
 // full), new arrivals are steered away, and the capacity callback fires.
 // Failing a dead core is a no-op.
 func (s *station) failCore(core int) {
-	if core < 0 || core >= len(s.busy) || s.dead[core] {
+	if core < 0 || core >= len(s.cores) || s.cores[core].dead {
 		return
 	}
-	s.dead[core] = true
-	s.gen[core]++ // void the pending completion, if any
+	c := &s.cores[core]
+	c.dead = true
+	c.gen++ // void the pending completion, if any
 	s.crashes++
-	s.busy[core] = false
-	if p := s.inflight[core]; p != nil {
+	c.busy = false
+	if p := c.inflight; p != nil {
 		// Unwind the service time the crash cut short.
-		if rem := s.inflightDone[core] - s.eng.Now(); rem > 0 {
+		if rem := c.inflightDone - s.eng.Now(); rem > 0 {
 			s.busyTime -= rem
 		}
-		s.inflight[core] = nil
+		c.inflight = nil
 		s.rehome(p)
 	}
 	q := s.port.Queue(core)
@@ -297,23 +312,24 @@ func (s *station) failCore(core int) {
 		s.rehome(p)
 	}
 	if s.onCapacity != nil {
-		s.onCapacity(s.aliveCores(), len(s.busy))
+		s.onCapacity(s.aliveCores(), len(s.cores))
 	}
 }
 
 // recoverCore brings a dead core back. Its ring is empty (drained at crash
 // time, arrivals steered away since), so it simply rejoins the RSS spread.
 func (s *station) recoverCore(core int) {
-	if core < 0 || core >= len(s.busy) || !s.dead[core] {
+	if core < 0 || core >= len(s.cores) || !s.cores[core].dead {
 		return
 	}
-	s.dead[core] = false
-	if s.port.Queue(core).Count() > 0 && !s.busy[core] {
-		s.busy[core] = true
+	c := &s.cores[core]
+	c.dead = false
+	if s.port.Queue(core).Count() > 0 && !c.busy {
+		c.busy = true
 		s.eng.ScheduleCall(0, s.serveCall, nil, int64(core))
 	}
 	if s.onCapacity != nil {
-		s.onCapacity(s.aliveCores(), len(s.busy))
+		s.onCapacity(s.aliveCores(), len(s.cores))
 	}
 }
 
@@ -337,8 +353,8 @@ func (s *station) rehome(p *packet.Packet) {
 // aliveCores returns how many cores are not crashed.
 func (s *station) aliveCores() int {
 	n := 0
-	for _, d := range s.dead {
-		if !d {
+	for i := range s.cores {
+		if !s.cores[i].dead {
 			n++
 		}
 	}
@@ -368,8 +384,8 @@ func (s *station) setAltProfile(p *platform.FnProfile) {
 // inflightCount returns how many packets are mid-service right now.
 func (s *station) inflightCount() int {
 	n := 0
-	for _, p := range s.inflight {
-		if p != nil {
+	for i := range s.cores {
+		if s.cores[i].inflight != nil {
 			n++
 		}
 	}
@@ -377,8 +393,8 @@ func (s *station) inflightCount() int {
 }
 
 func (s *station) anyBusy() bool {
-	for _, b := range s.busy {
-		if b {
+	for i := range s.cores {
+		if s.cores[i].busy {
 			return true
 		}
 	}
@@ -388,8 +404,8 @@ func (s *station) anyBusy() bool {
 // busyCores returns how many servers are mid-service.
 func (s *station) busyCores() int {
 	n := 0
-	for _, b := range s.busy {
-		if b {
+	for i := range s.cores {
+		if s.cores[i].busy {
 			n++
 		}
 	}

@@ -164,12 +164,12 @@ func (r *run) sampleTelemetry() {
 	s.T = r.eng.Now()
 
 	switch {
-	case r.hal != nil:
+	case r.cfg.Mode == HAL:
 		s.FwdThGbps = r.hal.Director.FwdTh()
 		s.RateRxGbps = r.hal.Director.RateGbps()
 		s.RateFwdGbps = r.hal.Director.RateFwdGbps()
 		s.SNICTPGbps = r.hal.Policy.SNICTPGbps()
-	case r.slbDir != nil:
+	case r.cfg.Mode == SLB || r.cfg.Mode == SLBHost:
 		s.FwdThGbps = r.slbDir.FwdTh()
 		s.RateRxGbps = r.slbDir.RateGbps()
 		s.RateFwdGbps = r.slbDir.RateFwdGbps()
@@ -214,7 +214,7 @@ func (r *run) sampleTelemetry() {
 		*busy += r.slbFwd.busyCores()
 	}
 
-	for _, st := range [...]*station{r.snic.first, r.host.first, r.snic.second, r.host.second, r.slbFwd} {
+	for _, st := range [...]*station{&r.snic.first, &r.host.first, r.snic.second, r.host.second, r.slbFwd} {
 		if st == nil {
 			continue
 		}

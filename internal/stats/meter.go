@@ -12,11 +12,11 @@ type RateMeter struct {
 
 // NewRateMeter returns a meter with the given sampling window in
 // nanoseconds. A 10µs window matches the paper's traffic-monitor period.
-func NewRateMeter(windowNS int64) *RateMeter {
+func NewRateMeter(windowNS int64) RateMeter {
 	if windowNS <= 0 {
 		panic("stats: non-positive rate meter window")
 	}
-	return &RateMeter{windowNS: windowNS}
+	return RateMeter{windowNS: windowNS}
 }
 
 // Add accumulates n units (bytes, packets) into the open window.
