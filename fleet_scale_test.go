@@ -120,3 +120,33 @@ func TestFleetFootprintPerServer(t *testing.T) {
 		t.Fatalf("a fleet server allocates %d B to build, want <= %d", perServer, maxPerServer)
 	}
 }
+
+// TestFleetFootprintPerServerServing is TestFleetFootprintPerServer's
+// serving twin: the same fleet at the same offered load runs for 250 µs,
+// long enough for every server to serve, so state built at first service
+// — random streams, grown rings, banked buffers — counts too. With 16-byte
+// keyed streams a server allocates ~12 KB here; a 4.9 KB random register
+// per serving station took it to ~19 KB.
+func TestFleetFootprintPerServerServing(t *testing.T) {
+	const servers = 256
+	const maxPerServer = 16 << 10
+	run := func() {
+		_, err := halsim.Run(
+			halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 1,
+				Cluster: &halsim.ClusterConfig{Servers: servers, Dispatch: "p2c", Pods: 8, Oversub: 4}},
+			halsim.RunConfig{Duration: 250 * halsim.Microsecond, RateGbps: 6.25 * servers})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // first use fills package-level caches
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	perServer := (after.TotalAlloc - before.TotalAlloc) / servers
+	t.Logf("%d B allocated per server", perServer)
+	if perServer > maxPerServer {
+		t.Fatalf("a serving fleet server allocates %d B, want <= %d", perServer, maxPerServer)
+	}
+}

@@ -28,11 +28,6 @@ import (
 // for the LPs plus rank 0 for the control engine must all stay below 256.
 const maxGroups = 254
 
-// seedStride spaces per-server RNG streams: server i runs with the base
-// seed offset by (i+1)*seedStride, so no two servers (or the ingress,
-// which keeps the base seed's streams) share a stream.
-const seedStride = 1009
-
 // crun is one cluster run.
 type crun struct {
 	cfg server.Config
@@ -190,8 +185,9 @@ func (c *crun) build() error {
 		}
 	}
 
-	// Server instances. Each gets its own seed spacing and — when crashed
-	// — a private fault plan driving both-side Rx blackout windows.
+	// Server instances. Each runs on the fleet's seed, its index keying
+	// its own streams, and — when crashed — a private fault plan driving
+	// both-side Rx blackout windows.
 	c.grpOf = make([]int, n)
 	c.fab = newFabric(n, clusterShape{
 		wireNS:      c.cc.WireNS,
@@ -211,12 +207,11 @@ func (c *crun) build() error {
 		eng, pool := c.engs[w], c.pools[w]
 		icfg := c.cfg
 		icfg.Cluster = nil
-		icfg.Seed = c.cfg.Seed + int64(i+1)*seedStride
-		if plan := c.crashPlan(i, icfg.Seed); plan != nil {
+		if plan := c.crashPlan(i); plan != nil {
 			icfg.Faults = plan
 		}
 		srv, wkr := i, w
-		inst, err := server.NewInstance(icfg, c.rc, eng, pool, func(p *packet.Packet) {
+		inst, err := server.NewInstance(icfg, c.rc, i, eng, pool, func(p *packet.Packet) {
 			c.respond(srv, wkr, p)
 		})
 		if err != nil {
@@ -229,7 +224,7 @@ func (c *crun) build() error {
 	}
 
 	// Ingress: dispatch policy, outstanding counts, measurement.
-	c.disp = newDispatcher(c.cc.Dispatch, n, c.cfg.Seed+23)
+	c.disp = newDispatcher(c.cc.Dispatch, n, c.cfg.Seed)
 	c.outstanding = make([]int64, n)
 	c.totalPkts = make([]uint64, n)
 	c.totalB = make([]uint64, n)
@@ -281,14 +276,14 @@ func (c *crun) build() error {
 
 // crashPlan compiles server i's blackout windows into a fault plan: both
 // Rx sides drop everything for each window, as if the NIC lost link.
-func (c *crun) crashPlan(i int, seed int64) *fault.Plan {
+func (c *crun) crashPlan(i int) *fault.Plan {
 	var plan *fault.Plan
 	for _, cr := range c.cc.Crashes {
 		if cr.Server != i {
 			continue
 		}
 		if plan == nil {
-			plan = fault.NewPlan(seed)
+			plan = fault.NewPlan(c.cfg.Seed)
 		}
 		plan.DropSNICRx(cr.At, cr.At+cr.For, 1).
 			DropHostRx(cr.At, cr.At+cr.For, 1)

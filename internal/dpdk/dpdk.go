@@ -7,9 +7,9 @@ package dpdk
 
 import (
 	"fmt"
-	"math/rand"
 
 	"halsim/internal/packet"
+	"halsim/internal/rng"
 	"halsim/internal/sim"
 )
 
@@ -41,11 +41,11 @@ type RxQueue struct {
 }
 
 // rxImpairment is a port-wide injected Rx fault: each arriving packet is
-// corrupted (and dropped) with probability prob. The RNG belongs to the
-// fault layer so fault draws never perturb the workload's streams.
+// corrupted (and dropped) with probability prob. The stream belongs to the
+// fault layer, so fault draws never perturb the workload's streams.
 type rxImpairment struct {
 	prob float64
-	rng  *rand.Rand
+	rng  *rng.Rand
 }
 
 // minRingAlloc is the slot count a ring's buffer starts with.
@@ -200,12 +200,12 @@ func (p *Port) TotalFaultDrops() uint64 {
 }
 
 // SetRxFault imposes a ring-corruption fault on every queue of the port:
-// arrivals are lost with probability prob, drawn from rng. prob <= 0 (or a
-// nil rng) clears the fault.
-func (p *Port) SetRxFault(prob float64, rng *rand.Rand) {
+// arrivals are lost with probability prob, drawn from r. prob <= 0 (or a
+// nil r) clears the fault.
+func (p *Port) SetRxFault(prob float64, r *rng.Rand) {
 	var imp *rxImpairment
-	if prob > 0 && rng != nil {
-		imp = &rxImpairment{prob: prob, rng: rng}
+	if prob > 0 && r != nil {
+		imp = &rxImpairment{prob: prob, rng: r}
 	}
 	for i := range p.queues {
 		p.queues[i].impair = imp

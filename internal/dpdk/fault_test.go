@@ -1,13 +1,20 @@
 package dpdk
 
 import (
-	"math/rand"
 	"testing"
+
+	"halsim/internal/rng"
 )
+
+// faultStream returns a fault stream, as a run holds one.
+func faultStream(seed int64) *rng.Rand {
+	r := rng.Stream(seed, rng.Fault, 0)
+	return &r
+}
 
 func TestRxFaultDropsAtProbability(t *testing.T) {
 	p := NewPort(2, 1024)
-	p.SetRxFault(0.5, rand.New(rand.NewSource(1)))
+	p.SetRxFault(0.5, faultStream(1))
 	const n = 2000
 	var accepted int
 	for i := uint64(0); i < n; i++ {
@@ -32,7 +39,7 @@ func TestRxFaultDropsAtProbability(t *testing.T) {
 
 func TestRxFaultClears(t *testing.T) {
 	p := NewPort(1, 16)
-	p.SetRxFault(1.0, rand.New(rand.NewSource(2)))
+	p.SetRxFault(1.0, faultStream(2))
 	if deliver(&p, pkt(1)) {
 		t.Fatal("prob 1.0 should drop everything")
 	}
@@ -53,7 +60,7 @@ func TestRxFaultClears(t *testing.T) {
 func TestRxFaultDeterministic(t *testing.T) {
 	run := func() uint64 {
 		p := NewPort(4, 64)
-		p.SetRxFault(0.3, rand.New(rand.NewSource(7)))
+		p.SetRxFault(0.3, faultStream(7))
 		for i := uint64(0); i < 500; i++ {
 			deliver(&p, pkt(i))
 		}

@@ -95,9 +95,9 @@ func TestFactory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rng.New(7)
+		rng := rng.Stream(7, rng.Payload, 0)
 		for i := 0; i < 20; i++ {
-			if _, err := fn.Process(gen.Next(rng)); err != nil {
+			if _, err := fn.Process(gen.Next(&rng)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -124,9 +124,9 @@ func TestFactory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rng.New(8)
+		rng := rng.Stream(8, rng.Payload, 0)
 		for i := 0; i < 10; i++ {
-			if _, err := fn.Process(gen.Next(rng)); err != nil {
+			if _, err := fn.Process(gen.Next(&rng)); err != nil {
 				t.Fatal(err)
 			}
 		}

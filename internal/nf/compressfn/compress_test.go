@@ -283,9 +283,9 @@ func TestFactory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rng.New(5)
+		rng := rng.Stream(5, rng.Payload, 0)
 		for i := 0; i < 5; i++ {
-			if _, err := fn.Process(gen.Next(rng)); err != nil {
+			if _, err := fn.Process(gen.Next(&rng)); err != nil {
 				t.Fatal(err)
 			}
 		}

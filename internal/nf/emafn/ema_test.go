@@ -113,9 +113,9 @@ func TestFactory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rng.New(3)
+		rng := rng.Stream(3, rng.Payload, 0)
 		for i := 0; i < 20; i++ {
-			if _, err := fn.Process(gen.Next(rng)); err != nil {
+			if _, err := fn.Process(gen.Next(&rng)); err != nil {
 				t.Fatal(err)
 			}
 		}

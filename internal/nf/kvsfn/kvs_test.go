@@ -133,9 +133,9 @@ func TestFactory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rng.New(4)
+		rng := rng.Stream(4, rng.Payload, 0)
 		for i := 0; i < 100; i++ {
-			if _, err := fn.Process(gen.Next(rng)); err != nil {
+			if _, err := fn.Process(gen.Next(&rng)); err != nil {
 				t.Fatal(err)
 			}
 		}

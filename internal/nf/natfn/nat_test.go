@@ -137,9 +137,9 @@ func TestFactoryConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("config %q: %v", cfg, err)
 		}
-		rng := rng.New(1)
+		rng := rng.Stream(1, rng.Payload, 0)
 		for i := 0; i < 50; i++ {
-			if _, err := fn.Process(gen.Next(rng)); err != nil {
+			if _, err := fn.Process(gen.Next(&rng)); err != nil {
 				t.Fatalf("config %q: %v", cfg, err)
 			}
 		}

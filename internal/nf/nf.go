@@ -100,11 +100,12 @@ type StateFunction interface {
 	StateLines(req []byte) []uint64
 }
 
-// RequestGen produces a stream of valid request payloads for a function —
-// the client side of the benchmark.
+// RequestGen produces valid request payloads for a function — the client
+// side of the benchmark.
 type RequestGen interface {
-	// Next returns the next request payload. Implementations draw from
-	// rng so that streams are reproducible per seed.
+	// Next returns a request payload drawn from rng, so requests are
+	// reproducible per stream. A client gives each request a stream of
+	// its own, keyed by the request's sequence number.
 	Next(rng *rng.Rand) []byte
 }
 
@@ -120,11 +121,11 @@ type RequestGenInto interface {
 	NextInto(rng *rng.Rand, buf []byte) []byte
 }
 
-// RequestGenLen is optionally implemented by generators that can make a
-// request's draws without rendering its bytes. NextLen must consume rng
-// exactly as Next does and return the length of the payload Next would
-// have returned, so a client that reads no payload byte keeps every later
-// draw in step while skipping the bytes.
+// RequestGenLen is optionally implemented by generators that can tell a
+// request's length without rendering its bytes. NextLen must return the
+// length of the payload Next would return from the same stream state.
+// It need not make Next's other draws: the request's stream is its own,
+// so a client that reads no payload byte draws only the length.
 type RequestGenLen interface {
 	RequestGen
 	NextLen(rng *rng.Rand) int

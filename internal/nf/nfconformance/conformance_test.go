@@ -59,9 +59,9 @@ func TestGeneratorsProduceAcceptedRequests(t *testing.T) {
 			if fn.ID() != id {
 				t.Fatalf("function reports ID %v", fn.ID())
 			}
-			rng := rng.New(7)
+			rng := rng.Stream(7, rng.Payload, 0)
 			for i := 0; i < iterationsFor(id); i++ {
-				req := gen.Next(rng)
+				req := gen.Next(&rng)
 				if len(req) == 0 {
 					t.Fatalf("iteration %d: empty request", i)
 				}
@@ -90,9 +90,9 @@ func TestStatefulFunctionsExposeStateLines(t *testing.T) {
 		if !hasState {
 			continue
 		}
-		rng := rng.New(3)
+		rng := rng.Stream(3, rng.Payload, 0)
 		for i := 0; i < 50; i++ {
-			req := gen.Next(rng)
+			req := gen.Next(&rng)
 			a := sf.StateLines(req)
 			b := sf.StateLines(req)
 			if len(a) == 0 {
@@ -118,12 +118,12 @@ func TestFreshInstancesIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rng.New(9)
+		rng := rng.Stream(9, rng.Payload, 0)
 		// Drive A hard, then check a fresh request produces the same
 		// first response on B as a brand-new third instance.
 		var reqs [][]byte
 		for i := 0; i < 200; i++ {
-			req := gen.Next(rng)
+			req := gen.Next(&rng)
 			reqs = append(reqs, req)
 			if _, err := fnA.Process(req); err != nil {
 				t.Fatal(err)
@@ -148,10 +148,10 @@ func TestSameSeedSameRequestStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ra := rng.New(4)
-		rb := rng.New(4)
+		ra := rng.Stream(4, rng.Payload, 0)
+		rb := rng.Stream(4, rng.Payload, 0)
 		for i := 0; i < 20; i++ {
-			if !bytes.Equal(genA.Next(ra), genB.Next(rb)) {
+			if !bytes.Equal(genA.Next(&ra), genB.Next(&rb)) {
 				t.Errorf("%v: generators not deterministic per seed", id)
 				break
 			}
@@ -165,9 +165,9 @@ func TestProcessDoesNotMutateRequest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rng.New(5)
+		rng := rng.Stream(5, rng.Payload, 0)
 		for i := 0; i < 10; i++ {
-			req := gen.Next(rng)
+			req := gen.Next(&rng)
 			orig := append([]byte(nil), req...)
 			if _, err := fn.Process(req); err != nil {
 				t.Fatal(err)
@@ -201,8 +201,8 @@ func TestNextIntoMatchesNext(t *testing.T) {
 		}
 		covered[id] = true
 		t.Run(id.String(), func(t *testing.T) {
-			ra := rng.New(11)
-			rb := rng.New(11)
+			ra := rng.Stream(11, rng.Payload, 0)
+			rb := rng.Stream(11, rng.Payload, 0)
 			// A small first buffer exercises the allocating fallback;
 			// the largest request seen so far is recycled after that.
 			buf := make([]byte, 0, 16)
@@ -211,8 +211,8 @@ func TestNextIntoMatchesNext(t *testing.T) {
 				for j := range stale {
 					stale[j] = 0xAA
 				}
-				got := into.NextInto(rb, buf)
-				want := genA.Next(ra)
+				got := into.NextInto(&rb, buf)
+				want := genA.Next(&ra)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("request %d: NextInto differs from Next (%d vs %d bytes)", i, len(got), len(want))
 				}
@@ -220,8 +220,8 @@ func TestNextIntoMatchesNext(t *testing.T) {
 					buf = got[:0]
 				}
 			}
-			if a, b := ra.Int63(), rb.Int63(); a != b {
-				t.Fatalf("rng streams diverged: Next side draws %d, NextInto side %d", a, b)
+			if ra != rb {
+				t.Fatal("streams diverged: Next and NextInto made different draws")
 			}
 		})
 	}
@@ -233,13 +233,13 @@ func TestNextIntoMatchesNext(t *testing.T) {
 }
 
 // TestNextLenMatchesNext holds every dry generator to the nf.RequestGenLen
-// contract: at each seed, NextLen returns the length Next's request has,
-// request by request, and both leave the rng at the same point. The seeds
-// include 1284911 and 1260503, whose streams redraw a REM filler byte.
+// contract: on each request's own stream, NextLen returns the length of
+// the request Next draws from the same state. The keys include (1, 3909)
+// and (1, 494557), whose REM filler draws redraw.
 func TestNextLenMatchesNext(t *testing.T) {
-	seeds := []int64{1284911, 1260503}
-	for seed := int64(0); seed < 60; seed++ {
-		seeds = append(seeds, seed)
+	seqs := []uint64{3909, 494557}
+	for seq := uint64(0); seq < 60; seq++ {
+		seqs = append(seqs, seq)
 	}
 	covered := map[nf.ID]bool{}
 	for _, id := range nf.All {
@@ -247,28 +247,20 @@ func TestNextLenMatchesNext(t *testing.T) {
 			if nf.CheckConfig(id, config) != nil {
 				continue
 			}
-			_, genA, err := nf.New(id, config)
+			_, gen, err := nf.New(id, config)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, genB, err := nf.New(id, config)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dry, ok := genB.(nf.RequestGenLen)
+			dry, ok := gen.(nf.RequestGenLen)
 			if !ok {
 				continue
 			}
 			covered[id] = true
-			for _, seed := range seeds {
-				ra, rb := rng.New(seed), rng.New(seed)
-				for i := 0; i < 20; i++ {
-					if got, want := dry.NextLen(rb), len(genA.Next(ra)); got != want {
-						t.Fatalf("%v %q seed %d request %d: NextLen %d, Next %d bytes", id, config, seed, i, got, want)
-					}
-				}
-				if a, b := ra.Int63(), rb.Int63(); a != b {
-					t.Fatalf("%v %q seed %d: next draw after Next %d, after NextLen %d", id, config, seed, a, b)
+			for _, seq := range seqs {
+				ra := rng.Stream(1, rng.Payload, seq)
+				rb := ra
+				if got, want := dry.NextLen(&rb), len(gen.Next(&ra)); got != want {
+					t.Fatalf("%v %q request %d: NextLen %d, Next %d bytes", id, config, seq, got, want)
 				}
 			}
 		}

@@ -233,11 +233,8 @@ func (g gen) Next(rng *rng.Rand) []byte { return g.NextInto(rng, nil) }
 // NextInto implements nf.RequestGenInto: every byte of the returned slice
 // is written, so recycled buffers yield the identical request stream.
 func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
-	n := 200 + rng.Intn(1000)
+	n := g.NextLen(rng)
 	b := nf.Reserve(buf, n)
-	// Pick makes exactly the draws of filler[rng.Intn(len(filler))] per
-	// byte: the client shares rng with sizes, gaps and mix tags, so a
-	// generator may change how it computes bytes but not its draws.
 	rng.Pick(b, filler)
 	// implant 0-3 pattern occurrences
 	for k := rng.Intn(4); k > 0; k-- {
@@ -250,18 +247,9 @@ func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
 	return b
 }
 
-// NextLen implements nf.RequestGenLen: NextInto's draws, the filler's and
-// the implants', without a byte of the payload.
-func (g gen) NextLen(rng *rng.Rand) int {
-	n := 200 + rng.Intn(1000)
-	rng.Skip(n, len(filler))
-	for k := rng.Intn(4); k > 0; k-- {
-		if p := g.ac.Pattern(rng.Intn(g.ac.NumPatterns())); len(p) < n {
-			rng.Intn(n - len(p))
-		}
-	}
-	return n
-}
+// NextLen implements nf.RequestGenLen: a request's length is its stream's
+// first draw, and the filler and implants draw after it.
+func (g gen) NextLen(rng *rng.Rand) int { return 200 + rng.Intn(1000) }
 
 func factory(config string) (nf.Function, nf.RequestGen, error) {
 	rs := RulesetTea

@@ -108,10 +108,10 @@ func TestFactoryConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rng.New(10)
+		r := rng.Stream(10, rng.Payload, 0)
 		matched := false
 		for i := 0; i < 30; i++ {
-			resp, err := fn.Process(gen.Next(rng))
+			resp, err := fn.Process(gen.Next(&r))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,24 +326,29 @@ func TestRegexStagePinned(t *testing.T) {
 	}
 }
 
-// countSource counts the draws made from it.
-type countSource struct {
-	rand.Source
+// refSource feeds math/rand the draws of a copy of a stream, shifted
+// right by one so its Int31 is the top 31 bits of a draw, as rng's Intn
+// takes them; it counts the draws.
+type refSource struct {
+	r     rng.Rand
 	draws int
 }
 
-func (s *countSource) Int63() int64 { s.draws++; return s.Source.Int63() }
+func (s *refSource) Int63() int64 { s.draws++; return int64(s.r.Uint64() >> 1) }
+func (s *refSource) Seed(int64)   { panic("refSource: Seed") }
 
-// refRand is the reference: a plain rand.Rand whose source counts draws,
-// so a test can assert that its stream really redrew a filler byte.
+// refRand is the reference: a plain math/rand Rand over a request's
+// stream whose source counts draws, so a test can assert that the stream
+// really redrew a filler byte.
 type refRand struct {
 	*rand.Rand
-	src     *countSource
+	src     *refSource
 	redraws int // filler draws Intn rejected and drew again
 }
 
-func newRef(seed int64) *refRand {
-	src := &countSource{Source: rand.NewSource(seed)}
+// newRef returns the reference over request seq's stream of seed 1.
+func newRef(seq uint64) *refRand {
+	src := &refSource{r: rng.Stream(1, rng.Payload, seq)}
 	return &refRand{Rand: rand.New(src), src: src}
 }
 
@@ -373,57 +378,62 @@ func refNextInto(pats [][]byte, r *refRand, buf []byte) []byte {
 	return b
 }
 
-// redrawSeeds are natural seeds whose streams hold a draw that
-// Intn(len(filler)) rejects, which a plain stream reaches about once in
-// 10^9 draws. The tests below assert that their references really redraw,
-// so this coverage cannot lapse silently.
-var redrawSeeds = []int64{1284911, 1260503}
+// redrawSeqs are requests of seed 1 whose payload streams hold a draw
+// that Intn(len(filler)) rejects, which a plain stream reaches about once
+// in 10^9 draws. The tests below assert that their references really
+// redraw, so this coverage cannot lapse silently.
+var redrawSeqs = []uint64{3909, 494557}
 
-// TestRedrawSeeds pins where the redraws are: in the 31 bits Int31n keeps,
-// draw #456 of seed 1284911 and draw #852 of seed 1260503 (0-based) are
-// 2147483646, above the largest value Int31n(62) accepts.
+// TestRedrawSeeds pins where the redraws are: in the top 31 bits that
+// Intn keeps, filler draw #674 of request 3909 and #367 of request 494557
+// (0-based, after the length draw) are 2147483646, above the largest
+// value Intn(62) accepts.
 func TestRedrawSeeds(t *testing.T) {
 	const bound = (1<<31 - 1) - (1<<31)%len(filler)
-	for i, at := range []int{456, 852} {
-		src := rand.NewSource(redrawSeeds[i])
+	for i, at := range []int{674, 367} {
+		r := rng.Stream(1, rng.Payload, redrawSeqs[i])
+		r.Intn(1000)
 		for k := 0; k < at; k++ {
-			src.Int63()
+			r.Uint64()
 		}
-		if v := src.Int63() >> 32; v != 2147483646 || v <= int64(bound) {
-			t.Fatalf("seed %d draw #%d: %d, bound %d", redrawSeeds[i], at, v, bound)
+		if v := r.Uint64() >> 33; v != 2147483646 || v <= uint64(bound) {
+			t.Fatalf("request %d filler draw #%d: %d, bound %d", redrawSeqs[i], at, v, bound)
 		}
 	}
 }
 
 func TestFillStreamExact(t *testing.T) {
 	lens := []int{0, 1, 2, 61, 62, 63, 200, 700, 1199}
-	seeds := slices.Clone(redrawSeeds)
-	for seed := int64(0); seed < 200; seed++ {
-		seeds = append(seeds, seed)
+	seqs := slices.Clone(redrawSeqs)
+	for seq := uint64(0); seq < 200; seq++ {
+		seqs = append(seqs, seq)
 	}
-	for _, seed := range seeds {
-		got, want := rng.New(seed), newRef(seed)
+	for _, seq := range seqs {
+		got, want := rng.Stream(1, rng.Payload, seq), newRef(seq)
 		for _, n := range lens {
 			a, b := make([]byte, n), make([]byte, n)
 			got.Pick(a, filler)
 			want.fill(b)
 			if !bytes.Equal(a, b) {
-				t.Fatalf("seed %d len %d: Pick bytes differ from Intn", seed, n)
+				t.Fatalf("request %d len %d: Pick bytes differ from Intn", seq, n)
 			}
-			if g, w := got.Int63(), want.Int63(); g != w {
-				t.Fatalf("seed %d len %d: next draw %d, Intn reference %d", seed, n, g, w)
+			if got != want.src.r {
+				t.Fatalf("request %d len %d: Pick and the Intn loop made different draws", seq, n)
 			}
 		}
-		if slices.Contains(redrawSeeds, seed) && want.redraws == 0 {
-			t.Fatalf("seed %d: the reference no longer redraws a filler byte", seed)
+		if slices.Contains(redrawSeqs, seq) && want.redraws == 0 {
+			t.Fatalf("request %d: the reference no longer redraws a filler byte", seq)
 		}
 	}
 }
 
+// TestGenStreamExact holds each request's bytes and draws to the plain
+// reference on its own stream, and NextLen to exactly one draw, the
+// length's.
 func TestGenStreamExact(t *testing.T) {
-	seeds := slices.Clone(redrawSeeds)
-	for seed := int64(0); seed < 40; seed++ {
-		seeds = append(seeds, seed)
+	seqs := slices.Clone(redrawSeqs)
+	for seq := uint64(0); seq < 40; seq++ {
+		seqs = append(seqs, seq)
 	}
 	for _, tc := range []struct {
 		config string
@@ -436,57 +446,62 @@ func TestGenStreamExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gi := g.(nf.RequestGenInto)
-		for _, seed := range seeds {
-			got, want := rng.New(seed), newRef(seed)
-			var bufG, bufW []byte
-			for i := 0; i < 20; i++ {
-				bufG = gi.NextInto(got, bufG)
-				bufW = refNextInto(tc.pats, want, bufW)
-				if !bytes.Equal(bufG, bufW) {
-					t.Fatalf("%s seed %d request %d: bytes differ from the reference", tc.config, seed, i)
-				}
+		gi, gl := g.(nf.RequestGenInto), g.(nf.RequestGenLen)
+		var bufG, bufW []byte
+		for _, seq := range seqs {
+			got, want := rng.Stream(1, rng.Payload, seq), newRef(seq)
+			bufG = gi.NextInto(&got, bufG)
+			bufW = refNextInto(tc.pats, want, bufW)
+			if !bytes.Equal(bufG, bufW) {
+				t.Fatalf("%s request %d: bytes differ from the reference", tc.config, seq)
 			}
-			if g, w := got.Int63(), want.Int63(); g != w {
-				t.Fatalf("%s seed %d: next draw %d, reference %d", tc.config, seed, g, w)
+			if got != want.src.r {
+				t.Fatalf("%s request %d: draws differ from the reference", tc.config, seq)
 			}
-			if slices.Contains(redrawSeeds, seed) && want.redraws == 0 {
-				t.Fatalf("%s seed %d: the reference no longer redraws a filler byte", tc.config, seed)
+			if slices.Contains(redrawSeqs, seq) && want.redraws == 0 {
+				t.Fatalf("%s request %d: the reference no longer redraws a filler byte", tc.config, seq)
+			}
+			dry, one := rng.Stream(1, rng.Payload, seq), rng.Stream(1, rng.Payload, seq)
+			one.Intn(1000)
+			if n := gl.NextLen(&dry); n != len(bufG) || dry != one {
+				t.Fatalf("%s request %d: NextLen %d of %d bytes, or more than one draw", tc.config, seq, n, len(bufG))
 			}
 		}
 	}
 }
 
 // BenchmarkGenNextInto renders tea requests (200–1,199 bytes, ~700 on
-// average) into a recycled buffer: the per-packet payload cost a REM
-// client pays whether or not the function runs.
+// average) into a recycled buffer, each on its own stream: the per-packet
+// payload cost a REM client pays when the function runs.
 func BenchmarkGenNextInto(b *testing.B) {
 	_, g, err := nf.New(nf.REM, "tea")
 	if err != nil {
 		b.Fatal(err)
 	}
 	gi := g.(nf.RequestGenInto)
-	rng := rng.New(1)
+	var r rng.Rand
 	buf := make([]byte, 0, 1200)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = gi.NextInto(rng, buf)
+		r.Seed(1, rng.Payload, uint64(i))
+		buf = gi.NextInto(&r, buf)
 	}
 }
 
-// BenchmarkGenNextLen makes BenchmarkGenNextInto's draws without its bytes:
-// the per-packet payload cost of a client that reads no payload.
+// BenchmarkGenNextLen draws BenchmarkGenNextInto's lengths without their
+// bytes: the per-packet payload cost of a client that reads no payload.
 func BenchmarkGenNextLen(b *testing.B) {
 	_, g, err := nf.New(nf.REM, "tea")
 	if err != nil {
 		b.Fatal(err)
 	}
 	gl := g.(nf.RequestGenLen)
-	rng := rng.New(1)
+	var r rng.Rand
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gl.NextLen(rng)
+		r.Seed(1, rng.Payload, uint64(i))
+		gl.NextLen(&r)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 var (
@@ -239,4 +240,12 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("re-parse of accepted frame failed: %v", err)
 		}
 	})
+}
+
+// TestPacketSize pins the pooled packet at 96 bytes, a cache line and a
+// half: a field that grows it is a visible diff here.
+func TestPacketSize(t *testing.T) {
+	if s := unsafe.Sizeof(Packet{}); s != 96 {
+		t.Fatalf("Packet is %d bytes, want 96", s)
+	}
 }

@@ -118,7 +118,7 @@ func (p FnProfile) Timer() ServiceTimer {
 }
 
 // Sample draws one service time; equivalent to FnProfile.ServiceTime. The
-// jitter draw is rng's concrete ExpFloat64, stream-exact with math/rand's.
+// jitter draw is the stream's concrete ExpFloat64.
 func (t ServiceTimer) Sample(wireBytes int, r *rng.Rand) sim.Time {
 	st := t.overheadNS + sim.Time(float64(wireBytes)*t.byteNS)
 	if r != nil && t.jitterNS > 0 {

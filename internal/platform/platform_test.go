@@ -62,11 +62,11 @@ func TestServiceTimeMatchesSaturation(t *testing.T) {
 func TestJitterIncreasesServiceTime(t *testing.T) {
 	p := BlueField2().Profile(nf.KNN)
 	det := p.ServiceTime(1500, nil)
-	r := rng.New(1)
+	r := rng.Stream(1, rng.Payload, 0)
 	var sum sim.Time
 	const n = 1000
 	for i := 0; i < n; i++ {
-		s := p.ServiceTime(1500, r)
+		s := p.ServiceTime(1500, &r)
 		if s < det {
 			t.Fatal("jittered service below deterministic floor")
 		}

@@ -2,108 +2,164 @@ package rng
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
-// testSeeds are the seeds the exactness tests cover: every edge of
-// rngSource.Seed's reduction modulo 2**31-1 (zero and its replacement
-// 89482311, the modulus and its multiples, the int64 extremes) plus a
-// spread of ordinary seeds, 500 or more in all.
-func testSeeds() []int64 {
-	const m = 1<<31 - 1
-	seeds := []int64{
-		0, 1, -1, 89482311, -89482311,
-		m, -m, m - 1, -(m - 1), m + 1, -(m + 1),
-		2 * m, -2 * m, 3 * m, -3 * m, 1 << 31, -1 << 31,
-		1 << 62, -1 << 62, math.MaxInt64, math.MinInt64, math.MinInt64 + 1,
-		m * (math.MaxInt64 / m), -m * (math.MaxInt64 / m),
+// consumers lists every Consumer.
+var consumers = []Consumer{Jitter, Client, Payload, Dispatch, Fault, Chaos, Trace}
+
+// testKeys are the keys the exactness tests cover: seed edges, every
+// consumer, and indices from 0 to the top of their range.
+func testKeys() []Rand {
+	var keys []Rand
+	for _, seed := range []int64{0, 1, 2, -1, math.MaxInt64, math.MinInt64, 20240601} {
+		for _, c := range consumers {
+			for _, index := range []uint64{0, 1, 7, 1023, 1<<56 - 1} {
+				keys = append(keys, Stream(seed, c, index))
+			}
+		}
 	}
-	gen := rand.New(rand.NewSource(20240601))
-	for len(seeds) < 520 {
-		seeds = append(seeds, int64(gen.Uint64()))
-	}
-	return seeds
+	return keys
 }
 
-func TestSourceMatchesStd(t *testing.T) {
-	const draws = 5000
-	for _, seed := range testSeeds() {
-		got := newSource(seed)
-		want := rand.NewSource(seed).(rand.Source64)
-		for i := 0; i < draws; i++ {
-			if i%3 == 0 {
-				if g, w := got.Uint64(), want.Uint64(); g != w {
-					t.Fatalf("seed %d draw %d: Uint64 %d, math/rand %d", seed, i, g, w)
-				}
-				continue
+// TestStreamKnownAnswers pins the first draws of a few keys, so a change
+// to the key derivation or to the generator is a visible diff.
+func TestStreamKnownAnswers(t *testing.T) {
+	for _, k := range []struct {
+		seed  int64
+		c     Consumer
+		index uint64
+		want  [3]uint64
+	}{
+		{1, Jitter, 0, [3]uint64{0x80621d8b6b7f87f8, 0x1b32fd182c20f25, 0xd674fa698d902e0c}},
+		{1, Jitter, 1, [3]uint64{0x3993abdc747b0d71, 0xd186d8b11ea91e1b, 0xb09c47cd152150aa}},
+		{2, Jitter, 0, [3]uint64{0xc292f7704c39e458, 0xb9ec201f07212506, 0x9e3889dff73740fe}},
+		{1, Payload, 7, [3]uint64{0xcf342df1675a4955, 0xeb47ea22fbcff05e, 0xf0d48fdc58566d7e}},
+		{-1, Trace, 1<<56 - 1, [3]uint64{0x13c2b3bb9090096b, 0xd2434590b50793ed, 0x8d1f1fb24810e21d}},
+		{0, Client, 0, [3]uint64{0xc7cf0aec235a357a, 0xf3d771bf33d36379, 0x774512a6e030cd86}},
+	} {
+		r := Stream(k.seed, k.c, k.index)
+		for i, w := range k.want {
+			if g := r.Uint64(); g != w {
+				t.Fatalf("key (%d, %d, %d) draw %d: %#x, want %#x", k.seed, k.c, k.index, i, g, w)
 			}
-			if g, w := got.Int63(), want.Int63(); g != w {
-				t.Fatalf("seed %d draw %d: Int63 %d, math/rand %d", seed, i, g, w)
+		}
+	}
+	r := Stream(1, Client, 0)
+	if g := r.Intn(1000); g != 665 {
+		t.Fatalf("Intn(1000) = %d, want 665", g)
+	}
+	if g := r.Intn(62); g != 45 {
+		t.Fatalf("Intn(62) = %d, want 45", g)
+	}
+	if g := r.Float64(); g != 0.30049121897634157 {
+		t.Fatalf("Float64 = %v, want 0.30049121897634157", g)
+	}
+	if g := r.ExpFloat64(); g != 0.12340331559091106 {
+		t.Fatalf("ExpFloat64 = %v, want 0.12340331559091106", g)
+	}
+	b := make([]byte, 11)
+	if n, err := r.Read(b); n != 11 || err != nil {
+		t.Fatalf("Read = %d, %v", n, err)
+	}
+	if want := "\x75\xc5\x23\xed\xd2\x1f\x58\x5d\x7e\x58\x48"; string(b) != want {
+		t.Fatalf("Read bytes %x, want %x", b, want)
+	}
+}
+
+// TestStreamsIndependent draws the first 4 outputs of every key of seeds
+// 1–8, every consumer and indices 0–1023, and asserts that no value
+// appears twice: no stream repeats another, nor another shifted by up to
+// three draws. Streams derived as seed offsets fail this at once — with
+// the SNIC station on seed+1 and the host on seed+2, seed s's host station
+// drew seed s+1's SNIC stream, so adjacent seeds were not independent
+// replications.
+func TestStreamsIndependent(t *testing.T) {
+	type key struct {
+		seed  int64
+		c     Consumer
+		index uint64
+	}
+	seen := make(map[uint64]key, 8*len(consumers)*1024*4)
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, c := range consumers {
+			for index := uint64(0); index < 1024; index++ {
+				r := Stream(seed, c, index)
+				k := key{seed, c, index}
+				for i := 0; i < 4; i++ {
+					v := r.Uint64()
+					if prev, dup := seen[v]; dup {
+						t.Fatalf("keys %+v and %+v share the output %#x", prev, k, v)
+					}
+					seen[v] = k
+				}
 			}
 		}
 	}
 }
 
-// TestSeededState compares the register itself, not only the stream: the
-// seeded register of a source equals the one rewound out of a fresh std
-// source, and reseeding a used source resets tap, feed and every word.
+// TestSourceMatchesStd holds a stream to the standard library: its draws
+// are math/rand/v2's PCG seeded with the key's two words, and it is the
+// 16-byte PCG itself.
+func TestSourceMatchesStd(t *testing.T) {
+	if s := unsafe.Sizeof(Rand{}); s != 16 {
+		t.Fatalf("Rand is %d bytes, want 16", s)
+	}
+	for _, seed := range []int64{0, 1, -1, math.MinInt64, 20240601} {
+		for _, c := range consumers {
+			for _, index := range []uint64{0, 1, 1<<56 - 1} {
+				got := Stream(seed, c, index)
+				want := randv2.NewPCG(key(seed, c, index))
+				for i := 0; i < 1000; i++ {
+					if g, w := got.Uint64(), want.Uint64(); g != w {
+						t.Fatalf("key (%d, %d, %d) draw %d: %#x, PCG %#x", seed, c, index, i, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSeededState: rekeying a used stream in place makes it draw exactly
+// what a fresh stream of the new key draws, and allocates nothing.
 func TestSeededState(t *testing.T) {
-	used := newSource(7)
+	used := Stream(7, Client, 0)
 	for i := 0; i < 1000; i++ {
 		used.Uint64()
 	}
-	for _, seed := range testSeeds() {
-		want := seededRegister(rand.NewSource(seed).(rand.Source64))
-		s := newSource(seed)
-		if s.vec != want || s.tap != 0 || s.feed != regLen-regTap {
-			t.Fatalf("seed %d: seeded state differs from math/rand's", seed)
+	for _, fresh := range testKeys()[:50] {
+		for seq := uint64(0); seq < 20; seq++ {
+			used.Seed(int64(seq), Payload, seq*3)
+			if fresh := Stream(int64(seq), Payload, seq*3); used != fresh {
+				t.Fatalf("seq %d: rekeyed state differs from a fresh stream", seq)
+			}
 		}
-		used.Seed(seed)
-		if *used != *s {
-			t.Fatalf("seed %d: reseeding a used source left stale state", seed)
-		}
+		used = fresh
+	}
+	if a := testing.AllocsPerRun(100, func() { used.Seed(1, Payload, 99) }); a != 0 {
+		t.Fatalf("Seed allocates %v times", a)
 	}
 }
 
-// schrage is math/rand's seedrand, Schrage's method as written there.
-func schrage(x int32) int32 {
-	const (
-		A = 48271
-		Q = 44488
-		R = 3399
-	)
-	hi := x / Q
-	lo := x % Q
-	x = A*lo - R*hi
-	if x < 0 {
-		x += int32max
-	}
-	return x
+// v1Source feeds math/rand (v1) the stream's draws shifted right by one,
+// so its Int31 is the top 31 bits of a draw, as Intn's; it counts draws.
+type v1Source struct {
+	r     Rand
+	draws int
 }
 
-// TestSeedrandMatchesSchrage checks the Mersenne fold against math/rand's
-// division at the range's edges, around multiples of Q, and at a million
-// random points.
-func TestSeedrandMatchesSchrage(t *testing.T) {
-	xs := []int32{1, 2, 44487, 44488, 44489, int32max - 2, int32max - 1, 89482311}
-	for k := int32(1); k < 48271; k += 997 {
-		xs = append(xs, k*44488-1, k*44488, k*44488+1)
-	}
-	gen := rand.New(rand.NewSource(5))
-	for i := 0; i < 1_000_000; i++ {
-		xs = append(xs, 1+gen.Int31n(int32max-1))
-	}
-	for _, x := range xs {
-		if g, w := seedrand(x), schrage(x); g != w {
-			t.Fatalf("seedrand(%d) = %d, math/rand %d", x, g, w)
-		}
-	}
-}
+func (s *v1Source) Int63() int64 { s.draws++; return int64(s.r.Uint64() >> 1) }
+func (s *v1Source) Seed(int64)   { panic("v1Source: Seed") }
 
-// refPick is Pick written the plain way, one Intn per byte.
+// refPick is Pick written the plain way: math/rand's Intn per byte over
+// the same draws.
 func refPick(r *rand.Rand, b []byte, alphabet string) {
 	for i := range b {
 		b[i] = alphabet[r.Intn(len(alphabet))]
@@ -120,27 +176,50 @@ func alphabetOf(n int) string {
 	return sb.String()
 }
 
-// countSource counts the draws a reference rand.Rand makes, so a test can
-// assert that its data really exercises Intn's redraw.
-type countSource struct {
-	rand.Source
-	draws int
+// TestIntnMatchesMathRand holds Intn to math/rand's Intn over the same
+// draws, for a power of two, for bounds that redraw often (2**30+1
+// rejects almost half the draws) and for the largest bound.
+func TestIntnMatchesMathRand(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 1000, 1024, 1<<30 + 1, 1<<31 - 1} {
+		for _, k := range testKeys()[:40] {
+			got := k
+			src := &v1Source{r: k}
+			want := rand.New(src)
+			for i := 0; i < 500; i++ {
+				if g, w := got.Intn(n), want.Intn(n); g != w {
+					t.Fatalf("n %d draw %d: Intn %d, math/rand %d", n, i, g, w)
+				}
+			}
+			if got != src.r {
+				t.Fatalf("n %d: Intn and math/rand made different draws", n)
+			}
+		}
+	}
+	for _, n := range []int{0, -1, 1 << 31} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Intn(%d) did not panic", n)
+				}
+			}()
+			r := Stream(1, Client, 0)
+			r.Intn(n)
+		}()
+	}
 }
 
-func (s *countSource) Int63() int64 { s.draws++; return s.Source.Int63() }
-
-// TestPickAlphabets checks Pick against the Intn loop over power-of-two and
-// other alphabet lengths, with every request split across several calls
-// at varying points. The 2**20+1 alphabet redraws about one draw in 2,000,
-// so its rows assert that redraws happened.
+// TestPickAlphabets checks Pick against the Intn loop over power-of-two
+// and other alphabet lengths, with every request split across several
+// calls at varying points. The 2**20+1 alphabet redraws about one draw in
+// 2,000, so its rows assert that redraws happened.
 func TestPickAlphabets(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 45, 62, 64, 1<<20 + 1} {
 		alphabet := alphabetOf(n)
 		redraws := 0
 		for seed := int64(0); seed < 60; seed++ {
-			got := New(seed)
-			cs := &countSource{Source: rand.NewSource(seed)}
-			want := rand.New(cs)
+			got := Stream(seed, Payload, uint64(n))
+			src := &v1Source{r: got}
+			want := rand.New(src)
 			split := rand.New(rand.NewSource(^seed))
 			for req := 0; req < 8; req++ {
 				total := split.Intn(3000)
@@ -150,15 +229,15 @@ func TestPickAlphabets(t *testing.T) {
 					got.Pick(a[lo:hi], alphabet)
 					lo = hi
 				}
-				before := cs.draws
+				before := src.draws
 				refPick(want, b, alphabet)
-				redraws += cs.draws - before - total
+				redraws += src.draws - before - total
 				if !bytes.Equal(a, b) {
 					t.Fatalf("n %d seed %d request %d: Pick bytes differ from Intn", n, seed, req)
 				}
 			}
-			if g, w := got.Int63(), want.Int63(); g != w {
-				t.Fatalf("n %d seed %d: next draw %d, Intn reference %d", n, seed, g, w)
+			if got != src.r {
+				t.Fatalf("n %d seed %d: Pick and the Intn loop made different draws", n, seed)
 			}
 		}
 		if n == 1<<20+1 && redraws == 0 {
@@ -170,286 +249,190 @@ func TestPickAlphabets(t *testing.T) {
 // TestPickPanicsLikeIntn: an empty alphabet panics as Intn(0) does, but
 // only when there is a byte to pick.
 func TestPickPanicsLikeIntn(t *testing.T) {
-	New(1).Pick(nil, "")
+	r := Stream(1, Payload, 0)
+	r.Pick(nil, "")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Pick with an empty alphabet did not panic")
 		}
 	}()
-	New(1).Pick(make([]byte, 1), "")
+	r.Pick(make([]byte, 1), "")
 }
 
-// force writes the register so that the next draws of s carry vs[0],
-// vs[1], ... in the 31 bits Int31n keeps. The bits it drops, the low word
-// and bit 63 (Int63 clears it), carry noise. Consecutive draws never read a
-// word an earlier one of them wrote, for fewer than regLen-regTap draws.
-func force(s *source, vs []int64) {
-	tap, feed := s.tap, s.feed
-	for k, v := range vs {
-		tap, feed = (tap+regLen-1)%regLen, (feed+regLen-1)%regLen
-		x := v<<32 | int64(uint32(0x9e3779b9*(k+1)))
-		if k%2 == 1 {
-			x |= math.MinInt64
-		}
-		s.vec[feed] = x - s.vec[tap]
+// The PCG's LCG constants (math/rand/v2's pcg.go) and DXSM's multiplier.
+const (
+	mulHi    = 2549297995355413924
+	mulLo    = 4865540595714422341
+	incHi    = 6364136223846793005
+	incLo    = 1442695040888963407
+	cheapMul = 0xda942042e4dd58b5
+)
+
+// mul128 returns a*b mod 2**128.
+func mul128(ahi, alo, bhi, blo uint64) (hi, lo uint64) {
+	hi, lo = bits.Mul64(alo, blo)
+	return hi + ahi*blo + alo*bhi, lo
+}
+
+// force rekeys r so that its next draw is x. The state after that draw
+// gets low word 1, so DXSM multiplies by 1, and the high word that DXSM's
+// two xorshifts and multiply (each invertible) map to x; the LCG step
+// back from it, by the inverse multiplier, is r's new state.
+func force(r *Rand, x uint64) {
+	h := x ^ x>>48
+	inv := uint64(cheapMul)
+	for i := 0; i < 5; i++ { // Newton: each step doubles the correct bits
+		inv *= 2 - cheapMul*inv
 	}
+	h *= inv
+	h ^= h >> 32
+	ihi, ilo := uint64(mulHi), uint64(mulLo)
+	for i := 0; i < 6; i++ {
+		phi, plo := mul128(mulHi, mulLo, ihi, ilo)
+		tlo, borrow := bits.Sub64(2, plo, 0)
+		thi, _ := bits.Sub64(0, phi, borrow)
+		ihi, ilo = mul128(ihi, ilo, thi, tlo)
+	}
+	lo, borrow := bits.Sub64(1, incLo, 0)
+	hi, _ := bits.Sub64(h, incHi, borrow)
+	r.pcg.Seed(mul128(hi, lo, ihi, ilo))
 }
 
-// TestPickAtBound forces the draws Int31n decides at its rejection bound:
+// TestPickAtBound forces the draws Intn decides at its rejection bound:
 // the largest value it accepts and the two above it, which it redraws. A
-// natural stream meets them about once in 2**31 draws. The forced draws sit
-// on both sides of tap and feed wraps, and the request is split across
-// calls; the reference must really make the forced draws and redraws.
+// natural stream meets them about once in 2**31 draws. Each forced draw
+// opens a request split across two calls; the reference must really
+// redraw, and both must end on the same state.
 func TestPickAtBound(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 7, 45, 62, 64, 1000, 1<<20 + 1} {
 		alphabet := alphabetOf(n)
-		bound := int64(int32max - (1<<31)%n)
-		for _, order := range [][]int64{{0, 1, 2}, {1, 2, 0}, {2, 0, 1}} {
-			var vs []int64
-			redraws := 0
-			for _, d := range order {
-				if v := bound + d; v <= int32max {
-					vs = append(vs, v)
-					if d > 0 {
-						redraws++
-					}
-				}
-			}
-			for _, skip := range []int{0, 1, 332, 333, 334, 605, 606, 607, 1000} {
-				s := newSource(int64(n)<<16 ^ int64(skip))
-				for k := 0; k < skip; k++ {
-					s.Uint64()
-				}
-				force(s, vs)
-				chk := *s
-				for k, v := range vs {
-					if g := chk.Int63() >> 32; g != v {
-						t.Fatalf("n %d skip %d: forced draw %d is %d, want %d", n, skip, k, g, v)
-					}
-				}
-				ref := *s
-				cs := &countSource{Source: &ref}
-				want := rand.New(cs)
-				a, b := make([]byte, 8), make([]byte, 8)
-				s.pick(a[:1], alphabet)
-				s.pick(a[1:], alphabet)
-				refPick(want, b, alphabet)
-				if cs.draws < len(b)+redraws {
-					t.Fatalf("n %d skip %d %v: reference made %d draws, want at least %d", n, skip, order, cs.draws, len(b)+redraws)
-				}
-				if !bytes.Equal(a, b) {
-					t.Fatalf("n %d skip %d %v: pick bytes %v, Intn %v", n, skip, order, a, b)
-				}
-				if g, w := s.Int63(), want.Int63(); g != w {
-					t.Fatalf("n %d skip %d %v: next draw %d, Intn reference %d", n, skip, order, g, w)
-				}
-			}
-		}
-	}
-}
-
-// TestSkipMatchesPick holds Skip to Pick on the register itself: after
-// every request length from 0 to 5,000, a source that picked and one that
-// skipped hold the same words, tap and feed. The requests run back to back,
-// so they start at every phase of the register and cross many tap and feed
-// wraps. The 2**20+1 alphabet redraws about one draw in 2,000; an Intn
-// reference alongside asserts that redraws happened.
-func TestSkipMatchesPick(t *testing.T) {
-	for _, n := range []int{1, 62, 1<<20 + 1} {
-		alphabet := alphabetOf(n)
-		picked, skipped := New(int64(n)), New(int64(n))
-		cs := &countSource{Source: rand.NewSource(int64(n))}
-		want := rand.New(cs)
-		buf := make([]byte, 5000)
-		total := 0
-		for k := 0; k <= len(buf); k++ {
-			picked.Pick(buf[:k], alphabet)
-			skipped.Skip(k, n)
-			if *picked.src != *skipped.src {
-				t.Fatalf("n %d: registers differ after a %d-byte request", n, k)
-			}
-			if n != 1<<20+1 {
+		bound := uint64(int32max - (1<<31)%n)
+		for d := uint64(0); d < 3; d++ {
+			v := bound + d
+			if v > int32max {
 				continue
 			}
-			refPick(want, buf[:k], alphabet)
-			total += k
-		}
-		if g, w := skipped.Int63(), picked.Int63(); g != w {
-			t.Fatalf("n %d: next draw after Skip %d, after Pick %d", n, g, w)
-		}
-		if n == 1<<20+1 && cs.draws == total {
-			t.Fatalf("n %d: no redraw exercised", n)
-		}
-	}
-}
-
-// TestSkipRedrawSeeds skips across the natural redraws of REM's 62-byte
-// filler: draw #456 of seed 1284911 and #852 of seed 1260503 exceed
-// Intn(62)'s bound. Requests of every length up to 1,000 start at each
-// seed, split in two at varying points, and must end where the Intn loop
-// ends, the reference having really redrawn.
-func TestSkipRedrawSeeds(t *testing.T) {
-	alphabet := alphabetOf(62)
-	for _, seed := range []int64{1284911, 1260503} {
-		redrawn := false
-		for k := 0; k <= 1000; k++ {
-			got := New(seed)
-			cs := &countSource{Source: rand.NewSource(seed)}
-			want := rand.New(cs)
-			got.Skip(k/3, len(alphabet))
-			got.Skip(k-k/3, len(alphabet))
-			refPick(want, make([]byte, k), alphabet)
-			redrawn = redrawn || cs.draws > k
-			if g, w := got.Int63(), want.Int63(); g != w {
-				t.Fatalf("seed %d len %d: next draw %d, Intn reference %d", seed, k, g, w)
-			}
-		}
-		if !redrawn {
-			t.Fatalf("seed %d: the reference no longer redraws", seed)
-		}
-	}
-}
-
-// TestSkipAtBound forces the draws Int31n decides at its rejection bound,
-// as TestPickAtBound does, and holds Skip to Pick and the Intn loop on
-// them: the same register afterwards and the same next draw.
-func TestSkipAtBound(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 7, 45, 62, 64, 1000, 1<<20 + 1} {
-		alphabet := alphabetOf(n)
-		bound := int64(int32max - (1<<31)%n)
-		for _, order := range [][]int64{{0, 1, 2}, {1, 2, 0}, {2, 0, 1}} {
-			var vs []int64
-			for _, d := range order {
-				if v := bound + d; v <= int32max {
-					vs = append(vs, v)
+			for _, low := range []uint64{0, 1<<33 - 1, 0x9e3779b9} {
+				s := Stream(int64(n), Payload, d)
+				force(&s, v<<33|low)
+				if chk := s; chk.Uint64()>>33 != v {
+					t.Fatalf("n %d: forced draw is not %d", n, v)
 				}
-			}
-			for _, skip := range []int{0, 1, 332, 333, 334, 605, 606, 607, 1000} {
-				s := newSource(int64(n)<<16 ^ int64(skip))
-				for k := 0; k < skip; k++ {
-					s.Uint64()
+				src := &v1Source{r: s}
+				want := rand.New(src)
+				a, b := make([]byte, 8), make([]byte, 8)
+				s.Pick(a[:1], alphabet)
+				s.Pick(a[1:], alphabet)
+				refPick(want, b, alphabet)
+				if d > 0 && src.draws <= len(b) {
+					t.Fatalf("n %d value %d: the reference did not redraw", n, v)
 				}
-				force(s, vs)
-				picked, ref := *s, *s
-				want := rand.New(&ref)
-				s.skip(1, n)
-				s.skip(7, n)
-				picked.pick(make([]byte, 8), alphabet)
-				refPick(want, make([]byte, 8), alphabet)
-				if *s != picked {
-					t.Fatalf("n %d skip %d %v: Skip and Pick leave different registers", n, skip, order)
+				if !bytes.Equal(a, b) {
+					t.Fatalf("n %d value %d: Pick bytes %v, Intn %v", n, v, a, b)
 				}
-				if g, w := s.Int63(), want.Int63(); g != w {
-					t.Fatalf("n %d skip %d %v: next draw %d, Intn reference %d", n, skip, order, g, w)
+				if s != src.r {
+					t.Fatalf("n %d value %d: Pick and the Intn loop end on different states", n, v)
 				}
 			}
 		}
 	}
 }
 
-// TestSkipPanicsLikePick: an invalid alphabet length panics, but only when
-// there is a byte to skip.
-func TestSkipPanicsLikePick(t *testing.T) {
-	New(1).Skip(0, 0)
-	New(1).Skip(-1, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Skip with an empty alphabet did not panic")
-		}
-	}()
-	New(1).Skip(1, 0)
-}
-
-// TestMethodMix interleaves Pick with the math/rand methods a generator
-// calls, Read included: rand.Rand buffers Read's leftover bytes, and Pick
-// draws straight from the source between Reads, as Intn does.
+// TestMethodMix interleaves every method on one stream against references
+// on a copy: math/rand/v2's Rand for the methods it has, math/rand's Intn
+// over the same draws for Intn, the Intn loop for Pick, and little-endian
+// draws for Read.
 func TestMethodMix(t *testing.T) {
 	alphabet := alphabetOf(62)
-	for _, seed := range testSeeds()[:120] {
-		got := New(seed)
-		want := rand.New(rand.NewSource(seed))
-		ops := rand.New(rand.NewSource(seed ^ 0x5eed))
+	for ki, k := range testKeys()[:120] {
+		got, ref := k, k
+		v2 := randv2.New(&ref)
+		ops := rand.New(rand.NewSource(int64(ki) ^ 0x5eed))
 		for step := 0; step < 200; step++ {
 			var g, w float64
-			switch op := ops.Intn(8); op {
+			switch op := ops.Intn(9); op {
 			case 0:
-				g, w = float64(got.Intn(1000)), float64(want.Intn(1000))
+				src := &v1Source{r: ref}
+				g, w = float64(got.Intn(1000)), float64(rand.New(src).Intn(1000))
+				ref = src.r
 			case 1:
-				g, w = float64(got.Int31n(77)), float64(want.Int31n(77))
+				g, w = got.Float64(), v2.Float64()
 			case 2:
-				g, w = got.Float64(), want.Float64()
+				g, w = got.ExpFloat64(), v2.ExpFloat64()
 			case 3:
-				g, w = got.ExpFloat64(), want.ExpFloat64()
+				g, w = got.NormFloat64(), v2.NormFloat64()
 			case 4:
-				g, w = got.NormFloat64(), want.NormFloat64()
+				g, w = float64(got.Float32()), float64(v2.Float32())
 			case 5:
-				pg, pw := got.Perm(9), want.Perm(9)
-				for i := range pg {
-					if pg[i] != pw[i] {
-						t.Fatalf("seed %d step %d: Perm differs", seed, step)
-					}
-				}
+				g, w = float64(got.Int64N(1<<40+3)), float64(v2.Int64N(1<<40+3))
 			case 6:
-				k := ops.Intn(13)
-				a, b := make([]byte, k), make([]byte, k)
+				g, w = float64(got.Uint64()), float64(v2.Uint64())
+			case 7:
+				n := ops.Intn(20)
+				a, b := make([]byte, n), make([]byte, (n+7)/8*8)
 				got.Read(a)
-				want.Read(b)
-				if !bytes.Equal(a, b) {
-					t.Fatalf("seed %d step %d: Read differs", seed, step)
+				for i := 0; i < len(b); i += 8 {
+					binary.LittleEndian.PutUint64(b[i:], v2.Uint64())
+				}
+				if !bytes.Equal(a, b[:n]) {
+					t.Fatalf("key %d step %d: Read %x, draws %x", ki, step, a, b[:n])
 				}
 			default:
-				k := ops.Intn(100)
-				a, b := make([]byte, k), make([]byte, k)
+				n := ops.Intn(100)
+				a, b := make([]byte, n), make([]byte, n)
 				got.Pick(a, alphabet)
-				refPick(want, b, alphabet)
+				src := &v1Source{r: ref}
+				refPick(rand.New(src), b, alphabet)
+				ref = src.r
 				if !bytes.Equal(a, b) {
-					t.Fatalf("seed %d step %d: Pick differs from Intn", seed, step)
+					t.Fatalf("key %d step %d: Pick differs from Intn", ki, step)
 				}
 			}
 			if g != w {
-				t.Fatalf("seed %d step %d: %v, math/rand %v", seed, step, g, w)
+				t.Fatalf("key %d step %d: %v, reference %v", ki, step, g, w)
 			}
 		}
-		if g, w := got.Uint64(), want.Uint64(); g != w {
-			t.Fatalf("seed %d: next draw %d, math/rand %d", seed, g, w)
+		if got != ref {
+			t.Fatalf("key %d: methods and references made different draws", ki)
 		}
 	}
 }
 
-// recordSource records the draws a reference rand.Rand makes, so a test
-// can tell which of ExpFloat64's branches a call took.
+// recordSource records the draws a reference math/rand/v2 Rand makes, so
+// a test can tell which of ExpFloat64's branches a call took.
 type recordSource struct {
-	rand.Source
-	draws []int64
+	r     *Rand
+	draws []uint64
 }
 
-func (s *recordSource) Int63() int64 {
-	v := s.Source.Int63()
+func (s *recordSource) Uint64() uint64 {
+	v := s.r.Uint64()
 	s.draws = append(s.draws, v)
 	return v
 }
 
-// TestExpFloat64MatchesMathRand holds ExpFloat64 to math/rand's over 8
-// seeds × 100,000 draws, each followed now and then by a Float64 through
-// the embedded rand.Rand, so the concrete and the interface paths share
-// one stream. Its first draw tells a call's branch: j >= ke[j&0xFF] leaves
-// the fast path, for the tail when j&0xFF == 0 and for the rejection test
-// otherwise; both must be hit.
+// TestExpFloat64MatchesMathRand holds ExpFloat64 to math/rand/v2's over
+// 8 keys × 100,000 draws, each followed now and then by a Float64, so the
+// concrete and the interface paths share one stream. Its first draw tells
+// a call's branch: j >= ke[i] leaves the fast path, for the tail when
+// i == 0 and for the rejection test otherwise; both must be hit.
 func TestExpFloat64MatchesMathRand(t *testing.T) {
 	const draws = 100_000
 	tails, rejections := 0, 0
 	for _, seed := range []int64{0, 1, 2, -1, 7919, 1 << 40, math.MinInt64, 20240601} {
-		got := New(seed)
-		rec := &recordSource{Source: rand.NewSource(seed)}
-		want := rand.New(rec)
+		got := Stream(seed, Jitter, 0)
+		ref := got
+		rec := &recordSource{r: &ref}
+		want := randv2.New(rec)
 		ops := rand.New(rand.NewSource(^seed))
 		for i := 0; i < draws; i++ {
 			rec.draws = rec.draws[:0]
 			if g, w := got.ExpFloat64(), want.ExpFloat64(); g != w {
-				t.Fatalf("seed %d draw %d: ExpFloat64 %v, math/rand %v", seed, i, g, w)
+				t.Fatalf("seed %d draw %d: ExpFloat64 %v, math/rand/v2 %v", seed, i, g, w)
 			}
-			if j := uint32(rec.draws[0] >> 31); j >= ke[j&0xFF] {
-				if j&0xFF == 0 {
+			u := rec.draws[0]
+			if j, i := uint32(u), uint8(u>>32); j >= ke[i] {
+				if i == 0 {
 					tails++
 				} else {
 					rejections++
@@ -457,12 +440,12 @@ func TestExpFloat64MatchesMathRand(t *testing.T) {
 			}
 			if ops.Intn(4) == 0 {
 				if g, w := got.Float64(), want.Float64(); g != w {
-					t.Fatalf("seed %d draw %d: Float64 %v, math/rand %v", seed, i, g, w)
+					t.Fatalf("seed %d draw %d: Float64 %v, math/rand/v2 %v", seed, i, g, w)
 				}
 			}
 		}
-		if g, w := got.Int63(), want.Int63(); g != w {
-			t.Fatalf("seed %d: next draw %d, math/rand %d", seed, g, w)
+		if got != ref {
+			t.Fatalf("seed %d: ExpFloat64 and math/rand/v2 made different draws", seed)
 		}
 	}
 	if tails == 0 || rejections == 0 {
@@ -470,77 +453,49 @@ func TestExpFloat64MatchesMathRand(t *testing.T) {
 	}
 }
 
-// TestIntnMatchesMathRand holds Intn to math/rand's for a power of two, for
-// bounds that redraw often (2**30+1 rejects almost half the draws) and for
-// one past int32, which math/rand serves through Int63n.
-func TestIntnMatchesMathRand(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 1000, 1024, 1<<30 + 1, 1<<31 - 1, 1 << 31, 1<<40 + 3} {
-		for _, seed := range testSeeds()[:40] {
-			got := New(seed)
-			want := rand.New(rand.NewSource(seed))
-			for i := 0; i < 500; i++ {
-				if g, w := got.Intn(n), want.Intn(n); g != w {
-					t.Fatalf("n %d seed %d draw %d: Intn %d, math/rand %d", n, seed, i, g, w)
-				}
-			}
-			if g, w := got.Int63(), want.Int63(); g != w {
-				t.Fatalf("n %d seed %d: next draw %d, math/rand %d", n, seed, g, w)
-			}
-		}
-	}
-	for _, n := range []int{0, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Intn(%d) did not panic", n)
-				}
-			}()
-			New(1).Intn(n)
-		}()
-	}
-}
-
-// FuzzExpFloat64 skips a fuzzed number of draws, then holds k ExpFloat64
-// calls, interleaved with Float64 on a fuzzed bit mask, to math/rand's.
+// FuzzExpFloat64 makes a fuzzed number of draws on a fuzzed key, then
+// holds k ExpFloat64 calls, interleaved with Float64 on a fuzzed bit mask,
+// to math/rand/v2's.
 func FuzzExpFloat64(f *testing.F) {
-	f.Add(int64(1), uint16(0), uint16(100), uint64(0))
-	f.Add(int64(-1), uint16(607), uint16(607), uint64(0xaaaa))
-	f.Add(int64(20240601), uint16(3), uint16(4000), ^uint64(0))
-	f.Fuzz(func(t *testing.T, seed int64, skip, k uint16, mask uint64) {
-		got := New(seed)
-		want := rand.New(rand.NewSource(seed))
+	f.Add(int64(1), uint64(0), uint16(0), uint16(100), uint64(0))
+	f.Add(int64(-1), uint64(1<<56-1), uint16(607), uint16(607), uint64(0xaaaa))
+	f.Add(int64(20240601), uint64(3), uint16(3), uint16(4000), ^uint64(0))
+	f.Fuzz(func(t *testing.T, seed int64, index uint64, skip, k uint16, mask uint64) {
+		got := Stream(seed, Jitter, index)
+		ref := got
+		want := randv2.New(&ref)
 		for i := 0; i < int(skip)%2048; i++ {
-			got.Int63()
-			want.Int63()
+			got.Uint64()
+			want.Uint64()
 		}
 		for i := 0; i < int(k)%8192; i++ {
 			if g, w := got.ExpFloat64(), want.ExpFloat64(); g != w {
-				t.Fatalf("draw %d: ExpFloat64 %v, math/rand %v", i, g, w)
+				t.Fatalf("draw %d: ExpFloat64 %v, math/rand/v2 %v", i, g, w)
 			}
 			if mask>>(i%64)&1 == 1 {
 				if g, w := got.Float64(), want.Float64(); g != w {
-					t.Fatalf("draw %d: Float64 %v, math/rand %v", i, g, w)
+					t.Fatalf("draw %d: Float64 %v, math/rand/v2 %v", i, g, w)
 				}
 			}
 		}
-		if g, w := got.Int63(), want.Int63(); g != w {
-			t.Fatalf("next draw %d, math/rand %d", g, w)
+		if got != ref {
+			t.Fatal("ExpFloat64 and math/rand/v2 made different draws")
 		}
 	})
 }
 
 // FuzzPick renders one request in three Pick calls split at fuzzed points
-// and holds it to the Intn loop, bytes and next draw.
+// and holds it to the Intn loop, bytes and draws.
 func FuzzPick(f *testing.F) {
-	f.Add(int64(1), uint16(62), uint16(100), uint16(300), uint16(700))
-	f.Add(int64(1284911), uint16(62), uint16(400), uint16(50), uint16(500))
-	f.Add(int64(0), uint16(1), uint16(0), uint16(0), uint16(10))
-	f.Add(int64(-1), uint16(64), uint16(607), uint16(607), uint16(607))
-	f.Fuzz(func(t *testing.T, seed int64, n, a, b, c uint16) {
+	f.Add(int64(1), uint64(0), uint16(62), uint16(100), uint16(300), uint16(700))
+	f.Add(int64(1), uint64(3909), uint16(62), uint16(400), uint16(50), uint16(700))
+	f.Add(int64(0), uint64(1), uint16(1), uint16(0), uint16(0), uint16(10))
+	f.Add(int64(-1), uint64(1<<56-1), uint16(64), uint16(607), uint16(607), uint16(607))
+	f.Fuzz(func(t *testing.T, seed int64, index uint64, n, a, b, c uint16) {
 		alphabet := alphabetOf(1 + int(n)%4096)
 		parts := []int{int(a) % 2048, int(b) % 2048, int(c) % 2048}
-		got := New(seed)
-		want := rand.New(rand.NewSource(seed))
+		got := Stream(seed, Payload, index)
+		src := &v1Source{r: got}
 		var out []byte
 		for _, k := range parts {
 			p := make([]byte, k)
@@ -548,37 +503,12 @@ func FuzzPick(f *testing.F) {
 			out = append(out, p...)
 		}
 		ref := make([]byte, len(out))
-		refPick(want, ref, alphabet)
+		refPick(rand.New(src), ref, alphabet)
 		if !bytes.Equal(out, ref) {
 			t.Fatalf("Pick bytes differ from Intn")
 		}
-		if g, w := got.Int63(), want.Int63(); g != w {
-			t.Fatalf("next draw %d, Intn reference %d", g, w)
-		}
-	})
-}
-
-// FuzzSkip skips one request in three calls split at fuzzed points and
-// holds it to the Intn loop over the same bytes: the next draw must agree.
-func FuzzSkip(f *testing.F) {
-	f.Add(int64(1), uint16(62), uint16(100), uint16(300), uint16(700))
-	f.Add(int64(1284911), uint16(62), uint16(400), uint16(50), uint16(500))
-	f.Add(int64(1260503), uint16(62), uint16(852), uint16(1), uint16(1))
-	f.Add(int64(0), uint16(1), uint16(0), uint16(0), uint16(10))
-	f.Add(int64(-1), uint16(64), uint16(607), uint16(607), uint16(607))
-	f.Fuzz(func(t *testing.T, seed int64, n, a, b, c uint16) {
-		alphabet := alphabetOf(1 + int(n)%4096)
-		parts := []int{int(a) % 2048, int(b) % 2048, int(c) % 2048}
-		got := New(seed)
-		want := rand.New(rand.NewSource(seed))
-		total := 0
-		for _, k := range parts {
-			got.Skip(k, len(alphabet))
-			total += k
-		}
-		refPick(want, make([]byte, total), alphabet)
-		if g, w := got.Int63(), want.Int63(); g != w {
-			t.Fatalf("next draw %d, Intn reference %d", g, w)
+		if got != src.r {
+			t.Fatal("Pick and the Intn loop made different draws")
 		}
 	})
 }
@@ -587,9 +517,9 @@ var sink byte
 
 // BenchmarkPick renders 700 bytes, an average REM request, from a 62-byte
 // alphabet, the length of REM's filler; BenchmarkIntnLoop is the same fill
-// through rand.Rand's Intn.
+// one Intn call per byte.
 func BenchmarkPick(b *testing.B) {
-	r := New(1)
+	r := Stream(1, Payload, 0)
 	buf := make([]byte, 700)
 	alphabet := alphabetOf(62)
 	b.SetBytes(int64(len(buf)))
@@ -600,59 +530,45 @@ func BenchmarkPick(b *testing.B) {
 	sink = buf[0]
 }
 
-// BenchmarkSkip makes the draws of BenchmarkPick's fill without its bytes.
-func BenchmarkSkip(b *testing.B) {
-	r := New(1)
-	b.SetBytes(700)
-	for i := 0; i < b.N; i++ {
-		r.Skip(700, 62)
-	}
-}
-
 func BenchmarkIntnLoop(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
+	r := Stream(1, Payload, 0)
 	buf := make([]byte, 700)
 	alphabet := alphabetOf(62)
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		refPick(r, buf, alphabet)
+		for j := range buf {
+			buf[j] = alphabet[r.Intn(len(alphabet))]
+		}
 	}
 	sink = buf[0]
 }
 
 var expSink float64
 
-// BenchmarkExpFloat64 draws through the concrete source;
-// BenchmarkStdExpFloat64 is the same stream through math/rand.
+// BenchmarkExpFloat64 draws through the concrete generator;
+// BenchmarkStdExpFloat64 is the same stream through math/rand/v2.
 func BenchmarkExpFloat64(b *testing.B) {
-	r := New(1)
+	r := Stream(1, Jitter, 0)
 	for i := 0; i < b.N; i++ {
 		expSink += r.ExpFloat64()
 	}
 }
 
 func BenchmarkStdExpFloat64(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
+	r := Stream(1, Jitter, 0)
+	v2 := randv2.New(&r)
 	for i := 0; i < b.N; i++ {
-		expSink += r.ExpFloat64()
+		expSink += v2.ExpFloat64()
 	}
 }
 
-var srcSink rand.Source
+var streamSink Rand
 
-// BenchmarkNewSource seeds a source; BenchmarkStdNewSource is the same
-// through math/rand.
-func BenchmarkNewSource(b *testing.B) {
+// BenchmarkSeed rekeys a stream in place, as a client does per request.
+func BenchmarkSeed(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		srcSink = newSource(int64(i))
-	}
-}
-
-func BenchmarkStdNewSource(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		srcSink = rand.NewSource(int64(i))
+		streamSink.Seed(1, Payload, uint64(i))
 	}
 }

@@ -2,10 +2,10 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
+	"halsim/internal/rng"
 	"halsim/internal/scenario/yaml"
 	"halsim/internal/sim"
 )
@@ -210,14 +210,14 @@ type chaosWindow struct {
 
 // generate draws the chaos schedule as EventSpecs (sorted by start time) so
 // the plan compiler and the report treat chaotic and explicit events
-// identically. Deterministic: one rand.Source seeded from the spec, drawn
-// in a fixed order, no map iteration.
+// identically. Deterministic: the spec seed's chaos stream, drawn in a
+// fixed order, no map iteration.
 func (c ChaosSpec) generate(runSeed int64, duration sim.Time) ([]EventSpec, error) {
 	c = c.withDefaults(runSeed, duration)
 	if err := c.validate(duration); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(c.Seed ^ 0x5ce9a210))
+	r := rng.Stream(c.Seed, rng.Chaos, 0)
 	var total float64
 	for _, kw := range c.Kinds {
 		total += kw.Weight
@@ -246,7 +246,7 @@ func (c ChaosSpec) generate(runSeed int64, duration sim.Time) ([]EventSpec, erro
 		// Up to 8 placement attempts per event; a draw that cannot be
 		// placed is skipped, keeping generation deterministic and finite.
 		for attempt := 0; attempt < 8; attempt++ {
-			pick := rng.Float64() * total
+			pick := r.Float64() * total
 			kind := c.Kinds[len(c.Kinds)-1].Kind
 			for _, kw := range c.Kinds {
 				if pick < kw.Weight {
@@ -255,8 +255,8 @@ func (c ChaosSpec) generate(runSeed int64, duration sim.Time) ([]EventSpec, erro
 				}
 				pick -= kw.Weight
 			}
-			length := c.MinDuration + sim.Time(rng.ExpFloat64()*float64(c.MeanDuration))
-			from := c.WindowFrom + sim.Time(rng.Int63n(int64(span-c.MinDuration)))
+			length := c.MinDuration + sim.Time(r.ExpFloat64()*float64(c.MeanDuration))
+			from := c.WindowFrom + sim.Time(r.Int64N(int64(span-c.MinDuration)))
 			to := from + length
 			if to > c.WindowTo {
 				to = c.WindowTo
@@ -270,9 +270,9 @@ func (c ChaosSpec) generate(runSeed int64, duration sim.Time) ([]EventSpec, erro
 			w := chaosWindow{from: from, to: to, kind: kind}
 			switch kind {
 			case "core-crash":
-				w.cores = 1 + rng.Intn(c.MaxCores)
+				w.cores = 1 + r.Intn(c.MaxCores)
 			case "rx-drop":
-				w.dropProb = 0.05 + rng.Float64()*(c.MaxDropProb-0.05)
+				w.dropProb = 0.05 + r.Float64()*(c.MaxDropProb-0.05)
 				if w.dropProb > c.MaxDropProb {
 					w.dropProb = c.MaxDropProb
 				}

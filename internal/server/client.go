@@ -31,10 +31,14 @@ const (
 // modulated for the datacenter workloads — independent of how the server
 // keeps up.
 type client struct {
-	eng  *sim.Engine
-	rng  *rng.Rand
-	addr packet.Addr
-	dst  packet.Addr
+	eng *sim.Engine
+	// rng draws sizes, gaps and mix tags; payload is rekeyed per request,
+	// so request k's payload is drawn from (seed, Payload, k) alone.
+	rng     rng.Rand
+	payload rng.Rand
+	seed    int64
+	addr    packet.Addr
+	dst     packet.Addr
 
 	rateGbps float64
 	sizes    *trace.SizeDist
@@ -101,9 +105,9 @@ type payloadGen struct {
 	// into is gen's buffer-reusing view, non-nil when gen implements
 	// nf.RequestGenInto: payloads render into buffers banked by the pool.
 	into nf.RequestGenInto
-	// dry is gen's draw-only view, non-nil when gen implements
+	// dry is gen's length-only view, non-nil when gen implements
 	// nf.RequestGenLen and nothing in the run reads the payload: the
-	// request then makes its draws and carries only its length.
+	// request then carries only its length.
 	dry nf.RequestGenLen
 }
 
@@ -147,8 +151,9 @@ func stateConsumer(fn nf.Function, cfg Config) nf.StateFunction {
 
 // newClient builds the run's client on eng and pool: requests carry
 // payloads from f's generators, and each packet is handed to emit at its
-// arrival instant. A generator that can skip its bytes does so when
-// nothing in the run reads them. cfg and rc must be normalized.
+// arrival instant. A generator that can tell a payload's length without
+// its bytes does so when nothing in the run reads them. cfg and rc must be
+// normalized.
 func newClient(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, f functions, emit func(*packet.Packet, sim.Time)) (*client, error) {
 	c := &client{
 		eng:           eng,
@@ -157,7 +162,8 @@ func newClient(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, f f
 		mixFrac:       cfg.MixFraction,
 		mixFracBefore: cfg.MixFractionBefore,
 		mixShiftAt:    cfg.MixShiftAt,
-		rng:           rng.New(cfg.Seed + 9),
+		rng:           rng.Stream(cfg.Seed, rng.Client, 0),
+		seed:          cfg.Seed,
 		addr:          clientAddr,
 		dst:           snicAddr,
 		rateGbps:      rc.RateGbps,
@@ -170,7 +176,7 @@ func newClient(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, f f
 		c.genAlt = newPayloadGen(f.mixGen, !cfg.Functional)
 	}
 	if rc.Workload != nil {
-		g, err := trace.New(*rc.Workload, cfg.Seed+17)
+		g, err := trace.New(*rc.Workload, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -218,7 +224,7 @@ func (c *client) scheduleNext() {
 		c.eng.ScheduleCall(TraceEpoch, c.rearmCall, nil, 0)
 		return
 	}
-	size := c.sizes.Sample(c.rng.Rand)
+	size := c.sizes.Sample(&c.rng)
 	meanGapNS := float64(size) * 8 / c.rateGbps
 	gapF := c.rng.ExpFloat64() * meanGapNS
 	// Compare in the float domain: a near-zero epoch rate can push the
@@ -238,8 +244,8 @@ func (c *client) scheduleNext() {
 // size). Instead of one event per packet, the handler expands up to
 // maxBurst arrivals inline: each sub-arrival's send time is the same
 // analytic t_{i+1} = t_i + ⌊gap⌋ the per-packet loop would have produced,
-// and the rng is consulted in the identical order (mix/payload draws for
-// packet i, then size/gap draws for packet i+1), so every packet carries
+// and the client's stream is consulted in the identical order (mix draw
+// for packet i, then size/gap draws for packet i+1), so every packet carries
 // byte-identical contents and timestamps. Expansion stops — handing the
 // remainder to a fresh event at the next send time — at the burst caps, at
 // endAt, and at a trace-epoch boundary (the epoch ticker re-draws the rate
@@ -258,7 +264,7 @@ func (c *client) sendNext(_ any, n int64) {
 			c.eng.AtCall(t+TraceEpoch, c.rearmCall, nil, 0)
 			return
 		}
-		next := c.sizes.Sample(c.rng.Rand)
+		next := c.sizes.Sample(&c.rng)
 		meanGapNS := float64(next) * 8 / c.rateGbps
 		gapF := c.rng.ExpFloat64() * meanGapNS
 		// Compare in the float domain: a near-zero epoch rate can push
@@ -311,20 +317,22 @@ func (c *client) sendAt(size int, at sim.Time) {
 	if tag == 1 && c.genAlt.gen != nil {
 		g = &c.genAlt
 	}
-	// The dry path makes the payload's draws and keeps only its length.
+	// Request seq draws its payload from a stream keyed by seq; the dry
+	// path draws only the payload's length.
+	c.seq++
+	c.payload.Seed(c.seed, rng.Payload, c.seq)
 	var payload []byte
 	n := 0
 	switch {
 	case g.dry != nil:
-		n = g.dry.NextLen(c.rng)
+		n = g.dry.NextLen(&c.payload)
 	case g.into != nil:
-		payload = g.into.NextInto(c.rng, c.pool.GetBuf())
+		payload = g.into.NextInto(&c.payload, c.pool.GetBuf())
 		n = len(payload)
 	case g.gen != nil:
-		payload = g.gen.Next(c.rng)
+		payload = g.gen.Next(&c.payload)
 		n = len(payload)
 	}
-	c.seq++
 	p := c.pool.Get(c.addr, c.dst, uint16(4000+c.seq%1000), 9000, payload)
 	p.ID = c.seq
 	p.WireLen = size

@@ -2,10 +2,10 @@ package server
 
 import (
 	"fmt"
-	"math/rand"
 
 	"halsim/internal/core"
 	"halsim/internal/fault"
+	"halsim/internal/rng"
 	"halsim/internal/sim"
 	"halsim/internal/stats"
 )
@@ -75,9 +75,9 @@ func (r *run) buildFaults() error {
 			return fmt.Errorf("server: fault event %v scheduled past the run's duration %v", e, r.rc.Duration)
 		}
 	}
-	// The fault layer draws from its own RNG stream so injecting a fault
+	// The fault layer draws from its own stream, so injecting a fault
 	// never perturbs the workload's service-time or arrival draws.
-	r.faultRng = rand.New(rand.NewSource(plan.Seed ^ 0xfa17))
+	r.faultRng = rng.Stream(plan.Seed, rng.Fault, uint64(r.index))
 	inj, err := fault.NewInjector(r.eng, plan, r.applyFault)
 	if err != nil {
 		return err
@@ -103,11 +103,11 @@ func (r *run) applyFault(e fault.Event) {
 	case fault.SNICAccelRestore:
 		r.snic.first.setProfile(r.cfg.SNIC.Profile(r.cfg.Fn))
 	case fault.SNICRxDrop:
-		r.snic.first.port.SetRxFault(e.DropProb, r.faultRng)
+		r.snic.first.port.SetRxFault(e.DropProb, &r.faultRng)
 	case fault.SNICRxRestore:
 		r.snic.first.port.SetRxFault(0, nil)
 	case fault.HostRxDrop:
-		r.host.first.port.SetRxFault(e.DropProb, r.faultRng)
+		r.host.first.port.SetRxFault(e.DropProb, &r.faultRng)
 	case fault.HostRxRestore:
 		r.host.first.port.SetRxFault(0, nil)
 	case fault.TelemetryBlackout:

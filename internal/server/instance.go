@@ -119,12 +119,13 @@ type Instance struct {
 	r *run
 }
 
-// NewInstance builds a complete server on the injected engine and pool
-// without starting traffic. respond, when non-nil, receives every
+// NewInstance builds server index of a fleet on the injected engine and
+// pool without starting traffic. The index, with cfg.Seed, keys the
+// server's random streams. respond, when non-nil, receives every
 // wire-bound response at its egress instant in place of the local latency
 // recorder; the caller carries it back over the fabric. The Config must not ask for
 // shards or telemetry of its own — the cluster owns both.
-func NewInstance(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, respond func(*packet.Packet)) (*Instance, error) {
+func NewInstance(cfg Config, rc RunConfig, index int, eng *sim.Engine, pool *packet.Pool, respond func(*packet.Packet)) (*Instance, error) {
 	if cfg.Cluster != nil {
 		return nil, fmt.Errorf("server: embedded instance with nested Cluster config")
 	}
@@ -133,7 +134,7 @@ func NewInstance(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, r
 	if err := prepare(&cfg, &rc); err != nil {
 		return nil, err
 	}
-	r := &run{cfg: cfg, rc: rc, eng: eng, pool: pool, embedded: true, respond: respond}
+	r := &run{cfg: cfg, rc: rc, index: index, eng: eng, pool: pool, embedded: true, respond: respond}
 	if err := r.build(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"reflect"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"halsim/internal/cxl"
 	"halsim/internal/nf"
 	"halsim/internal/packet"
+	"halsim/internal/rng"
 	"halsim/internal/sim"
 )
 
@@ -64,9 +66,12 @@ func TestFunctionalMixRoutesByTag(t *testing.T) {
 }
 
 // TestDryREMRunTakesNoBuffer: with nothing reading REM's payloads, the
-// client makes the payload draws but renders no byte: no request carries a
-// payload and the pool banks no buffer. The Functional run of the same
-// seed renders every byte, and its model results are the dry run's.
+// client draws each request's length from its payload stream and renders
+// no byte: no request carries a payload and the pool banks no buffer. The
+// Functional run of the same seed renders every byte, and its model
+// results are the dry run's. Each request's payload is its own stream's:
+// rendering request k alone on its key gives the bytes the client
+// rendered after requests 1…k-1.
 func TestDryREMRunTakesNoBuffer(t *testing.T) {
 	cfg := Config{Mode: HAL, Fn: nf.REM, Seed: 3}
 	rc := RunConfig{Duration: 5 * sim.Millisecond, RateGbps: 30}
@@ -86,9 +91,13 @@ func TestDryREMRunTakesNoBuffer(t *testing.T) {
 
 	cfg.Functional = true
 	short := 0
+	rendered := map[uint64][]byte{}
 	r, wet := runInside(t, cfg, rc, lookAtRequests(func(p *packet.Packet) {
 		if len(p.Payload) < 200 || len(p.Payload)+packet.HeaderOverhead > p.WireLen {
 			short++
+		}
+		if p.ID%97 == 1 {
+			rendered[p.ID] = append([]byte(nil), p.Payload...)
 		}
 	}))
 	if r.cli.gen.dry != nil || short != 0 || r.pool.GetBuf() == nil {
@@ -97,6 +106,19 @@ func TestDryREMRunTakesNoBuffer(t *testing.T) {
 	}
 	if !reflect.DeepEqual(dry, wet) {
 		t.Fatalf("dry and Functional REM runs differ:\n%+v\n%+v", dry, wet)
+	}
+	if len(rendered) < 10 {
+		t.Fatalf("only %d requests sampled", len(rendered))
+	}
+	_, gen, err := nf.New(nf.REM, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range rendered {
+		s := rng.Stream(cfg.Seed, rng.Payload, id)
+		if got := gen.Next(&s); !bytes.Equal(got, want) {
+			t.Fatalf("request %d rendered alone differs from the run's", id)
+		}
 	}
 }
 

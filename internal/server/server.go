@@ -12,7 +12,6 @@ package server
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"halsim/internal/coherence"
@@ -25,6 +24,7 @@ import (
 	"halsim/internal/nf"
 	"halsim/internal/packet"
 	"halsim/internal/platform"
+	"halsim/internal/rng"
 	"halsim/internal/sim"
 	"halsim/internal/stats"
 	"halsim/internal/telemetry"
@@ -434,6 +434,9 @@ func prepare(cfg *Config, rc *RunConfig) error {
 // run holds the wired-up simulation.
 type run struct {
 	cfg Config
+	// index is the server's place in its fleet, 0 for a standalone
+	// server. With cfg.Seed it keys the server's jitter and fault streams.
+	index int
 
 	// The packet path's state follows: the fields each packet touches,
 	// then its components embedded by value, so a fleet packet walks its
@@ -517,7 +520,7 @@ type run struct {
 
 	// fault machinery
 	inj           *fault.Injector
-	faultRng      *rand.Rand
+	faultRng      rng.Rand
 	telemetryDown bool
 
 	// observability (all nil/zero with Config.Telemetry off; every hook
@@ -539,6 +542,21 @@ type run struct {
 	funcErrs   uint64
 	rateSeries []float64
 	tickers    []*sim.Ticker
+}
+
+// A server's stations draw jitter from a block of eight streams, one per
+// station in this order.
+const (
+	jitterSNIC = iota
+	jitterHost
+	jitterSNIC2
+	jitterHost2
+	jitterFwd
+)
+
+// jitter returns the jitter stream of the server's station at slot k.
+func (r *run) jitter(k uint64) rng.Rand {
+	return rng.Stream(r.cfg.Seed, rng.Jitter, uint64(r.index)*8+k)
 }
 
 func (r *run) build() error {
@@ -596,8 +614,8 @@ func (r *run) build() error {
 		snicProf = scaled
 	}
 
-	r.snic.first.init(r.eng, "snic", snicProf, cfg.RingSize, cfg.Seed+1)
-	r.host.first.init(r.eng, "host", hostProf, cfg.RingSize, cfg.Seed+2)
+	r.snic.first.init(r.eng, "snic", snicProf, cfg.RingSize, r.jitter(jitterSNIC))
+	r.host.first.init(r.eng, "host", hostProf, cfg.RingSize, r.jitter(jitterHost))
 	r.snic.first.release = r.pool.Put
 	r.host.first.release = r.pool.Put
 	if cfg.MixOn {
@@ -607,8 +625,8 @@ func (r *run) build() error {
 		r.host.first.setAltProfile(&hp)
 	}
 	if cfg.PipelineOn {
-		r.snic.second = newStation(r.eng, "snic2", cfg.SNIC.Profile(cfg.Pipeline), cfg.RingSize, cfg.Seed+3)
-		r.host.second = newStation(r.eng, "host2", cfg.Host.Profile(cfg.Pipeline), cfg.RingSize, cfg.Seed+4)
+		r.snic.second = newStation(r.eng, "snic2", cfg.SNIC.Profile(cfg.Pipeline), cfg.RingSize, r.jitter(jitterSNIC2))
+		r.host.second = newStation(r.eng, "host2", cfg.Host.Profile(cfg.Pipeline), cfg.RingSize, r.jitter(jitterHost2))
 		r.snic.second.release = r.pool.Put
 		r.host.second.release = r.pool.Put
 	}
@@ -715,7 +733,7 @@ func (r *run) build() error {
 			OverheadNS:   100,
 			JitterMeanNS: 100,
 		}
-		r.slbFwd = newStation(r.eng, "host-fwd", fwdProf, cfg.RingSize, cfg.Seed+5)
+		r.slbFwd = newStation(r.eng, "host-fwd", fwdProf, cfg.RingSize, r.jitter(jitterFwd))
 		r.slbFwd.release = r.pool.Put
 		r.slbFwd.onServed = func(p *packet.Packet) {
 			// Host → eSwitch → SNIC: two more PCIe crossings and a
@@ -735,7 +753,7 @@ func (r *run) build() error {
 			OverheadNS:   200,
 			JitterMeanNS: 200,
 		}
-		r.slbFwd = newStation(r.eng, "slb-fwd", fwdProf, cfg.RingSize, cfg.Seed+5)
+		r.slbFwd = newStation(r.eng, "slb-fwd", fwdProf, cfg.RingSize, r.jitter(jitterFwd))
 		r.slbFwd.release = r.pool.Put
 		r.slbFwd.onServed = func(p *packet.Packet) {
 			// Forwarded over the long path: SNIC memory → eSwitch →

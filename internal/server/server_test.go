@@ -324,7 +324,7 @@ func TestNegativeRingSizeIsAnError(t *testing.T) {
 	if _, err := Run(cfg, rc); err == nil || !strings.Contains(err.Error(), "ring size") {
 		t.Fatalf("Run with RingSize -1: err = %v, want a ring size error", err)
 	}
-	if _, err := NewInstance(cfg, rc, sim.NewEngine(), packet.NewPool(), nil); err == nil ||
+	if _, err := NewInstance(cfg, rc, 0, sim.NewEngine(), packet.NewPool(), nil); err == nil ||
 		!strings.Contains(err.Error(), "ring size") {
 		t.Fatalf("NewInstance with RingSize -1: err = %v, want a ring size error", err)
 	}
@@ -441,11 +441,11 @@ func TestInstancesOwnTheirCoherenceState(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, pool := sim.NewEngine(), packet.NewPool()
-	fed, err := NewInstance(cfg, rc, eng, pool, nil)
+	fed, err := NewInstance(cfg, rc, 0, eng, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idle, err := NewInstance(cfg, rc, eng, pool, nil)
+	idle, err := NewInstance(cfg, rc, 1, eng, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,10 +22,8 @@ type station struct {
 	port dpdk.Port
 	// cores holds one slot per server, indexed like the port's rings.
 	cores []coreState
-	// rng draws service jitter. It is built from seed at the first
-	// service, so a station that never serves — a fleet server's idle
-	// side — holds no random source; the stream is the same either way.
-	rng *rng.Rand
+	// rng draws service jitter from the station's own keyed stream.
+	rng rng.Rand
 
 	// timer/altTimer are the precomputed service-time samplers for
 	// prof/altProf; refreshed whenever the profile changes.
@@ -67,7 +65,6 @@ type station struct {
 	name     string
 	prof     platform.FnProfile
 	altTimer platform.ServiceTimer
-	seed     int64
 	telID    telemetry.StationID
 
 	// onCapacity, when non-nil, fires after a crash or recovery with the
@@ -109,15 +106,16 @@ const (
 	maxCores = 1 << coreBits
 )
 
-func newStation(eng *sim.Engine, name string, prof platform.FnProfile, ringSize int, seed int64) *station {
+func newStation(eng *sim.Engine, name string, prof platform.FnProfile, ringSize int, jitter rng.Rand) *station {
 	s := new(station)
-	s.init(eng, name, prof, ringSize, seed)
+	s.init(eng, name, prof, ringSize, jitter)
 	return s
 }
 
-// init builds the station in place. Its event handlers are bound to s, so
-// an initialized station must not be copied.
-func (s *station) init(eng *sim.Engine, name string, prof platform.FnProfile, ringSize int, seed int64) {
+// init builds the station in place, drawing service jitter from the
+// stream jitter. Its event handlers are bound to s, so an initialized
+// station must not be copied.
+func (s *station) init(eng *sim.Engine, name string, prof platform.FnProfile, ringSize int, jitter rng.Rand) {
 	if prof.Servers > maxCores {
 		panic("server: station core count exceeds completion-event packing range")
 	}
@@ -127,7 +125,7 @@ func (s *station) init(eng *sim.Engine, name string, prof platform.FnProfile, ri
 		prof:  prof,
 		timer: prof.Timer(),
 		port:  dpdk.NewPort(prof.Servers, ringSize),
-		seed:  seed,
+		rng:   jitter,
 		cores: make([]coreState, prof.Servers),
 	}
 	// Bind the event handlers once: scheduling a poll or a completion then
@@ -241,10 +239,7 @@ func (s *station) serve(core int) {
 	if p.FnTag == 1 && s.altProf != nil {
 		tm = s.altTimer
 	}
-	if s.rng == nil {
-		s.rng = rng.New(s.seed)
-	}
-	st := tm.Sample(p.WireLen, s.rng)
+	st := tm.Sample(p.WireLen, &s.rng)
 	if s.extra != nil {
 		st += s.extra(p)
 	}

@@ -18,7 +18,7 @@ func flowPkt(id uint64, core, n int) *packet.Packet {
 
 func TestStationFailCoreRehomesInflightAndBacklog(t *testing.T) {
 	eng := sim.NewEngine()
-	st := newStation(eng, "t", testProfile(2, 8), 64, 1)
+	st := newStation(eng, "t", testProfile(2, 8), 64, testJitter)
 	var served []uint64
 	st.onServed = func(p *packet.Packet) { served = append(served, p.ID) }
 
@@ -59,7 +59,7 @@ func TestStationFailCoreRehomesInflightAndBacklog(t *testing.T) {
 
 func TestStationCrashedCoreCompletionVoided(t *testing.T) {
 	eng := sim.NewEngine()
-	st := newStation(eng, "t", testProfile(2, 8), 64, 1)
+	st := newStation(eng, "t", testProfile(2, 8), 64, testJitter)
 	var served int
 	st.onServed = func(*packet.Packet) { served++ }
 	st.enqueue(flowPkt(10, 0, 2))
@@ -75,7 +75,7 @@ func TestStationCrashedCoreCompletionVoided(t *testing.T) {
 
 func TestStationAllCoresDeadDrops(t *testing.T) {
 	eng := sim.NewEngine()
-	st := newStation(eng, "t", testProfile(2, 8), 64, 1)
+	st := newStation(eng, "t", testProfile(2, 8), 64, testJitter)
 	st.onServed = func(*packet.Packet) {}
 	st.failCore(0)
 	st.failCore(1)
@@ -89,7 +89,7 @@ func TestStationAllCoresDeadDrops(t *testing.T) {
 
 func TestStationRecoverRejoinsRSS(t *testing.T) {
 	eng := sim.NewEngine()
-	st := newStation(eng, "t", testProfile(2, 8), 64, 1)
+	st := newStation(eng, "t", testProfile(2, 8), 64, testJitter)
 	var served int
 	st.onServed = func(*packet.Packet) { served++ }
 	st.failCore(0)
@@ -111,7 +111,7 @@ func TestStationRecoverRejoinsRSS(t *testing.T) {
 
 func TestStationCapacityCallback(t *testing.T) {
 	eng := sim.NewEngine()
-	st := newStation(eng, "t", testProfile(4, 8), 64, 1)
+	st := newStation(eng, "t", testProfile(4, 8), 64, testJitter)
 	var fracs []float64
 	st.onCapacity = func(alive, total int) { fracs = append(fracs, float64(alive)/float64(total)) }
 	st.failCore(0)
@@ -130,7 +130,7 @@ func TestStationCapacityCallback(t *testing.T) {
 
 func TestStationCrashUnwindsBusyTime(t *testing.T) {
 	eng := sim.NewEngine()
-	st := newStation(eng, "t", testProfile(2, 8), 64, 1)
+	st := newStation(eng, "t", testProfile(2, 8), 64, testJitter)
 	st.onServed = func(*packet.Packet) {}
 	st.enqueue(flowPkt(10, 0, 2))
 	eng.RunUntil(100 * sim.Nanosecond)
@@ -145,7 +145,7 @@ func TestStationCrashUnwindsBusyTime(t *testing.T) {
 
 func TestStationSetProfilePinsServers(t *testing.T) {
 	eng := sim.NewEngine()
-	st := newStation(eng, "t", testProfile(4, 40), 64, 1)
+	st := newStation(eng, "t", testProfile(4, 40), 64, testJitter)
 	st.setProfile(testProfile(8, 2))
 	if st.prof.Servers != 4 {
 		t.Fatalf("servers = %d, want pinned 4", st.prof.Servers)

@@ -29,7 +29,7 @@ func stationPkt(id uint64, wire int) *packet.Packet {
 
 func TestStationServesFIFOPerQueue(t *testing.T) {
 	eng := sim.NewEngine()
-	st := newStation(eng, "t", testProfile(1, 8), 64, 1)
+	st := newStation(eng, "t", testProfile(1, 8), 64, testJitter)
 	var served []uint64
 	st.onServed = func(p *packet.Packet) { served = append(served, p.ID) }
 	for i := uint64(1); i <= 5; i++ {
@@ -56,7 +56,7 @@ func TestStationServesFIFOPerQueue(t *testing.T) {
 func TestStationServiceRateMatchesProfile(t *testing.T) {
 	// 1 server at 8 Gbps: an MTU packet takes 1500·8/8 = 1500 ns.
 	eng := sim.NewEngine()
-	st := newStation(eng, "t", testProfile(1, 8), 64, 1)
+	st := newStation(eng, "t", testProfile(1, 8), 64, testJitter)
 	var doneAt []sim.Time
 	st.onServed = func(*packet.Packet) { doneAt = append(doneAt, eng.Now()) }
 	p1, p2 := stationPkt(1, 1500), stationPkt(2, 1500)
@@ -72,7 +72,7 @@ func TestStationServiceRateMatchesProfile(t *testing.T) {
 func TestStationParallelServers(t *testing.T) {
 	// 2 servers: two packets on different queues complete concurrently.
 	eng := sim.NewEngine()
-	st := newStation(eng, "t", testProfile(2, 16), 64, 1)
+	st := newStation(eng, "t", testProfile(2, 16), 64, testJitter)
 	var n int
 	st.onServed = func(*packet.Packet) { n++ }
 	a, b := stationPkt(0, 1500), stationPkt(1, 1500)
@@ -90,7 +90,7 @@ func TestStationParallelServers(t *testing.T) {
 
 func TestStationTailDrop(t *testing.T) {
 	eng := sim.NewEngine()
-	st := newStation(eng, "t", testProfile(1, 1), 2, 1)
+	st := newStation(eng, "t", testProfile(1, 1), 2, testJitter)
 	for i := uint64(0); i < 10; i++ {
 		p := stationPkt(i, 1500)
 		p.SrcPort = 7
@@ -103,7 +103,7 @@ func TestStationTailDrop(t *testing.T) {
 
 func TestStationExtraServiceTime(t *testing.T) {
 	eng := sim.NewEngine()
-	st := newStation(eng, "t", testProfile(1, 8), 64, 1)
+	st := newStation(eng, "t", testProfile(1, 8), 64, testJitter)
 	st.extra = func(*packet.Packet) sim.Time { return 1000 }
 	var done sim.Time
 	st.onServed = func(*packet.Packet) { done = eng.Now() }
@@ -116,7 +116,7 @@ func TestStationExtraServiceTime(t *testing.T) {
 
 func TestStationWakePenaltyDelaysFirstService(t *testing.T) {
 	eng := sim.NewEngine()
-	st := newStation(eng, "t", testProfile(1, 8), 64, 1)
+	st := newStation(eng, "t", testProfile(1, 8), 64, testJitter)
 	st.sleep = &dpdk.SleepController{IdleThreshold: 10, WakePenalty: 5000}
 	// Put the controller to sleep.
 	st.sleep.OnIdle(0)
@@ -139,7 +139,7 @@ func TestStationWakePenaltyDelaysFirstService(t *testing.T) {
 
 func TestStationUtilization(t *testing.T) {
 	eng := sim.NewEngine()
-	st := newStation(eng, "t", testProfile(1, 8), 64, 1)
+	st := newStation(eng, "t", testProfile(1, 8), 64, testJitter)
 	st.enqueue(stationPkt(1, 1500)) // 1500 ns of work
 	eng.RunUntil(3000)
 	if got := st.utilization(3000); got != 0.5 {
@@ -152,7 +152,7 @@ func TestStationUtilization(t *testing.T) {
 
 func TestStationWindowBytes(t *testing.T) {
 	eng := sim.NewEngine()
-	st := newStation(eng, "t", testProfile(1, 8), 64, 1)
+	st := newStation(eng, "t", testProfile(1, 8), 64, testJitter)
 	st.enqueue(stationPkt(1, 1500))
 	eng.Run()
 	if st.takeWindowBytes() != 1500 {
@@ -168,7 +168,7 @@ func TestClientConstantRate(t *testing.T) {
 	var gotBytes int
 	c := &client{
 		eng:      eng,
-		rng:      newTestRand(),
+		rng:      rng.Stream(1, rng.Client, 0),
 		addr:     clientAddr,
 		dst:      snicAddr,
 		rateGbps: 10,
@@ -193,7 +193,7 @@ func TestClientZeroRateIdles(t *testing.T) {
 	eng := sim.NewEngine()
 	sent := 0
 	c := &client{
-		eng: eng, rng: newTestRand(), sizes: mtuSizes(),
+		eng: eng, rng: rng.Stream(1, rng.Client, 0), sizes: mtuSizes(),
 		emit: func(*packet.Packet, sim.Time) { sent++ },
 	}
 	c.start()
@@ -206,7 +206,7 @@ func TestClientZeroRateIdles(t *testing.T) {
 func TestClientMeasuredWindowGating(t *testing.T) {
 	eng := sim.NewEngine()
 	c := &client{
-		eng: eng, rng: newTestRand(), sizes: mtuSizes(),
+		eng: eng, rng: rng.Stream(1, rng.Client, 0), sizes: mtuSizes(),
 		rateGbps:  10,
 		warmupEnd: 5 * sim.Millisecond,
 		emit:      func(*packet.Packet, sim.Time) {},
@@ -224,7 +224,8 @@ func TestClientMeasuredWindowGating(t *testing.T) {
 
 // test helpers
 
-func newTestRand() *rng.Rand { return rng.New(1) }
+// testJitter is the jitter stream test stations draw from.
+var testJitter = rng.Stream(1, rng.Jitter, 0)
 
 func mtuSizes() *trace.SizeDist { return trace.MTUOnly() }
 
@@ -241,7 +242,7 @@ func TestClientSurvivesNearZeroTraceRates(t *testing.T) {
 	eng := sim.NewEngine()
 	sent := 0
 	c := &client{
-		eng: eng, rng: newTestRand(), sizes: mtuSizes(),
+		eng: eng, rng: rng.Stream(1, rng.Client, 0), sizes: mtuSizes(),
 		rateGbps: 1e-18, // gap >> int64 ns range
 		emit:     func(*packet.Packet, sim.Time) { sent++ },
 		tracegen: trace.NewWorkloadGenerator(trace.Cache, 77),
@@ -258,7 +259,7 @@ func TestClientSurvivesNearZeroTraceRates(t *testing.T) {
 func TestClientConstantTinyRateClamped(t *testing.T) {
 	eng := sim.NewEngine()
 	c := &client{
-		eng: eng, rng: newTestRand(), sizes: mtuSizes(),
+		eng: eng, rng: rng.Stream(1, rng.Client, 0), sizes: mtuSizes(),
 		rateGbps: 1e-18,
 		emit:     func(*packet.Packet, sim.Time) {},
 	}

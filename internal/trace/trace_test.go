@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"halsim/internal/rng"
 )
 
 func TestParamsForAllWorkloads(t *testing.T) {
@@ -140,9 +142,9 @@ func TestCDFMonotone(t *testing.T) {
 
 func TestSizeDistMTUOnly(t *testing.T) {
 	d := MTUOnly()
-	rng := rand.New(rand.NewSource(1))
+	r := rng.Stream(1, rng.Client, 0)
 	for i := 0; i < 100; i++ {
-		if d.Sample(rng) != 1500 {
+		if d.Sample(&r) != 1500 {
 			t.Fatal("MTUOnly must always return 1500")
 		}
 	}
@@ -153,10 +155,10 @@ func TestSizeDistMTUOnly(t *testing.T) {
 
 func TestSizeDistBimodal(t *testing.T) {
 	d := Bimodal64_1500()
-	rng := rand.New(rand.NewSource(2))
+	r := rng.Stream(2, rng.Client, 0)
 	counts := map[int]int{}
 	for i := 0; i < 10000; i++ {
-		counts[d.Sample(rng)]++
+		counts[d.Sample(&r)]++
 	}
 	if counts[64] == 0 || counts[1500] == 0 {
 		t.Fatalf("bimodal should produce both sizes: %v", counts)
