@@ -158,6 +158,12 @@ func (r Tab5Result) Table() Table {
 	return t
 }
 
+// snicOverloadP99us is the SNIC-only p99 (µs) above which a Table V
+// configuration counts as overloading the SNIC: the trace's peak epochs
+// outran it and queued. Below it the SNIC kept up, HAL keeps the traffic
+// on the SNIC, and there is no tail for HAL to cut.
+const snicOverloadP99us = 500
+
 // Summary computes the headline aggregates the abstract quotes: HAL's
 // energy-efficiency and throughput gains over host-only, and its p99
 // reduction versus SNIC-only, averaged per workload.
@@ -165,12 +171,18 @@ type Tab5Summary struct {
 	Workload          trace.Workload
 	EEGainVsHost      float64 // (HAL avgTP/W) / (host avgTP/W) - 1
 	MaxTPGainVsHost   float64
-	P99CutVsSNIC      float64 // 1 - HAL p99 / SNIC p99
+	P99CutVsSNIC      float64 // 1 - HAL p99 / SNIC p99, over the SNICOverloaded configurations
 	PowerSavedVsHostW float64
+	Configs           int // configurations averaged
+	SNICOverloaded    int // configurations whose SNIC-only p99 exceeds snicOverloadP99us
 }
 
 // Summarize aggregates Table V per workload (geometric-mean-free simple
-// averages, like the paper's per-workload averages).
+// averages, like the paper's per-workload averages). The p99 cut averages
+// only the configurations that overloaded the SNIC: the paper's traces
+// always do, but a short trace may never draw an epoch above the SNIC's
+// capacity, and averaging those rows' ≈0 cuts in would report the trace
+// draw rather than HAL. It reads 0 when no configuration overloaded.
 func (r Tab5Result) Summarize() []Tab5Summary {
 	byW := map[trace.Workload][]Tab5Row{}
 	for _, row := range r.Rows {
@@ -182,9 +194,9 @@ func (r Tab5Result) Summarize() []Tab5Summary {
 		if len(rows) == 0 {
 			continue
 		}
-		var s Tab5Summary
-		s.Workload = w
+		s := Tab5Summary{Workload: w, Configs: len(rows)}
 		n := float64(len(rows))
+		var cut float64
 		for _, row := range rows {
 			if row.Host.PowerW > 0 && row.HAL.PowerW > 0 && row.Host.AvgGbps > 0 {
 				eeHost := row.Host.AvgGbps / row.Host.PowerW
@@ -196,10 +208,14 @@ func (r Tab5Result) Summarize() []Tab5Summary {
 			if row.Host.MaxGbps > 0 {
 				s.MaxTPGainVsHost += (row.HAL.MaxGbps/row.Host.MaxGbps - 1) / n
 			}
-			if row.SNIC.P99us > 0 {
-				s.P99CutVsSNIC += (1 - row.HAL.P99us/row.SNIC.P99us) / n
+			if row.SNIC.P99us > snicOverloadP99us {
+				cut += 1 - row.HAL.P99us/row.SNIC.P99us
+				s.SNICOverloaded++
 			}
 			s.PowerSavedVsHostW += (row.Host.PowerW - row.HAL.PowerW) / n
+		}
+		if s.SNICOverloaded > 0 {
+			s.P99CutVsSNIC = cut / float64(s.SNICOverloaded)
 		}
 		out = append(out, s)
 	}
@@ -212,15 +228,20 @@ func (r Tab5Result) SummaryTable() Table {
 		Title:   "Table V summary: HAL vs baselines per workload",
 		Headers: []string{"Workload", "EE gain vs host", "max TP gain vs host", "p99 cut vs SNIC", "power saved vs host (W)"},
 		Notes: []string{
+			"p99 cut: mean over the configurations (n/total) whose SNIC-only p99 exceeds 500us",
 			"paper headline: +31% energy efficiency, +10% throughput, p99 64-94% below SNIC-only",
 		},
 	}
 	for _, s := range r.Summarize() {
+		cut := "-"
+		if s.SNICOverloaded > 0 {
+			cut = fmt.Sprintf("%.1f%%", s.P99CutVsSNIC*100)
+		}
 		t.Rows = append(t.Rows, []string{
 			s.Workload.String(),
 			fmt.Sprintf("%+.1f%%", s.EEGainVsHost*100),
 			fmt.Sprintf("%+.1f%%", s.MaxTPGainVsHost*100),
-			fmt.Sprintf("%.1f%%", s.P99CutVsSNIC*100),
+			fmt.Sprintf("%s (%d/%d)", cut, s.SNICOverloaded, s.Configs),
 			f1(s.PowerSavedVsHostW),
 		})
 	}

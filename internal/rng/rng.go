@@ -2,9 +2,13 @@
 // own. Stream(seed, consumer, index) keys a math/rand/v2 PCG (PCG-DXSM:
 // a 128-bit LCG with a 64-bit output permutation, 16 bytes of state) by
 // the run seed, the kind of consumer and an index within it, so a
-// station's jitter, the client's arrivals and request k's payload never
-// share or overlap a stream, whatever the seed (O'Neill, "PCG", 2014;
-// Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011).
+// station's jitter, the client's arrivals and request k's payload start
+// from different states, whatever the seed (O'Neill, "PCG", 2014; Salmon
+// et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011). Every
+// state lies on the generator's one 2**128 cycle, so two streams can
+// still overlap, but only with negligible probability: K streams of at
+// most L draws each overlap with probability below about K²·L/2**128,
+// 2**-48 for 2**24 streams of 2**32 draws.
 //
 // The draws a run makes per packet — Uint64, Float64, ExpFloat64, Intn and
 // Pick — are concrete methods over the PCG, which inline instead of
