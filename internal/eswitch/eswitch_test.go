@@ -51,11 +51,8 @@ func TestRewrittenPacketChangesRoute(t *testing.T) {
 	s.Bind(PortWire, func(*packet.Packet) {})
 	s.ConfigureHAL(snicAddr, hostAddr)
 
-	p := to(snicAddr)
-	p.Marshal()
-	s.Forward(p)
+	s.Forward(to(snicAddr))
 	p2 := to(snicAddr)
-	p2.Marshal()
 	p2.RewriteDst(hostAddr)
 	s.Forward(p2)
 	if snicN != 1 || hostN != 1 {

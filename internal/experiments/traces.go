@@ -22,7 +22,7 @@ func Fig8(opt Options) Table {
 	}
 	for _, w := range trace.Workloads {
 		p := trace.ParamsFor(w)
-		g := trace.NewWorkloadGenerator(w, opt.Seed+100)
+		g := trace.NewWorkloadGenerator(w, opt.Seed)
 		snap := g.Snapshot(20000)
 		s := trace.Summarize(snap)
 		cdf := trace.CDF(snap, []float64{1, 10, 50})

@@ -117,25 +117,27 @@ func (f *Func) Process(req []byte) ([]byte, error) {
 	return []byte{byte(label), byte(conf)}, nil
 }
 
+// gen emits random feature bitmaps.
 type gen struct {
 	features int
 }
 
-func (g gen) Next(rng *rng.Rand) []byte {
-	b := make([]byte, (g.features+7)/8)
+// NextLen implements nf.RequestGen: a bitmap has one bit per feature.
+func (g gen) NextLen(*rng.Rand) int { return (g.features + 7) / 8 }
+
+// NextInto implements nf.RequestGen.
+func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
+	b := nf.Reserve(buf, (g.features+7)/8)
 	rng.Read(b)
 	return b
 }
 
-func factory(config string) (nf.Function, nf.RequestGen, error) {
+// New builds a Bayes function and its request generator. config "" or
+// "128" selects 128 features, "256" 256.
+func New(config string) (nf.Function, nf.RequestGen, error) {
 	features := 128
-	switch config {
-	case "", "128":
-		features = 128
-	case "256":
+	if config == "256" {
 		features = 256
 	}
 	return NewFunc(features), gen{features: features}, nil
 }
-
-func init() { nf.Register(nf.Bayes, factory, "128", "256") }

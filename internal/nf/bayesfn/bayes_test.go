@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"halsim/internal/nf"
 	"halsim/internal/rng"
 )
 
@@ -91,19 +90,16 @@ func TestProcessShort(t *testing.T) {
 
 func TestFactory(t *testing.T) {
 	for _, cfg := range []string{"", "128", "256"} {
-		fn, gen, err := nf.New(nf.Bayes, cfg)
+		fn, gen, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rng.Stream(7, rng.Payload, 0)
 		for i := 0; i < 20; i++ {
-			if _, err := fn.Process(gen.Next(&rng)); err != nil {
+			if _, err := fn.Process(gen.NextInto(&rng, nil)); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	if _, _, err := nf.New(nf.Bayes, "512"); err == nil {
-		t.Fatal("bad config should fail")
 	}
 }
 

@@ -171,13 +171,21 @@ func (f *Func) Process(req []byte) ([]byte, error) {
 	return resp, nil
 }
 
+// gen emits queries of 2-7 terms drawn uniformly from the vocabulary.
 type gen struct {
 	vocab int
 }
 
-func (g gen) Next(rng *rng.Rand) []byte {
-	n := 2 + rng.Intn(6)
-	b := make([]byte, 1+2*n)
+// terms draws a query's term count, its stream's first draw.
+func terms(rng *rng.Rand) int { return 2 + rng.Intn(6) }
+
+// NextLen implements nf.RequestGen: it replays the term-count draw.
+func (g gen) NextLen(rng *rng.Rand) int { return 1 + 2*terms(rng) }
+
+// NextInto implements nf.RequestGen.
+func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
+	n := terms(rng)
+	b := nf.Reserve(buf, 1+2*n)
 	b[0] = byte(n)
 	for i := 0; i < n; i++ {
 		binary.BigEndian.PutUint16(b[1+2*i:], uint16(rng.Intn(g.vocab)))
@@ -185,15 +193,12 @@ func (g gen) Next(rng *rng.Rand) []byte {
 	return b
 }
 
-func factory(config string) (nf.Function, nf.RequestGen, error) {
+// New builds a BM25 function and its request generator. config "" or
+// "2k" selects a 2,000-term vocabulary, "4k" 4,000.
+func New(config string) (nf.Function, nf.RequestGen, error) {
 	vocab := 2000
-	switch config {
-	case "", "2k":
-		vocab = 2000
-	case "4k":
+	if config == "4k" {
 		vocab = 4000
 	}
 	return NewFunc(vocab, 2000, 1), gen{vocab: vocab}, nil
 }
-
-func init() { nf.Register(nf.BM25, factory, "2k", "4k") }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"testing"
 
-	"halsim/internal/nf"
 	"halsim/internal/rng"
 )
 
@@ -120,19 +119,16 @@ func TestAccessors(t *testing.T) {
 
 func TestFactory(t *testing.T) {
 	for _, cfg := range []string{"", "2k", "4k"} {
-		fn, gen, err := nf.New(nf.BM25, cfg)
+		fn, gen, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rng.Stream(8, rng.Payload, 0)
 		for i := 0; i < 10; i++ {
-			if _, err := fn.Process(gen.Next(&rng)); err != nil {
+			if _, err := fn.Process(gen.NextInto(&rng, nil)); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	if _, _, err := nf.New(nf.BM25, "8k"); err == nil {
-		t.Fatal("bad config should fail")
 	}
 }
 

@@ -127,30 +127,33 @@ func SynthesizeCorpus(n int, seed int64) []byte {
 	return out[:n]
 }
 
+// gen emits compress requests over chunks of a synthetic corpus.
 type gen struct {
 	corpus []byte
 	chunk  int
 }
 
-func (g gen) Next(rng *rng.Rand) []byte {
+// NextLen implements nf.RequestGen: an op byte and one chunk.
+func (g gen) NextLen(*rng.Rand) int { return 1 + g.chunk }
+
+// NextInto implements nf.RequestGen.
+func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
 	off := rng.Intn(len(g.corpus) - g.chunk)
-	b := make([]byte, 1+g.chunk)
+	b := nf.Reserve(buf, 1+g.chunk)
 	b[0] = OpCompress
 	copy(b[1:], g.corpus[off:off+g.chunk])
 	return b
 }
 
-func factory(config string) (nf.Function, nf.RequestGen, error) {
+// New builds a compression function and its request generator. config ""
+// or "1k" selects 1 KB chunks, "4k" 4 KB.
+func New(config string) (nf.Function, nf.RequestGen, error) {
 	chunk := 1024
-	switch config {
-	case "", "1k":
-	case "4k":
+	if config == "4k" {
 		chunk = 4096
 	}
 	return NewFunc(), gen{corpus: SynthesizeCorpus(1<<18, 3), chunk: chunk}, nil
 }
-
-func init() { nf.Register(nf.Comp, factory, "1k", "4k") }
 
 // EncodeDecompressRequest wraps compressed bytes into a decompress request
 // (exported for tests and examples).

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"halsim/internal/nf"
 	"halsim/internal/rng"
 )
 
@@ -279,19 +278,16 @@ func FuzzDecompress(f *testing.F) {
 
 func TestFactory(t *testing.T) {
 	for _, cfg := range []string{"", "1k", "4k"} {
-		fn, gen, err := nf.New(nf.Comp, cfg)
+		fn, gen, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rng.Stream(5, rng.Payload, 0)
 		for i := 0; i < 5; i++ {
-			if _, err := fn.Process(gen.Next(&rng)); err != nil {
+			if _, err := fn.Process(gen.NextInto(&rng, nil)); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	if _, _, err := nf.New(nf.Comp, "64k"); err == nil {
-		t.Fatal("bad config should fail")
 	}
 }
 

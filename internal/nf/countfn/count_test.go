@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"halsim/internal/nf"
 	"halsim/internal/rng"
 )
 
@@ -127,22 +126,19 @@ func TestStateLines(t *testing.T) {
 
 func TestFactory(t *testing.T) {
 	for _, cfg := range []string{"", "4", "8"} {
-		fn, gen, err := nf.New(nf.Count, cfg)
+		fn, gen, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rng.Stream(2, rng.Payload, 0)
 		for i := 0; i < 20; i++ {
-			if _, err := fn.Process(gen.Next(&rng)); err != nil {
+			if _, err := fn.Process(gen.NextInto(&rng, nil)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if fn.(*Func).Batch() == 0 {
 			t.Fatal("batch unset")
 		}
-	}
-	if _, _, err := nf.New(nf.Count, "16"); err == nil {
-		t.Fatal("bad config should fail")
 	}
 }
 

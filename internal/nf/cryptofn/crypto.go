@@ -130,14 +130,15 @@ func (f *Func) Process(req []byte) ([]byte, error) {
 	return result.Bytes(), nil
 }
 
+// gen emits an even mix of RSA, DH and DSA operations on random operands.
 type gen struct {
 	operandLen int
 }
 
-func (g gen) Next(rng *rng.Rand) []byte { return g.NextInto(rng, nil) }
+// NextLen implements nf.RequestGen: an algorithm byte and one operand.
+func (g gen) NextLen(*rng.Rand) int { return 1 + g.operandLen }
 
-// NextInto implements nf.RequestGenInto: every byte of the returned slice
-// is written, so recycled buffers yield the identical request stream.
+// NextInto implements nf.RequestGen.
 func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
 	b := nf.Reserve(buf, 1+g.operandLen)
 	switch rng.Intn(3) {
@@ -152,8 +153,8 @@ func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
 	return b
 }
 
-func factory(string) (nf.Function, nf.RequestGen, error) {
+// New builds a Crypto function and its request generator. Its one
+// configuration, "" or "mixed", mixes the three algorithms.
+func New(string) (nf.Function, nf.RequestGen, error) {
 	return NewFunc(), gen{operandLen: 32}, nil
 }
-
-func init() { nf.Register(nf.Crypto, factory, "mixed") }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"halsim/internal/nf"
 	"halsim/internal/rng"
 )
 
@@ -118,18 +117,15 @@ func TestAlgorithmString(t *testing.T) {
 }
 
 func TestFactory(t *testing.T) {
-	fn, gen, err := nf.New(nf.Crypto, "")
+	fn, gen, err := New("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rng.Stream(9, rng.Payload, 0)
 	for i := 0; i < 20; i++ {
-		if _, err := fn.Process(gen.Next(&rng)); err != nil {
+		if _, err := fn.Process(gen.NextInto(&rng, nil)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, _, err := nf.New(nf.Crypto, "rsa4096"); err == nil {
-		t.Fatal("bad config should fail")
 	}
 }
 

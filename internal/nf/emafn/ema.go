@@ -90,15 +90,16 @@ func (f *Func) StateLines(req []byte) []uint64 {
 	return lines
 }
 
+// gen emits batches of (key, sample) records.
 type gen struct {
 	batch int
 	keys  int
 }
 
-func (g gen) Next(rng *rng.Rand) []byte { return g.NextInto(rng, nil) }
+// NextLen implements nf.RequestGen: one record per batch slot.
+func (g gen) NextLen(*rng.Rand) int { return g.batch * recLen }
 
-// NextInto implements nf.RequestGenInto: every byte of the returned slice
-// is written, so recycled buffers yield the identical request stream.
+// NextInto implements nf.RequestGen.
 func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
 	b := nf.Reserve(buf, g.batch*recLen)
 	for i := 0; i < g.batch; i++ {
@@ -109,15 +110,12 @@ func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
 	return b
 }
 
-func factory(config string) (nf.Function, nf.RequestGen, error) {
+// New builds an EMA function and its request generator. config "" or "8"
+// selects batches of 8 records, "4" of 4.
+func New(config string) (nf.Function, nf.RequestGen, error) {
 	batch := 8
-	switch config {
-	case "", "8":
-		batch = 8
-	case "4":
+	if config == "4" {
 		batch = 4
 	}
 	return NewFunc(batch, 0.125), gen{batch: batch, keys: 4096}, nil
 }
-
-func init() { nf.Register(nf.EMA, factory, "4", "8") }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"halsim/internal/nf"
 	"halsim/internal/rng"
 )
 
@@ -109,19 +108,16 @@ func TestStateLines(t *testing.T) {
 
 func TestFactory(t *testing.T) {
 	for _, cfg := range []string{"", "4", "8"} {
-		fn, gen, err := nf.New(nf.EMA, cfg)
+		fn, gen, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rng.Stream(3, rng.Payload, 0)
 		for i := 0; i < 20; i++ {
-			if _, err := fn.Process(gen.Next(&rng)); err != nil {
+			if _, err := fn.Process(gen.NextInto(&rng, nil)); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	if _, _, err := nf.New(nf.EMA, "2"); err == nil {
-		t.Fatal("bad config should fail")
 	}
 }
 

@@ -159,12 +159,13 @@ func (f *Func) Process(req []byte) ([]byte, error) {
 	return resp, nil
 }
 
+// gen emits k=5 queries at normally distributed points.
 type gen struct{}
 
-func (g gen) Next(rng *rng.Rand) []byte { return g.NextInto(rng, nil) }
+// NextLen implements nf.RequestGen: a k byte and one point.
+func (gen) NextLen(*rng.Rand) int { return 1 + 4*Dim }
 
-// NextInto implements nf.RequestGenInto: every byte of the returned slice
-// is written, so recycled buffers yield the identical request stream.
+// NextInto implements nf.RequestGen.
 func (gen) NextInto(rng *rng.Rand, buf []byte) []byte {
 	b := nf.Reserve(buf, 1+4*Dim)
 	b[0] = 5
@@ -174,15 +175,12 @@ func (gen) NextInto(rng *rng.Rand, buf []byte) []byte {
 	return b
 }
 
-func factory(config string) (nf.Function, nf.RequestGen, error) {
+// New builds a KNN function and its request generator. config "" or "8"
+// selects 8 training points per class, "16" 16.
+func New(config string) (nf.Function, nf.RequestGen, error) {
 	perClass := 8
-	switch config {
-	case "", "8":
-		perClass = 8
-	case "16":
+	if config == "16" {
 		perClass = 16
 	}
 	return NewFunc(perClass), gen{}, nil
 }
-
-func init() { nf.Register(nf.KNN, factory, "8", "16") }

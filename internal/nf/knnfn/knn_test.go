@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"halsim/internal/nf"
 	"halsim/internal/rng"
 )
 
@@ -129,19 +128,16 @@ func TestProcessMalformed(t *testing.T) {
 
 func TestFactory(t *testing.T) {
 	for _, cfg := range []string{"", "8", "16"} {
-		fn, gen, err := nf.New(nf.KNN, cfg)
+		fn, gen, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rng.Stream(6, rng.Payload, 0)
 		for i := 0; i < 20; i++ {
-			if _, err := fn.Process(gen.Next(&rng)); err != nil {
+			if _, err := fn.Process(gen.NextInto(&rng, nil)); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	if _, _, err := nf.New(nf.KNN, "32"); err == nil {
-		t.Fatal("bad config should fail")
 	}
 }
 

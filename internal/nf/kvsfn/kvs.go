@@ -162,46 +162,61 @@ func fnv64(b []byte) uint64 {
 	return h
 }
 
-// Encode builds a request payload (exported for examples and tests).
-func Encode(op byte, key, value []byte) []byte {
-	b := make([]byte, 3+len(key)+len(value))
-	b[0] = op
-	binary.BigEndian.PutUint16(b[1:3], uint16(len(key)))
-	copy(b[3:], key)
-	copy(b[3+len(key):], value)
-	return b
-}
-
+// gen emits a read-heavy mix over a fixed key population: each request
+// draws its key, then its op, then a write's or insert's value bytes.
 type gen struct {
 	keys    int
 	valSize int
 }
 
-func (g gen) Next(rng *rng.Rand) []byte {
-	key := make([]byte, 16)
-	binary.BigEndian.PutUint64(key[8:], uint64(rng.Intn(g.keys)))
+// keyLen is the generator's key size: 8 zero bytes, then the key index.
+const keyLen = 16
+
+// drawOp draws a request's op after its key draw.
+func drawOp(rng *rng.Rand) byte {
 	switch r := rng.Intn(100); {
 	case r < 80: // read-heavy, as the paper's KVS workload
-		return Encode(OpRead, key, nil)
+		return OpRead
 	case r < 95:
-		val := make([]byte, g.valSize)
-		rng.Read(val)
-		return Encode(OpWrite, key, val)
+		return OpWrite
 	default:
-		val := make([]byte, g.valSize)
-		rng.Read(val)
-		return Encode(OpInsert, key, val)
+		return OpInsert
 	}
 }
 
-func factory(config string) (nf.Function, nf.RequestGen, error) {
+// valLen is the value size a request with op carries.
+func (g gen) valLen(op byte) int {
+	if op == OpRead {
+		return 0
+	}
+	return g.valSize
+}
+
+// NextLen implements nf.RequestGen: it replays the key and op draws.
+func (g gen) NextLen(rng *rng.Rand) int {
+	rng.Intn(g.keys)
+	return 3 + keyLen + g.valLen(drawOp(rng))
+}
+
+// NextInto implements nf.RequestGen.
+func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
+	key := uint64(rng.Intn(g.keys))
+	op := drawOp(rng)
+	b := nf.Reserve(buf, 3+keyLen+g.valLen(op))
+	b[0] = op
+	binary.BigEndian.PutUint16(b[1:3], keyLen)
+	clear(b[3 : 3+keyLen-8])
+	binary.BigEndian.PutUint64(b[3+keyLen-8:], key)
+	rng.Read(b[3+keyLen:])
+	return b
+}
+
+// New builds a KVS function and its request generator. config "" or
+// "small" selects 64-byte values, "large" 512-byte ones.
+func New(config string) (nf.Function, nf.RequestGen, error) {
 	valSize := 64
-	switch config {
-	case "", "small":
-	case "large":
+	if config == "large" {
 		valSize = 512
 	}
 	return NewFunc(), gen{keys: 1 << 16, valSize: valSize}, nil
 }
-
-func init() { nf.Register(nf.KVS, factory, "small", "large") }

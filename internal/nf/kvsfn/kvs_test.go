@@ -2,12 +2,22 @@ package kvsfn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
-	"halsim/internal/nf"
 	"halsim/internal/rng"
 )
+
+// Encode builds a request payload.
+func Encode(op byte, key, value []byte) []byte {
+	b := make([]byte, 3+len(key)+len(value))
+	b[0] = op
+	binary.BigEndian.PutUint16(b[1:3], uint16(len(key)))
+	copy(b[3:], key)
+	copy(b[3+len(key):], value)
+	return b
+}
 
 func TestReadMissThenInsertThenRead(t *testing.T) {
 	f := NewFunc()
@@ -129,19 +139,16 @@ func TestCounters(t *testing.T) {
 
 func TestFactory(t *testing.T) {
 	for _, cfg := range []string{"", "small", "large"} {
-		fn, gen, err := nf.New(nf.KVS, cfg)
+		fn, gen, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rng.Stream(4, rng.Payload, 0)
 		for i := 0; i < 100; i++ {
-			if _, err := fn.Process(gen.Next(&rng)); err != nil {
+			if _, err := fn.Process(gen.NextInto(&rng, nil)); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	if _, _, err := nf.New(nf.KVS, "huge"); err == nil {
-		t.Fatal("bad config should fail")
 	}
 }
 

@@ -205,34 +205,28 @@ func (f *Func) Process(req []byte) ([]byte, error) {
 // exercises both hits and misses.
 type gen struct {
 	flows int
-	fill  []byte
 }
 
-func (g gen) Next(rng *rng.Rand) []byte { return g.NextInto(rng, nil) }
+// NextLen implements nf.RequestGen: every request is one 12-byte tuple.
+func (gen) NextLen(*rng.Rand) int { return reqLen }
 
-// NextInto implements nf.RequestGenInto: every byte of the returned slice
-// is written, so recycled buffers yield the identical request stream.
+// NextInto implements nf.RequestGen.
 func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
-	b := nf.Reserve(buf, reqLen+len(g.fill))
+	b := nf.Reserve(buf, reqLen)
 	flow := rng.Intn(g.flows)
 	binary.BigEndian.PutUint32(b[0:4], 0xC0A80000|uint32(flow>>8)) // 192.168.x.x
 	binary.BigEndian.PutUint16(b[4:6], uint16(1024+flow&0xff))
 	binary.BigEndian.PutUint32(b[6:10], 0x08080808)
 	binary.BigEndian.PutUint16(b[10:12], 443)
-	copy(b[reqLen:], g.fill)
 	return b
 }
 
-func factory(config string) (nf.Function, nf.RequestGen, error) {
+// New builds a NAT function and its request generator. config "" or "1k"
+// selects 1K table entries, "10k" 10K.
+func New(config string) (nf.Function, nf.RequestGen, error) {
 	capacity := 1024
-	switch config {
-	case "", "1k":
-		capacity = 1024
-	case "10k":
+	if config == "10k" {
 		capacity = 10240
 	}
-	f := NewFunc(capacity)
-	return f, gen{flows: capacity * 2}, nil
+	return NewFunc(capacity), gen{flows: capacity * 2}, nil
 }
-
-func init() { nf.Register(nf.NAT, factory, "1k", "10k") }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"halsim/internal/nf"
 	"halsim/internal/rng"
 )
 
@@ -133,19 +132,16 @@ func TestResponsePreservesDst(t *testing.T) {
 
 func TestFactoryConfigs(t *testing.T) {
 	for _, cfg := range []string{"", "1k", "10k"} {
-		fn, gen, err := nf.New(nf.NAT, cfg)
+		fn, gen, err := New(cfg)
 		if err != nil {
 			t.Fatalf("config %q: %v", cfg, err)
 		}
 		rng := rng.Stream(1, rng.Payload, 0)
 		for i := 0; i < 50; i++ {
-			if _, err := fn.Process(gen.Next(&rng)); err != nil {
+			if _, err := fn.Process(gen.NextInto(&rng, nil)); err != nil {
 				t.Fatalf("config %q: %v", cfg, err)
 			}
 		}
-	}
-	if _, _, err := nf.New(nf.NAT, "bogus"); err == nil {
-		t.Fatal("bogus config should fail")
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package nf defines the network-function abstraction shared by the ten
-// benchmark functions of the paper (Table IV) and the registry the
-// simulator and examples use to look them up.
+// benchmark functions of the paper (Table IV). The implementations live in
+// its subpackages; the simulator's server builds them from a static table
+// indexed by ID.
 //
 // Functions are functionally real: Process consumes request payload bytes
 // and produces response payload bytes (a NAT really translates, REM really
@@ -11,10 +12,7 @@ package nf
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"strings"
-	"sync"
 
 	"halsim/internal/rng"
 )
@@ -101,34 +99,20 @@ type StateFunction interface {
 }
 
 // RequestGen produces valid request payloads for a function — the client
-// side of the benchmark.
+// side of the benchmark. A client gives each request a stream of its own,
+// keyed by the request's sequence number, and calls exactly one of the two
+// methods on it: NextInto when something in the run reads the payload's
+// bytes, NextLen when only its length matters.
 type RequestGen interface {
-	// Next returns a request payload drawn from rng, so requests are
-	// reproducible per stream. A client gives each request a stream of
-	// its own, keyed by the request's sequence number.
-	Next(rng *rng.Rand) []byte
-}
-
-// RequestGenInto is optionally implemented by generators that can render a
-// request into a caller-supplied buffer. NextInto must consume rng
-// identically to Next and overwrite every byte it returns, so a stream
-// produced through recycled buffers is byte-for-byte the stream Next would
-// have produced — only the allocations disappear. Implementations reuse buf
-// when its capacity suffices and fall back to allocating otherwise, so nil
-// is always an acceptable buffer.
-type RequestGenInto interface {
-	RequestGen
-	NextInto(rng *rng.Rand, buf []byte) []byte
-}
-
-// RequestGenLen is optionally implemented by generators that can tell a
-// request's length without rendering its bytes. NextLen must return the
-// length of the payload Next would return from the same stream state.
-// It need not make Next's other draws: the request's stream is its own,
-// so a client that reads no payload byte draws only the length.
-type RequestGenLen interface {
-	RequestGen
+	// NextLen returns the length of the payload NextInto would render
+	// from the same stream state. It draws only what the length depends
+	// on: the request's stream is its own, so the draws it skips are
+	// nobody else's.
 	NextLen(rng *rng.Rand) int
+	// NextInto renders a request payload drawn from rng. It writes every
+	// byte it returns, so recycled buffers carry no stale bytes, and it
+	// reuses buf when its capacity suffices (nil is always acceptable).
+	NextInto(rng *rng.Rand, buf []byte) []byte
 }
 
 // Reserve returns buf resliced to n bytes when its capacity allows,
@@ -139,78 +123,4 @@ func Reserve(buf []byte, n int) []byte {
 		return buf[:n]
 	}
 	return make([]byte, n)
-}
-
-// Factory builds a fresh function instance plus a matching request
-// generator. Config strings select the paper's per-function configurations
-// (e.g. "1k"/"10k" NAT entries, "tea"/"lite" rulesets); the empty string
-// selects the default configuration used in the headline experiments.
-// A factory is only called with "" or a name registered with it.
-type Factory func(config string) (Function, RequestGen, error)
-
-// registration is a factory and the configuration names it accepts.
-type registration struct {
-	factory Factory
-	configs []string
-}
-
-var (
-	regMu    sync.RWMutex
-	registry = map[ID]registration{}
-)
-
-// Register installs the factory for id with the configuration names it
-// accepts besides the default "". Subpackages call it from init.
-// Registering the same ID twice panics: it would silently shadow a real
-// implementation.
-func Register(id ID, f Factory, configs ...string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[id]; dup {
-		panic(fmt.Sprintf("nf: duplicate registration for %v", id))
-	}
-	registry[id] = registration{factory: f, configs: configs}
-}
-
-// lookup returns id's factory if config is one it accepts.
-func lookup(id ID, config string) (Factory, error) {
-	regMu.RLock()
-	r, ok := registry[id]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("nf: no implementation registered for %v (missing import?)", id)
-	}
-	if config != "" && !slices.Contains(r.configs, config) {
-		return nil, fmt.Errorf("nf: unknown %v config %q (want %s)", id, config, strings.Join(r.configs, " or "))
-	}
-	return r.factory, nil
-}
-
-// CheckConfig reports whether function id is linked in and accepts config,
-// without building the function.
-func CheckConfig(id ID, config string) error {
-	_, err := lookup(id, config)
-	return err
-}
-
-// New instantiates function id with the given configuration. It fails if
-// the implementation package was not linked in or the config is unknown.
-func New(id ID, config string) (Function, RequestGen, error) {
-	f, err := lookup(id, config)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f(config)
-}
-
-// Registered returns the sorted list of registered function IDs.
-func Registered() []ID {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	ids := make([]ID, 0, len(registry))
-	for id := range registry {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

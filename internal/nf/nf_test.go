@@ -1,9 +1,6 @@
 package nf
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestIDStrings(t *testing.T) {
 	want := map[ID]string{
@@ -54,47 +51,5 @@ func TestAllCoversEveryID(t *testing.T) {
 			t.Fatalf("duplicate %v in All", id)
 		}
 		seen[id] = true
-	}
-}
-
-func TestNewUnregistered(t *testing.T) {
-	// This test package does not import any implementation, so nothing
-	// is registered here.
-	if _, _, err := New(KVS, ""); err == nil {
-		t.Fatal("unregistered function should fail")
-	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	Register(numIDs+1, func(string) (Function, RequestGen, error) { return nil, nil, nil })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register should panic")
-		}
-	}()
-	Register(numIDs+1, func(string) (Function, RequestGen, error) { return nil, nil, nil })
-}
-
-func TestCheckConfig(t *testing.T) {
-	Register(numIDs+2, func(string) (Function, RequestGen, error) { return nil, nil, nil }, "a", "b")
-	for _, cfg := range []string{"", "a", "b"} {
-		if err := CheckConfig(numIDs+2, cfg); err != nil {
-			t.Errorf("config %q: %v", cfg, err)
-		}
-	}
-	if err := CheckConfig(numIDs+2, "c"); err == nil || !strings.Contains(err.Error(), `config "c" (want a or b)`) {
-		t.Errorf("config \"c\": err = %v", err)
-	}
-	if _, _, err := New(numIDs+2, "c"); err == nil {
-		t.Error("New accepted an unregistered config")
-	}
-}
-
-func TestRegisteredSorted(t *testing.T) {
-	ids := Registered()
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			t.Fatal("Registered must be sorted and unique")
-		}
 	}
 }

@@ -228,10 +228,7 @@ type gen struct {
 	ac *ahocorasick.Automaton
 }
 
-func (g gen) Next(rng *rng.Rand) []byte { return g.NextInto(rng, nil) }
-
-// NextInto implements nf.RequestGenInto: every byte of the returned slice
-// is written, so recycled buffers yield the identical request stream.
+// NextInto implements nf.RequestGen.
 func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
 	n := g.NextLen(rng)
 	b := nf.Reserve(buf, n)
@@ -247,16 +244,15 @@ func (g gen) NextInto(rng *rng.Rand, buf []byte) []byte {
 	return b
 }
 
-// NextLen implements nf.RequestGenLen: a request's length is its stream's
+// NextLen implements nf.RequestGen: a request's length is its stream's
 // first draw, and the filler and implants draw after it.
 func (g gen) NextLen(rng *rng.Rand) int { return 200 + rng.Intn(1000) }
 
-func factory(config string) (nf.Function, nf.RequestGen, error) {
+// New builds a REM function and its request generator. config "" or
+// "tea" selects the tea ruleset, "lite" the lite one.
+func New(config string) (nf.Function, nf.RequestGen, error) {
 	rs := RulesetTea
-	switch config {
-	case "", "tea":
-		rs = RulesetTea
-	case "lite":
+	if config == "lite" {
 		rs = RulesetLite
 	}
 	f, err := NewFunc(rs)
@@ -265,5 +261,3 @@ func factory(config string) (nf.Function, nf.RequestGen, error) {
 	}
 	return f, gen{ac: f.ac}, nil
 }
-
-func init() { nf.Register(nf.REM, factory, "tea", "lite") }

@@ -104,14 +104,14 @@ func TestResponseCapsRecords(t *testing.T) {
 
 func TestFactoryConfigs(t *testing.T) {
 	for _, cfg := range []string{"", "tea", "lite"} {
-		fn, gen, err := nf.New(nf.REM, cfg)
+		fn, gen, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := rng.Stream(10, rng.Payload, 0)
 		matched := false
 		for i := 0; i < 30; i++ {
-			resp, err := fn.Process(gen.Next(&r))
+			resp, err := fn.Process(gen.NextInto(&r, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,9 +122,6 @@ func TestFactoryConfigs(t *testing.T) {
 		if !matched {
 			t.Errorf("config %q: generator never produced a matching payload", cfg)
 		}
-	}
-	if _, _, err := nf.New(nf.REM, "snort_full"); err == nil {
-		t.Fatal("bad config should fail")
 	}
 }
 
@@ -442,15 +439,14 @@ func TestGenStreamExact(t *testing.T) {
 		{"tea", synthesizeRules(2500, 4, 8, 25)},
 		{"lite", synthesizeRules(4000, 6, 16, 97)},
 	} {
-		_, g, err := nf.New(nf.REM, tc.config)
+		_, g, err := New(tc.config)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gi, gl := g.(nf.RequestGenInto), g.(nf.RequestGenLen)
 		var bufG, bufW []byte
 		for _, seq := range seqs {
 			got, want := rng.Stream(1, rng.Payload, seq), newRef(seq)
-			bufG = gi.NextInto(&got, bufG)
+			bufG = g.NextInto(&got, bufG)
 			bufW = refNextInto(tc.pats, want, bufW)
 			if !bytes.Equal(bufG, bufW) {
 				t.Fatalf("%s request %d: bytes differ from the reference", tc.config, seq)
@@ -463,7 +459,7 @@ func TestGenStreamExact(t *testing.T) {
 			}
 			dry, one := rng.Stream(1, rng.Payload, seq), rng.Stream(1, rng.Payload, seq)
 			one.Intn(1000)
-			if n := gl.NextLen(&dry); n != len(bufG) || dry != one {
+			if n := g.NextLen(&dry); n != len(bufG) || dry != one {
 				t.Fatalf("%s request %d: NextLen %d of %d bytes, or more than one draw", tc.config, seq, n, len(bufG))
 			}
 		}
@@ -474,34 +470,32 @@ func TestGenStreamExact(t *testing.T) {
 // average) into a recycled buffer, each on its own stream: the per-packet
 // payload cost a REM client pays when the function runs.
 func BenchmarkGenNextInto(b *testing.B) {
-	_, g, err := nf.New(nf.REM, "tea")
+	_, g, err := New("tea")
 	if err != nil {
 		b.Fatal(err)
 	}
-	gi := g.(nf.RequestGenInto)
 	var r rng.Rand
 	buf := make([]byte, 0, 1200)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Seed(1, rng.Payload, uint64(i))
-		buf = gi.NextInto(&r, buf)
+		buf = g.NextInto(&r, buf)
 	}
 }
 
 // BenchmarkGenNextLen draws BenchmarkGenNextInto's lengths without their
 // bytes: the per-packet payload cost of a client that reads no payload.
 func BenchmarkGenNextLen(b *testing.B) {
-	_, g, err := nf.New(nf.REM, "tea")
+	_, g, err := New("tea")
 	if err != nil {
 		b.Fatal(err)
 	}
-	gl := g.(nf.RequestGenLen)
 	var r rng.Rand
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Seed(1, rng.Payload, uint64(i))
-		gl.NextLen(&r)
+		g.NextLen(&r)
 	}
 }

@@ -1,9 +1,6 @@
 package packet
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // testAddr builds a distinct endpoint identity from a single byte.
 func testAddr(n byte) Addr {
@@ -97,43 +94,6 @@ func TestNilPoolDegradesToNew(t *testing.T) {
 	pl.Put(p)   // no-op, must not panic
 	pl.Put(nil) // ditto
 	NewPool().Put(nil)
-}
-
-// TestMarshalIntoReuseMatchesMarshal checks the scratch-buffer path: a
-// buffer dirtied by a previous (larger) frame must yield byte-identical
-// output to a fresh Marshal, including the header bytes Marshal only
-// implicitly zeroed before buffer reuse existed.
-func TestMarshalIntoReuseMatchesMarshal(t *testing.T) {
-	big := New(testAddr(1), testAddr(2), 4000, 9000,
-		bytes.Repeat([]byte{0xAB}, 256))
-	buf := big.MarshalInto(nil)
-	for _, payload := range [][]byte{nil, []byte("hi"), bytes.Repeat([]byte{0xCD}, 64)} {
-		p := New(testAddr(7), testAddr(9), 1234, 5678, payload)
-		fresh := p.Marshal()
-		buf = p.MarshalInto(buf[:0])
-		if !bytes.Equal(fresh, buf) {
-			t.Fatalf("payload %d bytes: reused-buffer frame differs from fresh Marshal", len(payload))
-		}
-		// The reused frame must itself parse back.
-		q, err := Parse(buf)
-		if err != nil {
-			t.Fatalf("parse of reused-buffer frame: %v", err)
-		}
-		if q.SrcPort != 1234 || q.DstPort != 5678 {
-			t.Fatalf("round trip lost ports: %+v", q)
-		}
-	}
-}
-
-// TestMarshalIntoGrowsSmallBuffer checks that an undersized scratch buffer
-// is replaced, not sliced out of bounds.
-func TestMarshalIntoGrowsSmallBuffer(t *testing.T) {
-	p := New(testAddr(1), testAddr(2), 1, 2, bytes.Repeat([]byte{0x5A}, 100))
-	small := make([]byte, 0, 8)
-	out := p.MarshalInto(small)
-	if !bytes.Equal(out, p.Marshal()) {
-		t.Fatal("grown-buffer frame differs from fresh Marshal")
-	}
 }
 
 // TestPoolGetReuseAllocationFree pins the pooled path at zero allocations

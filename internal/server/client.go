@@ -102,22 +102,9 @@ type offered struct {
 // payloadGen makes one function's request payloads.
 type payloadGen struct {
 	gen nf.RequestGen
-	// into is gen's buffer-reusing view, non-nil when gen implements
-	// nf.RequestGenInto: payloads render into buffers banked by the pool.
-	into nf.RequestGenInto
-	// dry is gen's length-only view, non-nil when gen implements
-	// nf.RequestGenLen and nothing in the run reads the payload: the
-	// request then carries only its length.
-	dry nf.RequestGenLen
-}
-
-func newPayloadGen(gen nf.RequestGen, unread bool) payloadGen {
-	g := payloadGen{gen: gen}
-	g.into, _ = gen.(nf.RequestGenInto)
-	if unread {
-		g.dry, _ = gen.(nf.RequestGenLen)
-	}
-	return g
+	// dry is set when nothing in the run reads the payload: each request
+	// then carries only its length.
+	dry bool
 }
 
 // functions are a run's network functions and their request generators:
@@ -131,9 +118,9 @@ type functions struct {
 func newFunctions(cfg Config) (functions, error) {
 	var f functions
 	var err error
-	f.fn, f.gen, err = nf.New(cfg.Fn, cfg.FnConfig)
+	f.fn, f.gen, err = newFn(cfg.Fn, cfg.FnConfig)
 	if err == nil && cfg.MixOn {
-		f.mix, f.mixGen, err = nf.New(cfg.MixFn, "")
+		f.mix, f.mixGen, err = newFn(cfg.MixFn, "")
 	}
 	return f, err
 }
@@ -151,9 +138,9 @@ func stateConsumer(fn nf.Function, cfg Config) nf.StateFunction {
 
 // newClient builds the run's client on eng and pool: requests carry
 // payloads from f's generators, and each packet is handed to emit at its
-// arrival instant. A generator that can tell a payload's length without
-// its bytes does so when nothing in the run reads them. cfg and rc must be
-// normalized.
+// arrival instant. A request's payload is rendered only when something in
+// the run reads its bytes; otherwise it carries just the length. cfg and rc
+// must be normalized.
 func newClient(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, f functions, emit func(*packet.Packet, sim.Time)) (*client, error) {
 	c := &client{
 		eng:           eng,
@@ -168,12 +155,12 @@ func newClient(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, f f
 		dst:           snicAddr,
 		rateGbps:      rc.RateGbps,
 		sizes:         rc.Sizes,
-		gen:           newPayloadGen(f.gen, !cfg.Functional && stateConsumer(f.fn, cfg) == nil),
+		gen:           payloadGen{gen: f.gen, dry: !cfg.Functional && stateConsumer(f.fn, cfg) == nil},
 		emit:          emit,
 		endAt:         rc.Duration,
 	}
 	if f.mixGen != nil {
-		c.genAlt = newPayloadGen(f.mixGen, !cfg.Functional)
+		c.genAlt = payloadGen{gen: f.mixGen, dry: !cfg.Functional}
 	}
 	if rc.Workload != nil {
 		g, err := trace.New(*rc.Workload, cfg.Seed)
@@ -322,15 +309,11 @@ func (c *client) sendAt(size int, at sim.Time) {
 	c.seq++
 	c.payload.Seed(c.seed, rng.Payload, c.seq)
 	var payload []byte
-	n := 0
-	switch {
-	case g.dry != nil:
-		n = g.dry.NextLen(&c.payload)
-	case g.into != nil:
-		payload = g.into.NextInto(&c.payload, c.pool.GetBuf())
-		n = len(payload)
-	case g.gen != nil:
-		payload = g.gen.Next(&c.payload)
+	var n int
+	if g.dry {
+		n = g.gen.NextLen(&c.payload)
+	} else {
+		payload = g.gen.NextInto(&c.payload, c.pool.GetBuf())
 		n = len(payload)
 	}
 	p := c.pool.Get(c.addr, c.dst, uint16(4000+c.seq%1000), 9000, payload)

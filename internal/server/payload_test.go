@@ -65,59 +65,67 @@ func TestFunctionalMixRoutesByTag(t *testing.T) {
 	}
 }
 
-// TestDryREMRunTakesNoBuffer: with nothing reading REM's payloads, the
-// client draws each request's length from its payload stream and renders
-// no byte: no request carries a payload and the pool banks no buffer. The
-// Functional run of the same seed renders every byte, and its model
-// results are the dry run's. Each request's payload is its own stream's:
-// rendering request k alone on its key gives the bytes the client
-// rendered after requests 1…k-1.
-func TestDryREMRunTakesNoBuffer(t *testing.T) {
-	cfg := Config{Mode: HAL, Fn: nf.REM, Seed: 3}
-	rc := RunConfig{Duration: 5 * sim.Millisecond, RateGbps: 30}
-	payloads := 0
-	r, dry := runInside(t, cfg, rc, lookAtRequests(func(p *packet.Packet) {
-		if p.Payload != nil {
-			payloads++
+// TestDryRunsTakeNoBuffer: for every function, with nothing reading its
+// payloads, the client draws each request's length from its payload
+// stream and renders no byte: no request carries a payload and the pool
+// banks no buffer. The Functional run of the same seed renders every byte,
+// and its model results are the dry run's. Each request's payload is its
+// own stream's: rendering request k alone on its key gives the bytes the
+// client rendered after requests 1…k-1. Crypto and Comp run at a low
+// rate, since a Functional run really executes them, and so does Bayes,
+// whose modeled service time saturates the server at a few Gbps.
+func TestDryRunsTakeNoBuffer(t *testing.T) {
+	for _, id := range nf.All {
+		cfg := Config{Mode: HAL, Fn: id, Seed: 3}
+		rc := RunConfig{Duration: 5 * sim.Millisecond, RateGbps: 10}
+		switch id {
+		case nf.Crypto, nf.Comp:
+			rc.RateGbps = 0.5
+		case nf.Bayes:
+			rc.RateGbps = 0.1
 		}
-	}))
-	if r.cli.gen.dry == nil || payloads != 0 || r.pool.GetBuf() != nil {
-		t.Fatalf("dry REM run: dry view %v, %d payloads, a banked buffer %v",
-			r.cli.gen.dry != nil, payloads, r.pool.GetBuf() != nil)
-	}
-	if dry.Completed == 0 {
-		t.Fatal("dry REM run completed nothing")
-	}
+		payloads := 0
+		r, dry := runInside(t, cfg, rc, lookAtRequests(func(p *packet.Packet) {
+			if p.Payload != nil {
+				payloads++
+			}
+		}))
+		if !r.cli.gen.dry || payloads != 0 || r.pool.GetBuf() != nil {
+			t.Fatalf("dry %v run: dry %v, %d payloads, a banked buffer %v",
+				id, r.cli.gen.dry, payloads, r.pool.GetBuf() != nil)
+		}
+		if dry.Completed == 0 {
+			t.Fatalf("dry %v run completed nothing", id)
+		}
 
-	cfg.Functional = true
-	short := 0
-	rendered := map[uint64][]byte{}
-	r, wet := runInside(t, cfg, rc, lookAtRequests(func(p *packet.Packet) {
-		if len(p.Payload) < 200 || len(p.Payload)+packet.HeaderOverhead > p.WireLen {
-			short++
-		}
-		if p.ID%97 == 1 {
+		cfg.Functional = true
+		short := 0
+		rendered := map[uint64][]byte{}
+		r, wet := runInside(t, cfg, rc, lookAtRequests(func(p *packet.Packet) {
+			if len(p.Payload) == 0 || len(p.Payload)+packet.HeaderOverhead > p.WireLen {
+				short++
+			}
 			rendered[p.ID] = append([]byte(nil), p.Payload...)
+		}))
+		if r.cli.gen.dry || short != 0 || r.pool.GetBuf() == nil {
+			t.Fatalf("Functional %v run: dry %v, %d requests without a full payload, no banked buffer %v",
+				id, r.cli.gen.dry, short, r.pool.GetBuf() == nil)
 		}
-	}))
-	if r.cli.gen.dry != nil || short != 0 || r.pool.GetBuf() == nil {
-		t.Fatalf("Functional REM run: dry view %v, %d requests without a full payload, no banked buffer",
-			r.cli.gen.dry != nil, short)
-	}
-	if !reflect.DeepEqual(dry, wet) {
-		t.Fatalf("dry and Functional REM runs differ:\n%+v\n%+v", dry, wet)
-	}
-	if len(rendered) < 10 {
-		t.Fatalf("only %d requests sampled", len(rendered))
-	}
-	_, gen, err := nf.New(nf.REM, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, want := range rendered {
-		s := rng.Stream(cfg.Seed, rng.Payload, id)
-		if got := gen.Next(&s); !bytes.Equal(got, want) {
-			t.Fatalf("request %d rendered alone differs from the run's", id)
+		if !reflect.DeepEqual(dry, wet) {
+			t.Fatalf("dry and Functional %v runs differ:\n%+v\n%+v", id, dry, wet)
+		}
+		if uint64(len(rendered)) != r.cli.totalPkts {
+			t.Fatalf("%v: saw %d of %d requests", id, len(rendered), r.cli.totalPkts)
+		}
+		_, gen, err := newFn(id, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq, want := range rendered {
+			s := rng.Stream(cfg.Seed, rng.Payload, seq)
+			if got := gen.NextInto(&s, nil); !bytes.Equal(got, want) {
+				t.Fatalf("%v request %d rendered alone differs from the run's", id, seq)
+			}
 		}
 	}
 }
@@ -152,9 +160,9 @@ func TestFunctionalREMScansEveryByte(t *testing.T) {
 			rec.Function = r.fn
 			r.fn = rec
 		})
-		if res.CompletedAll == 0 || res.FuncErrors != 0 || r.cli.gen.dry != nil {
+		if res.CompletedAll == 0 || res.FuncErrors != 0 || r.cli.gen.dry {
 			t.Fatalf("%s: completed %d, functional errors %d, dry view %v",
-				config, res.CompletedAll, res.FuncErrors, r.cli.gen.dry != nil)
+				config, res.CompletedAll, res.FuncErrors, r.cli.gen.dry)
 		}
 		if uint64(rec.calls) != res.CompletedAll || rec.short != 0 || rec.matches == 0 {
 			t.Fatalf("%s: %d of %d completions scanned, %d short requests, %d matches",
@@ -188,9 +196,9 @@ func TestFabricStateReadsRealBytes(t *testing.T) {
 			rec.StateFunction = r.stateFn
 			r.stateFn = rec
 		})
-		if r.cli.gen.dry != nil || rec.calls == 0 || rec.empty != 0 {
+		if r.cli.gen.dry || rec.calls == 0 || rec.empty != 0 {
 			t.Fatalf("%v: dry view %v, %d StateLines calls, %d without bytes",
-				fn, r.cli.gen.dry != nil, rec.calls, rec.empty)
+				fn, r.cli.gen.dry, rec.calls, rec.empty)
 		}
 	}
 }
@@ -201,7 +209,7 @@ func TestFabricStateReadsRealBytes(t *testing.T) {
 // payloads go unread.
 func TestStateConsumers(t *testing.T) {
 	for _, id := range nf.All {
-		fn, _, err := nf.New(id, "")
+		fn, _, err := newFn(id, "")
 		if err != nil {
 			t.Fatal(err)
 		}

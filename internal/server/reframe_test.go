@@ -20,7 +20,7 @@ func TestReframeProducesAcceptedRequests(t *testing.T) {
 	}
 	rng.Read(outputs[4])
 	for _, id := range nf.All {
-		fn, _, err := nf.New(id, "")
+		fn, _, err := newFn(id, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,19 +30,6 @@ import (
 	"halsim/internal/telemetry"
 	"halsim/internal/telemetry/prof"
 	"halsim/internal/trace"
-
-	// Link in every benchmark function implementation so nf.New works
-	// for any ID the experiments ask for.
-	_ "halsim/internal/nf/bayesfn"
-	_ "halsim/internal/nf/bm25fn"
-	_ "halsim/internal/nf/compressfn"
-	_ "halsim/internal/nf/countfn"
-	_ "halsim/internal/nf/cryptofn"
-	_ "halsim/internal/nf/emafn"
-	_ "halsim/internal/nf/knnfn"
-	_ "halsim/internal/nf/kvsfn"
-	_ "halsim/internal/nf/natfn"
-	_ "halsim/internal/nf/remfn"
 )
 
 // Mode selects who processes packets.
@@ -365,11 +352,11 @@ func prepare(cfg *Config, rc *RunConfig) error {
 	if rc.Duration <= 0 {
 		return fmt.Errorf("server: non-positive duration")
 	}
-	if err := nf.CheckConfig(cfg.Fn, cfg.FnConfig); err != nil {
+	if err := checkFn(cfg.Fn, cfg.FnConfig); err != nil {
 		return err
 	}
 	if cfg.PipelineOn {
-		if err := nf.CheckConfig(cfg.Pipeline, ""); err != nil {
+		if err := checkFn(cfg.Pipeline, ""); err != nil {
 			return err
 		}
 	}
@@ -597,7 +584,7 @@ func (r *run) build() error {
 	r.fn, r.mix = fns.fn, fns.mix
 	r.stateFn = stateConsumer(r.fn, cfg)
 	if cfg.PipelineOn {
-		r.fn2, _, err = nf.New(cfg.Pipeline, "")
+		r.fn2, _, err = newFn(cfg.Pipeline, "")
 		if err != nil {
 			return err
 		}

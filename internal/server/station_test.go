@@ -5,6 +5,7 @@ import (
 
 	"halsim/internal/core"
 	"halsim/internal/dpdk"
+	"halsim/internal/nf"
 	"halsim/internal/packet"
 	"halsim/internal/platform"
 	"halsim/internal/rng"
@@ -173,6 +174,7 @@ func TestClientConstantRate(t *testing.T) {
 		dst:      snicAddr,
 		rateGbps: 10,
 		sizes:    mtuSizes(),
+		gen:      dryNAT(t),
 		emit:     func(p *packet.Packet, _ sim.Time) { gotBytes += p.WireLen },
 	}
 	c.start()
@@ -193,7 +195,7 @@ func TestClientZeroRateIdles(t *testing.T) {
 	eng := sim.NewEngine()
 	sent := 0
 	c := &client{
-		eng: eng, rng: rng.Stream(1, rng.Client, 0), sizes: mtuSizes(),
+		eng: eng, rng: rng.Stream(1, rng.Client, 0), sizes: mtuSizes(), gen: dryNAT(t),
 		emit: func(*packet.Packet, sim.Time) { sent++ },
 	}
 	c.start()
@@ -206,7 +208,7 @@ func TestClientZeroRateIdles(t *testing.T) {
 func TestClientMeasuredWindowGating(t *testing.T) {
 	eng := sim.NewEngine()
 	c := &client{
-		eng: eng, rng: rng.Stream(1, rng.Client, 0), sizes: mtuSizes(),
+		eng: eng, rng: rng.Stream(1, rng.Client, 0), sizes: mtuSizes(), gen: dryNAT(t),
 		rateGbps:  10,
 		warmupEnd: 5 * sim.Millisecond,
 		emit:      func(*packet.Packet, sim.Time) {},
@@ -229,6 +231,15 @@ var testJitter = rng.Stream(1, rng.Jitter, 0)
 
 func mtuSizes() *trace.SizeDist { return trace.MTUOnly() }
 
+// dryNAT is the payload source of a client whose payloads nothing reads.
+func dryNAT(t *testing.T) payloadGen {
+	_, gen, err := newFn(nf.NAT, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payloadGen{gen: gen, dry: true}
+}
+
 func halFrozenAt(gbps float64) *core.Config {
 	c := core.DefaultConfig(packet.Addr{}, packet.Addr{})
 	c.Frozen = true
@@ -242,7 +253,7 @@ func TestClientSurvivesNearZeroTraceRates(t *testing.T) {
 	eng := sim.NewEngine()
 	sent := 0
 	c := &client{
-		eng: eng, rng: rng.Stream(1, rng.Client, 0), sizes: mtuSizes(),
+		eng: eng, rng: rng.Stream(1, rng.Client, 0), sizes: mtuSizes(), gen: dryNAT(t),
 		rateGbps: 1e-18, // gap >> int64 ns range
 		emit:     func(*packet.Packet, sim.Time) { sent++ },
 		tracegen: trace.NewWorkloadGenerator(trace.Cache, 77),
