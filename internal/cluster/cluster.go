@@ -18,7 +18,6 @@ import (
 	"halsim/internal/server"
 	"halsim/internal/sim"
 	"halsim/internal/sim/par"
-	"halsim/internal/stats"
 	"halsim/internal/telemetry"
 	"halsim/internal/telemetry/prof"
 )
@@ -53,18 +52,13 @@ type crun struct {
 	// Ingress-owned state (worker 0 during windows, coordinator at
 	// barriers). A response carries its server in the delivery event's
 	// scalar and its request's length in ReqLen, so no per-request table
-	// is needed.
+	// is needed. m is the fleet's client-side meter.
 	outstanding []int64
 	totalPkts   []uint64 // per server, all-time dispatched
 	totalB      []uint64
 	sentPkts    []uint64 // per server, post-warmup dispatched
 	sentB       []uint64
-	lat         *stats.Histogram
-	winB        int64
-	rateWinB    int64
-	winMaxGbps  float64
-	rateSeries  []float64
-	phases      []clusterPhase
+	m           *server.Meter
 	tickers     []*sim.Ticker
 	reqCalls    []sim.Call
 	respCall    sim.Call
@@ -72,18 +66,11 @@ type crun struct {
 
 	// Cluster-owned telemetry (ctrl tick at barriers).
 	col        *telemetry.Collector
-	tl         *telemetry.Timeline
-	cm         *server.ClusterMetrics
 	rec        *prof.Recorder
 	telPeriod  sim.Time
 	telStop    bool
 	prevEvents uint64
 	laneNames  []string
-}
-
-type clusterPhase struct {
-	start, end sim.Time
-	hist       *stats.Histogram
 }
 
 // Run executes a fleet described by cfg.Cluster. The returned Result is
@@ -189,13 +176,7 @@ func (c *crun) build() error {
 	// its own streams, and — when crashed — a private fault plan driving
 	// both-side Rx blackout windows.
 	c.grpOf = make([]int, n)
-	c.fab = newFabric(n, clusterShape{
-		wireNS:      c.cc.WireNS,
-		spineWireNS: c.cc.SpineWireNS,
-		linkGbps:    c.cc.LinkGbps,
-		pods:        c.cc.Pods,
-		oversub:     c.cc.Oversub,
-	})
+	c.fab = newFabric(c.cc)
 	c.reqCalls = make([]sim.Call, n)
 	for i := 0; i < n; i++ {
 		g := groupOf(i, n, c.groups)
@@ -230,7 +211,6 @@ func (c *crun) build() error {
 	c.totalB = make([]uint64, n)
 	c.sentPkts = make([]uint64, n)
 	c.sentB = make([]uint64, n)
-	c.lat = stats.NewHistogram()
 	c.respCall = func(a any, srv int64) { c.deliver(a.(*packet.Packet), int(srv)) }
 	// upCall finishes a podded response's trip at the ingress: it fires
 	// at the ToR-arrival instant, serializes the frame onto the pod's
@@ -240,15 +220,6 @@ func (c *crun) build() error {
 		p := a.(*packet.Packet)
 		arr := c.fab.podUp(int(srv), c.engs[0].Now(), p.WireLen)
 		c.engs[0].AtCall(arr, c.respCall, p, srv)
-	}
-	if len(c.rc.PhaseMarks) > 0 {
-		bounds := append([]sim.Time{0}, c.rc.PhaseMarks...)
-		bounds = append(bounds, c.rc.Duration)
-		for i := 0; i+1 < len(bounds); i++ {
-			c.phases = append(c.phases, clusterPhase{
-				start: bounds[i], end: bounds[i+1], hist: stats.NewHistogram(),
-			})
-		}
 	}
 	src, err := server.NewTrafficSource(c.cfg, c.rc, c.engs[0], c.pools[0], c.dispatch)
 	if err != nil {
@@ -267,10 +238,9 @@ func (c *crun) build() error {
 	tcfg.TraceEvery = 0
 	c.col = telemetry.New(tcfg)
 	if c.col != nil {
-		c.tl = c.col.Timeline
-		c.cm = server.NewClusterMetrics(c.col.Registry)
 		c.telPeriod = tcfg.WithDefaults().TimelinePeriod
 	}
+	c.m = server.NewMeter(c.rc, c.col)
 	return nil
 }
 
@@ -297,30 +267,9 @@ func (c *crun) start() {
 		inst.Start()
 	}
 
-	// Fleet MaxGbps windows, observed at the ingress from response
-	// arrivals (request wire bytes, warmup-gated like a single server's
-	// completion path).
-	window := 10 * sim.Millisecond
-	if c.rc.Workload != nil {
-		window = server.TraceEpoch
-	}
-	c.tickers = append(c.tickers, c.engs[0].Every(window, func() {
-		winB := c.winB
-		c.winB = 0
-		if c.engs[0].Now() <= c.rc.Warmup {
-			return
-		}
-		if g := float64(winB) * 8 / float64(window); g > c.winMaxGbps {
-			c.winMaxGbps = g
-		}
-	}))
-	if c.rc.RateWindow > 0 {
-		c.tickers = append(c.tickers, c.engs[0].Every(c.rc.RateWindow, func() {
-			c.rateSeries = append(c.rateSeries,
-				float64(c.rateWinB)*8/float64(c.rc.RateWindow))
-			c.rateWinB = 0
-		}))
-	}
+	// The fleet's client-side meter runs at the ingress, fed by
+	// response arrivals in request bytes.
+	c.tickers = c.m.Start(c.engs[0])
 
 	// Cluster telemetry tick: a control event, so in a parallel run each
 	// sample lands at a coordinator barrier where every LP's state is
@@ -424,35 +373,10 @@ func (c *crun) respond(srv, wkr int, p *packet.Packet) {
 // ingress: latency, and throughput in the request's bytes. A request that
 // was dropped never responds, so it stays outstanding.
 func (c *crun) deliver(p *packet.Packet, srv int) {
-	now := c.engs[0].Now()
 	c.outstanding[srv]--
-	rtt := int64(now) - p.CreatedAt
-	if ph := c.phaseAt(sim.Time(p.CreatedAt)); ph != nil {
-		ph.Record(rtt)
-	}
-	// The rate series is all-time (the recovery-time signal needs the
-	// pre-warmup windows too); MaxGbps windows are warmup-gated like a
-	// single server's completion path.
-	c.rateWinB += int64(p.ReqLen)
-	if sim.Time(p.CreatedAt) >= c.rc.Warmup {
-		c.lat.Record(rtt)
-		c.winB += int64(p.ReqLen)
-	}
-	if c.tl != nil {
-		c.tl.RecordLatency(rtt)
-	}
+	c.m.Bytes(int(p.ReqLen), p.CreatedAt)
+	c.m.RTT(int64(c.engs[0].Now())-p.CreatedAt, p.CreatedAt)
 	c.pools[0].Put(p)
-}
-
-// phaseAt returns the phase histogram covering instant t, nil without
-// phase marks.
-func (c *crun) phaseAt(t sim.Time) *stats.Histogram {
-	for i := range c.phases {
-		if t >= c.phases[i].start && t < c.phases[i].end {
-			return c.phases[i].hist
-		}
-	}
-	return nil
 }
 
 // sample assembles one fleet-wide telemetry sample. It runs as a control
@@ -479,13 +403,8 @@ func (c *crun) sample() {
 	}
 	s.Events = ev - c.prevEvents
 	c.prevEvents = ev
-	if c.tl != nil {
-		c.tl.Push(s)
-	}
-	var sent uint64
-	_, _, sp, _ := c.src.Offered()
-	sent = sp
-	c.cm.Publish(s, sent)
+	_, _, sent, _ := c.src.Offered()
+	c.col.Publish(s, sent)
 }
 
 // distinctEngines lists every engine exactly once (serial runs alias
@@ -505,15 +424,11 @@ func (c *crun) collect() server.Result {
 	measured := c.rc.Duration - c.rc.Warmup
 
 	res := server.Result{
-		Mode:      c.cfg.Mode,
-		Fn:        c.cfg.Fn,
-		Completed: c.lat.Count(),
-		Sent:      sentP,
-		Engine:    c.engineName(),
+		Mode:   c.cfg.Mode,
+		Fn:     c.cfg.Fn,
+		Sent:   sentP,
+		Engine: c.engineName(),
 	}
-	res.P50us = float64(c.lat.P50()) / 1000
-	res.P99us = float64(c.lat.P99()) / 1000
-	res.P999us = float64(c.lat.P999()) / 1000
 	if measured > 0 {
 		res.OfferedGbps = float64(sentB) * 8 / float64(measured)
 	}
@@ -568,36 +483,25 @@ func (c *crun) collect() server.Result {
 	}
 	res.IdleW = res.AvgPowerW - res.HostActiveW - res.SNICActiveW
 	res.EffGbpsPerW = energy.EfficiencyGbpsPerWatt(res.AvgGbps, res.AvgPowerW)
-	res.MaxGbps = c.winMaxGbps
-	if res.MaxGbps < res.AvgGbps {
-		res.MaxGbps = res.AvgGbps
-	}
 	res.SentAll = totalP
 	res.InFlightEnd = int64(res.SentAll) - int64(res.CompletedAll) - int64(res.DroppedAll)
 	if sentP > 0 {
 		res.DropFraction = float64(res.DroppedAll) / float64(sentP)
 	}
 
-	// Phases: latency closes at the ingress, throughput/power on the
-	// servers.
-	for i := range c.phases {
-		ph := server.PhaseStats{
-			Start: c.phases[i].start,
-			End:   c.phases[i].end,
-			P99us: float64(c.phases[i].hist.P99()) / 1000,
-		}
+	// Phases: throughput and power sum over the servers (all share the
+	// fleet's phase edges); latency closes at the ingress's meter.
+	for i, edge := range sub[0].Phases {
+		ph := server.PhaseStats{Start: edge.Start, End: edge.End}
 		for _, r := range sub {
-			if i < len(r.Phases) {
-				ph.AvgGbps += r.Phases[i].AvgGbps
-				ph.AvgPowerW += r.Phases[i].AvgPowerW
-				ph.Completed += r.Phases[i].Completed
-			}
+			ph.AvgGbps += r.Phases[i].AvgGbps
+			ph.AvgPowerW += r.Phases[i].AvgPowerW
+			ph.Completed += r.Phases[i].Completed
 		}
 		ph.EffGbpsPerW = energy.EfficiencyGbpsPerWatt(ph.AvgGbps, ph.AvgPowerW)
 		res.Phases = append(res.Phases, ph)
 	}
-	res.RateSeries = c.rateSeries
-	res.RateWindow = c.rc.RateWindow
+	c.m.Fill(&res)
 
 	if c.rec != nil {
 		c.rec.SetObservedFloors(c.x.ObservedSlack())
@@ -607,11 +511,11 @@ func (c *crun) collect() server.Result {
 		c.rec.AddWheel("ctrl", c.ctrl.WheelStats())
 		res.Prof = c.rec
 		if c.col != nil {
-			server.PublishProf(c.col.Registry, c.rec)
+			c.col.PublishProf(c.rec)
 		}
 	}
 	if c.col != nil {
-		res.Timeline = c.tl
+		res.Timeline = c.col.Timeline
 		res.Metrics = c.col.Registry
 		c.sample()
 	}

@@ -1,0 +1,122 @@
+package cluster
+
+import (
+	"reflect"
+	"testing"
+
+	"halsim/internal/nf"
+	"halsim/internal/packet"
+	"halsim/internal/server"
+	"halsim/internal/sim"
+	"halsim/internal/trace"
+)
+
+// delivery is one response's arrival at the ingress.
+type delivery struct {
+	at        sim.Time
+	createdAt sim.Time
+	reqLen    int32
+}
+
+// runRecorded runs a drained fleet like Run and also returns every
+// response delivery the ingress saw, in order.
+func runRecorded(t *testing.T, cfg server.Config, rc server.RunConfig) (server.Result, []delivery) {
+	t.Helper()
+	if err := server.Normalize(&cfg, &rc); err != nil {
+		t.Fatal(err)
+	}
+	cc, err := cfg.Cluster.WithDefaults(rc.Duration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &crun{cfg: cfg, cc: cc, rc: rc}
+	if err := c.build(); err != nil {
+		t.Fatal(err)
+	}
+	var got []delivery
+	deliver := c.respCall
+	c.respCall = func(a any, srv int64) {
+		p := a.(*packet.Packet)
+		got = append(got, delivery{at: c.engs[0].Now(), createdAt: sim.Time(p.CreatedAt), reqLen: p.ReqLen})
+		deliver(a, srv)
+	}
+	c.start()
+	c.run()
+	return c.collect(), got
+}
+
+// TestFleetMeter pins the fleet's client-side meter: a drained fleet with
+// a rate window, phase marks and a bursty trace load reports the same
+// RateSeries, MaxGbps and Phases serial and sharded, and both the series
+// and MaxGbps equal what the ingress's own deliveries add up to window by
+// window.
+func TestFleetMeter(t *testing.T) {
+	const (
+		window     = 500 * sim.Microsecond // RateWindow
+		maxWindow  = server.TraceEpoch     // a trace run's MaxGbps window
+		duration   = 25 * sim.Millisecond
+		mark1      = 8 * sim.Millisecond
+		mark2      = 16 * sim.Millisecond
+		numWindows = int(duration / window)
+	)
+	web := trace.Web
+	run := func(shards int) (server.Result, []delivery) {
+		return runRecorded(t,
+			server.Config{Mode: server.HAL, Fn: nf.NAT, Seed: 5, Shards: shards,
+				Cluster: &server.ClusterConfig{Servers: 4, Dispatch: "p2c"}},
+			server.RunConfig{Duration: duration, Workload: &web, RateWindow: window,
+				PhaseMarks: []sim.Time{mark1, mark2}, Drain: true})
+	}
+	serial, dels := run(0)
+	sharded, _ := run(4)
+	if sharded.Engine != "parallel" {
+		t.Fatalf("Shards 4 ran on engine %q", sharded.Engine)
+	}
+	if !reflect.DeepEqual(serial.RateSeries, sharded.RateSeries) {
+		t.Errorf("RateSeries differs:\nserial  %v\nsharded %v", serial.RateSeries, sharded.RateSeries)
+	}
+	if serial.MaxGbps != sharded.MaxGbps {
+		t.Errorf("MaxGbps serial %v, sharded %v", serial.MaxGbps, sharded.MaxGbps)
+	}
+	if !reflect.DeepEqual(serial.Phases, sharded.Phases) {
+		t.Errorf("Phases differ:\nserial  %+v\nsharded %+v", serial.Phases, sharded.Phases)
+	}
+	if len(serial.Phases) != 3 || serial.Phases[1].P99us == 0 {
+		t.Errorf("want three phases with round trips, got %+v", serial.Phases)
+	}
+
+	// A window ticks at its end instant before any delivery landing
+	// there, so a delivery at t belongs to window t/window. The drain
+	// cancels the tickers at Duration, after the last full window.
+	if len(serial.RateSeries) != numWindows || serial.RateWindow != window {
+		t.Fatalf("%d windows of %v, want %d of %v", len(serial.RateSeries), serial.RateWindow, numWindows, window)
+	}
+	rateB := make([]int64, numWindows)
+	maxB := make([]int64, duration/maxWindow)
+	warmup := duration / 5
+	for _, d := range dels {
+		if i := int(d.at / window); i < numWindows {
+			rateB[i] += int64(d.reqLen)
+		}
+		if i := int(d.at / maxWindow); i < len(maxB) && d.createdAt >= warmup {
+			maxB[i] += int64(d.reqLen)
+		}
+	}
+	for i, b := range rateB {
+		if want := float64(b) * 8 / float64(window); serial.RateSeries[i] != want {
+			t.Errorf("window %d: series %v Gbps, deliveries add up to %v", i, serial.RateSeries[i], want)
+		}
+	}
+	wantMax := serial.AvgGbps
+	for i, b := range maxB {
+		if sim.Time(i+1)*maxWindow <= warmup {
+			continue
+		}
+		if g := float64(b) * 8 / float64(maxWindow); g > wantMax {
+			wantMax = g
+		}
+	}
+	if serial.MaxGbps != wantMax {
+		t.Errorf("MaxGbps %v, deliveries give %v", serial.MaxGbps, wantMax)
+	}
+}

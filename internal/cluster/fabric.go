@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"halsim/internal/rng"
+	"halsim/internal/server"
 	"halsim/internal/sim"
 )
 
@@ -93,36 +94,28 @@ type fabric struct {
 // boundaries nest when their counts divide).
 func podOfServer(i, n, p int) int { return i * p / n }
 
-func newFabric(n int, cc clusterShape) *fabric {
+// newFabric builds the fabric of a validated ClusterConfig.
+func newFabric(cc server.ClusterConfig) *fabric {
+	n := cc.Servers
 	f := &fabric{
-		wireNS:   cc.wireNS,
-		linkSer:  newSerScale(cc.linkGbps),
-		pods:     cc.pods,
+		wireNS:   cc.WireNS,
+		linkSer:  newSerScale(cc.LinkGbps),
+		pods:     cc.Pods,
 		downFree: make([]sim.Time, n),
 		upFree:   make([]sim.Time, n),
 	}
-	if cc.pods > 1 {
-		f.spineWireNS = cc.spineWireNS
-		uplinkGbps := float64(n) * cc.linkGbps / (float64(cc.pods) * cc.oversub)
+	if cc.Pods > 1 {
+		f.spineWireNS = cc.SpineWireNS
+		uplinkGbps := float64(n) * cc.LinkGbps / (float64(cc.Pods) * cc.Oversub)
 		f.upSer = newSerScale(uplinkGbps)
 		f.podOf = make([]int, n)
 		for i := 0; i < n; i++ {
-			f.podOf[i] = podOfServer(i, n, cc.pods)
+			f.podOf[i] = podOfServer(i, n, cc.Pods)
 		}
-		f.podDownFree = make([]sim.Time, cc.pods)
-		f.podUpFree = make([]sim.Time, cc.pods)
+		f.podDownFree = make([]sim.Time, cc.Pods)
+		f.podUpFree = make([]sim.Time, cc.Pods)
 	}
 	return f
-}
-
-// clusterShape carries the fabric-shaping knobs from the validated
-// ClusterConfig without importing the server package here.
-type clusterShape struct {
-	wireNS      sim.Time
-	spineWireNS sim.Time
-	linkGbps    float64
-	pods        int
-	oversub     float64
 }
 
 // down sends a request toward server i at instant at; returns the arrival

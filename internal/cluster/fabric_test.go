@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"halsim/internal/server"
 	"halsim/internal/sim"
 )
 
@@ -38,7 +39,7 @@ func TestSerScaleMatchesFloatFormula(t *testing.T) {
 // TestPodFabricLegacyPath: a pods<=1 fabric must reproduce the flat
 // star's arithmetic exactly — same freeAt evolution, same arrivals.
 func TestPodFabricLegacyPath(t *testing.T) {
-	flat := newFabric(4, clusterShape{wireNS: 2000, linkGbps: 100, pods: 1, oversub: 1})
+	flat := newFabric(server.ClusterConfig{Servers: 4, WireNS: 2000, LinkGbps: 100, Pods: 1, Oversub: 1})
 	if flat.podOf != nil || flat.podDownFree != nil {
 		t.Fatal("flat fabric allocated pod state")
 	}
@@ -57,7 +58,7 @@ func TestPodFabricLegacyPath(t *testing.T) {
 // from different servers of one pod against each other.
 func TestPodFabricTwoTier(t *testing.T) {
 	// 8 servers, 2 pods, oversub 2: uplink = 4*100/2 = 200 Gbps.
-	f := newFabric(8, clusterShape{wireNS: 1000, spineWireNS: 3000, linkGbps: 100, pods: 2, oversub: 2})
+	f := newFabric(server.ClusterConfig{Servers: 8, WireNS: 1000, SpineWireNS: 3000, LinkGbps: 100, Pods: 2, Oversub: 2})
 	for i, want := range []int{0, 0, 0, 0, 1, 1, 1, 1} {
 		if f.podOf[i] != want {
 			t.Fatalf("podOf[%d] = %d, want %d", i, f.podOf[i], want)

@@ -5,8 +5,7 @@
 // (LBP, Algorithm 1) that runs on one SNIC CPU core.
 //
 // The dataplane blocks operate on real packets: the director rewrites
-// destination addresses (with incremental checksum updates) so the eSwitch
-// routes excess traffic to the host, and the merger rewrites source
+// destination addresses so the eSwitch routes excess traffic to the host, and the merger rewrites source
 // addresses of host responses so clients only ever see the SNIC identity.
 package core
 
@@ -187,8 +186,8 @@ func (d *TrafficDirector) RateFwdGbps() float64 {
 }
 
 // Route decides one packet. When it diverts, it rewrites the packet's
-// destination (MAC+IP, checksums updated incrementally) in place and marks
-// it Diverted; the eSwitch then routes it to the host port by address.
+// destination MAC and IP in place and marks it Diverted; the eSwitch then
+// routes it to the host port by address.
 func (d *TrafficDirector) Route(p *packet.Packet) (diverted bool) {
 	if d.rateGbps <= d.fwdThGbps {
 		d.Kept++

@@ -236,11 +236,8 @@ type SleepController struct {
 	idleSince sim.Time
 	everBusy  bool
 
-	// Wakeups counts sleep→wake transitions; SleepTime integrates time
-	// spent asleep for the power model.
-	Wakeups   uint64
-	SleepTime sim.Time
-	sleptAt   sim.Time
+	// Wakeups counts sleep→wake transitions.
+	Wakeups uint64
 }
 
 // Asleep reports whether the cores are currently sleeping.
@@ -258,7 +255,6 @@ func (s *SleepController) OnIdle(now sim.Time) {
 	}
 	if now-s.idleSince >= s.IdleThreshold {
 		s.asleep = true
-		s.sleptAt = now
 	}
 }
 
@@ -272,15 +268,5 @@ func (s *SleepController) OnTraffic(now sim.Time) sim.Time {
 	}
 	s.asleep = false
 	s.Wakeups++
-	s.SleepTime += now - s.sleptAt
 	return s.WakePenalty
-}
-
-// SleptUntil accounts residual sleep time when a run ends at time end.
-func (s *SleepController) SleptUntil(end sim.Time) sim.Time {
-	total := s.SleepTime
-	if s.asleep && end > s.sleptAt {
-		total += end - s.sleptAt
-	}
-	return total
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"halsim/internal/packet"
-	"halsim/internal/sim"
 )
 
 func pkt(id uint64) *packet.Packet {
@@ -275,9 +274,6 @@ func TestSleepControllerLifecycle(t *testing.T) {
 	if s.Asleep() || s.Wakeups != 1 {
 		t.Fatal("should be awake with one wakeup")
 	}
-	if s.SleepTime != 50 {
-		t.Fatalf("sleep time = %d, want 50", s.SleepTime)
-	}
 	// Awake traffic: no penalty.
 	if pen := s.OnTraffic(210); pen != 0 {
 		t.Fatalf("awake penalty = %d", pen)
@@ -305,20 +301,6 @@ func TestSleepControllerIdleClockResetsOnTraffic(t *testing.T) {
 	if !s.Asleep() {
 		t.Fatal("should sleep 100 after last traffic")
 	}
-}
-
-func TestSleptUntil(t *testing.T) {
-	s := &SleepController{IdleThreshold: 10, WakePenalty: 1}
-	s.OnIdle(0)
-	s.OnIdle(20) // asleep at 20
-	if got := s.SleptUntil(120); got != 100 {
-		t.Fatalf("SleptUntil = %d, want 100", got)
-	}
-	s.OnTraffic(70)
-	if got := s.SleptUntil(120); got != 50 {
-		t.Fatalf("SleptUntil after wake = %d, want 50", got)
-	}
-	_ = sim.Time(0)
 }
 
 func BenchmarkEnqueueBurst(b *testing.B) {

@@ -13,8 +13,6 @@ type Integrator struct {
 	joules  float64
 	elapsed sim.Time
 	started bool
-	peakW   float64
-	troughW float64
 }
 
 // Sample records that power was watts from the previous sample time until
@@ -24,8 +22,6 @@ func (in *Integrator) Sample(now sim.Time, watts float64) {
 		in.started = true
 		in.lastT = now
 		in.lastW = watts
-		in.peakW = watts
-		in.troughW = watts
 		return
 	}
 	dt := now - in.lastT
@@ -36,19 +32,7 @@ func (in *Integrator) Sample(now sim.Time, watts float64) {
 	in.elapsed += dt
 	in.lastT = now
 	in.lastW = watts
-	if watts > in.peakW {
-		in.peakW = watts
-	}
-	if watts < in.troughW {
-		in.troughW = watts
-	}
 }
-
-// Joules returns the integrated energy.
-func (in *Integrator) Joules() float64 { return in.joules }
-
-// Elapsed returns the covered time span.
-func (in *Integrator) Elapsed() sim.Time { return in.elapsed }
 
 // AvgWatts returns the time-weighted average power (0 before two samples).
 func (in *Integrator) AvgWatts() float64 {
@@ -57,10 +41,6 @@ func (in *Integrator) AvgWatts() float64 {
 	}
 	return in.joules / in.elapsed.Seconds()
 }
-
-// PeakWatts and TroughWatts return the observed extremes.
-func (in *Integrator) PeakWatts() float64   { return in.peakW }
-func (in *Integrator) TroughWatts() float64 { return in.troughW }
 
 // LastWatts returns the most recent sample — the instantaneous power draw
 // the telemetry timeline exports per tick (0 before the first sample).

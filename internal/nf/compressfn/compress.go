@@ -154,9 +154,3 @@ func New(config string) (nf.Function, nf.RequestGen, error) {
 	}
 	return NewFunc(), gen{corpus: SynthesizeCorpus(1<<18, 3), chunk: chunk}, nil
 }
-
-// EncodeDecompressRequest wraps compressed bytes into a decompress request
-// (exported for tests and examples).
-func EncodeDecompressRequest(compressed []byte) []byte {
-	return append([]byte{OpDecompress}, compressed...)
-}

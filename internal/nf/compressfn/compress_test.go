@@ -10,6 +10,11 @@ import (
 	"halsim/internal/rng"
 )
 
+// decompressRequest wraps compressed bytes into a decompress request.
+func decompressRequest(compressed []byte) []byte {
+	return append([]byte{OpDecompress}, compressed...)
+}
+
 func TestCompressDecompressRoundTrip(t *testing.T) {
 	f := NewFunc()
 	src := SynthesizeCorpus(4096, 1)
@@ -20,7 +25,7 @@ func TestCompressDecompressRoundTrip(t *testing.T) {
 	if resp[0] != 0 {
 		t.Fatal("bad status")
 	}
-	back, err := f.Process(EncodeDecompressRequest(resp[1:]))
+	back, err := f.Process(decompressRequest(resp[1:]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +93,7 @@ func TestRatioAccumulates(t *testing.T) {
 		if f.BytesIn != in || f.BytesOut != out {
 			t.Fatalf("BytesIn/BytesOut = %d/%d, want %d/%d", f.BytesIn, f.BytesOut, in, out)
 		}
-		if _, err := f.Process(EncodeDecompressRequest(resp[1:])); err != nil {
+		if _, err := f.Process(decompressRequest(resp[1:])); err != nil {
 			t.Fatal(err)
 		}
 		if f.BytesIn != in || f.BytesOut != out {
@@ -124,7 +129,7 @@ func roundTrip(t *testing.T, f *Func, src []byte) int {
 	if err != nil {
 		t.Fatalf("compress(%d bytes): %v", len(src), err)
 	}
-	back, err := f.Process(EncodeDecompressRequest(resp[1:]))
+	back, err := f.Process(decompressRequest(resp[1:]))
 	if err != nil {
 		t.Fatalf("decompress(%d bytes): %v", len(src), err)
 	}
@@ -225,7 +230,7 @@ func TestDecompressTruncated(t *testing.T) {
 	for _, src := range []string{"hello world ", "abc"} {
 		comp := compressed(t, bytes.Repeat([]byte(src), 1000))
 		for _, cut := range []int{1, len(comp) / 2, len(comp) - 1} {
-			if _, err := f.Process(EncodeDecompressRequest(comp[:cut])); err == nil {
+			if _, err := f.Process(decompressRequest(comp[:cut])); err == nil {
 				t.Fatalf("truncation at %d of %d bytes decompressed cleanly", cut, len(comp))
 			}
 		}
@@ -237,7 +242,7 @@ func TestDecompressCorrupt(t *testing.T) {
 	comp := compressed(t, bytes.Repeat([]byte("hello world "), 100))
 	// 0xff opens a final block of the reserved type 3.
 	bad := append([]byte{0xff}, comp[1:]...)
-	if _, err := f.Process(EncodeDecompressRequest(bad)); err == nil {
+	if _, err := f.Process(decompressRequest(bad)); err == nil {
 		t.Fatal("reserved block type decompressed cleanly")
 	}
 	// An error leaves the Func usable.
@@ -255,7 +260,7 @@ func TestDecompressBitFlipsNeverPanic(t *testing.T) {
 			c = c[:1+r.Intn(len(c))]
 		}
 		// Either an error or a result; a panic escapes the test.
-		f.Process(EncodeDecompressRequest(c))
+		f.Process(decompressRequest(c))
 	}
 }
 
@@ -268,7 +273,7 @@ func FuzzDecompress(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Never panic; on success, a compress/decompress round trip of
 		// the output must be stable.
-		resp, err := fn.Process(EncodeDecompressRequest(data))
+		resp, err := fn.Process(decompressRequest(data))
 		if err != nil || len(resp) == 1 {
 			return
 		}
@@ -293,7 +298,7 @@ func TestFactory(t *testing.T) {
 
 func BenchmarkFunctionDecompress1K(b *testing.B) {
 	f := NewFunc()
-	req := EncodeDecompressRequest(compressed(b, SynthesizeCorpus(1024, 1)))
+	req := decompressRequest(compressed(b, SynthesizeCorpus(1024, 1)))
 	b.SetBytes(1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -7,7 +7,6 @@ import (
 	"halsim/internal/fault"
 	"halsim/internal/rng"
 	"halsim/internal/sim"
-	"halsim/internal/stats"
 )
 
 // PhaseStats are the per-window metrics of one measurement phase (fault
@@ -23,23 +22,20 @@ type PhaseStats struct {
 	Completed   uint64
 }
 
-// phaseAcc accumulates one phase's signals while the run executes.
+// phaseAcc accumulates one phase's server-side signals while the run
+// executes; the client's Meter keeps the phase's round trips.
 type phaseAcc struct {
-	start, end sim.Time
-	hist       *stats.Histogram
-	powerWSum  float64
-	powerN     uint64
-	bytes      uint64 // delivered bytes of packets created in the phase
-	completed  uint64
+	powerWSum float64
+	powerN    uint64
+	bytes     uint64 // delivered bytes of packets created in the phase
+	completed uint64
 }
 
-// phaseAt returns the accumulator whose [start, end) window contains t,
-// or nil when phases are off or t falls past the last boundary.
+// phaseAt returns the accumulator whose window contains t, or nil when
+// phases are off or t falls past the last boundary.
 func (r *run) phaseAt(t sim.Time) *phaseAcc {
-	for i := range r.phases {
-		if ph := &r.phases[i]; t >= ph.start && t < ph.end {
-			return ph
-		}
+	if i := r.bounds.at(t); i >= 0 {
+		return &r.phases[i]
 	}
 	return nil
 }

@@ -142,8 +142,8 @@ func NewInstance(cfg Config, rc RunConfig, index int, eng *sim.Engine, pool *pac
 }
 
 // Start registers the server's periodic processes (policy ticks, power
-// sampling, throughput windows) on its engine. An embedded server has no
-// client; traffic arrives through Ingress.
+// sampling) on its engine. An embedded server has no client and no meter;
+// traffic arrives through Ingress.
 func (s *Instance) Start() { s.r.start() }
 
 // Ingress delivers one request packet at its wire-arrival instant, which
@@ -166,79 +166,13 @@ func (s *Instance) SetOffered(totalPkts, totalBytes, sentPkts, sentBytes uint64)
 	*s.r.off = offered{sentPkts: sentPkts, sentBytes: sentBytes, totalPkts: totalPkts, totalBytes: totalBytes}
 }
 
-// Collect assembles this server's Result. Latency percentiles stay zero —
-// round trips close at the shared ingress, which owns the fleet-wide
-// histogram.
+// Collect assembles this server's Result. The client-side metrics —
+// latency percentiles, MaxGbps, the rate series, phase p99 — stay zero:
+// round trips close at the shared ingress, whose Meter owns them.
 func (s *Instance) Collect() Result { return s.r.collect() }
 
-// AddSample accumulates this server's telemetry contribution into sm:
-// sums for rates, queues, busy cores, drops, completions and power; max
-// for ring occupancies. FwdThGbps and SNICTPGbps are summed too — the
-// caller divides by the HAL-server count (the return value reports
-// whether this server contributed control state). Reads only, and only
-// state this server's engine owns, so it is safe at any barrier and, for
-// servers sharing one group engine, from that group's goroutine.
+// AddSample adds this server's telemetry reading into sm (see
+// run.addSample) and reports whether it has control registers to average.
 func (s *Instance) AddSample(sm *telemetry.Sample, period sim.Time) bool {
-	r := s.r
-	hasCtl := false
-	switch {
-	case r.cfg.Mode == HAL:
-		hasCtl = true
-		sm.FwdThGbps += r.hal.Director.FwdTh()
-		sm.RateRxGbps += r.hal.Director.RateGbps()
-		sm.RateFwdGbps += r.hal.Director.RateFwdGbps()
-		sm.SNICTPGbps += r.hal.Policy.SNICTPGbps()
-	case r.cfg.Mode == SLB || r.cfg.Mode == SLBHost:
-		hasCtl = true
-		sm.FwdThGbps += r.slbDir.FwdTh()
-		sm.RateRxGbps += r.slbDir.RateGbps()
-		sm.RateFwdGbps += r.slbDir.RateFwdGbps()
-	}
-
-	snicB, hostB := sideBytesDone(&r.snic), sideBytesDone(&r.host)
-	sm.SNICGbps += float64(snicB-r.telPrevSNICB) * 8 / float64(period)
-	sm.HostGbps += float64(hostB-r.telPrevHostB) * 8 / float64(period)
-	r.telPrevSNICB, r.telPrevHostB = snicB, hostB
-
-	if occ := r.snic.first.port.MaxOccupancy(); occ > sm.SNICOccMax {
-		sm.SNICOccMax = occ
-	}
-	if occ := r.host.first.port.MaxOccupancy(); occ > sm.HostOccMax {
-		sm.HostOccMax = occ
-	}
-	sm.SNICBacklog += r.snic.first.port.TotalBacklog()
-	sm.HostBacklog += r.host.first.port.TotalBacklog()
-	sm.SNICBusy += r.snic.first.busyCores()
-	sm.HostBusy += r.host.first.busyCores()
-	if st := r.snic.second; st != nil {
-		if occ := st.port.MaxOccupancy(); occ > sm.SNICOccMax {
-			sm.SNICOccMax = occ
-		}
-		sm.SNICBacklog += st.port.TotalBacklog()
-		sm.SNICBusy += st.busyCores()
-	}
-	if st := r.host.second; st != nil {
-		if occ := st.port.MaxOccupancy(); occ > sm.HostOccMax {
-			sm.HostOccMax = occ
-		}
-		sm.HostBacklog += st.port.TotalBacklog()
-		sm.HostBusy += st.busyCores()
-	}
-	if r.slbFwd != nil {
-		side, busy := &sm.SNICBacklog, &sm.SNICBusy
-		if r.cfg.Mode == SLBHost {
-			side, busy = &sm.HostBacklog, &sm.HostBusy
-		}
-		*side += r.slbFwd.port.TotalBacklog()
-		*busy += r.slbFwd.busyCores()
-	}
-	for _, st := range r.stations() {
-		sm.Drops += st.port.TotalDrops()
-		sm.FaultDrops += st.port.TotalFaultDrops() + st.faultDrops
-	}
-	sm.Completed += r.completed
-	sm.PowerW += r.power.LastWatts()
-	sm.HostPowerW += r.powerHost.LastWatts()
-	sm.SNICPowerW += r.powerSNIC.LastWatts()
-	return hasCtl
+	return s.r.addSample(sm, period)
 }

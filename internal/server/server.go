@@ -26,7 +26,6 @@ import (
 	"halsim/internal/platform"
 	"halsim/internal/rng"
 	"halsim/internal/sim"
-	"halsim/internal/stats"
 	"halsim/internal/telemetry"
 	"halsim/internal/telemetry/prof"
 	"halsim/internal/trace"
@@ -205,7 +204,7 @@ type Result struct {
 
 	OfferedGbps     float64
 	AvgGbps         float64 // delivered, post-warmup average
-	MaxGbps         float64 // best 10 ms delivered window
+	MaxGbps         float64 // best delivered window: 10 ms, TraceEpoch on a trace
 	P50us, P99us    float64
 	P999us          float64
 	AvgPowerW       float64
@@ -461,13 +460,13 @@ type run struct {
 	respond func(*packet.Packet)
 
 	// The completion path accrues completed, the delivered bytes, and the
-	// two rate-window accumulators.
+	// client's meter (nil in an embedded server, whose ingress meters).
 	completed  uint64
 	deliveredB uint64 // post-warmup delivered bytes
 	snicB      uint64 // the SNIC-processed part of deliveredB (SNICShare)
-	winB       int64  // MaxGbps window accumulator
-	rateWinB   int64  // RateSeries window accumulator
 	warmupEnd  sim.Time
+	m          *Meter
+	bounds     phaseBounds
 	phases     []phaseAcc
 
 	// hal is live in HAL mode, slbDir and slbMon in the SLB modes.
@@ -513,22 +512,17 @@ type run struct {
 	// observability (all nil/zero with Config.Telemetry off; every hook
 	// site nil-checks the specific field it feeds).
 	col           *telemetry.Collector
-	tl            *telemetry.Timeline
-	tm            *telMetrics
 	telPeriod     sim.Time
 	telPrevSNICB  uint64
 	telPrevHostB  uint64
 	telPrevEvents uint64
 
 	// measurement
-	lat        *stats.Histogram
-	powerHost  energy.Integrator
-	powerSNIC  energy.Integrator
-	winMaxGbps float64
-	power      energy.Integrator
-	funcErrs   uint64
-	rateSeries []float64
-	tickers    []*sim.Ticker
+	powerHost energy.Integrator
+	powerSNIC energy.Integrator
+	power     energy.Integrator
+	funcErrs  uint64
+	tickers   []*sim.Ticker
 }
 
 // A server's stations draw jitter from a block of eight streams, one per
@@ -768,23 +762,16 @@ func (r *run) build() error {
 	// be threaded into each lane.
 	r.buildTelemetry()
 
-	r.lat = stats.NewHistogram()
 	r.warmupEnd = r.rc.Warmup
-
-	// Phase accumulators: boundaries are [0, marks..., Duration].
-	if len(r.rc.PhaseMarks) > 0 {
-		bounds := append([]sim.Time{0}, r.rc.PhaseMarks...)
-		bounds = append(bounds, r.rc.Duration)
-		for i := 0; i+1 < len(bounds); i++ {
-			r.phases = append(r.phases, phaseAcc{
-				start: bounds[i], end: bounds[i+1], hist: stats.NewHistogram(),
-			})
-		}
+	r.bounds = newPhaseBounds(r.rc)
+	if len(r.bounds) > 0 {
+		r.phases = make([]phaseAcc, len(r.bounds)-1)
 	}
 
 	if r.embedded {
 		r.off = new(offered)
 	} else {
+		r.m = NewMeter(r.rc, r.col)
 		r.cli, err = newClient(cfg, r.rc, r.eng, r.pool, fns, r.ingress)
 		if err != nil {
 			return err
@@ -871,14 +858,15 @@ func (r *run) complete(p *packet.Packet, onSNIC bool) {
 		}
 	}
 	r.completed++
-	r.rateWinB += int64(p.WireLen)
+	if r.m != nil {
+		r.m.Bytes(p.WireLen, p.CreatedAt)
+	}
 	if ph := r.phaseAt(sim.Time(p.CreatedAt)); ph != nil {
 		ph.bytes += uint64(p.WireLen)
 		ph.completed++
 	}
 	if sim.Time(p.CreatedAt) >= r.warmupEnd {
 		r.deliveredB += uint64(p.WireLen)
-		r.winB += int64(p.WireLen)
 		if onSNIC {
 			r.snicB += uint64(p.WireLen)
 		}
@@ -921,18 +909,11 @@ func (r *run) complete(p *packet.Packet, onSNIC bool) {
 	r.eng.AtCall(r.eng.Now()+egress, r.forwardCall, resp, 0)
 }
 
-// deliverResponse records the client-observed round trip for packets
-// created inside the measurement window.
+// deliverResponse hands the client-observed round trip to the meter.
 func (r *run) deliverResponse(p *packet.Packet) {
 	rtt := int64(r.eng.Now()) - p.CreatedAt
-	if ph := r.phaseAt(sim.Time(p.CreatedAt)); ph != nil {
-		ph.hist.Record(rtt)
-	}
-	if sim.Time(p.CreatedAt) >= r.warmupEnd {
-		r.lat.Record(rtt)
-	}
-	if r.tl != nil {
-		r.tl.RecordLatency(rtt)
+	if r.m != nil {
+		r.m.RTT(rtt, p.CreatedAt)
 	}
 	if r.tr.Sampled(p.ID) {
 		r.tr.Emit(telemetry.Span{T: r.eng.Now(), Kind: telemetry.KindResponse,
@@ -1025,34 +1006,8 @@ func (r *run) start() {
 	if r.col != nil {
 		r.every(r.telPeriod, r.sampleTelemetry)
 	}
-	// Delivered-rate time series (recovery analysis for fault runs).
-	if r.rc.RateWindow > 0 {
-		r.every(r.rc.RateWindow, func() {
-			r.rateSeries = append(r.rateSeries,
-				float64(r.rateWinB)*8/float64(r.rc.RateWindow))
-			r.rateWinB = 0
-		})
-	}
-	// Delivered-rate windows for MaxGbps. Constant-rate runs use 10 ms;
-	// trace runs use the epoch so a one-epoch burst registers at its
-	// actual rate instead of being averaged away — this is what makes
-	// "max throughput" differ between a ~90G host and a ~100G HAL.
-	window := 10 * sim.Millisecond
-	if r.rc.Workload != nil {
-		window = TraceEpoch
-	}
-	r.every(window, func() {
-		winB := r.winB
-		r.winB = 0
-		if r.eng.Now() <= r.warmupEnd {
-			return
-		}
-		g := float64(winB) * 8 / float64(window)
-		if g > r.winMaxGbps {
-			r.winMaxGbps = g
-		}
-	})
 	if !r.embedded {
+		r.tickers = append(r.tickers, r.m.Start(r.eng)...)
 		r.cli.start()
 	}
 }
@@ -1060,25 +1015,15 @@ func (r *run) start() {
 func (r *run) collect() Result {
 	measured := r.rc.Duration - r.warmupEnd
 	res := Result{
-		Mode:      r.cfg.Mode,
-		Fn:        r.cfg.Fn,
-		Completed: r.lat.Count(),
-		Sent:      r.off.sentPkts,
-		Engine:    "serial",
+		Mode:   r.cfg.Mode,
+		Fn:     r.cfg.Fn,
+		Sent:   r.off.sentPkts,
+		Engine: "serial",
 	}
 	if measured > 0 {
 		res.AvgGbps = float64(r.deliveredB) * 8 / float64(measured)
-	}
-	res.MaxGbps = r.winMaxGbps
-	if res.MaxGbps < res.AvgGbps {
-		res.MaxGbps = res.AvgGbps
-	}
-	if measured > 0 {
 		res.OfferedGbps = float64(r.off.sentBytes) * 8 / float64(measured)
 	}
-	res.P50us = float64(r.lat.P50()) / 1000
-	res.P99us = float64(r.lat.P99()) / 1000
-	res.P999us = float64(r.lat.P999()) / 1000
 	res.AvgPowerW = r.power.AvgWatts()
 	res.HostActiveW = r.powerHost.AvgWatts()
 	res.SNICActiveW = r.powerSNIC.AvgWatts()
@@ -1130,14 +1075,13 @@ func (r *run) collect() Result {
 		res.LBPHolds = r.hal.Policy.Holds
 		res.FailoverTicks = r.hal.Policy.LastFailoverTicks
 	}
-	for _, ph := range r.phases {
+	for i, ph := range r.phases {
 		ps := PhaseStats{
-			Start:     ph.start,
-			End:       ph.end,
-			P99us:     float64(ph.hist.P99()) / 1000,
+			Start:     r.bounds[i],
+			End:       r.bounds[i+1],
 			Completed: ph.completed,
 		}
-		if d := ph.end - ph.start; d > 0 {
+		if d := ps.End - ps.Start; d > 0 {
 			ps.AvgGbps = float64(ph.bytes) * 8 / float64(d)
 		}
 		if ph.powerN > 0 {
@@ -1146,11 +1090,12 @@ func (r *run) collect() Result {
 		ps.EffGbpsPerW = energy.EfficiencyGbpsPerWatt(ps.AvgGbps, ps.AvgPowerW)
 		res.Phases = append(res.Phases, ps)
 	}
-	res.RateSeries = r.rateSeries
-	res.RateWindow = r.rc.RateWindow
+	if r.m != nil {
+		r.m.Fill(&res)
+	}
 
 	if r.col != nil {
-		res.Timeline = r.tl
+		res.Timeline = r.col.Timeline
 		res.Trace = r.tr
 		res.Metrics = r.col.Registry
 		// Final sample so the registry's counters reflect the whole run

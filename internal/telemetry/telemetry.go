@@ -94,10 +94,12 @@ type Collector struct {
 	Timeline *Timeline
 	Tracer   *Tracer
 	Registry *Registry
+	metrics  *metrics
 }
 
-// New builds the collectors cfg asks for. A config asking for nothing
-// returns nil, which every hook site treats as "telemetry off".
+// New builds the collectors cfg asks for and registers the halsim_*
+// metric set on the registry. A config asking for nothing returns nil,
+// which every hook site treats as "telemetry off".
 func New(cfg Config) *Collector {
 	cfg = cfg.WithDefaults()
 	if !cfg.Enabled() {
@@ -107,6 +109,7 @@ func New(cfg Config) *Collector {
 	if c.Registry == nil {
 		c.Registry = NewRegistry()
 	}
+	c.metrics = newMetrics(c.Registry)
 	if cfg.Timeline {
 		c.Timeline = NewTimeline(cfg.TimelinePeriod, TimelineCap)
 	}
