@@ -137,6 +137,8 @@ func TestBadInputsExitUsage(t *testing.T) {
 		{[]string{"-mode", "turbo"}, "unknown mode"},
 		{[]string{"-fault", "meteor"}, "unknown kind"},
 		{[]string{"-fault", "rx-drop", "-fault-drop", "1.5"}, "drop_prob in (0, 1]"},
+		{[]string{"-workload", "web", "-rate", "60"}, "both a constant rate (60 Gbps) and the web trace workload set"},
+		{[]string{"-workload", "weekend"}, "unknown workload"},
 
 		// Flags set where they shape nothing.
 		{[]string{"-slb-cores", "3"}, "-slb-cores set without -mode slb"},

@@ -22,11 +22,13 @@ import (
 	"strings"
 	"time"
 
+	"halsim/internal/cxl"
 	"halsim/internal/nf"
 	"halsim/internal/scenario"
 	"halsim/internal/server"
 	"halsim/internal/sim"
 	"halsim/internal/telemetry"
+	"halsim/internal/trace"
 	"halsim/internal/version"
 )
 
@@ -49,7 +51,7 @@ func main() {
 		fnFlag   = flag.String("fn", "NAT", "function: KVS Count EMA NAT BM25 KNN Bayes REM Crypto Comp")
 		fnCfg    = flag.String("fn-config", "", "function configuration (e.g. tea/lite for REM)")
 		pipe     = flag.String("pipeline", "", "optional second function fed by the first")
-		rate     = flag.Float64("rate", 40, "offered load in Gbps (ignored with -workload)")
+		rate     = flag.Float64("rate", 40, "offered load in Gbps (not with -workload: a trace draws its own rate)")
 		workload = flag.String("workload", "", "web | cache | hadoop datacenter trace")
 		duration = flag.Duration("duration", 300*time.Millisecond, "simulated duration")
 		seed     = flag.Int64("seed", 1, "simulation seed")
@@ -153,9 +155,9 @@ func main() {
 		usageErr("-report/-report-html need a scenario file (see `halsim run`)")
 	}
 
-	// The flags describe one scenario: lower them onto a RunSpec, a
-	// ClusterSpec and at most one fault event, and let the scenario
-	// compiler validate and build the run like any scenario file.
+	// The flags describe one scenario — the simulator's own config, a
+	// fleet block and at most one fault event — which the scenario
+	// compiler validates and builds like any scenario file.
 	mode, err := server.ParseMode(*modeFlag)
 	if err != nil {
 		usageErr("%v", err)
@@ -164,27 +166,40 @@ func main() {
 	if err != nil {
 		usageErr("%v", err)
 	}
-	s := &scenario.Scenario{Name: "halsim", Run: scenario.RunSpec{
-		ModeName:     strings.ToLower(*modeFlag),
-		Mode:         mode,
-		Fn:           fn,
-		FnConfig:     *fnCfg,
-		RateGbps:     *rate,
-		Workload:     strings.ToLower(*workload),
-		Duration:     sim.Duration(*duration),
-		Seed:         *seed,
-		Shards:       *shards,
-		CXL:          *useCXL,
-		SLBCores:     *slbCores,
-		SLBFwdThGbps: *slbTh,
-		Functional:   *function,
-		Telemetry:    scenario.TelemetrySpec{TimelinePeriod: sim.Duration(*timelinePer)},
-	}}
+	s := &scenario.Scenario{Name: "halsim",
+		Cfg: server.Config{
+			Mode:         mode,
+			Fn:           fn,
+			FnConfig:     *fnCfg,
+			SLBCores:     *slbCores,
+			SLBFwdThGbps: *slbTh,
+			Functional:   *function,
+			Telemetry:    telemetry.Config{TimelinePeriod: sim.Duration(*timelinePer)},
+			Shards:       *shards,
+			Seed:         *seed,
+		},
+		RC: server.RunConfig{Duration: sim.Duration(*duration)},
+	}
+	if *useCXL {
+		s.Cfg.Fabric = cxl.CXL
+	}
 	if *pipe != "" {
-		if s.Run.Pipeline, err = nf.ParseID(*pipe); err != nil {
+		if s.Cfg.Pipeline, err = nf.ParseID(*pipe); err != nil {
 			usageErr("%v", err)
 		}
-		s.Run.PipelineOn = true
+		s.Cfg.PipelineOn = true
+	}
+	// A trace draws its own rate: -rate's default applies without one, and
+	// an explicit -rate beside -workload is rejected by the run's checks.
+	if *workload == "" || set["rate"] {
+		s.RC.RateGbps = *rate
+	}
+	if *workload != "" {
+		w, err := trace.ParseWorkload(strings.ToLower(*workload))
+		if err != nil {
+			usageErr("%v", err)
+		}
+		s.RC.Workload = &w
 	}
 	if mode != server.SLB && mode != server.SLBHost {
 		needs("set without -mode slb or slb-host: only the software balancer has forwarding cores and a threshold", "slb-cores", "slb-th")
@@ -196,14 +211,14 @@ func main() {
 			needs("set without -pods >= 2: a flat star has no pod uplinks or spine", "oversub", "spine-wire")
 		}
 		needs("set with -servers: -fault drives a single server; fleet runs take server-crash events from a scenario file", "fault")
-		s.Run.Cluster = &scenario.ClusterSpec{
-			Servers:   *servers,
-			Dispatch:  strings.ToLower(*dispatch),
-			Wire:      sim.Duration(*wireLat),
-			LinkGbps:  *linkGbps,
-			Pods:      *pods,
-			Oversub:   *oversub,
-			SpineWire: sim.Duration(*spineLat),
+		s.Cfg.Cluster = &server.ClusterConfig{
+			Servers:     *servers,
+			Dispatch:    strings.ToLower(*dispatch),
+			WireNS:      sim.Duration(*wireLat),
+			LinkGbps:    *linkGbps,
+			Pods:        *pods,
+			Oversub:     *oversub,
+			SpineWireNS: sim.Duration(*spineLat),
 		}
 	}
 	kind := strings.ToLower(*faultKind)
@@ -240,7 +255,8 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Printf("  offered     %8.2f Gbps\n", res.OfferedGbps)
-	fmt.Printf("  delivered   %8.2f Gbps avg, %.2f Gbps best 10ms window\n", res.AvgGbps, res.MaxGbps)
+	fmt.Printf("  delivered   %8.2f Gbps avg, %.2f Gbps best %v window\n",
+		res.AvgGbps, res.MaxGbps, server.MaxWindow(o.Compiled.RC))
 	fmt.Printf("  latency     p50 %.1f us, p99 %.1f us, p99.9 %.1f us\n", res.P50us, res.P99us, res.P999us)
 	fmt.Printf("  power       %8.1f W avg -> %.4f Gbps/W\n", res.AvgPowerW, res.EffGbpsPerW)
 	fmt.Printf("              %8.1f W floor + %.1f W host + %.1f W snic\n", res.IdleW, res.HostActiveW, res.SNICActiveW)

@@ -51,16 +51,16 @@ type artifactPaths struct {
 // -telemetry-addr hand the run a registry. Any invalid input exits 2
 // before the run starts; a run failure exits 1.
 func execute(s *scenario.Scenario, ov scenario.Overrides, arts artifactPaths) *scenario.Outcome {
-	t := &s.Run.Telemetry
+	t := &s.Cfg.Telemetry
 	if arts.timelineCSV != "" || arts.timelineJSON != "" {
 		t.Timeline = true
 	}
 	if arts.traceOut != "" {
-		shards := s.Run.Shards
+		shards := s.Cfg.Shards
 		if ov.Shards != 0 {
 			shards = ov.Shards
 		}
-		if s.Run.Cluster == nil {
+		if s.Cfg.Cluster == nil {
 			if t.TraceEvery == 0 {
 				t.TraceEvery = arts.traceEvery
 			}

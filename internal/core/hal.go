@@ -14,7 +14,6 @@ import (
 
 	"halsim/internal/packet"
 	"halsim/internal/sim"
-	"halsim/internal/stats"
 )
 
 // Gbps converts a byte count and a window to Gbps.
@@ -106,34 +105,34 @@ func (c Config) validate() error {
 	return nil
 }
 
-// TrafficMonitor is HLB block ① : it counts received bytes and reports the
-// arrival rate once per window.
+// TrafficMonitor is HLB block ① : like the paper's traffic monitor, it
+// counts received bytes in the open window and reports the arrival rate
+// once per window.
 type TrafficMonitor struct {
-	meter    stats.RateMeter
+	window   sim.Time
+	bytes    int64 // accumulating in the open window
 	rateGbps float64
-	// Packets and Bytes count everything ever observed; Rolls counts
-	// closed windows (the freshness signal the LBP watchdog consumes).
-	Packets uint64
-	Bytes   uint64
-	Rolls   uint64
+	// Rolls counts closed windows (the freshness signal the LBP watchdog
+	// consumes).
+	Rolls uint64
 }
 
 // NewTrafficMonitor returns a monitor with the given window.
 func NewTrafficMonitor(window sim.Time) TrafficMonitor {
-	return TrafficMonitor{meter: stats.NewRateMeter(int64(window))}
+	if window <= 0 {
+		panic("core: non-positive traffic monitor window")
+	}
+	return TrafficMonitor{window: window}
 }
 
 // Observe records one received packet.
-func (m *TrafficMonitor) Observe(p *packet.Packet) {
-	m.meter.Add(int64(p.WireLen))
-	m.Packets++
-	m.Bytes += uint64(p.WireLen)
-}
+func (m *TrafficMonitor) Observe(p *packet.Packet) { m.bytes += int64(p.WireLen) }
 
 // Roll closes the window and updates RateRx. Call once per MonitorPeriod.
 func (m *TrafficMonitor) Roll() float64 {
-	bps := m.meter.Roll() * 8
-	m.rateGbps = bps / 1e9
+	bytesPerSec := float64(m.bytes) / (float64(m.window) / 1e9)
+	m.bytes = 0
+	m.rateGbps = bytesPerSec * 8 / 1e9
 	m.Rolls++
 	return m.rateGbps
 }
@@ -150,12 +149,6 @@ type TrafficDirector struct {
 	fwdThGbps float64
 	rateGbps  float64
 	credit    float64
-
-	// Kept/Diverted count routing decisions; *Bytes weigh them.
-	Kept          uint64
-	Diverted      uint64
-	KeptBytes     uint64
-	DivertedBytes uint64
 }
 
 // NewTrafficDirector returns a director diverting to hostAddr.
@@ -186,12 +179,10 @@ func (d *TrafficDirector) RateFwdGbps() float64 {
 }
 
 // Route decides one packet. When it diverts, it rewrites the packet's
-// destination MAC and IP in place and marks it Diverted; the eSwitch then
-// routes it to the host port by address.
+// destination MAC and IP in place; the eSwitch then routes it to the host
+// port by address.
 func (d *TrafficDirector) Route(p *packet.Packet) (diverted bool) {
 	if d.rateGbps <= d.fwdThGbps {
-		d.Kept++
-		d.KeptBytes += uint64(p.WireLen)
 		return false
 	}
 	keepFrac := d.fwdThGbps / d.rateGbps
@@ -199,14 +190,9 @@ func (d *TrafficDirector) Route(p *packet.Packet) (diverted bool) {
 	d.credit += keepFrac * wire
 	if d.credit >= wire {
 		d.credit -= wire
-		d.Kept++
-		d.KeptBytes += uint64(p.WireLen)
 		return false
 	}
 	p.RewriteDst(d.hostAddr)
-	p.Diverted = true
-	d.Diverted++
-	d.DivertedBytes += uint64(p.WireLen)
 	return true
 }
 
@@ -216,10 +202,6 @@ func (d *TrafficDirector) Route(p *packet.Packet) (diverted bool) {
 type TrafficMerger struct {
 	snicAddr packet.Addr
 	hostAddr packet.Addr
-	// Merged counts rewritten response packets; Passed counts packets
-	// that already carried the SNIC identity.
-	Merged uint64
-	Passed uint64
 }
 
 // NewTrafficMerger returns a merger masquerading hostAddr as snicAddr.
@@ -231,10 +213,7 @@ func NewTrafficMerger(snic, host packet.Addr) TrafficMerger {
 func (m *TrafficMerger) Egress(p *packet.Packet) {
 	if p.SrcIP == m.hostAddr.IP || p.SrcMAC == m.hostAddr.MAC {
 		p.RewriteSrc(m.snicAddr)
-		m.Merged++
-		return
 	}
-	m.Passed++
 }
 
 // QueueObserver reports the maximum DPDK Rx-queue occupancy across the

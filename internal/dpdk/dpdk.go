@@ -33,9 +33,8 @@ type RxQueue struct {
 	// the packet is lost on arrival.
 	impair *rxImpairment
 
-	// Enqueued and Drops count ring-level arrivals and tail drops;
-	// FaultDrops counts packets lost to an injected ring fault.
-	Enqueued   uint64
+	// Drops counts ring tail drops; FaultDrops counts packets lost to an
+	// injected ring fault.
 	Drops      uint64
 	FaultDrops uint64
 }
@@ -81,7 +80,6 @@ func (q *RxQueue) Enqueue(p *packet.Packet) bool {
 	}
 	q.buf[tail] = p
 	q.count++
-	q.Enqueued++
 	return true
 }
 
@@ -210,15 +208,6 @@ func (p *Port) SetRxFault(prob float64, r *rng.Rand) {
 	for i := range p.queues {
 		p.queues[i].impair = imp
 	}
-}
-
-// TotalEnqueued sums ring arrivals.
-func (p *Port) TotalEnqueued() uint64 {
-	var n uint64
-	for i := range p.queues {
-		n += p.queues[i].Enqueued
-	}
-	return n
 }
 
 // SleepController models the DPDK power-management API: polling cores are

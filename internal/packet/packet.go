@@ -82,8 +82,6 @@ type Packet struct {
 
 	// FnTag routes the packet to a network function in pipelined setups.
 	FnTag uint8
-	// Diverted marks packets the traffic director redirected to the host.
-	Diverted bool
 	// ReqLen is, on a response, the wire length of the request it
 	// answers, so whoever receives the response can account the request's
 	// bytes without a table of its own. It fills the struct's tail padding.

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"halsim/internal/scenario/yaml"
 	"halsim/internal/server"
 	"halsim/internal/sim"
 	"halsim/internal/stats"
@@ -172,63 +171,16 @@ func knownMetricNames() []string {
 
 var validOps = map[string]bool{"<": true, "<=": true, ">": true, ">=": true, "==": true, "!=": true}
 
-func (s *Scenario) parseAssertions(n *yaml.Node) error {
-	if n == nil {
-		return nil
+// keys is one assertion's table.
+func (a *Assertion) keys() []key {
+	return []key{
+		{name: "metric", bind: str(&a.Metric), need: missingKey},
+		{name: "op", bind: str(&a.Op), need: missingKey},
+		{name: "value", bind: str(&a.RawValue), need: missingKey},
+		{name: "phase", bind: str(&a.Phase)},
+		{name: "during", bind: span(&a.WindowFrom, &a.WindowTo)},
+		{name: "agg", bind: str(&a.Agg)},
 	}
-	if n.Kind != yaml.SeqNode {
-		return errf("assertions: line %d: want a sequence of assertions, have a %v", n.Line, n.Kind)
-	}
-	for i, item := range n.Items {
-		what := fmt.Sprintf("assertions[%d]", i)
-		if err := checkKeys(item, what, "metric", "op", "value", "phase", "during", "agg"); err != nil {
-			return err
-		}
-		a := Assertion{Line: item.Line}
-		var err error
-		m := item.Get("metric")
-		if m == nil {
-			return errf("%s: line %d: missing `metric`", what, item.Line)
-		}
-		if a.Metric, err = m.Scalar(); err != nil {
-			return errf("%s.metric: %v", what, err)
-		}
-		op := item.Get("op")
-		if op == nil {
-			return errf("%s: line %d: missing `op`", what, item.Line)
-		}
-		if a.Op, err = op.Scalar(); err != nil {
-			return errf("%s.op: %v", what, err)
-		}
-		val := item.Get("value")
-		if val == nil {
-			return errf("%s: line %d: missing `value`", what, item.Line)
-		}
-		if a.RawValue, err = val.Scalar(); err != nil {
-			return errf("%s.value: %v", what, err)
-		}
-		if v := item.Get("phase"); v != nil {
-			if a.Phase, err = v.Scalar(); err != nil {
-				return errf("%s.phase: %v", what, err)
-			}
-		}
-		if v := item.Get("during"); v != nil {
-			str, err := v.Scalar()
-			if err != nil {
-				return errf("%s.during: %v", what, err)
-			}
-			if a.WindowFrom, a.WindowTo, err = timeRange(str, v.Line, what+".during"); err != nil {
-				return err
-			}
-		}
-		if v := item.Get("agg"); v != nil {
-			if a.Agg, err = v.Scalar(); err != nil {
-				return errf("%s.agg: %v", what, err)
-			}
-		}
-		s.Assertions = append(s.Assertions, a)
-	}
-	return nil
 }
 
 // validate checks one assertion's shape at parse time.

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -49,93 +50,40 @@ type KindWeight struct {
 	Weight float64
 }
 
-func (s *Scenario) parseChaos(n *yaml.Node) error {
-	if n == nil {
-		return nil
+// keys is the chaos section's table.
+func (c *ChaosSpec) keys() []key {
+	return []key{
+		{name: "seed", bind: integer64(&c.Seed)},
+		{name: "events", bind: integer(&c.Events)},
+		{name: "window", bind: span(&c.WindowFrom, &c.WindowTo)},
+		{name: "mean_duration", bind: duration(&c.MeanDuration)},
+		{name: "min_duration", bind: duration(&c.MinDuration)},
+		{name: "max_overlap", bind: integer(&c.MaxOverlap)},
+		{name: "kinds", bind: c.bindKinds},
+		{name: "max_cores", bind: integer(&c.MaxCores)},
+		{name: "max_drop_prob", bind: float(&c.MaxDropProb)},
 	}
-	if err := checkKeys(n, "chaos", "seed", "events", "window", "mean_duration",
-		"min_duration", "max_overlap", "kinds", "max_cores", "max_drop_prob"); err != nil {
-		return err
+}
+
+// bindKinds decodes the `kind: weight` mapping of the kind mix.
+func (c *ChaosSpec) bindKinds(n *yaml.Node, what string) error {
+	if n.Kind != yaml.MapNode {
+		return errf("%s: line %d: want a mapping of kind: weight", what, n.Line)
 	}
-	c := &ChaosSpec{Line: n.Line}
-	var err error
-	if v := n.Get("seed"); v != nil {
-		if c.Seed, err = v.Int64(); err != nil {
-			return errf("chaos.seed: %v", err)
+	for _, k := range n.Keys {
+		v := n.Get(k)
+		if !slices.Contains(chaosKinds, k) {
+			return errf("%s: line %d: unknown kind %q (want %s)", what, v.Line, k, strings.Join(chaosKinds, ", "))
 		}
-	}
-	if v := n.Get("events"); v != nil {
-		e, err := v.Int64()
+		w, err := v.Float()
 		if err != nil {
-			return errf("chaos.events: %v", err)
+			return errf("%s.%s: %v", what, k, err)
 		}
-		c.Events = int(e)
+		if w < 0 {
+			return errf("%s.%s: line %d: negative weight %g", what, k, v.Line, w)
+		}
+		c.Kinds = append(c.Kinds, KindWeight{Kind: k, Weight: w})
 	}
-	if v := n.Get("window"); v != nil {
-		str, err := v.Scalar()
-		if err != nil {
-			return errf("chaos.window: %v", err)
-		}
-		if c.WindowFrom, c.WindowTo, err = timeRange(str, v.Line, "chaos.window"); err != nil {
-			return err
-		}
-	}
-	if v := n.Get("mean_duration"); v != nil {
-		if c.MeanDuration, err = dur(v, "chaos.mean_duration"); err != nil {
-			return err
-		}
-	}
-	if v := n.Get("min_duration"); v != nil {
-		if c.MinDuration, err = dur(v, "chaos.min_duration"); err != nil {
-			return err
-		}
-	}
-	if v := n.Get("max_overlap"); v != nil {
-		o, err := v.Int64()
-		if err != nil {
-			return errf("chaos.max_overlap: %v", err)
-		}
-		c.MaxOverlap = int(o)
-	}
-	if v := n.Get("kinds"); v != nil {
-		if v.Kind != yaml.MapNode {
-			return errf("chaos.kinds: line %d: want a mapping of kind: weight", v.Line)
-		}
-		for _, k := range v.Keys {
-			known := false
-			for _, want := range chaosKinds {
-				if k == want {
-					known = true
-					break
-				}
-			}
-			if !known {
-				return errf("chaos.kinds: line %d: unknown kind %q (want %s)",
-					v.Get(k).Line, k, strings.Join(chaosKinds, ", "))
-			}
-			w, err := v.Get(k).Float()
-			if err != nil {
-				return errf("chaos.kinds.%s: %v", k, err)
-			}
-			if w < 0 {
-				return errf("chaos.kinds.%s: line %d: negative weight %g", k, v.Get(k).Line, w)
-			}
-			c.Kinds = append(c.Kinds, KindWeight{Kind: k, Weight: w})
-		}
-	}
-	if v := n.Get("max_cores"); v != nil {
-		m, err := v.Int64()
-		if err != nil {
-			return errf("chaos.max_cores: %v", err)
-		}
-		c.MaxCores = int(m)
-	}
-	if v := n.Get("max_drop_prob"); v != nil {
-		if c.MaxDropProb, err = v.Float(); err != nil {
-			return errf("chaos.max_drop_prob: %v", err)
-		}
-	}
-	s.Chaos = c
 	return nil
 }
 
@@ -200,14 +148,6 @@ func (c *ChaosSpec) validate(duration sim.Time) error {
 	return nil
 }
 
-// chaosWindow is one accepted draw.
-type chaosWindow struct {
-	from, to sim.Time
-	kind     string
-	cores    int
-	dropProb float64
-}
-
 // generate draws the chaos schedule as EventSpecs (sorted by start time) so
 // the plan compiler and the report treat chaotic and explicit events
 // identically. Deterministic: the spec seed's chaos stream, drawn in a
@@ -227,14 +167,14 @@ func (c ChaosSpec) generate(runSeed int64, duration sim.Time) ([]EventSpec, erro
 		return nil, errf("chaos.window: %v..%v leaves no room for %v fault windows",
 			c.WindowFrom, c.WindowTo, c.MinDuration)
 	}
-	var accepted []chaosWindow
-	overlapOK := func(w chaosWindow) bool {
+	var accepted []EventSpec
+	overlapOK := func(w EventSpec) bool {
 		// Same-kind windows must not overlap (start/stop pairs must nest
 		// cleanly); across kinds at most MaxOverlap may be active at once.
 		active := 1
 		for _, a := range accepted {
-			if w.from < a.to && a.from < w.to {
-				if a.kind == w.kind {
+			if w.At < a.At+a.For && a.At < w.At+w.For {
+				if a.Kind == w.Kind {
 					return false
 				}
 				active++
@@ -267,14 +207,14 @@ func (c ChaosSpec) generate(runSeed int64, duration sim.Time) ([]EventSpec, erro
 			if to-from < c.MinDuration {
 				continue
 			}
-			w := chaosWindow{from: from, to: to, kind: kind}
+			w := EventSpec{At: from, For: to - from, Kind: kind, Side: "snic"}
 			switch kind {
 			case "core-crash":
-				w.cores = 1 + r.Intn(c.MaxCores)
+				w.Cores = 1 + r.Intn(c.MaxCores)
 			case "rx-drop":
-				w.dropProb = 0.05 + r.Float64()*(c.MaxDropProb-0.05)
-				if w.dropProb > c.MaxDropProb {
-					w.dropProb = c.MaxDropProb
+				w.DropProb = 0.05 + r.Float64()*(c.MaxDropProb-0.05)
+				if w.DropProb > c.MaxDropProb {
+					w.DropProb = c.MaxDropProb
 				}
 			}
 			if !overlapOK(w) {
@@ -284,23 +224,12 @@ func (c ChaosSpec) generate(runSeed int64, duration sim.Time) ([]EventSpec, erro
 			break
 		}
 	}
-	sort.SliceStable(accepted, func(i, j int) bool { return accepted[i].from < accepted[j].from })
-	events := make([]EventSpec, 0, len(accepted))
-	for _, w := range accepted {
-		events = append(events, EventSpec{
-			At:       w.from,
-			For:      w.to - w.from,
-			Kind:     w.kind,
-			Side:     "snic",
-			Cores:    w.cores,
-			DropProb: w.dropProb,
-		})
-	}
+	sort.SliceStable(accepted, func(i, j int) bool { return accepted[i].At < accepted[j].At })
 	if len(accepted) == 0 && c.Events > 0 {
 		return nil, errf("chaos: no fault window could be placed (window %v..%v too tight for max_overlap %d)",
 			c.WindowFrom, c.WindowTo, c.MaxOverlap)
 	}
-	return events, nil
+	return accepted, nil
 }
 
 // describe renders the effective chaos knobs for the report.

@@ -2,14 +2,13 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"halsim/internal/cluster"
-	"halsim/internal/cxl"
 	"halsim/internal/fault"
 	"halsim/internal/server"
 	"halsim/internal/sim"
-	"halsim/internal/trace"
 )
 
 // Overrides are the CLI-side knobs that may vary without editing the
@@ -58,63 +57,33 @@ func (c *Compiled) faultSpan() (from, to sim.Time, ok bool) {
 	return from, to, true
 }
 
-// Compile lowers the scenario onto a server.Config/RunConfig pair and a
-// validated fault.Plan, applying overrides. It is pure: no simulation runs,
-// so `halsim validate` uses it too.
+// Compile completes a copy of the scenario's run template — overrides,
+// the fault plan or fleet blackouts, phase marks, drain, the rate window
+// and the timeline — and validates it. It is pure: no simulation runs, so
+// `halsim validate` uses it too.
 func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
-	r := s.Run
-	c := &Compiled{Seed: r.Seed, Shards: r.Shards, scenario: s}
+	c := &Compiled{Cfg: s.Cfg, RC: s.RC, Seed: s.Cfg.Seed, Shards: s.Cfg.Shards, scenario: s}
 	if ov.Seed != 0 {
 		c.Seed = ov.Seed
 	}
 	if ov.Shards != 0 {
 		c.Shards = ov.Shards
 	}
-	if c.Shards > 1 && r.Cluster == nil {
+	if c.Shards > 1 && s.Cfg.Cluster == nil {
 		return nil, errf("%d shards without a cluster: block; shards apply to fleets, a single server runs serially", c.Shards)
 	}
-
-	c.Cfg = server.Config{
-		Mode:       r.Mode,
-		Fn:         r.Fn,
-		FnConfig:   r.FnConfig,
-		PipelineOn: r.PipelineOn,
-		Pipeline:   r.Pipeline,
-		Functional: r.Functional,
-		Seed:       c.Seed,
-		Shards:     c.Shards,
+	c.Cfg.Seed, c.Cfg.Shards = c.Seed, c.Shards
+	if c.Cfg.Mode != server.SLB && c.Cfg.Mode != server.SLBHost {
+		// Only the software balancer has forwarding cores and a threshold.
+		c.Cfg.SLBCores, c.Cfg.SLBFwdThGbps = 0, 0
 	}
-	if r.Mode == server.SLB || r.Mode == server.SLBHost {
-		c.Cfg.SLBCores = r.SLBCores
-		c.Cfg.SLBFwdThGbps = r.SLBFwdThGbps
+	if s.Cfg.Cluster != nil {
+		// The blackouts below append to a copy, never to the template.
+		cl := *s.Cfg.Cluster
+		cl.Crashes = slices.Clip(cl.Crashes)
+		c.Cfg.Cluster = &cl
 	}
-	if r.CXL {
-		c.Cfg.Fabric = cxl.CXL
-	}
-	if r.Cluster != nil {
-		c.Cfg.Cluster = &server.ClusterConfig{
-			Servers:     r.Cluster.Servers,
-			Dispatch:    r.Cluster.Dispatch,
-			WireNS:      r.Cluster.Wire,
-			LinkGbps:    r.Cluster.LinkGbps,
-			Pods:        r.Cluster.Pods,
-			Oversub:     r.Cluster.Oversub,
-			SpineWireNS: r.Cluster.SpineWire,
-		}
-	}
-
-	c.RC = server.RunConfig{
-		Duration: r.Duration,
-		RateGbps: r.RateGbps,
-		Warmup:   r.Warmup,
-	}
-	if r.Workload != "" {
-		w, err := trace.ParseWorkload(r.Workload)
-		if err != nil {
-			return nil, errf("run.workload: %v", err)
-		}
-		c.RC.Workload = &w
-	}
+	r := &s.RC
 
 	// Fault windows: explicit events first, then the chaos draws.
 	c.FaultWindows = append(c.FaultWindows, s.Events...)
@@ -166,28 +135,21 @@ func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
 			c.RC.PhaseMarks = []sim.Time{from, to}
 		}
 		// Fault runs drain by default so the conservation ledger closes.
-		c.RC.Drain = true
-	}
-	if r.drainSet {
-		c.RC.Drain = r.Drain
-	}
-
-	// Delivered-rate series: on for every fault run (the recovery signal
-	// and the report's rate table) at duration/60, floored at 100 µs.
-	c.RC.RateWindow = r.RateWindow
-	if c.RC.RateWindow == 0 && len(c.FaultWindows) > 0 {
-		c.RC.RateWindow = r.Duration / 60
-		if c.RC.RateWindow < 100*sim.Microsecond {
-			c.RC.RateWindow = 100 * sim.Microsecond
+		if !s.drainSet {
+			c.RC.Drain = true
+		}
+		// Delivered-rate series: on for every fault run (the recovery
+		// signal and the report's rate table) at r.Duration/60, floored at
+		// 100 µs.
+		if c.RC.RateWindow == 0 {
+			c.RC.RateWindow = r.Duration / 60
+			if c.RC.RateWindow < 100*sim.Microsecond {
+				c.RC.RateWindow = 100 * sim.Microsecond
+			}
 		}
 	}
 
-	// Telemetry: the scenario's own section, plus an automatic timeline
-	// whenever a windowed assertion needs per-tick samples.
-	c.Cfg.Telemetry.Timeline = r.Telemetry.Timeline
-	c.Cfg.Telemetry.TimelinePeriod = r.Telemetry.TimelinePeriod
-	c.Cfg.Telemetry.TraceEvery = r.Telemetry.TraceEvery
-	c.Cfg.Telemetry.Prof = r.Telemetry.Prof
+	// A windowed assertion needs per-tick samples: turn the timeline on.
 	for _, a := range s.Assertions {
 		if a.WindowTo > 0 {
 			c.Cfg.Telemetry.Timeline = true

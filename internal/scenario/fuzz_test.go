@@ -13,6 +13,9 @@ func FuzzScenarioParse(f *testing.F) {
 	f.Add([]byte("name: x\nrun:\n  rate_gbps: 1\n  duration: 1ms\nchaos:\n  events: 100\n  window: 1us..2us\n"))
 	f.Add([]byte("name: \"x\"\nassertions:\n  - metric: avg_gbps\n"))
 	f.Add([]byte(":\n- -\n  -\n"))
+	for _, doc := range []string{clusterDoc, podDoc, keysSLBDoc, keysTraceDoc, keysFleetDoc} {
+		f.Add([]byte(doc))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 
+	"halsim/internal/cxl"
 	"halsim/internal/sim"
 )
 
@@ -28,19 +29,19 @@ func (o *Outcome) buildSections() []reportSection {
 	var secs []reportSection
 
 	// Run configuration echo.
-	r := s.Run
+	c, r := comp.Cfg, comp.RC
 	cfg := reportSection{Title: "Run"}
 	add := func(k, v string) { cfg.Rows = append(cfg.Rows, [2]string{k, v}) }
-	add("mode", r.ModeName)
-	add("fn", r.Fn.String())
-	if r.FnConfig != "" {
-		add("fn_config", r.FnConfig)
+	add("mode", strings.ToLower(c.Mode.String()))
+	add("fn", c.Fn.String())
+	if c.FnConfig != "" {
+		add("fn_config", c.FnConfig)
 	}
-	if r.PipelineOn {
-		add("pipeline", r.Pipeline.String())
+	if c.PipelineOn {
+		add("pipeline", c.Pipeline.String())
 	}
-	if r.Workload != "" {
-		add("workload", r.Workload)
+	if r.Workload != nil {
+		add("workload", r.Workload.String())
 	} else {
 		add("rate", fmt.Sprintf("%g Gbps", r.RateGbps))
 	}
@@ -52,10 +53,10 @@ func (o *Outcome) buildSections() []reportSection {
 	// choice are not — results are byte-identical across engines, and the
 	// report must be too.
 	add("seed", fmt.Sprintf("%d", comp.Seed))
-	if r.CXL {
+	if c.Fabric == cxl.CXL {
 		add("cxl", "true")
 	}
-	if comp.RC.Drain {
+	if r.Drain {
 		add("drain", "true")
 	}
 	secs = append(secs, cfg)

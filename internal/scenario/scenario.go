@@ -18,8 +18,8 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"time"
 
+	"halsim/internal/cxl"
 	"halsim/internal/nf"
 	"halsim/internal/scenario/yaml"
 	"halsim/internal/server"
@@ -42,74 +42,18 @@ type Scenario struct {
 	Name        string
 	Description string
 
-	Run        RunSpec
+	// Cfg and RC are the run template: the simulator's own configuration,
+	// which Compile copies and completes with the overrides, the fault
+	// schedule, phase marks, drain, the rate window and the timeline.
+	Cfg server.Config
+	RC  server.RunConfig
+	// drainSet records an explicit `drain:`; without one a run with
+	// faults drains, so the conservation ledger closes exactly.
+	drainSet bool
+
 	Events     []EventSpec
 	Chaos      *ChaosSpec
 	Assertions []Assertion
-}
-
-// RunSpec is the scenario's run template — the knobs `halsim`'s flags
-// expose, declaratively.
-type RunSpec struct {
-	ModeName string
-	Mode     server.Mode
-	Fn       nf.ID
-	FnConfig string
-
-	PipelineOn bool
-	Pipeline   nf.ID
-
-	RateGbps float64
-	Workload string // "" = constant rate
-	Duration sim.Time
-	Warmup   sim.Time
-	Seed     int64
-	Shards   int
-	CXL      bool
-
-	SLBCores     int
-	SLBFwdThGbps float64
-
-	Functional bool
-
-	// Cluster asks for a fleet: N full servers behind one shared ingress
-	// and a modeled ToR fabric (nil = single server).
-	Cluster *ClusterSpec
-
-	// Drain keeps the run going past Duration until in-flight packets
-	// settle (default: on whenever the scenario injects faults, so the
-	// conservation ledger closes exactly).
-	Drain    bool
-	drainSet bool
-
-	// RateWindow is the delivered-rate series resolution (default
-	// Duration/60, floored at 100 µs, whenever the scenario has faults or
-	// a recovery_time assertion).
-	RateWindow sim.Time
-
-	Telemetry TelemetrySpec
-}
-
-// TelemetrySpec opts the run into the observability layer. Prof opts a
-// sharded run into the parallel flight recorder; the report then carries a
-// "Parallel profile" section (deterministic per shard count, so it is
-// excluded from the cross-engine report-identity contract).
-type TelemetrySpec struct {
-	Timeline       bool
-	TimelinePeriod sim.Time
-	TraceEvery     int
-	Prof           bool
-}
-
-// ClusterSpec is the scenario's `run.cluster` block.
-type ClusterSpec struct {
-	Servers   int
-	Dispatch  string   // "" (rr) | rr | p2c | least-conn
-	Wire      sim.Time // one-way ToR latency (0 = default 2µs)
-	LinkGbps  float64  // per-server link bandwidth (0 = default 100)
-	Pods      int      // pods behind ToR uplinks (0/1 = flat star)
-	Oversub   float64  // pod uplink oversubscription ratio (0 = 1)
-	SpineWire sim.Time // one-way ingress->ToR spine latency (0 = Wire)
 }
 
 // EventSpec is one timed fault window of the scenario.
@@ -140,33 +84,8 @@ func Parse(data []byte) (*Scenario, error) {
 	if err != nil {
 		return nil, &ValidationError{msg: "scenario: " + err.Error()}
 	}
-	s := &Scenario{}
-	if err := checkKeys(doc, "scenario", "name", "description", "run", "events", "chaos", "assertions"); err != nil {
-		return nil, err
-	}
-	if n := doc.Get("name"); n != nil {
-		if s.Name, err = n.Scalar(); err != nil {
-			return nil, errf("name: %v", err)
-		}
-	}
-	if s.Name == "" {
-		return nil, errf("missing required top-level key `name`")
-	}
-	if n := doc.Get("description"); n != nil {
-		if s.Description, err = n.Scalar(); err != nil {
-			return nil, errf("description: %v", err)
-		}
-	}
-	if err := s.parseRun(doc.Get("run")); err != nil {
-		return nil, err
-	}
-	if err := s.parseEvents(doc.Get("events")); err != nil {
-		return nil, err
-	}
-	if err := s.parseChaos(doc.Get("chaos")); err != nil {
-		return nil, err
-	}
-	if err := s.parseAssertions(doc.Get("assertions")); err != nil {
+	s := &Scenario{Cfg: server.Config{Mode: server.HAL, Fn: nf.NAT, Seed: 1, SLBCores: 4, SLBFwdThGbps: 20}}
+	if err := decode(doc, topSection, s.keys()); err != nil {
 		return nil, err
 	}
 	if err := s.Validate(); err != nil {
@@ -188,344 +107,139 @@ func Load(path string) (*Scenario, error) {
 	return s, nil
 }
 
-// checkKeys rejects unknown keys in a mapping so typos fail loudly.
-func checkKeys(n *yaml.Node, section string, known ...string) error {
-	if n == nil {
-		return nil
-	}
-	if n.Kind != yaml.MapNode {
-		return errf("%s: line %d: want a mapping, have a %v", section, n.Line, n.Kind)
-	}
-	for _, k := range n.Keys {
-		found := false
-		for _, want := range known {
-			if k == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return errf("%s: line %d: unknown key %q (known: %s)",
-				section, n.Get(k).Line, k, strings.Join(known, ", "))
-		}
-	}
-	return nil
-}
-
-// dur parses a scalar duration ("500us", "2ms", "1s") into simulated time.
-func dur(n *yaml.Node, what string) (sim.Time, error) {
-	s, err := n.Scalar()
-	if err != nil {
-		return 0, errf("%s: %v", what, err)
-	}
-	d, err := time.ParseDuration(strings.TrimSpace(s))
-	if err != nil {
-		return 0, errf("%s: line %d: %q is not a duration (want e.g. 500us, 2ms)", what, n.Line, s)
-	}
-	return sim.Duration(d), nil
-}
-
-// timeRange parses "2ms..8ms" into a [from, to) window.
-func timeRange(s string, line int, what string) (from, to sim.Time, err error) {
-	lo, hi, ok := strings.Cut(s, "..")
-	if !ok {
-		return 0, 0, errf("%s: line %d: %q is not a range (want e.g. 2ms..8ms)", what, line, s)
-	}
-	dl, err1 := time.ParseDuration(strings.TrimSpace(lo))
-	dh, err2 := time.ParseDuration(strings.TrimSpace(hi))
-	if err1 != nil || err2 != nil {
-		return 0, 0, errf("%s: line %d: %q is not a duration range", what, line, s)
-	}
-	if dh <= dl {
-		return 0, 0, errf("%s: line %d: empty range %q", what, line, s)
-	}
-	return sim.Duration(dl), sim.Duration(dh), nil
-}
-
-func (s *Scenario) parseRun(n *yaml.Node) error {
-	if n == nil {
-		return errf("missing required `run` section")
-	}
-	if err := checkKeys(n, "run", "mode", "fn", "fn_config", "pipeline", "rate_gbps",
-		"workload", "duration", "warmup", "seed", "shards", "cxl", "slb_cores",
-		"slb_fwd_th_gbps", "functional", "drain", "rate_window", "telemetry",
-		"cluster"); err != nil {
-		return err
-	}
-	r := &s.Run
-	// Defaults.
-	r.ModeName, r.Mode = "hal", server.HAL
-	r.Fn = nf.NAT
-	r.Seed = 1
-	r.SLBCores, r.SLBFwdThGbps = 4, 20
-
-	var err error
-	if v := n.Get("mode"); v != nil {
-		name, err := v.Scalar()
-		if err != nil {
-			return errf("run.mode: %v", err)
-		}
-		if r.Mode, err = server.ParseMode(name); err != nil {
-			return errf("run.mode: line %d: %v", v.Line, err)
-		}
-		r.ModeName = strings.ToLower(name)
-	}
-	if v := n.Get("fn"); v != nil {
-		name, err := v.Scalar()
-		if err != nil {
-			return errf("run.fn: %v", err)
-		}
-		if r.Fn, err = nf.ParseID(name); err != nil {
-			return errf("run.fn: line %d: %v", v.Line, err)
-		}
-	}
-	if v := n.Get("fn_config"); v != nil {
-		if r.FnConfig, err = v.Scalar(); err != nil {
-			return errf("run.fn_config: %v", err)
-		}
-	}
-	if v := n.Get("pipeline"); v != nil {
-		name, err := v.Scalar()
-		if err != nil {
-			return errf("run.pipeline: %v", err)
-		}
-		if name != "" {
-			if r.Pipeline, err = nf.ParseID(name); err != nil {
-				return errf("run.pipeline: line %d: %v", v.Line, err)
-			}
-			r.PipelineOn = true
-		}
-	}
-	if v := n.Get("rate_gbps"); v != nil {
-		if r.RateGbps, err = v.Float(); err != nil {
-			return errf("run.rate_gbps: %v", err)
-		}
-	}
-	if v := n.Get("workload"); v != nil {
-		name, err := v.Scalar()
-		if err != nil {
-			return errf("run.workload: %v", err)
-		}
-		if name != "" {
-			if _, err := trace.ParseWorkload(strings.ToLower(name)); err != nil {
-				return errf("run.workload: line %d: %v", v.Line, err)
-			}
-			r.Workload = strings.ToLower(name)
-		}
-	}
-	if v := n.Get("duration"); v != nil {
-		if r.Duration, err = dur(v, "run.duration"); err != nil {
-			return err
-		}
-	}
-	if v := n.Get("warmup"); v != nil {
-		if r.Warmup, err = dur(v, "run.warmup"); err != nil {
-			return err
-		}
-	}
-	if v := n.Get("seed"); v != nil {
-		if r.Seed, err = v.Int64(); err != nil {
-			return errf("run.seed: %v", err)
-		}
-	}
-	if v := n.Get("shards"); v != nil {
-		sh, err := v.Int64()
-		if err != nil {
-			return errf("run.shards: %v", err)
-		}
-		r.Shards = int(sh)
-	}
-	if v := n.Get("cxl"); v != nil {
-		if r.CXL, err = v.Bool(); err != nil {
-			return errf("run.cxl: %v", err)
-		}
-	}
-	if v := n.Get("slb_cores"); v != nil {
-		c, err := v.Int64()
-		if err != nil {
-			return errf("run.slb_cores: %v", err)
-		}
-		r.SLBCores = int(c)
-	}
-	if v := n.Get("slb_fwd_th_gbps"); v != nil {
-		if r.SLBFwdThGbps, err = v.Float(); err != nil {
-			return errf("run.slb_fwd_th_gbps: %v", err)
-		}
-	}
-	if v := n.Get("functional"); v != nil {
-		if r.Functional, err = v.Bool(); err != nil {
-			return errf("run.functional: %v", err)
-		}
-	}
-	if v := n.Get("drain"); v != nil {
-		if r.Drain, err = v.Bool(); err != nil {
-			return errf("run.drain: %v", err)
-		}
-		r.drainSet = true
-	}
-	if v := n.Get("rate_window"); v != nil {
-		if r.RateWindow, err = dur(v, "run.rate_window"); err != nil {
-			return err
-		}
-	}
-	if v := n.Get("cluster"); v != nil {
-		if err := checkKeys(v, "run.cluster", "servers", "dispatch", "wire", "link_gbps", "pods", "oversub", "spine_wire"); err != nil {
-			return err
-		}
-		cl := &ClusterSpec{}
-		sv := v.Get("servers")
-		if sv == nil {
-			return errf("run.cluster: line %d: missing `servers`", v.Line)
-		}
-		nsrv, err := sv.Int64()
-		if err != nil {
-			return errf("run.cluster.servers: %v", err)
-		}
-		cl.Servers = int(nsrv)
-		if d := v.Get("dispatch"); d != nil {
-			if cl.Dispatch, err = d.Scalar(); err != nil {
-				return errf("run.cluster.dispatch: %v", err)
-			}
-			cl.Dispatch = strings.ToLower(cl.Dispatch)
-		}
-		if w := v.Get("wire"); w != nil {
-			if cl.Wire, err = dur(w, "run.cluster.wire"); err != nil {
+// keys is the document's table.
+func (s *Scenario) keys() []key {
+	return []key{
+		{name: "name", need: "missing required top-level key `%[3]s`", bind: func(n *yaml.Node, what string) error {
+			if err := str(&s.Name)(n, what); err != nil || s.Name != "" {
 				return err
 			}
-		}
-		if g := v.Get("link_gbps"); g != nil {
-			if cl.LinkGbps, err = g.Float(); err != nil {
-				return errf("run.cluster.link_gbps: %v", err)
-			}
-		}
-		if p := v.Get("pods"); p != nil {
-			np, err := p.Int64()
-			if err != nil {
-				return errf("run.cluster.pods: %v", err)
-			}
-			cl.Pods = int(np)
-		}
-		if o := v.Get("oversub"); o != nil {
-			if cl.Oversub, err = o.Float(); err != nil {
-				return errf("run.cluster.oversub: %v", err)
-			}
-		}
-		if sw := v.Get("spine_wire"); sw != nil {
-			if cl.SpineWire, err = dur(sw, "run.cluster.spine_wire"); err != nil {
+			return errMissing
+		}},
+		{name: "description", bind: str(&s.Description)},
+		{name: "run", need: "missing required `%[3]s` section", bind: func(n *yaml.Node, what string) error {
+			return decode(n, what, s.runKeys())
+		}},
+		{name: "events", bind: items(func(item *yaml.Node, what string) error {
+			ev := EventSpec{Line: item.Line, Side: "snic", Cores: 2, DropProb: 0.2}
+			if err := decode(item, what, ev.keys()); err != nil {
 				return err
 			}
-		}
-		r.Cluster = cl
-	}
-	if v := n.Get("telemetry"); v != nil {
-		if err := checkKeys(v, "run.telemetry", "timeline", "timeline_period", "trace_every", "prof"); err != nil {
-			return err
-		}
-		if t := v.Get("timeline"); t != nil {
-			if r.Telemetry.Timeline, err = t.Bool(); err != nil {
-				return errf("run.telemetry.timeline: %v", err)
-			}
-		}
-		if t := v.Get("timeline_period"); t != nil {
-			if r.Telemetry.TimelinePeriod, err = dur(t, "run.telemetry.timeline_period"); err != nil {
+			s.Events = append(s.Events, ev)
+			return nil
+		})},
+		{name: "chaos", bind: func(n *yaml.Node, what string) error {
+			s.Chaos = &ChaosSpec{Line: n.Line}
+			return decode(n, what, s.Chaos.keys())
+		}},
+		{name: "assertions", bind: items(func(item *yaml.Node, what string) error {
+			a := Assertion{Line: item.Line}
+			if err := decode(item, what, a.keys()); err != nil {
 				return err
 			}
-		}
-		if t := v.Get("trace_every"); t != nil {
-			e, err := t.Int64()
-			if err != nil {
-				return errf("run.telemetry.trace_every: %v", err)
-			}
-			r.Telemetry.TraceEvery = int(e)
-		}
-		if t := v.Get("prof"); t != nil {
-			if r.Telemetry.Prof, err = t.Bool(); err != nil {
-				return errf("run.telemetry.prof: %v", err)
-			}
-		}
+			s.Assertions = append(s.Assertions, a)
+			return nil
+		})},
 	}
-	return nil
 }
 
-func (s *Scenario) parseEvents(n *yaml.Node) error {
-	if n == nil {
-		return nil
-	}
-	if n.Kind != yaml.SeqNode {
-		return errf("events: line %d: want a sequence of events, have a %v", n.Line, n.Kind)
-	}
-	for i, item := range n.Items {
-		what := fmt.Sprintf("events[%d]", i)
-		if err := checkKeys(item, what, "at", "for", "kind", "side", "cores", "drop_prob", "server"); err != nil {
+// runKeys is the `run` section's table, onto the template's Cfg and RC.
+func (s *Scenario) runKeys() []key {
+	c, r := &s.Cfg, &s.RC
+	return []key{
+		{name: "mode", bind: scalar(func(v string) (err error) { c.Mode, err = server.ParseMode(v); return err })},
+		{name: "fn", bind: scalar(func(v string) (err error) { c.Fn, err = nf.ParseID(v); return err })},
+		{name: "fn_config", bind: str(&c.FnConfig)},
+		{name: "pipeline", bind: scalar(func(v string) (err error) {
+			if v != "" {
+				c.Pipeline, err = nf.ParseID(v)
+				c.PipelineOn = err == nil
+			}
 			return err
-		}
-		ev := EventSpec{Line: item.Line, Side: "snic", Cores: 2, DropProb: 0.2}
-		var err error
-		at := item.Get("at")
-		if at == nil {
-			return errf("%s: line %d: missing `at`", what, item.Line)
-		}
-		if ev.At, err = dur(at, what+".at"); err != nil {
+		})},
+		{name: "rate_gbps", bind: float(&r.RateGbps)},
+		{name: "workload", bind: scalar(func(v string) error {
+			if v == "" {
+				return nil
+			}
+			w, err := trace.ParseWorkload(strings.ToLower(v))
+			if err == nil {
+				r.Workload = &w
+			}
 			return err
-		}
-		forN := item.Get("for")
-		if forN == nil {
-			return errf("%s: line %d: missing `for` (the fault window's length)", what, item.Line)
-		}
-		if ev.For, err = dur(forN, what+".for"); err != nil {
+		})},
+		{name: "duration", bind: duration(&r.Duration)},
+		{name: "warmup", bind: duration(&r.Warmup)},
+		{name: "seed", bind: integer64(&c.Seed)},
+		{name: "shards", bind: integer(&c.Shards)},
+		{name: "cxl", bind: func(n *yaml.Node, what string) error {
+			var on bool
+			err := boolean(&on)(n, what)
+			if on {
+				c.Fabric = cxl.CXL
+			}
 			return err
-		}
-		kindN := item.Get("kind")
-		if kindN == nil {
-			return errf("%s: line %d: missing `kind`", what, item.Line)
-		}
-		if ev.Kind, err = kindN.Scalar(); err != nil {
-			return errf("%s.kind: %v", what, err)
-		}
-		if v := item.Get("side"); v != nil {
-			side, err := v.Scalar()
-			if err != nil {
-				return errf("%s.side: %v", what, err)
-			}
-			if side != "snic" && side != "host" {
-				return errf("%s.side: line %d: want snic or host, have %q", what, v.Line, side)
-			}
-			if ev.Kind != "core-crash" && ev.Kind != "rx-drop" {
-				return errf("%s.side: line %d: `side` only applies to core-crash and rx-drop", what, v.Line)
-			}
-			ev.Side = side
-		}
-		if v := item.Get("cores"); v != nil {
-			if ev.Kind != "core-crash" {
-				return errf("%s.cores: line %d: `cores` only applies to core-crash", what, v.Line)
-			}
-			c, err := v.Int64()
-			if err != nil {
-				return errf("%s.cores: %v", what, err)
-			}
-			ev.Cores = int(c)
-		}
-		if v := item.Get("drop_prob"); v != nil {
-			if ev.Kind != "rx-drop" {
-				return errf("%s.drop_prob: line %d: `drop_prob` only applies to rx-drop", what, v.Line)
-			}
-			if ev.DropProb, err = v.Float(); err != nil {
-				return errf("%s.drop_prob: %v", what, err)
-			}
-		}
-		if v := item.Get("server"); v != nil {
-			if ev.Kind != "server-crash" {
-				return errf("%s.server: line %d: `server` only applies to server-crash", what, v.Line)
-			}
-			srv, err := v.Int64()
-			if err != nil {
-				return errf("%s.server: %v", what, err)
-			}
-			ev.Server = int(srv)
-		}
-		s.Events = append(s.Events, ev)
+		}},
+		{name: "slb_cores", bind: integer(&c.SLBCores)},
+		{name: "slb_fwd_th_gbps", bind: float(&c.SLBFwdThGbps)},
+		{name: "functional", bind: boolean(&c.Functional)},
+		{name: "drain", bind: func(n *yaml.Node, what string) error {
+			s.drainSet = true
+			return boolean(&r.Drain)(n, what)
+		}},
+		{name: "rate_window", bind: duration(&r.RateWindow)},
+		{name: "telemetry", bind: func(n *yaml.Node, what string) error {
+			t := &c.Telemetry
+			return decode(n, what, []key{
+				{name: "timeline", bind: boolean(&t.Timeline)},
+				{name: "timeline_period", bind: duration(&t.TimelinePeriod)},
+				{name: "trace_every", bind: integer(&t.TraceEvery)},
+				{name: "prof", bind: boolean(&t.Prof)},
+			})
+		}},
+		{name: "cluster", bind: func(n *yaml.Node, what string) error {
+			cl := &server.ClusterConfig{}
+			c.Cluster = cl
+			return decode(n, what, []key{
+				{name: "servers", bind: integer(&cl.Servers), need: missingKey},
+				{name: "dispatch", bind: lower(&cl.Dispatch)},
+				{name: "wire", bind: duration(&cl.WireNS)},
+				{name: "link_gbps", bind: float(&cl.LinkGbps)},
+				{name: "pods", bind: integer(&cl.Pods)},
+				{name: "oversub", bind: float(&cl.Oversub)},
+				{name: "spine_wire", bind: duration(&cl.SpineWireNS)},
+			})
+		}},
 	}
-	return nil
+}
+
+// keys is one event's table; side, cores, drop_prob and server apply to
+// some kinds only, so kind binds first.
+func (ev *EventSpec) keys() []key {
+	only := func(kinds ...string) binder {
+		return func(n *yaml.Node, what string) error {
+			if slices.Contains(kinds, ev.Kind) {
+				return nil
+			}
+			return errf("%s: line %d: `%s` only applies to %s",
+				what, n.Line, what[strings.LastIndexByte(what, '.')+1:], strings.Join(kinds, " and "))
+		}
+	}
+	return []key{
+		{name: "at", bind: duration(&ev.At), need: missingKey},
+		{name: "for", bind: duration(&ev.For), need: missingKey + " (the fault window's length)"},
+		{name: "kind", bind: str(&ev.Kind), need: missingKey},
+		{name: "side", bind: both(scalar(func(v string) error {
+			if v != "snic" && v != "host" {
+				return fmt.Errorf("want snic or host, have %q", v)
+			}
+			ev.Side = v
+			return nil
+		}), only("core-crash", "rx-drop"))},
+		{name: "cores", bind: both(only("core-crash"), integer(&ev.Cores))},
+		{name: "drop_prob", bind: both(only("rx-drop"), float(&ev.DropProb))},
+		{name: "server", bind: both(only("server-crash"), integer(&ev.Server))},
+	}
 }
 
 // Validate checks cross-field consistency — durations, event windows inside
@@ -534,11 +248,11 @@ func (s *Scenario) parseEvents(n *yaml.Node) error {
 // Parse calls it; callers building or mutating a Scenario programmatically
 // (halsim's flag path does) call it before Compile.
 func (s *Scenario) Validate() error {
-	r := &s.Run
+	r := &s.RC
 	if r.Duration <= 0 {
 		return errf("run.duration: must be positive (have %v)", r.Duration)
 	}
-	if r.RateGbps <= 0 && r.Workload == "" {
+	if r.RateGbps <= 0 && r.Workload == nil {
 		return errf("run: need rate_gbps > 0 or a workload")
 	}
 	if r.Warmup < 0 || r.Warmup >= r.Duration {
@@ -573,18 +287,18 @@ func (s *Scenario) Validate() error {
 			return errf("%s: accel-degrade targets the SNIC accelerator", what)
 		}
 		if ev.Kind == "server-crash" {
-			if r.Cluster == nil {
+			if s.Cfg.Cluster == nil {
 				return errf("%s: server-crash needs a run.cluster block", what)
 			}
-		} else if r.Cluster != nil {
+		} else if s.Cfg.Cluster != nil {
 			return errf("%s: %s targets a single server's internals; fleet runs only take server-crash events", what, ev.Kind)
 		}
 	}
-	if r.Cluster != nil {
+	if s.Cfg.Cluster != nil {
 		if s.Chaos != nil {
 			return errf("chaos: not supported with run.cluster (chaos draws single-server faults)")
 		}
-		if r.Telemetry.TraceEvery > 0 {
+		if s.Cfg.Telemetry.TraceEvery > 0 {
 			return errf("run.telemetry.trace_every: packet tracing is not supported with run.cluster")
 		}
 	}

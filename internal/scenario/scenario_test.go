@@ -68,11 +68,11 @@ func TestParseFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name != "full" || s.Run.Mode != server.HAL || s.Run.Fn != nf.NAT {
-		t.Fatalf("run spec mismatch: %+v", s.Run)
+	if s.Name != "full" || s.Cfg.Mode != server.HAL || s.Cfg.Fn != nf.NAT {
+		t.Fatalf("run template mismatch: %+v", s.Cfg)
 	}
-	if s.Run.Seed != 7 || s.Run.Shards != 1 || s.Run.Warmup != 200*sim.Microsecond {
-		t.Fatalf("run knobs mismatch: %+v", s.Run)
+	if s.Cfg.Seed != 7 || s.Cfg.Shards != 1 || s.RC.Warmup != 200*sim.Microsecond {
+		t.Fatalf("run knobs mismatch: %+v %+v", s.Cfg, s.RC)
 	}
 	if len(s.Events) != 2 || s.Events[0].Kind != "core-crash" || s.Events[1].DropProb != 0.1 {
 		t.Fatalf("events mismatch: %+v", s.Events)
@@ -120,8 +120,8 @@ func TestParseFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fleet.Run.Shards != 2 || fc.Cfg.Shards != 2 || fc.Cfg.Cluster == nil || fc.Cfg.Cluster.Servers != 4 {
-		t.Fatalf("fleet shards lowered wrong: run %+v, cfg shards %d cluster %+v", fleet.Run, fc.Cfg.Shards, fc.Cfg.Cluster)
+	if fleet.Cfg.Shards != 2 || fc.Cfg.Shards != 2 || fc.Cfg.Cluster == nil || fc.Cfg.Cluster.Servers != 4 {
+		t.Fatalf("fleet shards lowered wrong: template shards %d, cfg shards %d cluster %+v", fleet.Cfg.Shards, fc.Cfg.Shards, fc.Cfg.Cluster)
 	}
 }
 
@@ -158,6 +158,7 @@ func TestParseErrors(t *testing.T) {
 		{"slb cores out of range", "name: x\nrun:\n  mode: slb\n  slb_cores: 9\n  rate_gbps: 10\n  duration: 1ms\n", "SLB needs 1..7 forwarding cores"},
 		{"bad dispatch", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\n  cluster:\n    servers: 4\n    dispatch: random\n", "unknown dispatch policy"},
 		{"negative rate window", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\n  rate_window: -1ms\n", "negative rate window"},
+		{"rate beside workload", "name: x\nrun:\n  rate_gbps: 10\n  workload: cache\n  duration: 1ms\n", "both a constant rate (10 Gbps) and the cache trace workload set"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -203,11 +204,11 @@ func TestChaosGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := s.Chaos.generate(42, s.Run.Duration)
+	first, err := s.Chaos.generate(42, s.RC.Duration)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := s.Chaos.generate(42, s.Run.Duration)
+	again, err := s.Chaos.generate(42, s.RC.Duration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestChaosGeneration(t *testing.T) {
 			t.Fatalf("window %d differs: %+v vs %+v", i, first[i], again[i])
 		}
 	}
-	other, err := s.Chaos.generate(43, s.Run.Duration)
+	other, err := s.Chaos.generate(43, s.RC.Duration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestChaosGeneration(t *testing.T) {
 	// windows are active at once. The most are active at some window's
 	// start, so counting the windows active at each start covers every
 	// instant.
-	spec := s.Chaos.withDefaults(42, s.Run.Duration)
+	spec := s.Chaos.withDefaults(42, s.RC.Duration)
 	for i, a := range first {
 		active := 0
 		for j, b := range first {

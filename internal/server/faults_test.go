@@ -2,6 +2,7 @@ package server
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"halsim/internal/fault"
@@ -236,5 +237,14 @@ func TestUnknownWorkloadRejected(t *testing.T) {
 		RunConfig{Duration: 10 * sim.Millisecond, Workload: &w})
 	if err == nil {
 		t.Fatal("unknown workload should be rejected, not panic")
+	}
+}
+
+func TestRateBesideWorkloadRejected(t *testing.T) {
+	w := trace.Web
+	_, err := Run(Config{Mode: HAL, Fn: nf.NAT},
+		RunConfig{Duration: 10 * sim.Millisecond, RateGbps: 60, Workload: &w})
+	if err == nil || !strings.Contains(err.Error(), "a trace draws its own rate") {
+		t.Fatalf("a rate beside a workload should be rejected, have %v", err)
 	}
 }

@@ -32,20 +32,13 @@ type Meter struct {
 func NewMeter(rc RunConfig, col *telemetry.Collector) *Meter {
 	m := &Meter{
 		warmup:     rc.Warmup,
-		window:     10 * sim.Millisecond,
+		window:     MaxWindow(rc),
 		rateWindow: rc.RateWindow,
 		lat:        stats.NewHistogram(),
 		bounds:     newPhaseBounds(rc),
 	}
 	if col != nil {
 		m.tl = col.Timeline
-	}
-	// Constant-rate runs use 10 ms MaxGbps windows; trace runs use the
-	// epoch so a one-epoch burst registers at its actual rate instead of
-	// being averaged away — this is what makes "max throughput" differ
-	// between a ~90G host and a ~100G HAL.
-	if rc.Workload != nil {
-		m.window = TraceEpoch
 	}
 	for i := 1; i < len(m.bounds); i++ {
 		m.phaseLat = append(m.phaseLat, stats.NewHistogram())

@@ -168,6 +168,17 @@ type Config struct {
 // (RunConfig.Workload).
 const TraceEpoch = sim.Millisecond
 
+// MaxWindow is the window Result.MaxGbps is measured over: 10 ms at a
+// constant rate; on a trace, the epoch, so a one-epoch burst registers at
+// its actual rate instead of being averaged away — this is what makes
+// "max throughput" differ between a ~90G host and a ~100G HAL.
+func MaxWindow(rc RunConfig) sim.Time {
+	if rc.Workload != nil {
+		return TraceEpoch
+	}
+	return 10 * sim.Millisecond
+}
+
 // RunConfig describes one experiment run.
 type RunConfig struct {
 	Duration sim.Time
@@ -204,7 +215,7 @@ type Result struct {
 
 	OfferedGbps     float64
 	AvgGbps         float64 // delivered, post-warmup average
-	MaxGbps         float64 // best delivered window: 10 ms, TraceEpoch on a trace
+	MaxGbps         float64 // best delivered window (MaxWindow)
 	P50us, P99us    float64
 	P999us          float64
 	AvgPowerW       float64
@@ -350,6 +361,10 @@ func prepare(cfg *Config, rc *RunConfig) error {
 	}
 	if rc.Duration <= 0 {
 		return fmt.Errorf("server: non-positive duration")
+	}
+	if rc.RateGbps > 0 && rc.Workload != nil {
+		return fmt.Errorf("server: both a constant rate (%g Gbps) and the %v trace workload set; a trace draws its own rate",
+			rc.RateGbps, *rc.Workload)
 	}
 	if err := checkFn(cfg.Fn, cfg.FnConfig); err != nil {
 		return err

@@ -56,7 +56,6 @@ type station struct {
 
 	// Accounting.
 	busyTime  sim.Time
-	pktsDone  uint64
 	bytesDone uint64
 	// window accumulators for power sampling: bytes served since the
 	// last power sample.
@@ -268,7 +267,6 @@ func (s *station) completeServe(arg any, n int64) {
 	}
 	p := arg.(*packet.Packet)
 	c.inflight = nil
-	s.pktsDone++
 	s.bytesDone += uint64(p.WireLen)
 	s.windowBytes += int64(p.WireLen)
 	if s.tr != nil && s.tr.Sampled(p.ID) {

@@ -47,9 +47,6 @@ func TestStationFailCoreRehomesInflightAndBacklog(t *testing.T) {
 	if len(served) != 3 {
 		t.Fatalf("served %d packets, want all 3 on the surviving core", len(served))
 	}
-	if st.pktsDone != 3 {
-		t.Fatalf("pktsDone = %d", st.pktsDone)
-	}
 	// Failing a dead core again is a no-op.
 	st.failCore(0)
 	if st.crashes != 1 {
@@ -68,8 +65,8 @@ func TestStationCrashedCoreCompletionVoided(t *testing.T) {
 	eng.Run()
 	// The packet completes exactly once — on the surviving core, not via
 	// the crashed core's stale completion event.
-	if served != 1 || st.pktsDone != 1 {
-		t.Fatalf("served = %d, pktsDone = %d; want 1/1", served, st.pktsDone)
+	if served != 1 || st.bytesDone != 1500 {
+		t.Fatalf("served = %d, bytesDone = %d; want 1/1500", served, st.bytesDone)
 	}
 }
 

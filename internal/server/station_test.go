@@ -49,8 +49,8 @@ func TestStationServesFIFOPerQueue(t *testing.T) {
 			t.Fatalf("order %v", served)
 		}
 	}
-	if st.pktsDone != 5 || st.bytesDone != 5*1500 {
-		t.Fatalf("counters %d/%d", st.pktsDone, st.bytesDone)
+	if st.bytesDone != 5*1500 {
+		t.Fatalf("bytesDone = %d", st.bytesDone)
 	}
 }
 

@@ -9,12 +9,9 @@ import "testing"
 // appends by design and is only used by bounded, off-hot-path collectors.)
 func TestRecordPathsAllocationFree(t *testing.T) {
 	h := NewHistogram()
-	m := NewRateMeter(int64(1e6))
 	// Warm up so lazily sized internals (histogram buckets) exist.
 	h.Record(12345)
 	h.RecordN(99, 3)
-	m.Add(1)
-	m.Roll()
 
 	// Merge source and ForEachBucket callback are prebound so the pins
 	// measure the methods themselves, not test-harness captures.
@@ -36,8 +33,6 @@ func TestRecordPathsAllocationFree(t *testing.T) {
 		{"Histogram.Quantile", func() { _ = h.Quantile(0.99) }},
 		{"Histogram.Merge", func() { h.Merge(src) }},
 		{"Histogram.ForEachBucket", func() { h.ForEachBucket(visit) }},
-		{"RateMeter.Add", func() { m.Add(5) }},
-		{"RateMeter.Roll", func() { _ = m.Roll() }},
 	}
 	for _, c := range cases {
 		if avg := testing.AllocsPerRun(200, c.fn); avg != 0 {

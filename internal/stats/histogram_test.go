@@ -333,21 +333,6 @@ func TestHistogramGrowthMatchesFullRange(t *testing.T) {
 	}
 }
 
-func TestRateMeter(t *testing.T) {
-	m := NewRateMeter(10_000) // 10µs window
-	m.Add(1250)               // 1250 bytes in 10µs = 125 MB/s = 1 Gbps
-	r := m.Roll()
-	if math.Abs(r-1.25e8) > 1 {
-		t.Fatalf("rate = %v, want 1.25e8 B/s", r)
-	}
-	if m.Rate() != r {
-		t.Fatal("Rate() should return last rolled value")
-	}
-	if m.Roll() != 0 {
-		t.Fatal("empty window should roll to 0")
-	}
-}
-
 func TestBar(t *testing.T) {
 	if Bar(5, 10, 10) != "#####" {
 		t.Fatalf("Bar = %q", Bar(5, 10, 10))
