@@ -113,6 +113,11 @@ func TestBadInputsExitUsage(t *testing.T) {
 		"name: slb9\nrun:\n  mode: slb\n  slb_cores: 9\n  rate_gbps: 40\n  duration: 5ms\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	traceNeg := filepath.Join(t.TempDir(), "trace-neg.yaml")
+	if err := os.WriteFile(traceNeg, []byte(
+		"name: trace-neg\nrun:\n  rate_gbps: 40\n  duration: 5ms\n  telemetry:\n    trace_every: -5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	fnBogus := filepath.Join(t.TempDir(), "fn-bogus.yaml")
 	if err := os.WriteFile(fnBogus, []byte(
 		"name: fn-bogus\nrun:\n  fn: KVS\n  fn_config: bogus\n  rate_gbps: 40\n  duration: 5ms\n"), 0o644); err != nil {
@@ -139,6 +144,9 @@ func TestBadInputsExitUsage(t *testing.T) {
 		{[]string{"-fault", "rx-drop", "-fault-drop", "1.5"}, "drop_prob in (0, 1]"},
 		{[]string{"-workload", "web", "-rate", "60"}, "both a constant rate (60 Gbps) and the web trace workload set"},
 		{[]string{"-workload", "weekend"}, "unknown workload"},
+		{[]string{"-timeline", "t.csv", "-timeline-period", "-1ms"}, "negative timeline period -1ms"},
+		{[]string{"run", traceNeg, "-trace-out", "t.json"}, "negative trace sampling interval -5"},
+		{[]string{"-servers", "4", "-timeline", "t.csv", "-timeline-period", "-1ms"}, "negative timeline period -1ms"},
 
 		// Flags set where they shape nothing.
 		{[]string{"-slb-cores", "3"}, "-slb-cores set without -mode slb"},

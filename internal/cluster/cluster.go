@@ -7,6 +7,9 @@
 // microsecond latency is exactly the lookahead the run-ahead planner
 // feeds on. Serial and sharded cluster runs produce byte-identical
 // Results; telemetry and the flight recorder stay read-only observers.
+// The runner owns the barriers: it advances serial and sharded fleets
+// alike to just before each telemetry instant, samples the quiescent
+// state there, and then runs on to the end of the run.
 package cluster
 
 import (
@@ -23,8 +26,8 @@ import (
 )
 
 // maxGroups keeps worker count (groups + ingress) within the executor's
-// worker cap and the engine's eight-bit rank budget: ranks 1..groups+1
-// for the LPs plus rank 0 for the control engine must all stay below 256.
+// worker cap and the engine's eight-bit rank budget: the LPs take ranks
+// 1..groups+1, which must stay below 256.
 const maxGroups = 254
 
 // crun is one cluster run.
@@ -34,11 +37,8 @@ type crun struct {
 	rc  server.RunConfig
 
 	// engs[0] is the ingress/fabric engine; engs[1..groups] the server
-	// group engines. Serial runs alias every slot (and ctrl) to one
-	// engine. ctrl carries only the telemetry tick, so a telemetry-off
-	// parallel run advances in one coordinator round.
+	// group engines of a parallel run. A serial run has the one engine.
 	engs   []*sim.Engine
-	ctrl   *sim.Engine
 	x      *par.Exec
 	pools  []*packet.Pool
 	groups int
@@ -54,21 +54,15 @@ type crun struct {
 	// scalar and its request's length in ReqLen, so no per-request table
 	// is needed. m is the fleet's client-side meter.
 	outstanding []int64
-	totalPkts   []uint64 // per server, all-time dispatched
-	totalB      []uint64
-	sentPkts    []uint64 // per server, post-warmup dispatched
-	sentB       []uint64
 	m           *server.Meter
-	tickers     []*sim.Ticker
 	reqCalls    []sim.Call
 	respCall    sim.Call
 	upCall      sim.Call
 
-	// Cluster-owned telemetry (ctrl tick at barriers).
+	// Cluster-owned telemetry, sampled between run's advances.
 	col        *telemetry.Collector
 	rec        *prof.Recorder
 	telPeriod  sim.Time
-	telStop    bool
 	prevEvents uint64
 	laneNames  []string
 }
@@ -122,8 +116,6 @@ func (c *crun) build() error {
 	// shared pair in a serial one (restoring the global free list and
 	// queue a one-engine run would have).
 	if parallel {
-		c.ctrl = sim.NewEngine()
-		c.ctrl.SetRank(0)
 		for w := 0; w <= c.groups; w++ {
 			e := sim.NewEngine()
 			e.SetRank(w + 1)
@@ -144,13 +136,10 @@ func (c *crun) build() error {
 				par.Link{Src: 0, Dst: g, Latency: downLat},
 				par.Link{Src: g, Dst: 0, Latency: c.cc.WireNS})
 		}
-		c.x = par.New(c.ctrl, c.engs, topo)
+		c.x = par.New(c.engs, topo)
 	} else {
-		e := sim.NewEngine()
-		p := packet.NewPool()
-		c.ctrl = e
-		c.engs = []*sim.Engine{e}
-		c.pools = []*packet.Pool{p}
+		c.engs = []*sim.Engine{sim.NewEngine()}
+		c.pools = []*packet.Pool{packet.NewPool()}
 	}
 
 	// Lane names: ingress plus each group's server range.
@@ -207,10 +196,6 @@ func (c *crun) build() error {
 	// Ingress: dispatch policy, outstanding counts, measurement.
 	c.disp = newDispatcher(c.cc.Dispatch, n, c.cfg.Seed)
 	c.outstanding = make([]int64, n)
-	c.totalPkts = make([]uint64, n)
-	c.totalB = make([]uint64, n)
-	c.sentPkts = make([]uint64, n)
-	c.sentB = make([]uint64, n)
 	c.respCall = func(a any, srv int64) { c.deliver(a.(*packet.Packet), int(srv)) }
 	// upCall finishes a podded response's trip at the ingress: it fires
 	// at the ToR-arrival instant, serializes the frame onto the pod's
@@ -266,78 +251,49 @@ func (c *crun) start() {
 	for _, inst := range c.insts {
 		inst.Start()
 	}
-
 	// The fleet's client-side meter runs at the ingress, fed by
 	// response arrivals in request bytes.
-	c.tickers = c.m.Start(c.engs[0])
-
-	// Cluster telemetry tick: a control event, so in a parallel run each
-	// sample lands at a coordinator barrier where every LP's state is
-	// quiescent and readable. Offset one nanosecond past the period so
-	// the tick never shares an instant with the servers' own periodic
-	// work (all of which runs at whole-period multiples).
-	if c.col != nil {
-		var tick sim.Call
-		tick = func(any, int64) {
-			if c.telStop {
-				return
-			}
-			c.sample()
-			c.ctrl.AtCall(c.ctrl.Now()+c.telPeriod, tick, nil, 0)
-		}
-		c.ctrl.AtCall(c.telPeriod+1, tick, nil, 0)
-	}
-
+	c.m.Start(c.engs[0])
 	c.src.Start()
 }
 
 // run advances the fleet to Duration (and through the drain when asked).
+// Telemetry samples at instants k·period+1, one nanosecond past the
+// servers' own periodic work (all of which runs at whole-period
+// multiples): the fleet advances through k·period inclusive — a barrier
+// in a parallel run, where every LP is quiescent — and samples there.
 func (c *crun) run() {
-	if c.x == nil {
-		c.engs[0].RunUntil(c.rc.Duration)
-		if c.rc.Drain {
-			c.stopOffering()
-			c.engs[0].Run()
+	advance, drain := c.engs[0].RunUntil, c.engs[0].Run
+	if c.x != nil {
+		c.x.Start()
+		defer c.x.Shutdown()
+		advance, drain = c.x.AdvanceTo, c.x.DrainAll
+	}
+	if c.col != nil {
+		for t := c.telPeriod + 1; t <= c.rc.Duration; t += c.telPeriod {
+			advance(t - 1)
+			c.sample(t)
 		}
-		return
 	}
-	c.x.Start()
-	defer c.x.Shutdown()
-	c.x.AdvanceTo(c.rc.Duration)
+	advance(c.rc.Duration)
 	if c.rc.Drain {
-		// The final barrier parked every shard at Duration; the
-		// coordinator owns all state, exactly like the serial drain
-		// instant.
-		c.stopOffering()
-		c.x.DrainAll()
+		// Every engine is parked at Duration and this goroutine owns all
+		// state. Stopping the traffic and every periodic process lets
+		// the event population empty.
+		c.src.Stop()
+		for _, e := range c.engs {
+			e.CancelTickers()
+		}
+		drain()
 	}
 }
 
-// stopOffering ends traffic and cancels every periodic process so the
-// event population can empty.
-func (c *crun) stopOffering() {
-	c.src.Stop()
-	for _, t := range c.tickers {
-		t.Cancel()
-	}
-	for _, inst := range c.insts {
-		inst.CancelTickers()
-	}
-	c.telStop = true
-}
-
-// dispatch is the ingress's emit hook: pick a server, account the offered
-// packet, serialize it onto that server's down-link and send it across
+// dispatch is the ingress's emit hook: pick a server, count it in flight,
+// serialize the packet onto that server's down-link and send it across
 // the fabric. at is the arrival instant at the ingress (burst coalescing
 // may place it ahead of the clock).
 func (c *crun) dispatch(p *packet.Packet, at sim.Time) {
 	i := c.disp.pick(c.outstanding)
-	c.totalPkts[i]++
-	c.totalB[i] += uint64(p.WireLen)
-	if sim.Time(p.CreatedAt) >= c.rc.Warmup {
-		c.sentPkts[i]++
-		c.sentB[i] += uint64(p.WireLen)
-	}
 	c.outstanding[i]++
 	arr := c.fab.down(i, at, p.WireLen)
 	if c.x == nil {
@@ -379,13 +335,11 @@ func (c *crun) deliver(p *packet.Packet, srv int) {
 	c.pools[0].Put(p)
 }
 
-// sample assembles one fleet-wide telemetry sample. It runs as a control
-// event: at a coordinator barrier in a parallel run, inline in a serial
-// one — either way every counter it reads is quiescent and equals the
-// serial value at this instant.
-func (c *crun) sample() {
-	var s telemetry.Sample
-	s.T = c.ctrl.Now()
+// sample assembles one fleet-wide telemetry sample stamped t. It runs
+// between advances — at a barrier of a parallel run — so every counter it
+// reads is quiescent and equals the serial value.
+func (c *crun) sample(t sim.Time) {
+	s := telemetry.Sample{T: t}
 	nctl := 0
 	for _, inst := range c.insts {
 		if inst.AddSample(&s, c.telPeriod) {
@@ -398,7 +352,7 @@ func (c *crun) sample() {
 		s.SNICTPGbps /= float64(nctl)
 	}
 	var ev uint64
-	for _, e := range c.distinctEngines() {
+	for _, e := range c.engs {
 		ev += e.Processed()
 	}
 	s.Events = ev - c.prevEvents
@@ -407,20 +361,10 @@ func (c *crun) sample() {
 	c.col.Publish(s, sent)
 }
 
-// distinctEngines lists every engine exactly once (serial runs alias
-// them all).
-func (c *crun) distinctEngines() []*sim.Engine {
-	if c.x == nil {
-		return c.engs[:1]
-	}
-	return append(append([]*sim.Engine{}, c.engs...), c.ctrl)
-}
-
 // collect aggregates per-server Results and the ingress's own
 // measurements into one fleet Result.
 func (c *crun) collect() server.Result {
-	totalP, totalB, sentP, sentB := c.src.Offered()
-	_ = totalB
+	totalP, _, sentP, sentB := c.src.Offered()
 	measured := c.rc.Duration - c.rc.Warmup
 
 	res := server.Result{
@@ -433,12 +377,9 @@ func (c *crun) collect() server.Result {
 		res.OfferedGbps = float64(sentB) * 8 / float64(measured)
 	}
 
-	// Per-server collection. Offered counters are installed from the
-	// ingress's dispatch ledger first so each server's own conservation
-	// audit closes.
+	// Per-server collection; the offered side is the ingress's.
 	sub := make([]server.Result, len(c.insts))
 	for i, inst := range c.insts {
-		inst.SetOffered(c.totalPkts[i], c.totalB[i], c.sentPkts[i], c.sentB[i])
 		sub[i] = inst.Collect()
 	}
 	var snicShareNum float64
@@ -508,7 +449,6 @@ func (c *crun) collect() server.Result {
 		for w, e := range c.engs {
 			c.rec.AddWheel(c.laneNames[w], e.WheelStats())
 		}
-		c.rec.AddWheel("ctrl", c.ctrl.WheelStats())
 		res.Prof = c.rec
 		if c.col != nil {
 			c.col.PublishProf(c.rec)
@@ -517,7 +457,9 @@ func (c *crun) collect() server.Result {
 	if c.col != nil {
 		res.Timeline = c.col.Timeline
 		res.Metrics = c.col.Registry
-		c.sample()
+		// Every engine's clock is the run's end: Duration, or the last
+		// drained event's instant (a parallel drain's last barrier).
+		c.sample(c.engs[0].Now())
 	}
 	return res
 }

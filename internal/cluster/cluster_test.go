@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"halsim/internal/nf"
 	"halsim/internal/packet"
 	"halsim/internal/server"
 	"halsim/internal/sim"
+	"halsim/internal/telemetry"
 	"halsim/internal/trace"
 )
 
@@ -118,5 +120,57 @@ func TestFleetMeter(t *testing.T) {
 	}
 	if serial.MaxGbps != wantMax {
 		t.Errorf("MaxGbps %v, deliveries give %v", serial.MaxGbps, wantMax)
+	}
+}
+
+// TestFleetTimelineAcrossEngines pins the sampling barriers the runner
+// owns: a drained fleet with a server blackout, sampled at an odd period,
+// writes the same timeline and metric text on the serial engine and
+// sharded two ways. Every sample but the last sits at k·period+1; the last
+// closes the drain, past Duration.
+func TestFleetTimelineAcrossEngines(t *testing.T) {
+	const (
+		period   = 37 * sim.Microsecond
+		duration = sim.Millisecond
+	)
+	run := func(shards int) (csv, metrics string, tl *telemetry.Timeline) {
+		res, err := Run(server.Config{Mode: server.HAL, Fn: nf.NAT, Seed: 3, Shards: shards,
+			Telemetry: telemetry.Config{Timeline: true, TimelinePeriod: period},
+			Cluster: &server.ClusterConfig{Servers: 6, Dispatch: "p2c",
+				Crashes: []server.ServerCrash{{Server: 2, At: 300 * sim.Microsecond, For: 200 * sim.Microsecond}}}},
+			server.RunConfig{Duration: duration, RateGbps: 60, Drain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c, m strings.Builder
+		if err := res.Timeline.WriteCSV(&c); err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Metrics.WriteText(&m); err != nil {
+			t.Fatal(err)
+		}
+		return c.String(), m.String(), res.Timeline
+	}
+	csv, metrics, tl := run(0)
+	for _, shards := range []int{3, 7} {
+		c, m, _ := run(shards)
+		if c != csv {
+			t.Errorf("shards %d: timeline differs from serial:\n%s\nserial:\n%s", shards, c, csv)
+		}
+		if m != metrics {
+			t.Errorf("shards %d: metrics differ from serial:\n%s\nserial:\n%s", shards, m, metrics)
+		}
+	}
+	n := tl.Len()
+	if want := int(duration/period) + 1; n != want {
+		t.Fatalf("%d samples, want %d ticks and the final one", n, want)
+	}
+	for i := 0; i < n-1; i++ {
+		if got, want := tl.At(i).T, sim.Time(i+1)*period+1; got != want {
+			t.Fatalf("sample %d at %v, want %v", i, got, want)
+		}
+	}
+	if last := tl.At(n - 1).T; last <= duration {
+		t.Fatalf("final sample at %v, want past the drain's start %v", last, duration)
 	}
 }

@@ -49,9 +49,6 @@ type FnProfile struct {
 	// OverheadNS is per-packet fixed work occupying a server (lookup,
 	// setup, doorbells) independent of packet size.
 	OverheadNS sim.Time
-	// PipelineNS is added latency that does NOT occupy a server (DMA,
-	// PCIe crossing, interconnect hops).
-	PipelineNS sim.Time
 	// JitterMeanNS is the mean of an exponential service-time jitter
 	// component, modeling data-dependent work (ruleset walks, hash
 	// probes) — the main source of early p99 growth on wimpy cores.
@@ -131,12 +128,6 @@ func (t ServiceTimer) Sample(wireBytes int, r *rng.Rand) sim.Time {
 // the jitter mean).
 func (p FnProfile) MeanServiceTime(wireBytes int) sim.Time {
 	return p.ServiceTime(wireBytes, nil) + p.JitterMeanNS
-}
-
-// MinLatency is the no-queueing latency of an MTU packet: pipeline plus
-// deterministic service.
-func (p FnProfile) MinLatency(wireBytes int) sim.Time {
-	return p.PipelineNS + p.ServiceTime(wireBytes, nil)
 }
 
 // PowerModel captures the server-level power behaviour of §III-B: a large
@@ -239,9 +230,6 @@ func DeriveFallback(accel FnProfile) FnProfile {
 	fb.MaxGbps = accel.MaxGbps / 10
 	fb.OverheadNS = accel.OverheadNS * 8
 	fb.JitterMeanNS = accel.JitterMeanNS * 8
-	// The DMA/doorbell pipeline stage disappears; core-local processing
-	// keeps a short fixed pipeline.
-	fb.PipelineNS = accel.PipelineNS / 3
 	return fb
 }
 
@@ -266,27 +254,27 @@ func BlueField2() *Platform {
 			// components keep overhead+jitter within the per-packet MTU
 			// budget implied by MaxGbps while still producing the wimpy
 			// cores' early tail growth under bursts.
-			nf.KVS:   {Unit: CPU, Servers: 8, MaxGbps: 4, OverheadNS: 2 * us, PipelineNS: 2 * us, JitterMeanNS: 12 * us},
-			nf.Count: {Unit: CPU, Servers: 8, MaxGbps: 58, OverheadNS: 150 * ns, PipelineNS: 2 * us, JitterMeanNS: 500 * ns},
-			nf.EMA:   {Unit: CPU, Servers: 8, MaxGbps: 12, OverheadNS: 1500 * ns, PipelineNS: 2 * us, JitterMeanNS: 3 * us},
-			nf.NAT:   {Unit: CPU, Servers: 8, MaxGbps: 42, OverheadNS: 300 * ns, PipelineNS: 2 * us, JitterMeanNS: 800 * ns},
-			nf.BM25:  {Unit: CPU, Servers: 8, MaxGbps: 1.2, OverheadNS: 9 * us, PipelineNS: 2 * us, JitterMeanNS: 30 * us},
-			nf.KNN:   {Unit: CPU, Servers: 8, MaxGbps: 16, OverheadNS: 600 * ns, PipelineNS: 2 * us, JitterMeanNS: 2500 * ns},
-			nf.Bayes: {Unit: CPU, Servers: 8, MaxGbps: 0.1, OverheadNS: 90 * us, PipelineNS: 2 * us, JitterMeanNS: 300 * us},
+			nf.KVS:   {Unit: CPU, Servers: 8, MaxGbps: 4, OverheadNS: 2 * us, JitterMeanNS: 12 * us},
+			nf.Count: {Unit: CPU, Servers: 8, MaxGbps: 58, OverheadNS: 150 * ns, JitterMeanNS: 500 * ns},
+			nf.EMA:   {Unit: CPU, Servers: 8, MaxGbps: 12, OverheadNS: 1500 * ns, JitterMeanNS: 3 * us},
+			nf.NAT:   {Unit: CPU, Servers: 8, MaxGbps: 42, OverheadNS: 300 * ns, JitterMeanNS: 800 * ns},
+			nf.BM25:  {Unit: CPU, Servers: 8, MaxGbps: 1.2, OverheadNS: 9 * us, JitterMeanNS: 30 * us},
+			nf.KNN:   {Unit: CPU, Servers: 8, MaxGbps: 16, OverheadNS: 600 * ns, JitterMeanNS: 2500 * ns},
+			nf.Bayes: {Unit: CPU, Servers: 8, MaxGbps: 0.1, OverheadNS: 90 * us, JitterMeanNS: 300 * us},
 			// Accelerated functions. The RXP REM engine caps at 50 Gbps;
 			// accelerators expose multiple hardware queues, modeled as
 			// 8 parallel contexts.
-			nf.REM:    {Unit: Accelerator, Servers: 8, MaxGbps: 43, OverheadNS: 400 * ns, PipelineNS: 3 * us, JitterMeanNS: 700 * ns},
-			nf.Crypto: {Unit: Accelerator, Servers: 8, MaxGbps: 45, OverheadNS: 500 * ns, PipelineNS: 3 * us, JitterMeanNS: 800 * ns},
-			nf.Comp:   {Unit: Accelerator, Servers: 8, MaxGbps: 50, OverheadNS: 400 * ns, PipelineNS: 3 * us, JitterMeanNS: 600 * ns},
+			nf.REM:    {Unit: Accelerator, Servers: 8, MaxGbps: 43, OverheadNS: 400 * ns, JitterMeanNS: 700 * ns},
+			nf.Crypto: {Unit: Accelerator, Servers: 8, MaxGbps: 45, OverheadNS: 500 * ns, JitterMeanNS: 800 * ns},
+			nf.Comp:   {Unit: Accelerator, Servers: 8, MaxGbps: 50, OverheadNS: 400 * ns, JitterMeanNS: 600 * ns},
 		},
 		// Software paths on the A72 cores when an accelerator is faulted
 		// offline, scaled from the BF-3 software-only anchors (§III-A's
 		// RXP-vs-CPU gap, halved for BF-2's core count).
 		Fallbacks: map[nf.ID]FnProfile{
-			nf.REM:    {Unit: CPU, Servers: 8, MaxGbps: 2.2, OverheadNS: 6 * us, PipelineNS: 2 * us, JitterMeanNS: 18 * us},
-			nf.Crypto: {Unit: CPU, Servers: 8, MaxGbps: 0.8, OverheadNS: 35 * us, PipelineNS: 2 * us, JitterMeanNS: 35 * us},
-			nf.Comp:   {Unit: CPU, Servers: 8, MaxGbps: 3, OverheadNS: 5 * us, PipelineNS: 2 * us, JitterMeanNS: 14 * us},
+			nf.REM:    {Unit: CPU, Servers: 8, MaxGbps: 2.2, OverheadNS: 6 * us, JitterMeanNS: 18 * us},
+			nf.Crypto: {Unit: CPU, Servers: 8, MaxGbps: 0.8, OverheadNS: 35 * us, JitterMeanNS: 35 * us},
+			nf.Comp:   {Unit: CPU, Servers: 8, MaxGbps: 3, OverheadNS: 5 * us, JitterMeanNS: 14 * us},
 		},
 		Power: snicSidePower(),
 	}
@@ -306,27 +294,27 @@ func HostXeon() *Platform {
 		Name:     "Host-Xeon",
 		LineGbps: 100,
 		Profiles: map[nf.ID]FnProfile{
-			nf.KVS:   {Unit: CPU, Servers: 8, MaxGbps: 12, OverheadNS: 1 * us, PipelineNS: 2300 * ns, JitterMeanNS: 3 * us},
-			nf.Count: {Unit: CPU, Servers: 8, MaxGbps: 99, OverheadNS: 100 * ns, PipelineNS: 2300 * ns, JitterMeanNS: 300 * ns},
-			nf.EMA:   {Unit: CPU, Servers: 8, MaxGbps: 60, OverheadNS: 200 * ns, PipelineNS: 2300 * ns, JitterMeanNS: 500 * ns},
-			nf.NAT:   {Unit: CPU, Servers: 8, MaxGbps: 91, OverheadNS: 100 * ns, PipelineNS: 2300 * ns, JitterMeanNS: 300 * ns},
-			nf.BM25:  {Unit: CPU, Servers: 8, MaxGbps: 3.5, OverheadNS: 3 * us, PipelineNS: 2300 * ns, JitterMeanNS: 7 * us},
-			nf.KNN:   {Unit: CPU, Servers: 8, MaxGbps: 31, OverheadNS: 400 * ns, PipelineNS: 2300 * ns, JitterMeanNS: 1 * us},
-			nf.Bayes: {Unit: CPU, Servers: 8, MaxGbps: 0.33, OverheadNS: 28 * us, PipelineNS: 2300 * ns, JitterMeanNS: 30 * us},
+			nf.KVS:   {Unit: CPU, Servers: 8, MaxGbps: 12, OverheadNS: 1 * us, JitterMeanNS: 3 * us},
+			nf.Count: {Unit: CPU, Servers: 8, MaxGbps: 99, OverheadNS: 100 * ns, JitterMeanNS: 300 * ns},
+			nf.EMA:   {Unit: CPU, Servers: 8, MaxGbps: 60, OverheadNS: 200 * ns, JitterMeanNS: 500 * ns},
+			nf.NAT:   {Unit: CPU, Servers: 8, MaxGbps: 91, OverheadNS: 100 * ns, JitterMeanNS: 300 * ns},
+			nf.BM25:  {Unit: CPU, Servers: 8, MaxGbps: 3.5, OverheadNS: 3 * us, JitterMeanNS: 7 * us},
+			nf.KNN:   {Unit: CPU, Servers: 8, MaxGbps: 31, OverheadNS: 400 * ns, JitterMeanNS: 1 * us},
+			nf.Bayes: {Unit: CPU, Servers: 8, MaxGbps: 0.33, OverheadNS: 28 * us, JitterMeanNS: 30 * us},
 			// REM runs on host cores (no RXP): fast on simple rulesets,
 			// collapses on complex ones (handled by the lite-ruleset
 			// variant in experiments via REMComplexHost).
-			nf.REM: {Unit: CPU, Servers: 8, MaxGbps: 93, OverheadNS: 100 * ns, PipelineNS: 2300 * ns, JitterMeanNS: 300 * ns},
+			nf.REM: {Unit: CPU, Servers: 8, MaxGbps: 93, OverheadNS: 100 * ns, JitterMeanNS: 300 * ns},
 			// QAT: powerful memory subsystem → crypto far ahead of the
 			// SNIC PKA; Deflate behind the SNIC engine (Skylake-era QAT).
-			nf.Crypto: {Unit: Accelerator, Servers: 8, MaxGbps: 90, OverheadNS: 150 * ns, PipelineNS: 2500 * ns, JitterMeanNS: 300 * ns},
-			nf.Comp:   {Unit: Accelerator, Servers: 8, MaxGbps: 32, OverheadNS: 500 * ns, PipelineNS: 2500 * ns, JitterMeanNS: 1 * us},
+			nf.Crypto: {Unit: Accelerator, Servers: 8, MaxGbps: 90, OverheadNS: 150 * ns, JitterMeanNS: 300 * ns},
+			nf.Comp:   {Unit: Accelerator, Servers: 8, MaxGbps: 32, OverheadNS: 500 * ns, JitterMeanNS: 1 * us},
 		},
 		// Software paths on the Xeon cores when QAT is faulted offline
 		// (ISA-extension rates, scaled down from the SPR anchors).
 		Fallbacks: map[nf.ID]FnProfile{
-			nf.Crypto: {Unit: CPU, Servers: 8, MaxGbps: 4, OverheadNS: 5 * us, PipelineNS: 2 * us, JitterMeanNS: 10 * us},
-			nf.Comp:   {Unit: CPU, Servers: 8, MaxGbps: 7, OverheadNS: 3 * us, PipelineNS: 2 * us, JitterMeanNS: 6 * us},
+			nf.Crypto: {Unit: CPU, Servers: 8, MaxGbps: 4, OverheadNS: 5 * us, JitterMeanNS: 10 * us},
+			nf.Comp:   {Unit: CPU, Servers: 8, MaxGbps: 7, OverheadNS: 3 * us, JitterMeanNS: 6 * us},
 		},
 		Power: hostSidePower(),
 	}
@@ -336,14 +324,14 @@ func HostXeon() *Platform {
 // ruleset, where §III-A reports the SNIC accelerator 19× faster than the
 // host CPU with 94% lower p99.
 func REMComplexHost() FnProfile {
-	return FnProfile{Unit: CPU, Servers: 8, MaxGbps: 2.3, OverheadNS: 6 * us, PipelineNS: 2300 * ns, JitterMeanNS: 15 * us}
+	return FnProfile{Unit: CPU, Servers: 8, MaxGbps: 2.3, OverheadNS: 6 * us, JitterMeanNS: 15 * us}
 }
 
 // REMSimpleSNICAccel is the SNIC-accelerator profile for the teakettle
 // ruleset, where the host CPU is 93% faster than the SNIC accelerator;
 // used by the Fig. 2 'tea' variant.
 func REMSimpleSNICAccel() FnProfile {
-	return FnProfile{Unit: Accelerator, Servers: 8, MaxGbps: 48, OverheadNS: 400 * ns, PipelineNS: 3 * us, JitterMeanNS: 600 * ns}
+	return FnProfile{Unit: Accelerator, Servers: 8, MaxGbps: 48, OverheadNS: 400 * ns, JitterMeanNS: 600 * ns}
 }
 
 func snicSidePower() PowerModel {
@@ -374,9 +362,9 @@ func BlueField3() *Platform {
 		p.Profiles[id] = prof
 	}
 	// Software-only REM/Crypto/Comp on the BF-3 CPU for the comparison.
-	p.Profiles[nf.REM] = FnProfile{Unit: CPU, Servers: 16, MaxGbps: 4.5, OverheadNS: 5 * us, PipelineNS: 2 * us, JitterMeanNS: 15 * us}
-	p.Profiles[nf.Crypto] = FnProfile{Unit: CPU, Servers: 16, MaxGbps: 1.6, OverheadNS: 30 * us, PipelineNS: 2 * us, JitterMeanNS: 30 * us}
-	p.Profiles[nf.Comp] = FnProfile{Unit: CPU, Servers: 16, MaxGbps: 6, OverheadNS: 4 * us, PipelineNS: 2 * us, JitterMeanNS: 12 * us}
+	p.Profiles[nf.REM] = FnProfile{Unit: CPU, Servers: 16, MaxGbps: 4.5, OverheadNS: 5 * us, JitterMeanNS: 15 * us}
+	p.Profiles[nf.Crypto] = FnProfile{Unit: CPU, Servers: 16, MaxGbps: 1.6, OverheadNS: 30 * us, JitterMeanNS: 30 * us}
+	p.Profiles[nf.Comp] = FnProfile{Unit: CPU, Servers: 16, MaxGbps: 6, OverheadNS: 4 * us, JitterMeanNS: 12 * us}
 	return p
 }
 
@@ -398,9 +386,9 @@ func SapphireRapids() *Platform {
 	}
 	// Software paths for the accelerator functions (SPR CPU with ISA
 	// extensions, no QAT in the Fig. 10 CPU-vs-CPU comparison).
-	p.Profiles[nf.REM] = FnProfile{Unit: CPU, Servers: 16, MaxGbps: 22, OverheadNS: 1500 * ns, PipelineNS: 1700 * ns, JitterMeanNS: 2500 * ns}
-	p.Profiles[nf.Crypto] = FnProfile{Unit: CPU, Servers: 16, MaxGbps: 8, OverheadNS: 3 * us, PipelineNS: 1700 * ns, JitterMeanNS: 7 * us}
-	p.Profiles[nf.Comp] = FnProfile{Unit: CPU, Servers: 16, MaxGbps: 14, OverheadNS: 2 * us, PipelineNS: 1700 * ns, JitterMeanNS: 4 * us}
+	p.Profiles[nf.REM] = FnProfile{Unit: CPU, Servers: 16, MaxGbps: 22, OverheadNS: 1500 * ns, JitterMeanNS: 2500 * ns}
+	p.Profiles[nf.Crypto] = FnProfile{Unit: CPU, Servers: 16, MaxGbps: 8, OverheadNS: 3 * us, JitterMeanNS: 7 * us}
+	p.Profiles[nf.Comp] = FnProfile{Unit: CPU, Servers: 16, MaxGbps: 14, OverheadNS: 2 * us, JitterMeanNS: 4 * us}
 	return p
 }
 

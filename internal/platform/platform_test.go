@@ -196,10 +196,12 @@ func TestBF3DoublesBF2SoftwareThroughput(t *testing.T) {
 func TestMinLatencyOrdering(t *testing.T) {
 	bf2, host := BlueField2(), HostXeon()
 	// §III-A: for software functions the SNIC CPU has 1.1–27× higher
-	// latency than the host CPU.
+	// latency than the host CPU. The no-queueing latency of an MTU packet
+	// is its deterministic service time; the PCIe/DMA crossing is the
+	// server model's (PCIeCrossNS, SNICCloserNS), not the profile's.
 	for _, fn := range []nf.ID{nf.KVS, nf.EMA, nf.KNN, nf.Bayes, nf.BM25} {
-		s := bf2.Profile(fn).MinLatency(1500)
-		h := host.Profile(fn).MinLatency(1500)
+		s := bf2.Profile(fn).ServiceTime(1500, nil)
+		h := host.Profile(fn).ServiceTime(1500, nil)
 		if s <= h {
 			t.Errorf("%v: SNIC min latency %v should exceed host %v", fn, s, h)
 		}

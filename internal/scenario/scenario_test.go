@@ -159,6 +159,8 @@ func TestParseErrors(t *testing.T) {
 		{"bad dispatch", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\n  cluster:\n    servers: 4\n    dispatch: random\n", "unknown dispatch policy"},
 		{"negative rate window", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\n  rate_window: -1ms\n", "negative rate window"},
 		{"rate beside workload", "name: x\nrun:\n  rate_gbps: 10\n  workload: cache\n  duration: 1ms\n", "both a constant rate (10 Gbps) and the cache trace workload set"},
+		{"negative trace every", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\n  telemetry:\n    trace_every: -5\n", "negative trace sampling interval -5"},
+		{"negative timeline period", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\n  telemetry:\n    timeline: true\n    timeline_period: -1ms\n", "negative timeline period -1ms"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -85,7 +85,6 @@ type client struct {
 	seq uint64
 	offered
 	stopped bool
-	ticker  *sim.Ticker
 }
 
 // offered counts the traffic offered to a server: sentPkts/sentBytes
@@ -178,7 +177,7 @@ func (c *client) start() {
 	c.rearmCall = c.rearm
 	if c.tracegen != nil {
 		c.rateGbps = c.tracegen.NextRateGbps()
-		c.ticker = c.eng.Every(TraceEpoch, func() {
+		c.eng.Every(TraceEpoch, func() {
 			if !c.stopped {
 				c.rateGbps = c.tracegen.NextRateGbps()
 			}
@@ -187,14 +186,10 @@ func (c *client) start() {
 	c.scheduleNext()
 }
 
-// stop halts the arrival process and its epoch timer, so a drained run's
-// event queue can empty.
-func (c *client) stop() {
-	c.stopped = true
-	if c.ticker != nil {
-		c.ticker.Cancel()
-	}
-}
+// stop halts the arrival process (idempotent). The epoch timer re-draws
+// nothing once stopped; a drain cancels it with the engine's other
+// tickers.
+func (c *client) stop() { c.stopped = true }
 
 // scheduleNext draws the next interarrival. Arrivals are Poisson within an
 // epoch: exponential gaps with mean wireBits/rate, which produces the
@@ -207,24 +202,31 @@ func (c *client) scheduleNext() {
 	if c.stopped {
 		return
 	}
-	if c.rateGbps <= 0 {
+	size, gap, ok := c.nextGap()
+	if !ok {
 		c.eng.ScheduleCall(TraceEpoch, c.rearmCall, nil, 0)
 		return
 	}
-	size := c.sizes.Sample(&c.rng)
+	c.eng.ScheduleCall(gap, c.sendNextCall, nil, int64(size))
+}
+
+// nextGap draws the next packet's wire size and then its exponential gap
+// from the previous send. ok is false when the draw is censored into a
+// retry one epoch later: at a zero epoch rate (nothing is drawn) or when a
+// trace gap outruns the epoch. Other gaps are clamped to maxGapNS.
+func (c *client) nextGap() (size int, gap sim.Time, ok bool) {
+	if c.rateGbps <= 0 {
+		return 0, 0, false
+	}
+	size = c.sizes.Sample(&c.rng)
 	meanGapNS := float64(size) * 8 / c.rateGbps
 	gapF := c.rng.ExpFloat64() * meanGapNS
 	// Compare in the float domain: a near-zero epoch rate can push the
 	// gap past int64 range, and converting first would wrap negative.
 	if c.tracegen != nil && gapF > float64(TraceEpoch) {
-		c.eng.ScheduleCall(TraceEpoch, c.rearmCall, nil, 0)
-		return
+		return 0, 0, false
 	}
-	if gapF > maxGapNS {
-		gapF = maxGapNS
-	}
-	gap := sim.Time(gapF)
-	c.eng.ScheduleCall(gap, c.sendNextCall, nil, int64(size))
+	return size, sim.Time(min(gapF, maxGapNS)), true
 }
 
 // sendNext fires one arrival burst (n carries the first packet's drawn wire
@@ -247,24 +249,12 @@ func (c *client) sendNext(_ any, n int64) {
 	size := int(n)
 	for burst := 1; ; burst++ {
 		c.sendAt(size, t)
-		if c.rateGbps <= 0 {
+		next, gap, ok := c.nextGap()
+		if !ok {
 			c.eng.AtCall(t+TraceEpoch, c.rearmCall, nil, 0)
 			return
 		}
-		next := c.sizes.Sample(&c.rng)
-		meanGapNS := float64(next) * 8 / c.rateGbps
-		gapF := c.rng.ExpFloat64() * meanGapNS
-		// Compare in the float domain: a near-zero epoch rate can push
-		// the gap past int64 range, and converting first would wrap
-		// negative.
-		if c.tracegen != nil && gapF > float64(TraceEpoch) {
-			c.eng.AtCall(t+TraceEpoch, c.rearmCall, nil, 0)
-			return
-		}
-		if gapF > maxGapNS {
-			gapF = maxGapNS
-		}
-		nt := t + sim.Time(gapF)
+		nt := t + gap
 		if burst >= maxBurst || nt-start > maxBurstSpan || nt > c.endAt ||
 			(c.tracegen != nil && nt >= c.nextEpochBoundary(t)) {
 			c.eng.AtCall(nt, c.sendNextCall, nil, int64(next))

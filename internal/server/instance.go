@@ -142,33 +142,21 @@ func NewInstance(cfg Config, rc RunConfig, index int, eng *sim.Engine, pool *pac
 }
 
 // Start registers the server's periodic processes (policy ticks, power
-// sampling) on its engine. An embedded server has no client and no meter;
-// traffic arrives through Ingress.
+// sampling) on its engine; a drain cancels them with the engine's
+// CancelTickers. An embedded server has no client and no meter; traffic
+// arrives through Ingress.
 func (s *Instance) Start() { s.r.start() }
 
 // Ingress delivers one request packet at its wire-arrival instant, which
 // must not lie before the engine clock.
 func (s *Instance) Ingress(p *packet.Packet, at sim.Time) { s.r.ingress(p, at) }
 
-// CancelTickers stops every periodic process, letting a drained run's
-// event queue empty.
-func (s *Instance) CancelTickers() {
-	for _, t := range s.r.tickers {
-		t.Cancel()
-	}
-}
-
-// SetOffered installs the ingress-observed offered-traffic counters for
-// this server (all-time packet/byte totals and their post-warmup parts),
-// which the collector reads where a standalone run reads its own client.
-// Coordinator-only: call after the run, before Collect.
-func (s *Instance) SetOffered(totalPkts, totalBytes, sentPkts, sentBytes uint64) {
-	*s.r.off = offered{sentPkts: sentPkts, sentBytes: sentBytes, totalPkts: totalPkts, totalBytes: totalBytes}
-}
-
 // Collect assembles this server's Result. The client-side metrics —
 // latency percentiles, MaxGbps, the rate series, phase p99 — stay zero:
-// round trips close at the shared ingress, whose Meter owns them.
+// round trips close at the shared ingress, whose Meter owns them. So does
+// the offered side: Sent, SentAll, OfferedGbps and DropFraction read zero
+// and InFlightEnd is not meaningful, because the ingress counts what the
+// fleet offered, not what each server got.
 func (s *Instance) Collect() Result { return s.r.collect() }
 
 // AddSample adds this server's telemetry reading into sm (see

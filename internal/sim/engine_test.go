@@ -9,9 +9,9 @@ import (
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
+	e.schedule(30, func() { got = append(got, 3) })
+	e.schedule(10, func() { got = append(got, 1) })
+	e.schedule(20, func() { got = append(got, 2) })
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -29,7 +29,7 @@ func TestSameTimeFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.Schedule(50, func() { got = append(got, i) })
+		e.schedule(50, func() { got = append(got, i) })
 	}
 	e.Run()
 	for i := 0; i < 100; i++ {
@@ -42,9 +42,9 @@ func TestSameTimeFIFO(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var hits int
-	e.Schedule(10, func() {
+	e.schedule(10, func() {
 		hits++
-		e.Schedule(5, func() {
+		e.schedule(5, func() {
 			hits++
 			if e.Now() != 15 {
 				t.Errorf("nested Now = %d, want 15", e.Now())
@@ -60,8 +60,8 @@ func TestNestedScheduling(t *testing.T) {
 func TestRunUntilHorizon(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	e.Schedule(100, func() { fired = append(fired, e.Now()) })
-	e.Schedule(300, func() { fired = append(fired, e.Now()) })
+	e.schedule(100, func() { fired = append(fired, e.Now()) })
+	e.schedule(300, func() { fired = append(fired, e.Now()) })
 	e.RunUntil(200)
 	if len(fired) != 1 || fired[0] != 100 {
 		t.Fatalf("fired = %v, want [100]", fired)
@@ -83,44 +83,24 @@ func TestRunUntilEmptyAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	var count int
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (stopped)", count)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
-	}
-}
-
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on negative delay")
 		}
 	}()
-	NewEngine().Schedule(-1, func() {})
+	NewEngine().schedule(-1, func() {})
 }
 
 func TestAtBeforeNowPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(100, func() {
+	e.schedule(100, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic scheduling in the past")
 			}
 		}()
-		e.At(50, func() {})
+		e.at(50, func() {})
 	})
 	e.Run()
 }
@@ -128,10 +108,10 @@ func TestAtBeforeNowPanics(t *testing.T) {
 func TestEvery(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
-	tk := e.Every(10, func() {
+	e.Every(10, func() {
 		ticks = append(ticks, e.Now())
 	})
-	e.Schedule(35, func() { tk.Cancel() })
+	e.schedule(35, e.CancelTickers)
 	e.RunUntil(100)
 	want := []Time{10, 20, 30}
 	if len(ticks) != len(want) {
@@ -156,7 +136,7 @@ func TestEveryZeroPeriodPanics(t *testing.T) {
 func TestProcessedCount(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 42; i++ {
-		e.Schedule(Time(i), func() {})
+		e.schedule(Time(i), func() {})
 	}
 	e.Run()
 	if e.Processed() != 42 {
@@ -180,8 +160,8 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	e := NewEngine()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(Time(i%1000), func() {})
-		if e.Pending() > 10000 {
+		e.schedule(Time(i%1000), func() {})
+		if e.q.pending() > 10000 {
 			e.Run()
 		}
 	}
@@ -200,7 +180,7 @@ func TestQuickPropertyOrdering(t *testing.T) {
 		var fired []tag
 		for i, d := range delays {
 			d, i := Time(d), i
-			e.Schedule(d, func() { fired = append(fired, tag{d, i}) })
+			e.schedule(d, func() { fired = append(fired, tag{d, i}) })
 		}
 		e.Run()
 		if len(fired) != len(delays) {

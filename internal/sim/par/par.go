@@ -5,29 +5,29 @@
 // # Model
 //
 // A simulation is partitioned into worker LPs (shards), each owning one
-// engine on its own goroutine, plus a control engine owned by the
-// coordinator. Messages travel worker to worker only; control events
-// (periodic samplers, say) run on the coordinator at round barriers. The
-// LP graph is data, not code: a Topology declares the directed links
-// messages may travel and the minimum latency of each, and the executor
-// derives every synchronization bound from the all-pairs closure of those
-// declared latencies. The graph must be strongly connected — every worker
-// reaches every other over declared links — so an LP with work can
-// influence every peer, and every round runs on all LPs or on none. Shards
-// exchange timestamped messages: a send appends to a shard-local outbox and
-// is spliced into the destination wheel (Engine.InjectBatch) under the
+// engine on its own goroutine. Messages travel worker to worker; the
+// caller owns the barriers: AdvanceTo(t) returns with every event at or
+// before t executed and every engine quiescent, so the caller may read any
+// LP's state (sample telemetry, say) before the next call. The LP graph is
+// data, not code: a Topology declares the directed links messages may
+// travel and the minimum latency of each, and the executor derives every
+// synchronization bound from the all-pairs closure of those declared
+// latencies. The graph must be strongly connected — every worker reaches
+// every other over declared links — so an LP with work can influence
+// every peer, and every round runs on all LPs or on none. Shards exchange
+// timestamped messages: a send appends to a shard-local outbox and is
+// spliced into the destination wheel (Engine.InjectBatch) under the
 // sender-drawn seq key at the next delivery point, so a delivered event
 // lands exactly where a serial run would have scheduled it.
 //
 // # Round protocol
 //
-// Advancement is organized in rounds. From the current barrier time B the
-// coordinator picks a round end E = min(next control event, until): no
-// control event can fire strictly inside a round, which is what lets the
-// whole span run without coordinator involvement. If no worker has an
-// event before E it parks every shard at E directly (idle-shard parking,
-// no goroutine handoff); otherwise it issues ONE command per shard, and
-// the shards execute the round as a self-synchronized run-ahead plan of
+// Advancement is organized in rounds. From the current barrier time B a
+// round runs to the end E the caller names: AdvanceTo's until, or in a
+// drain the earliest pending instant. If no worker has an event before E
+// the coordinator parks every shard at E directly (idle-shard parking, no
+// goroutine handoff); otherwise it issues ONE command per shard, and the
+// shards execute the round as a self-synchronized run-ahead plan of
 // consecutive windows:
 //
 //	loop:
@@ -49,13 +49,19 @@
 // window, while tightly coupled LPs pace each other at link latency. The
 // two latch phases replace the per-window coordinator round-trip of the
 // original protocol — the coordinator pays one fan-out/fan-in per ROUND
-// (per control event), not per window.
+// (per caller barrier), not per window.
 //
-// When the plan quiesces the coordinator performs the barrier work exactly
-// as a serial run would observe it at E: control events strictly before E
-// run, and the merged-instant step executes events at exactly E across all
-// engines in global (at, seq) key order — the same order a serial run
-// derives from its single monotone counter.
+// A plan quiesces only on a verdict taken after an inject phase, so it
+// leaves every outbox empty. The coordinator then runs the merged-instant
+// step: events at exactly E execute across all engines in global (at, seq)
+// key order — the same order a serial run derives from its single
+// monotone counter — and each popped event's sends are delivered before
+// the next pop. A drain is a sequence of such rounds, each ending at the
+// earliest pending instant: every round is idle-parked, so the drain walks
+// the remaining events on the coordinator in serial order, and its last
+// barrier is the last event's instant, where a serial Run leaves its
+// clock. Drains are short — the work in flight when traffic stops, and
+// each cancelled ticker's last no-op tick.
 //
 // # Declared lookahead and the correctness fallback
 //
@@ -98,8 +104,8 @@ const infTime = sim.Time(math.MaxInt64 / 4)
 const noEvent = sim.Time(math.MaxInt64)
 
 // maxWorkers bounds the worker count: every worker engine needs a distinct
-// seq-key rank below sim's eight-bit rank ceiling once the control engine
-// takes one.
+// seq-key rank, and the cluster runner numbers its LPs from rank 1 under
+// sim's eight-bit rank ceiling.
 const maxWorkers = 255
 
 // Link is one directed edge of the LP graph: messages src→dst arrive no
@@ -242,7 +248,8 @@ type shard struct {
 	// out is indexed by destination shard. Only the shard's goroutine
 	// appends while it runs a window; the DESTINATION shard drains its slot
 	// in its inject phase (the latch orders append and drain), and the
-	// coordinator drains stragglers at round barriers.
+	// coordinator drains the sends of merged-instant events at round
+	// barriers.
 	out []([]Msg)
 	// slackMin tracks the smallest observed delivery slack per destination,
 	// maintained by the owning goroutine on Send.
@@ -251,17 +258,14 @@ type shard struct {
 	res      chan any // recovered panic value, nil on success
 }
 
-// Exec coordinates the shards and the control engine.
+// Exec coordinates the shards.
 type Exec struct {
 	shards []*shard
-	ctrl   *sim.Engine
 	// dist is the all-pairs closure of declared link latencies; cycle[i]
 	// is LP i's shortest round trip through any peer (the earliest one of
-	// its own sends can echo back — infTime for a lone worker); lookahead
-	// is the smallest finite dist entry (drain pacing).
-	dist      [][]sim.Time
-	cycle     []sim.Time
-	lookahead sim.Time
+	// its own sends can echo back — infTime for a lone worker).
+	dist  [][]sim.Time
+	cycle []sim.Time
 
 	b       sim.Time // current barrier time
 	running bool
@@ -291,16 +295,16 @@ type Exec struct {
 // the GC.
 const outboxKeepCap = 1 << 20
 
-// New builds an executor over the given worker engines, the control
-// engine, and the declared LP graph. len(workers) must equal topo.Workers,
-// the graph must be strongly connected, and every cross-LP send must
-// respect its pair's declared latency.
-func New(ctrl *sim.Engine, workers []*sim.Engine, topo Topology) *Exec {
+// New builds an executor over the given worker engines and the declared
+// LP graph. len(workers) must equal topo.Workers, the graph must be
+// strongly connected, and every cross-LP send must respect its pair's
+// declared latency.
+func New(workers []*sim.Engine, topo Topology) *Exec {
 	if len(workers) != topo.Workers {
 		panic(fmt.Sprintf("par: %d worker engines for a %d-worker topology", len(workers), topo.Workers))
 	}
 	dist := topo.distances()
-	x := &Exec{ctrl: ctrl, dist: dist, lookahead: infTime, latch: newLatch()}
+	x := &Exec{dist: dist, latch: newLatch()}
 	for i := range workers {
 		slack := make([]sim.Time, len(workers))
 		for d := range slack {
@@ -314,11 +318,6 @@ func New(ctrl *sim.Engine, workers []*sim.Engine, topo Topology) *Exec {
 			cmd:      make(chan struct{}),
 			res:      make(chan any),
 		})
-		for _, d := range dist[i] {
-			if d < x.lookahead {
-				x.lookahead = d
-			}
-		}
 	}
 	x.cycle = make([]sim.Time, len(workers))
 	for i := range workers {
@@ -331,11 +330,6 @@ func New(ctrl *sim.Engine, workers []*sim.Engine, topo Topology) *Exec {
 				x.cycle[i] = rt
 			}
 		}
-	}
-	if x.lookahead == infTime {
-		// A lone worker: nothing to talk to. Any positive pacing unit
-		// works for idle jumps.
-		x.lookahead = sim.Microsecond
 	}
 	x.nextAt = make([]sim.Time, len(workers))
 	return x
@@ -395,8 +389,8 @@ func (x *Exec) Shutdown() {
 }
 
 // Send queues a message from shard src to shard dst. It must be called
-// from the goroutine currently owning src: the sending shard's during a
-// window, the coordinator's during a barrier. Sends are checked against the
+// from an event of src: on the sending shard's goroutine during a window,
+// on the coordinator's in a barrier's merged-instant step. Sends are checked against the
 // declared topology here — at the send site, before any window bound
 // computed from the declaration could be trusted wrongly.
 func (x *Exec) Send(src, dst int, at sim.Time, seq uint64, call sim.Call, arg any, n int64) {
@@ -437,76 +431,38 @@ func (x *Exec) ObservedSlack() [][]sim.Time {
 // Now reports the current barrier time.
 func (x *Exec) Now() sim.Time { return x.b }
 
-// AdvanceTo runs the simulation through `until` inclusive: rounds cover
-// [B, until) and the final merged-instant step executes events at exactly
-// `until`, matching the serial engine's inclusive RunUntil.
+// AdvanceTo runs the simulation through until inclusive in one round: the
+// run-ahead plan covers [B, until) and the merged-instant step executes
+// events at exactly until, matching the serial engine's inclusive
+// RunUntil. On return every engine is parked at until and quiescent.
 func (x *Exec) AdvanceTo(until sim.Time) {
-	for x.b < until {
-		end := until
-		if ca, ok := x.ctrl.NextEventAt(); ok && ca < end {
-			end = ca
-		}
-		x.round(end)
+	if x.b < until {
+		x.round(until)
 	}
 }
 
-// DrainAll runs rounds until every engine and outbox is exhausted — the
-// parallel form of Engine.Run after stop/cancel. Idle gaps are jumped, not
-// crawled: each round starts at the earliest pending instant, however far
-// away.
+// DrainAll runs every remaining event — the parallel form of Engine.Run
+// after the caller stops offering work. Each round ends at the earliest
+// pending instant, however far away, so idle gaps are jumped and the last
+// barrier is the last event's instant, as a serial Run leaves its clock.
 func (x *Exec) DrainAll() {
 	for {
 		x.refreshNext()
-		m, ok := x.minNext()
-		if !ok {
+		m := noEvent
+		for _, at := range x.nextAt {
+			m = min(m, at)
+		}
+		if m == noEvent {
 			return
 		}
-		end := m + x.drainChunk()
-		if ca, ok := x.ctrl.NextEventAt(); ok && ca < end {
-			end = ca
-		}
-		x.round(end)
+		x.round(m)
 	}
-}
-
-// drainChunk is how far past the earliest pending event a drain round may
-// reach when no control event bounds it. Plans quiesce early on their own,
-// so a generous chunk costs nothing beyond final clock parking; it exists
-// only to keep parked clocks within sight of the work that remains.
-func (x *Exec) drainChunk() sim.Time {
-	c := x.lookahead * 1024
-	if c > sim.Second || c <= 0 {
-		c = sim.Second
-	}
-	return c
-}
-
-// minNext reports the earliest pending instant across the cached worker
-// horizons and the control engine. Workers
-// are NOT re-polled here: refreshNext maintains the cache at round
-// boundaries, and shards publish their own horizons inside rounds.
-func (x *Exec) minNext() (sim.Time, bool) {
-	var m sim.Time
-	ok := false
-	consider := func(at sim.Time) {
-		if !ok || at < m {
-			m, ok = at, true
-		}
-	}
-	if at, o := x.ctrl.NextEventAt(); o {
-		consider(at)
-	}
-	for _, at := range x.nextAt {
-		if at != noEvent {
-			consider(at)
-		}
-	}
-	return m, ok
 }
 
 // refreshNext re-polls every worker engine into the cached horizon array.
-// Called at round boundaries, where control work may have scheduled into
-// worker wheels; inside rounds the shards publish their own slots.
+// Called at round boundaries, where merged-instant events may have
+// scheduled into worker wheels; inside rounds the shards publish their own
+// slots.
 func (x *Exec) refreshNext() {
 	for i, sh := range x.shards {
 		if at, ok := sh.eng.NextEventAt(); ok {
@@ -518,10 +474,10 @@ func (x *Exec) refreshNext() {
 }
 
 // round advances the whole simulation to barrier time end: the run-ahead
-// plan, control events, and the merged-instant step at end itself. The
-// graph is strongly connected, so one LP with an event before end can
-// influence every other: the plan runs on all shards or, when none has
-// work before end, on none.
+// plan and the merged-instant step at end itself. The graph is strongly
+// connected, so one LP with an event before end can influence every
+// other: the plan runs on all shards or, when none has work before end,
+// on none.
 func (x *Exec) round(end sim.Time) {
 	x.refreshNext()
 	active := false
@@ -565,14 +521,13 @@ func (x *Exec) round(end sim.Time) {
 		}
 	}
 
+	// A plan quiesces right after an inject phase, so no outbox holds a
+	// straggler here: the barrier is the merged-instant step alone.
 	var tb time.Time
 	if x.rec != nil {
 		tb = time.Now()
 	}
-	x.deliver()
-	x.ctrl.RunBefore(end)
 	x.mergedInstant(end)
-	x.deliver()
 	if x.rec != nil {
 		x.rec.AddBarrierWall(time.Since(tb).Nanoseconds())
 		x.rec.AddRound()
@@ -709,42 +664,40 @@ func (x *Exec) injectInbound(sh *shard, lane *prof.Lane) {
 	}
 }
 
-// deliver drains every outbox at a coordinator barrier: stragglers (sends
-// issued by merged-instant events) splice into their destination wheels.
-func (x *Exec) deliver() {
-	for _, sh := range x.shards {
-		for dst, msgs := range sh.out {
-			if len(msgs) == 0 {
-				continue
-			}
-			x.shards[dst].eng.InjectBatch(msgs)
-			if cap(msgs) > outboxKeepCap {
-				sh.out[dst] = nil
-			} else {
-				sh.out[dst] = msgs[:0]
-			}
+// deliver drains sh's outboxes into their destination wheels at a
+// coordinator barrier.
+func (x *Exec) deliver(sh *shard) {
+	for dst, msgs := range sh.out {
+		if len(msgs) == 0 {
+			continue
+		}
+		x.shards[dst].eng.InjectBatch(msgs)
+		if cap(msgs) > outboxKeepCap {
+			sh.out[dst] = nil
+		} else {
+			sh.out[dst] = msgs[:0]
 		}
 	}
 }
 
 // mergedInstant single-steps engines while any head event sits at exactly
 // t, always picking the globally smallest seq key: the serial interleaving
-// of same-instant events across LPs.
+// of same-instant events across LPs. Each popped event's sends arrive
+// strictly after t (every link latency is positive), so they are
+// delivered right away from the popping shard alone.
 func (x *Exec) mergedInstant(t sim.Time) {
 	for {
-		var best *sim.Engine
+		var best *shard
 		var bestSeq uint64
-		if at, seq, ok := x.ctrl.HeadKey(); ok && at == t {
-			best, bestSeq = x.ctrl, seq
-		}
 		for _, sh := range x.shards {
 			if at, seq, ok := sh.eng.HeadKey(); ok && at == t && (best == nil || seq < bestSeq) {
-				best, bestSeq = sh.eng, seq
+				best, bestSeq = sh, seq
 			}
 		}
 		if best == nil {
 			return
 		}
-		best.PopRun()
+		best.eng.PopRun()
+		x.deliver(best)
 	}
 }

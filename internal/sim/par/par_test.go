@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -238,12 +239,14 @@ type runner struct {
 	x       *par.Exec
 	logs    [][]entry
 	calls   []sim.Call
+	// marks holds, per caller barrier, the clock and every node's log
+	// length there: the quiescent state a caller would sample.
+	marks [][]int
 }
 
-func newRunner(s *script, workers int, parallel bool) *runner {
-	if !parallel {
-		return newRunnerTopo(s, workers, nil)
-	}
+// newRunner runs s under the executor over the complete uniform-lookahead
+// graph.
+func newRunner(s *script, workers int) *runner {
 	t := uniform(workers, lookahead)
 	return newRunnerTopo(s, workers, &t)
 }
@@ -261,9 +264,7 @@ func newRunnerTopo(s *script, workers int, topo *par.Topology) *runner {
 			e.SetRank(n)
 			r.engines = append(r.engines, e)
 		}
-		ctrl := sim.NewEngine()
-		ctrl.SetRank(workers)
-		r.x = par.New(ctrl, r.engines, *topo)
+		r.x = par.New(r.engines, *topo)
 	}
 	for n := 0; n < workers; n++ {
 		node := n
@@ -294,20 +295,29 @@ func (r *runner) fire(node int, id int64) {
 	}
 }
 
-// matchOracle runs a script serially and under topo through until, then
-// fails unless every per-node log matches and every observed slack holds
-// the declared closure dist the window bounds were derived from.
+// matchOracle runs a script serially and under topo through the caller
+// barriers of barriers(until) and then to exhaustion, and fails unless
+// every per-node log and every barrier's state match, the drain ends at
+// the serial clock, and every observed slack holds the declared closure
+// dist the window bounds were derived from.
 func matchOracle(t *testing.T, label string, s *script, topo par.Topology, dist [][]sim.Time, until sim.Time) {
 	t.Helper()
+	stops := barriers(s, topo.Workers, until)
 	ser := newRunnerTopo(s, topo.Workers, nil)
-	ser.run(until)
+	ser.run(stops...)
 	pp := newRunnerTopo(s, topo.Workers, &topo)
-	pp.run(until)
+	pp.run(stops...)
 	for n := range ser.logs {
 		if !reflect.DeepEqual(ser.logs[n], pp.logs[n]) {
 			t.Fatalf("%s topo %v node %d:\nserial   %v\nparallel %v",
 				label, topo.Links, n, ser.logs[n], pp.logs[n])
 		}
+	}
+	if !reflect.DeepEqual(ser.marks, pp.marks) {
+		t.Fatalf("%s: barrier states diverge:\nserial   %v\nparallel %v", label, ser.marks, pp.marks)
+	}
+	if got, want := pp.x.Now(), ser.engines[0].Now(); got != want {
+		t.Fatalf("%s: drain ended at %v, serial clock at %v", label, got, want)
 	}
 	for src, row := range pp.x.ObservedSlack() {
 		for dst, sl := range row {
@@ -319,31 +329,55 @@ func matchOracle(t *testing.T, label string, s *script, topo par.Topology, dist 
 	}
 }
 
-func (r *runner) run(until sim.Time) {
-	if r.x == nil {
-		r.engines[0].RunUntil(until)
-		r.engines[0].Run()
-		return
+// barriers picks the caller barriers a run advances through before its
+// drain: for every fifth event instant of a serial probe run before until,
+// the tick before it and the instant itself — so barriers both hold
+// events and sit one nanosecond short of them — and then until.
+func barriers(s *script, workers int, until sim.Time) []sim.Time {
+	probe := newRunnerTopo(s, workers, nil)
+	probe.run(until)
+	var at []sim.Time
+	for _, log := range probe.logs {
+		for _, e := range log {
+			if e.At < until {
+				at = append(at, e.At)
+			}
+		}
 	}
-	r.x.Start()
-	defer r.x.Shutdown()
-	r.x.AdvanceTo(until)
-	r.x.DrainAll()
+	slices.Sort(at)
+	at = slices.Compact(at)
+	var stops []sim.Time
+	for i := 0; i < len(at); i += 5 {
+		stops = append(stops, at[i]-1, at[i])
+	}
+	return append(stops, until)
+}
+
+// run advances through each caller barrier in turn — RunUntil serially,
+// AdvanceTo in parallel — marking the quiescent state at each, and then
+// drains: Run serially, DrainAll in parallel.
+func (r *runner) run(stops ...sim.Time) {
+	advance, drain, now := r.engines[0].RunUntil, r.engines[0].Run, r.engines[0].Now
+	if r.x != nil {
+		r.x.Start()
+		defer r.x.Shutdown()
+		advance, drain, now = r.x.AdvanceTo, r.x.DrainAll, r.x.Now
+	}
+	for _, t := range stops {
+		advance(t)
+		mark := []int{int(now())}
+		for _, log := range r.logs {
+			mark = append(mark, len(log))
+		}
+		r.marks = append(r.marks, mark)
+	}
+	drain()
 }
 
 func TestParallelMatchesSerialOracle(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		s := buildScript(rand.New(rand.NewSource(seed)), 3, 240)
-		ser := newRunner(s, 3, false)
-		ser.run(400)
-		pp := newRunner(s, 3, true)
-		pp.run(400)
-		for n := range ser.logs {
-			if !reflect.DeepEqual(ser.logs[n], pp.logs[n]) {
-				t.Fatalf("seed %d node %d: serial %v != parallel %v",
-					seed, n, ser.logs[n], pp.logs[n])
-			}
-		}
+		matchOracle(t, fmt.Sprintf("seed %d", seed), s, uniform(3, lookahead), uniformDist(3, lookahead), 400)
 	}
 }
 
@@ -364,9 +398,9 @@ func TestRandomTopologyMatchesSerialOracle(t *testing.T) {
 
 func TestParallelDeterministic(t *testing.T) {
 	s := buildScript(rand.New(rand.NewSource(42)), 3, 300)
-	a := newRunner(s, 3, true)
+	a := newRunner(s, 3)
 	a.run(500)
-	b := newRunner(s, 3, true)
+	b := newRunner(s, 3)
 	b.run(500)
 	if !reflect.DeepEqual(a.logs, b.logs) {
 		t.Fatal("two parallel runs diverged")
@@ -376,58 +410,30 @@ func TestParallelDeterministic(t *testing.T) {
 // Cross-LP same-instant events must fire in schedule-time order — the
 // composite seq key's dominant field — exactly as a serial run orders them.
 func TestMergedInstantSchedTimeOrder(t *testing.T) {
-	ea, eb, ctrl := sim.NewEngine(), sim.NewEngine(), sim.NewEngine()
+	ea, eb := sim.NewEngine(), sim.NewEngine()
 	ea.SetRank(0)
 	eb.SetRank(1)
-	ctrl.SetRank(3)
-	x := par.New(ctrl, []*sim.Engine{ea, eb}, uniform(2, lookahead))
+	x := par.New([]*sim.Engine{ea, eb}, uniform(2, lookahead))
 	var order []string
-	// A control event at t=100 forces a barrier exactly there, so every
-	// engine's t=100 events run in the coordinator's merged-instant step.
-	// B's event is scheduled at time 0 with rank 1, A's at time 50 with
-	// rank 0: schedule time must dominate rank in the key, so B fires
-	// first despite A's lower rank; the control event (rank 3, schedAt 0)
-	// slots between them.
-	eb.AtCall(100, func(any, int64) { order = append(order, "b") }, nil, 0)
-	ctrl.AtCall(100, func(any, int64) { order = append(order, "ctrl") }, nil, 0)
-	ea.AtCall(50, func(any, int64) {
-		ea.AtCall(100, func(any, int64) { order = append(order, "a") }, nil, 0)
-	}, nil, 0)
+	note := func(s string) sim.Call { return func(any, int64) { order = append(order, s) } }
+	// A caller barrier at t=100 ends the round there, so every engine's
+	// t=100 events run in the coordinator's merged-instant step. B's
+	// first event is scheduled at time 0 with rank 1, A's at time 50
+	// with rank 0: schedule time must dominate rank in the key, so B's
+	// fires first despite A's lower rank. B's second, also scheduled at
+	// 50, ties A's on schedule time and follows it on rank.
+	eb.AtCall(100, note("b0"), nil, 0)
+	ea.AtCall(50, func(any, int64) { ea.AtCall(100, note("a50"), nil, 0) }, nil, 0)
+	eb.AtCall(50, func(any, int64) { eb.AtCall(100, note("b50"), nil, 0) }, nil, 0)
 	x.Start()
 	defer x.Shutdown()
-	x.AdvanceTo(200)
-	want := []string{"b", "ctrl", "a"}
+	x.AdvanceTo(100)
+	want := []string{"b0", "a50", "b50"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("merged instant order = %v, want %v", order, want)
 	}
-}
-
-// A cross-LP message due EXACTLY at a barrier racing a control event at
-// the same instant: the message must land in the merged-instant step and
-// interleave with the control event in serial key order — schedule time
-// dominates, so the control event (scheduled at 0) runs before the message
-// (drawn at 10).
-func TestBarrierExactMessageRacesCtrlEvent(t *testing.T) {
-	ea, eb, ctrl := sim.NewEngine(), sim.NewEngine(), sim.NewEngine()
-	ea.SetRank(0)
-	eb.SetRank(1)
-	ctrl.SetRank(3)
-	x := par.New(ctrl, []*sim.Engine{ea, eb}, uniform(2, lookahead))
-	var order []string
-	ctrl.AtCall(100, func(any, int64) { order = append(order, "ctrl") }, nil, 0)
-	ea.AtCall(10, func(any, int64) {
-		x.Send(0, 1, 100, ea.AllocSeq(),
-			func(any, int64) { order = append(order, "msg") }, nil, 0)
-	}, nil, 0)
-	x.Start()
-	defer x.Shutdown()
-	x.AdvanceTo(200)
-	want := []string{"ctrl", "msg"}
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("barrier-instant order = %v, want %v", order, want)
-	}
-	if eb.Now() != 200 || ctrl.Now() != 200 {
-		t.Fatalf("clocks = %v/%v, want parked at 200", eb.Now(), ctrl.Now())
+	if ea.Now() != 100 || eb.Now() != 100 || x.Now() != 100 {
+		t.Fatalf("clocks = %v/%v, barrier %v, want all at 100", ea.Now(), eb.Now(), x.Now())
 	}
 }
 
@@ -435,27 +441,24 @@ func TestBarrierExactMessageRacesCtrlEvent(t *testing.T) {
 // the coordinator in place — no plan, no goroutine handoff — with one
 // recorded park per shard, while every clock still tracks each barrier.
 func TestIdleShardParking(t *testing.T) {
-	ea, eb, ctrl := sim.NewEngine(), sim.NewEngine(), sim.NewEngine()
+	ea, eb := sim.NewEngine(), sim.NewEngine()
 	ea.SetRank(0)
 	eb.SetRank(1)
-	ctrl.SetRank(3)
-	x := par.New(ctrl, []*sim.Engine{ea, eb}, uniform(2, lookahead))
+	x := par.New([]*sim.Engine{ea, eb}, uniform(2, lookahead))
 	rec := prof.NewRecorder(profNames(2))
 	x.SetRecorder(rec)
-	// Control ticks end rounds at 100, 200, ..., 1000; only the round
-	// ending at 500 holds worker work.
-	var tick func(any, int64)
-	tick = func(any, int64) {
-		if ctrl.Now() < 1000 {
-			ctrl.AtCall(ctrl.Now()+100, tick, nil, 0)
-		}
-	}
-	ctrl.AtCall(100, tick, nil, 0)
 	fired := false
 	ea.AtCall(450, func(any, int64) { fired = true }, nil, 0)
 	x.Start()
 	defer x.Shutdown()
-	x.AdvanceTo(1000)
+	// Caller barriers at 100, 200, ..., 1000; only the round ending at
+	// 500 holds worker work.
+	for b := sim.Time(100); b <= 1000; b += 100 {
+		x.AdvanceTo(b)
+		if ea.Now() != b || eb.Now() != b {
+			t.Fatalf("clocks = %v/%v, want both parked at %v", ea.Now(), eb.Now(), b)
+		}
+	}
 	if !fired || rec.Rounds != 10 {
 		t.Fatalf("fired %v over %d rounds, want true over 10", fired, rec.Rounds)
 	}
@@ -464,19 +467,15 @@ func TestIdleShardParking(t *testing.T) {
 			t.Fatalf("lane %d parked %d times, want 9", i, p)
 		}
 	}
-	if ea.Now() != 1000 || eb.Now() != 1000 || ctrl.Now() != 1000 {
-		t.Fatalf("clocks = %v/%v/%v, want all parked at 1000",
-			ea.Now(), eb.Now(), ctrl.Now())
-	}
 }
 
 // DrainAll must jump idle gaps (a far-future sentinel would otherwise cost
-// billions of lookahead windows) and terminate when everything is empty.
+// billions of lookahead windows), terminate when everything is empty, and
+// leave its last barrier at the last event, as a serial Run leaves its
+// clock.
 func TestDrainJumpsIdleGaps(t *testing.T) {
-	ea, ctrl := sim.NewEngine(), sim.NewEngine()
-	ea.SetRank(0)
-	ctrl.SetRank(3)
-	x := par.New(ctrl, []*sim.Engine{ea}, uniform(1, 10))
+	ea := sim.NewEngine()
+	x := par.New([]*sim.Engine{ea}, uniform(1, 10))
 	fired := sim.Time(0)
 	sentinel := sim.Time(3600) * sim.Second
 	ea.AtCall(sentinel, func(any, int64) { fired = ea.Now() }, nil, 0)
@@ -484,14 +483,14 @@ func TestDrainJumpsIdleGaps(t *testing.T) {
 	defer x.Shutdown()
 	x.AdvanceTo(100)
 	x.DrainAll()
-	if fired != sentinel {
-		t.Fatalf("sentinel fired at %v, want %v", fired, sentinel)
+	if fired != sentinel || x.Now() != sentinel {
+		t.Fatalf("sentinel fired at %v, drain ended at %v, want both %v", fired, x.Now(), sentinel)
 	}
 }
 
 func TestShardPanicPropagates(t *testing.T) {
-	ea, ctrl := sim.NewEngine(), sim.NewEngine()
-	x := par.New(ctrl, []*sim.Engine{ea}, uniform(1, 10))
+	ea := sim.NewEngine()
+	x := par.New([]*sim.Engine{ea}, uniform(1, 10))
 	ea.AtCall(5, func(any, int64) { panic("boom") }, nil, 0)
 	x.Start()
 	defer x.Shutdown()
@@ -513,18 +512,17 @@ func TestTopologyNotStronglyConnectedPanics(t *testing.T) {
 		}
 	}()
 	topo := par.Topology{Workers: 2, Links: []par.Link{{Src: 1, Dst: 0, Latency: 48}}}
-	par.New(sim.NewEngine(), []*sim.Engine{sim.NewEngine(), sim.NewEngine()}, topo)
+	par.New([]*sim.Engine{sim.NewEngine(), sim.NewEngine()}, topo)
 	t.Fatal("expected panic")
 }
 
 // A send whose delivery slack undercuts the declared link latency is the
 // broken promise the conservative bounds rest on: it must fail fast.
 func TestSendLookaheadViolationPanics(t *testing.T) {
-	ea, eb, ctrl := sim.NewEngine(), sim.NewEngine(), sim.NewEngine()
+	ea, eb := sim.NewEngine(), sim.NewEngine()
 	ea.SetRank(0)
 	eb.SetRank(1)
-	ctrl.SetRank(3)
-	x := par.New(ctrl, []*sim.Engine{ea, eb}, uniform(2, lookahead))
+	x := par.New([]*sim.Engine{ea, eb}, uniform(2, lookahead))
 	ea.AtCall(10, func(any, int64) {
 		x.Send(0, 1, ea.Now()+lookahead-1, ea.AllocSeq(), func(any, int64) {}, nil, 0)
 	}, nil, 0)
@@ -557,9 +555,9 @@ func TestStarTopologyMatchesSerialOracle(t *testing.T) {
 	}
 }
 
-// TestWorkerCapBoundary pins the widened worker ceiling: 255 LPs — the
-// full eight-bit rank space minus the control engine — construct and run,
-// with one message routed to every leaf end to end.
+// TestWorkerCapBoundary pins the worker ceiling: 255 LPs — the eight-bit
+// rank space above the cluster runner's unused rank 0 — construct and
+// run, with one message routed to every leaf end to end.
 func TestWorkerCapBoundary(t *testing.T) {
 	const w = 255
 	var engines []*sim.Engine
@@ -568,15 +566,13 @@ func TestWorkerCapBoundary(t *testing.T) {
 		e.SetRank(n)
 		engines = append(engines, e)
 	}
-	ctrl := sim.NewEngine()
-	ctrl.SetRank(w)
 	topo := par.Topology{Workers: w}
 	for l := 1; l < w; l++ {
 		topo.Links = append(topo.Links,
 			par.Link{Src: 0, Dst: l, Latency: 64},
 			par.Link{Src: l, Dst: 0, Latency: 64})
 	}
-	x := par.New(ctrl, engines, topo)
+	x := par.New(engines, topo)
 	hub := engines[0]
 	got := make([]int, w)
 	hub.AtCall(10, func(any, int64) {
@@ -617,7 +613,7 @@ func TestWorkerCapExceededPanics(t *testing.T) {
 			t.Fatalf("recovered %v, want worker-cap panic", r)
 		}
 	}()
-	par.New(sim.NewEngine(), engines, uniform(256, 64))
+	par.New(engines, uniform(256, 64))
 }
 
 // TestWideStarMatchesSerialOracle is the star oracle at fleet width:

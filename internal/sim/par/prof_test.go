@@ -27,7 +27,7 @@ func profNames(workers int) []string {
 func TestRecorderObservesRun(t *testing.T) {
 	const workers = 3
 	s := buildScript(rand.New(rand.NewSource(77)), workers, 900)
-	r := newRunner(s, workers, true)
+	r := newRunner(s, workers)
 	rec := prof.NewRecorder(profNames(workers))
 	r.x.SetRecorder(rec)
 	r.run(6000)
@@ -96,7 +96,7 @@ func TestRecorderLaneCountMismatchPanics(t *testing.T) {
 		e.SetRank(n)
 		w = append(w, e)
 	}
-	x := par.New(sim.NewEngine(), w, uniform(2, lookahead))
+	x := par.New(w, uniform(2, lookahead))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on lane-count mismatch")

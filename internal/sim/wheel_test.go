@@ -128,9 +128,9 @@ func buildWheelWorkload(schedule func(Time, func()), inject func(Time, uint64, f
 // spanning every wheel level plus the overflow heap on the timing-wheel
 // engine and on the retained 4-ary heap, and demands the firing traces
 // match event for event — once with local schedules only and once mixed
-// with injected foreign keys. The run is chopped into RunUntil segments
-// (with a mid-run Stop/resume) so deadline clamping and cursor catch-up
-// after idle gaps are part of the replay, then drained with Run.
+// with injected foreign keys. The run is chopped into RunUntil segments so
+// deadline clamping and cursor catch-up after idle gaps are part of the
+// replay, then drained with Run.
 func TestWheelAgainstHeapOracle(t *testing.T) {
 	const budget = 100_000
 	for _, mixed := range []bool{false, true} {
@@ -149,25 +149,15 @@ func replayWheelAgainstHeap(t *testing.T, seed int64, budget int, mixed bool) {
 	want := buildWheelWorkload(ref.Schedule, refInject, func() Time { return ref.now }, seed, budget)
 
 	e := NewEngine()
-	var nth int
-	trampoline := Call(func(arg any, _ int64) { arg.(func())() })
-	schedule := func(delay Time, fn func()) {
-		nth++
-		if nth%2 == 0 {
-			e.ScheduleCall(delay, trampoline, fn, 0)
-		} else {
-			e.Schedule(delay, fn)
-		}
-	}
 	var inject func(Time, uint64, func())
 	if mixed {
 		var one [1]Inject
 		inject = func(at Time, seq uint64, fn func()) {
-			one[0] = Inject{At: at, Seq: seq, Call: trampoline, Arg: fn}
+			one[0] = Inject{At: at, Seq: seq, Call: callFunc, Arg: fn}
 			e.InjectBatch(one[:])
 		}
 	}
-	got := buildWheelWorkload(schedule, inject, e.Now, seed, budget)
+	got := buildWheelWorkload(e.schedule, inject, e.Now, seed, budget)
 
 	for _, deadline := range []Time{1 << levelShift(2), 1 << levelShift(4), wheelHorizon, 2 * wheelHorizon} {
 		ref.RunUntil(deadline)
@@ -175,8 +165,8 @@ func replayWheelAgainstHeap(t *testing.T, seed int64, budget int, mixed bool) {
 		if e.Now() != ref.now {
 			t.Fatalf("seed %d mixed %v: clocks diverge after RunUntil(%d): wheel %d, heap %d", seed, mixed, deadline, e.Now(), ref.now)
 		}
-		if e.Pending() != ref.h.len() {
-			t.Fatalf("seed %d mixed %v: pending diverges after RunUntil(%d): wheel %d, heap %d", seed, mixed, deadline, e.Pending(), ref.h.len())
+		if e.q.pending() != ref.h.len() {
+			t.Fatalf("seed %d mixed %v: pending diverges after RunUntil(%d): wheel %d, heap %d", seed, mixed, deadline, e.q.pending(), ref.h.len())
 		}
 	}
 	ref.Run()
@@ -280,10 +270,10 @@ func FuzzWheelSameInstantFIFO(f *testing.F) {
 			}
 			if pc < len(prog) {
 				c := Time(prog[pc])
-				e.At(e.Now()+c*c+1, step)
+				e.at(e.Now()+c*c+1, step)
 			}
 		}
-		e.At(0, step)
+		e.at(0, step)
 		e.Run()
 
 		if len(fired) != scheduled {

@@ -77,9 +77,6 @@ func (c Config) WithDefaults() Config {
 	if c.TimelinePeriod <= 0 {
 		c.TimelinePeriod = DefaultTimelinePeriod
 	}
-	if c.TraceEvery < 0 {
-		c.TraceEvery = 0
-	}
 	return c
 }
 

@@ -35,9 +35,9 @@ func TestConfigDefaultsAndEnabled(t *testing.T) {
 	if col.Tracer == nil || col.Timeline != nil {
 		t.Fatal("trace-only config must build only the tracer")
 	}
-	// A config with a negative TraceEvery normalizes to off.
-	if (Config{TraceEvery: -3}.WithDefaults()).TraceEvery != 0 {
-		t.Fatal("negative TraceEvery must normalize to 0")
+	// A negative TraceEvery asks for nothing (runs reject it outright).
+	if New(Config{TraceEvery: -3}) != nil {
+		t.Fatal("negative TraceEvery must build no collector")
 	}
 }
 
