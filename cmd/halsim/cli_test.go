@@ -123,6 +123,11 @@ func TestBadInputsExitUsage(t *testing.T) {
 		"name: fn-bogus\nrun:\n  fn: KVS\n  fn_config: bogus\n  rate_gbps: 40\n  duration: 5ms\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	server1 := filepath.Join(t.TempDir(), "server1.yaml")
+	if err := os.WriteFile(server1, []byte(
+		"name: server1\nrun:\n  rate_gbps: 40\n  duration: 5ms\nevents:\n  - at: 1ms\n    for: 1ms\n    kind: rx-drop\n    server: 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		args   []string
 		reason string
@@ -136,6 +141,7 @@ func TestBadInputsExitUsage(t *testing.T) {
 		{[]string{"-fn", "KVS", "-fn-config", "bogus"}, `unknown KVS config "bogus"`},
 		{[]string{"validate", fnBogus}, `unknown KVS config "bogus"`},
 		{[]string{"run", slb9}, "SLB needs 1..7 forwarding cores"},
+		{[]string{"validate", server1}, "targets server 1 outside a fleet of 1"},
 		{[]string{"-servers", "5000"}, "5000 servers outside 1..4096"},
 		{[]string{"-servers", "4", "-pods", "8"}, "8 pods outside 1..servers"},
 		{[]string{"-servers", "4", "-dispatch", "random"}, "unknown dispatch policy"},
@@ -164,7 +170,6 @@ func TestBadInputsExitUsage(t *testing.T) {
 		{[]string{"-servers", "8", "-oversub", "4"}, "set without -pods >= 2"},
 		{[]string{"-shards", "4"}, "shards apply to fleets"},
 		{[]string{"-servers", "8", "-duration", "1ms", "-trace-out", "t.json"}, "-trace-out on a fleet needs -shards > 1 -prof"},
-		{[]string{"-servers", "8", "-fault", "core-crash"}, "-fault set with -servers"},
 	}
 	for _, c := range cases {
 		_, stderr, code := halsim(t, c.args...)

@@ -70,7 +70,7 @@ func main() {
 		slbTh    = flag.Float64("slb-th", 20, "SLB FwdTh in Gbps (slb and slb-host modes)")
 		function = flag.Bool("functional", false, "execute the real network function per packet")
 
-		faultKind  = flag.String("fault", "", "inject a fault: core-crash | rx-drop | telemetry | accel-degrade")
+		faultKind  = flag.String("fault", "", "inject a fault: core-crash | rx-drop | telemetry | accel-degrade | server-crash (on a fleet, server 0 takes it)")
 		faultAt    = flag.Duration("fault-at", 100*time.Millisecond, "fault onset (with -fault)")
 		faultFor   = flag.Duration("fault-for", 100*time.Millisecond, "fault duration (with -fault)")
 		faultCores = flag.Int("fault-cores", 2, "SNIC cores to crash (with -fault core-crash)")
@@ -210,7 +210,6 @@ func main() {
 		if *pods < 2 {
 			needs("set without -pods >= 2: a flat star has no pod uplinks or spine", "oversub", "spine-wire")
 		}
-		needs("set with -servers: -fault drives a single server; fleet runs take server-crash events from a scenario file", "fault")
 		s.Cfg.Cluster = &server.ClusterConfig{
 			Servers:     *servers,
 			Dispatch:    strings.ToLower(*dispatch),
@@ -269,7 +268,7 @@ func main() {
 	if res.CoherenceRemote > 0 {
 		fmt.Printf("  coherence   %8d remote transfers/invalidations\n", res.CoherenceRemote)
 	}
-	if o.Compiled.Plan != nil {
+	if o.Compiled.Cfg.Faults != nil {
 		fmt.Printf("  faults      %d events, %d crashes, %d requeued, %d fault drops, %d LBP holds\n",
 			res.FaultEvents, res.CoreCrashes, res.Requeued, res.FaultDrops, res.LBPHolds)
 		if res.FailoverTicks >= 0 {

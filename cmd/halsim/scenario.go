@@ -179,7 +179,7 @@ func executeScenario(path string, ov scenario.Overrides, reportMD, reportHTML st
 	fmt.Printf("  delivered   %8.2f Gbps avg (offered %.2f), p99 %.1f us\n",
 		res.AvgGbps, res.OfferedGbps, res.P99us)
 	fmt.Printf("  power       %8.1f W avg -> %.4f Gbps/W\n", res.AvgPowerW, res.EffGbpsPerW)
-	if o.Compiled.Plan != nil {
+	if o.Compiled.Cfg.Faults != nil {
 		fmt.Printf("  faults      %d events, %d crashes, %d requeued, %d fault drops\n",
 			res.FaultEvents, res.CoreCrashes, res.Requeued, res.FaultDrops)
 	}

@@ -98,9 +98,6 @@ type (
 // are ingress round trips, fabric included.
 type ClusterConfig = server.ClusterConfig
 
-// ServerCrash is one timed whole-server blackout of a cluster run.
-type ServerCrash = server.ServerCrash
-
 // Run executes one simulation and returns its metrics. A Config with
 // Cluster set runs a fleet; otherwise a single server.
 func Run(cfg Config, rc RunConfig) (Result, error) {
@@ -128,10 +125,12 @@ func ParseWorkload(name string) (Workload, error) { return trace.ParseWorkload(n
 
 // FaultPlan is a deterministic schedule of fault events — core crashes and
 // recoveries, accelerator degradation, Rx-ring drop faults, telemetry
-// blackout — injected into a run via Config.Faults. Same seed + same plan
-// ⇒ identical results. Build one with NewFaultPlan and its chainable
-// schedule methods (CrashSNICCores, DropSNICRx, BlackoutTelemetry,
-// DegradeSNICAccel, ...).
+// blackout, whole-server blackouts — injected into a run via
+// Config.Faults. Same seed + same plan ⇒ identical results. Build one with
+// NewFaultPlan and its chainable schedule methods (CrashSNICCores,
+// DropSNICRx, BlackoutTelemetry, DegradeSNICAccel, CrashServer, ...). A
+// fleet takes the same plan: each event's Server index names the server
+// it hits (0 by default, the only server of a single-server run).
 type FaultPlan = fault.Plan
 
 // FaultEvent is one timed fault of a FaultPlan.

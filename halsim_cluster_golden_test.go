@@ -45,8 +45,8 @@ func goldenClusterRuns(t *testing.T, tel halsim.TelemetryConfig, shards int) str
 	// conservation ledger still closes to zero.
 	res, err = halsim.Run(
 		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 7, Telemetry: tel, Shards: shards,
-			Cluster: &halsim.ClusterConfig{Servers: 8, Dispatch: "p2c",
-				Crashes: []halsim.ServerCrash{{Server: 3, At: 1 * halsim.Millisecond, For: 1 * halsim.Millisecond}}}},
+			Faults:  halsim.NewFaultPlan(7).CrashServer(3, 1*halsim.Millisecond, 2*halsim.Millisecond),
+			Cluster: &halsim.ClusterConfig{Servers: 8, Dispatch: "p2c"}},
 		halsim.RunConfig{Duration: 4 * halsim.Millisecond, RateGbps: 120, Drain: true,
 			PhaseMarks: []halsim.Time{1 * halsim.Millisecond, 2 * halsim.Millisecond}})
 	if err != nil {

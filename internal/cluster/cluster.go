@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"halsim/internal/energy"
-	"halsim/internal/fault"
 	"halsim/internal/packet"
 	"halsim/internal/server"
 	"halsim/internal/sim"
@@ -75,13 +74,10 @@ func Run(cfg server.Config, rc server.RunConfig) (server.Result, error) {
 	if cfg.Cluster == nil {
 		return server.Result{}, fmt.Errorf("cluster: Config.Cluster is nil")
 	}
-	if cfg.Faults != nil {
-		return server.Result{}, fmt.Errorf("cluster: per-server fault plans are not supported; use Cluster.Crashes")
-	}
 	if err := server.Normalize(&cfg, &rc); err != nil {
 		return server.Result{}, err
 	}
-	cc, err := cfg.Cluster.WithDefaults(rc.Duration)
+	cc, err := cfg.Cluster.WithDefaults()
 	if err != nil {
 		return server.Result{}, err
 	}
@@ -162,8 +158,9 @@ func (c *crun) build() error {
 	}
 
 	// Server instances. Each runs on the fleet's seed, its index keying
-	// its own streams, and — when crashed — a private fault plan driving
-	// both-side Rx blackout windows.
+	// its own streams, and takes the fault plan's events for its index; a
+	// fault-free fleet splits into no plans at all.
+	plans := c.cfg.Faults.Split(n)
 	c.grpOf = make([]int, n)
 	c.fab = newFabric(c.cc)
 	c.reqCalls = make([]sim.Call, n)
@@ -176,9 +173,9 @@ func (c *crun) build() error {
 		}
 		eng, pool := c.engs[w], c.pools[w]
 		icfg := c.cfg
-		icfg.Cluster = nil
-		if plan := c.crashPlan(i); plan != nil {
-			icfg.Faults = plan
+		icfg.Cluster, icfg.Faults = nil, nil
+		if plans != nil {
+			icfg.Faults = plans[i]
 		}
 		srv, wkr := i, w
 		inst, err := server.NewInstance(icfg, c.rc, i, eng, pool, func(p *packet.Packet) {
@@ -227,23 +224,6 @@ func (c *crun) build() error {
 	}
 	c.m = server.NewMeter(c.rc, c.col)
 	return nil
-}
-
-// crashPlan compiles server i's blackout windows into a fault plan: both
-// Rx sides drop everything for each window, as if the NIC lost link.
-func (c *crun) crashPlan(i int) *fault.Plan {
-	var plan *fault.Plan
-	for _, cr := range c.cc.Crashes {
-		if cr.Server != i {
-			continue
-		}
-		if plan == nil {
-			plan = fault.NewPlan(c.cfg.Seed)
-		}
-		plan.DropSNICRx(cr.At, cr.At+cr.For, 1).
-			DropHostRx(cr.At, cr.At+cr.For, 1)
-	}
-	return plan
 }
 
 // start registers every periodic process and begins offering traffic.
@@ -357,7 +337,7 @@ func (c *crun) sample(t sim.Time) {
 	}
 	s.Events = ev - c.prevEvents
 	c.prevEvents = ev
-	_, _, sent, _ := c.src.Offered()
+	sent, _, _, _ := c.src.Offered()
 	c.col.Publish(s, sent)
 }
 

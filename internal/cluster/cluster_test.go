@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"halsim/internal/fault"
 	"halsim/internal/nf"
 	"halsim/internal/packet"
 	"halsim/internal/server"
@@ -27,7 +29,7 @@ func runRecorded(t *testing.T, cfg server.Config, rc server.RunConfig) (server.R
 	if err := server.Normalize(&cfg, &rc); err != nil {
 		t.Fatal(err)
 	}
-	cc, err := cfg.Cluster.WithDefaults(rc.Duration)
+	cc, err := cfg.Cluster.WithDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +138,8 @@ func TestFleetTimelineAcrossEngines(t *testing.T) {
 	run := func(shards int) (csv, metrics string, tl *telemetry.Timeline) {
 		res, err := Run(server.Config{Mode: server.HAL, Fn: nf.NAT, Seed: 3, Shards: shards,
 			Telemetry: telemetry.Config{Timeline: true, TimelinePeriod: period},
-			Cluster: &server.ClusterConfig{Servers: 6, Dispatch: "p2c",
-				Crashes: []server.ServerCrash{{Server: 2, At: 300 * sim.Microsecond, For: 200 * sim.Microsecond}}}},
+			Faults:    fault.NewPlan(3).CrashServer(2, 300*sim.Microsecond, 500*sim.Microsecond),
+			Cluster:   &server.ClusterConfig{Servers: 6, Dispatch: "p2c"}},
 			server.RunConfig{Duration: duration, RateGbps: 60, Drain: true})
 		if err != nil {
 			t.Fatal(err)
@@ -172,5 +174,111 @@ func TestFleetTimelineAcrossEngines(t *testing.T) {
 	}
 	if last := tl.At(n - 1).T; last <= duration {
 		t.Fatalf("final sample at %v, want past the drain's start %v", last, duration)
+	}
+}
+
+// TestFleetFaultsAcrossEngines drives every fault kind through one fleet,
+// each kind on its own server, and pins that the serial engine, three
+// shards and one LP per server give the same Result and timeline, that
+// every event fires, and that the drained ledger closes.
+func TestFleetFaultsAcrossEngines(t *testing.T) {
+	const (
+		servers  = 8
+		duration = 2 * sim.Millisecond
+	)
+	from, to := 500*sim.Microsecond, 1200*sim.Microsecond
+	plan := fault.NewPlan(9).
+		Add(fault.Event{At: from, Server: 0, Kind: fault.SNICCoreCrash, Core: 0}).
+		Add(fault.Event{At: from, Server: 0, Kind: fault.SNICCoreCrash, Core: 1}).
+		Add(fault.Event{At: to, Server: 0, Kind: fault.SNICCoreRecover, Core: 0}).
+		Add(fault.Event{At: to, Server: 0, Kind: fault.SNICCoreRecover, Core: 1}).
+		Add(fault.Event{At: from, Server: 1, Kind: fault.HostCoreCrash, Core: 0}).
+		Add(fault.Event{At: to, Server: 1, Kind: fault.HostCoreRecover, Core: 0}).
+		Add(fault.Event{At: from, Server: 2, Kind: fault.SNICRxDrop, DropProb: 0.3}).
+		Add(fault.Event{At: to, Server: 2, Kind: fault.SNICRxRestore}).
+		Add(fault.Event{At: from, Server: 3, Kind: fault.HostRxDrop, DropProb: 0.3}).
+		Add(fault.Event{At: to, Server: 3, Kind: fault.HostRxRestore}).
+		Add(fault.Event{At: from, Server: 4, Kind: fault.SNICAccelDegrade}).
+		Add(fault.Event{At: to, Server: 4, Kind: fault.SNICAccelRestore}).
+		Add(fault.Event{At: from, Server: 5, Kind: fault.TelemetryBlackout}).
+		Add(fault.Event{At: to, Server: 5, Kind: fault.TelemetryRestore}).
+		CrashServer(6, from, to)
+	run := func(shards int) (string, string) {
+		res, err := Run(server.Config{Mode: server.HAL, Fn: nf.NAT, Seed: 4, Shards: shards, Faults: plan,
+			Telemetry: telemetry.Config{Timeline: true},
+			Cluster:   &server.ClusterConfig{Servers: servers, Dispatch: "p2c"}},
+			server.RunConfig{Duration: duration, RateGbps: 8 * 60, Drain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.InFlightEnd != 0 || res.SentAll != res.CompletedAll+res.DroppedAll {
+			t.Fatalf("shards %d: ledger open: %d sent = %d completed + %d dropped, in flight %d",
+				shards, res.SentAll, res.CompletedAll, res.DroppedAll, res.InFlightEnd)
+		}
+		if res.FaultEvents != uint64(plan.Len()) || res.CoreCrashes != 3 || res.FaultDrops == 0 {
+			t.Fatalf("shards %d: %d fault events (want %d), %d core crashes (want 3), %d fault drops",
+				shards, res.FaultEvents, plan.Len(), res.CoreCrashes, res.FaultDrops)
+		}
+		var csv strings.Builder
+		if err := res.Timeline.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		res.Engine, res.Timeline, res.Metrics = "", nil, nil
+		return fmt.Sprintf("%+v", res), csv.String()
+	}
+	serial, serialCSV := run(0)
+	for _, shards := range []int{3, servers + 1} {
+		res, csv := run(shards)
+		if res != serial {
+			t.Errorf("shards %d: Result differs from serial:\n%s\nserial:\n%s", shards, res, serial)
+		}
+		if csv != serialCSV {
+			t.Errorf("shards %d: timeline differs from serial", shards)
+		}
+	}
+}
+
+// TestFleetPacketsSentMetric pins halsim_packets_sent_total on a fleet: the
+// all-time offered count, warmup included, as on a single server, and the
+// same on both engines.
+func TestFleetPacketsSentMetric(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		res, err := Run(server.Config{Mode: server.HAL, Fn: nf.NAT, Seed: 2, Shards: shards,
+			Telemetry: telemetry.Config{Timeline: true},
+			Cluster:   &server.ClusterConfig{Servers: 4, Dispatch: "p2c"}},
+			server.RunConfig{Duration: 2 * sim.Millisecond, Warmup: 500 * sim.Microsecond, RateGbps: 160})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := res.Metrics
+		sent := reg.Value(reg.Counter("halsim_packets_sent_total", ""))
+		if uint64(sent) != res.SentAll || res.SentAll <= res.Sent {
+			t.Errorf("shards %d: halsim_packets_sent_total %v, want SentAll %d (post-warmup Sent %d)",
+				shards, sent, res.SentAll, res.Sent)
+		}
+	}
+}
+
+// TestFaultServerRange pins the one range check on fault events: a fleet of
+// n takes servers 0..n-1, and Run refuses an event aimed past the fleet.
+func TestFaultServerRange(t *testing.T) {
+	for _, tc := range []struct {
+		server int
+		ok     bool
+	}{{3, true}, {4, false}} {
+		cfg := server.Config{Mode: server.HAL, Fn: nf.NAT, Seed: 1,
+			Faults:  fault.NewPlan(1).CrashServer(tc.server, 100*sim.Microsecond, 200*sim.Microsecond),
+			Cluster: &server.ClusterConfig{Servers: 4}}
+		rc := server.RunConfig{Duration: 300 * sim.Microsecond, RateGbps: 40}
+		err := server.Normalize(&cfg, &rc)
+		if (err == nil) != tc.ok {
+			t.Fatalf("server %d of 4: Normalize error %v", tc.server, err)
+		}
+		if _, runErr := Run(cfg, rc); (runErr == nil) != tc.ok {
+			t.Fatalf("server %d of 4: Run error %v", tc.server, runErr)
+		}
+		if !tc.ok && !strings.Contains(err.Error(), "targets server 4 outside a fleet of 4") {
+			t.Fatalf("error %q names neither the server nor the fleet size", err)
+		}
 	}
 }

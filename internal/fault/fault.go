@@ -92,6 +92,9 @@ func (k Kind) rxKind() bool {
 type Event struct {
 	// At is the absolute simulated instant the fault fires.
 	At sim.Time
+	// Server is the index of the server the event targets in a fleet; a
+	// single server is server 0.
+	Server int
 	// Kind selects the fault mechanism.
 	Kind Kind
 	// Core is the target core index for the core-crash/recover kinds.
@@ -102,14 +105,17 @@ type Event struct {
 }
 
 func (e Event) String() string {
+	s := fmt.Sprintf("%v@%v", e.Kind, e.At)
 	switch {
 	case e.Kind.coreKind():
-		return fmt.Sprintf("%v@%v core=%d", e.Kind, e.At, e.Core)
+		s += fmt.Sprintf(" core=%d", e.Core)
 	case e.Kind.rxKind():
-		return fmt.Sprintf("%v@%v p=%.3f", e.Kind, e.At, e.DropProb)
-	default:
-		return fmt.Sprintf("%v@%v", e.Kind, e.At)
+		s += fmt.Sprintf(" p=%.3f", e.DropProb)
 	}
+	if e.Server != 0 {
+		s += fmt.Sprintf(" server=%d", e.Server)
+	}
+	return s
 }
 
 // Plan is a schedule of fault events plus the seed for any randomized
@@ -178,6 +184,16 @@ func (p *Plan) BlackoutTelemetry(from, to sim.Time) *Plan {
 	return p.Add(Event{At: to, Kind: TelemetryRestore})
 }
 
+// CrashServer blacks server out during [from, to): both Rx sides drop
+// every packet, as if its NIC lost link. The server's own clock, policies
+// and power model keep running.
+func (p *Plan) CrashServer(server int, from, to sim.Time) *Plan {
+	p.Add(Event{At: from, Server: server, Kind: SNICRxDrop, DropProb: 1})
+	p.Add(Event{At: to, Server: server, Kind: SNICRxRestore})
+	p.Add(Event{At: from, Server: server, Kind: HostRxDrop, DropProb: 1})
+	return p.Add(Event{At: to, Server: server, Kind: HostRxRestore})
+}
+
 // CrashSNICCores schedules n cores (indices 0..n-1) crashing at from and
 // recovering at to — the standard capacity-loss scenario.
 func (p *Plan) CrashSNICCores(from, to sim.Time, n int) *Plan {
@@ -209,6 +225,9 @@ func (p *Plan) Validate() error {
 		if e.Kind < 0 || e.Kind >= numKinds {
 			return validationf("fault: event %d has unknown kind %d", i, int(e.Kind))
 		}
+		if e.Server < 0 {
+			return validationf("fault: event %d (%v) targets negative server %d", i, e.Kind, e.Server)
+		}
 		if e.Kind.coreKind() && e.Core < 0 {
 			return validationf("fault: event %d (%v) has negative core %d", i, e.Kind, e.Core)
 		}
@@ -230,6 +249,27 @@ func (p *Plan) Sorted() []Event {
 
 // Len returns the event count.
 func (p *Plan) Len() int { return len(p.Events) }
+
+// Split divides the plan among a fleet of n servers: plans[i] holds server
+// i's events in plan order under the plan's seed, readdressed to server 0
+// because each server runs its share as a single server does; it is nil
+// for a server the plan leaves alone. A nil plan splits into a nil slice.
+// The events' servers must lie in [0, n).
+func (p *Plan) Split(n int) []*Plan {
+	if p == nil {
+		return nil
+	}
+	plans := make([]*Plan, n)
+	for _, e := range p.Events {
+		i := e.Server
+		if plans[i] == nil {
+			plans[i] = NewPlan(p.Seed)
+		}
+		e.Server = 0
+		plans[i].Add(e)
+	}
+	return plans
+}
 
 // Injector binds a plan to an engine and an apply function. Arm schedules
 // every event; events fire in (time, insertion) order through the engine's

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -61,12 +62,50 @@ func TestValidateRejectsBadEvents(t *testing.T) {
 		{At: 0, Kind: SNICCoreCrash, Core: -2},
 		{At: 0, Kind: SNICRxDrop, DropProb: 1.5},
 		{At: 0, Kind: HostRxDrop, DropProb: -0.1},
+		{At: 0, Kind: TelemetryBlackout, Server: -1},
 	}
 	for i, e := range cases {
 		p := NewPlan(0).Add(e)
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d (%v) should fail validation", i, e)
 		}
+	}
+}
+
+func TestCrashServer(t *testing.T) {
+	want := NewPlan(3).DropSNICRx(100, 200, 1).DropHostRx(100, 200, 1)
+	for i := range want.Events {
+		want.Events[i].Server = 5
+	}
+	got := NewPlan(3).CrashServer(5, 100, 200)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("CrashServer = %+v, want %+v", got.Events, want.Events)
+	}
+	if s := got.Events[0].String(); !strings.Contains(s, "server=5") {
+		t.Fatalf("event string %q does not name its server", s)
+	}
+}
+
+func TestSplit(t *testing.T) {
+	if (*Plan)(nil).Split(4) != nil {
+		t.Fatal("a nil plan split into plans")
+	}
+	p := NewPlan(9).
+		CrashServer(2, 100, 200).
+		CrashSNICCore(50, 1).
+		DegradeSNICAccel(10, 20)
+	p.Events[len(p.Events)-1].Server = 2
+	plans := p.Split(4)
+	if len(plans) != 4 || plans[1] != nil || plans[3] != nil {
+		t.Fatalf("servers without events got plans: %+v", plans)
+	}
+	if !reflect.DeepEqual(plans[0], NewPlan(9).CrashSNICCore(50, 1).Add(Event{At: 10, Kind: SNICAccelDegrade})) {
+		t.Fatalf("server 0's plan %+v", plans[0])
+	}
+	// Server 2's share, readdressed to the server that runs it.
+	want := NewPlan(9).CrashServer(0, 100, 200).Add(Event{At: 20, Kind: SNICAccelRestore})
+	if !reflect.DeepEqual(plans[2], want) {
+		t.Fatalf("server 2's plan %+v, want %+v", plans[2].Events, want.Events)
 	}
 }
 

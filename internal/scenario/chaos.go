@@ -151,8 +151,10 @@ func (c *ChaosSpec) validate(duration sim.Time) error {
 // generate draws the chaos schedule as EventSpecs (sorted by start time) so
 // the plan compiler and the report treat chaotic and explicit events
 // identically. Deterministic: the spec seed's chaos stream, drawn in a
-// fixed order, no map iteration.
-func (c ChaosSpec) generate(runSeed int64, duration sim.Time) ([]EventSpec, error) {
+// fixed order, no map iteration. On a fleet of servers > 1 each window,
+// in firing order, then draws its target server from a second stream, so
+// the windows themselves are the ones a single server would get.
+func (c ChaosSpec) generate(runSeed int64, duration sim.Time, servers int) ([]EventSpec, error) {
 	c = c.withDefaults(runSeed, duration)
 	if err := c.validate(duration); err != nil {
 		return nil, err
@@ -228,6 +230,12 @@ func (c ChaosSpec) generate(runSeed int64, duration sim.Time) ([]EventSpec, erro
 	if len(accepted) == 0 && c.Events > 0 {
 		return nil, errf("chaos: no fault window could be placed (window %v..%v too tight for max_overlap %d)",
 			c.WindowFrom, c.WindowTo, c.MaxOverlap)
+	}
+	if servers > 1 {
+		target := rng.Stream(c.Seed, rng.Chaos, 1)
+		for i := range accepted {
+			accepted[i].Server = target.Intn(servers)
+		}
 	}
 	return accepted, nil
 }

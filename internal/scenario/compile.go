@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"halsim/internal/cluster"
@@ -22,9 +21,6 @@ type Overrides struct {
 type Compiled struct {
 	Cfg server.Config
 	RC  server.RunConfig
-	// Plan is the fault schedule (nil when the scenario has neither
-	// events nor chaos); Cfg.Faults aliases it.
-	Plan *fault.Plan
 	// FaultWindows are the scenario's fault windows — explicit events
 	// followed by generated chaos draws — sorted by start time. The
 	// report renders these; assertions derive the fault span from them.
@@ -58,8 +54,8 @@ func (c *Compiled) faultSpan() (from, to sim.Time, ok bool) {
 }
 
 // Compile completes a copy of the scenario's run template — overrides,
-// the fault plan or fleet blackouts, phase marks, drain, the rate window
-// and the timeline — and validates it. It is pure: no simulation runs, so
+// the fault plan, phase marks, drain, the rate window and the timeline —
+// and validates it. It is pure: no simulation runs, so
 // `halsim validate` uses it too.
 func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
 	c := &Compiled{Cfg: s.Cfg, RC: s.RC, Seed: s.Cfg.Seed, Shards: s.Cfg.Shards, scenario: s}
@@ -77,18 +73,16 @@ func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
 		// Only the software balancer has forwarding cores and a threshold.
 		c.Cfg.SLBCores, c.Cfg.SLBFwdThGbps = 0, 0
 	}
-	if s.Cfg.Cluster != nil {
-		// The blackouts below append to a copy, never to the template.
-		cl := *s.Cfg.Cluster
-		cl.Crashes = slices.Clip(cl.Crashes)
-		c.Cfg.Cluster = &cl
-	}
 	r := &s.RC
 
 	// Fault windows: explicit events first, then the chaos draws.
 	c.FaultWindows = append(c.FaultWindows, s.Events...)
 	if s.Chaos != nil {
-		chaotic, err := s.Chaos.generate(c.Seed, r.Duration)
+		servers := 1
+		if s.Cfg.Cluster != nil {
+			servers = s.Cfg.Cluster.Servers
+		}
+		chaotic, err := s.Chaos.generate(c.Seed, r.Duration, servers)
 		if err != nil {
 			return nil, err
 		}
@@ -99,32 +93,13 @@ func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
 	})
 
 	if len(c.FaultWindows) > 0 {
-		if c.Cfg.Cluster != nil {
-			// Fleet runs lower their windows onto whole-server blackouts;
-			// the cluster runner compiles those into per-server fault
-			// plans itself (validation guarantees only server-crash kinds
-			// reach this branch).
-			for _, w := range c.FaultWindows {
-				end := w.At + w.For
-				if end > r.Duration {
-					end = r.Duration
-				}
-				c.Cfg.Cluster.Crashes = append(c.Cfg.Cluster.Crashes,
-					server.ServerCrash{Server: w.Server, At: w.At, For: end - w.At})
+		plan := fault.NewPlan(c.Seed)
+		for i, w := range c.FaultWindows {
+			if err := compileWindow(plan, w, r.Duration); err != nil {
+				return nil, fmt.Errorf("fault window %d: %w", i, err)
 			}
-		} else {
-			plan := fault.NewPlan(c.Seed)
-			for i, w := range c.FaultWindows {
-				if err := compileWindow(plan, w, r.Duration); err != nil {
-					return nil, fmt.Errorf("fault window %d: %w", i, err)
-				}
-			}
-			if err := plan.Validate(); err != nil {
-				return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-			}
-			c.Plan = plan
-			c.Cfg.Faults = plan
 		}
+		c.Cfg.Faults = plan
 
 		// Phase marks bracket the overall fault span (before | during |
 		// after); a span reaching the end of the run has no after phase.
@@ -164,14 +139,15 @@ func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
 		return nil, errf("%v", err)
 	}
 	if cfg.Cluster != nil {
-		if _, err := cfg.Cluster.WithDefaults(rc.Duration); err != nil {
+		if _, err := cfg.Cluster.WithDefaults(); err != nil {
 			return nil, errf("%v", err)
 		}
 	}
 	return c, nil
 }
 
-// compileWindow lowers one fault window onto the plan's chainable API.
+// compileWindow lowers one fault window onto the plan's chainable API and
+// addresses its events to the window's server.
 func compileWindow(p *fault.Plan, w EventSpec, duration sim.Time) error {
 	from, to := w.At, w.At+w.For
 	if to > duration {
@@ -179,6 +155,7 @@ func compileWindow(p *fault.Plan, w EventSpec, duration sim.Time) error {
 		// land at the finish line (the server rejects events beyond it).
 		to = duration
 	}
+	n := len(p.Events)
 	switch w.Kind {
 	case "core-crash":
 		if w.Side == "host" {
@@ -199,8 +176,13 @@ func compileWindow(p *fault.Plan, w EventSpec, duration sim.Time) error {
 		p.DegradeSNICAccel(from, to)
 	case "telemetry-blackout":
 		p.BlackoutTelemetry(from, to)
+	case "server-crash":
+		p.CrashServer(w.Server, from, to)
 	default:
 		return errf("unknown fault kind %q", w.Kind)
+	}
+	for i := n; i < len(p.Events); i++ {
+		p.Events[i].Server = w.Server
 	}
 	return nil
 }

@@ -73,7 +73,11 @@ func (o *Outcome) buildSections() []reportSection {
 			if end > r.Duration {
 				end = r.Duration
 			}
-			ft.Table = append(ft.Table, []string{w.At.String(), end.String(), w.describe()})
+			d := w.describe()
+			if c.Cluster != nil && w.Kind != "server-crash" {
+				d = fmt.Sprintf("server %d: %s", w.Server, d) // the target of a fleet's window
+			}
+			ft.Table = append(ft.Table, []string{w.At.String(), end.String(), d})
 		}
 		secs = append(secs, ft)
 		if s.Chaos != nil {
@@ -112,7 +116,10 @@ func (o *Outcome) buildSections() []reportSection {
 	radd("snic share", fmt.Sprintf("%.3f", res.SNICShare))
 	radd("ledger", fmt.Sprintf("%d sent = %d completed + %d dropped + %d in flight",
 		res.SentAll, res.CompletedAll, res.DroppedAll, res.InFlightEnd))
-	if comp.Plan != nil {
+	// The fault rows read one server's injector and LBP. A fleet's
+	// counters sum servers that each saw a different schedule, so its
+	// report leaves them to assertions (fault_events, core_crashes).
+	if c.Faults != nil && c.Cluster == nil {
 		radd("fault events", fmt.Sprintf("%d injected, %d fault drops, %d requeued, %d core crashes, %d lbp holds",
 			res.FaultEvents, res.FaultDrops, res.Requeued, res.CoreCrashes, res.LBPHolds))
 		if res.FailoverTicks >= 0 {

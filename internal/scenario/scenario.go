@@ -65,17 +65,17 @@ type EventSpec struct {
 
 	Cores    int     // core-crash: cores 0..Cores-1 crash
 	DropProb float64 // rx-drop
-	Server   int     // server-crash (cluster runs): which server blacks out
+	Server   int     // the target server's index in a fleet; a single server is 0
 
 	Line int
 }
 
-// Known event kinds, in canonical order. server-crash is cluster-only:
-// it blacks out one whole server of a fleet.
+// Known event kinds, in canonical order. server-crash blacks out one whole
+// server: both Rx sides drop everything.
 var eventKinds = []string{"core-crash", "rx-drop", "accel-degrade", "telemetry-blackout", "server-crash"}
 
-// chaosKinds are the kinds the chaos generator may draw: single-server
-// faults only (chaos is rejected on fleet runs).
+// chaosKinds are the kinds the chaos generator may draw: the faults inside
+// one server. Whole-server blackouts are scheduled as events.
 var chaosKinds = eventKinds[:4]
 
 // Parse decodes and validates one scenario document.
@@ -213,8 +213,8 @@ func (s *Scenario) runKeys() []key {
 	}
 }
 
-// keys is one event's table; side, cores, drop_prob and server apply to
-// some kinds only, so kind binds first.
+// keys is one event's table; side, cores and drop_prob apply to some kinds
+// only, so kind binds first. server applies to every kind.
 func (ev *EventSpec) keys() []key {
 	only := func(kinds ...string) binder {
 		return func(n *yaml.Node, what string) error {
@@ -238,7 +238,7 @@ func (ev *EventSpec) keys() []key {
 		}), only("core-crash", "rx-drop"))},
 		{name: "cores", bind: both(only("core-crash"), integer(&ev.Cores))},
 		{name: "drop_prob", bind: both(only("rx-drop"), float(&ev.DropProb))},
-		{name: "server", bind: both(only("server-crash"), integer(&ev.Server))},
+		{name: "server", bind: integer(&ev.Server)},
 	}
 }
 
@@ -286,21 +286,9 @@ func (s *Scenario) Validate() error {
 		if ev.Kind == "accel-degrade" && ev.Side == "host" {
 			return errf("%s: accel-degrade targets the SNIC accelerator", what)
 		}
-		if ev.Kind == "server-crash" {
-			if s.Cfg.Cluster == nil {
-				return errf("%s: server-crash needs a run.cluster block", what)
-			}
-		} else if s.Cfg.Cluster != nil {
-			return errf("%s: %s targets a single server's internals; fleet runs only take server-crash events", what, ev.Kind)
-		}
 	}
-	if s.Cfg.Cluster != nil {
-		if s.Chaos != nil {
-			return errf("chaos: not supported with run.cluster (chaos draws single-server faults)")
-		}
-		if s.Cfg.Telemetry.TraceEvery > 0 {
-			return errf("run.telemetry.trace_every: packet tracing is not supported with run.cluster")
-		}
+	if s.Cfg.Cluster != nil && s.Cfg.Telemetry.TraceEvery > 0 {
+		return errf("run.telemetry.trace_every: packet tracing is not supported with run.cluster")
 	}
 	if s.Chaos != nil {
 		if err := s.Chaos.validate(r.Duration); err != nil {

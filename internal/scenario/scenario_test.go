@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"halsim/internal/fault"
 	"halsim/internal/nf"
 	"halsim/internal/server"
 	"halsim/internal/sim"
@@ -94,7 +96,7 @@ func TestParseFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comp.Plan == nil || len(comp.FaultWindows) < 3 {
+	if comp.Cfg.Faults == nil || len(comp.FaultWindows) < 3 {
 		t.Fatalf("want explicit + chaos windows, have %d", len(comp.FaultWindows))
 	}
 	if !comp.Cfg.Telemetry.Timeline {
@@ -206,11 +208,11 @@ func TestChaosGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := s.Chaos.generate(42, s.RC.Duration)
+	first, err := s.Chaos.generate(42, s.RC.Duration, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := s.Chaos.generate(42, s.RC.Duration)
+	again, err := s.Chaos.generate(42, s.RC.Duration, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +227,7 @@ func TestChaosGeneration(t *testing.T) {
 			t.Fatalf("window %d differs: %+v vs %+v", i, first[i], again[i])
 		}
 	}
-	other, err := s.Chaos.generate(43, s.RC.Duration)
+	other, err := s.Chaos.generate(43, s.RC.Duration, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,6 +261,44 @@ func TestChaosGeneration(t *testing.T) {
 		if active > spec.MaxOverlap {
 			t.Fatalf("window %d starts with %d concurrent faults (max %d)", i, active, spec.MaxOverlap)
 		}
+	}
+}
+
+// TestFleetChaosTargets pins fleet chaos: the windows are the ones a single
+// server gets, and each one's target server comes from a second stream,
+// inside the fleet and not all on one server.
+func TestFleetChaosTargets(t *testing.T) {
+	s, err := Parse([]byte(chaosDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := s.Chaos.generate(42, s.RC.Duration, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := s.Chaos.generate(42, s.RC.Duration, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fleet) != len(single) {
+		t.Fatalf("%d fleet windows, %d single-server ones", len(fleet), len(single))
+	}
+	targets := map[int]bool{}
+	for i, w := range fleet {
+		if w.Server < 0 || w.Server >= 8 {
+			t.Fatalf("window %d targets server %d outside a fleet of 8", i, w.Server)
+		}
+		targets[w.Server] = true
+		if single[i].Server != 0 {
+			t.Fatalf("single-server window %d targets server %d", i, single[i].Server)
+		}
+		w.Server = 0
+		if w != single[i] {
+			t.Fatalf("window %d differs beyond its server: %+v vs %+v", i, w, single[i])
+		}
+	}
+	if len(fleet) > 2 && len(targets) < 2 {
+		t.Fatalf("every one of %d windows targets the same server", len(fleet))
 	}
 }
 
@@ -437,8 +477,8 @@ assertions:
 `
 
 // TestClusterScenario parses and lowers a fleet scenario: the run.cluster
-// block becomes Config.Cluster, server-crash events become whole-server
-// blackout windows (not fault-plan events), and execution passes its
+// block becomes Config.Cluster, a server-crash event becomes the plan's
+// CrashServer events addressed to its server, and execution passes its
 // assertions with the ledger closed.
 func TestClusterScenario(t *testing.T) {
 	s, err := Parse([]byte(clusterDoc))
@@ -456,11 +496,9 @@ func TestClusterScenario(t *testing.T) {
 	if cl.Servers != 6 || cl.Dispatch != "p2c" || cl.WireNS != 4000 || cl.LinkGbps != 50 {
 		t.Fatalf("cluster lowered wrong: %+v", cl)
 	}
-	if len(cl.Crashes) != 1 || cl.Crashes[0].Server != 2 || cl.Crashes[0].At != 1_000_000 || cl.Crashes[0].For != 1_000_000 {
-		t.Fatalf("server-crash lowered wrong: %+v", cl.Crashes)
-	}
-	if c.Plan != nil || c.Cfg.Faults != nil {
-		t.Fatal("fleet scenario must not carry a single-server fault plan")
+	want := fault.NewPlan(5).CrashServer(2, sim.Millisecond, 2*sim.Millisecond)
+	if !reflect.DeepEqual(c.Cfg.Faults, want) {
+		t.Fatalf("server-crash lowered to %+v, want %+v", c.Cfg.Faults, want)
 	}
 	if !c.RC.Drain {
 		t.Fatal("fault run should drain by default")
@@ -505,7 +543,9 @@ func TestClusterReportByteIdenticalAcrossShards(t *testing.T) {
 	}
 }
 
-// TestClusterScenarioValidation exercises the fleet-specific rejections.
+// TestClusterScenarioValidation exercises the fleet-specific rejections:
+// fleet size, and every event's server index against the run's server
+// count, whatever its kind.
 func TestClusterScenarioValidation(t *testing.T) {
 	bad := []struct{ doc, want string }{
 		{`
@@ -526,7 +566,7 @@ events:
     for: 500us
     kind: server-crash
     server: 1
-`, "run.cluster"},
+`, "targets server 1 outside a fleet of 1"},
 		{`
 name: x
 run:
@@ -539,7 +579,7 @@ events:
     for: 500us
     kind: server-crash
     server: 9
-`, "outside fleet"},
+`, "targets server 9 outside a fleet of 4"},
 		{`
 name: x
 run:
@@ -551,7 +591,8 @@ events:
   - at: 1ms
     for: 500us
     kind: core-crash
-`, "server-crash"},
+    server: 4
+`, "targets server 4 outside a fleet of 4"},
 		{`
 name: x
 run:
@@ -559,9 +600,12 @@ run:
   duration: 2ms
   cluster:
     servers: 4
-chaos:
-  events: 2
-`, "chaos"},
+events:
+  - at: 1ms
+    for: 500us
+    kind: rx-drop
+    server: -1
+`, "negative server -1"},
 	}
 	for i, tc := range bad {
 		_, err := Parse([]byte(tc.doc))

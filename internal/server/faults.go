@@ -1,8 +1,6 @@
 package server
 
 import (
-	"fmt"
-
 	"halsim/internal/core"
 	"halsim/internal/fault"
 	"halsim/internal/rng"
@@ -57,19 +55,12 @@ func (o *frozenObserver) MaxOccupancy() int {
 	return o.last
 }
 
-// buildFaults validates and arms the fault plan against the wired-up run.
+// buildFaults arms the fault plan, which prepare has checked, against the
+// wired-up run.
 func (r *run) buildFaults() error {
 	plan := r.cfg.Faults
 	if plan == nil {
 		return nil
-	}
-	if err := plan.Validate(); err != nil {
-		return err
-	}
-	for _, e := range plan.Events {
-		if e.At > r.rc.Duration {
-			return fmt.Errorf("server: fault event %v scheduled past the run's duration %v", e, r.rc.Duration)
-		}
 	}
 	// The fault layer draws from its own stream, so injecting a fault
 	// never perturbs the workload's service-time or arrival draws.

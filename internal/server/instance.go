@@ -45,22 +45,10 @@ type ClusterConfig struct {
 	// ingress and any pod ToR. Defaults to WireNS. Only meaningful with
 	// Pods >= 2.
 	SpineWireNS sim.Time
-	// Crashes schedules whole-server blackouts: for the window [At,
-	// At+For) every packet reaching server Server's rings — either side
-	// — is dropped, as if the NIC lost link. The server's own clock,
-	// policies, and power model keep running.
-	Crashes []ServerCrash
 }
 
-// ServerCrash is one timed whole-server blackout.
-type ServerCrash struct {
-	Server  int
-	At, For sim.Time
-}
-
-// WithDefaults validates the cluster config against a run of duration d
-// and fills defaults.
-func (c ClusterConfig) WithDefaults(d sim.Time) (ClusterConfig, error) {
+// WithDefaults validates the cluster config and fills defaults.
+func (c ClusterConfig) WithDefaults() (ClusterConfig, error) {
 	if c.Servers < 1 || c.Servers > 4096 {
 		return c, fmt.Errorf("cluster: %d servers outside 1..4096", c.Servers)
 	}
@@ -100,14 +88,6 @@ func (c ClusterConfig) WithDefaults(d sim.Time) (ClusterConfig, error) {
 	}
 	if c.SpineWireNS < 0 {
 		return c, fmt.Errorf("cluster: negative spine wire latency")
-	}
-	for _, cr := range c.Crashes {
-		if cr.Server < 0 || cr.Server >= c.Servers {
-			return c, fmt.Errorf("cluster: crash of server %d outside fleet of %d", cr.Server, c.Servers)
-		}
-		if cr.At < 0 || cr.For <= 0 || cr.At+cr.For > d {
-			return c, fmt.Errorf("cluster: crash window [%v, %v+%v) outside run of %v", cr.At, cr.At, cr.For, d)
-		}
 	}
 	return c, nil
 }

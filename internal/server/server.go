@@ -133,8 +133,10 @@ type Config struct {
 
 	// Faults optionally injects a deterministic schedule of fault events
 	// — core crashes/recoveries, accelerator degradation to the
-	// software-path profile, Rx-ring drop faults, telemetry blackout —
-	// into the run. Same seed + same plan ⇒ identical results.
+	// software-path profile, Rx-ring drop faults, telemetry blackout,
+	// whole-server blackouts — into the run. Same seed + same plan ⇒
+	// identical results. On a fleet each event targets the server its
+	// Server index names; a single server is server 0.
 	Faults *fault.Plan
 
 	// Telemetry opts into the observability layer: a time-series timeline
@@ -431,6 +433,25 @@ func prepare(cfg *Config, rc *RunConfig) error {
 	}
 	if rc.Duration > sim.SeqMaxTime {
 		return fmt.Errorf("server: duration %v exceeds the engine's %v schedule horizon", rc.Duration, sim.SeqMaxTime)
+	}
+	if cfg.Faults != nil {
+		if err := cfg.Faults.Validate(); err != nil {
+			return err
+		}
+		// The plan's one range check: every event targets one of the
+		// run's servers — below Cluster.Servers, or 0 on a single server.
+		n := 1
+		if cfg.Cluster != nil {
+			n = cfg.Cluster.Servers
+		}
+		for i, e := range cfg.Faults.Events {
+			if e.Server >= n {
+				return fmt.Errorf("server: fault event %d (%v) targets server %d outside a fleet of %d", i, e.Kind, e.Server, n)
+			}
+			if e.At > rc.Duration {
+				return fmt.Errorf("server: fault event %v scheduled past the run's duration %v", e, rc.Duration)
+			}
+		}
 	}
 
 	return nil

@@ -15,8 +15,9 @@ type TrafficSource struct {
 }
 
 // Normalize applies the server package's defaults and validation to a
-// cluster's shared Config/RunConfig (warmup, sizes, horizons) so
-// the cluster runner and every embedded instance agree on them.
+// cluster's shared Config/RunConfig (warmup, sizes, horizons, the fault
+// plan's targets) so the cluster runner and every embedded instance agree
+// on them.
 func Normalize(cfg *Config, rc *RunConfig) error { return prepare(cfg, rc) }
 
 // NewTrafficSource builds the shared-ingress traffic source on the given
