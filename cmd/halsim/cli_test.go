@@ -128,6 +128,13 @@ func TestBadInputsExitUsage(t *testing.T) {
 		"name: server1\nrun:\n  rate_gbps: 40\n  duration: 5ms\nevents:\n  - at: 1ms\n    for: 1ms\n    kind: rx-drop\n    server: 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	overlap := filepath.Join(t.TempDir(), "overlap.yaml")
+	if err := os.WriteFile(overlap, []byte(
+		"name: overlap\nrun:\n  rate_gbps: 40\n  duration: 6ms\nevents:\n"+
+			"  - at: 1ms\n    for: 2ms\n    kind: rx-drop\n    drop_prob: 0.5\n"+
+			"  - at: 2ms\n    for: 2ms\n    kind: rx-drop\n    drop_prob: 0.5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		args   []string
 		reason string
@@ -142,6 +149,9 @@ func TestBadInputsExitUsage(t *testing.T) {
 		{[]string{"validate", fnBogus}, `unknown KVS config "bogus"`},
 		{[]string{"run", slb9}, "SLB needs 1..7 forwarding cores"},
 		{[]string{"validate", server1}, "targets server 1 outside a fleet of 1"},
+		{[]string{"validate", overlap}, "window 0 (snic rx-drop p=0.500, 1ms..3ms) overlaps window 1 (snic rx-drop p=0.500, 2ms..4ms)"},
+		{[]string{"-fault", "core-crash", "-fault-cores", "20", "-fault-at", "10ms", "-duration", "40ms"}, "crashes 20 snic cores, but the snic station has 8"},
+		{[]string{"-mode", "slb", "-fault", "core-crash", "-fault-cores", "5", "-fault-at", "10ms", "-duration", "40ms"}, "crashes 5 snic cores, but the snic station has 4"},
 		{[]string{"-servers", "5000"}, "5000 servers outside 1..4096"},
 		{[]string{"-servers", "4", "-pods", "8"}, "8 pods outside 1..servers"},
 		{[]string{"-servers", "4", "-dispatch", "random"}, "unknown dispatch policy"},

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"halsim/internal/cxl"
+	"halsim/internal/fault"
 	"halsim/internal/nf"
 	"halsim/internal/scenario"
 	"halsim/internal/server"
@@ -221,6 +222,9 @@ func main() {
 		}
 	}
 	kind := strings.ToLower(*faultKind)
+	if kind == "telemetry" {
+		kind = "telemetry-blackout"
+	}
 	if kind == "" {
 		needs("set without -fault: there is no fault window to shape", "fault-at", "fault-for", "fault-cores", "fault-drop")
 	} else {
@@ -230,13 +234,18 @@ func main() {
 		if kind != "rx-drop" {
 			needs("set without -fault rx-drop", "fault-drop")
 		}
-		if kind == "telemetry" {
-			kind = "telemetry-blackout"
+		k, err := fault.ParseKind(kind)
+		if err != nil {
+			usageErr("-fault: %v", err)
 		}
-		s.Events = []scenario.EventSpec{{
-			At: sim.Duration(*faultAt), For: sim.Duration(*faultFor), Kind: kind,
-			Side: "snic", Cores: *faultCores, DropProb: *faultDrop,
-		}}
+		w := fault.Window{From: sim.Duration(*faultAt), To: sim.Duration(*faultAt + *faultFor), Kind: k}
+		switch k {
+		case fault.CoreCrash:
+			w.Cores = *faultCores
+		case fault.RxDrop:
+			w.DropProb = *faultDrop
+		}
+		s.Events = []scenario.EventSpec{{Window: w}}
 	}
 
 	start := time.Now()

@@ -158,7 +158,7 @@ func validateCmd(args []string) {
 			continue
 		}
 		fmt.Printf("%s: ok — scenario %q: %d fault window(s), %d assertion(s)\n",
-			path, s.Name, len(comp.FaultWindows), len(s.Assertions))
+			path, s.Name, len(comp.Windows()), len(s.Assertions))
 	}
 	os.Exit(code)
 }
@@ -175,7 +175,7 @@ func executeScenario(path string, ov scenario.Overrides, reportMD, reportHTML st
 	res := o.Result
 
 	fmt.Printf("scenario %q: %d fault window(s), %d assertion(s)\n",
-		s.Name, len(o.Compiled.FaultWindows), len(s.Assertions))
+		s.Name, len(o.Compiled.Windows()), len(s.Assertions))
 	fmt.Printf("  delivered   %8.2f Gbps avg (offered %.2f), p99 %.1f us\n",
 		res.AvgGbps, res.OfferedGbps, res.P99us)
 	fmt.Printf("  power       %8.1f W avg -> %.4f Gbps/W\n", res.AvgPowerW, res.EffGbpsPerW)

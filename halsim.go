@@ -123,18 +123,19 @@ var Workloads = trace.Workloads
 // ParseWorkload resolves a workload name ("web", "cache", "hadoop").
 func ParseWorkload(name string) (Workload, error) { return trace.ParseWorkload(name) }
 
-// FaultPlan is a deterministic schedule of fault events — core crashes and
-// recoveries, accelerator degradation, Rx-ring drop faults, telemetry
-// blackout, whole-server blackouts — injected into a run via
-// Config.Faults. Same seed + same plan ⇒ identical results. Build one with
-// NewFaultPlan and its chainable schedule methods (CrashSNICCores,
-// DropSNICRx, BlackoutTelemetry, DegradeSNICAccel, CrashServer, ...). A
-// fleet takes the same plan: each event's Server index names the server
-// it hits (0 by default, the only server of a single-server run).
+// FaultPlan is a deterministic list of fault windows — core crashes,
+// accelerator degradation, Rx-ring drop faults, telemetry blackout,
+// whole-server blackouts — injected into a run via Config.Faults. Same
+// seed + same plan ⇒ identical results. Build one with NewFaultPlan and
+// its chainable methods (CrashSNICCores, DropSNICRx, BlackoutTelemetry,
+// DegradeSNICAccel, CrashServer, ...) or append to its Windows. Windows
+// on one server that drive the same mechanism may touch but not overlap.
+// A fleet takes the same plan: each window's Server index names the
+// server it hits (0 by default, the only server of a single-server run).
 type FaultPlan = fault.Plan
 
-// FaultEvent is one timed fault of a FaultPlan.
-type FaultEvent = fault.Event
+// FaultWindow is one fault of a FaultPlan.
+type FaultWindow = fault.Window
 
 // NewFaultPlan returns an empty fault plan with the given fault seed.
 func NewFaultPlan(seed int64) *FaultPlan { return fault.NewPlan(seed) }

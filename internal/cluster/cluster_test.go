@@ -180,29 +180,26 @@ func TestFleetTimelineAcrossEngines(t *testing.T) {
 // TestFleetFaultsAcrossEngines drives every fault kind through one fleet,
 // each kind on its own server, and pins that the serial engine, three
 // shards and one LP per server give the same Result and timeline, that
-// every event fires, and that the drained ledger closes.
+// every window edge fires, and that the drained ledger closes.
 func TestFleetFaultsAcrossEngines(t *testing.T) {
 	const (
 		servers  = 8
 		duration = 2 * sim.Millisecond
 	)
 	from, to := 500*sim.Microsecond, 1200*sim.Microsecond
-	plan := fault.NewPlan(9).
-		Add(fault.Event{At: from, Server: 0, Kind: fault.SNICCoreCrash, Core: 0}).
-		Add(fault.Event{At: from, Server: 0, Kind: fault.SNICCoreCrash, Core: 1}).
-		Add(fault.Event{At: to, Server: 0, Kind: fault.SNICCoreRecover, Core: 0}).
-		Add(fault.Event{At: to, Server: 0, Kind: fault.SNICCoreRecover, Core: 1}).
-		Add(fault.Event{At: from, Server: 1, Kind: fault.HostCoreCrash, Core: 0}).
-		Add(fault.Event{At: to, Server: 1, Kind: fault.HostCoreRecover, Core: 0}).
-		Add(fault.Event{At: from, Server: 2, Kind: fault.SNICRxDrop, DropProb: 0.3}).
-		Add(fault.Event{At: to, Server: 2, Kind: fault.SNICRxRestore}).
-		Add(fault.Event{At: from, Server: 3, Kind: fault.HostRxDrop, DropProb: 0.3}).
-		Add(fault.Event{At: to, Server: 3, Kind: fault.HostRxRestore}).
-		Add(fault.Event{At: from, Server: 4, Kind: fault.SNICAccelDegrade}).
-		Add(fault.Event{At: to, Server: 4, Kind: fault.SNICAccelRestore}).
-		Add(fault.Event{At: from, Server: 5, Kind: fault.TelemetryBlackout}).
-		Add(fault.Event{At: to, Server: 5, Kind: fault.TelemetryRestore}).
-		CrashServer(6, from, to)
+	plan := &fault.Plan{Seed: 9, Windows: []fault.Window{
+		{From: from, To: to, Server: 0, Kind: fault.CoreCrash, Cores: 2},
+		{From: from, To: to, Server: 1, Kind: fault.CoreCrash, Host: true, Cores: 1},
+		{From: from, To: to, Server: 2, Kind: fault.RxDrop, DropProb: 0.3},
+		{From: from, To: to, Server: 3, Kind: fault.RxDrop, Host: true, DropProb: 0.3},
+		{From: from, To: to, Server: 4, Kind: fault.AccelDegrade},
+		{From: from, To: to, Server: 5, Kind: fault.TelemetryBlackout},
+		{From: from, To: to, Server: 6, Kind: fault.ServerCrash},
+	}}
+	// State transitions: 2+2 cores, 1+1 cores, one per edge for rx-drop
+	// (x2), accel-degrade and telemetry, and both Rx sides per edge for the
+	// server-crash.
+	const transitions = 4 + 2 + 2 + 2 + 2 + 2 + 4
 	run := func(shards int) (string, string) {
 		res, err := Run(server.Config{Mode: server.HAL, Fn: nf.NAT, Seed: 4, Shards: shards, Faults: plan,
 			Telemetry: telemetry.Config{Timeline: true},
@@ -215,9 +212,9 @@ func TestFleetFaultsAcrossEngines(t *testing.T) {
 			t.Fatalf("shards %d: ledger open: %d sent = %d completed + %d dropped, in flight %d",
 				shards, res.SentAll, res.CompletedAll, res.DroppedAll, res.InFlightEnd)
 		}
-		if res.FaultEvents != uint64(plan.Len()) || res.CoreCrashes != 3 || res.FaultDrops == 0 {
+		if res.FaultEvents != transitions || res.CoreCrashes != 3 || res.FaultDrops == 0 {
 			t.Fatalf("shards %d: %d fault events (want %d), %d core crashes (want 3), %d fault drops",
-				shards, res.FaultEvents, plan.Len(), res.CoreCrashes, res.FaultDrops)
+				shards, res.FaultEvents, transitions, res.CoreCrashes, res.FaultDrops)
 		}
 		var csv strings.Builder
 		if err := res.Timeline.WriteCSV(&csv); err != nil {

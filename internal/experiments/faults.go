@@ -130,11 +130,6 @@ func Faults(opt Options) (FaultsResult, error) {
 		}
 		plan := fault.NewPlan(opt.Seed)
 		c.plan(plan, from, to)
-		if err := plan.Validate(); err != nil {
-			// %w keeps the *fault.ValidationError visible to errors.As so
-			// the CLI maps it to the usage-error exit status.
-			return fmt.Errorf("faults %s/%v: %w", c.name, c.fn, err)
-		}
 		res, err := server.Run(
 			server.Config{Mode: server.HAL, Fn: c.fn, Faults: plan, Seed: opt.Seed},
 			server.RunConfig{

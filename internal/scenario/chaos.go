@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"halsim/internal/fault"
 	"halsim/internal/rng"
 	"halsim/internal/scenario/yaml"
 	"halsim/internal/sim"
@@ -30,8 +31,8 @@ type ChaosSpec struct {
 	MeanDuration sim.Time
 	MinDuration  sim.Time
 	// MaxOverlap caps how many fault windows may be simultaneously
-	// active (burstiness; default 2). Windows of the same kind never
-	// overlap regardless, so paired start/stop events stay well nested.
+	// active (burstiness; default 2). Windows in conflict (same
+	// mechanism, see fault.Window.Conflicts) never overlap regardless.
 	MaxOverlap int
 	// Kinds weights the draw across event kinds; empty means every kind
 	// at weight 1.
@@ -46,7 +47,7 @@ type ChaosSpec struct {
 
 // KindWeight is one entry of the chaos kind mix.
 type KindWeight struct {
-	Kind   string
+	Kind   fault.Kind
 	Weight float64
 }
 
@@ -70,17 +71,18 @@ func (c *ChaosSpec) bindKinds(n *yaml.Node, what string) error {
 	if n.Kind != yaml.MapNode {
 		return errf("%s: line %d: want a mapping of kind: weight", what, n.Line)
 	}
-	for _, k := range n.Keys {
-		v := n.Get(k)
-		if !slices.Contains(chaosKinds, k) {
-			return errf("%s: line %d: unknown kind %q (want %s)", what, v.Line, k, strings.Join(chaosKinds, ", "))
+	for _, name := range n.Keys {
+		v := n.Get(name)
+		k, err := fault.ParseKind(name)
+		if err != nil || !slices.Contains(chaosKinds, k) {
+			return errf("%s: line %d: unknown kind %q (want %v)", what, v.Line, name, chaosKinds)
 		}
 		w, err := v.Float()
 		if err != nil {
-			return errf("%s.%s: %v", what, k, err)
+			return errf("%s.%s: %v", what, name, err)
 		}
 		if w < 0 {
-			return errf("%s.%s: line %d: negative weight %g", what, k, v.Line, w)
+			return errf("%s.%s: line %d: negative weight %g", what, name, v.Line, w)
 		}
 		c.Kinds = append(c.Kinds, KindWeight{Kind: k, Weight: w})
 	}
@@ -148,13 +150,13 @@ func (c *ChaosSpec) validate(duration sim.Time) error {
 	return nil
 }
 
-// generate draws the chaos schedule as EventSpecs (sorted by start time) so
-// the plan compiler and the report treat chaotic and explicit events
-// identically. Deterministic: the spec seed's chaos stream, drawn in a
-// fixed order, no map iteration. On a fleet of servers > 1 each window,
-// in firing order, then draws its target server from a second stream, so
-// the windows themselves are the ones a single server would get.
-func (c ChaosSpec) generate(runSeed int64, duration sim.Time, servers int) ([]EventSpec, error) {
+// generate draws the chaos schedule as fault windows (sorted by start
+// time), the form explicit events take too. Deterministic: the spec
+// seed's chaos stream, drawn in a fixed order, no map iteration. On a
+// fleet of servers > 1 each window, in firing order, then draws its
+// target server from a second stream, so the windows themselves are the
+// ones a single server would get.
+func (c ChaosSpec) generate(runSeed int64, duration sim.Time, servers int) ([]fault.Window, error) {
 	c = c.withDefaults(runSeed, duration)
 	if err := c.validate(duration); err != nil {
 		return nil, err
@@ -169,14 +171,14 @@ func (c ChaosSpec) generate(runSeed int64, duration sim.Time, servers int) ([]Ev
 		return nil, errf("chaos.window: %v..%v leaves no room for %v fault windows",
 			c.WindowFrom, c.WindowTo, c.MinDuration)
 	}
-	var accepted []EventSpec
-	overlapOK := func(w EventSpec) bool {
-		// Same-kind windows must not overlap (start/stop pairs must nest
-		// cleanly); across kinds at most MaxOverlap may be active at once.
+	var accepted []fault.Window
+	overlapOK := func(w fault.Window) bool {
+		// Windows in conflict must not overlap (the plan rejects them);
+		// otherwise at most MaxOverlap may be active at once.
 		active := 1
 		for _, a := range accepted {
-			if w.At < a.At+a.For && a.At < w.At+w.For {
-				if a.Kind == w.Kind {
+			if w.From < a.To && a.From < w.To {
+				if w.Conflicts(a) {
 					return false
 				}
 				active++
@@ -209,11 +211,11 @@ func (c ChaosSpec) generate(runSeed int64, duration sim.Time, servers int) ([]Ev
 			if to-from < c.MinDuration {
 				continue
 			}
-			w := EventSpec{At: from, For: to - from, Kind: kind, Side: "snic"}
+			w := fault.Window{From: from, To: to, Kind: kind}
 			switch kind {
-			case "core-crash":
+			case fault.CoreCrash:
 				w.Cores = 1 + r.Intn(c.MaxCores)
-			case "rx-drop":
+			case fault.RxDrop:
 				w.DropProb = 0.05 + r.Float64()*(c.MaxDropProb-0.05)
 				if w.DropProb > c.MaxDropProb {
 					w.DropProb = c.MaxDropProb
@@ -226,7 +228,7 @@ func (c ChaosSpec) generate(runSeed int64, duration sim.Time, servers int) ([]Ev
 			break
 		}
 	}
-	sort.SliceStable(accepted, func(i, j int) bool { return accepted[i].At < accepted[j].At })
+	sort.SliceStable(accepted, func(i, j int) bool { return accepted[i].From < accepted[j].From })
 	if len(accepted) == 0 && c.Events > 0 {
 		return nil, errf("chaos: no fault window could be placed (window %v..%v too tight for max_overlap %d)",
 			c.WindowFrom, c.WindowTo, c.MaxOverlap)

@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"halsim/internal/cluster"
 	"halsim/internal/fault"
@@ -21,10 +24,6 @@ type Overrides struct {
 type Compiled struct {
 	Cfg server.Config
 	RC  server.RunConfig
-	// FaultWindows are the scenario's fault windows — explicit events
-	// followed by generated chaos draws — sorted by start time. The
-	// report renders these; assertions derive the fault span from them.
-	FaultWindows []EventSpec
 	// Seed and Shards are the effective values after overrides.
 	Seed   int64
 	Shards int
@@ -32,23 +31,26 @@ type Compiled struct {
 	scenario *Scenario
 }
 
-// faultSpan returns the [earliest start, latest end] of the fault windows,
-// clamped to the run duration; ok is false without faults.
+// Windows are the run's fault windows — explicit events and generated
+// chaos draws — sorted by start time: the plan's windows, nil without
+// faults.
+func (c *Compiled) Windows() []fault.Window {
+	if c.Cfg.Faults == nil {
+		return nil
+	}
+	return c.Cfg.Faults.Windows
+}
+
+// faultSpan returns the [earliest start, latest end] of the fault windows;
+// ok is false without faults.
 func (c *Compiled) faultSpan() (from, to sim.Time, ok bool) {
-	if len(c.FaultWindows) == 0 {
+	ws := c.Windows()
+	if len(ws) == 0 {
 		return 0, 0, false
 	}
-	from, to = c.FaultWindows[0].At, 0
-	for _, w := range c.FaultWindows {
-		if w.At < from {
-			from = w.At
-		}
-		if end := w.At + w.For; end > to {
-			to = end
-		}
-	}
-	if to > c.RC.Duration {
-		to = c.RC.Duration
+	from, to = ws[0].From, 0
+	for _, w := range ws {
+		from, to = min(from, w.From), max(to, w.To)
 	}
 	return from, to, true
 }
@@ -75,8 +77,10 @@ func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
 	}
 	r := &s.RC
 
-	// Fault windows: explicit events first, then the chaos draws.
-	c.FaultWindows = append(c.FaultWindows, s.Events...)
+	// Fault windows: explicit events first, then the chaos draws, sorted
+	// by start time; a window reaching past the end of the run ends with
+	// it.
+	evs := slices.Clone(s.Events)
 	if s.Chaos != nil {
 		servers := 1
 		if s.Cfg.Cluster != nil {
@@ -86,18 +90,17 @@ func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.FaultWindows = append(c.FaultWindows, chaotic...)
+		for _, w := range chaotic {
+			evs = append(evs, EventSpec{Window: w})
+		}
 	}
-	sort.SliceStable(c.FaultWindows, func(i, j int) bool {
-		return c.FaultWindows[i].At < c.FaultWindows[j].At
-	})
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].From < evs[j].From })
 
-	if len(c.FaultWindows) > 0 {
+	if len(evs) > 0 {
 		plan := fault.NewPlan(c.Seed)
-		for i, w := range c.FaultWindows {
-			if err := compileWindow(plan, w, r.Duration); err != nil {
-				return nil, fmt.Errorf("fault window %d: %w", i, err)
-			}
+		for _, ev := range evs {
+			ev.To = min(ev.To, r.Duration)
+			plan.Windows = append(plan.Windows, ev.Window)
 		}
 		c.Cfg.Faults = plan
 
@@ -136,7 +139,7 @@ func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
 	// anything runs. Both work on copies; Run normalizes again.
 	cfg, rc := c.Cfg, c.RC
 	if err := server.Normalize(&cfg, &rc); err != nil {
-		return nil, errf("%v", err)
+		return nil, errf("%v%s", err, lines(err, evs))
 	}
 	if cfg.Cluster != nil {
 		if _, err := cfg.Cluster.WithDefaults(); err != nil {
@@ -146,63 +149,19 @@ func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
 	return c, nil
 }
 
-// compileWindow lowers one fault window onto the plan's chainable API and
-// addresses its events to the window's server.
-func compileWindow(p *fault.Plan, w EventSpec, duration sim.Time) error {
-	from, to := w.At, w.At+w.For
-	if to > duration {
-		// A window reaching past the end never clears: recovery events
-		// land at the finish line (the server rejects events beyond it).
-		to = duration
-	}
-	n := len(p.Events)
-	switch w.Kind {
-	case "core-crash":
-		if w.Side == "host" {
-			for c := 0; c < w.Cores; c++ {
-				p.CrashHostCore(from, c)
-				p.RecoverHostCore(to, c)
-			}
-		} else {
-			p.CrashSNICCores(from, to, w.Cores)
+// lines names the file lines of the windows a fault plan error points at.
+func lines(err error, evs []EventSpec) string {
+	var fe *fault.ValidationError
+	var at []string
+	for i := 0; errors.As(err, &fe) && i < len(fe.Windows); i++ {
+		if l := evs[fe.Windows[i]].Line; l > 0 {
+			at = append(at, fmt.Sprintf("line %d", l))
 		}
-	case "rx-drop":
-		if w.Side == "host" {
-			p.DropHostRx(from, to, w.DropProb)
-		} else {
-			p.DropSNICRx(from, to, w.DropProb)
-		}
-	case "accel-degrade":
-		p.DegradeSNICAccel(from, to)
-	case "telemetry-blackout":
-		p.BlackoutTelemetry(from, to)
-	case "server-crash":
-		p.CrashServer(w.Server, from, to)
-	default:
-		return errf("unknown fault kind %q", w.Kind)
 	}
-	for i := n; i < len(p.Events); i++ {
-		p.Events[i].Server = w.Server
+	if len(at) == 0 {
+		return ""
 	}
-	return nil
-}
-
-// describe renders one fault window for reports and summaries.
-func (w EventSpec) describe() string {
-	switch w.Kind {
-	case "core-crash":
-		return fmt.Sprintf("crash %d %s core(s)", w.Cores, w.Side)
-	case "rx-drop":
-		return fmt.Sprintf("%s rx-drop p=%.3f", w.Side, w.DropProb)
-	case "accel-degrade":
-		return "snic accel degrade to software path"
-	case "telemetry-blackout":
-		return "lbp telemetry blackout"
-	case "server-crash":
-		return fmt.Sprintf("server %d blackout", w.Server)
-	default:
-		return w.Kind
-	}
+	return " (events at " + strings.Join(at, " and ") + ")"
 }
 
 // Outcome is one executed scenario: the compiled inputs, the run's Result,

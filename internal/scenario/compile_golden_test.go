@@ -102,7 +102,7 @@ events:
 `
 
 // TestCompileGolden pins the lowering: every input a compiled scenario
-// hands the run (Cfg, RC, the fault windows and the plan's events),
+// hands the run (Cfg, RC, the fault plan's windows),
 // rendered field by field with pointers followed, for each shipped
 // example and the documents above. -update rewrites the fixture.
 func TestCompileGolden(t *testing.T) {
@@ -136,7 +136,6 @@ func TestCompileGolden(t *testing.T) {
 		fmt.Fprintf(&b, "Seed=%d\nShards=%d\n", c.Seed, c.Shards)
 		renderValue(&b, "Cfg", reflect.ValueOf(c.Cfg))
 		renderValue(&b, "RC", reflect.ValueOf(c.RC))
-		renderValue(&b, "FaultWindows", reflect.ValueOf(c.FaultWindows))
 	}
 	got := b.String()
 	const path = "testdata/compiled.txt"

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"halsim/internal/cxl"
+	"halsim/internal/fault"
 	"halsim/internal/sim"
 )
 
@@ -59,25 +60,34 @@ func (o *Outcome) buildSections() []reportSection {
 	if r.Drain {
 		add("drain", "true")
 	}
+	if c.Cluster != nil {
+		// Compile has checked the fleet config, so the defaults apply.
+		cl, _ := c.Cluster.WithDefaults()
+		add("servers", fmt.Sprintf("%d", cl.Servers))
+		add("dispatch", cl.Dispatch)
+		add("wire", cl.WireNS.String())
+		add("link_gbps", fmt.Sprintf("%g", cl.LinkGbps))
+		if cl.Pods >= 2 {
+			add("pods", fmt.Sprintf("%d", cl.Pods))
+			add("oversub", fmt.Sprintf("%g", cl.Oversub))
+			add("spine_wire", cl.SpineWireNS.String())
+		}
+	}
 	secs = append(secs, cfg)
 
 	// Fault timeline: every window, explicit and chaotic alike, in firing
 	// order.
-	if len(comp.FaultWindows) > 0 {
+	if ws := comp.Windows(); len(ws) > 0 {
 		ft := reportSection{
 			Title:  "Fault timeline",
 			Header: []string{"start", "end", "fault"},
 		}
-		for _, w := range comp.FaultWindows {
-			end := w.At + w.For
-			if end > r.Duration {
-				end = r.Duration
-			}
-			d := w.describe()
-			if c.Cluster != nil && w.Kind != "server-crash" {
+		for _, w := range ws {
+			d := w.String()
+			if c.Cluster != nil && w.Kind != fault.ServerCrash {
 				d = fmt.Sprintf("server %d: %s", w.Server, d) // the target of a fleet's window
 			}
-			ft.Table = append(ft.Table, []string{w.At.String(), end.String(), d})
+			ft.Table = append(ft.Table, []string{w.From.String(), w.To.String(), d})
 		}
 		secs = append(secs, ft)
 		if s.Chaos != nil {

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"halsim/internal/cxl"
+	"halsim/internal/fault"
 	"halsim/internal/nf"
 	"halsim/internal/scenario/yaml"
 	"halsim/internal/server"
@@ -56,27 +57,16 @@ type Scenario struct {
 	Assertions []Assertion
 }
 
-// EventSpec is one timed fault window of the scenario.
+// EventSpec is one fault window of the scenario file, with the line it
+// was written on (0 for a window from the flags).
 type EventSpec struct {
-	At   sim.Time
-	For  sim.Time
-	Kind string // core-crash | rx-drop | accel-degrade | telemetry-blackout | server-crash
-	Side string // snic (default) | host — core-crash and rx-drop only
-
-	Cores    int     // core-crash: cores 0..Cores-1 crash
-	DropProb float64 // rx-drop
-	Server   int     // the target server's index in a fleet; a single server is 0
-
+	fault.Window
 	Line int
 }
 
-// Known event kinds, in canonical order. server-crash blacks out one whole
-// server: both Rx sides drop everything.
-var eventKinds = []string{"core-crash", "rx-drop", "accel-degrade", "telemetry-blackout", "server-crash"}
-
 // chaosKinds are the kinds the chaos generator may draw: the faults inside
 // one server. Whole-server blackouts are scheduled as events.
-var chaosKinds = eventKinds[:4]
+var chaosKinds = []fault.Kind{fault.CoreCrash, fault.RxDrop, fault.AccelDegrade, fault.TelemetryBlackout}
 
 // Parse decodes and validates one scenario document.
 func Parse(data []byte) (*Scenario, error) {
@@ -121,7 +111,7 @@ func (s *Scenario) keys() []key {
 			return decode(n, what, s.runKeys())
 		}},
 		{name: "events", bind: items(func(item *yaml.Node, what string) error {
-			ev := EventSpec{Line: item.Line, Side: "snic", Cores: 2, DropProb: 0.2}
+			ev := EventSpec{Line: item.Line}
 			if err := decode(item, what, ev.keys()); err != nil {
 				return err
 			}
@@ -214,11 +204,12 @@ func (s *Scenario) runKeys() []key {
 }
 
 // keys is one event's table; side, cores and drop_prob apply to some kinds
-// only, so kind binds first. server applies to every kind.
+// only, so kind binds first, with the defaults of its knobs. server
+// applies to every kind.
 func (ev *EventSpec) keys() []key {
 	only := func(kinds ...string) binder {
 		return func(n *yaml.Node, what string) error {
-			if slices.Contains(kinds, ev.Kind) {
+			if slices.Contains(kinds, ev.Kind.String()) {
 				return nil
 			}
 			return errf("%s: line %d: `%s` only applies to %s",
@@ -226,24 +217,38 @@ func (ev *EventSpec) keys() []key {
 		}
 	}
 	return []key{
-		{name: "at", bind: duration(&ev.At), need: missingKey},
-		{name: "for", bind: duration(&ev.For), need: missingKey + " (the fault window's length)"},
-		{name: "kind", bind: str(&ev.Kind), need: missingKey},
-		{name: "side", bind: both(scalar(func(v string) error {
+		{name: "at", bind: duration(&ev.From), need: missingKey},
+		{name: "for", bind: func(n *yaml.Node, what string) error {
+			var length sim.Time
+			err := duration(&length)(n, what)
+			ev.To = ev.From + length
+			return err
+		}, need: missingKey + " (the fault window's length)"},
+		{name: "kind", bind: scalar(func(v string) (err error) {
+			ev.Kind, err = fault.ParseKind(v)
+			switch ev.Kind {
+			case fault.CoreCrash:
+				ev.Cores = 2
+			case fault.RxDrop:
+				ev.DropProb = 0.2
+			}
+			return err
+		}), need: missingKey},
+		{name: "side", bind: both(only("core-crash", "rx-drop"), scalar(func(v string) error {
 			if v != "snic" && v != "host" {
 				return fmt.Errorf("want snic or host, have %q", v)
 			}
-			ev.Side = v
+			ev.Host = v == "host"
 			return nil
-		}), only("core-crash", "rx-drop"))},
+		}))},
 		{name: "cores", bind: both(only("core-crash"), integer(&ev.Cores))},
 		{name: "drop_prob", bind: both(only("rx-drop"), float(&ev.DropProb))},
 		{name: "server", bind: integer(&ev.Server)},
 	}
 }
 
-// Validate checks cross-field consistency — durations, event windows inside
-// the run, chaos knobs, assertion windows — then dry-run compiles, so every
+// Validate checks cross-field consistency — durations, chaos knobs,
+// assertion windows — then dry-run compiles, so every
 // input the server or fleet would reject fails here as a ValidationError.
 // Parse calls it; callers building or mutating a Scenario programmatically
 // (halsim's flag path does) call it before Compile.
@@ -260,33 +265,6 @@ func (s *Scenario) Validate() error {
 			return errf("run.warmup: %v outside [0, duration)", r.Warmup)
 		}
 	}
-	for i, ev := range s.Events {
-		what := fmt.Sprintf("events[%d]", i)
-		if ev.Line > 0 {
-			what += fmt.Sprintf(" (line %d)", ev.Line)
-		}
-		if !slices.Contains(eventKinds, ev.Kind) {
-			return errf("%s: unknown kind %q (want %s)", what, ev.Kind, strings.Join(eventKinds, ", "))
-		}
-		if ev.At <= 0 {
-			return errf("%s: `at` must be positive, have %v", what, ev.At)
-		}
-		if ev.For <= 0 {
-			return errf("%s: `for` must be positive, have %v", what, ev.For)
-		}
-		if ev.At >= r.Duration {
-			return errf("%s: starts at %v, past the run's duration %v", what, ev.At, r.Duration)
-		}
-		if ev.Kind == "core-crash" && ev.Cores <= 0 {
-			return errf("%s: core-crash needs cores >= 1, have %d", what, ev.Cores)
-		}
-		if ev.Kind == "rx-drop" && (ev.DropProb <= 0 || ev.DropProb > 1) {
-			return errf("%s: rx-drop needs drop_prob in (0, 1], have %g", what, ev.DropProb)
-		}
-		if ev.Kind == "accel-degrade" && ev.Side == "host" {
-			return errf("%s: accel-degrade targets the SNIC accelerator", what)
-		}
-	}
 	if s.Cfg.Cluster != nil && s.Cfg.Telemetry.TraceEvery > 0 {
 		return errf("run.telemetry.trace_every: packet tracing is not supported with run.cluster")
 	}
@@ -300,7 +278,7 @@ func (s *Scenario) Validate() error {
 			return err
 		}
 	}
-	// A dry-run compile catches everything else: the fault plan's checks
+	// A dry-run compile catches everything else: the fault windows' checks
 	// and the server's and fleet's own config checks.
 	_, err := s.Compile(Overrides{})
 	return err

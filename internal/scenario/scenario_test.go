@@ -3,8 +3,10 @@ package scenario
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,7 +78,8 @@ func TestParseFull(t *testing.T) {
 	if s.Cfg.Seed != 7 || s.Cfg.Shards != 1 || s.RC.Warmup != 200*sim.Microsecond {
 		t.Fatalf("run knobs mismatch: %+v %+v", s.Cfg, s.RC)
 	}
-	if len(s.Events) != 2 || s.Events[0].Kind != "core-crash" || s.Events[1].DropProb != 0.1 {
+	if len(s.Events) != 2 || s.Events[0].Kind != fault.CoreCrash || s.Events[0].To != 2100*sim.Microsecond ||
+		s.Events[1].DropProb != 0.1 || s.Events[1].Line != 20 {
 		t.Fatalf("events mismatch: %+v", s.Events)
 	}
 	if s.Chaos == nil || s.Chaos.Seed != 11 || len(s.Chaos.Kinds) != 2 {
@@ -96,8 +99,8 @@ func TestParseFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comp.Cfg.Faults == nil || len(comp.FaultWindows) < 3 {
-		t.Fatalf("want explicit + chaos windows, have %d", len(comp.FaultWindows))
+	if len(comp.Windows()) < 3 {
+		t.Fatalf("want explicit + chaos windows, have %d", len(comp.Windows()))
 	}
 	if !comp.Cfg.Telemetry.Timeline {
 		t.Fatal("windowed assertion should force the timeline on")
@@ -163,6 +166,10 @@ func TestParseErrors(t *testing.T) {
 		{"rate beside workload", "name: x\nrun:\n  rate_gbps: 10\n  workload: cache\n  duration: 1ms\n", "both a constant rate (10 Gbps) and the cache trace workload set"},
 		{"negative trace every", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\n  telemetry:\n    trace_every: -5\n", "negative trace sampling interval -5"},
 		{"negative timeline period", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\n  telemetry:\n    timeline: true\n    timeline_period: -1ms\n", "negative timeline period -1ms"},
+		{"core-crash wider than the snic", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\nevents:\n  - at: 500us\n    for: 100us\n    kind: core-crash\n    cores: 20\n", "crashes 20 snic cores, but the snic station has 8"},
+		{"core-crash wider than the slb snic", "name: x\nrun:\n  mode: slb\n  rate_gbps: 10\n  duration: 1ms\nevents:\n  - at: 500us\n    for: 100us\n    kind: core-crash\n    cores: 5\n", "crashes 5 snic cores, but the snic station has 4"},
+		{"overlapping rx-drops", overlapDoc, "window 0 (snic rx-drop p=0.500, 1ms..3ms) overlaps window 1 (snic rx-drop p=0.500, 2ms..4ms)"},
+		{"rx-drop under a server-crash", "name: x\nrun:\n  rate_gbps: 10\n  duration: 5ms\nevents:\n  - at: 1ms\n    for: 2ms\n    kind: server-crash\n  - at: 2ms\n    for: 2ms\n    kind: rx-drop\n    side: host\n", "(events at line 6 and line 9)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -178,6 +185,75 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("want error containing %q, have %q", tc.want, err)
 			}
 		})
+	}
+}
+
+// overlapDoc's two rx-drop windows overlap on the SNIC's Rx rings.
+const overlapDoc = `name: overlap
+run:
+  rate_gbps: 40
+  duration: 6ms
+events:
+  - at: 1ms
+    for: 2ms
+    kind: rx-drop
+    drop_prob: 0.5
+  - at: 2ms
+    for: 2ms
+    kind: rx-drop
+    drop_prob: 0.5
+`
+
+// TestConflictNamesBothWindows pins the conflict error: it names both
+// windows with their spans and the lines they were written on.
+func TestConflictNamesBothWindows(t *testing.T) {
+	_, err := Parse([]byte(overlapDoc))
+	if err == nil || !strings.Contains(err.Error(), "(events at line 6 and line 10)") {
+		t.Fatalf("err = %v, want both windows' lines", err)
+	}
+	if !errors.As(err, new(*ValidationError)) {
+		t.Fatalf("want *ValidationError, have %T", err)
+	}
+}
+
+// TestTouchingWindowsRunAsUnion runs two windows that touch on one
+// mechanism against the single window spanning both: the reports differ
+// only in the fault timeline's rows.
+func TestTouchingWindowsRunAsUnion(t *testing.T) {
+	report := func(knobs string, spans ...string) []string {
+		doc := "name: seam\nrun:\n  mode: hal\n  fn: NAT\n  rate_gbps: 40\n  duration: 6ms\nevents:\n"
+		for _, sp := range spans {
+			at, length, _ := strings.Cut(sp, "+")
+			doc += fmt.Sprintf("  - at: %s\n    for: %s\n    %s\n", at, length, knobs)
+		}
+		s, err := Parse([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := s.Execute(Overrides{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var md bytes.Buffer
+		if err := o.WriteMarkdown(&md); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(md.String(), "\n")
+	}
+	for _, knobs := range []string{"kind: rx-drop\n    drop_prob: 0.5", "kind: core-crash\n    cores: 3"} {
+		pair := report(knobs, "1ms+1500us", "2500us+1500us")
+		union := report(knobs, "1ms+3ms")
+		// The pair's timeline has one row more; everything else matches.
+		row := slices.IndexFunc(union, func(l string) bool { return strings.HasPrefix(l, "| 1ms | 4ms |") })
+		if row < 0 || len(pair) != len(union)+1 ||
+			!slices.Equal(pair[:row], union[:row]) || !slices.Equal(pair[row+2:], union[row+1:]) {
+			t.Errorf("%s: touching windows' report differs from the union's beyond the timeline:\n%s\nunion:\n%s",
+				knobs, strings.Join(pair, "\n"), strings.Join(union, "\n"))
+			continue
+		}
+		if !strings.HasPrefix(pair[row], "| 1ms | 2.5ms |") || !strings.HasPrefix(pair[row+1], "| 2.5ms | 4ms |") {
+			t.Errorf("%s: pair's timeline rows %q, %q", knobs, pair[row], pair[row+1])
+		}
 	}
 }
 
@@ -202,7 +278,7 @@ assertions:
 `
 
 // TestChaosGeneration checks the generator's contract: deterministic for a
-// seed, same-kind windows never overlapping, overlap bounded.
+// seed, conflicting windows never overlapping, overlap bounded.
 func TestChaosGeneration(t *testing.T) {
 	s, err := Parse([]byte(chaosDoc))
 	if err != nil {
@@ -243,7 +319,7 @@ func TestChaosGeneration(t *testing.T) {
 	if same {
 		t.Fatal("different seed produced the identical schedule")
 	}
-	// Same-kind windows must not overlap, and at most max_overlap (2)
+	// Conflicting windows must not overlap, and at most max_overlap (2)
 	// windows are active at once. The most are active at some window's
 	// start, so counting the windows active at each start covers every
 	// instant.
@@ -251,10 +327,10 @@ func TestChaosGeneration(t *testing.T) {
 	for i, a := range first {
 		active := 0
 		for j, b := range first {
-			if i != j && a.Kind == b.Kind && a.At < b.At+b.For && b.At < a.At+a.For {
-				t.Fatalf("same-kind overlap: %+v and %+v", a, b)
+			if i != j && a.Conflicts(b) {
+				t.Fatalf("conflicting overlap: %+v and %+v", a, b)
 			}
-			if b.At <= a.At && a.At < b.At+b.For {
+			if b.From <= a.From && a.From < b.To {
 				active++
 			}
 		}
@@ -434,16 +510,7 @@ chaos:
 	if b.Seed != 99 || b.Cfg.Seed != 99 {
 		t.Fatalf("override not applied: %+v", b)
 	}
-	same := len(a.FaultWindows) == len(b.FaultWindows)
-	if same {
-		for i := range a.FaultWindows {
-			if a.FaultWindows[i] != b.FaultWindows[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
+	if reflect.DeepEqual(a.Windows(), b.Windows()) {
 		t.Fatal("seed override left the chaos schedule unchanged")
 	}
 }
@@ -475,6 +542,53 @@ assertions:
     op: ">="
     value: 70
 `
+
+// TestFleetReportRunRows pins the fleet config echo in a report's Run
+// section: fleet-64 shows its servers, dispatch, wire and link; a podded
+// fleet adds its pods, oversubscription and spine wire; a single server
+// shows none of them.
+func TestFleetReportRunRows(t *testing.T) {
+	runRows := func(s *Scenario) map[string]string {
+		c, err := s.Compile(Overrides{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := map[string]string{}
+		for _, r := range (&Outcome{Scenario: s, Compiled: c}).buildSections()[0].Rows {
+			rows[r[0]] = r[1]
+		}
+		return rows
+	}
+	parse := func(doc string) *Scenario {
+		s, err := Parse([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	f64, err := Load(filepath.Join("..", "..", "examples", "scenarios", "fleet-64.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pod := map[string]string{"servers": "8", "dispatch": "least-conn", "wire": "2µs", "link_gbps": "100",
+		"pods": "2", "oversub": "2", "spine_wire": "3µs"}
+	for _, c := range []struct {
+		name string
+		s    *Scenario
+		want map[string]string
+	}{
+		{"fleet-64", f64, map[string]string{"servers": "64", "dispatch": "p2c", "wire": "2µs", "link_gbps": "100"}},
+		{"podDoc", parse(podDoc), pod},
+		{"chaosDoc", parse(chaosDoc), map[string]string{}},
+	} {
+		rows := runRows(c.s)
+		for k := range pod {
+			if rows[k] != c.want[k] {
+				t.Errorf("%s: Run row %s = %q, want %q", c.name, k, rows[k], c.want[k])
+			}
+		}
+	}
+}
 
 // TestClusterScenario parses and lowers a fleet scenario: the run.cluster
 // block becomes Config.Cluster, a server-crash event becomes the plan's

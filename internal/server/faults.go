@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+
 	"halsim/internal/core"
 	"halsim/internal/fault"
 	"halsim/internal/rng"
@@ -55,6 +57,38 @@ func (o *frozenObserver) MaxOccupancy() int {
 	return o.last
 }
 
+// checkFaults checks the fault plan against the run it is part of: each
+// window targets one of the run's servers (below Cluster.Servers, or 0 on
+// a single server), lies inside the run, and crashes no more cores than
+// its station has; then the plan's own checks.
+func checkFaults(cfg *Config, rc *RunConfig) error {
+	n := 1
+	if cfg.Cluster != nil {
+		n = cfg.Cluster.Servers
+	}
+	snicCores, hostCores := cfg.SNIC.Profile(cfg.Fn).Servers, cfg.Host.Profile(cfg.Fn).Servers
+	if cfg.Mode == SLB {
+		snicCores -= cfg.SLBCores // §IV: the forwarding cores process nothing
+	}
+	for i, w := range cfg.Faults.Windows {
+		side, cores := "snic", snicCores
+		if w.Host {
+			side, cores = "host", hostCores
+		}
+		switch {
+		case w.Server >= n:
+			return fmt.Errorf("server: fault window %d (%v) targets server %d outside a fleet of %d", i, w, w.Server, n)
+		case w.From >= rc.Duration:
+			return fmt.Errorf("server: fault window %d (%v) starts at %v, past the run's duration %v", i, w, w.From, rc.Duration)
+		case w.To > rc.Duration:
+			return fmt.Errorf("server: fault window %d (%v) ends at %v, past the run's duration %v", i, w, w.To, rc.Duration)
+		case w.Kind == fault.CoreCrash && w.Cores > cores:
+			return fmt.Errorf("server: fault window %d crashes %d %s cores, but the %s station has %d", i, w.Cores, side, side, cores)
+		}
+	}
+	return cfg.Faults.Validate()
+}
+
 // buildFaults arms the fault plan, which prepare has checked, against the
 // wired-up run.
 func (r *run) buildFaults() error {
@@ -74,32 +108,41 @@ func (r *run) buildFaults() error {
 	return nil
 }
 
-// applyFault maps one fault event onto the concrete component.
-func (r *run) applyFault(e fault.Event) {
-	switch e.Kind {
-	case fault.SNICCoreCrash:
-		r.snic.first.failCore(e.Core)
-	case fault.SNICCoreRecover:
-		r.snic.first.recoverCore(e.Core)
-	case fault.HostCoreCrash:
-		r.host.first.failCore(e.Core)
-	case fault.HostCoreRecover:
-		r.host.first.recoverCore(e.Core)
-	case fault.SNICAccelDegrade:
-		r.snic.first.setProfile(r.cfg.SNIC.SoftwareFallback(r.cfg.Fn))
-	case fault.SNICAccelRestore:
-		r.snic.first.setProfile(r.cfg.SNIC.Profile(r.cfg.Fn))
-	case fault.SNICRxDrop:
-		r.snic.first.port.SetRxFault(e.DropProb, &r.faultRng)
-	case fault.SNICRxRestore:
-		r.snic.first.port.SetRxFault(0, nil)
-	case fault.HostRxDrop:
-		r.host.first.port.SetRxFault(e.DropProb, &r.faultRng)
-	case fault.HostRxRestore:
-		r.host.first.port.SetRxFault(0, nil)
+// applyFault maps one window edge — on at its start, off at its end —
+// onto the concrete components.
+func (r *run) applyFault(w fault.Window, on bool) {
+	side := &r.snic.first
+	if w.Host {
+		side = &r.host.first
+	}
+	prob := 0.0 // an Rx fault's drop probability; 0 clears the fault
+	if on {
+		prob = w.DropProb
+	}
+	switch w.Kind {
+	case fault.CoreCrash:
+		for c := 0; c < w.Cores; c++ {
+			if on {
+				side.failCore(c)
+			} else {
+				side.recoverCore(c)
+			}
+		}
+	case fault.RxDrop:
+		side.port.SetRxFault(prob, &r.faultRng)
+	case fault.ServerCrash:
+		if on {
+			prob = 1
+		}
+		r.snic.first.port.SetRxFault(prob, &r.faultRng)
+		r.host.first.port.SetRxFault(prob, &r.faultRng)
+	case fault.AccelDegrade:
+		prof := r.cfg.SNIC.Profile(r.cfg.Fn)
+		if on {
+			prof = r.cfg.SNIC.SoftwareFallback(r.cfg.Fn)
+		}
+		r.snic.first.setProfile(prof)
 	case fault.TelemetryBlackout:
-		r.telemetryDown = true
-	case fault.TelemetryRestore:
-		r.telemetryDown = false
+		r.telemetryDown = on
 	}
 }

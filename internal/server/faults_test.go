@@ -151,11 +151,7 @@ func TestSLBAccelRestoreKeepsProcessingRate(t *testing.T) {
 
 func TestHostCoreCrashInHostOnlyMode(t *testing.T) {
 	from, to := 40*sim.Millisecond, 60*sim.Millisecond
-	plan := fault.NewPlan(1)
-	for c := 0; c < 2; c++ {
-		plan.CrashHostCore(from, c)
-		plan.RecoverHostCore(to, c)
-	}
+	plan := &fault.Plan{Seed: 1, Windows: []fault.Window{{From: from, To: to, Kind: fault.CoreCrash, Host: true, Cores: 2}}}
 	res, err := Run(Config{Mode: HostOnly, Fn: nf.NAT, Seed: 1, Faults: plan}, faultRC(40, from, to))
 	if err != nil {
 		t.Fatal(err)
@@ -203,31 +199,49 @@ func TestDrainWithoutFaultsClosesLedger(t *testing.T) {
 }
 
 func TestFaultValidationErrors(t *testing.T) {
+	rc := RunConfig{Duration: 100 * sim.Millisecond, RateGbps: 10}
+	crash := func(host bool, cores int) *fault.Plan {
+		return &fault.Plan{Windows: []fault.Window{{From: sim.Millisecond, To: 2 * sim.Millisecond,
+			Kind: fault.CoreCrash, Host: host, Cores: cores}}}
+	}
 	cases := []struct {
-		cfg Config
-		rc  RunConfig
+		cfg  Config
+		rc   RunConfig
+		want string
 	}{
-		// Fault event past the run's duration.
-		{Config{Mode: HAL, Fn: nf.NAT, Faults: fault.NewPlan(0).CrashSNICCore(sim.Second, 0)},
-			RunConfig{Duration: 100 * sim.Millisecond, RateGbps: 10}},
+		// Fault window past the run's duration.
+		{Config{Mode: HAL, Fn: nf.NAT, Faults: fault.NewPlan(0).CrashSNICCores(sim.Second, 2*sim.Second, 1)},
+			rc, "starts at 1s, past the run's duration 100ms"},
+		{Config{Mode: HAL, Fn: nf.NAT, Faults: fault.NewPlan(0).DegradeSNICAccel(sim.Millisecond, sim.Second)},
+			rc, "ends at 1s, past the run's duration 100ms"},
 		// Invalid plan.
-		{Config{Mode: HAL, Fn: nf.NAT, Faults: fault.NewPlan(0).Add(fault.Event{At: 1, Kind: fault.Kind(99)})},
-			RunConfig{Duration: 100 * sim.Millisecond, RateGbps: 10}},
+		{Config{Mode: HAL, Fn: nf.NAT, Faults: &fault.Plan{Windows: []fault.Window{{From: 1, To: 2, Kind: fault.Kind(99)}}}},
+			rc, "unknown kind 99"},
+		// A core-crash wider than the station it hits.
+		{Config{Mode: HAL, Fn: nf.NAT, Faults: crash(false, 9)}, rc, "crashes 9 snic cores, but the snic station has 8"},
+		{Config{Mode: SLB, Fn: nf.NAT, SLBCores: 4, SLBFwdThGbps: 20, Faults: crash(false, 5)},
+			rc, "crashes 5 snic cores, but the snic station has 4"},
+		{Config{Mode: HostOnly, Fn: nf.NAT, Faults: crash(true, 99)}, rc, "crashes 99 host cores, but the host station has"},
 		// Phase mark outside (0, Duration).
 		{Config{Mode: HAL, Fn: nf.NAT},
-			RunConfig{Duration: 100 * sim.Millisecond, RateGbps: 10, PhaseMarks: []sim.Time{200 * sim.Millisecond}}},
+			RunConfig{Duration: 100 * sim.Millisecond, RateGbps: 10, PhaseMarks: []sim.Time{200 * sim.Millisecond}}, "phase mark"},
 		// Non-ascending phase marks.
 		{Config{Mode: HAL, Fn: nf.NAT},
 			RunConfig{Duration: 100 * sim.Millisecond, RateGbps: 10,
-				PhaseMarks: []sim.Time{60 * sim.Millisecond, 40 * sim.Millisecond}}},
+				PhaseMarks: []sim.Time{60 * sim.Millisecond, 40 * sim.Millisecond}}, "ascending"},
 		// Negative rate window.
 		{Config{Mode: HAL, Fn: nf.NAT},
-			RunConfig{Duration: 100 * sim.Millisecond, RateGbps: 10, RateWindow: -1}},
+			RunConfig{Duration: 100 * sim.Millisecond, RateGbps: 10, RateWindow: -1}, "negative rate window"},
 	}
 	for i, c := range cases {
-		if _, err := Run(c.cfg, c.rc); err == nil {
-			t.Errorf("case %d should fail", i)
+		if _, err := Run(c.cfg, c.rc); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: err = %v, want %q", i, err, c.want)
 		}
+	}
+	// The widest core-crash each station allows runs.
+	if _, err := Run(Config{Mode: SLB, Fn: nf.NAT, SLBCores: 4, SLBFwdThGbps: 20, Faults: crash(false, 4)},
+		RunConfig{Duration: 5 * sim.Millisecond, RateGbps: 10}); err != nil {
+		t.Errorf("crashing every SLB processing core: %v", err)
 	}
 }
 

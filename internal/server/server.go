@@ -250,7 +250,7 @@ type Result struct {
 	DroppedAll   uint64
 	InFlightEnd  int64 // SentAll - CompletedAll - DroppedAll; 0 after a drained run
 	// Fault-layer observables.
-	FaultEvents uint64 // injected plan events
+	FaultEvents uint64 // state transitions of fault window edges: Cores per core-crash edge, 2 per server-crash edge, else 1
 	FaultDrops  uint64 // packets lost to ring faults or dead stations
 	Requeued    uint64 // packets re-homed off crashed cores
 	CoreCrashes uint64
@@ -411,6 +411,11 @@ func prepare(cfg *Config, rc *RunConfig) error {
 		}
 	}
 
+	if cfg.Faults != nil {
+		if err := checkFaults(cfg, rc); err != nil {
+			return err
+		}
+	}
 	for i, m := range rc.PhaseMarks {
 		if m <= 0 || m >= rc.Duration {
 			return fmt.Errorf("server: phase mark %v outside (0, %v)", m, rc.Duration)
@@ -434,26 +439,6 @@ func prepare(cfg *Config, rc *RunConfig) error {
 	if rc.Duration > sim.SeqMaxTime {
 		return fmt.Errorf("server: duration %v exceeds the engine's %v schedule horizon", rc.Duration, sim.SeqMaxTime)
 	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(); err != nil {
-			return err
-		}
-		// The plan's one range check: every event targets one of the
-		// run's servers — below Cluster.Servers, or 0 on a single server.
-		n := 1
-		if cfg.Cluster != nil {
-			n = cfg.Cluster.Servers
-		}
-		for i, e := range cfg.Faults.Events {
-			if e.Server >= n {
-				return fmt.Errorf("server: fault event %d (%v) targets server %d outside a fleet of %d", i, e.Kind, e.Server, n)
-			}
-			if e.At > rc.Duration {
-				return fmt.Errorf("server: fault event %v scheduled past the run's duration %v", e, rc.Duration)
-			}
-		}
-	}
-
 	return nil
 }
 
