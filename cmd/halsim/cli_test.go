@@ -135,6 +135,10 @@ func TestBadInputsExitUsage(t *testing.T) {
 			"  - at: 2ms\n    for: 2ms\n    kind: rx-drop\n    drop_prob: 0.5\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	fleet64, err := filepath.Abs("../../examples/scenarios/fleet-64.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		args   []string
 		reason string
@@ -148,6 +152,8 @@ func TestBadInputsExitUsage(t *testing.T) {
 		{[]string{"-fn", "KVS", "-fn-config", "bogus"}, `unknown KVS config "bogus"`},
 		{[]string{"validate", fnBogus}, `unknown KVS config "bogus"`},
 		{[]string{"run", slb9}, "SLB needs 1..7 forwarding cores"},
+		{[]string{"run"}, "run wants one scenario file, have none"},
+		{[]string{"run", traceNeg, "-rate", "80"}, "already defines the run; drop -rate"},
 		{[]string{"validate", server1}, "targets server 1 outside a fleet of 1"},
 		{[]string{"validate", overlap}, "window 0 (snic rx-drop p=0.500, 1ms..3ms) overlaps window 1 (snic rx-drop p=0.500, 2ms..4ms)"},
 		{[]string{"-fault", "core-crash", "-fault-cores", "20", "-fault-at", "10ms", "-duration", "40ms"}, "crashes 20 snic cores, but the snic station has 8"},
@@ -176,6 +182,7 @@ func TestBadInputsExitUsage(t *testing.T) {
 		{[]string{"-timeline-period", "1ms"}, "-timeline-period set without -timeline"},
 		{[]string{"-trace-every", "8"}, "-trace-every needs -trace-out"},
 		{[]string{"-servers", "8", "-shards", "3", "-prof", "-trace-out", "t.json", "-trace-every", "8"}, "-trace-every needs -trace-out on a single server"},
+		{[]string{"run", fleet64, "-shards", "4", "-prof", "-trace-out", "t.json", "-trace-every", "8"}, "-trace-every needs -trace-out on a single server"},
 		{[]string{"-pods", "8", "-dispatch", "p2c"}, "set without -servers"},
 		{[]string{"-servers", "8", "-oversub", "4"}, "set without -pods >= 2"},
 		{[]string{"-shards", "4"}, "shards apply to fleets"},
@@ -198,5 +205,43 @@ func TestSLBHostMode(t *testing.T) {
 	}
 	if !strings.HasPrefix(out, "mode=SLB-host fn=NAT\n") {
 		t.Errorf("want an SLB-host run, have:\n%s", out)
+	}
+}
+
+// TestRunTakesMainFlags: `halsim run FILE` parses the same flag set as
+// `halsim FILE`, with flags before or after the file, so both forms write
+// the same artifacts.
+func TestRunTakesMainFlags(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "small.yaml")
+	if err := os.WriteFile(file, []byte(
+		"name: small\nrun:\n  rate_gbps: 40\n  duration: 5ms\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var traces [][]byte
+	for i, args := range [][]string{
+		{"run", file, "-trace-every", "8", "-trace-out", "OUT"},
+		{"-trace-every", "8", "-trace-out", "OUT", file},
+		{"run", "-trace-every", "8", file, "-trace-out", "OUT"},
+	} {
+		out := filepath.Join(dir, fmt.Sprintf("t%d.json", i))
+		for j := range args {
+			if args[j] == "OUT" {
+				args[j] = out
+			}
+		}
+		if _, stderr, code := halsim(t, args...); code != 0 {
+			t.Fatalf("halsim %s: exit %d\n%s", strings.Join(args, " "), code, stderr)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, b)
+	}
+	for i := 1; i < len(traces); i++ {
+		if !bytes.Equal(traces[0], traces[i]) {
+			t.Errorf("form %d wrote a different trace than form 0", i)
+		}
 	}
 }

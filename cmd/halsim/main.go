@@ -34,15 +34,16 @@ import (
 )
 
 func main() {
-	// Subcommand dispatch: `halsim run` and `halsim validate` take a
-	// scenario file; anything else is the classic flag interface.
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
+	// Subcommand dispatch: `halsim validate` checks scenario files;
+	// `halsim run FILE` is `halsim FILE` that insists on the file; anything
+	// else is the classic flag interface.
+	args, runSub := os.Args[1:], false
+	if len(args) > 0 {
+		switch args[0] {
 		case "run":
-			runCmd(os.Args[2:])
-			return
+			args, runSub = args[1:], true
 		case "validate":
-			validateCmd(os.Args[2:])
+			validateCmd(args[1:])
 			return
 		}
 	}
@@ -55,9 +56,9 @@ func main() {
 		rate     = flag.Float64("rate", 40, "offered load in Gbps (not with -workload: a trace draws its own rate)")
 		workload = flag.String("workload", "", "web | cache | hadoop datacenter trace")
 		duration = flag.Duration("duration", 300*time.Millisecond, "simulated duration")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		shards   = flag.Int("shards", 0, "run the fleet on the conservative-parallel engine with this many shards (with -servers; 0/1 = serial; results are byte-identical)")
-		profFlag = flag.Bool("prof", false, "record the parallel engine's flight recorder (with -servers and -shards > 1): window spans, stall attribution, lookahead-slack series")
+		seed     = flag.Int64("seed", 1, "simulation seed (beside a scenario file: overrides the file's)")
+		shards   = flag.Int("shards", 0, "run the fleet on the conservative-parallel engine with this many shards (with -servers or a fleet scenario; 0/1 = serial; results are byte-identical)")
+		profFlag = flag.Bool("prof", false, "record the parallel engine's flight recorder (sharded fleets only): window spans, stall attribution, inject batches and wheel counters; adds a scenario report's Parallel profile sections")
 		useCXL   = flag.Bool("cxl", false, "attach the SNIC over CXL (coherent shared state)")
 
 		servers  = flag.Int("servers", 0, "fleet size: run N full servers behind one shared ingress and a modeled ToR fabric (0 = single server)")
@@ -86,10 +87,10 @@ func main() {
 	flag.StringVar(&arts.timelineCSV, "timeline", "", "write the per-tick time series as CSV to this file")
 	flag.StringVar(&arts.timelineJSON, "timeline-json", "", "write the time series (plus latency buckets) as JSON")
 	flag.StringVar(&arts.traceOut, "trace-out", "", "write a sampled packet-lifecycle trace (Chrome trace-event JSON, loadable in Perfetto)")
-	flag.IntVar(&arts.traceEvery, "trace-every", defaultTraceEvery, "trace 1-in-N packets (with -trace-out on a single server)")
+	flag.IntVar(&arts.traceEvery, "trace-every", 0, fmt.Sprintf("trace 1-in-N packets (default %d; with -trace-out on a single server)", telemetry.DefaultTraceEvery))
 	flag.StringVar(&arts.metricsOut, "metrics-out", "", "write the final counter registry in Prometheus text format ('-' for stdout)")
 	flag.StringVar(&arts.telAddr, "telemetry-addr", "", "serve live /metrics on this address while the run executes")
-	flag.Parse()
+	files := parseInterleaved(flag.CommandLine, args)
 	if *showVersion {
 		fmt.Printf("halsim %s\n", version.String())
 		return
@@ -117,7 +118,7 @@ func main() {
 	if arts.traceOut == "" || *servers != 0 {
 		needs("needs -trace-out on a single server: fleets have no packet tracer", "trace-every")
 	}
-	if arts.traceEvery < 1 {
+	if set["trace-every"] && arts.traceEvery < 1 {
 		usageErr("-trace-every must be >= 1, got %d", arts.traceEvery)
 	}
 
@@ -126,9 +127,12 @@ func main() {
 	// configuration, so simulation and fault flags alongside it are a usage
 	// error, not a silent precedence rule; only -seed and -shards act as
 	// documented overrides, and telemetry/report export flags compose.
-	if flag.NArg() > 0 {
-		if flag.NArg() > 1 {
-			usageErr("want one scenario file, have %d arguments (%v)", flag.NArg(), flag.Args())
+	if runSub && len(files) == 0 {
+		usageErr("run wants one scenario file, have none")
+	}
+	if len(files) > 0 {
+		if len(files) > 1 {
+			usageErr("want one scenario file, have %d arguments (%v)", len(files), files)
 		}
 		var conflicts []string
 		ov := scenario.Overrides{}
@@ -147,9 +151,9 @@ func main() {
 		})
 		if len(conflicts) > 0 {
 			usageErr("%s already defines the run; drop %s (use -seed/-shards to override, or edit the scenario)",
-				flag.Arg(0), strings.Join(conflicts, ", "))
+				files[0], strings.Join(conflicts, ", "))
 		}
-		executeScenario(flag.Arg(0), ov, *reportMD, *reportHTML, arts)
+		executeScenario(files[0], ov, *reportMD, *reportHTML, arts)
 		return
 	}
 	if *reportMD != "" || *reportHTML != "" {
@@ -302,7 +306,7 @@ func main() {
 }
 
 // printProfSummary prints the flight recorder's console digest: stall
-// attribution, slack utilization, and the wall-clock split (the one place
+// attribution, per-LP lanes, and the wall-clock split (the one place
 // the nondeterministic wall numbers surface).
 func printProfSummary(res server.Result, wall time.Duration) {
 	rec := res.Prof
@@ -319,17 +323,6 @@ func printProfSummary(res server.Result, wall time.Duration) {
 		l := rec.LaneAt(i)
 		fmt.Printf("    lp %-5s %d windows (%.1f%% paced), %d parks, %d batches/%d msgs (max %d)\n",
 			l.Name(), l.WindowCount, rec.PacedShare(i)*100, l.Parks, l.Injects, l.InjectedMsgs, l.MaxBatch)
-	}
-	for _, ls := range rec.Links() {
-		util, decl := "-", "unconstrained"
-		if u := ls.Utilization(); u > 0 {
-			util = fmt.Sprintf("%.0f%%", u*100)
-		}
-		if ls.Declared >= 0 {
-			decl = ls.Declared.String()
-		}
-		fmt.Printf("    link %s->%s declared %s, observed floor %v, %d tightenings, utilization %s\n",
-			ls.SrcName, ls.DstName, decl, ls.Floor, len(ls.Points), util)
 	}
 	if wall > 0 {
 		barrier := float64(rec.BarrierWallNS) / float64(wall.Nanoseconds()) * 100

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -13,12 +14,14 @@ import (
 
 // The scenario subcommands:
 //
-//	halsim run scenario.yaml [-seed N] [-shards N] [-report f.md] [-report-html f.html]
+//	halsim run scenario.yaml [-seed N] [-shards N] [-report f.md] [-report-html f.html] [export flags]
 //	halsim validate scenario.yaml...
 //
 // run executes the scenario, prints the assertion verdicts, and exits 0
 // only when every assertion held (1 on assertion failure, 2 on a scenario
-// or plan validation error). validate checks files without running them.
+// or plan validation error); it parses the main flag set, so it takes every
+// flag `halsim scenario.yaml` does, before or after the file. validate
+// checks files without running them.
 
 // parseInterleaved parses args allowing flags before and after positional
 // arguments (the flag package stops at the first positional), returning
@@ -34,12 +37,8 @@ func parseInterleaved(fs *flag.FlagSet, args []string) []string {
 	return files
 }
 
-// defaultTraceEvery samples 1-in-64 packets when -trace-out asks for a
-// trace and neither -trace-every nor the scenario chose a rate.
-const defaultTraceEvery = 64
-
 // artifactPaths carries the telemetry export flags, shared by the flag
-// path and scenario files.
+// path and scenario files. traceEvery is 0 when -trace-every is not set.
 type artifactPaths struct {
 	timelineCSV, timelineJSON, traceOut, metricsOut, telAddr string
 	traceEvery                                               int
@@ -55,6 +54,10 @@ func execute(s *scenario.Scenario, ov scenario.Overrides, arts artifactPaths) *s
 	if arts.timelineCSV != "" || arts.timelineJSON != "" {
 		t.Timeline = true
 	}
+	if s.Cfg.Cluster != nil && arts.traceEvery != 0 {
+		fmt.Fprintf(os.Stderr, "halsim: -trace-every needs -trace-out on a single server: fleets have no packet tracer\n")
+		os.Exit(cliutil.ExitUsage)
+	}
 	if arts.traceOut != "" {
 		shards := s.Cfg.Shards
 		if ov.Shards != 0 {
@@ -62,7 +65,7 @@ func execute(s *scenario.Scenario, ov scenario.Overrides, arts artifactPaths) *s
 		}
 		if s.Cfg.Cluster == nil {
 			if t.TraceEvery == 0 {
-				t.TraceEvery = arts.traceEvery
+				t.TraceEvery = cmp.Or(arts.traceEvery, telemetry.DefaultTraceEvery)
 			}
 		} else if !(shards > 1 && arts.prof) {
 			// A fleet's trace is the recorder's lp:* lanes: -trace-out
@@ -97,34 +100,6 @@ func execute(s *scenario.Scenario, ov scenario.Overrides, arts artifactPaths) *s
 		cliutil.Fail("halsim", err)
 	}
 	return o
-}
-
-func runCmd(args []string) {
-	fs := flag.NewFlagSet("halsim run", flag.ExitOnError)
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: halsim run [flags] scenario.yaml\n\n")
-		fs.PrintDefaults()
-	}
-	var (
-		seed       = fs.Int64("seed", 0, "override the scenario's seed (0 = use the file's)")
-		shards     = fs.Int("shards", 0, "override a fleet scenario's shard count (0 = use the file's)")
-		reportMD   = fs.String("report", "", "write the Markdown run report to this file ('-' for stdout)")
-		reportHTML = fs.String("report-html", "", "write the HTML run report to this file")
-		arts       = artifactPaths{traceEvery: defaultTraceEvery}
-	)
-	fs.StringVar(&arts.timelineCSV, "timeline", "", "write the per-tick time series as CSV to this file")
-	fs.StringVar(&arts.timelineJSON, "timeline-json", "", "write the time series (plus latency buckets) as JSON")
-	fs.StringVar(&arts.traceOut, "trace-out", "", "write a sampled packet-lifecycle trace (Chrome trace-event JSON)")
-	fs.StringVar(&arts.metricsOut, "metrics-out", "", "write the final counter registry in Prometheus text format ('-' for stdout)")
-	fs.BoolVar(&arts.prof, "prof", false, "record the parallel engine's flight recorder (fleet scenarios with shards > 1); adds the report's Parallel profile section")
-	files := parseInterleaved(fs, args)
-	if len(files) != 1 {
-		fmt.Fprintf(os.Stderr, "halsim run: want exactly one scenario file, have %d\n\n", len(files))
-		fs.Usage()
-		os.Exit(cliutil.ExitUsage)
-	}
-	executeScenario(files[0], scenario.Overrides{Seed: *seed, Shards: *shards},
-		*reportMD, *reportHTML, arts)
 }
 
 func validateCmd(args []string) {

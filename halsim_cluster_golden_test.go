@@ -168,8 +168,8 @@ func TestClusterGoldenTelemetryOn(t *testing.T) {
 
 // TestClusterGoldenParallelProfiled turns every observer on — timeline,
 // registry, flight recorder — over the parallel partition. The recorder
-// watches per-server LP lanes and fabric-link slack without perturbing
-// run-ahead planning; any divergence here means it did.
+// watches per-server LP lanes without perturbing run-ahead planning; any
+// divergence here means it did.
 func TestClusterGoldenParallelProfiled(t *testing.T) {
 	if *updateGolden {
 		t.Skip("fixture is written by TestClusterGoldenDeterminism")

@@ -337,14 +337,14 @@ func (c *crun) sample(t sim.Time) {
 	}
 	s.Events = ev - c.prevEvents
 	c.prevEvents = ev
-	sent, _, _, _ := c.src.Offered()
+	sent, _, _ := c.src.Offered()
 	c.col.Publish(s, sent)
 }
 
 // collect aggregates per-server Results and the ingress's own
 // measurements into one fleet Result.
 func (c *crun) collect() server.Result {
-	totalP, _, sentP, sentB := c.src.Offered()
+	totalP, sentP, sentB := c.src.Offered()
 	measured := c.rc.Duration - c.rc.Warmup
 
 	res := server.Result{
@@ -425,7 +425,6 @@ func (c *crun) collect() server.Result {
 	c.m.Fill(&res)
 
 	if c.rec != nil {
-		c.rec.SetObservedFloors(c.x.ObservedSlack())
 		for w, e := range c.engs {
 			c.rec.AddWheel(c.laneNames[w], e.WheelStats())
 		}

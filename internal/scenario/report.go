@@ -246,33 +246,6 @@ func (o *Outcome) buildSections() []reportSection {
 			}
 			secs = append(secs, st)
 		}
-
-		if links := rec.Links(); len(links) > 0 {
-			sl := reportSection{
-				Title:  "Parallel profile — lookahead slack",
-				Header: []string{"link", "declared", "observed floor", "tightenings", "utilization"},
-			}
-			opt := func(t sim.Time) string {
-				if t < 0 {
-					return "—"
-				}
-				return t.String()
-			}
-			for _, ls := range links {
-				util := "—"
-				if u := ls.Utilization(); u > 0 {
-					util = fmt.Sprintf("%.0f%%", u*100)
-				}
-				sl.Table = append(sl.Table, []string{
-					ls.SrcName + "→" + ls.DstName,
-					opt(ls.Declared),
-					opt(ls.Floor),
-					fmt.Sprintf("%d", len(ls.Points)),
-					util,
-				})
-			}
-			secs = append(secs, sl)
-		}
 	}
 	return secs
 }

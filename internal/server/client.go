@@ -88,14 +88,13 @@ type client struct {
 }
 
 // offered counts the traffic offered to a server: sentPkts/sentBytes
-// from warmup on (the measured offered load), totalPkts/totalBytes every
-// packet ever offered, warmup included — the packet-conservation audit's
-// "offered" side.
+// from warmup on (the measured offered load), totalPkts every packet ever
+// offered, warmup included — the packet-conservation audit's "offered"
+// side.
 type offered struct {
-	sentPkts   uint64
-	sentBytes  uint64
-	totalPkts  uint64
-	totalBytes uint64
+	sentPkts  uint64
+	sentBytes uint64
+	totalPkts uint64
 }
 
 // payloadGen makes one function's request payloads.
@@ -315,7 +314,6 @@ func (c *client) sendAt(size int, at sim.Time) {
 	p.FnTag = tag
 	p.CreatedAt = int64(at)
 	c.totalPkts++
-	c.totalBytes += uint64(p.WireLen)
 	if at >= c.warmupEnd {
 		c.sentPkts++
 		c.sentBytes += uint64(p.WireLen)

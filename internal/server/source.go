@@ -43,6 +43,6 @@ func (s *TrafficSource) Start() { s.c.start() }
 func (s *TrafficSource) Stop() { s.c.stop() }
 
 // Offered reports the all-time and post-warmup offered totals.
-func (s *TrafficSource) Offered() (totalPkts, totalBytes, sentPkts, sentBytes uint64) {
-	return s.c.totalPkts, s.c.totalBytes, s.c.sentPkts, s.c.sentBytes
+func (s *TrafficSource) Offered() (totalPkts, sentPkts, sentBytes uint64) {
+	return s.c.totalPkts, s.c.sentPkts, s.c.sentBytes
 }

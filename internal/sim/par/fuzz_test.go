@@ -33,6 +33,6 @@ func FuzzCrossLPOrdering(f *testing.F) {
 		}
 		s := buildScriptDist(rng, w, n, dist)
 		label := fmt.Sprintf("seed %d workers %d events %d ring %v", seed, w, n, ring)
-		matchOracle(t, label, s, topo, dist, 600)
+		matchOracle(t, label, s, topo, 600)
 	})
 }

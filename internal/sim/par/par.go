@@ -71,9 +71,6 @@
 // dist(src→dst) fails fast at the send site, BEFORE any window bound
 // computed from the false promise could let a destination run past the
 // delivery instant.
-// Observed per-link slack minima are tracked on the same check and exposed
-// via ObservedSlack, so a Topology whose declared latencies are far below
-// what the model actually exhibits can be tightened from measurements.
 // Widening bounds beyond the declared latencies from observed slack alone
 // would require rollback on a mispredict — byte-identical artifacts leave
 // no room for that — so adaptivity comes from live horizons over exact
@@ -251,11 +248,8 @@ type shard struct {
 	// coordinator drains the sends of merged-instant events at round
 	// barriers.
 	out []([]Msg)
-	// slackMin tracks the smallest observed delivery slack per destination,
-	// maintained by the owning goroutine on Send.
-	slackMin []sim.Time
-	cmd      chan struct{}
-	res      chan any // recovered panic value, nil on success
+	cmd chan struct{}
+	res chan any // recovered panic value, nil on success
 }
 
 // Exec coordinates the shards.
@@ -281,7 +275,7 @@ type Exec struct {
 	// rec, when non-nil, is the attached flight recorder. Every hook site
 	// nil-checks it, so a run without one pays nothing. Lane i is written
 	// only by the goroutine owning shard i (or the coordinator while that
-	// shard is parked), the same ownership discipline as slackMin.
+	// shard is parked).
 	rec *prof.Recorder
 }
 
@@ -306,17 +300,12 @@ func New(workers []*sim.Engine, topo Topology) *Exec {
 	dist := topo.distances()
 	x := &Exec{dist: dist, latch: newLatch()}
 	for i := range workers {
-		slack := make([]sim.Time, len(workers))
-		for d := range slack {
-			slack[d] = infTime
-		}
 		x.shards = append(x.shards, &shard{
-			eng:      workers[i],
-			idx:      i,
-			out:      make([][]Msg, len(workers)),
-			slackMin: slack,
-			cmd:      make(chan struct{}),
-			res:      make(chan any),
+			eng: workers[i],
+			idx: i,
+			out: make([][]Msg, len(workers)),
+			cmd: make(chan struct{}),
+			res: make(chan any),
 		})
 	}
 	x.cycle = make([]sim.Time, len(workers))
@@ -336,29 +325,12 @@ func New(workers []*sim.Engine, topo Topology) *Exec {
 }
 
 // SetRecorder attaches a flight recorder (nil detaches). The recorder must
-// have one lane per worker; call before Start. The declared-lookahead
-// matrix is installed so the recorder can report slack utilization against
-// the observed floors (-1 marks a lone worker's self-distance).
+// have one lane per worker; call before Start.
 func (x *Exec) SetRecorder(r *prof.Recorder) {
-	x.rec = r
-	if r == nil {
-		return
-	}
-	if r.NumLanes() != len(x.shards) {
+	if r != nil && r.NumLanes() != len(x.shards) {
 		panic(fmt.Sprintf("par: recorder has %d lanes for %d shards", r.NumLanes(), len(x.shards)))
 	}
-	d := make([][]sim.Time, len(x.dist))
-	for i, row := range x.dist {
-		d[i] = make([]sim.Time, len(row))
-		for j, v := range row {
-			if v == infTime {
-				d[i][j] = -1
-			} else {
-				d[i][j] = v
-			}
-		}
-	}
-	r.SetDeclared(d)
+	x.rec = r
 }
 
 // Start launches the shard goroutines. Each executes one run-ahead plan
@@ -395,37 +367,11 @@ func (x *Exec) Shutdown() {
 // computed from the declaration could be trusted wrongly.
 func (x *Exec) Send(src, dst int, at sim.Time, seq uint64, call sim.Call, arg any, n int64) {
 	sh := x.shards[src]
-	slack := at - sh.eng.Now()
-	if d := x.dist[src][dst]; slack < d {
+	if slack, d := at-sh.eng.Now(), x.dist[src][dst]; slack < d {
 		panic(fmt.Sprintf("par: message %d→%d due at %v undercuts the declared %v link lookahead (slack %v)",
 			src, dst, at, d, slack))
 	}
-	if slack < sh.slackMin[dst] {
-		sh.slackMin[dst] = slack
-		if x.rec != nil {
-			x.rec.RecordSlack(src, dst, sh.eng.Now(), slack)
-		}
-	}
 	sh.out[dst] = append(sh.out[dst], Msg{At: at, Seq: seq, Call: call, Arg: arg, N: n})
-}
-
-// ObservedSlack reports the smallest delivery slack (arrival minus send
-// instant) seen on each src→dst pair, or -1 where no message has traveled
-// yet. Valid between rounds (coordinator-owned state): use it to check how
-// much headroom a declared Topology leaves on the table.
-func (x *Exec) ObservedSlack() [][]sim.Time {
-	m := make([][]sim.Time, len(x.shards))
-	for i, sh := range x.shards {
-		m[i] = make([]sim.Time, len(sh.slackMin))
-		for d, s := range sh.slackMin {
-			if s == infTime {
-				m[i][d] = -1
-			} else {
-				m[i][d] = s
-			}
-		}
-	}
-	return m
 }
 
 // Now reports the current barrier time.

@@ -297,10 +297,9 @@ func (r *runner) fire(node int, id int64) {
 
 // matchOracle runs a script serially and under topo through the caller
 // barriers of barriers(until) and then to exhaustion, and fails unless
-// every per-node log and every barrier's state match, the drain ends at
-// the serial clock, and every observed slack holds the declared closure
-// dist the window bounds were derived from.
-func matchOracle(t *testing.T, label string, s *script, topo par.Topology, dist [][]sim.Time, until sim.Time) {
+// every per-node log and every barrier's state match and the drain ends at
+// the serial clock.
+func matchOracle(t *testing.T, label string, s *script, topo par.Topology, until sim.Time) {
 	t.Helper()
 	stops := barriers(s, topo.Workers, until)
 	ser := newRunnerTopo(s, topo.Workers, nil)
@@ -318,14 +317,6 @@ func matchOracle(t *testing.T, label string, s *script, topo par.Topology, dist 
 	}
 	if got, want := pp.x.Now(), ser.engines[0].Now(); got != want {
 		t.Fatalf("%s: drain ended at %v, serial clock at %v", label, got, want)
-	}
-	for src, row := range pp.x.ObservedSlack() {
-		for dst, sl := range row {
-			if sl >= 0 && sl < dist[src][dst] {
-				t.Fatalf("%s: observed slack %v on %d→%d below declared %v",
-					label, sl, src, dst, dist[src][dst])
-			}
-		}
 	}
 }
 
@@ -377,7 +368,7 @@ func (r *runner) run(stops ...sim.Time) {
 func TestParallelMatchesSerialOracle(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		s := buildScript(rand.New(rand.NewSource(seed)), 3, 240)
-		matchOracle(t, fmt.Sprintf("seed %d", seed), s, uniform(3, lookahead), uniformDist(3, lookahead), 400)
+		matchOracle(t, fmt.Sprintf("seed %d", seed), s, uniform(3, lookahead), 400)
 	}
 }
 
@@ -392,7 +383,7 @@ func TestRandomTopologyMatchesSerialOracle(t *testing.T) {
 		w := 2 + rng.Intn(2)
 		topo, dist := ringTopology(rng, w)
 		s := buildScriptDist(rng, w, 200, dist)
-		matchOracle(t, fmt.Sprintf("seed %d", seed), s, topo, dist, 500)
+		matchOracle(t, fmt.Sprintf("seed %d", seed), s, topo, 500)
 	}
 }
 
@@ -551,7 +542,7 @@ func TestStarTopologyMatchesSerialOracle(t *testing.T) {
 		k := w // residue modulus; link latencies are multiples of k
 		topo, dist := starTopology(rng, w, k)
 		s := buildScriptStride(rng, w, 260, dist, k)
-		matchOracle(t, fmt.Sprintf("seed %d (%d leaves)", seed, leaves), s, topo, dist, 6000)
+		matchOracle(t, fmt.Sprintf("seed %d (%d leaves)", seed, leaves), s, topo, 6000)
 	}
 }
 
@@ -627,6 +618,6 @@ func TestWideStarMatchesSerialOracle(t *testing.T) {
 		k := w // residue modulus; link latencies are multiples of k
 		topo, dist := starTopology(rng, w, k)
 		s := buildScriptStride(rng, w, 4*w, dist, k)
-		matchOracle(t, fmt.Sprintf("seed %d (%d leaves)", seed, leaves), s, topo, dist, 200000)
+		matchOracle(t, fmt.Sprintf("seed %d (%d leaves)", seed, leaves), s, topo, 200000)
 	}
 }

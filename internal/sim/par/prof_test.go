@@ -22,8 +22,7 @@ func profNames(workers int) []string {
 // TestRecorderObservesRun attaches a flight recorder to the scripted oracle
 // workload and checks the recording is coherent: every stored window has a
 // valid binder and positive extent, aggregate counters cover the stored
-// spans, cross-LP sends show up as inject batches, and every recorded slack
-// series ends exactly at the executor's ObservedSlack floor.
+// spans, and cross-LP sends show up as inject batches.
 func TestRecorderObservesRun(t *testing.T) {
 	const workers = 3
 	s := buildScript(rand.New(rand.NewSource(77)), workers, 900)
@@ -61,29 +60,6 @@ func TestRecorderObservesRun(t *testing.T) {
 	}
 	if injected == 0 {
 		t.Fatal("script sends cross-LP messages but no inject batches recorded")
-	}
-
-	// Finalize like the server does at collect time, then cross-check the
-	// series against the executor's own floor matrix.
-	floors := r.x.ObservedSlack()
-	rec.SetObservedFloors(floors)
-	for _, ls := range rec.Links() {
-		if ls.Floor != floors[ls.Src][ls.Dst] {
-			t.Fatalf("link %d->%d: recorder floor %v != executor floor %v",
-				ls.Src, ls.Dst, ls.Floor, floors[ls.Src][ls.Dst])
-		}
-		last := sim.Time(-1)
-		for i, p := range ls.Points {
-			if i > 0 && p.Slack >= last {
-				t.Fatalf("link %d->%d: slack series not strictly decreasing: %+v",
-					ls.Src, ls.Dst, ls.Points)
-			}
-			last = p.Slack
-		}
-		if n := len(ls.Points); n > 0 && ls.Truncated == 0 && ls.Points[n-1].Slack != ls.Floor {
-			t.Fatalf("link %d->%d: series ends at %v, floor is %v",
-				ls.Src, ls.Dst, ls.Points[n-1].Slack, ls.Floor)
-		}
 	}
 }
 

@@ -43,11 +43,14 @@ func newMetrics(reg *Registry) *metrics {
 
 // Publish records one sample: the timeline (when on) appends it and the
 // registry's halsim_* metrics take its values, with sent the client's
-// offered packets so far.
+// offered packets so far. A sample's Events is its tick's delta, so the
+// events counter publishes their running sum: the timeline's events column
+// sums to it.
 func (c *Collector) Publish(s Sample, sent uint64) {
 	if c.Timeline != nil {
 		c.Timeline.Push(s)
 	}
+	c.events += s.Events
 	m, reg := c.metrics, c.Registry
 	reg.Set(m.fwdTh, s.FwdThGbps)
 	reg.Set(m.rateRx, s.RateRxGbps)
@@ -64,7 +67,7 @@ func (c *Collector) Publish(s Sample, sent uint64) {
 	reg.Set(m.completed, float64(s.Completed))
 	reg.Set(m.dropped, float64(s.Drops))
 	reg.Set(m.faultDrops, float64(s.FaultDrops))
-	reg.Set(m.events, float64(s.Events))
+	reg.Set(m.events, float64(c.events))
 }
 
 // PublishProf pushes a sharded fleet's flight-recorder run-end totals into

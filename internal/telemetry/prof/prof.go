@@ -2,16 +2,15 @@
 // nil-checked recording of where a conservative-parallel run's time goes.
 // Per shard it keeps the window spans the run-ahead plans executed — each
 // with the peer whose horizon capped it (stall attribution) — idle parks,
-// InjectBatch sizes, and latch-wait wall time; per link it generalizes the
-// executor's ObservedSlack floor into a time series of floor tightenings;
-// per engine it snapshots the timing wheel's slow-path counters.
+// InjectBatch sizes, and latch-wait wall time; per engine it snapshots the
+// timing wheel's slow-path counters.
 //
 // Determinism contract (the same one the telemetry package keeps): the
 // recorder only observes. Attaching it never changes a run's event order or
 // Result, and every field except the explicitly wall-clock ones
 // (LatchWaitNS, PlanWallNS, BarrierWallNS) is a pure function of the
 // simulation's seed, configuration, and shard count — window spans, binder
-// attributions, slack series, batch sizes, and wheel counters reproduce
+// attributions, batch sizes, and wheel counters reproduce
 // byte-identically across repeat runs. Wall-clock fields are therefore
 // reported separately (console and bench summaries only) and never enter
 // byte-compared artifacts — including the registry's text exposition.
@@ -34,12 +33,10 @@ const (
 	BindSelf = -2
 )
 
-// Span-storage caps. Aggregate counters (WindowCount, BoundBy*, slack
-// floors) stay exact past the caps; only the per-span detail truncates.
-const (
-	maxWindowSpans = 1 << 15
-	maxSlackPoints = 1 << 12
-)
+// maxWindowSpans caps a lane's stored spans. Aggregate counters
+// (WindowCount, BoundBy*) stay exact past the cap; only the per-span detail
+// truncates.
+const maxWindowSpans = 1 << 15
 
 // Window is one executed plan window of a shard: the engine ran [Start,
 // End) and Binder says what bounded End.
@@ -48,17 +45,9 @@ type Window struct {
 	Binder     int
 }
 
-// SlackPoint is one tightening of a link's observed-slack floor: at
-// simulated instant At, a message with delivery slack Slack (a new minimum)
-// crossed the link.
-type SlackPoint struct {
-	At    sim.Time
-	Slack sim.Time
-}
-
 // Lane is one shard's recording. It is written only by the goroutine that
-// owns the shard (the same ownership discipline as the executor's slackMin),
-// so no locking is needed; readers wait for the run to finish.
+// owns the shard, so no locking is needed; readers wait for the run to
+// finish.
 type Lane struct {
 	name string
 
@@ -142,28 +131,19 @@ func (l *Lane) Inject(n int) {
 // AddLatchWait accumulates wall-clock latch-wait time.
 func (l *Lane) AddLatchWait(ns int64) { l.LatchWaitNS += ns }
 
-// link is one src→dst slack recording.
-type link struct {
-	points    []SlackPoint
-	truncated uint64
-	floor     sim.Time // final ObservedSlack floor, -1 until finalized/none
-}
-
 // WheelLane is one engine's timing-wheel slow-path snapshot.
 type WheelLane struct {
 	Name  string
 	Stats sim.WheelStats
 }
 
-// Recorder is the whole-run flight recorder: one Lane per worker LP, one
-// slack series per declared-or-traveled link, coordinator round counters,
-// and end-of-run wheel snapshots. Build one with NewRecorder, attach it via
-// the executor's SetRecorder, and read it after the run completes.
+// Recorder is the whole-run flight recorder: one Lane per worker LP,
+// coordinator round counters, and end-of-run wheel snapshots. Build one
+// with NewRecorder, attach it via the executor's SetRecorder, and read it
+// after the run completes.
 type Recorder struct {
-	names    []string
-	lanes    []Lane
-	links    []link       // src*workers + dst
-	declared [][]sim.Time // [src][dst] declared lookahead, -1 unconstrained
+	names []string
+	lanes []Lane
 
 	// Rounds counts coordinator rounds (one per control event or drain
 	// chunk). Deterministic.
@@ -188,10 +168,6 @@ func NewRecorder(names []string) *Recorder {
 	for i := range r.lanes {
 		r.lanes[i] = Lane{name: names[i], BoundBy: make([]uint64, w)}
 	}
-	r.links = make([]link, w*w)
-	for i := range r.links {
-		r.links[i].floor = -1
-	}
 	return r
 }
 
@@ -204,23 +180,6 @@ func (r *Recorder) LaneName(i int) string { return r.names[i] }
 // LaneAt returns lane i for recording or reading.
 func (r *Recorder) LaneAt(i int) *Lane { return &r.lanes[i] }
 
-// SetDeclared installs the declared per-pair lookahead matrix ([src][dst]),
-// with -1 marking an unconstrained pair. The
-// executor calls this when the recorder is attached.
-func (r *Recorder) SetDeclared(d [][]sim.Time) { r.declared = d }
-
-// RecordSlack appends one floor tightening to the src→dst series. Called by
-// the goroutine owning src exactly when the executor's slackMin tightens,
-// so the series is strictly decreasing in Slack.
-func (r *Recorder) RecordSlack(src, dst int, at, slack sim.Time) {
-	lk := &r.links[src*len(r.lanes)+dst]
-	if len(lk.points) >= maxSlackPoints {
-		lk.truncated++
-		return
-	}
-	lk.points = append(lk.points, SlackPoint{At: at, Slack: slack})
-}
-
 // AddRound counts one coordinator round.
 func (r *Recorder) AddRound() { r.Rounds++ }
 
@@ -230,16 +189,6 @@ func (r *Recorder) AddPlanWall(ns int64) { r.PlanWallNS += ns }
 // AddBarrierWall accumulates wall-clock barrier time.
 func (r *Recorder) AddBarrierWall(ns int64) { r.BarrierWallNS += ns }
 
-// SetObservedFloors finalizes each link's observed-slack floor from the
-// executor's ObservedSlack matrix (-1 = no message ever traveled the link).
-func (r *Recorder) SetObservedFloors(m [][]sim.Time) {
-	for src, row := range m {
-		for dst, s := range row {
-			r.links[src*len(r.lanes)+dst].floor = s
-		}
-	}
-}
-
 // AddWheel records one engine's timing-wheel snapshot at run end.
 func (r *Recorder) AddWheel(name string, ws sim.WheelStats) {
 	r.wheels = append(r.wheels, WheelLane{Name: name, Stats: ws})
@@ -247,54 +196,6 @@ func (r *Recorder) AddWheel(name string, ws sim.WheelStats) {
 
 // Wheels returns the recorded per-engine wheel snapshots.
 func (r *Recorder) Wheels() []WheelLane { return r.wheels }
-
-// LinkStat is the read-side view of one link's slack recording.
-type LinkStat struct {
-	Src, Dst         int
-	SrcName, DstName string
-	// Declared is the declared lookahead (-1 unconstrained), Floor the
-	// smallest observed delivery slack (-1 when nothing traveled).
-	Declared, Floor sim.Time
-	Points          []SlackPoint
-	Truncated       uint64
-}
-
-// Utilization reports how much of the observed slack floor the declared
-// lookahead uses (declared/floor, 0 when either is unknown). 1.0 means the
-// declaration is exactly as tight as the model allows; small values mean
-// headroom a tighter Topology could claim.
-func (ls LinkStat) Utilization() float64 {
-	if ls.Declared <= 0 || ls.Floor <= 0 {
-		return 0
-	}
-	return float64(ls.Declared) / float64(ls.Floor)
-}
-
-// Links returns every link a message traveled (floor >= 0), sorted by
-// (src, dst).
-func (r *Recorder) Links() []LinkStat {
-	var out []LinkStat
-	w := len(r.lanes)
-	for src := 0; src < w; src++ {
-		for dst := 0; dst < w; dst++ {
-			lk := r.links[src*w+dst]
-			if lk.floor < 0 && len(lk.points) == 0 {
-				continue
-			}
-			declared := sim.Time(-1)
-			if r.declared != nil {
-				declared = r.declared[src][dst]
-			}
-			out = append(out, LinkStat{
-				Src: src, Dst: dst,
-				SrcName: r.LaneName(src), DstName: r.LaneName(dst),
-				Declared: declared, Floor: lk.floor,
-				Points: lk.points, Truncated: lk.truncated,
-			})
-		}
-	}
-	return out
-}
 
 // StallEdge is one aggregated stall attribution: windows on the Dst lane
 // were capped by Src's horizon plus the declared src→dst lookahead. Src ==

@@ -49,36 +49,6 @@ func TestLaneWindowTruncation(t *testing.T) {
 	}
 }
 
-func TestSlackSeriesAndLinks(t *testing.T) {
-	r := NewRecorder([]string{"a", "b"})
-	r.SetDeclared([][]sim.Time{{-1, 100}, {-1, -1}})
-	r.RecordSlack(0, 1, 5, 300)
-	r.RecordSlack(0, 1, 9, 150)
-	r.RecordSlack(1, 0, 4, 80) // undeclared (unconstrained) direction
-	r.SetObservedFloors([][]sim.Time{{-1, 150}, {80, -1}})
-	links := r.Links()
-	if len(links) != 2 {
-		t.Fatalf("links = %d, want 2", len(links))
-	}
-	ab := links[0]
-	if ab.SrcName != "a" || ab.DstName != "b" || ab.Floor != 150 || ab.Declared != 100 {
-		t.Fatalf("a->b link wrong: %+v", ab)
-	}
-	if len(ab.Points) != 2 || ab.Points[1].Slack != 150 {
-		t.Fatalf("a->b series wrong: %+v", ab.Points)
-	}
-	if got, want := ab.Utilization(), 100.0/150.0; got != want {
-		t.Fatalf("utilization = %v, want %v", got, want)
-	}
-	ba := links[1]
-	if ba.SrcName != "b" || ba.DstName != "a" || ba.Floor != 80 || ba.Declared != -1 {
-		t.Fatalf("b->a link wrong: %+v", ba)
-	}
-	if ba.Utilization() != 0 {
-		t.Fatalf("unconstrained link must report 0 utilization, got %v", ba.Utilization())
-	}
-}
-
 func TestTopStallEdgesOrdering(t *testing.T) {
 	r := NewRecorder([]string{"a", "b", "c"})
 	// b capped by a 3×, c capped by a 3× (tie → src/dst order), c self 1×.

@@ -10,10 +10,9 @@ import (
 
 // WriteProfTrace exports the parallel engine's flight recorder as a Chrome
 // trace-event document: one lane per LP (pid 2) whose spans are the
-// executed plan windows, named after the peer that capped each window, with
-// the link slack-floor tightenings as instant events on the source lane.
-// Everything written is deterministic: window spans, binders, and slack
-// series are simulation state, never wall clock. The output is
+// executed plan windows, named after the peer that capped each window.
+// Everything written is deterministic: window spans and binders are
+// simulation state, never wall clock. The output is
 // per-shard-count by construction: it describes the engine, not the
 // simulation.
 func WriteProfTrace(w io.Writer, r *prof.Recorder) error {
@@ -39,18 +38,6 @@ func WriteProfTrace(w io.Writer, r *prof.Recorder) error {
 			})
 		}
 	}
-	for _, ls := range r.Links() {
-		name := "slack:" + ls.SrcName + "->" + ls.DstName
-		for _, pt := range ls.Points {
-			ns := int64(pt.Slack)
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: name, Cat: "slack", Ph: "i", S: "t",
-				Ts: us(pt.At), Pid: profPid, Tid: ls.Src,
-				Args: profSlackArgs{SlackNS: ns},
-			})
-		}
-	}
-
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	if err := enc.Encode(doc); err != nil {
@@ -62,11 +49,6 @@ func WriteProfTrace(w io.Writer, r *prof.Recorder) error {
 // profWinArgs is a window span's payload: what bounded the window.
 type profWinArgs struct {
 	Binder string `json:"binder"`
-}
-
-// profSlackArgs is a slack-floor tightening's payload.
-type profSlackArgs struct {
-	SlackNS int64 `json:"slack_ns"`
 }
 
 // windowName labels a window span by its binder class.

@@ -59,14 +59,13 @@ func TestRegistryConcurrentExposition(t *testing.T) {
 }
 
 // TestWriteProfTrace checks the flight-recorder trace document: one pid-2
-// lane per LP with window spans named by binder, slack instants — and only
-// Chrome phases X/i/M.
+// lane per LP with window spans named by binder — and only Chrome phases
+// X/M.
 func TestWriteProfTrace(t *testing.T) {
 	rec := prof.NewRecorder([]string{"ingress", "servers-0-3"})
 	rec.LaneAt(0).Window(0, 500, prof.BindEnd)
 	rec.LaneAt(1).Window(0, 400, 0)
 	rec.LaneAt(1).Window(400, 900, prof.BindSelf)
-	rec.RecordSlack(0, 1, 250, 900)
 
 	render := func() []byte {
 		var buf bytes.Buffer
@@ -88,12 +87,12 @@ func TestWriteProfTrace(t *testing.T) {
 	}
 	lanes := map[string]bool{}
 	names := map[string]bool{}
-	var windows, slacks int
+	var windows int
 	for _, ev := range doc.TraceEvents {
 		names[ev["name"].(string)] = true
 		ph := ev["ph"].(string)
-		if ph != "X" && ph != "i" && ph != "M" {
-			t.Fatalf("phase %q outside the X/i/M contract: %v", ph, ev)
+		if ph != "X" && ph != "M" {
+			t.Fatalf("phase %q outside the X/M contract: %v", ph, ev)
 		}
 		if ev["pid"].(float64) != 2 {
 			t.Fatalf("event outside the recorder's pid: %v", ev)
@@ -107,21 +106,16 @@ func TestWriteProfTrace(t *testing.T) {
 			if _, ok := args["binder"]; !ok {
 				t.Fatalf("window span without binder: %v", ev)
 			}
-		case ev["cat"] == "slack":
-			slacks++
-			if args["slack_ns"].(float64) != 900 {
-				t.Fatalf("slack instant payload wrong: %v", ev)
-			}
 		}
 	}
 	if !lanes["lp:ingress"] || !lanes["lp:servers-0-3"] {
 		t.Fatalf("recorder lanes missing: %v", lanes)
 	}
-	if windows != 3 || slacks != 1 {
-		t.Fatalf("windows=%d slacks=%d, want 3 and 1", windows, slacks)
+	if windows != 3 {
+		t.Fatalf("windows=%d, want 3", windows)
 	}
 	// Binder names distinguish peers from the sentinels.
-	for _, want := range []string{"win:round", "win:ingress", "win:self", "slack:ingress->servers-0-3"} {
+	for _, want := range []string{"win:round", "win:ingress", "win:self"} {
 		if !names[want] {
 			t.Fatalf("prof trace missing %q event:\n%s", want, out)
 		}

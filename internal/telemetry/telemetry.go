@@ -56,8 +56,8 @@ type Config struct {
 
 	// Prof opts a sharded fleet (Config.Cluster with Config.Shards > 1)
 	// into the flight recorder (telemetry/prof): per-LP window spans with
-	// stall attribution, per-link lookahead-slack series, InjectBatch
-	// sizes, and wheel counters, surfaced as Result.Prof. Serial runs — a
+	// stall attribution, InjectBatch sizes, and wheel counters, surfaced
+	// as Result.Prof. Serial runs — a
 	// single server or a serial fleet — accept and ignore it: the recorder
 	// measures the parallel engine itself. Like
 	// every collector it is read-only: the simulation's Result and the
@@ -92,6 +92,7 @@ type Collector struct {
 	Tracer   *Tracer
 	Registry *Registry
 	metrics  *metrics
+	events   uint64 // Sample.Events published so far
 }
 
 // New builds the collectors cfg asks for and registers the halsim_*
