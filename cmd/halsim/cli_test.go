@@ -245,3 +245,34 @@ func TestRunTakesMainFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceEveryFlagOverridesFile: a set -trace-every wins over the file's
+// telemetry.trace_every, as every other override does.
+func TestTraceEveryFlagOverridesFile(t *testing.T) {
+	dir := t.TempDir()
+	trace := func(every int, flags ...string) []byte {
+		t.Helper()
+		file := filepath.Join(dir, fmt.Sprintf("te%d.yaml", every))
+		if err := os.WriteFile(file, []byte(fmt.Sprintf(
+			"name: te\nrun:\n  rate_gbps: 40\n  duration: 5ms\n  telemetry:\n    trace_every: %d\n", every)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(dir, fmt.Sprintf("t%d-%d.json", every, len(flags)))
+		args := append([]string{"run", file, "-trace-out", out}, flags...)
+		if _, stderr, code := halsim(t, args...); code != 0 {
+			t.Fatalf("halsim %s: exit %d\n%s", strings.Join(args, " "), code, stderr)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	flagged := trace(16, "-trace-every", "8")
+	if !bytes.Equal(flagged, trace(8)) {
+		t.Error("trace_every: 16 with -trace-every 8 wrote a different trace than trace_every: 8")
+	}
+	if bytes.Equal(flagged, trace(16)) {
+		t.Error("-trace-every 8 beside trace_every: 16 wrote the trace of trace_every: 16")
+	}
+}

@@ -64,9 +64,7 @@ func execute(s *scenario.Scenario, ov scenario.Overrides, arts artifactPaths) *s
 			shards = ov.Shards
 		}
 		if s.Cfg.Cluster == nil {
-			if t.TraceEvery == 0 {
-				t.TraceEvery = cmp.Or(arts.traceEvery, telemetry.DefaultTraceEvery)
-			}
+			t.TraceEvery = cmp.Or(arts.traceEvery, t.TraceEvery, telemetry.DefaultTraceEvery)
 		} else if !(shards > 1 && arts.prof) {
 			// A fleet's trace is the recorder's lp:* lanes: -trace-out
 			// lowers to Prof only, never to packet tracing.

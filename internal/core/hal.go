@@ -211,7 +211,7 @@ func NewTrafficMerger(snic, host packet.Addr) TrafficMerger {
 
 // Egress processes one outbound packet in place.
 func (m *TrafficMerger) Egress(p *packet.Packet) {
-	if p.SrcIP == m.hostAddr.IP || p.SrcMAC == m.hostAddr.MAC {
+	if p.Src.IP == m.hostAddr.IP || p.Src.MAC == m.hostAddr.MAC {
 		p.RewriteSrc(m.snicAddr)
 	}
 }

@@ -62,7 +62,7 @@ func TestDirectorKeepsBelowThreshold(t *testing.T) {
 		if d.Route(p) {
 			t.Fatal("below threshold nothing should divert")
 		}
-		if p.DstIP != snicAddr.IP || p.DstMAC != snicAddr.MAC {
+		if p.Dst != snicAddr {
 			t.Fatal("a kept packet must keep its SNIC destination")
 		}
 	}
@@ -75,10 +75,10 @@ func TestDirectorDivertsExcessShare(t *testing.T) {
 	kept := 0
 	for i := 0; i < n; i++ {
 		p := mtu()
-		if d.Route(p) != (p.DstIP == hostAddr.IP) {
+		if d.Route(p) != (p.Dst.IP == hostAddr.IP) {
 			t.Fatal("Route's verdict must match the packet's destination")
 		}
-		if p.DstIP == snicAddr.IP {
+		if p.Dst.IP == snicAddr.IP {
 			kept++
 		}
 	}
@@ -95,10 +95,10 @@ func TestDirectorRewritesDivertedPackets(t *testing.T) {
 	if !d.Route(p) {
 		t.Fatal("with FwdTh=0 every packet diverts")
 	}
-	if p.DstIP != hostAddr.IP || p.DstMAC != hostAddr.MAC {
+	if p.Dst != hostAddr {
 		t.Fatal("diverted packet must carry the host identity")
 	}
-	if p.SrcIP != cliAddr.IP || p.SrcMAC != cliAddr.MAC {
+	if p.Src != cliAddr {
 		t.Fatal("divert must keep the client's source identity")
 	}
 }
@@ -115,10 +115,10 @@ func TestMergerRewritesHostResponses(t *testing.T) {
 	m := NewTrafficMerger(snicAddr, hostAddr)
 	resp := packet.New(hostAddr, cliAddr, 2000, 1000, []byte("resp"))
 	m.Egress(resp)
-	if resp.SrcIP != snicAddr.IP || resp.SrcMAC != snicAddr.MAC {
+	if resp.Src != snicAddr {
 		t.Fatal("host response must masquerade as SNIC")
 	}
-	if resp.DstIP != cliAddr.IP || resp.DstMAC != cliAddr.MAC {
+	if resp.Dst != cliAddr {
 		t.Fatal("merge must keep the client destination")
 	}
 }
@@ -127,7 +127,7 @@ func TestMergerPassesSNICResponses(t *testing.T) {
 	m := NewTrafficMerger(snicAddr, hostAddr)
 	resp := packet.New(snicAddr, cliAddr, 2000, 1000, nil)
 	m.Egress(resp)
-	if resp.SrcIP != snicAddr.IP || resp.SrcMAC != snicAddr.MAC || resp.DstIP != cliAddr.IP || resp.DstMAC != cliAddr.MAC {
+	if resp.Src != snicAddr || resp.Dst != cliAddr {
 		t.Fatal("SNIC responses pass through untouched")
 	}
 }
@@ -294,7 +294,7 @@ func TestHALAssemblyAndIngress(t *testing.T) {
 	// Egress path.
 	resp := packet.New(hostAddr, cliAddr, 1, 2, nil)
 	h.Egress(resp)
-	if resp.SrcIP != snicAddr.IP || resp.SrcMAC != snicAddr.MAC {
+	if resp.Src != snicAddr {
 		t.Fatal("egress merger should fire")
 	}
 }
@@ -327,8 +327,7 @@ func BenchmarkDirectorRoute(b *testing.B) {
 	p := mtu()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.DstIP = snicAddr.IP
-		p.DstMAC = snicAddr.MAC
+		p.Dst = snicAddr
 		d.Route(p)
 	}
 }

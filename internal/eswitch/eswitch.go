@@ -50,8 +50,8 @@ type Rule struct {
 }
 
 func (r *Rule) matches(p *packet.Packet) bool {
-	return (r.MatchMAC == packet.MAC{} || r.MatchMAC == p.DstMAC) &&
-		(r.MatchIP == packet.IPv4{} || r.MatchIP == p.DstIP)
+	return (r.MatchMAC == packet.MAC{} || r.MatchMAC == p.Dst.MAC) &&
+		(r.MatchIP == packet.IPv4{} || r.MatchIP == p.Dst.IP)
 }
 
 // MaxRules is the rule table's capacity. The HAL/SLB configuration needs

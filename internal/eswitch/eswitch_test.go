@@ -35,7 +35,7 @@ func TestConfigureHALRouting(t *testing.T) {
 		t.Fatalf("deliveries = snic:%d host:%d wire:%d",
 			len(got[PortSNIC]), len(got[PortHost]), len(got[PortWire]))
 	}
-	if got[PortSNIC][0].DstIP != snicAddr.IP || got[PortHost][0].DstIP != hostAddr.IP || got[PortWire][0].DstIP != cliAddr.IP {
+	if got[PortSNIC][0].Dst.IP != snicAddr.IP || got[PortHost][0].Dst.IP != hostAddr.IP || got[PortWire][0].Dst.IP != cliAddr.IP {
 		t.Fatal("a packet reached the wrong port")
 	}
 }
@@ -179,7 +179,7 @@ func TestMACOnlyAndWildcardMatching(t *testing.T) {
 	s.Bind(PortHost, func(*packet.Packet) { n++ })
 	s.AddRule(Rule{MatchMAC: hostAddr.MAC, Out: PortHost})
 	p := to(hostAddr)
-	p.DstIP = packet.IPv4{1, 2, 3, 4} // different IP, same MAC
+	p.Dst.IP = packet.IPv4{1, 2, 3, 4} // different IP, same MAC
 	s.Forward(p)
 	if n != 1 {
 		t.Fatal("MAC-only rule should ignore IP")

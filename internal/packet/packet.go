@@ -57,12 +57,11 @@ const (
 // fast access on the hot path; only the payload is real bytes, and only
 // when something in the run reads it.
 type Packet struct {
-	// Identity and addressing.
+	// Identity and addressing. Src and Dst are whole endpoints, so init
+	// and the rewrites store each one as a single 10-byte copy.
 	ID      uint64
-	SrcMAC  MAC
-	DstMAC  MAC
-	SrcIP   IPv4
-	DstIP   IPv4
+	Src     Addr
+	Dst     Addr
 	SrcPort uint16
 	DstPort uint16
 	Proto   uint8
@@ -97,54 +96,32 @@ func New(src, dst Addr, srcPort, dstPort uint16, payload []byte) *Packet {
 	return p
 }
 
-// init fills a zeroed packet with the given 5-tuple and payload (shared by
-// New and Pool.Get).
+// init writes every field of p, fresh or recycled: the 5-tuple and payload,
+// the wire length they imply, and zero for the rest. It stores field by
+// field; a composite-literal store of the whole struct compiles to a stack
+// temporary and a duffcopy.
 func (p *Packet) init(src, dst Addr, srcPort, dstPort uint16, payload []byte) {
-	p.SrcMAC = src.MAC
-	p.DstMAC = dst.MAC
-	p.SrcIP = src.IP
-	p.DstIP = dst.IP
+	p.ID = 0
+	p.Src = src
+	p.Dst = dst
 	p.SrcPort = srcPort
 	p.DstPort = dstPort
 	p.Proto = ProtoUDP
 	p.Payload = payload
-	p.WireLen = len(payload) + HeaderOverhead
-	if p.WireLen < MinWireLen {
-		p.WireLen = MinWireLen
-	}
-}
-
-// reset reinitializes a recycled packet in one composite-literal store, so
-// the zeroing of the stale struct and the field writes of init fuse into a
-// single pass over the memory.
-func (p *Packet) reset(src, dst Addr, srcPort, dstPort uint16, payload []byte) {
-	wl := len(payload) + HeaderOverhead
-	if wl < MinWireLen {
-		wl = MinWireLen
-	}
-	*p = Packet{
-		SrcMAC:  src.MAC,
-		DstMAC:  dst.MAC,
-		SrcIP:   src.IP,
-		DstIP:   dst.IP,
-		SrcPort: srcPort,
-		DstPort: dstPort,
-		Proto:   ProtoUDP,
-		Payload: payload,
-		WireLen: wl,
-	}
+	p.WireLen = max(len(payload)+HeaderOverhead, MinWireLen)
+	p.CreatedAt = 0
+	p.FnTag = 0
+	p.ReqLen = 0
 }
 
 // RewriteDst retargets the packet to addr in place — the traffic
 // director's divert operation.
 func (p *Packet) RewriteDst(addr Addr) {
-	p.DstMAC = addr.MAC
-	p.DstIP = addr.IP
+	p.Dst = addr
 }
 
 // RewriteSrc rewrites the packet's source to addr in place — the traffic
 // merger's operation on host-originated responses.
 func (p *Packet) RewriteSrc(addr Addr) {
-	p.SrcMAC = addr.MAC
-	p.SrcIP = addr.IP
+	p.Src = addr
 }

@@ -23,7 +23,7 @@ func TestRewriteDstChangesOnlyDestination(t *testing.T) {
 		rng.Read(payload)
 		p := New(cliAddr, snicAddr, uint16(rng.Uint32()), uint16(rng.Uint32()), payload)
 		want := *p
-		want.DstMAC, want.DstIP = hostAddr.MAC, hostAddr.IP
+		want.Dst = hostAddr
 		p.RewriteDst(hostAddr)
 		if !reflect.DeepEqual(*p, want) {
 			t.Fatalf("iter %d: rewritten %+v, want %+v", i, *p, want)
@@ -36,7 +36,7 @@ func TestRewriteDstChangesOnlyDestination(t *testing.T) {
 func TestRewriteSrcChangesOnlySource(t *testing.T) {
 	p := New(hostAddr, cliAddr, 9000, 4000, []byte("response bytes"))
 	want := *p
-	want.SrcMAC, want.SrcIP = snicAddr.MAC, snicAddr.IP
+	want.Src = snicAddr
 	p.RewriteSrc(snicAddr)
 	if !reflect.DeepEqual(*p, want) {
 		t.Fatalf("rewritten %+v, want %+v", *p, want)

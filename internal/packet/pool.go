@@ -45,13 +45,12 @@ func (pl *Pool) Get(src, dst Addr, srcPort, dstPort uint16, payload []byte) *Pac
 		p = pl.free[n-1]
 		pl.free[n-1] = nil
 		pl.free = pl.free[:n-1]
-		p.reset(src, dst, srcPort, dstPort, payload)
 		pl.Reused++
 	} else {
 		p = &Packet{}
-		p.init(src, dst, srcPort, dstPort, payload)
 		pl.News++
 	}
+	p.init(src, dst, srcPort, dstPort, payload)
 	return p
 }
 

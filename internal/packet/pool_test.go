@@ -1,6 +1,9 @@
 package packet
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // testAddr builds a distinct endpoint identity from a single byte.
 func testAddr(n byte) Addr {
@@ -46,7 +49,7 @@ func TestPoolGetResetsState(t *testing.T) {
 	if q.ID != 0 || q.FnTag != 0 || q.CreatedAt != 0 || q.Payload != nil {
 		t.Fatalf("reused packet carries stale state: %+v", q)
 	}
-	if q.SrcIP != (IPv4{10, 0, 0, 9}) || q.SrcPort != 3333 {
+	if q.Src.IP != (IPv4{10, 0, 0, 9}) || q.SrcPort != 3333 {
 		t.Fatalf("reused packet not reinitialized: %+v", q)
 	}
 }
@@ -65,6 +68,55 @@ func TestPoolGetClearsReqLen(t *testing.T) {
 	}
 	if q.ReqLen != 0 {
 		t.Fatalf("reused packet carries ReqLen %d", q.ReqLen)
+	}
+}
+
+// TestPoolGetReinitialisesEveryField dirties every field of a packet,
+// recycles it, and requires Get to hand back exactly what New builds from
+// the same arguments. A field added to Packet that init does not write
+// fails here.
+func TestPoolGetReinitialisesEveryField(t *testing.T) {
+	pl := NewPool()
+	p := pl.Get(testAddr(1), testAddr(2), 1111, 2222, []byte("old"))
+	v := reflect.ValueOf(p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		fillNonZero(t, v.Field(i))
+		if v.Field(i).IsZero() {
+			t.Fatalf("field %s left zero", v.Type().Field(i).Name)
+		}
+	}
+	pl.Put(p)
+	payload := []byte("new payload")
+	q := pl.Get(testAddr(7), testAddr(8), 3333, 4444, payload)
+	if q != p {
+		t.Fatal("expected the released struct back")
+	}
+	if want := New(testAddr(7), testAddr(8), 3333, 4444, payload); !reflect.DeepEqual(q, want) {
+		t.Fatalf("recycled packet %+v, want %+v", *q, *want)
+	}
+}
+
+// fillNonZero sets v, and everything inside it, to a non-zero value.
+func fillNonZero(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(-7)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(7)
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillNonZero(t, v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillNonZero(t, v.Field(i))
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fillNonZero(t, v.Index(0))
+	default:
+		t.Fatalf("fillNonZero: no non-zero value for kind %s", v.Kind())
 	}
 }
 

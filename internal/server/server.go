@@ -905,7 +905,7 @@ func (r *run) complete(p *packet.Packet, onSNIC bool) {
 	}
 	resp := r.pool.Get(snicAddr, clientAddr, 9000, uint16(4000+p.ID%1000), buf)
 	if !onSNIC {
-		resp.SrcIP, resp.SrcMAC = hostAddr.IP, hostAddr.MAC
+		resp.Src = hostAddr
 	}
 	resp.ID = p.ID
 	resp.CreatedAt = p.CreatedAt

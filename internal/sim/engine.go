@@ -188,7 +188,12 @@ func (e *Engine) WheelStats() WheelStats {
 }
 
 // NextEventAt reports the earliest pending event time, if any.
-func (e *Engine) NextEventAt() (Time, bool) { return e.q.nextAt() }
+func (e *Engine) NextEventAt() (Time, bool) {
+	if !e.q.findHead() {
+		return 0, false
+	}
+	return e.q.headAt, true
+}
 
 // HeadKey reports the (at, seq) order key of the earliest pending event.
 func (e *Engine) HeadKey() (Time, uint64, bool) {
@@ -263,22 +268,21 @@ func (e *Engine) InjectBatch(batch []Inject) {
 	}
 }
 
-// dispatch fires one event.
-func (ev *event) dispatch() { ev.call(ev.arg, ev.n) }
+// fire runs the head event findHead resolved: the clock moves to its
+// instant, and its handler runs after pop has freed its cell.
+func (e *Engine) fire() {
+	at, call, arg, n := e.q.pop()
+	e.now = at
+	e.processed++
+	call(arg, n)
+}
 
 // RunUntil executes events in timestamp order until the queue empties or
 // the next event would fire after deadline. The clock is left at deadline,
 // so periodic processes restarted later resume consistently.
 func (e *Engine) RunUntil(deadline Time) {
-	for {
-		at, ok := e.q.nextAt()
-		if !ok || at > deadline {
-			break
-		}
-		ev := e.q.popHead()
-		e.now = at
-		e.processed++
-		ev.dispatch()
+	for e.q.findHead() && e.q.headAt <= deadline {
+		e.fire()
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -292,15 +296,8 @@ func (e *Engine) RunUntil(deadline Time) {
 // events at the deadline itself belong to the next window (or the barrier's
 // merged-instant step).
 func (e *Engine) RunBefore(deadline Time) {
-	for {
-		at, ok := e.q.nextAt()
-		if !ok || at >= deadline {
-			break
-		}
-		ev := e.q.popHead()
-		e.now = at
-		e.processed++
-		ev.dispatch()
+	for e.q.findHead() && e.q.headAt < deadline {
+		e.fire()
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -311,23 +308,16 @@ func (e *Engine) RunBefore(deadline Time) {
 // coordinator single-steps engines with it at barrier instants, interleaving
 // same-instant events of different logical processes in global key order.
 func (e *Engine) PopRun() {
-	if !e.q.findHead() {
-		return
+	if e.q.findHead() {
+		e.fire()
 	}
-	ev := e.q.popHead()
-	e.now = ev.at
-	e.processed++
-	ev.dispatch()
 }
 
 // Run executes every pending event (including ones scheduled while
 // running) until the queue drains, leaving the clock at the last event.
 func (e *Engine) Run() {
 	for e.q.findHead() {
-		ev := e.q.popHead()
-		e.now = ev.at
-		e.processed++
-		ev.dispatch()
+		e.fire()
 	}
 }
 

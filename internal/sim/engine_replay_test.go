@@ -94,7 +94,7 @@ func buildWorkload(schedule func(Time, func()), now func() Time, seed int64, bud
 
 // TestReplayAgainstReferenceHeap replays a randomized 100k-event schedule
 // (heavy on same-timestamp ties, children scheduled from inside handlers)
-// on the value-heap engine and on a container/heap reference, and demands
+// on the engine and on a container/heap reference, and demands
 // the firing traces match event for event.
 func TestReplayAgainstReferenceHeap(t *testing.T) {
 	const budget = 100_000
@@ -139,9 +139,9 @@ func TestTickerCancelMidTick(t *testing.T) {
 	}
 }
 
-// TestFreeListReuseAfterRun verifies the value heap's retained capacity acts
-// as the event free-list: once a first Run has sized the slice, further
-// schedule/run cycles of the same fan-out allocate nothing.
+// TestFreeListReuseAfterRun verifies the wheel slab's free list recycles
+// event cells: once a first Run has grown the slab to its high water,
+// further schedule/run cycles of the same fan-out allocate nothing.
 func TestFreeListReuseAfterRun(t *testing.T) {
 	e := NewEngine()
 	noop := Call(func(any, int64) {})
@@ -151,7 +151,7 @@ func TestFreeListReuseAfterRun(t *testing.T) {
 		}
 		e.Run()
 	}
-	cycle() // size the heap's backing array
+	cycle() // grow the slab to its high water
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Fatalf("schedule+run cycle allocates %v per run after warm-up, want 0", avg)
 	}

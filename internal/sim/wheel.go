@@ -116,7 +116,7 @@ type timerWheel struct {
 
 	overflow eventHeap
 
-	// Resolved head cache: findHead fills it, popHead consumes it, and
+	// Resolved head cache: findHead fills it, pop consumes it, and
 	// inserts at or before its instant invalidate it (an equal-time insert
 	// may carry a foreign seq that precedes the head's).
 	headValid    bool
@@ -440,30 +440,26 @@ func (w *timerWheel) cascade(candSlot *[wheelLevels]int, candAt *[wheelLevels]Ti
 	}
 }
 
-// nextAt reports the earliest pending event time without removing it.
-func (w *timerWheel) nextAt() (Time, bool) {
-	if !w.findHead() {
-		return 0, false
-	}
-	return w.headAt, true
-}
-
-// popHead removes and returns the earliest event. findHead (or nextAt) must
-// have reported true since the last mutation.
-func (w *timerWheel) popHead() event {
+// pop removes the head findHead resolved and returns its payload straight
+// from the slab cell (or the overflow heap). findHead must have reported
+// true since the last mutation. The cell is unlinked, its references are
+// cleared and it is freed before pop returns, because the handler the
+// caller then runs may schedule into the same cell.
+func (w *timerWheel) pop() (at Time, call Call, arg any, n int64) {
 	w.headValid = false
+	at = w.headAt
 	if w.headOverflow {
 		ev := w.overflow.pop()
-		w.wt = ev.at
-		if e := (ev.at &^ Time(l0Mask)) + l0Slots; e > w.winEnd {
+		w.wt = at
+		if e := (at &^ Time(l0Mask)) + l0Slots; e > w.winEnd {
 			w.winEnd = e
 		}
-		return ev
+		return at, ev.call, ev.arg, ev.n
 	}
 	s := &w.slots0[w.headSlot]
-	n := s.head
-	nd := &w.slab[n]
-	ev := nd.ev
+	c := s.head
+	nd := &w.slab[c]
+	call, arg, n = nd.ev.call, nd.ev.arg, nd.ev.n
 	s.head = nd.next
 	if s.head < 0 {
 		s.tail = -1
@@ -479,8 +475,8 @@ func (w *timerWheel) popHead() event {
 	nd.ev.call = nil
 	nd.ev.arg = nil
 	nd.next = w.free
-	w.free = n
+	w.free = c
 	w.size--
-	w.wt = ev.at
-	return ev
+	w.wt = at
+	return at, call, arg, n
 }

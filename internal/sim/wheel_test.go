@@ -34,7 +34,7 @@ func (r *heapEngine) RunUntil(deadline Time) {
 		}
 		ev := r.h.pop()
 		r.now = ev.at
-		ev.dispatch()
+		ev.call(ev.arg, ev.n)
 	}
 	if r.now < deadline {
 		r.now = deadline
@@ -45,7 +45,7 @@ func (r *heapEngine) Run() {
 	for r.h.len() > 0 {
 		ev := r.h.pop()
 		r.now = ev.at
-		ev.dispatch()
+		ev.call(ev.arg, ev.n)
 	}
 }
 
