@@ -174,3 +174,21 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.ReportMetric(float64(pkts)/b.Elapsed().Seconds(), "pkts/s")
 }
+
+// BenchmarkFleetBuild builds the benchmark's 1024-server fleet — HAL NAT
+// servers in 8 pods behind 4:1 oversubscribed uplinks, p2c dispatch, 6.25
+// Gbps offered per server — and runs it for one simulated microsecond,
+// which is almost all build. B/op and allocs/op are what a fleet costs to
+// set up; DESIGN.md §8 divides them per server.
+func BenchmarkFleetBuild(b *testing.B) {
+	const servers = 1024
+	cfg := halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 1,
+		Cluster: &halsim.ClusterConfig{Servers: servers, Dispatch: "p2c", Pods: 8, Oversub: 4}}
+	rc := halsim.RunConfig{Duration: halsim.Microsecond, RateGbps: 6.25 * servers}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := halsim.Run(cfg, rc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

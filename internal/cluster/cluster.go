@@ -357,15 +357,15 @@ func (c *crun) collect() server.Result {
 		res.OfferedGbps = float64(sentB) * 8 / float64(measured)
 	}
 
-	// Per-server collection; the offered side is the ingress's.
-	sub := make([]server.Result, len(c.insts))
-	for i, inst := range c.insts {
-		sub[i] = inst.Collect()
-	}
+	// Per-server collection, one Result at a time; the offered side is
+	// the ingress's. Phases sum throughput and power over the servers
+	// (all share the fleet's phase edges); latency closes at the
+	// ingress's meter.
 	var snicShareNum float64
 	nHAL := 0
 	res.FailoverTicks = -1
-	for _, r := range sub {
+	for i, inst := range c.insts {
+		r := inst.Collect()
 		res.AvgGbps += r.AvgGbps
 		res.AvgPowerW += r.AvgPowerW
 		res.HostActiveW += r.HostActiveW
@@ -391,11 +391,25 @@ func (c *crun) collect() server.Result {
 		if r.FailoverTicks > res.FailoverTicks {
 			res.FailoverTicks = r.FailoverTicks
 		}
+		if i == 0 {
+			for _, edge := range r.Phases {
+				res.Phases = append(res.Phases, server.PhaseStats{Start: edge.Start, End: edge.End})
+			}
+		}
+		for k := range res.Phases {
+			res.Phases[k].AvgGbps += r.Phases[k].AvgGbps
+			res.Phases[k].AvgPowerW += r.Phases[k].AvgPowerW
+			res.Phases[k].Completed += r.Phases[k].Completed
+		}
+	}
+	for k := range res.Phases {
+		ph := &res.Phases[k]
+		ph.EffGbpsPerW = energy.EfficiencyGbpsPerWatt(ph.AvgGbps, ph.AvgPowerW)
 	}
 	if nHAL > 0 {
 		res.FinalFwdTh /= float64(nHAL)
 	}
-	if n := len(sub); n > 0 {
+	if n := len(c.insts); n > 0 {
 		res.SNICUtil /= float64(n)
 		res.HostUtil /= float64(n)
 	}
@@ -408,19 +422,6 @@ func (c *crun) collect() server.Result {
 	res.InFlightEnd = int64(res.SentAll) - int64(res.CompletedAll) - int64(res.DroppedAll)
 	if sentP > 0 {
 		res.DropFraction = float64(res.DroppedAll) / float64(sentP)
-	}
-
-	// Phases: throughput and power sum over the servers (all share the
-	// fleet's phase edges); latency closes at the ingress's meter.
-	for i, edge := range sub[0].Phases {
-		ph := server.PhaseStats{Start: edge.Start, End: edge.End}
-		for _, r := range sub {
-			ph.AvgGbps += r.Phases[i].AvgGbps
-			ph.AvgPowerW += r.Phases[i].AvgPowerW
-			ph.Completed += r.Phases[i].Completed
-		}
-		ph.EffGbpsPerW = energy.EfficiencyGbpsPerWatt(ph.AvgGbps, ph.AvgPowerW)
-		res.Phases = append(res.Phases, ph)
 	}
 	c.m.Fill(&res)
 

@@ -145,25 +145,48 @@ func (m *TrafficMonitor) RateGbps() float64 { return m.rateGbps }
 // deficit-weighted share of packets to the host identity so the eSwitch
 // forwards them to the host processor at Rate_Fwd = Rate_Rx − Fwd_Th.
 type TrafficDirector struct {
-	hostAddr  packet.Addr
+	hostAddr packet.Addr
+	// divert and keepFrac cache what Route reads of the two rates —
+	// whether the rate exceeds the threshold, and threshold / rate — so
+	// a packet costs no division. Only SetFwdTh and SetRate write the
+	// rates; both refresh the cache. divert sits in hostAddr's padding.
+	divert    bool
 	fwdThGbps float64
 	rateGbps  float64
 	credit    float64
+	keepFrac  float64
 }
 
 // NewTrafficDirector returns a director diverting to hostAddr.
 func NewTrafficDirector(hostAddr packet.Addr, initialFwdTh float64) TrafficDirector {
-	return TrafficDirector{hostAddr: hostAddr, fwdThGbps: initialFwdTh}
+	d := TrafficDirector{hostAddr: hostAddr}
+	d.SetFwdTh(initialFwdTh)
+	return d
+}
+
+// refresh recomputes Route's cached divert decision and keep fraction.
+func (d *TrafficDirector) refresh() {
+	d.divert = !(d.rateGbps <= d.fwdThGbps)
+	d.keepFrac = 0
+	if d.divert {
+		d.keepFrac = d.fwdThGbps / d.rateGbps
+	}
 }
 
 // SetFwdTh installs the threshold (LBP's output).
-func (d *TrafficDirector) SetFwdTh(gbps float64) { d.fwdThGbps = gbps }
+func (d *TrafficDirector) SetFwdTh(gbps float64) {
+	d.fwdThGbps = gbps
+	d.refresh()
+}
 
 // FwdTh returns the active threshold.
 func (d *TrafficDirector) FwdTh() float64 { return d.fwdThGbps }
 
 // SetRate installs the monitor's latest Rate_Rx.
-func (d *TrafficDirector) SetRate(gbps float64) { d.rateGbps = gbps }
+func (d *TrafficDirector) SetRate(gbps float64) {
+	d.rateGbps = gbps
+	d.refresh()
+}
 
 // RateGbps returns the installed Rate_Rx.
 func (d *TrafficDirector) RateGbps() float64 { return d.rateGbps }
@@ -182,12 +205,11 @@ func (d *TrafficDirector) RateFwdGbps() float64 {
 // destination MAC and IP in place; the eSwitch then routes it to the host
 // port by address.
 func (d *TrafficDirector) Route(p *packet.Packet) (diverted bool) {
-	if d.rateGbps <= d.fwdThGbps {
+	if !d.divert {
 		return false
 	}
-	keepFrac := d.fwdThGbps / d.rateGbps
 	wire := float64(p.WireLen)
-	d.credit += keepFrac * wire
+	d.credit += d.keepFrac * wire
 	if d.credit >= wire {
 		d.credit -= wire
 		return false

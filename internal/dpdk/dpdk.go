@@ -7,6 +7,7 @@ package dpdk
 
 import (
 	"fmt"
+	"math"
 
 	"halsim/internal/packet"
 	"halsim/internal/rng"
@@ -19,64 +20,61 @@ const DefaultRingSize = 1024
 
 // RxQueue is one bounded Rx ring. Arriving packets beyond capacity are
 // tail-dropped, as a NIC does when descriptors run out. The backing buffer
-// starts at minRingAlloc slots and doubles on demand up to the capacity,
-// so an idle or lightly loaded ring costs memory for the backlog it has
-// actually held, not for its descriptor count.
+// is allocated at the first enqueue, minRingAlloc slots (or the ring size,
+// if smaller), and doubles on demand up to the capacity, so a ring that
+// never carries a packet costs its 48-byte header and nothing else, and a
+// lightly loaded one costs memory for the backlog it has actually held,
+// not for its descriptor count. Ring faults are the port's (Port.Enqueue).
 type RxQueue struct {
 	buf   []*packet.Packet
-	size  int // capacity: the configured descriptor count
-	head  int
-	count int
+	size  int32 // capacity: the configured descriptor count
+	head  int32
+	count int32
 
-	// impair, when non-nil, is an injected ring fault shared across the
-	// port's queues: descriptors are corrupted with probability prob and
-	// the packet is lost on arrival.
-	impair *rxImpairment
-
-	// Drops counts ring tail drops; FaultDrops counts packets lost to an
-	// injected ring fault.
-	Drops      uint64
-	FaultDrops uint64
+	// Drops counts ring tail drops.
+	Drops uint64
 }
 
-// rxImpairment is a port-wide injected Rx fault: each arriving packet is
-// corrupted (and dropped) with probability prob. The stream belongs to the
-// fault layer, so fault draws never perturb the workload's streams.
-type rxImpairment struct {
-	prob float64
-	rng  *rng.Rand
-}
-
-// minRingAlloc is the slot count a ring's buffer starts with.
+// minRingAlloc is the slot count of a ring's first buffer, allocated when
+// its first packet arrives.
 const minRingAlloc = 16
+
+// MaxRingSize is the largest descriptor count a ring takes: its indices
+// are 32-bit.
+const MaxRingSize = math.MaxInt32
 
 // NewRxQueue returns an empty ring with the given descriptor count.
 func NewRxQueue(size int) *RxQueue {
-	if size <= 0 {
+	q := new(RxQueue)
+	q.init(size)
+	return q
+}
+
+// init sets an empty ring's descriptor count, allocating nothing.
+func (q *RxQueue) init(size int) {
+	if size <= 0 || size > MaxRingSize {
 		panic(fmt.Sprintf("dpdk: ring size %d", size))
 	}
-	return &RxQueue{buf: make([]*packet.Packet, min(size, minRingAlloc)), size: size}
+	*q = RxQueue{size: int32(size)}
 }
 
 // Enqueue places p at the ring tail, returning false (and counting a drop)
 // when the ring is full.
 func (q *RxQueue) Enqueue(p *packet.Packet) bool {
-	if q.impair != nil && q.impair.prob > 0 && q.impair.rng.Float64() < q.impair.prob {
-		q.FaultDrops++
-		return false
-	}
-	if q.count == len(q.buf) {
+	n := int32(len(q.buf))
+	if q.count == n {
 		if q.count == q.size {
 			q.Drops++
 			return false
 		}
 		q.grow()
+		n = int32(len(q.buf))
 	}
 	// head < len and count <= len, so one conditional wrap replaces the
 	// integer division a modulo would cost per packet.
 	tail := q.head + q.count
-	if tail >= len(q.buf) {
-		tail -= len(q.buf)
+	if tail >= n {
+		tail -= n
 	}
 	q.buf[tail] = p
 	q.count++
@@ -84,9 +82,10 @@ func (q *RxQueue) Enqueue(p *packet.Packet) bool {
 }
 
 // grow doubles the full buffer (capped at the ring size), copying the
-// backlog in FIFO order to the front of the new one.
+// backlog in FIFO order to the front of the new one. An unallocated ring
+// gets its first minRingAlloc slots.
 func (q *RxQueue) grow() {
-	buf := make([]*packet.Packet, min(2*len(q.buf), q.size))
+	buf := make([]*packet.Packet, min(max(2*len(q.buf), minRingAlloc), int(q.size)))
 	n := copy(buf, q.buf[q.head:])
 	copy(buf[n:], q.buf[:q.head])
 	q.buf, q.head = buf, 0
@@ -99,7 +98,7 @@ func (q *RxQueue) Pop() *packet.Packet {
 	}
 	p := q.buf[q.head]
 	q.buf[q.head] = nil
-	if q.head++; q.head == len(q.buf) {
+	if q.head++; q.head == int32(len(q.buf)) {
 		q.head = 0
 	}
 	q.count--
@@ -107,11 +106,16 @@ func (q *RxQueue) Pop() *packet.Packet {
 }
 
 // Count returns the current occupancy — rte_eth_rx_queue_count.
-func (q *RxQueue) Count() int { return q.count }
+func (q *RxQueue) Count() int { return int(q.count) }
 
 // Cap returns the ring size: the configured descriptor count, however
 // much of it the buffer has grown to so far.
-func (q *RxQueue) Cap() int { return q.size }
+func (q *RxQueue) Cap() int { return int(q.size) }
+
+// Slots returns how many descriptors the ring's buffer holds so far: 0
+// until its first packet arrives, then growing toward Cap with the
+// backlog.
+func (q *RxQueue) Slots() int { return len(q.buf) }
 
 // Port groups the per-core Rx rings of one interface and spreads arrivals
 // across them RSS-style (hash of the flow identity; we use the packet's
@@ -122,11 +126,25 @@ type Port struct {
 	// qmask is len(queues)-1 when the queue count is a power of two
 	// (masking replaces the per-packet modulo in QueueOf), -1 otherwise.
 	qmask int
+	// fault is the port's ring fault, nil until SetRxFault first sets one.
+	fault *rxFault
+}
+
+// rxFault is a port-wide injected Rx fault: each arriving packet's
+// descriptor is corrupted with probability prob, and the packet is lost
+// and counted in drops. The stream belongs to the fault layer, so fault
+// draws never perturb the workload's streams. A cleared fault keeps its
+// count.
+type rxFault struct {
+	prob  float64
+	rng   *rng.Rand
+	drops uint64
 }
 
 // NewPort creates a port with n rings of the given size. The rings are
-// one array and the port a value its owner embeds, so a packet's RSS
-// lookup and enqueue touch the owner's block and that array only.
+// one array of headers, filled in place, and the port a value its owner
+// embeds, so a packet's RSS lookup and enqueue touch the owner's block and
+// that array only. No ring buffer is allocated until a packet arrives.
 func NewPort(n, ringSize int) Port {
 	if n <= 0 {
 		panic("dpdk: port needs at least one queue")
@@ -136,7 +154,7 @@ func NewPort(n, ringSize int) Port {
 		p.qmask = n - 1
 	}
 	for i := range p.queues {
-		p.queues[i] = *NewRxQueue(ringSize)
+		p.queues[i].init(ringSize)
 	}
 	return p
 }
@@ -157,13 +175,24 @@ func (p *Port) QueueOf(pkt *packet.Packet) int {
 	return int(h % uint64(len(p.queues)))
 }
 
+// Enqueue delivers pkt to ring i, returning false when the port's ring
+// fault corrupts it (counted in TotalFaultDrops) or the ring tail-drops it
+// (counted in the ring's Drops).
+func (p *Port) Enqueue(i int, pkt *packet.Packet) bool {
+	if f := p.fault; f != nil && f.prob > 0 && f.rng.Float64() < f.prob {
+		f.drops++
+		return false
+	}
+	return p.queues[i].Enqueue(pkt)
+}
+
 // MaxOccupancy returns the highest per-ring occupancy — what LBP's
 // Algorithm 1 computes by calling rte_eth_rx_queue_count per queue and
 // taking the max.
 func (p *Port) MaxOccupancy() int {
 	max := 0
 	for i := range p.queues {
-		if c := p.queues[i].count; c > max {
+		if c := int(p.queues[i].count); c > max {
 			max = c
 		}
 	}
@@ -174,7 +203,7 @@ func (p *Port) MaxOccupancy() int {
 func (p *Port) TotalBacklog() int {
 	n := 0
 	for i := range p.queues {
-		n += p.queues[i].count
+		n += int(p.queues[i].count)
 	}
 	return n
 }
@@ -188,26 +217,28 @@ func (p *Port) TotalDrops() uint64 {
 	return n
 }
 
-// TotalFaultDrops sums injected ring-fault losses over all rings.
+// TotalFaultDrops returns the packets the port's ring faults have lost.
 func (p *Port) TotalFaultDrops() uint64 {
-	var n uint64
-	for i := range p.queues {
-		n += p.queues[i].FaultDrops
+	if p.fault == nil {
+		return 0
 	}
-	return n
+	return p.fault.drops
 }
 
 // SetRxFault imposes a ring-corruption fault on every queue of the port:
 // arrivals are lost with probability prob, drawn from r. prob <= 0 (or a
 // nil r) clears the fault.
 func (p *Port) SetRxFault(prob float64, r *rng.Rand) {
-	var imp *rxImpairment
-	if prob > 0 && r != nil {
-		imp = &rxImpairment{prob: prob, rng: r}
+	if prob <= 0 || r == nil {
+		if p.fault != nil {
+			p.fault.prob, p.fault.rng = 0, nil
+		}
+		return
 	}
-	for i := range p.queues {
-		p.queues[i].impair = imp
+	if p.fault == nil {
+		p.fault = new(rxFault)
 	}
+	p.fault.prob, p.fault.rng = prob, r
 }
 
 // SleepController models the DPDK power-management API: polling cores are

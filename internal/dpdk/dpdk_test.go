@@ -2,7 +2,9 @@ package dpdk
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
+	"unsafe"
 
 	"halsim/internal/packet"
 )
@@ -14,7 +16,7 @@ func pkt(id uint64) *packet.Packet {
 }
 
 // deliver enqueues pkt on its RSS queue, as a station does.
-func deliver(p *Port, pkt *packet.Packet) bool { return p.Queue(p.QueueOf(pkt)).Enqueue(pkt) }
+func deliver(p *Port, pkt *packet.Packet) bool { return p.Enqueue(p.QueueOf(pkt), pkt) }
 
 // burstSize is rte_eth_rx_burst's usual batch size.
 const burstSize = 32
@@ -118,13 +120,23 @@ func (r *refRing) take(n int) []uint64 {
 // enqueue/pop/burst sequences — backlogs that wrap around while the buffer
 // doubles — and checks every observable against a fixed-size ring: accept
 // or drop per packet, FIFO order, tail drops at the configured size,
-// occupancy and Cap. The buffer never outgrows the ring size, nor twice
-// the highest backlog once past its initial allocation.
+// occupancy and Cap. Every ring starts unallocated, half of them built
+// alone and half in place as a port's rings: no buffer exists before the
+// first enqueue, which allocates min(minRingAlloc, size) slots. The buffer
+// never outgrows the ring size, nor twice the highest backlog once past
+// that first allocation.
 func TestRxQueueGrowthMatchesFixedRing(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, size := range []int{1, 2, 3, 15, 16, 17, 33, 100, DefaultRingSize} {
 		for trial := 0; trial < 20; trial++ {
 			q := NewRxQueue(size)
+			if trial%2 == 1 {
+				port := NewPort(1, size)
+				q = port.Queue(0)
+			}
+			if q.buf != nil {
+				t.Fatalf("size %d: a new ring holds a %d-slot buffer", size, len(q.buf))
+			}
 			ref := &refRing{size: size}
 			var next uint64
 			var dst []*packet.Packet
@@ -141,6 +153,10 @@ func TestRxQueueGrowthMatchesFixedRing(t *testing.T) {
 					if ok, wantOK := q.Enqueue(pkt(id)), ref.enqueue(id); ok != wantOK {
 						t.Fatalf("size %d op %d: enqueue %d = %v, want %v", size, op, id, ok, wantOK)
 					}
+					if id == 0 && len(q.buf) != min(minRingAlloc, size) {
+						t.Fatalf("size %d: first enqueue allocated %d slots, want %d",
+							size, len(q.buf), min(minRingAlloc, size))
+					}
 				case x < enqBias+(1-enqBias)/2:
 					if p := q.Pop(); p != nil {
 						got = []*packet.Packet{p}
@@ -151,6 +167,10 @@ func TestRxQueueGrowthMatchesFixedRing(t *testing.T) {
 					dst = burst(q, dst[:0], n)
 					got = dst
 					want = ref.take(n)
+				}
+				if next == 0 && q.buf != nil {
+					t.Fatalf("size %d op %d: pops allocated a %d-slot buffer before any enqueue",
+						size, op, len(q.buf))
 				}
 				if len(got) != len(want) {
 					t.Fatalf("size %d op %d: took %d packets, want %d", size, op, len(got), len(want))
@@ -174,6 +194,14 @@ func TestRxQueueGrowthMatchesFixedRing(t *testing.T) {
 	}
 }
 
+// TestRxQueueHeaderFitsCacheLine pins the ring header's size: a port's
+// rings are one array of headers, and each stays within one cache line.
+func TestRxQueueHeaderFitsCacheLine(t *testing.T) {
+	if s := unsafe.Sizeof(RxQueue{}); s > 64 {
+		t.Fatalf("RxQueue header is %d B, want <= 64", s)
+	}
+}
+
 func TestBurstEmptyAndPopEmpty(t *testing.T) {
 	q := NewRxQueue(4)
 	if len(burst(q, nil, 8)) != 0 {
@@ -191,6 +219,18 @@ func TestNewRxQueuePanics(t *testing.T) {
 		}
 	}()
 	NewRxQueue(0)
+}
+
+func TestNewRxQueuePanicsPastMaxRingSize(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("an int cannot exceed MaxRingSize")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	NewRxQueue(MaxRingSize + 1)
 }
 
 func TestPortRSSSpreadsAndPins(t *testing.T) {

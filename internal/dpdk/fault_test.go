@@ -70,3 +70,24 @@ func TestRxFaultDeterministic(t *testing.T) {
 		t.Fatalf("same seed diverged: %d vs %d", a, b)
 	}
 }
+
+// TestRxFaultBeforeFirstPacket sets a ring fault before any packet has
+// arrived: the packet is lost to the fault, and the ring it hashed to
+// still holds no buffer.
+func TestRxFaultBeforeFirstPacket(t *testing.T) {
+	p := NewPort(2, DefaultRingSize)
+	p.SetRxFault(1.0, faultStream(3))
+	pk := pkt(1)
+	if deliver(&p, pk) {
+		t.Fatal("prob 1.0 should drop the first packet")
+	}
+	if got := p.TotalFaultDrops(); got != 1 {
+		t.Fatalf("fault drops = %d, want 1", got)
+	}
+	for i := 0; i < p.NumQueues(); i++ {
+		if q := p.Queue(i); q.buf != nil || q.Count() != 0 || q.Drops != 0 {
+			t.Fatalf("ring %d after a fault drop: %d-slot buffer, count %d, drops %d",
+				i, len(q.buf), q.Count(), q.Drops)
+		}
+	}
+}

@@ -166,21 +166,33 @@ func (t *Table) Reverse(extPort uint16) (ip uint32, port uint16, ok bool) {
 // Len returns the live entry count.
 func (t *Table) Len() int { return len(t.entries) }
 
-// Func is the NAT network function.
+// Func is the NAT network function. Its table is built on first use, so
+// a function that never translates — every run that is not Functional
+// only times NAT — costs one small struct.
 type Func struct {
-	table *Table
+	capacity int
+	table    *Table
 }
 
 // NewFunc returns a NAT function with the given table capacity.
 func NewFunc(capacity int) *Func {
-	return &Func{table: NewTable(0x0A000001 /* 10.0.0.1 */, capacity)}
+	if capacity <= 0 {
+		panic("natfn: capacity must be positive")
+	}
+	return &Func{capacity: capacity}
 }
 
 // ID implements nf.Function.
 func (f *Func) ID() nf.ID { return nf.NAT }
 
-// Table exposes the translation table (tests, state inspection).
-func (f *Func) Table() *Table { return f.table }
+// Table exposes the translation table (tests, state inspection), building
+// it if no request has yet.
+func (f *Func) Table() *Table {
+	if f.table == nil {
+		f.table = NewTable(0x0A000001 /* 10.0.0.1 */, f.capacity)
+	}
+	return f.table
+}
 
 // Process translates the source tuple of the request and echoes the
 // translated 12-byte tuple.
@@ -190,7 +202,7 @@ func (f *Func) Process(req []byte) ([]byte, error) {
 	}
 	srcIP := binary.BigEndian.Uint32(req[0:4])
 	srcPort := binary.BigEndian.Uint16(req[4:6])
-	extIP, extPort, ok := f.table.Translate(srcIP, srcPort)
+	extIP, extPort, ok := f.Table().Translate(srcIP, srcPort)
 	if !ok {
 		return nil, ErrPortsExhausted
 	}

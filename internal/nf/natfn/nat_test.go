@@ -202,3 +202,35 @@ func BenchmarkTranslate(b *testing.B) {
 		tb.Translate(uint32(i%20000), 1)
 	}
 }
+
+// TestTableBuiltOnFirstUse: a new function holds no table; a rejected
+// request builds none, the first translation builds it, and Table builds
+// it on demand with the function's capacity.
+func TestTableBuiltOnFirstUse(t *testing.T) {
+	f := NewFunc(8)
+	if f.table != nil {
+		t.Fatal("a new NAT function holds a table")
+	}
+	if _, err := f.Process([]byte{1}); err != ErrBadRequest || f.table != nil {
+		t.Fatalf("a rejected request: err %v, table built %v", err, f.table != nil)
+	}
+	if _, err := f.Process(req(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if f.table == nil || f.Table().Len() != 1 {
+		t.Fatal("the first translation did not land in a table")
+	}
+	g := NewFunc(3)
+	if g.Table().capacity != 3 || g.Table() != g.table {
+		t.Fatal("Table did not build one table of the function's capacity")
+	}
+}
+
+func TestNewFuncPanicsOnBadCapacity(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	NewFunc(0)
+}

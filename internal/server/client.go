@@ -58,6 +58,8 @@ type client struct {
 	mixShiftAt    sim.Time
 
 	tracegen *trace.Generator
+	// epochTick re-draws a trace's rate every TraceEpoch.
+	epochTick sim.Ticker
 
 	// warmupEnd gates the measured counters: only packets created at
 	// or after it count toward offered load, so every mode is measured
@@ -176,13 +178,16 @@ func (c *client) start() {
 	c.rearmCall = c.rearm
 	if c.tracegen != nil {
 		c.rateGbps = c.tracegen.NextRateGbps()
-		c.eng.Every(TraceEpoch, func() {
-			if !c.stopped {
-				c.rateGbps = c.tracegen.NextRateGbps()
-			}
-		})
+		c.eng.Every(&c.epochTick, TraceEpoch, epochTick, c)
 	}
 	c.scheduleNext()
+}
+
+// epochTick draws the trace's next epoch rate, until the client stops.
+func epochTick(a any, _ int64) {
+	if c := a.(*client); !c.stopped {
+		c.rateGbps = c.tracegen.NextRateGbps()
+	}
 }
 
 // stop halts the arrival process (idempotent). The epoch timer re-draws

@@ -25,6 +25,11 @@ type Meter struct {
 	rateWinB   int64 // all-time bytes in the current RateSeries window
 	winMaxGbps float64
 	rateSeries []float64
+
+	// eng runs the meter's periodic processes: rateTick closes a
+	// RateSeries window, winTick a MaxGbps window.
+	eng               *sim.Engine
+	rateTick, winTick sim.Ticker
 }
 
 // NewMeter builds the meter of a normalized RunConfig; round trips also
@@ -50,23 +55,32 @@ func NewMeter(rc RunConfig, col *telemetry.Collector) *Meter {
 // RateSeries window (with a RateWindow) and the MaxGbps window, in that
 // order; a drain cancels them with eng's other tickers.
 func (m *Meter) Start(eng *sim.Engine) {
+	m.eng = eng
 	if m.rateWindow > 0 {
-		eng.Every(m.rateWindow, func() {
-			m.rateSeries = append(m.rateSeries,
-				float64(m.rateWinB)*8/float64(m.rateWindow))
-			m.rateWinB = 0
-		})
+		eng.Every(&m.rateTick, m.rateWindow, rateTick, m)
 	}
-	eng.Every(m.window, func() {
-		winB := m.winB
-		m.winB = 0
-		if eng.Now() <= m.warmup {
-			return
-		}
-		if g := float64(winB) * 8 / float64(m.window); g > m.winMaxGbps {
-			m.winMaxGbps = g
-		}
-	})
+	eng.Every(&m.winTick, m.window, windowTick, m)
+}
+
+// rateTick closes one RateSeries window.
+func rateTick(a any, _ int64) {
+	m := a.(*Meter)
+	m.rateSeries = append(m.rateSeries, float64(m.rateWinB)*8/float64(m.rateWindow))
+	m.rateWinB = 0
+}
+
+// windowTick closes one MaxGbps window; windows ending in the warmup do
+// not count.
+func windowTick(a any, _ int64) {
+	m := a.(*Meter)
+	winB := m.winB
+	m.winB = 0
+	if m.eng.Now() <= m.warmup {
+		return
+	}
+	if g := float64(winB) * 8 / float64(m.window); g > m.winMaxGbps {
+		m.winMaxGbps = g
+	}
 }
 
 // Bytes counts n delivered bytes of a request created at createdAt. The

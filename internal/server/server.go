@@ -356,8 +356,8 @@ func prepare(cfg *Config, rc *RunConfig) error {
 	if cfg.RingSize == 0 {
 		cfg.RingSize = dpdk.DefaultRingSize
 	}
-	if cfg.RingSize < 0 {
-		return fmt.Errorf("server: negative ring size %d", cfg.RingSize)
+	if cfg.RingSize < 0 || cfg.RingSize > dpdk.MaxRingSize {
+		return fmt.Errorf("server: ring size %d outside 1..%d", cfg.RingSize, dpdk.MaxRingSize)
 	}
 	if rc.Duration <= 0 {
 		return fmt.Errorf("server: non-positive duration")
@@ -527,6 +527,11 @@ type run struct {
 	// there is no client (the shared ingress offers the traffic).
 	embedded bool
 
+	// The run's periodic processes: ctlTick rolls HAL's monitor or the
+	// SLB modes' rate window, lbpTick steps HAL's policy, powerTick
+	// samples power.
+	ctlTick, lbpTick, powerTick sim.Ticker
+
 	// fault machinery
 	inj           *fault.Injector
 	faultRng      rng.Rand
@@ -534,7 +539,10 @@ type run struct {
 
 	// observability (all nil/zero with Config.Telemetry off; every hook
 	// site nil-checks the specific field it feeds).
-	col           *telemetry.Collector
+	col *telemetry.Collector
+	// telTick samples the timeline; it is allocated only when telemetry
+	// is on, which no fleet server is.
+	telTick       *sim.Ticker
 	telPeriod     sim.Time
 	telPrevSNICB  uint64
 	telPrevHostB  uint64
@@ -942,18 +950,10 @@ func (r *run) deliverResponse(p *packet.Packet) {
 }
 
 func (r *run) start() {
-	cfg := r.cfg
 	// Periodic processes.
-	if cfg.Mode == HAL {
-		// During a telemetry blackout the monitor core is wedged: rate
-		// windows do not roll (the LBP's stale-telemetry watchdog sees the
-		// roll counter stop) and the occupancy freezer replays old readings.
-		r.eng.Every(r.hal.Cfg.MonitorPeriod, func() {
-			if !r.telemetryDown {
-				r.hal.RollMonitor()
-			}
-		})
-		r.eng.Every(r.hal.Cfg.LBPPeriod, r.hal.Policy.Tick)
+	if r.cfg.Mode == HAL {
+		r.eng.Every(&r.ctlTick, r.hal.Cfg.MonitorPeriod, monitorTick, r)
+		r.eng.Every(&r.lbpTick, r.hal.Cfg.LBPPeriod, lbpTick, r)
 		// SNIC_TP accounting: completions on the SNIC side.
 		prev := r.snic.first.onServed
 		r.snic.first.onServed = func(p *packet.Packet) {
@@ -961,67 +961,97 @@ func (r *run) start() {
 			prev(p)
 		}
 	}
-	if cfg.Mode == SLB || cfg.Mode == SLBHost {
-		r.eng.Every(10*sim.Microsecond, func() {
-			r.slbDir.SetRate(r.slbMon.Roll())
-		})
+	if r.cfg.Mode == SLB || r.cfg.Mode == SLBHost {
+		r.eng.Every(&r.ctlTick, 10*sim.Microsecond, slbTick, r)
 	}
-	// Power sampling (§VI: periodic wall-power sampling).
-	const powerPeriod = 100 * sim.Microsecond
-	r.eng.Every(powerPeriod, func() {
-		snicBytes := r.snic.first.takeWindowBytes()
-		if r.snic.second != nil {
-			// stage 2 re-serves the same bytes; count stage 1 only
-			r.snic.second.takeWindowBytes()
-		}
-		hostBytes := r.host.first.takeWindowBytes()
-		if r.host.second != nil {
-			r.host.second.takeWindowBytes()
-		}
-		if r.slbFwd != nil {
-			r.slbFwd.takeWindowBytes() // forwarding shows up at host completion
-		}
-		snicGbps := float64(snicBytes) * 8 / float64(powerPeriod)
-		hostGbps := float64(hostBytes) * 8 / float64(powerPeriod)
-		util := float64(r.snic.first.busyCores()) / float64(len(r.snic.first.cores))
-		hostAwake := true
-		switch cfg.Mode {
-		case SNICOnly:
-			hostAwake = false
-		case HAL:
-			if r.hostSleep != nil {
-				// The sampler doubles as the idle observer: a host
-				// side with empty rings and no busy cores counts as
-				// idle even if no core ever polled (no traffic yet).
-				if r.host.first.port.TotalBacklog() == 0 && !r.host.first.anyBusy() {
-					r.hostSleep.OnIdle(r.eng.Now())
-				}
-				hostAwake = !r.hostSleep.Asleep()
-			}
-		}
-		snicActive := util
-		if cfg.Mode == HostOnly {
-			snicActive = 0
-		}
-		idleW, hostW, snicW := cfg.SNIC.Power.Breakdown(hostAwake, hostGbps, snicGbps, snicActive)
-		now := r.eng.Now()
-		r.power.Sample(now, idleW+hostW+snicW)
-		r.powerHost.Sample(now, hostW)
-		r.powerSNIC.Sample(now, snicW)
-		if ph := r.phaseAt(now); ph != nil {
-			ph.powerWSum += idleW + hostW + snicW
-			ph.powerN++
-		}
-	})
+	r.eng.Every(&r.powerTick, powerPeriod, powerTick, r)
 	// Telemetry sampling tick. Registered after the power ticker so a
 	// same-instant sample reads the power integrators' fresh values (the
 	// engine runs same-time events in registration order).
 	if r.col != nil {
-		r.eng.Every(r.telPeriod, r.sampleTelemetry)
+		r.telTick = new(sim.Ticker)
+		r.eng.Every(r.telTick, r.telPeriod, telemetryTick, r)
 	}
 	if r.cli != nil {
 		r.m.Start(r.eng)
 		r.cli.start()
+	}
+}
+
+// The run's periodic processes, each a package-level handler of the run
+// its ticker carries.
+
+// monitorTick rolls HAL's rate monitor. During a telemetry blackout the
+// monitor core is wedged: rate windows do not roll (the LBP's
+// stale-telemetry watchdog sees the roll counter stop) and the occupancy
+// freezer replays old readings.
+func monitorTick(a any, _ int64) {
+	if r := a.(*run); !r.telemetryDown {
+		r.hal.RollMonitor()
+	}
+}
+
+// lbpTick runs one step of HAL's load-balancing policy.
+func lbpTick(a any, _ int64) { a.(*run).hal.Policy.Tick() }
+
+// slbTick hands the software load balancer its monitor's closed window.
+func slbTick(a any, _ int64) {
+	r := a.(*run)
+	r.slbDir.SetRate(r.slbMon.Roll())
+}
+
+// telemetryTick takes one timeline sample.
+func telemetryTick(a any, _ int64) { a.(*run).sampleTelemetry() }
+
+// powerPeriod is the power sampler's period (§VI: periodic wall-power
+// sampling).
+const powerPeriod = 100 * sim.Microsecond
+
+// powerTick samples the server's power over the last powerPeriod.
+func powerTick(a any, _ int64) {
+	r := a.(*run)
+	snicBytes := r.snic.first.takeWindowBytes()
+	if r.snic.second != nil {
+		// stage 2 re-serves the same bytes; count stage 1 only
+		r.snic.second.takeWindowBytes()
+	}
+	hostBytes := r.host.first.takeWindowBytes()
+	if r.host.second != nil {
+		r.host.second.takeWindowBytes()
+	}
+	if r.slbFwd != nil {
+		r.slbFwd.takeWindowBytes() // forwarding shows up at host completion
+	}
+	snicGbps := float64(snicBytes) * 8 / float64(powerPeriod)
+	hostGbps := float64(hostBytes) * 8 / float64(powerPeriod)
+	util := float64(r.snic.first.busyCores()) / float64(len(r.snic.first.cores))
+	hostAwake := true
+	switch r.cfg.Mode {
+	case SNICOnly:
+		hostAwake = false
+	case HAL:
+		if r.hostSleep != nil {
+			// The sampler doubles as the idle observer: a host
+			// side with empty rings and no busy cores counts as
+			// idle even if no core ever polled (no traffic yet).
+			if r.host.first.port.TotalBacklog() == 0 && !r.host.first.anyBusy() {
+				r.hostSleep.OnIdle(r.eng.Now())
+			}
+			hostAwake = !r.hostSleep.Asleep()
+		}
+	}
+	snicActive := util
+	if r.cfg.Mode == HostOnly {
+		snicActive = 0
+	}
+	idleW, hostW, snicW := r.cfg.SNIC.Power.Breakdown(hostAwake, hostGbps, snicGbps, snicActive)
+	now := r.eng.Now()
+	r.power.Sample(now, idleW+hostW+snicW)
+	r.powerHost.Sample(now, hostW)
+	r.powerSNIC.Sample(now, snicW)
+	if ph := r.phaseAt(now); ph != nil {
+		ph.powerWSum += idleW + hostW + snicW
+		ph.powerN++
 	}
 }
 

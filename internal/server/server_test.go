@@ -1,10 +1,13 @@
 package server
 
 import (
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"halsim/internal/cxl"
+	"halsim/internal/dpdk"
 	"halsim/internal/nf"
 	"halsim/internal/packet"
 	"halsim/internal/sim"
@@ -315,18 +318,25 @@ func TestConfigValidationErrors(t *testing.T) {
 	}
 }
 
-// TestNegativeRingSizeIsAnError checks that a negative ring size is
-// rejected as a config error — by a standalone run and by an embedded
-// fleet server alike — instead of panicking when the rings are built.
+// TestNegativeRingSizeIsAnError checks that a negative ring size, or one
+// past the rings' 32-bit indices, is rejected as a config error — by a
+// standalone run and by an embedded fleet server alike — instead of
+// panicking when the rings are built.
 func TestNegativeRingSizeIsAnError(t *testing.T) {
-	cfg := Config{Mode: HAL, Fn: nf.NAT, RingSize: -1}
-	rc := RunConfig{Duration: sim.Millisecond, RateGbps: 10}
-	if _, err := Run(cfg, rc); err == nil || !strings.Contains(err.Error(), "ring size") {
-		t.Fatalf("Run with RingSize -1: err = %v, want a ring size error", err)
+	sizes := []int{-1}
+	if strconv.IntSize == 64 {
+		sizes = append(sizes, dpdk.MaxRingSize+1)
 	}
-	if _, err := NewInstance(cfg, rc, 0, sim.NewEngine(), packet.NewPool(), nil); err == nil ||
-		!strings.Contains(err.Error(), "ring size") {
-		t.Fatalf("NewInstance with RingSize -1: err = %v, want a ring size error", err)
+	for _, size := range sizes {
+		cfg := Config{Mode: HAL, Fn: nf.NAT, RingSize: size}
+		rc := RunConfig{Duration: sim.Millisecond, RateGbps: 10}
+		if _, err := Run(cfg, rc); err == nil || !strings.Contains(err.Error(), "ring size") {
+			t.Fatalf("Run with RingSize %d: err = %v, want a ring size error", size, err)
+		}
+		if _, err := NewInstance(cfg, rc, 0, sim.NewEngine(), packet.NewPool(), nil); err == nil ||
+			!strings.Contains(err.Error(), "ring size") {
+			t.Fatalf("NewInstance with RingSize %d: err = %v, want a ring size error", size, err)
+		}
 	}
 }
 
@@ -462,6 +472,99 @@ func TestInstancesOwnTheirCoherenceState(t *testing.T) {
 	}
 	if got := idle.Collect().CoherenceRemote; got != 0 {
 		t.Fatalf("the idle server reports %d coherence transfers; its directory is shared", got)
+	}
+}
+
+// TestFleetIdleHostRingsHoldNoBuffer builds a 64-server HAL fleet the way
+// the cluster runner does — instances on one engine and pool behind one
+// traffic source, dispatched round-robin — at 6.25 Gbps per server. A
+// station side that received no packet (none served, in service, queued
+// or dropped) holds no ring buffer, and a side holding packets has one:
+// after the 1 µs of a build-footprint measurement no ring has a buffer,
+// and after 250 µs the SNIC sides carry traffic while host sides that
+// HAL never diverted to still hold none.
+func TestFleetIdleHostRingsHoldNoBuffer(t *testing.T) {
+	const servers = 64
+	received := func(s *station) bool {
+		return s.bytesDone > 0 || s.inflightCount() > 0 || s.port.TotalBacklog() > 0 ||
+			s.port.TotalDrops() > 0 || s.port.TotalFaultDrops() > 0
+	}
+	ringSlots := func(s *station) int {
+		n := 0
+		for i := 0; i < s.port.NumQueues(); i++ {
+			n += s.port.Queue(i).Slots()
+		}
+		return n
+	}
+	for _, d := range []sim.Time{sim.Microsecond, 250 * sim.Microsecond} {
+		cfg := Config{Mode: HAL, Fn: nf.NAT, Seed: 1}
+		rc := RunConfig{Duration: d, RateGbps: 6.25 * servers}
+		if err := Normalize(&cfg, &rc); err != nil {
+			t.Fatal(err)
+		}
+		eng, pool := sim.NewEngine(), packet.NewPool()
+		insts := make([]*Instance, servers)
+		for i := range insts {
+			inst, err := NewInstance(cfg, rc, i, eng, pool, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			insts[i] = inst
+		}
+		next := 0
+		src, err := NewTrafficSource(cfg, rc, eng, pool, func(p *packet.Packet, at sim.Time) {
+			insts[next%servers].Ingress(p, at)
+			next++
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, inst := range insts {
+			inst.Start()
+		}
+		src.Start()
+		eng.RunUntil(rc.Duration)
+
+		idleHosts, busySNICs, slots := 0, 0, 0
+		for i, inst := range insts {
+			for _, s := range []*station{&inst.r.snic.first, &inst.r.host.first} {
+				slots += ringSlots(s)
+				if ringSlots(s) > 0 && !received(s) {
+					t.Errorf("%v: server %d: %s side received no packet but holds %d ring slots",
+						d, i, s.name, ringSlots(s))
+				}
+				if s.port.TotalBacklog() > 0 && ringSlots(s) == 0 {
+					t.Errorf("%v: server %d: %s side holds packets without a ring buffer", d, i, s.name)
+				}
+			}
+			if !received(&inst.r.host.first) {
+				idleHosts++
+			}
+			if received(&inst.r.snic.first) {
+				busySNICs++
+			}
+		}
+		t.Logf("%v: %d of %d host sides idle, %d SNIC sides received traffic, %d ring slots",
+			d, idleHosts, servers, busySNICs, slots)
+		if d == sim.Microsecond && slots != 0 {
+			t.Errorf("%v: the fleet holds %d ring slots after its build", d, slots)
+		}
+		if d > sim.Microsecond && (idleHosts == 0 || busySNICs == 0) {
+			t.Errorf("%v: %d idle host sides and %d SNIC sides with traffic; want both", d, idleHosts, busySNICs)
+		}
+	}
+}
+
+// TestRunFitsItsSizeClass pins a server's one block, the run, within the
+// allocator's 2,304-byte size class. A heap object with pointers larger
+// than 512 B carries an 8-byte header, and the next class is 2,688 B, so
+// a run 16 bytes larger costs every fleet server 384 more. A change that
+// must cross the boundary updates this bound and DESIGN.md §8's table.
+func TestRunFitsItsSizeClass(t *testing.T) {
+	const sizeClass, mallocHeader = 2304, 8
+	if s := unsafe.Sizeof(run{}); s+mallocHeader > sizeClass {
+		t.Fatalf("run is %d B; with its %d-B malloc header it no longer fits the %d-B size class",
+			s, mallocHeader, sizeClass)
 	}
 }
 

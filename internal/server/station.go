@@ -45,9 +45,10 @@ type station struct {
 	// onServed fires at service completion with the served packet.
 	onServed func(*packet.Packet)
 
-	// serveCall and completeCall are the pre-bound event handlers of the
-	// hot path (closure-free scheduling; see sim.ScheduleCall).
-	serveCall    sim.Call
+	// completeCall is the pre-bound completion handler of the hot path
+	// (closure-free scheduling; see sim.ScheduleCall). A poll event
+	// carries no packet, so its handler is the package-level serveCall
+	// with the station as the event's argument.
 	completeCall sim.Call
 
 	// tr, when non-nil, records sampled lifecycle spans (and every drop)
@@ -127,12 +128,15 @@ func (s *station) init(eng *sim.Engine, name string, prof platform.FnProfile, ri
 		rng:   jitter,
 		cores: make([]coreState, prof.Servers),
 	}
-	// Bind the event handlers once: scheduling a poll or a completion then
+	// Bind the completion handler once: scheduling a completion then
 	// carries (handler, packet, packed scalar) by value instead of
 	// capturing a fresh closure per packet.
-	s.serveCall = func(_ any, core int64) { s.serve(int(core)) }
 	s.completeCall = s.completeServe
 }
+
+// serveCall is the poll event's handler: arg is the station, core the
+// core to poll.
+func serveCall(arg any, core int64) { arg.(*station).serve(int(core)) }
 
 // enqueue delivers p to the station's RSS queue, returning false on a tail
 // drop. If the owning core is idle it starts serving, paying the wake-up
@@ -170,7 +174,7 @@ func (s *station) enqueueCore(p *packet.Packet, core int, penalty sim.Time) bool
 	if s.tr != nil {
 		preDrops = q.Drops
 	}
-	if !q.Enqueue(p) {
+	if !s.port.Enqueue(core, p) {
 		if s.tr != nil {
 			// The ring rejected it for one of two reasons; the tail-drop
 			// counter tells them apart.
@@ -190,7 +194,7 @@ func (s *station) enqueueCore(p *packet.Packet, core int, penalty sim.Time) bool
 	}
 	if c := &s.cores[core]; !c.busy && !c.dead {
 		c.busy = true
-		s.eng.ScheduleCall(penalty, s.serveCall, nil, int64(core))
+		s.eng.ScheduleCall(penalty, serveCall, s, int64(core))
 	}
 	return true
 }
@@ -319,7 +323,7 @@ func (s *station) recoverCore(core int) {
 	c.dead = false
 	if s.port.Queue(core).Count() > 0 && !c.busy {
 		c.busy = true
-		s.eng.ScheduleCall(0, s.serveCall, nil, int64(core))
+		s.eng.ScheduleCall(0, serveCall, s, int64(core))
 	}
 	if s.onCapacity != nil {
 		s.onCapacity(s.aliveCores(), len(s.cores))

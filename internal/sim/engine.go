@@ -116,9 +116,9 @@ type Engine struct {
 	seqCtr uint64
 
 	processed uint64
-	// tickers are every periodic process Every registered, so a drain can
-	// cancel them all in one call.
-	tickers []*ticker
+	// tickersOff, once CancelTickers sets it, stops every periodic
+	// process on the engine.
+	tickersOff bool
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -321,45 +321,44 @@ func (e *Engine) Run() {
 	}
 }
 
-// ticker is one periodic process: it invokes fn every period until the
-// engine's tickers are cancelled. fn observes the clock via Engine.Now.
-type ticker struct {
-	e         *Engine
-	period    Time
-	fn        func()
-	tickCall  Call
-	cancelled bool
+// Ticker is one periodic process, a record its owner holds by value:
+// Every arms it, and each tick runs call(arg, 0) and re-arms one period
+// later until CancelTickers. Every tick event carries the record itself
+// to the one package-level handler, so a periodic process needs no
+// closure, bound method value or engine-side record of its own. call
+// observes the clock via Engine.Now. An armed Ticker must not be copied.
+type Ticker struct {
+	e      *Engine
+	period Time
+	call   Call
+	arg    any
 }
 
-// tick is the re-arming handler; bound once in Every so each period
-// schedules an existing Call value and therefore does not allocate.
-func (t *ticker) tick(any, int64) {
-	if t.cancelled {
+// tick is the re-arming handler of every Ticker.
+func tick(arg any, _ int64) {
+	t := arg.(*Ticker)
+	if t.e.tickersOff {
 		return
 	}
-	t.fn()
-	if !t.cancelled {
-		t.e.ScheduleCall(t.period, t.tickCall, nil, 0)
+	t.call(t.arg, 0)
+	if !t.e.tickersOff {
+		t.e.ScheduleCall(t.period, tick, t, 0)
 	}
 }
 
-// Every schedules fn to run every period, starting one period from now,
-// until CancelTickers.
-func (e *Engine) Every(period Time, fn func()) {
+// Every arms t to run call(arg, 0) every period, starting one period from
+// now, until CancelTickers. arg is pointer-shaped, usually t's owner, and
+// call a function bound once, so arming allocates nothing.
+func (e *Engine) Every(t *Ticker, period Time, call Call, arg any) {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: non-positive period %d", period))
 	}
-	t := &ticker{e: e, period: period, fn: fn}
-	t.tickCall = t.tick
-	e.tickers = append(e.tickers, t)
-	e.ScheduleCall(period, t.tickCall, nil, 0)
+	*t = Ticker{e: e, period: period, call: call, arg: arg}
+	e.ScheduleCall(period, tick, t, 0)
 }
 
-// CancelTickers stops every periodic process Every registered, so a
-// drained run's event queue can empty. A tick in flight still completes;
-// each ticker's already-scheduled next tick fires as a no-op.
-func (e *Engine) CancelTickers() {
-	for _, t := range e.tickers {
-		t.cancelled = true
-	}
-}
+// CancelTickers stops every periodic process on the engine, so a drained
+// run's event queue can empty. A tick in flight still completes; each
+// ticker's already-scheduled next tick fires as a no-op, and a ticker
+// armed afterwards never runs.
+func (e *Engine) CancelTickers() { e.tickersOff = true }

@@ -124,7 +124,8 @@ func TestReplayAgainstReferenceHeap(t *testing.T) {
 func TestTickerCancelMidTick(t *testing.T) {
 	e := NewEngine()
 	var ticks int
-	e.Every(10, func() {
+	var tk Ticker
+	e.Every(&tk, 10, callFunc, func() {
 		ticks++
 		if ticks == 2 {
 			e.CancelTickers()

@@ -109,7 +109,8 @@ func TestAtBeforeNowPanics(t *testing.T) {
 func TestEvery(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
-	e.Every(10, func() {
+	var tk Ticker
+	e.Every(&tk, 10, callFunc, func() {
 		ticks = append(ticks, e.Now())
 	})
 	e.schedule(35, e.CancelTickers)
@@ -131,7 +132,55 @@ func TestEveryZeroPeriodPanics(t *testing.T) {
 			t.Fatal("expected panic on zero period")
 		}
 	}()
-	NewEngine().Every(0, func() {})
+	var tk Ticker
+	NewEngine().Every(&tk, 0, callFunc, func() {})
+}
+
+// tickCount is a ticker owner: its tick handler is a package-level Call.
+type tickCount struct{ n int }
+
+func countTick(arg any, _ int64) { arg.(*tickCount).n++ }
+
+// TestEveryAllocatesNothing arms and runs periodic processes whose records
+// their owner holds: once the wheel's slab has grown, neither arming nor
+// ticking allocates.
+func TestEveryAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	noop := Call(func(any, int64) {})
+	for i := 0; i < 256; i++ {
+		e.ScheduleCall(Time(i), noop, nil, 0)
+	}
+	e.Run() // grow the slab past the tickers' pending events
+	var owner tickCount
+	tks := make([]Ticker, 3*11)
+	k := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 3; i++ {
+			e.Every(&tks[k], Time(3+i), countTick, &owner)
+			k++
+		}
+		e.RunUntil(e.Now() + 100)
+	})
+	if allocs != 0 {
+		t.Fatalf("arming three tickers and running them allocates %v per run, want 0", allocs)
+	}
+	if owner.n == 0 {
+		t.Fatal("no tick ran")
+	}
+}
+
+// TestTickerArmedAfterCancelNeverRuns: CancelTickers stops the engine's
+// periodic processes for good, including one armed afterwards.
+func TestTickerArmedAfterCancelNeverRuns(t *testing.T) {
+	e := NewEngine()
+	e.CancelTickers()
+	var owner tickCount
+	var tk Ticker
+	e.Every(&tk, 10, countTick, &owner)
+	e.Run()
+	if owner.n != 0 {
+		t.Fatalf("ticks = %d after CancelTickers, want 0", owner.n)
+	}
 }
 
 func TestProcessedCount(t *testing.T) {
