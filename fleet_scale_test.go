@@ -120,10 +120,10 @@ func fleetFootprint(t *testing.T, d halsim.Time) (bytes, objects uint64) {
 // rings, histograms, periodic processes and function state are sized by
 // the traffic a server carries, not by its configured capacity. A fleet
 // run for one simulated microsecond is almost all build, so its
-// allocation per server is the per-server footprint: 4,868 B in 31
+// allocation per server is the per-server footprint: 4,141 B in 7
 // objects when the bounds were set, at 1.25× each.
 func TestFleetFootprintPerServer(t *testing.T) {
-	const maxBytes, maxObjects = 6080, 38
+	const maxBytes, maxObjects = 5176, 8
 	bytes, objects := fleetFootprint(t, halsim.Microsecond)
 	t.Logf("%d B in %d objects allocated per server", bytes, objects)
 	if bytes > maxBytes {
@@ -140,9 +140,9 @@ func TestFleetFootprintPerServer(t *testing.T) {
 // — random streams, ring buffers, banked buffers — counts too. With
 // 16-byte keyed streams a server allocated ~12 KB here; a 4.9 KB random
 // register per serving station took it to ~19 KB. The bound is 1.25× the
-// 8,350 B measured when it was set.
+// 7,644 B measured when it was set.
 func TestFleetFootprintPerServerServing(t *testing.T) {
-	const maxBytes = 10430
+	const maxBytes = 9555
 	bytes, _ := fleetFootprint(t, 250*halsim.Microsecond)
 	t.Logf("%d B allocated per server", bytes)
 	if bytes > maxBytes {

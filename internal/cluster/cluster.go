@@ -24,6 +24,13 @@ import (
 	"halsim/internal/telemetry/prof"
 )
 
+// serverEvents sizes a group engine's event queue per server before the
+// build: a server files up to three periodic processes (a HAL server's
+// monitor, policy and power ticks) before any traffic, plus room for one
+// more, so a fleet's queue is allocated once rather than grown by
+// doubling while its servers start.
+const serverEvents = 4
+
 // maxGroups keeps worker count (groups + ingress) within the executor's
 // worker cap and the engine's eight-bit rank budget: the LPs take ranks
 // 1..groups+1, which must stay below 256.
@@ -49,12 +56,13 @@ type crun struct {
 	fab  *fabric
 
 	// Ingress-owned state (worker 0 during windows, coordinator at
-	// barriers). A response carries its server in the delivery event's
-	// scalar and its request's length in ReqLen, so no per-request table
-	// is needed. m is the fleet's client-side meter.
+	// barriers). A request carries its server in the arrival event's
+	// scalar, and a response carries it in the delivery event's scalar and
+	// its request's length in ReqLen, so no per-request table and no
+	// per-server handler is needed. m is the fleet's client-side meter.
 	outstanding []int64
 	m           *server.Meter
-	reqCalls    []sim.Call
+	reqCall     sim.Call
 	respCall    sim.Call
 	upCall      sim.Call
 
@@ -92,6 +100,15 @@ func Run(cfg server.Config, rc server.RunConfig) (server.Result, error) {
 
 // groupOf maps server i of n onto one of g contiguous groups.
 func groupOf(i, n, g int) int { return i * g / n }
+
+// worker is the LP, and index into engs and pools, that runs server i:
+// its group's in a parallel run, the one engine's in a serial run.
+func (c *crun) worker(i int) int {
+	if c.x == nil {
+		return 0
+	}
+	return c.grpOf[i] + 1
+}
 
 // build wires engines, pools, instances, ingress and telemetry.
 func (c *crun) build() error {
@@ -163,31 +180,29 @@ func (c *crun) build() error {
 	plans := c.cfg.Faults.Split(n)
 	c.grpOf = make([]int, n)
 	c.fab = newFabric(c.cc)
-	c.reqCalls = make([]sim.Call, n)
+	fleet := server.NewFleet(n, c.respond)
+	c.reqCall = fleet.IngressCall()
+	perWorker := make([]int, len(c.engs))
 	for i := 0; i < n; i++ {
-		g := groupOf(i, n, c.groups)
-		c.grpOf[i] = g
-		w := 0
-		if len(c.engs) > 1 {
-			w = g + 1
-		}
+		c.grpOf[i] = groupOf(i, n, c.groups)
+		perWorker[c.worker(i)]++
+	}
+	for w, k := range perWorker {
+		c.engs[w].Reserve(serverEvents * k)
+	}
+	for i := 0; i < n; i++ {
+		w := c.worker(i)
 		eng, pool := c.engs[w], c.pools[w]
 		icfg := c.cfg
 		icfg.Cluster, icfg.Faults = nil, nil
 		if plans != nil {
 			icfg.Faults = plans[i]
 		}
-		srv, wkr := i, w
-		inst, err := server.NewInstance(icfg, c.rc, i, eng, pool, func(p *packet.Packet) {
-			c.respond(srv, wkr, p)
-		})
+		inst, err := fleet.NewInstance(icfg, c.rc, i, eng, pool)
 		if err != nil {
 			return fmt.Errorf("cluster: server %d: %w", i, err)
 		}
 		c.insts = append(c.insts, inst)
-		c.reqCalls[i] = func(a any, _ int64) {
-			inst.Ingress(a.(*packet.Packet), eng.Now())
-		}
 	}
 
 	// Ingress: dispatch policy, outstanding counts, measurement.
@@ -275,34 +290,33 @@ func (c *crun) run() {
 func (c *crun) dispatch(p *packet.Packet, at sim.Time) {
 	i := c.disp.pick(c.outstanding)
 	c.outstanding[i]++
+	c.disp.counted(c.outstanding, i)
 	arr := c.fab.down(i, at, p.WireLen)
 	if c.x == nil {
-		c.engs[0].AtCall(arr, c.reqCalls[i], p, 0)
+		c.engs[0].AtCall(arr, c.reqCall, p, int64(i))
 		return
 	}
-	w := c.grpOf[i] + 1
-	c.x.Send(0, w, arr, c.engs[0].AllocSeq(), c.reqCalls[i], p, 0)
+	c.x.Send(0, c.worker(i), arr, c.engs[0].AllocSeq(), c.reqCall, p, int64(i))
 }
 
-// respond carries a finished response from server srv (running on worker
-// wkr) back over the fabric's up-link to the ingress. Runs on the
-// server's engine at the response's egress instant. In a podded fleet the
-// server link only reaches the pod ToR; the pod-uplink serialization then
-// runs as an ingress event (upCall) so its shared freeAt state has a
-// single owner.
-func (c *crun) respond(srv, wkr int, p *packet.Packet) {
-	eng := c.engs[wkr]
-	arr := c.fab.up(srv, eng.Now(), p.WireLen)
+// respond carries a finished response from server srv back over the
+// fabric's up-link to the ingress. Runs on the server's engine at the
+// response's egress instant. In a podded fleet the server link only
+// reaches the pod ToR; the pod-uplink serialization then runs as an
+// ingress event (upCall) so its shared freeAt state has a single owner.
+func (c *crun) respond(srv int, p *packet.Packet) {
 	call := c.respCall
 	if c.fab.pods > 1 {
 		call = c.upCall
 	}
-	n := int64(srv)
+	w := c.worker(srv)
+	eng := c.engs[w]
+	arr := c.fab.up(srv, eng.Now(), p.WireLen)
 	if c.x == nil {
-		eng.AtCall(arr, call, p, n)
+		eng.AtCall(arr, call, p, int64(srv))
 		return
 	}
-	c.x.Send(wkr, 0, arr, eng.AllocSeq(), call, p, n)
+	c.x.Send(w, 0, arr, eng.AllocSeq(), call, p, int64(srv))
 }
 
 // deliver closes one round trip of a request served by server srv at the
@@ -310,6 +324,7 @@ func (c *crun) respond(srv, wkr int, p *packet.Packet) {
 // was dropped never responds, so it stays outstanding.
 func (c *crun) deliver(p *packet.Packet, srv int) {
 	c.outstanding[srv]--
+	c.disp.counted(c.outstanding, srv)
 	c.m.Bytes(int(p.ReqLen), p.CreatedAt)
 	c.m.RTT(int64(c.engs[0].Now())-p.CreatedAt, p.CreatedAt)
 	c.pools[0].Put(p)

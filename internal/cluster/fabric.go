@@ -177,6 +177,9 @@ func (f *fabric) podUp(srv int, at sim.Time, wireLen int) sim.Time {
 type dispatcher interface {
 	// pick chooses a server given the per-server in-flight counts.
 	pick(outstanding []int64) int
+	// counted tells the policy that outstanding[i] changed; the ingress
+	// calls it after every dispatch and every delivery.
+	counted(outstanding []int64, i int)
 }
 
 func newDispatcher(policy string, n int, seed int64) dispatcher {
@@ -184,7 +187,7 @@ func newDispatcher(policy string, n int, seed int64) dispatcher {
 	case "p2c":
 		return &p2c{n: n, rng: rng.Stream(seed, rng.Dispatch, 0)}
 	case "least-conn":
-		return leastConn{}
+		return newLeastConn(n)
 	default:
 		return &roundRobin{n: n}
 	}
@@ -192,6 +195,8 @@ func newDispatcher(policy string, n int, seed int64) dispatcher {
 
 // roundRobin cycles through the fleet.
 type roundRobin struct{ n, next int }
+
+func (*roundRobin) counted([]int64, int) {}
 
 func (d *roundRobin) pick([]int64) int {
 	i := d.next
@@ -210,6 +215,8 @@ type p2c struct {
 	rng rng.Rand
 }
 
+func (*p2c) counted([]int64, int) {}
+
 func (d *p2c) pick(outstanding []int64) int {
 	a := d.rng.Intn(d.n)
 	b := d.rng.Intn(d.n)
@@ -221,15 +228,45 @@ func (d *p2c) pick(outstanding []int64) int {
 
 // leastConn is full least-connections over the ingress's in-flight
 // counts: argmin over all servers, lowest index winning ties — a pure
-// deterministic function of the counts, no RNG stream.
-type leastConn struct{}
+// deterministic function of the counts, no RNG stream. A tournament tree
+// keeps the argmin: win[1] is the root, win[size+i] the leaf of server i
+// (-1 past the fleet), and every internal node the winner of its two
+// children's match, the lower count with the left (lower-index) side
+// winning ties. A count change replays only the matches on its leaf's
+// path to the root, so a pick costs O(1) and a change O(log N) where a
+// scan of the fleet cost O(N) per request.
+type leastConn struct {
+	size int // leaves: the fleet size rounded up to a power of two
+	win  []int32
+}
 
-func (leastConn) pick(outstanding []int64) int {
-	best := 0
-	for i := 1; i < len(outstanding); i++ {
-		if outstanding[i] < outstanding[best] {
-			best = i
+func newLeastConn(n int) *leastConn {
+	size := 1
+	for size < n {
+		size <<= 1
+	}
+	d := &leastConn{size: size, win: make([]int32, 2*size)}
+	for i := 0; i < size; i++ {
+		d.win[size+i] = -1
+		if i < n {
+			d.win[size+i] = int32(i)
 		}
 	}
-	return best
+	// Every count starts at zero, so each match goes to its left side.
+	for k := size - 1; k >= 1; k-- {
+		d.win[k] = d.win[2*k]
+	}
+	return d
+}
+
+func (d *leastConn) pick([]int64) int { return int(d.win[1]) }
+
+func (d *leastConn) counted(outstanding []int64, i int) {
+	for k := (d.size + i) >> 1; k >= 1; k >>= 1 {
+		a, b := d.win[2*k], d.win[2*k+1]
+		if b >= 0 && outstanding[b] < outstanding[a] {
+			a = b
+		}
+		d.win[k] = a
+	}
 }

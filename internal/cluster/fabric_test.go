@@ -99,7 +99,6 @@ func TestPodFabricTwoTier(t *testing.T) {
 // TestLeastConnDispatch pins the policy: argmin over outstanding counts,
 // lowest index on ties, no RNG stream consumed.
 func TestLeastConnDispatch(t *testing.T) {
-	d := newDispatcher("least-conn", 4, 99)
 	cases := []struct {
 		out  []int64
 		want int
@@ -110,8 +109,67 @@ func TestLeastConnDispatch(t *testing.T) {
 		{[]int64{7, 6, 5, 4}, 3},
 	}
 	for _, c := range cases {
+		d := newDispatcher("least-conn", 4, 99)
+		for i := range c.out {
+			d.counted(c.out, i)
+		}
 		if got := d.pick(c.out); got != c.want {
 			t.Fatalf("least-conn pick(%v) = %d, want %d", c.out, got, c.want)
+		}
+	}
+}
+
+// scanArgmin is the linear least-connections scan the tournament tree
+// replaces: argmin over the counts, lowest index winning ties.
+func scanArgmin(outstanding []int64) int {
+	best := 0
+	for i := 1; i < len(outstanding); i++ {
+		if outstanding[i] < outstanding[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// TestLeastConnTreeMatchesScan drives the tree with random ±1 count
+// changes on fleets of every shape around the powers of two, and after
+// every change its pick must equal the linear scan's.
+func TestLeastConnTreeMatchesScan(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 3, 5, 8, 63, 64, 65, 1000} {
+		d := newLeastConn(n)
+		out := make([]int64, n)
+		for step := 0; step < 20*n+100; step++ {
+			i := r.Intn(n)
+			if out[i] > 0 && r.Intn(2) == 0 {
+				out[i]--
+			} else {
+				out[i]++
+			}
+			d.counted(out, i)
+			if got, want := d.pick(out), scanArgmin(out); got != want {
+				t.Fatalf("n=%d step %d: tree picks %d, the scan %d (counts %v)", n, step, got, want, out)
+			}
+		}
+	}
+}
+
+// BenchmarkLeastConnPick is one request's dispatcher work on a 4096-server
+// fleet: a pick, its dispatch count, and the delivery of an earlier
+// request.
+func BenchmarkLeastConnPick(b *testing.B) {
+	const n = 4096
+	d := newLeastConn(n)
+	out := make([]int64, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		i := d.pick(out)
+		out[i]++
+		d.counted(out, i)
+		if j := (k * 7) % n; out[j] > 0 {
+			out[j]--
+			d.counted(out, j)
 		}
 	}
 }

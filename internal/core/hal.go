@@ -264,10 +264,10 @@ type LBP struct {
 	Adjustments uint64
 	Ticks       uint64
 
-	// Telemetry watchdog: updates reports the monitor's roll count; a
+	// Telemetry watchdog: updates points at the monitor's roll count; a
 	// streak of unchanged readings longer than StaleTicks makes the
 	// policy hold Fwd_Th rather than chase stale signals.
-	updates     func() uint64
+	updates     *uint64
 	haveUpdates bool
 	lastUpdates uint64
 	staleStreak int
@@ -300,9 +300,9 @@ func NewLBP(cfg Config, director *TrafficDirector, queues QueueObserver) (LBP, e
 }
 
 // BindTelemetry connects the watchdog to a freshness counter (typically
-// the traffic monitor's roll count). Without a binding the watchdog is
-// inert.
-func (l *LBP) BindTelemetry(updates func() uint64) { l.updates = updates }
+// the traffic monitor's roll count), which it reads at every tick. Without
+// a binding the watchdog is inert.
+func (l *LBP) BindTelemetry(updates *uint64) { l.updates = updates }
 
 // OnCapacityChange tells the policy the SNIC processor's execution
 // capacity changed: frac is the fraction of cores still alive. A loss arms
@@ -393,7 +393,7 @@ func (l *LBP) Tick() {
 	// with MonitorPeriod/LBPPeriod so a monitor window coarser than the
 	// tick does not read as a blackout.
 	if l.updates != nil && l.cfg.StaleTicks > 0 {
-		u := l.updates()
+		u := *l.updates
 		if l.haveUpdates && u == l.lastUpdates {
 			l.staleStreak++
 		} else {
@@ -517,7 +517,7 @@ func (h *HAL) Init(cfg Config, queues QueueObserver) error {
 		return err
 	}
 	h.Policy = lbp
-	h.Policy.BindTelemetry(func() uint64 { return h.Monitor.Rolls })
+	h.Policy.BindTelemetry(&h.Monitor.Rolls)
 	return nil
 }
 

@@ -16,7 +16,7 @@ func feedBinding(l *LBP) {
 func TestWatchdogHoldsOnStaleTelemetry(t *testing.T) {
 	l, d, _ := lbpSetup(t, 0) // occ 0 < WMLow → every live tick raises
 	rolls := uint64(0)
-	l.BindTelemetry(func() uint64 { return rolls })
+	l.BindTelemetry(&rolls)
 
 	// Fresh telemetry: the policy moves.
 	rolls++
@@ -74,7 +74,7 @@ func TestWatchdogScalesWithCoarseMonitor(t *testing.T) {
 	}
 	// A healthy coarse monitor rolls every 10 ticks: never a hold.
 	rolls := uint64(0)
-	l.BindTelemetry(func() uint64 { return rolls })
+	l.BindTelemetry(&rolls)
 	for tick := 0; tick < 100; tick++ {
 		if tick%10 == 0 {
 			rolls++
@@ -143,7 +143,7 @@ func TestSnapRunsThroughTelemetryBlackout(t *testing.T) {
 	// capacity signal is direct, not telemetry.
 	l, d, _ := lbpSetup(t, 8)
 	rolls := uint64(0)
-	l.BindTelemetry(func() uint64 { return rolls })
+	l.BindTelemetry(&rolls)
 	for i := 0; i < 10; i++ {
 		l.Tick() // telemetry frozen: watchdog engaged
 	}

@@ -1,10 +1,12 @@
 // Package eswitch models the BlueField embedded switch (eSwitch) acting as
 // the OvS data plane (§II-A): a match-action table over destination
-// MAC/IP that forwards packets to named ports (SNIC CPU path, host PCIe
+// MAC/IP that routes packets to named ports (SNIC CPU path, host PCIe
 // path, wire). The SNIC CPU — or HAL at boot — programs the rules; the
 // switch then routes each packet by its destination identity, which is
 // exactly the mechanism HAL's traffic director relies on after rewriting
-// addresses.
+// addresses. Route only names the port: the switch holds no sinks, and
+// its owner carries the packet onward, so a switch embedded in a server
+// makes no call of its own on the packet path.
 package eswitch
 
 import (
@@ -22,6 +24,10 @@ const (
 	PortSNIC               // SNIC CPU / accelerator path
 	PortHost               // PCIe path to the host CPU
 	numPorts
+
+	// NoPort is Route's answer for a packet no rule matches: the switch
+	// drops it.
+	NoPort PortID = -1
 )
 
 func (p PortID) String() string {
@@ -58,25 +64,13 @@ func (r *Rule) matches(p *packet.Packet) bool {
 // three rules and the single-processor ones two.
 const MaxRules = 4
 
-// Sink receives packets forwarded to a port.
-type Sink func(*packet.Packet)
-
 // Switch is the eSwitch. Its zero value has no rules and drops everything;
 // the table is a fixed array of value rules, so a switch embedded in its
-// owner keeps forwarding inside the owner's memory. It is not safe for
-// concurrent use; the simulator is single-threaded by design.
+// owner routes inside the owner's memory. It is not safe for concurrent
+// use; the simulator is single-threaded by design.
 type Switch struct {
 	rules [MaxRules]Rule
 	n     int
-	sinks [numPorts]Sink
-}
-
-// Bind attaches the sink for a port.
-func (s *Switch) Bind(port PortID, sink Sink) {
-	if port < 0 || port >= numPorts {
-		panic(fmt.Sprintf("eswitch: bad port %d", port))
-	}
-	s.sinks[port] = sink
 }
 
 // AddRule installs a rule, keeping the table in descending priority with
@@ -107,17 +101,15 @@ func (s *Switch) NumRules() int { return s.n }
 // ClearRules removes all rules.
 func (s *Switch) ClearRules() { s.rules, s.n = [MaxRules]Rule{}, 0 }
 
-// Forward routes p by the first matching rule to its port's sink.
-// Unmatched packets and packets for an unbound port are dropped.
-func (s *Switch) Forward(p *packet.Packet) {
+// Route returns the port of the first rule matching p, or NoPort when no
+// rule does (the packet is dropped).
+func (s *Switch) Route(p *packet.Packet) PortID {
 	for i := 0; i < s.n; i++ {
 		if r := &s.rules[i]; r.matches(p) {
-			if sink := s.sinks[r.Out]; sink != nil {
-				sink(p)
-			}
-			return
+			return r.Out
 		}
 	}
+	return NoPort
 }
 
 // ConfigureHAL installs the standard HAL/SLB forwarding configuration

@@ -20,112 +20,73 @@ func to(dst packet.Addr) *packet.Packet {
 
 func TestConfigureHALRouting(t *testing.T) {
 	var s Switch
-	var got [numPorts][]*packet.Packet
-	for port := PortID(0); port < numPorts; port++ {
-		port := port
-		s.Bind(port, func(p *packet.Packet) { got[port] = append(got[port], p) })
-	}
 	s.ConfigureHAL(snicAddr, hostAddr)
-
-	s.Forward(to(snicAddr))
-	s.Forward(to(hostAddr))
-	s.Forward(to(cliAddr)) // response path → wire
-
-	if len(got[PortSNIC]) != 1 || len(got[PortHost]) != 1 || len(got[PortWire]) != 1 {
-		t.Fatalf("deliveries = snic:%d host:%d wire:%d",
-			len(got[PortSNIC]), len(got[PortHost]), len(got[PortWire]))
-	}
-	if got[PortSNIC][0].Dst.IP != snicAddr.IP || got[PortHost][0].Dst.IP != hostAddr.IP || got[PortWire][0].Dst.IP != cliAddr.IP {
-		t.Fatal("a packet reached the wrong port")
+	for _, tc := range []struct {
+		dst  packet.Addr
+		want PortID
+	}{
+		{snicAddr, PortSNIC},
+		{hostAddr, PortHost},
+		{cliAddr, PortWire}, // response path → wire
+	} {
+		if got := s.Route(to(tc.dst)); got != tc.want {
+			t.Errorf("a packet to %v routes to %v, want %v", tc.dst.IP, got, tc.want)
+		}
 	}
 }
 
 func TestRewrittenPacketChangesRoute(t *testing.T) {
 	// The HAL traffic-director flow: a packet arrives addressed to the
 	// SNIC; after RewriteDst to the host identity, the same switch
-	// delivers it to the host port.
+	// routes it to the host port.
 	var s Switch
-	var snicN, hostN int
-	s.Bind(PortSNIC, func(*packet.Packet) { snicN++ })
-	s.Bind(PortHost, func(*packet.Packet) { hostN++ })
-	s.Bind(PortWire, func(*packet.Packet) {})
 	s.ConfigureHAL(snicAddr, hostAddr)
-
-	s.Forward(to(snicAddr))
-	p2 := to(snicAddr)
-	p2.RewriteDst(hostAddr)
-	s.Forward(p2)
-	if snicN != 1 || hostN != 1 {
-		t.Fatalf("snic=%d host=%d", snicN, hostN)
+	p := to(snicAddr)
+	if got := s.Route(p); got != PortSNIC {
+		t.Fatalf("before the rewrite: %v, want snic", got)
+	}
+	p.RewriteDst(hostAddr)
+	if got := s.Route(p); got != PortHost {
+		t.Fatalf("after the rewrite: %v, want host", got)
 	}
 }
 
 func TestPriorityOrdering(t *testing.T) {
 	var s Switch
-	var hits []string
-	s.Bind(PortSNIC, func(*packet.Packet) { hits = append(hits, "lo") })
-	s.Bind(PortHost, func(*packet.Packet) { hits = append(hits, "hi") })
 	s.AddRule(Rule{MatchIP: snicAddr.IP, Out: PortSNIC, Priority: 1})
 	s.AddRule(Rule{MatchIP: snicAddr.IP, Out: PortHost, Priority: 5})
-	s.Forward(to(snicAddr))
-	if len(hits) != 1 || hits[0] != "hi" {
-		t.Fatalf("hits = %v, higher priority must win", hits)
+	if got := s.Route(to(snicAddr)); got != PortHost {
+		t.Fatalf("routed to %v, higher priority must win", got)
 	}
 }
 
 func TestEqualPriorityInsertionOrder(t *testing.T) {
 	var s Switch
-	var out []PortID
-	s.Bind(PortSNIC, func(*packet.Packet) { out = append(out, PortSNIC) })
-	s.Bind(PortHost, func(*packet.Packet) { out = append(out, PortHost) })
 	s.AddRule(Rule{Out: PortSNIC, Priority: 3})
 	s.AddRule(Rule{Out: PortHost, Priority: 3})
-	s.Forward(to(cliAddr))
-	if len(out) != 1 || out[0] != PortSNIC {
-		t.Fatal("equal priority should match in insertion order")
+	if got := s.Route(to(cliAddr)); got != PortSNIC {
+		t.Fatalf("routed to %v; equal priority should match in insertion order", got)
 	}
-}
-
-// bindAll binds a counting sink to every port.
-func bindAll(s *Switch) *[numPorts]int {
-	var n [numPorts]int
-	for port := PortID(0); port < numPorts; port++ {
-		port := port
-		s.Bind(port, func(*packet.Packet) { n[port]++ })
-	}
-	return &n
 }
 
 func TestUnmatchedDrops(t *testing.T) {
 	var s Switch
-	n := bindAll(&s)
-	s.AddRule(Rule{MatchMAC: snicAddr.MAC, Out: PortSNIC})
-	s.Forward(to(hostAddr))
-	if *n != [numPorts]int{} {
-		t.Fatalf("deliveries = %v, an unmatched packet must reach no port", *n)
+	if got := s.Route(to(cliAddr)); got != NoPort {
+		t.Fatalf("an empty table routes to %v, want NoPort", got)
 	}
-}
-
-func TestUnboundPortDropsWithoutPanic(t *testing.T) {
-	var s Switch
-	n := bindAll(&s)
-	s.Bind(PortWire, nil)
-	s.AddRule(Rule{Out: PortWire})
-	s.Forward(to(cliAddr))
-	if *n != [numPorts]int{} {
-		t.Fatalf("deliveries = %v, a packet for an unbound port must reach no port", *n)
+	s.AddRule(Rule{MatchMAC: snicAddr.MAC, Out: PortSNIC})
+	if got := s.Route(to(hostAddr)); got != NoPort {
+		t.Fatalf("an unmatched packet routes to %v, want NoPort", got)
 	}
 }
 
 func TestRuleRoutesEveryMatch(t *testing.T) {
 	var s Switch
-	n := bindAll(&s)
 	s.AddRule(Rule{MatchIP: snicAddr.IP, Out: PortSNIC})
 	for i := 0; i < 7; i++ {
-		s.Forward(to(snicAddr))
-	}
-	if *n != [numPorts]int{PortSNIC: 7} {
-		t.Fatalf("deliveries = %v, want all 7 at the SNIC port", *n)
+		if got := s.Route(to(snicAddr)); got != PortSNIC {
+			t.Fatalf("route %d: %v, want snic", i, got)
+		}
 	}
 }
 
@@ -151,7 +112,6 @@ func TestAddRulePastCapacityPanics(t *testing.T) {
 // priority, equal priorities in insertion order.
 func TestPriorityOrderAfterOutOfOrderInserts(t *testing.T) {
 	var s Switch
-	n := bindAll(&s)
 	s.AddRule(Rule{Out: PortWire, Priority: 1})
 	s.AddRule(Rule{MatchIP: hostAddr.IP, Out: PortSNIC, Priority: 5})
 	s.AddRule(Rule{MatchIP: snicAddr.IP, Out: PortHost, Priority: 3})
@@ -165,24 +125,23 @@ func TestPriorityOrderAfterOutOfOrderInserts(t *testing.T) {
 	if got := s.rules[:s.n]; !slices.Equal(got, want) {
 		t.Fatalf("table = %+v, want %+v", got, want)
 	}
-	s.Forward(to(hostAddr)) // first of the two priority-5 rules
-	s.Forward(to(snicAddr)) // priority 3 beats the priority-1 default
-	s.Forward(to(cliAddr))  // only the default matches
-	if *n != [numPorts]int{PortSNIC: 1, PortHost: 1, PortWire: 1} {
-		t.Fatalf("deliveries = %v", *n)
+	got := []PortID{
+		s.Route(to(hostAddr)), // first of the two priority-5 rules
+		s.Route(to(snicAddr)), // priority 3 beats the priority-1 default
+		s.Route(to(cliAddr)),  // only the default matches
+	}
+	if want := []PortID{PortSNIC, PortHost, PortWire}; !slices.Equal(got, want) {
+		t.Fatalf("routes = %v, want %v", got, want)
 	}
 }
 
 func TestMACOnlyAndWildcardMatching(t *testing.T) {
 	var s Switch
-	var n int
-	s.Bind(PortHost, func(*packet.Packet) { n++ })
 	s.AddRule(Rule{MatchMAC: hostAddr.MAC, Out: PortHost})
 	p := to(hostAddr)
 	p.Dst.IP = packet.IPv4{1, 2, 3, 4} // different IP, same MAC
-	s.Forward(p)
-	if n != 1 {
-		t.Fatal("MAC-only rule should ignore IP")
+	if got := s.Route(p); got != PortHost {
+		t.Fatalf("routed to %v; a MAC-only rule should ignore the IP", got)
 	}
 }
 
@@ -201,8 +160,8 @@ func TestClearRules(t *testing.T) {
 func TestBadPortPanics(t *testing.T) {
 	var s Switch
 	for _, f := range []func(){
-		func() { s.Bind(PortID(99), nil) },
 		func() { s.AddRule(Rule{Out: PortID(99)}) },
+		func() { s.AddRule(Rule{Out: NoPort}) },
 	} {
 		func() {
 			defer func() {
@@ -224,15 +183,18 @@ func TestPortStrings(t *testing.T) {
 	}
 }
 
-func BenchmarkForward(b *testing.B) {
+// BenchmarkRoute routes the three kinds of packet a HAL server's switch
+// sees: requests to the SNIC and the host, and responses to the wire.
+func BenchmarkRoute(b *testing.B) {
 	var s Switch
-	s.Bind(PortSNIC, func(*packet.Packet) {})
-	s.Bind(PortHost, func(*packet.Packet) {})
-	s.Bind(PortWire, func(*packet.Packet) {})
 	s.ConfigureHAL(snicAddr, hostAddr)
-	p := to(snicAddr)
+	ps := [...]*packet.Packet{to(snicAddr), to(hostAddr), to(cliAddr)}
+	var hits [numPorts]int
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.Forward(p)
+		hits[s.Route(ps[i%len(ps)])]++
+	}
+	if hits[PortSNIC]+hits[PortHost]+hits[PortWire] != b.N {
+		b.Fatalf("routes = %v over %d packets; every packet matches a rule", hits, b.N)
 	}
 }

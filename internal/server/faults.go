@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 
-	"halsim/internal/core"
 	"halsim/internal/fault"
 	"halsim/internal/rng"
 	"halsim/internal/sim"
@@ -38,23 +37,6 @@ func (r *run) phaseAt(t sim.Time) *phaseAcc {
 		return &r.phases[i]
 	}
 	return nil
-}
-
-// frozenObserver wraps the LBP's queue-occupancy source: during a
-// telemetry blackout it replays the last healthy reading, modeling a stale
-// rte_eth_rx_queue_count path.
-type frozenObserver struct {
-	inner core.QueueObserver
-	down  *bool
-	last  int
-}
-
-func (o *frozenObserver) MaxOccupancy() int {
-	if *o.down {
-		return o.last
-	}
-	o.last = o.inner.MaxOccupancy()
-	return o.last
 }
 
 // checkFaults checks the fault plan against the run it is part of: each

@@ -10,10 +10,11 @@ import (
 
 // Fleet-scale embedding: a cluster run instantiates N complete servers —
 // each the full SNIC+host pipeline of this package, faults and HLB
-// included — on engines the cluster owns. Every server in a group shares
-// that group's engine and packet pool, so one group is one logical process
-// and the conservative-parallel executor partitions the fleet along fabric
-// links.
+// included — on engines the cluster owns, through one Fleet. Every server
+// in a group shares that group's engine and packet pool, so one group is
+// one logical process and the conservative-parallel executor partitions
+// the fleet along fabric links; every server of the fleet shares the
+// Fleet's packet-path handlers.
 
 // ClusterConfig asks for a fleet of Servers identical servers behind one
 // shared ingress. It is pure data so Config can carry it without the
@@ -92,33 +93,80 @@ func (c ClusterConfig) WithDefaults() (ClusterConfig, error) {
 	return c, nil
 }
 
-// Instance is one embedded server of a cluster run: built, started and
-// collected by the cluster, fed by the shared ingress instead of its own
-// client.
-type Instance struct {
-	r *run
+// Fleet is what the servers of one fleet share on the packet path. Every
+// packet event a server schedules carries its packet as the argument word
+// and the server's index as the scalar; the handlers, bound once per
+// fleet, find the server in the fleet's table by that index. So no
+// handler, and no object between a handler and its server's block, is
+// allocated per server. The table is filled while the fleet is built and
+// only read once it runs, so a sharded fleet's groups share it.
+type Fleet struct {
+	runs []*run
+	// respond, when non-nil, receives every wire-bound response at its
+	// egress instant with the index of the server that sent it, in place
+	// of the server's local latency recorder.
+	respond func(srv int, p *packet.Packet)
+
+	// The packet path's event handlers.
+	arriveSNIC, arriveHost, halIngress, egress, toSNIC, toHost, ingress sim.Call
 }
 
-// NewInstance builds server index of a fleet on the injected engine and
+// NewFleet returns the shared packet-path context of a fleet of n
+// servers. respond, when non-nil, receives every wire-bound response with
+// its server's index; the caller carries it back over its fabric.
+func NewFleet(n int, respond func(srv int, p *packet.Packet)) *Fleet {
+	f := &Fleet{runs: make([]*run, n), respond: respond}
+	f.arriveSNIC = func(a any, n int64) { f.runs[n].arriveSNIC(a.(*packet.Packet)) }
+	f.arriveHost = func(a any, n int64) { f.runs[n].arriveHost(a.(*packet.Packet)) }
+	f.halIngress = func(a any, n int64) { f.runs[n].halIngress(a.(*packet.Packet)) }
+	f.egress = func(a any, n int64) { f.runs[n].egress(a.(*packet.Packet)) }
+	f.toSNIC = func(a any, n int64) { f.runs[n].snic.first.enqueue(a.(*packet.Packet)) }
+	f.toHost = func(a any, n int64) { f.runs[n].host.first.enqueue(a.(*packet.Packet)) }
+	f.ingress = func(a any, n int64) {
+		r := f.runs[n]
+		r.ingress(a.(*packet.Packet), r.eng.Now())
+	}
+	return f
+}
+
+// IngressCall returns the fleet's request-arrival handler: scheduled with
+// a request packet as the argument and a server's index as the scalar, it
+// delivers the packet to that server at the firing instant.
+func (f *Fleet) IngressCall() sim.Call { return f.ingress }
+
+// Instance is one embedded server of a cluster run: built, started and
+// collected by the cluster, fed by the shared ingress instead of its own
+// client. It is the server's one block, so the fleet's table points
+// straight at it.
+type Instance struct {
+	r run
+}
+
+// NewInstance builds server index of the fleet on the injected engine and
 // pool without starting traffic. The index, with cfg.Seed, keys the
-// server's random streams. respond, when non-nil, receives every
-// wire-bound response at its egress instant in place of the local latency
-// recorder; the caller carries it back over the fabric. The Config must not ask for
-// shards or telemetry of its own — the cluster owns both.
-func NewInstance(cfg Config, rc RunConfig, index int, eng *sim.Engine, pool *packet.Pool, respond func(*packet.Packet)) (*Instance, error) {
+// server's random streams and is the server's place in the fleet's table;
+// each index is built once. The Config must not ask for shards or
+// telemetry of its own — the cluster owns both.
+func (f *Fleet) NewInstance(cfg Config, rc RunConfig, index int, eng *sim.Engine, pool *packet.Pool) (*Instance, error) {
 	if cfg.Cluster != nil {
 		return nil, fmt.Errorf("server: embedded instance with nested Cluster config")
+	}
+	if index < 0 || index >= len(f.runs) || f.runs[index] != nil {
+		return nil, fmt.Errorf("server: instance index %d is not a free slot of a fleet of %d", index, len(f.runs))
 	}
 	cfg.Shards = 0
 	cfg.Telemetry = telemetry.Config{}
 	if err := prepare(&cfg, &rc); err != nil {
 		return nil, err
 	}
-	r := &run{cfg: cfg, rc: rc, index: index, eng: eng, pool: pool, embedded: true, respond: respond}
+	s := new(Instance)
+	r := &s.r
+	r.cfg, r.rc, r.index, r.eng, r.pool, r.fl, r.embedded = cfg, rc, index, eng, pool, f, true
 	if err := r.build(); err != nil {
 		return nil, err
 	}
-	return &Instance{r: r}, nil
+	f.runs[index] = r
+	return s, nil
 }
 
 // Start registers the server's periodic processes (policy ticks, power

@@ -21,8 +21,8 @@ func runInside(t *testing.T, cfg Config, rc RunConfig, setup func(*run)) (*run, 
 	if err := prepare(&cfg, &rc); err != nil {
 		t.Fatal(err)
 	}
-	r := &run{cfg: cfg, rc: rc, eng: sim.NewEngine(), pool: packet.NewPool()}
-	if err := r.build(); err != nil {
+	r, err := newRun(cfg, rc)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if setup != nil {

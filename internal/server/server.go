@@ -294,18 +294,6 @@ type sideStations struct {
 	second *station // pipeline stage, may be nil
 }
 
-// portPairObserver reports the max occupancy across a side's ports (LBP's
-// queue signal).
-type portPairObserver struct{ a, b *dpdk.Port }
-
-func (o portPairObserver) MaxOccupancy() int {
-	m := o.a.MaxOccupancy()
-	if o.b != nil && o.b.MaxOccupancy() > m {
-		m = o.b.MaxOccupancy()
-	}
-	return m
-}
-
 // Addresses used by every run.
 var (
 	clientAddr = packet.Addr{MAC: packet.MAC{2, 0, 0, 0, 0, 9}, IP: packet.IPv4{10, 0, 0, 9}}
@@ -325,8 +313,8 @@ func Run(cfg Config, rc RunConfig) (Result, error) {
 		return Result{}, err
 	}
 
-	r := &run{cfg: cfg, rc: rc, eng: sim.NewEngine(), pool: packet.NewPool()}
-	if err := r.build(); err != nil {
+	r, err := newRun(cfg, rc)
+	if err != nil {
 		return Result{}, err
 	}
 	r.start()
@@ -341,6 +329,18 @@ func Run(cfg Config, rc RunConfig) (Result, error) {
 		r.eng.Run()
 	}
 	return r.collect(), nil
+}
+
+// newRun builds a standalone server, a fleet of one on its own engine and
+// pool, from a prepared Config and RunConfig.
+func newRun(cfg Config, rc RunConfig) (*run, error) {
+	fl := NewFleet(1, nil)
+	r := &run{cfg: cfg, rc: rc, eng: sim.NewEngine(), pool: packet.NewPool(), fl: fl}
+	if err := r.build(); err != nil {
+		return nil, err
+	}
+	fl.runs[0] = r
+	return r, nil
 }
 
 // prepare applies defaults and validates one server's Config/RunConfig in
@@ -462,27 +462,10 @@ type run struct {
 	// tr is the sampled lifecycle tracer, nil with Config.Telemetry off.
 	tr *telemetry.Tracer
 
-	// Pre-bound event handlers for closure-free scheduling on the packet
-	// path (sim.ScheduleCall): each is allocated once per run and carries
-	// the packet as the event's argument word.
-	arriveSNICCall sim.Call
-	arriveHostCall sim.Call
-	halIngressCall sim.Call
-	forwardCall    sim.Call
-	toSNICCall     sim.Call
-	toHostCall     sim.Call
-
-	// fwdAt is the wire-arrival base time of the packet currently inside
-	// sw.Forward: the PCIe-crossing binds schedule the arrive events at
-	// fwdAt+crossing instead of Now+crossing, so a burst-coalesced ingress
-	// (which forwards packets before their arrival instant) still lands
-	// every packet at its exact analytic arrival time. Every Forward call
-	// site sets it first; outside burst expansion it equals the clock.
-	fwdAt sim.Time
-
-	// respond, when non-nil, intercepts wire-bound responses in place of
-	// deliverResponse so a cluster can carry them back over its fabric.
-	respond func(*packet.Packet)
+	// fl is the fleet the server belongs to (a standalone server is a
+	// fleet of one). Its handlers, bound once per fleet, carry every
+	// packet event: the packet as the argument word, index as the scalar.
+	fl *Fleet
 
 	// The completion path accrues completed, the delivered bytes, and the
 	// client's meter (nil in an embedded server, whose ingress meters).
@@ -516,7 +499,9 @@ type run struct {
 	// fleet — share a directory.
 	fab *cxl.Fabric
 
-	hostSleep *dpdk.SleepController
+	// hostSleep is the host side's DPDK power management, live in HAL
+	// mode only (the host station's sleep points at it).
+	hostSleep dpdk.SleepController
 
 	// cli offers a standalone server's traffic and counts what it
 	// offered; nil in an embedded server.
@@ -536,6 +521,9 @@ type run struct {
 	inj           *fault.Injector
 	faultRng      rng.Rand
 	telemetryDown bool
+	// occLast is the LBP's last healthy queue reading, which a telemetry
+	// blackout replays (see MaxOccupancy).
+	occLast int
 
 	// observability (all nil/zero with Config.Telemetry off; every hook
 	// site nil-checks the specific field it feeds).
@@ -572,35 +560,6 @@ func (r *run) jitter(k uint64) rng.Rand {
 
 func (r *run) build() error {
 	cfg := r.cfg
-	r.arriveSNICCall = func(a any, _ int64) { r.arriveSNIC(a.(*packet.Packet)) }
-	r.arriveHostCall = func(a any, _ int64) { r.arriveHost(a.(*packet.Packet)) }
-	r.halIngressCall = func(a any, _ int64) {
-		p := a.(*packet.Packet)
-		diverted := r.hal.Ingress(p)
-		if r.tr.Sampled(p.ID) {
-			kind := telemetry.KindKeep
-			if diverted {
-				kind = telemetry.KindDivert
-			}
-			r.tr.Emit(telemetry.Span{T: r.eng.Now(), Kind: kind,
-				Station: telemetry.StHLB, Core: -1, Pkt: p.ID})
-		}
-		r.fwdAt = r.eng.Now()
-		r.sw.Forward(p)
-	}
-	// forwardCall carries completed responses to the wire at their egress
-	// instant, so the HAL merger — which must see host responses before the
-	// eSwitch does — applies here rather than at the completion site.
-	r.forwardCall = func(a any, _ int64) {
-		p := a.(*packet.Packet)
-		if r.cfg.Mode == HAL {
-			r.hal.Egress(p)
-		}
-		r.fwdAt = r.eng.Now()
-		r.sw.Forward(p)
-	}
-	r.toSNICCall = func(a any, _ int64) { r.snic.first.enqueue(a.(*packet.Packet)) }
-	r.toHostCall = func(a any, _ int64) { r.host.first.enqueue(a.(*packet.Packet)) }
 	fns, err := newFunctions(cfg)
 	if err != nil {
 		return err
@@ -627,8 +586,7 @@ func (r *run) build() error {
 
 	r.snic.first.init(r.eng, "snic", snicProf, cfg.RingSize, r.jitter(jitterSNIC))
 	r.host.first.init(r.eng, "host", hostProf, cfg.RingSize, r.jitter(jitterHost))
-	r.snic.first.release = r.pool.Put
-	r.host.first.release = r.pool.Put
+	r.snic.first.owner, r.host.first.owner = r, r
 	if cfg.MixOn {
 		sp := cfg.SNIC.Profile(cfg.MixFn)
 		hp := cfg.Host.Profile(cfg.MixFn)
@@ -638,8 +596,7 @@ func (r *run) build() error {
 	if cfg.PipelineOn {
 		r.snic.second = newStation(r.eng, "snic2", cfg.SNIC.Profile(cfg.Pipeline), cfg.RingSize, r.jitter(jitterSNIC2))
 		r.host.second = newStation(r.eng, "host2", cfg.Host.Profile(cfg.Pipeline), cfg.RingSize, r.jitter(jitterHost2))
-		r.snic.second.release = r.pool.Put
-		r.host.second.release = r.pool.Put
+		r.snic.second.owner, r.host.second.owner = r, r
 	}
 
 	// Coherent state access cost for stateful cooperative processing.
@@ -670,27 +627,14 @@ func (r *run) build() error {
 
 	// Host sleep (HAL only; the host must poll in every other mode).
 	if cfg.Mode == HAL {
-		r.hostSleep = &dpdk.SleepController{
+		r.hostSleep = dpdk.SleepController{
 			IdleThreshold: 100 * sim.Microsecond,
 			WakePenalty:   platform.WakeupPenaltyNS,
 		}
-		r.host.first.sleep = r.hostSleep
+		r.host.first.sleep = &r.hostSleep
 	}
 
-	// eSwitch wiring. The bind closures are allocated once; per-packet
-	// crossings schedule through the pre-bound handlers.
-	r.sw.Bind(eswitch.PortSNIC, func(p *packet.Packet) {
-		r.eng.AtCall(r.fwdAt+platform.PCIeCrossNS, r.arriveSNICCall, p, 0)
-	})
-	r.sw.Bind(eswitch.PortHost, func(p *packet.Packet) {
-		r.eng.AtCall(r.fwdAt+platform.PCIeCrossNS+platform.SNICCloserNS, r.arriveHostCall, p, 0)
-	})
-	wire := func(p *packet.Packet) { r.deliverResponse(p) }
-	if r.respond != nil {
-		wire = r.respond
-	}
-	r.sw.Bind(eswitch.PortWire, wire)
-
+	// eSwitch rules; forward carries each packet to the port they name.
 	switch cfg.Mode {
 	case HostOnly:
 		r.sw.AddRule(eswitch.Rule{MatchMAC: snicAddr.MAC, MatchIP: snicAddr.IP, Out: eswitch.PortHost, Priority: 10})
@@ -715,21 +659,9 @@ func (r *run) build() error {
 			hc = *cfg.HALConfig
 			hc.SNICAddr, hc.HostAddr = snicAddr, hostAddr
 		}
-		obs := portPairObserver{a: &r.snic.first.port}
-		if r.snic.second != nil {
-			obs.b = &r.snic.second.port
-		}
-		// The occupancy path runs through a freezer so a telemetry
-		// blackout replays stale readings (what a wedged monitor core
-		// would report) instead of live ones.
-		if err := r.hal.Init(hc, &frozenObserver{inner: obs, down: &r.telemetryDown}); err != nil {
+		// The run is the LBP's queue observer (see MaxOccupancy).
+		if err := r.hal.Init(hc, r); err != nil {
 			return err
-		}
-		// Capacity signal: SNIC core crashes/recoveries reach the LBP
-		// watchdog directly (the LBP core observes its sibling cores'
-		// heartbeats), arming the bounded Fwd_Th failover.
-		r.snic.first.onCapacity = func(alive, total int) {
-			r.hal.Policy.OnCapacityChange(float64(alive) / float64(total))
 		}
 	}
 
@@ -745,12 +677,7 @@ func (r *run) build() error {
 			JitterMeanNS: 100,
 		}
 		r.slbFwd = newStation(r.eng, "host-fwd", fwdProf, cfg.RingSize, r.jitter(jitterFwd))
-		r.slbFwd.release = r.pool.Put
-		r.slbFwd.onServed = func(p *packet.Packet) {
-			// Host → eSwitch → SNIC: two more PCIe crossings and a
-			// second DPDK receive at the SNIC (§IV).
-			r.eng.AtCall(r.eng.Now()+2*platform.PCIeCrossNS, r.toSNICCall, p, 0)
-		}
+		r.slbFwd.owner = r
 	}
 
 	// SLB blocks: software monitor + director + forwarding cores.
@@ -765,28 +692,8 @@ func (r *run) build() error {
 			JitterMeanNS: 200,
 		}
 		r.slbFwd = newStation(r.eng, "slb-fwd", fwdProf, cfg.RingSize, r.jitter(jitterFwd))
-		r.slbFwd.release = r.pool.Put
-		r.slbFwd.onServed = func(p *packet.Packet) {
-			// Forwarded over the long path: SNIC memory → eSwitch →
-			// PCIe → host (§IV).
-			r.eng.AtCall(r.eng.Now()+2*platform.PCIeCrossNS, r.toHostCall, p, 0)
-		}
+		r.slbFwd.owner = r
 	}
-
-	// Station completion wiring.
-	finish := func(side *sideStations, onSNIC bool) {
-		last := &side.first
-		if side.second != nil {
-			second := side.second
-			side.first.onServed = func(p *packet.Packet) {
-				second.enqueue(p) // a full stage-2 ring tail-drops
-			}
-			last = side.second
-		}
-		last.onServed = func(p *packet.Packet) { r.complete(p, onSNIC) }
-	}
-	finish(&r.snic, true)
-	finish(&r.host, false)
 
 	// Observability hooks: every station exists by now, so the tracer can
 	// be threaded into each lane.
@@ -818,10 +725,54 @@ func (r *run) ingress(p *packet.Packet, at sim.Time) {
 	}
 	switch r.cfg.Mode {
 	case HAL:
-		r.eng.AtCall(at+core.IngressLatency, r.halIngressCall, p, 0)
+		r.eng.AtCall(at+core.IngressLatency, r.fl.halIngress, p, int64(r.index))
 	default:
-		r.fwdAt = at
-		r.sw.Forward(p)
+		r.forward(p, at)
+	}
+}
+
+// halIngress runs a request through the HLB's monitor and director at its
+// ingress instant.
+func (r *run) halIngress(p *packet.Packet) {
+	diverted := r.hal.Ingress(p)
+	if r.tr.Sampled(p.ID) {
+		kind := telemetry.KindKeep
+		if diverted {
+			kind = telemetry.KindDivert
+		}
+		r.tr.Emit(telemetry.Span{T: r.eng.Now(), Kind: kind,
+			Station: telemetry.StHLB, Core: -1, Pkt: p.ID})
+	}
+	r.forward(p, r.eng.Now())
+}
+
+// egress carries a completed response to the wire at its egress instant,
+// so the HAL merger — which must see host responses before the eSwitch
+// does — applies here rather than at the completion site.
+func (r *run) egress(p *packet.Packet) {
+	if r.cfg.Mode == HAL {
+		r.hal.Egress(p)
+	}
+	r.forward(p, r.eng.Now())
+}
+
+// forward carries p to the port the eSwitch routes it to. at is the
+// packet's wire-arrival instant: the PCIe crossings land at at+crossing
+// rather than Now+crossing, so a burst-coalesced ingress (which forwards
+// packets before their arrival instant) still lands every packet at its
+// exact analytic arrival time. A packet no rule matches is dropped.
+func (r *run) forward(p *packet.Packet, at sim.Time) {
+	switch r.sw.Route(p) {
+	case eswitch.PortSNIC:
+		r.eng.AtCall(at+platform.PCIeCrossNS, r.fl.arriveSNIC, p, int64(r.index))
+	case eswitch.PortHost:
+		r.eng.AtCall(at+platform.PCIeCrossNS+platform.SNICCloserNS, r.fl.arriveHost, p, int64(r.index))
+	case eswitch.PortWire:
+		if r.fl.respond != nil {
+			r.fl.respond(r.index, p)
+		} else {
+			r.deliverResponse(p)
+		}
 	}
 }
 
@@ -861,6 +812,68 @@ func (r *run) arriveHost(p *packet.Packet) {
 		return
 	}
 	r.host.first.enqueue(p)
+}
+
+// served takes the packet station s finished serving: the SNIC first
+// stage counts its bytes toward HAL's SNIC_TP, a first stage hands its
+// packet to its pipeline's second stage (a full stage-2 ring tail-drops),
+// the SLB forwarder relays it over the long path, and the last stage
+// completes it.
+func (r *run) served(s *station, p *packet.Packet) {
+	switch s {
+	case &r.snic.first:
+		if r.cfg.Mode == HAL {
+			r.hal.Policy.OnSNICBurst(p.WireLen)
+		}
+		if r.snic.second != nil {
+			r.snic.second.enqueue(p)
+			return
+		}
+		r.complete(p, true)
+	case &r.host.first:
+		if r.host.second != nil {
+			r.host.second.enqueue(p)
+			return
+		}
+		r.complete(p, false)
+	case r.slbFwd:
+		// SLB: SNIC memory → eSwitch → PCIe → host; SLB-host: host →
+		// eSwitch → SNIC, with a second DPDK receive at the SNIC. Either
+		// way two more PCIe crossings (§IV).
+		to := r.fl.toHost
+		if r.cfg.Mode == SLBHost {
+			to = r.fl.toSNIC
+		}
+		r.eng.AtCall(r.eng.Now()+2*platform.PCIeCrossNS, to, p, int64(r.index))
+	default:
+		r.complete(p, s == r.snic.second)
+	}
+}
+
+// capacityChanged is the SNIC side's capacity signal: a core crash or
+// recovery on the SNIC first stage reaches HAL's LBP watchdog directly
+// (the LBP core observes its sibling cores' heartbeats), arming the
+// bounded Fwd_Th failover.
+func (r *run) capacityChanged(s *station) {
+	if r.cfg.Mode == HAL && s == &r.snic.first {
+		r.hal.Policy.OnCapacityChange(float64(s.aliveCores()) / float64(len(s.cores)))
+	}
+}
+
+// MaxOccupancy is the LBP's queue signal, the max occupancy across the
+// SNIC side's rings. During a telemetry blackout it replays the last
+// healthy reading, modeling a stale rte_eth_rx_queue_count path (what a
+// wedged monitor core would report).
+func (r *run) MaxOccupancy() int {
+	if r.telemetryDown {
+		return r.occLast
+	}
+	m := r.snic.first.port.MaxOccupancy()
+	if r.snic.second != nil && r.snic.second.port.MaxOccupancy() > m {
+		m = r.snic.second.port.MaxOccupancy()
+	}
+	r.occLast = m
+	return m
 }
 
 // complete fires when the (last) function finishes a packet. It accrues the
@@ -933,7 +946,7 @@ func (r *run) complete(p *packet.Packet, onSNIC bool) {
 				Station: telemetry.StHLB, Core: -1, Pkt: resp.ID})
 		}
 	}
-	r.eng.AtCall(r.eng.Now()+egress, r.forwardCall, resp, 0)
+	r.eng.AtCall(r.eng.Now()+egress, r.fl.egress, resp, int64(r.index))
 }
 
 // deliverResponse hands the client-observed round trip to the meter.
@@ -954,12 +967,6 @@ func (r *run) start() {
 	if r.cfg.Mode == HAL {
 		r.eng.Every(&r.ctlTick, r.hal.Cfg.MonitorPeriod, monitorTick, r)
 		r.eng.Every(&r.lbpTick, r.hal.Cfg.LBPPeriod, lbpTick, r)
-		// SNIC_TP accounting: completions on the SNIC side.
-		prev := r.snic.first.onServed
-		r.snic.first.onServed = func(p *packet.Packet) {
-			r.hal.Policy.OnSNICBurst(p.WireLen)
-			prev(p)
-		}
 	}
 	if r.cfg.Mode == SLB || r.cfg.Mode == SLBHost {
 		r.eng.Every(&r.ctlTick, 10*sim.Microsecond, slbTick, r)
@@ -1030,15 +1037,13 @@ func powerTick(a any, _ int64) {
 	case SNICOnly:
 		hostAwake = false
 	case HAL:
-		if r.hostSleep != nil {
-			// The sampler doubles as the idle observer: a host
-			// side with empty rings and no busy cores counts as
-			// idle even if no core ever polled (no traffic yet).
-			if r.host.first.port.TotalBacklog() == 0 && !r.host.first.anyBusy() {
-				r.hostSleep.OnIdle(r.eng.Now())
-			}
-			hostAwake = !r.hostSleep.Asleep()
+		// The sampler doubles as the idle observer: a host side with
+		// empty rings and no busy cores counts as idle even if no core
+		// ever polled (no traffic yet).
+		if r.host.first.port.TotalBacklog() == 0 && !r.host.first.anyBusy() {
+			r.hostSleep.OnIdle(r.eng.Now())
 		}
+		hostAwake = !r.hostSleep.Asleep()
 	}
 	snicActive := util
 	if r.cfg.Mode == HostOnly {
@@ -1095,9 +1100,7 @@ func (r *run) collect() Result {
 	if r.deliveredB > 0 {
 		res.SNICShare = float64(r.snicB) / float64(r.deliveredB)
 	}
-	if r.hostSleep != nil {
-		res.Wakeups = r.hostSleep.Wakeups
-	}
+	res.Wakeups = r.hostSleep.Wakeups
 	if r.cfg.Mode == HAL {
 		res.FinalFwdTh = r.hal.Director.FwdTh()
 		res.LBPAdjustments = r.hal.Policy.Adjustments

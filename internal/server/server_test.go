@@ -333,9 +333,24 @@ func TestNegativeRingSizeIsAnError(t *testing.T) {
 		if _, err := Run(cfg, rc); err == nil || !strings.Contains(err.Error(), "ring size") {
 			t.Fatalf("Run with RingSize %d: err = %v, want a ring size error", size, err)
 		}
-		if _, err := NewInstance(cfg, rc, 0, sim.NewEngine(), packet.NewPool(), nil); err == nil ||
+		if _, err := NewFleet(1, nil).NewInstance(cfg, rc, 0, sim.NewEngine(), packet.NewPool()); err == nil ||
 			!strings.Contains(err.Error(), "ring size") {
 			t.Fatalf("NewInstance with RingSize %d: err = %v, want a ring size error", size, err)
+		}
+	}
+}
+
+// TestInstanceSlots: a fleet builds each index once, inside its table.
+func TestInstanceSlots(t *testing.T) {
+	cfg := Config{Mode: HAL, Fn: nf.NAT}
+	rc := RunConfig{Duration: sim.Millisecond, RateGbps: 10}
+	eng, pool, fl := sim.NewEngine(), packet.NewPool(), NewFleet(2, nil)
+	if _, err := fl.NewInstance(cfg, rc, 1, eng, pool); err != nil {
+		t.Fatal(err)
+	}
+	for _, index := range []int{-1, 1, 2} {
+		if _, err := fl.NewInstance(cfg, rc, index, eng, pool); err == nil || !strings.Contains(err.Error(), "free slot") {
+			t.Errorf("index %d: err = %v, want a slot error", index, err)
 		}
 	}
 }
@@ -450,12 +465,12 @@ func TestInstancesOwnTheirCoherenceState(t *testing.T) {
 	if err := Normalize(&cfg, &rc); err != nil {
 		t.Fatal(err)
 	}
-	eng, pool := sim.NewEngine(), packet.NewPool()
-	fed, err := NewInstance(cfg, rc, 0, eng, pool, nil)
+	eng, pool, fl := sim.NewEngine(), packet.NewPool(), NewFleet(2, nil)
+	fed, err := fl.NewInstance(cfg, rc, 0, eng, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idle, err := NewInstance(cfg, rc, 1, eng, pool, nil)
+	idle, err := fl.NewInstance(cfg, rc, 1, eng, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,10 +517,10 @@ func TestFleetIdleHostRingsHoldNoBuffer(t *testing.T) {
 		if err := Normalize(&cfg, &rc); err != nil {
 			t.Fatal(err)
 		}
-		eng, pool := sim.NewEngine(), packet.NewPool()
+		eng, pool, fl := sim.NewEngine(), packet.NewPool(), NewFleet(servers, nil)
 		insts := make([]*Instance, servers)
 		for i := range insts {
-			inst, err := NewInstance(cfg, rc, i, eng, pool, nil)
+			inst, err := fl.NewInstance(cfg, rc, i, eng, pool)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,14 +42,13 @@ type station struct {
 	// at service start.
 	extra func(*packet.Packet) sim.Time
 
-	// onServed fires at service completion with the served packet.
+	// owner is the server the station belongs to: it takes every served
+	// packet (run.served), every packet the station drops (back into its
+	// pool) and every change of the station's alive cores. A station
+	// without an owner hands its served packets to onServed instead and
+	// releases nothing.
+	owner    *run
 	onServed func(*packet.Packet)
-
-	// completeCall is the pre-bound completion handler of the hot path
-	// (closure-free scheduling; see sim.ScheduleCall). A poll event
-	// carries no packet, so its handler is the package-level serveCall
-	// with the station as the event's argument.
-	completeCall sim.Call
 
 	// tr, when non-nil, records sampled lifecycle spans (and every drop)
 	// under the telID lane. A nil tr costs one pointer compare per hook.
@@ -67,17 +66,6 @@ type station struct {
 	altTimer platform.ServiceTimer
 	telID    telemetry.StationID
 
-	// onCapacity, when non-nil, fires after a crash or recovery with the
-	// alive and total core counts (the LBP watchdog's capacity signal).
-	onCapacity func(alive, total int)
-
-	// release, when non-nil, returns a packet the station conclusively
-	// dropped (ring tail-drop, fault drop, failed rehome) to the run's
-	// packet pool. Ownership rule: a packet handed to enqueue is owned by
-	// the station until it is either delivered via onServed or released
-	// here — callers must not touch it after a false return.
-	release func(*packet.Packet)
-
 	// Fault accounting: crashes counts core deaths, requeued counts
 	// packets re-homed off a crashed core (in-flight victim plus drained
 	// ring backlog), faultDrops counts packets lost because no core was
@@ -87,11 +75,12 @@ type station struct {
 	faultDrops uint64
 }
 
-// coreState is one core's slot. busy marks a core mid-service. The rest is
-// fault state: dead marks a crashed core, gen is its incarnation counter,
-// which invalidates the pending completion of a crashed core, and
-// inflight/inflightDone track the packet being served (and when it would
-// have finished) so a crash can requeue it and unwind busyTime.
+// coreState is one core's slot. busy marks a core mid-service, and
+// inflight is the packet it serves, which its completion takes. The rest
+// is fault state: dead marks a crashed core, gen is its incarnation
+// counter, which invalidates the pending completion of a crashed core, and
+// inflightDone is when the service would have finished, so a crash can
+// requeue the packet and unwind busyTime.
 type coreState struct {
 	busy, dead   bool
 	gen          uint64
@@ -113,8 +102,8 @@ func newStation(eng *sim.Engine, name string, prof platform.FnProfile, ringSize 
 }
 
 // init builds the station in place, drawing service jitter from the
-// stream jitter. Its event handlers are bound to s, so an initialized
-// station must not be copied.
+// stream jitter. Its events carry s itself, so an initialized station
+// must not be copied.
 func (s *station) init(eng *sim.Engine, name string, prof platform.FnProfile, ringSize int, jitter rng.Rand) {
 	if prof.Servers > maxCores {
 		panic("server: station core count exceeds completion-event packing range")
@@ -128,15 +117,16 @@ func (s *station) init(eng *sim.Engine, name string, prof platform.FnProfile, ri
 		rng:   jitter,
 		cores: make([]coreState, prof.Servers),
 	}
-	// Bind the completion handler once: scheduling a completion then
-	// carries (handler, packet, packed scalar) by value instead of
-	// capturing a fresh closure per packet.
-	s.completeCall = s.completeServe
 }
 
-// serveCall is the poll event's handler: arg is the station, core the
-// core to poll.
+// The station's event handlers are package-level, with the station as the
+// event's argument. serveCall is the poll event's: core is the core to
+// poll.
 func serveCall(arg any, core int64) { arg.(*station).serve(int(core)) }
+
+// completeCall is the completion event's: n packs the core and the
+// generation its service started under (see completeServe).
+func completeCall(arg any, n int64) { arg.(*station).completeServe(n) }
 
 // enqueue delivers p to the station's RSS queue, returning false on a tail
 // drop. If the owning core is idle it starts serving, paying the wake-up
@@ -199,10 +189,14 @@ func (s *station) enqueueCore(p *packet.Packet, core int, penalty sim.Time) bool
 	return true
 }
 
-// releasePkt returns a dropped packet to the run's pool, if pooling is on.
+// releasePkt returns a packet the station conclusively dropped (ring
+// tail-drop, fault drop, failed rehome) to its owner's packet pool.
+// Ownership rule: a packet handed to enqueue is owned by the station until
+// it is either served or released here — callers must not touch it after
+// a false return.
 func (s *station) releasePkt(p *packet.Packet) {
-	if s.release != nil {
-		s.release(p)
+	if s.owner != nil {
+		s.owner.pool.Put(p)
 	}
 }
 
@@ -253,23 +247,24 @@ func (s *station) serve(core int) {
 		s.tr.Emit(telemetry.Span{T: s.eng.Now(), Dur: st, Kind: telemetry.KindServe,
 			Station: s.telID, Core: int16(core), Pkt: p.ID, Arg: int64(p.WireLen)})
 	}
-	// Completion carries (packet, gen<<coreBits|core) by value — no
+	// Completion carries (station, gen<<coreBits|core) by value — no
 	// captured closure, no per-packet allocation.
-	s.eng.ScheduleCall(st, s.completeCall, p, int64(c.gen)<<coreBits|int64(core))
+	s.eng.ScheduleCall(st, completeCall, s, int64(c.gen)<<coreBits|int64(core))
 }
 
-// completeServe fires when core finishes serving p. The packed scalar
-// holds the core index and the generation the service started under; a
-// crash between service start and completion bumps the generation, which
-// voids the stale completion (the packet was re-homed or dropped at crash
-// time).
-func (s *station) completeServe(arg any, n int64) {
+// completeServe fires when a core finishes serving its in-flight packet.
+// The packed scalar holds the core index and the generation the service
+// started under. A crash between service start and completion bumps the
+// generation, which voids the stale completion (the packet was re-homed or
+// dropped at crash time); a matching generation means no crash since
+// serve set inflight, so inflight is the packet this event completes.
+func (s *station) completeServe(n int64) {
 	core := int(n & (maxCores - 1))
 	c := &s.cores[core]
 	if c.gen != uint64(n)>>coreBits {
 		return // core crashed mid-service; packet already re-homed
 	}
-	p := arg.(*packet.Packet)
+	p := c.inflight
 	c.inflight = nil
 	s.bytesDone += uint64(p.WireLen)
 	s.windowBytes += int64(p.WireLen)
@@ -277,7 +272,9 @@ func (s *station) completeServe(arg any, n int64) {
 		s.tr.Emit(telemetry.Span{T: s.eng.Now(), Kind: telemetry.KindComplete,
 			Station: s.telID, Core: int16(core), Pkt: p.ID})
 	}
-	if s.onServed != nil {
+	if s.owner != nil {
+		s.owner.served(s, p)
+	} else if s.onServed != nil {
 		s.onServed(p)
 	}
 	s.serve(core)
@@ -285,7 +282,8 @@ func (s *station) completeServe(arg any, n int64) {
 
 // failCore kills one core: its in-flight packet and ring backlog are
 // re-homed onto the surviving cores (tail-dropping if their rings are
-// full), new arrivals are steered away, and the capacity callback fires.
+// full), new arrivals are steered away, and the owner hears of the lost
+// capacity.
 // Failing a dead core is a no-op.
 func (s *station) failCore(core int) {
 	if core < 0 || core >= len(s.cores) || s.cores[core].dead {
@@ -308,8 +306,8 @@ func (s *station) failCore(core int) {
 	for p := q.Pop(); p != nil; p = q.Pop() {
 		s.rehome(p)
 	}
-	if s.onCapacity != nil {
-		s.onCapacity(s.aliveCores(), len(s.cores))
+	if s.owner != nil {
+		s.owner.capacityChanged(s)
 	}
 }
 
@@ -325,8 +323,8 @@ func (s *station) recoverCore(core int) {
 		c.busy = true
 		s.eng.ScheduleCall(0, serveCall, s, int64(core))
 	}
-	if s.onCapacity != nil {
-		s.onCapacity(s.aliveCores(), len(s.cores))
+	if s.owner != nil {
+		s.owner.capacityChanged(s)
 	}
 }
 

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"slices"
 	"testing"
 
+	"halsim/internal/nf"
 	"halsim/internal/packet"
 	"halsim/internal/sim"
 )
@@ -106,22 +108,72 @@ func TestStationRecoverRejoinsRSS(t *testing.T) {
 	st.failCore(99)
 }
 
+// TestStationCapacityCallback: a HAL server's SNIC station reports every
+// loss of alive cores to the LBP watchdog, which arms one failover snap
+// per loss; a recovery, a repeated crash of a dead core and a host-side
+// crash arm none.
 func TestStationCapacityCallback(t *testing.T) {
-	eng := sim.NewEngine()
-	st := newStation(eng, "t", testProfile(4, 8), 64, testJitter)
-	var fracs []float64
-	st.onCapacity = func(alive, total int) { fracs = append(fracs, float64(alive)/float64(total)) }
-	st.failCore(0)
-	st.failCore(1)
-	st.recoverCore(0)
-	want := []float64{0.75, 0.5, 0.75}
-	if len(fracs) != len(want) {
-		t.Fatalf("callbacks = %v", fracs)
+	cfg := Config{Mode: HAL, Fn: nf.NAT}
+	rc := RunConfig{Duration: sim.Millisecond, RateGbps: 10}
+	inst, err := NewFleet(1, nil).NewInstance(cfg, rc, 0, sim.NewEngine(), packet.NewPool())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if fracs[i] != want[i] {
-			t.Fatalf("callbacks = %v, want %v", fracs, want)
+	r := &inst.r
+	snic, pol := &r.snic.first, &r.hal.Policy
+	for _, step := range []struct {
+		do   func()
+		want uint64
+	}{
+		{func() { snic.failCore(0) }, 1},
+		{func() { snic.failCore(1) }, 2},
+		{func() { snic.recoverCore(0) }, 2},
+		{func() { snic.failCore(1) }, 2}, // already dead
+		{func() { r.host.first.failCore(0) }, 2},
+		{func() { snic.failCore(0) }, 3},
+	} {
+		step.do()
+		if pol.FailoverEvents != step.want {
+			t.Fatalf("after %d of %d SNIC cores crashed: %d failover snaps armed, want %d",
+				len(snic.cores)-snic.aliveCores(), len(snic.cores), pol.FailoverEvents, step.want)
 		}
+	}
+}
+
+// TestStationStaleCompletionSparesTheNextPacket: a core crashes mid-service,
+// recovers, and starts serving a different packet before the crashed
+// service's completion event fires. A completion takes its packet from the
+// core's in-flight slot, so only the generation check keeps the stale event
+// from completing the new packet early: it must be voided, and each packet
+// must complete exactly once, at its own service's end.
+func TestStationStaleCompletionSparesTheNextPacket(t *testing.T) {
+	eng := sim.NewEngine()
+	// Two cores at 4 Gbps each: an MTU packet takes 3 µs, without jitter.
+	st := newStation(eng, "t", testProfile(2, 8), 64, testJitter)
+	type done struct {
+		id uint64
+		at sim.Time
+	}
+	var served []done
+	st.onServed = func(p *packet.Packet) { served = append(served, done{p.ID, eng.Now()}) }
+
+	first, second := flowPkt(10, 0, 2), flowPkt(20, 0, 2)
+	st.enqueue(first) // core 0 serves it over [0, 3000)
+	eng.RunUntil(100)
+	st.failCore(0) // first moves to core 1: [100, 3100)
+	st.recoverCore(0)
+	eng.RunUntil(200)
+	st.enqueue(second) // core 0 serves it over [200, 3200)
+	eng.RunUntil(3050)
+	if len(served) != 0 {
+		t.Fatalf("served %v by 3.05 µs: the crashed service's completion at 3 µs was not voided", served)
+	}
+	eng.Run()
+	if want := []done{{first.ID, 3100}, {second.ID, 3200}}; !slices.Equal(served, want) {
+		t.Fatalf("served %v, want %v", served, want)
+	}
+	if st.bytesDone != 3000 {
+		t.Fatalf("bytesDone = %d, want 3000", st.bytesDone)
 	}
 }
 

@@ -134,6 +134,13 @@ func (e *Engine) SetRank(rank int) {
 	e.rank = uint64(rank)
 }
 
+// Reserve sizes the event queue to hold n simultaneously pending events
+// without growing: an owner that knows how many events it will file — a
+// fleet group schedules a few periodic processes per server before any
+// traffic — sizes the queue once instead of letting it grow by doubling.
+// It changes no event's order and never shrinks the queue.
+func (e *Engine) Reserve(n int) { e.q.reserve(n) }
+
 // nextSeq draws the next same-instant tie-break key. Within one engine the
 // keys are strictly increasing across schedules (clock monotone, counter
 // monotone within an instant), preserving the FIFO contract.

@@ -278,3 +278,32 @@ func TestQuickPropertyOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReserveKeepsOrderAndCapacity: a reserved engine fires the same
+// random schedule in the same order as an unreserved one, and files up to
+// the reserved count without reallocating its queue.
+func TestReserveKeepsOrderAndCapacity(t *testing.T) {
+	const events = 500
+	order := func(reserve int) ([]int, int) {
+		e := NewEngine()
+		e.Reserve(reserve)
+		r := rand.New(rand.NewPCG(7, 7))
+		var got []int
+		for i := 0; i < events; i++ {
+			e.schedule(Time(r.IntN(40)), func() { got = append(got, i) })
+		}
+		grown := cap(e.q.slab)
+		e.Run()
+		return got, grown
+	}
+	want, _ := order(0)
+	got, capacity := order(events)
+	if capacity != events {
+		t.Errorf("slab capacity %d after filing %d reserved events, want %d", capacity, events, events)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reserved engine fired event %d at position %d, unreserved fired %d", got[i], i, want[i])
+		}
+	}
+}

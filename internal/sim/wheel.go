@@ -195,6 +195,16 @@ func (w *timerWheel) place(at Time) (l int, idx int, ok bool) {
 	return l, idx, true
 }
 
+// reserve grows the slab's capacity to at least n cells. Cells are still
+// handed out in index order, so the event order cannot change.
+func (w *timerWheel) reserve(n int) {
+	if n > cap(w.slab) {
+		slab := make([]wheelNode, len(w.slab), n)
+		copy(slab, w.slab)
+		w.slab = slab
+	}
+}
+
 // insertSlot files a slab cell for an event at absolute time at with seq
 // key seq (the caller — the engine — guarantees at >= wt) and returns the
 // cell for the caller to fill in place: one set of stores into the slab
